@@ -155,13 +155,13 @@ def _run_transform(state: _RunState, out: Path) -> None:
     spec = TruncationSpec.for_curve(sc, doc.get("experiment", "k_min"),
                                     doc.get("experiment", "k_max"))
     rows = ["node,param,quantity,epsilon,re,im"]
-    table = operators.truncated_cauchy_all(f, spec)
-    for k in spec.k_grid:
-        rows += operators.transform_csv_rows(sc, "T_eps", table[k],
+    pvs, tables = operators.cauchy_family(sc, f.values[None, :], spec)
+    for k, t_eps in zip(spec.k_grid, tables[0]):
+        rows += operators.transform_csv_rows(sc, "T_eps", t_eps,
                                              eps_label=f"T*2^-{k}")
-    pv = operators.pv_cauchy_all(f)
+    pv = GridFunction(sc, pvs[0])
     rows += operators.transform_csv_rows(sc, "T_pv", pv.values)
-    t_star, _ = operators.maximal_cauchy_all(f, spec)
+    t_star, _ = operators.maximal_of(tables[0], spec)
     rows += operators.transform_csv_rows(sc, "T_star", t_star.astype(complex))
     m1 = operators.hl_maximal_all(pv)
     rows += operators.transform_csv_rows(sc, "M", m1.astype(complex))

@@ -18,11 +18,12 @@ from .errors import BranchAmbiguityError, DomainError, ResolutionError
 from .operators import (
     GridFunction,
     TruncationSpec,
+    cauchy_family,
     hl_maximal_all,
     hl_maximal_squared,
     kernel_transform_direct_fill,
     kernel_truncation_transform,
-    maximal_cauchy_all,
+    maximal_of,
     pv_cauchy_all,
     truncated_cauchy,
 )
@@ -189,6 +190,7 @@ def make_test_functions(sc: SampledCurve, tags, seed: int = 0,
                     f"chi@{c:.6g}", (dist < half).astype(complex),
                     jumps=((c - half) % period, (c + half) % period)))
         elif tag == "adversarial":
+            chis = []
             for anchor in anchors[:2]:  # symmetric landmarks add nothing
                 for k_out in (1, 3):
                     eps = period * 2.0 ** (-k_out)
@@ -197,14 +199,15 @@ def make_test_functions(sc: SampledCurve, tags, seed: int = 0,
                     n_exp = deepest_exponent(sc, eps)
                     for sign in (+1, -1):
                         try:
-                            chi = adversarial_indicator(
+                            chis.append(adversarial_indicator(
                                 sc, eps, n_exp=n_exp, sign=sign,
-                                anchor=anchor, bilip=bilip)
+                                anchor=anchor, bilip=bilip))
                         except ResolutionError:
                             continue
-                        witness = pv_cauchy_all(GridFunction(sc, chi.values))
-                        out.append(TestFunction("T*" + chi.tag, witness.values,
-                                                jumps=chi.jumps))
+            if chis:
+                witnesses, _ = cauchy_family(sc, [chi.values for chi in chis])
+                out += [TestFunction("T*" + chi.tag, w, jumps=chi.jumps)
+                        for chi, w in zip(chis, witnesses)]
         else:
             raise DomainError(f"unknown test function tag {tag!r}")
     return tuple(out)
@@ -486,11 +489,10 @@ def cotlar_ratio_scan(p, resolutions, tags=("constant", "trig:1", "trig:3",
         fam = make_test_functions(sc, tags, seed=seed, bilip=bilip_n,
                                   anchors=anchors)
         agg = 0.0
-        for tf_fn in fam:
-            f = GridFunction(sc, tf_fn.values)
-            tf = pv_cauchy_all(f)
-            m2 = hl_maximal_squared(tf).values.real
-            t_star, _ = maximal_cauchy_all(f, spec)
+        pvs, tables = cauchy_family(sc, [tf_fn.values for tf_fn in fam], spec)
+        t_stars, _ = maximal_of(tables, spec)
+        for tf_fn, pv, t_star in zip(fam, pvs, t_stars):
+            m2 = hl_maximal_squared(GridFunction(sc, pv)).values.real
             ok = m2 > UNDERFLOW_FLOOR
             flagged = int(np.sum(~ok))
             for j in tf_fn.jumps:

@@ -5,8 +5,26 @@ Hardy-Littlewood maximal operator, and the kernel-truncation transform.
 Conventions: the excluded set is always the parametric ball (parameter
 interval of radius eps), nodes exactly on the exclusion boundary carry half
 weight in Cauchy sums, and the complex measure at a node is its unit chord
-tangent times its arc weight.  Sweeps over all nodes run in row blocks and
-are deterministic regardless of block size.
+tangent times its arc weight.
+
+One evaluator, truncated_cauchy_family, computes every all-nodes Cauchy
+sum: a stack of F functions times a list of windows.  Rows run in blocks
+of _BLOCK rows (rounded up to whole tiles of _TILE rows); each block builds
+its kernel 1/(z_j - z_i) once, with one complex division per entry, and
+every function and window is cut from it.  A window's value is the sum over
+its outside set, grown from the antipode inward by plain matmuls over the
+columns a whole tile shares, plus two masked matmuls for each tile's ragged
+ends, plus the half-weight boundary nodes.  Per-block memory is the kernel
+block, _BLOCK x (n + _BLOCK + _TILE) complex entries (about 26 MB at
+n = 8192), whatever F is.  pv_cauchy_all, truncated_cauchy_all and
+maximal_cauchy_all are that evaluator on a family of one; the single-node
+functions truncated_cauchy, pv_cauchy and maximal_cauchy are the readable
+oracles it is tested against.
+
+Determinism: a node's value depends only on its tile, never on the block
+size, so reruns, block sizes and BLAS thread counts give the same bits.  A
+family and a single call agree to 1e-13 relative (matrix-matrix and
+matrix-vector products round differently).
 """
 
 from __future__ import annotations
@@ -28,6 +46,9 @@ __all__ = [
     "MaximalValue",
     "truncated_cauchy",
     "pv_cauchy",
+    "truncated_cauchy_family",
+    "cauchy_family",
+    "maximal_of",
     "pv_cauchy_all",
     "truncated_cauchy_all",
     "maximal_cauchy",
@@ -39,7 +60,8 @@ __all__ = [
     "transform_csv_rows",
 ]
 
-_BLOCK = 192
+_BLOCK = 192  # rows per kernel block, rounded up to whole tiles
+_TILE = 64    # rows that share one column split; tiles start at multiples of it
 _BOUNDARY_TOL = 1e-9
 
 
@@ -171,66 +193,153 @@ def pv_cauchy(f: GridFunction, z_index: int) -> complex:
     return 2.0 * t2 - t4
 
 
-def _sweep_windows(f: GridFunction, inner_list, boundary_list):
-    """All-nodes truncated sums for several exclusion windows at once.
+def _kernel_block(sc: SampledCurve, ext: np.ndarray, rows: np.ndarray,
+                  width: int) -> np.ndarray:
+    """Cauchy kernel 1/(z_j - z_i) for a row block, in a rotated frame.
 
-    Returns a (n_windows, n) complex array; entry [w, i] is the transform
-    at node i with the w-th exclusion window.  Row blocks keep memory flat;
-    assembly order is deterministic.
+    Frame column q holds node ext[rows[0] + q], so every window of every
+    row is a contiguous column range.  Entries where the node is the row's
+    own node are zero.
     """
-    sc = f.base
+    nodes = ext[rows[0]:rows[0] + width]
+    self_hit = nodes[None, :] == rows[:, None]
+    dz = sc.points[nodes][None, :] - sc.points[rows, None]
+    dz[self_hit] = 1.0
+    kern = np.divide(1.0, dz, out=dz)
+    kern[self_hit] = 0.0
+    return kern
+
+
+def _masked_sum(kern, contrib, q0: int, mask) -> np.ndarray:
+    """Row sums of kern * contrib over frame columns q0.. where mask holds."""
+    cols = slice(q0, q0 + mask.shape[1])
+    return (kern[:, cols] * mask) @ contrib[cols]
+
+
+def _outside_sums(kern, contrib, cuts, n: int) -> dict:
+    """Sums over |offset| > c for one tile of rows and each cut c.
+
+    The tile's rows are frame columns 0..m-1 of kern.  For cut c row r
+    keeps the window t in [r, r + w) of the frame columns starting at
+    c + 1, w = n - 2c - 1.  Columns t in [TILE - 1, w) belong to every row
+    of the tile and come from plain matmuls, nested from the antipode
+    inward; the ragged ends are masked matmuls.  Every term is added, none
+    subtracted, so a window that holds only a few nodes is as accurate as
+    its own terms.
+    """
+    m = kern.shape[0]
+    tile = _TILE
+    r = np.arange(m)[:, None]
+    t = np.arange(tile - 1)[None, :]
+    head, tail = t >= r, t < r
+    out = {}
+    lo = hi = None
+    for c in cuts:
+        w = n - 2 * c - 1
+        q0 = c + 1
+        if w < tile:
+            t_all = np.arange(w + tile - 1)[None, :]
+            out[c] = _masked_sum(kern, contrib, q0,
+                                 (t_all >= r) & (t_all < r + w))
+            continue
+        new_lo, new_hi = q0 + tile - 1, q0 + w
+        if lo is None:
+            mid = kern[:, new_lo:new_hi] @ contrib[new_lo:new_hi]
+        else:
+            mid = (mid + kern[:, new_lo:lo] @ contrib[new_lo:lo]
+                   + kern[:, hi:new_hi] @ contrib[hi:new_hi])
+        lo, hi = new_lo, new_hi
+        out[c] = (mid + _masked_sum(kern, contrib, q0, head)
+                  + _masked_sum(kern, contrib, q0 + w, tail))
+    return out
+
+
+def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
+    """Truncated transforms of a stack of functions for several windows.
+
+    values has shape (F, n); entry [f, w, i] of the (F, W, n) result is
+    T_eps f at node i for eps = eps_list[w], with the conventions of
+    truncated_cauchy.  Each row block builds its kernel once and every
+    function and window is cut from it.
+    """
     n = sc.n
-    contrib_full = f.values * _unit_measure(sc)
-    pts = sc.points
-    m_max = max(inner + (1 if boundary else 0)
-                for inner, boundary in zip(inner_list, boundary_list))
-    out = np.empty((len(inner_list), n), dtype=complex)
-    base_idx = np.arange(-m_max, m_max + 1)
-    for start in range(0, n, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, n))
-        dz = pts[None, :] - pts[rows, None]
-        dz[np.arange(len(rows)), rows] = 1.0
-        c = contrib_full[None, :] / dz
-        c[np.arange(len(rows)), rows] = 0.0
-        row_sums = c.sum(axis=1)
-        idx = (rows[:, None] + base_idx[None, :]) % n
-        near = np.take_along_axis(c, idx, axis=1)
-        pref = np.cumsum(near, axis=1)
-        center = m_max  # column of offset 0
-        for w, (inner, boundary) in enumerate(zip(inner_list, boundary_list)):
-            if inner >= 1:
-                ball = pref[:, center + inner] - pref[:, center - inner - 1]
-            else:
-                ball = near[:, center]
+    vals = np.asarray(values, dtype=complex)
+    if vals.ndim != 2 or vals.shape[1] != n:
+        raise DomainError(
+            f"function stack has shape {vals.shape}, expected (F, {n})")
+    if not np.all(np.isfinite(vals.view(float))):
+        raise DomainError("grid function values must be finite")
+    windows = []
+    for eps in eps_list:
+        _check_eps(sc, eps)
+        windows.append(_window_split(eps, sc.spacing, n))
+    # offsets run over -(n-1)//2 .. n//2, so a cut past (n-1)//2 keeps nothing
+    cuts = sorted({inner + boundary for inner, boundary in windows
+                   if inner + boundary <= (n - 1) // 2}, reverse=True)
+    contrib = np.ascontiguousarray((vals * _unit_measure(sc)).T)
+    block = _TILE * max(1, -(-_BLOCK // _TILE))
+    ext = np.arange(2 * n + _TILE) % n
+    contrib_ext = contrib[ext]
+    out = np.empty((vals.shape[0], len(windows), n), dtype=complex)
+    for start in range(0, n, block):
+        rows = np.arange(start, min(start + block, n))
+        m = len(rows)
+        width = m + n + _TILE
+        kern = _kernel_block(sc, ext, rows, width)
+        frame = contrib_ext[start:start + width]
+        outside = {c: np.empty((m, vals.shape[0]), dtype=complex) for c in cuts}
+        for t0 in range(0, m, _TILE):
+            tile = slice(t0, min(t0 + _TILE, m))
+            for c, sums in _outside_sums(kern[tile, t0:], frame[t0:],
+                                         cuts, n).items():
+                outside[c][tile] = sums
+        local = np.arange(m)
+        for w, (inner, boundary) in enumerate(windows):
+            cut = inner + boundary
+            val = outside[cut] if cut in outside else 0.0
             if boundary:
-                if 2 * (inner + 1) == n:  # both boundary offsets hit the antipode
-                    ball = ball + 0.5 * near[:, center + inner + 1]
-                else:
-                    ball = ball + 0.5 * (near[:, center - inner - 1]
-                                         + near[:, center + inner + 1])
-            out[w, rows] = row_sums - ball
+                ahead = local + cut
+                node = kern[local, ahead][:, None] * frame[ahead]
+                if 2 * cut != n:  # at the antipode both offsets are one node
+                    behind = local + n - cut
+                    node = node + kern[local, behind][:, None] * frame[behind]
+                val = val + 0.5 * node
+            out[:, w, start:start + m] = np.transpose(val)
     return out / (1j * math.pi)
 
 
-def pv_cauchy_all(f: GridFunction) -> GridFunction:
-    """Richardson principal value at every node (one blocked sweep)."""
-    if f.base.n < 16:
+def cauchy_family(sc: SampledCurve, values, spec: TruncationSpec | None = None):
+    """Principal values and, given spec, the dyadic T_eps table of a
+    stack of functions, from one evaluator pass.
+
+    Returns (pv, table): pv has shape (F, n); table has shape (F, K, n)
+    for the K levels of spec (K = 0 without one).
+    """
+    if sc.n < 16:
         raise DomainError("grid too small for the 2h/4h extrapolation")
-    vals = _sweep_windows(f, [1, 3], [True, True])
-    return GridFunction(f.base, 2.0 * vals[0] - vals[1])
+    h = sc.spacing
+    levels = spec.eps_grid if spec is not None else ()
+    vals = truncated_cauchy_family(sc, values, (2.0 * h, 4.0 * h) + levels)
+    return 2.0 * vals[:, 0] - vals[:, 1], vals[:, 2:]
+
+
+def maximal_of(table: np.ndarray, spec: TruncationSpec):
+    """Sup over the levels of a (..., K, n) T_eps table: (values, argmax eps)."""
+    stack = np.abs(table)
+    arg = np.argmax(stack, axis=-2)
+    return stack.max(axis=-2), np.asarray(spec.eps_grid)[arg]
+
+
+def pv_cauchy_all(f: GridFunction) -> GridFunction:
+    """Richardson principal value at every node (a family of one)."""
+    pv, _ = cauchy_family(f.base, f.values[None, :])
+    return GridFunction(f.base, pv[0])
 
 
 def truncated_cauchy_all(f: GridFunction, spec: TruncationSpec) -> dict:
     """Truncated transforms at every node for each dyadic level of spec."""
-    sc = f.base
-    inner_list, boundary_list = [], []
-    for eps in spec.eps_grid:
-        _check_eps(sc, eps)
-        inner, boundary = _window_split(eps, sc.spacing, sc.n)
-        inner_list.append(inner)
-        boundary_list.append(boundary)
-    vals = _sweep_windows(f, inner_list, boundary_list)
-    return {k: vals[i] for i, k in enumerate(spec.k_grid)}
+    table = truncated_cauchy_family(f.base, f.values[None, :], spec.eps_grid)[0]
+    return dict(zip(spec.k_grid, table))
 
 
 def maximal_cauchy(f: GridFunction, z_index: int, spec: TruncationSpec) -> MaximalValue:
@@ -245,12 +354,8 @@ def maximal_cauchy(f: GridFunction, z_index: int, spec: TruncationSpec) -> Maxim
 
 def maximal_cauchy_all(f: GridFunction, spec: TruncationSpec):
     """Vectorized maximal transform: (values, argmax eps) per node."""
-    table = truncated_cauchy_all(f, spec)
-    ks = list(table)
-    stack = np.abs(np.stack([table[k] for k in ks]))
-    arg = np.argmax(stack, axis=0)
-    eps_arr = np.array([spec.period * 2.0 ** (-k) for k in ks])
-    return stack.max(axis=0), eps_arr[arg]
+    table = truncated_cauchy_family(f.base, f.values[None, :], spec.eps_grid)[0]
+    return maximal_of(table, spec)
 
 
 def _ball_average(absvals, weights, i, m_incl):

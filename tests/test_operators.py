@@ -1,6 +1,11 @@
 """Tests for the discrete transforms and maximal operators."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +164,79 @@ def test_sweep_block_size_invariance(circle_sc):
     finally:
         ops._BLOCK = saved
     assert np.array_equal(ref, alt)
+
+
+@pytest.fixture(scope="module")
+def square_family():
+    sc = curves.arclength_sample(curves.unit_square(), 2048)
+    rng = np.random.default_rng(21)
+    vals = rng.normal(size=(15, sc.n)) + 1j * rng.normal(size=(15, sc.n))
+    return sc, vals
+
+
+def test_family_matches_single_calls(square_family):
+    # matrix-matrix and matrix-vector products round differently, so the
+    # family and a family of one agree to 1e-13, not bitwise
+    sc, vals = square_family
+    spec = TruncationSpec.for_curve(sc, 1, 64)
+    pvs, tables = operators.cauchy_family(sc, vals, spec)
+    t_stars, _ = operators.maximal_of(tables, spec)
+    for f_vals, pv, table, t_star in list(zip(vals, pvs, tables, t_stars))[::4]:
+        f = GridFunction(sc, f_vals)
+        single = operators.pv_cauchy_all(f).values
+        assert np.max(np.abs(pv - single)) <= 1e-13 * np.max(np.abs(single))
+        levels = operators.truncated_cauchy_all(f, spec)
+        for k, row in zip(spec.k_grid, table):
+            assert np.max(np.abs(row - levels[k])) <= \
+                1e-13 * np.max(np.abs(levels[k]))
+        t_single, _ = operators.maximal_cauchy_all(f, spec)
+        assert np.max(np.abs(t_star - t_single)) <= 1e-13 * np.max(t_single)
+
+
+_FAMILY_DIGEST = """
+import hashlib, sys
+import numpy as np
+from cauchylab import curves, operators
+sc = curves.arclength_sample(curves.unit_square(), 2048)
+rng = np.random.default_rng(21)
+vals = rng.normal(size=(15, sc.n)) + 1j * rng.normal(size=(15, sc.n))
+spec = operators.TruncationSpec.for_curve(sc, 1, 64)
+pv, table = operators.cauchy_family(sc, vals, spec)
+sys.stdout.write(hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest())
+"""
+
+
+def test_family_bits_independent_of_blas_threads(square_family):
+    sc, vals = square_family
+    pv, table = operators.cauchy_family(
+        sc, vals, TruncationSpec.for_curve(sc, 1, 64))
+    digests = [hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest()]
+    src = str(Path(operators.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _FAMILY_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[1:] == digests[:1] * 2
+
+
+def test_half_period_level_sums_its_outside_set(square_family):
+    # at eps = T/2 only the antipode is kept, so the level is one small
+    # term; it must not come out of a near-cancelling difference
+    sc, vals = square_family
+    spec = TruncationSpec.for_curve(sc, 1, 2)
+    f = GridFunction(sc, vals[0])
+    table = operators.truncated_cauchy_all(f, spec)
+    for i in [0, 5, 700, 1500, 2047]:
+        ref = operators.truncated_cauchy(f, i, sc.period / 2.0)
+        assert abs(table[1][i] - ref) <= 1e-13 * abs(ref)
+    chi = GridFunction(sc, (np.arange(sc.n) < sc.n // 8).astype(complex))
+    table = operators.truncated_cauchy_all(chi, spec)
+    antipode_outside = (np.arange(sc.n) + sc.n // 2) % sc.n >= sc.n // 8
+    assert np.all(table[1][antipode_outside] == 0.0)
 
 
 # -- maximal transform -------------------------------------------------------------
