@@ -18,14 +18,6 @@ def gauss_panel(f, a, b, rule=_GL96):
     return half * np.sum(weights * f(mid + half * nodes))
 
 
-def gauss_panels(f, breakpoints, rule=_GL96):
-    """Integrate f over consecutive panels given by a breakpoint sequence."""
-    total = 0.0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        total += gauss_panel(f, a, b, rule)
-    return total
-
-
 def cumulative_gauss(f, knots, rule=_GL16):
     """Cumulative integral of f at the given knots (knots[0] maps to 0)."""
     knots = np.asarray(knots, dtype=float)

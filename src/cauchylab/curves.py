@@ -276,7 +276,6 @@ class Parametrization:
     point: Callable
     derivative: Callable | None
     kind: str
-    expected_bilip: float | None = None
     closed: bool = True
     unit_speed: bool = False
     meta: Mapping = field(default_factory=dict)
@@ -359,8 +358,8 @@ def _as_unit_speed(p: Parametrization, samples: int = 16384) -> Parametrization:
         return p.point(inv(s))
 
     return Parametrization(period=float(length), point=point, derivative=None,
-                           kind=p.kind, expected_bilip=p.expected_bilip,
-                           closed=p.closed, unit_speed=True, meta=dict(p.meta))
+                           kind=p.kind, closed=p.closed, unit_speed=True,
+                           meta=dict(p.meta))
 
 
 def write_curve_csv(sc: SampledCurve, path):
@@ -391,8 +390,7 @@ def circle(radius: float = 1.0) -> Parametrization:
         return 1j * np.exp(1j * np.asarray(s, dtype=float) / r)
 
     return Parametrization(period=2.0 * math.pi * r, point=point,
-                           derivative=derivative, kind="circle",
-                           expected_bilip=math.pi / 2.0, unit_speed=True)
+                           derivative=derivative, kind="circle", unit_speed=True)
 
 
 def ellipse(a: float, b: float) -> Parametrization:

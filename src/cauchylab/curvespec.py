@@ -196,9 +196,6 @@ class SpecDocument:
     def kind(self) -> str:
         return self.get("curve", "kind")
 
-    def as_dict(self) -> dict:
-        return {sec: dict(items) for sec, items in self.data}
-
 
 def _parse_scalar(token: str, ftype: str, where: str):
     token = token.strip()

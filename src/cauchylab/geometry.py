@@ -81,38 +81,77 @@ def bilipschitz_constant(sc) -> float:
     return best
 
 
-def conformality_modulus(sc, d: float, stride: int | None = None,
-                         arc_factor: float = 16.0) -> float:
-    """Worst detour defect sup (|z1-z| + |z2-z|)/|z1-z2| - 1 over chords <= d.
+# Largest parameter separation scanned, in units of the chord scale d.
+_ARC_FACTOR = 16.0
+# Doubles in one node block's distance table; sets the block length.
+_TABLE_SIZE = 2 ** 19
 
-    The inner point z runs over grid nodes of the shorter-parameter arc
-    (the smaller-diameter arc for chords below half the curve diameter;
-    ties break toward the shorter-parameter arc).  The scan runs on a
-    stride-subsampled grid tuned to the chord scale, and pairs of
-    parameter separation beyond arc_factor * d are skipped: on a curve of
-    chord-arc constant below arc_factor they cannot reach chords <= d.
+
+def _detour_defects(sc, d: float, stride: int | None):
+    """Running worst detour defect at chord scale d, yielded after each
+    (node block, offset) pair that holds a chord <= d.
+
+    Nodes run in blocks of B.  For one block the table
+    F[j, t] = |z[t+j] - z[t]| (j <= K, the largest offset with a chord
+    <= d) is built once, and its row-skewed view G[j, t] = F[j, t-j] puts
+    both legs of every detour through z[i+k] on the chord (z[i], z[i+off])
+    into two plain slices: F[k, i] + G[off-k, i+off].
     """
     if stride is None:
         stride = max(1, int(d / (48.0 * sc.spacing)))
     view = sc.points[::stride]
     n2 = len(view)
     h2 = sc.spacing * stride
-    max_off = min(n2 // 2, int(math.ceil(arc_factor * d / h2)) + 1)
+    max_off = min(n2 // 2, int(math.ceil(_ARC_FACTOR * d / h2)) + 1)
+    ext = np.concatenate([view, view[:2 * max_off]])
+    offs = [off for off in range(2, max_off + 1)
+            if np.abs(ext[off:off + n2] - view).min() <= d]
+    if not offs:
+        return
+    K = offs[-1]
+    B = min(n2, max(K, _TABLE_SIZE // (K + 1)))
+    F = np.empty((K + 1, B + K))
+    G = np.lib.stride_tricks.as_strided(
+        F, strides=(F.strides[0] - F.strides[1], F.strides[1]), writeable=False)
+    legs = np.empty((K, B))
     worst = 0.0
-    for off in range(2, max_off + 1):
-        chord = np.abs(np.roll(view, -off) - view)
-        sel = np.nonzero(chord <= d)[0]
-        if sel.size == 0:
-            continue
-        za = view[sel]
-        zb = view[(sel + off) % n2]
-        c = chord[sel]
-        best = np.zeros(sel.size)
-        for k in range(1, off):
-            zm = view[(sel + k) % n2]
-            np.maximum(best, (np.abs(zm - za) + np.abs(zb - zm)) / c, out=best)
-        worst = max(worst, float(best.max()) - 1.0)
-    return worst
+    for b0 in range(0, n2, B):
+        nb = min(B, n2 - b0)
+        w = nb + K
+        e = ext[b0:b0 + w + K]
+        for j in range(1, K + 1):
+            np.abs(e[j:j + w] - e[:w], out=F[j, :w])
+        for off in offs:
+            chord = F[off, :nb]
+            sel = chord <= d
+            if not sel.any():
+                continue
+            s = np.add(F[1:off, :nb], G[off - 1:0:-1, off:off + nb],
+                       out=legs[:off - 1, :nb])
+            ratio = s.max(axis=0)[sel] / chord[sel]
+            worst = max(worst, float(ratio.max()) - 1.0)
+            yield worst
+
+
+def conformality_modulus(sc, d: float, stride: int | None = None) -> float:
+    """Worst detour defect sup (|z1-z| + |z2-z|)/|z1-z2| - 1 over chords <= d.
+
+    The inner point z runs over grid nodes of the shorter-parameter arc
+    (the smaller-diameter arc for chords below half the curve diameter;
+    ties break toward the shorter-parameter arc).  The scan runs on a
+    stride-subsampled grid tuned to the chord scale, and pairs of
+    parameter separation beyond 16 d are skipped: on a curve of chord-arc
+    constant below 16 they cannot reach chords <= d.
+
+    The value is bit-identical to a loop that forms every detour sum and
+    divides it by its chord: each leg is the same complex subtraction and
+    abs, max is exact, and division by a chord c > 0 is monotone under
+    rounding, so max_k fl(s_k / c) == fl(max_k s_k / c).  Memory is one
+    distance table of (K+1)(B+K) doubles plus a leg buffer of K B, where K
+    is the largest offset with a chord <= d and B = max(K, 2^19 / (K+1)):
+    about 2^20 + 3 K^2 doubles at most: 8 MB plus 24 K^2 bytes at any grid size.
+    """
+    return max(_detour_defects(sc, d, stride), default=0.0)
 
 
 def second_difference(p, x, eps: float):
@@ -271,8 +310,10 @@ def eps0_gate(sc, bilip: float, k_min: int = 2, k_max: int | None = None,
 
     Operational stand-in for the proof-level smallness threshold: the
     largest eps = period * 2^-k whose defect at chord scale bilip*eps stays
-    below the threshold (default 0.05).  Returns None when no dyadic level
-    passes, e.g. for corner curves.
+    below the (positive) threshold, default 0.05.  A level is rejected at the
+    first running defect that reaches the threshold, which the full scan
+    would only raise.  Returns None when no dyadic level passes, e.g. for
+    corner curves.
     """
     period = sc.period
     if k_max is None:
@@ -287,7 +328,7 @@ def eps0_gate(sc, bilip: float, k_min: int = 2, k_max: int | None = None,
             continue
         if d < 8.0 * sc.spacing:
             break
-        if conformality_modulus(sc, d) < threshold:
+        if all(v < threshold for v in _detour_defects(sc, d, None)):
             return eps
     return None
 

@@ -76,15 +76,12 @@ class HarnessConfig:
     @staticmethod
     def for_curve(sc: SampledCurve, k_min: int = 2, k_max: int = 24,
                   bilip: float | None = None, dilation: float | None = None,
-                  eps0: float | None = None, measure_eps0: bool = False,
-                  seed: int = 0) -> "HarnessConfig":
+                  eps0: float | None = None, seed: int = 0) -> "HarnessConfig":
         if bilip is None:
             scl = sc if sc.n <= 2048 else arclength_sample(sc.source, 2048)
             bilip = geometry.bilipschitz_constant(scl)
         if dilation is None:
             dilation = max(2.0 * bilip ** 2, bilip * (bilip + 1.0))
-        if eps0 is None and measure_eps0:
-            eps0 = geometry.eps0_gate(sc, bilip)
         trunc = TruncationSpec.for_curve(sc, k_min, k_max)
         return HarnessConfig(bilip=bilip, dilation=dilation, eps0=eps0,
                              trunc=trunc, seed=seed)

@@ -108,6 +108,72 @@ def test_conformality_nonnegative():
     assert geometry.conformality_modulus(sc, 0.3) >= 0.0
 
 
+def loop_conformality_modulus(sc, d, stride=None):
+    """Reference scan: one detour sum per chord <= d and inner node."""
+    if stride is None:
+        stride = max(1, int(d / (48.0 * sc.spacing)))
+    view = sc.points[::stride]
+    n2 = len(view)
+    h2 = sc.spacing * stride
+    max_off = min(n2 // 2, int(math.ceil(16.0 * d / h2)) + 1)
+    worst = 0.0
+    for off in range(2, max_off + 1):
+        chord = np.abs(np.roll(view, -off) - view)
+        sel = np.nonzero(chord <= d)[0]
+        if sel.size == 0:
+            continue
+        za = view[sel]
+        zb = view[(sel + off) % n2]
+        c = chord[sel]
+        best = np.zeros(sel.size)
+        for k in range(1, off):
+            zm = view[(sel + k) % n2]
+            np.maximum(best, (np.abs(zm - za) + np.abs(zb - zm)) / c, out=best)
+        worst = max(worst, float(best.max()) - 1.0)
+    return worst
+
+
+def hairpin_polygon():
+    """Rectangle with a spike from the top edge down to just above the bottom
+    edge: chords <= 0.2 at short offsets and again across the pinch."""
+    return curves.polygon([0, 2, 2 + 1j, 0.45 + 1j, 0.35 + 0.15j, 0.25 + 1j, 1j])
+
+
+def spiral6():
+    return curves.build_spiral(curves.SpiralSpec(depth=6))
+
+
+@pytest.mark.parametrize("build, n, d, stride", [
+    (curves.circle, 1024, 0.1, 1),
+    (curves.circle, 4096, 0.4, None),  # stride 5
+    (curves.unit_square, 2048, 0.1, 1),
+    (curves.unit_square, 2048, 0.3, None),  # stride 3
+    (lambda: curves.ellipse(2.0, 1.0), 1024, 0.3, None),
+    (spiral6, 4096, 0.01, None),
+    (spiral6, 4096, 0.3, None),
+    (hairpin_polygon, 1024, 0.2, 1),
+], ids=["circle", "circle-stride", "square", "square-stride", "ellipse",
+        "spiral-fine", "spiral-coarse", "hairpin"])
+def test_conformality_bit_identical_to_loop(build, n, d, stride):
+    sc = curves.arclength_sample(build(), n)
+    got = geometry.conformality_modulus(sc, d, stride=stride)
+    assert got == loop_conformality_modulus(sc, d, stride=stride)
+
+
+def test_conformality_hairpin_offsets_have_a_gap():
+    sc = curves.arclength_sample(hairpin_polygon(), 1024)
+    offs = [off for off in range(2, sc.n // 2 + 1)
+            if np.abs(np.roll(sc.points, -off) - sc.points).min() <= 0.2]
+    assert offs[-1] - offs[0] + 1 > len(offs)
+
+
+def test_conformality_no_qualifying_chord_is_zero():
+    sc = curves.arclength_sample(curves.ellipse(2.0, 1.0), 1024)
+    d = 0.5 * sc.spacing
+    assert geometry.conformality_modulus(sc, d, stride=1) == 0.0
+    assert loop_conformality_modulus(sc, d, stride=1) == 0.0
+
+
 # -- second differences and turning angles -----------------------------------
 
 def test_second_difference_circle():
@@ -282,6 +348,28 @@ def test_eps0_gate_circle():
 def test_eps0_gate_square_is_none():
     sc = curves.arclength_sample(curves.unit_square(), 2048)
     assert geometry.eps0_gate(sc, 2.0) is None
+
+
+def test_eps0_gate_early_stop_matches_full_scans():
+    p = spiral6()
+    sc = curves.arclength_sample(p, 2 ** 14)
+    bil = geometry.bilipschitz_constant(curves.arclength_sample(p, 2048))
+    # the gate's level loop, with every level scanned in full by the loop
+    pts = sc.points[::sc.n // 256]
+    diam = float(np.abs(pts[:, None] - pts[None, :]).max())
+    expected = None
+    for k in range(2, int(math.floor(math.log2(sc.n * bil / 8.0))) + 1):
+        eps = sc.period * 2.0 ** (-k)
+        d = bil * eps
+        if d > 0.45 * diam:
+            continue
+        if d < 8.0 * sc.spacing:
+            break
+        if loop_conformality_modulus(sc, d) < 0.05:
+            expected = eps
+            break
+    assert expected is not None
+    assert geometry.eps0_gate(sc, bil) == expected
 
 
 def test_diagnostics_report_and_csv():

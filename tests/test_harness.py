@@ -14,7 +14,9 @@ from cauchylab.operators import GridFunction, TruncationSpec
 @pytest.fixture(scope="module")
 def circle_cfg():
     sc = curves.arclength_sample(curves.circle(1.0), 1024)
-    cfg = harness.HarnessConfig.for_curve(sc, k_min=2, measure_eps0=True)
+    bilip = geometry.bilipschitz_constant(sc)
+    cfg = harness.HarnessConfig.for_curve(sc, k_min=2, bilip=bilip,
+                                          eps0=geometry.eps0_gate(sc, bilip))
     return sc, cfg
 
 
