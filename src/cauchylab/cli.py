@@ -3,9 +3,7 @@ spec file, emit CSV reports and a verdict summary.
 
 Exit statuses: 0 success, 2 validation error, 3 numerical-gate failure,
 4 verdict mismatch under --assert-theorem.  Errors go to stderr with a
-machine-parsable ``code:`` prefix.  Outputs are byte-identical across runs
-and thread counts (execution is deterministic; --threads is accepted for
-interface stability and does not change results).
+machine-parsable ``code:`` prefix.  Outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__, curvespec, geometry, harness, operators
 from .curves import (
@@ -44,7 +41,6 @@ class CommandInvocation:
     spec_path: str
     out_dir: str | None = None
     overrides: tuple = ()
-    threads: int = 1
     assert_theorem: bool = False
     seed: int | None = None
 
@@ -154,8 +150,15 @@ def _run_transform(state: _RunState, out: Path) -> None:
     f = GridFunction(sc, f0.values)
     spec = TruncationSpec.for_curve(sc, doc.get("experiment", "k_min"),
                                     doc.get("experiment", "k_max"))
+    # the kernel for g_z_eps rides in the same evaluator pass as f
+    k_g = max(doc.get("experiment", "k_min"), 6)
+    eps_g = period * 2.0 ** (-k_g)
+    stack = [f.values]
+    if eps_g >= 2.0 * sc.spacing:
+        kernel = operators.truncated_kernel(sc, 0, eps_g)
+        stack.append(kernel.values)
     rows = ["node,param,quantity,epsilon,re,im"]
-    pvs, tables = operators.cauchy_family(sc, f.values[None, :], spec)
+    pvs, tables = operators.cauchy_family(sc, stack, spec)
     for k, t_eps in zip(spec.k_grid, tables[0]):
         rows += operators.transform_csv_rows(sc, "T_eps", t_eps,
                                              eps_label=f"T*2^-{k}")
@@ -167,13 +170,11 @@ def _run_transform(state: _RunState, out: Path) -> None:
     rows += operators.transform_csv_rows(sc, "M", m1.astype(complex))
     m2 = operators.hl_maximal_squared(pv)
     rows += operators.transform_csv_rows(sc, "M2", m2.values)
-    k_g = max(doc.get("experiment", "k_min"), 6)
-    eps_g = period * 2.0 ** (-k_g)
-    if eps_g >= 2.0 * sc.spacing:
-        kt = operators.kernel_truncation_transform(sc, 0, eps_g)
-        rows += operators.transform_csv_rows(
-            sc, "g_z_eps", np.where(kt.valid, kt.values.values, 0.0),
-            eps_label=f"T*2^-{k_g}")
+    if len(stack) > 1:
+        kt = operators.KernelTransform.from_pv(
+            operators.KernelWindow(0, eps_g), kernel, pvs[1])
+        rows += operators.transform_csv_rows(sc, "g_z_eps", kt.values.values,
+                                             eps_label=f"T*2^-{k_g}")
     _write(out / "transform.csv", rows)
 
 
@@ -273,7 +274,6 @@ def _run_series(state: _RunState, out: Path) -> None:
 def _write_summary(state: _RunState, out: Path, inv: CommandInvocation) -> None:
     lines = [f"cauchylab {__version__} summary", ""]
     lines.append(f"subcommand: {inv.subcommand}")
-    lines.append(f"threads: {inv.threads}")
     if state.bilip is not None:
         lines.append(f"bilipschitz constant: {state.bilip:.17g}")
         needed = max(2.0 * state.bilip ** 2, state.bilip * (state.bilip + 1.0))
@@ -318,8 +318,6 @@ def run(inv: CommandInvocation) -> int:
             doc = curvespec.apply_overrides(doc, inv.overrides)
         if inv.seed is not None:
             doc = curvespec.apply_overrides(doc, [f"experiment.seed={inv.seed}"])
-        if inv.threads < 1:
-            raise ValidationError("--threads must be at least 1")
         state = _RunState(doc=doc)
         out = Path(inv.out_dir if inv.out_dir is not None
                    else doc.get("output", "directory"))
@@ -363,8 +361,6 @@ def _common(fn):
                       help="output directory (defaults to the spec's)")(fn)
     fn = click.option("--set", "overrides", multiple=True, metavar="SEC.KEY=VAL",
                       help="override a spec key (repeatable)")(fn)
-    fn = click.option("--threads", default=1, show_default=True,
-                      help="parallelism degree (results are independent of it)")(fn)
     fn = click.option("--seed", default=None, type=int,
                       help="override experiment.seed")(fn)
     return fn
@@ -376,12 +372,11 @@ def main():
     """Numerical laboratory for the maximal Cauchy integral on chord-arc curves."""
 
 
-def _invoke(subcommand, spec_path, out_dir, overrides, threads, seed,
+def _invoke(subcommand, spec_path, out_dir, overrides, seed,
             assert_theorem=False):
     inv = CommandInvocation(subcommand=subcommand, spec_path=spec_path,
                             out_dir=out_dir, overrides=tuple(overrides),
-                            threads=threads, assert_theorem=assert_theorem,
-                            seed=seed)
+                            assert_theorem=assert_theorem, seed=seed)
     sys.exit(run(inv))
 
 
@@ -393,8 +388,8 @@ for _name, _help in [("build", "Build and export the curve."),
     def _make(name=_name, help_text=_help):
         @main.command(name=name, help=help_text)
         @_common
-        def _cmd(spec_path, out_dir, overrides, threads, seed):
-            _invoke(name, spec_path, out_dir, overrides, threads, seed)
+        def _cmd(spec_path, out_dir, overrides, seed):
+            _invoke(name, spec_path, out_dir, overrides, seed)
         return _cmd
     _make()
 
@@ -403,8 +398,8 @@ for _name, _help in [("build", "Build and export the curve."),
 @_common
 @click.option("--assert-theorem", is_flag=True,
               help="exit 4 unless the two verdicts agree")
-def _all(spec_path, out_dir, overrides, threads, seed, assert_theorem):
-    _invoke("all", spec_path, out_dir, overrides, threads, seed, assert_theorem)
+def _all(spec_path, out_dir, overrides, seed, assert_theorem):
+    _invoke("all", spec_path, out_dir, overrides, seed, assert_theorem)
 
 
 if __name__ == "__main__":

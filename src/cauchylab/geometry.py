@@ -87,6 +87,33 @@ _ARC_FACTOR = 16.0
 _TABLE_SIZE = 2 ** 19
 
 
+def _qualifying_offsets(view, max_off: int, d: float) -> list:
+    """Offsets 2..max_off at which some chord of the closed grid view is <= d.
+
+    An offset whose shortest chord m0 exceeds d rules out the next ones
+    too: by the triangle inequality a chord s offsets further is at least
+    m0 - s * step, where step is the longest chord between consecutive
+    nodes.  So the search jumps over floor((m0 - d - slack) / step) offsets.
+    Each computed chord is within a few ulps of its exact value relative to
+    itself (a rounded difference and a rounded abs), so slack = 1e-12 m0
+    covers rounding by a wide margin, and the list equals that of a search
+    that tests every offset.
+    """
+    n2 = len(view)
+    ext = np.concatenate([view, view[:max_off]])
+    step = float(np.abs(ext[1:n2 + 1] - view).max())
+    offs = []
+    off = 2
+    while off <= max_off:
+        m0 = float(np.abs(ext[off:off + n2] - view).min())
+        if m0 <= d:
+            offs.append(off)
+            off += 1
+        else:
+            off += 1 + int((m0 - d - 1e-12 * m0) // step)
+    return offs
+
+
 def _detour_defects(sc, d: float, stride: int | None):
     """Running worst detour defect at chord scale d, yielded after each
     (node block, offset) pair that holds a chord <= d.
@@ -104,8 +131,7 @@ def _detour_defects(sc, d: float, stride: int | None):
     h2 = sc.spacing * stride
     max_off = min(n2 // 2, int(math.ceil(_ARC_FACTOR * d / h2)) + 1)
     ext = np.concatenate([view, view[:2 * max_off]])
-    offs = [off for off in range(2, max_off + 1)
-            if np.abs(ext[off:off + n2] - view).min() <= d]
+    offs = _qualifying_offsets(view, max_off, d)
     if not offs:
         return
     K = offs[-1]

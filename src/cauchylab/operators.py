@@ -8,23 +8,33 @@ weight in Cauchy sums, and the complex measure at a node is its unit chord
 tangent times its arc weight.
 
 One evaluator, truncated_cauchy_family, computes every all-nodes Cauchy
-sum: a stack of F functions times a list of windows.  Rows run in blocks
-of _BLOCK rows (rounded up to whole tiles of _TILE rows); each block builds
-its kernel 1/(z_j - z_i) once, with one complex division per entry, and
-every function and window is cut from it.  A window's value is the sum over
-its outside set, grown from the antipode inward by plain matmuls over the
-columns a whole tile shares, plus two masked matmuls for each tile's ragged
-ends, plus the half-weight boundary nodes.  Per-block memory is the kernel
-block, _BLOCK x (n + _BLOCK + _TILE) complex entries (about 26 MB at
-n = 8192), whatever F is.  pv_cauchy_all, truncated_cauchy_all and
-maximal_cauchy_all are that evaluator on a family of one; the single-node
-functions truncated_cauchy, pv_cauchy and maximal_cauchy are the readable
-oracles it is tested against.
+sum: a stack of F functions times a list of windows.  The kernel is
+antisymmetric, 1/(z_j - z_i) = -1/(z_i - z_j), so rows run in tiles of
+_TILE = 64 and each tile builds only the ahead half of its kernel: offsets
+1..(n-1)//2, in a frame of (n-1)//2 + 65 columns where every window of
+every row is a contiguous column range (about 4 MB at n = 8192, whatever
+F is).  Each entry serves twice.  Its row's ahead sums come from plain
+matmuls over the columns the whole tile keeps, nested from the antipode
+inward, plus one masked head per window cut.  The transposed product of
+the tile's own values gives its target nodes their behind sums: whole
+columns past the head, as per-cut increments that one cumulative sum over
+the cuts turns into values, plus the same masked head.  An even grid's
+antipode and the half-weight boundary nodes are separate gathers.  Every
+term is added, none subtracted, so a window that holds only a few nodes is
+as accurate as its own terms.  Besides the result the pass holds one
+accumulator of F x n per distinct cut.  pv_cauchy_all, truncated_cauchy_all
+and maximal_cauchy_all are that evaluator on a family of one; the
+single-node functions truncated_cauchy, pv_cauchy and maximal_cauchy are
+the readable oracles it is tested against.
 
-Determinism: a node's value depends only on its tile, never on the block
-size, so reruns, block sizes and BLAS thread counts give the same bits.  A
-family and a single call agree to 1e-13 relative (matrix-matrix and
-matrix-vector products round differently).
+Determinism: reruns give the same bits.  Every BLAS product reduces over a
+multiple of 8 terms (a tile's 64 rows, or a column range cut to a multiple
+of 8 with the rest summed elementwise).  With the OpenBLAS build the tests
+run on, that made the bits the same under one and two BLAS threads at
+n = 2048, 3000, 4096 and 8192, where ragged reductions had differed; the
+test pins 2048 x 15 and 3000 x 7 functions.  It is an observation about
+that library, not a guarantee for others.  A family and a single call
+agree to 1e-13 relative (products of other shapes round differently).
 """
 
 from __future__ import annotations
@@ -60,8 +70,7 @@ __all__ = [
     "transform_csv_rows",
 ]
 
-_BLOCK = 192  # rows per kernel block, rounded up to whole tiles
-_TILE = 64    # rows that share one column split; tiles start at multiples of it
+_TILE = 64  # kernel rows built together; also the width of each masked head
 _BOUNDARY_TOL = 1e-9
 
 
@@ -193,65 +202,51 @@ def pv_cauchy(f: GridFunction, z_index: int) -> complex:
     return 2.0 * t2 - t4
 
 
-def _kernel_block(sc: SampledCurve, ext: np.ndarray, rows: np.ndarray,
-                  width: int) -> np.ndarray:
-    """Cauchy kernel 1/(z_j - z_i) for a row block, in a rotated frame.
+def _tile_kernel(z_ext, t0: int, width: int, reach: int) -> np.ndarray:
+    """Ahead half of the Cauchy kernel for the _TILE rows from node t0.
 
-    Frame column q holds node ext[rows[0] + q], so every window of every
-    row is a contiguous column range.  Entries where the node is the row's
-    own node are zero.
+    Entry [r, q] is 1/(z[t0+q] - z[t0+r]) when the offset q - r lies in
+    1..reach and zero elsewhere.  Only the first _TILE columns hold offsets
+    below 1, and only the last _TILE (from reach + 1) offsets above reach.
     """
-    nodes = ext[rows[0]:rows[0] + width]
-    self_hit = nodes[None, :] == rows[:, None]
-    dz = sc.points[nodes][None, :] - sc.points[rows, None]
-    dz[self_hit] = 1.0
-    kern = np.divide(1.0, dz, out=dz)
-    kern[self_hit] = 0.0
+    tile = _TILE
+    near = np.tri(tile, dtype=bool)           # q <= r
+    far = ~np.tri(tile, k=-1, dtype=bool)     # q - (reach + 1) >= r
+    kern = z_ext[t0:t0 + width][None, :] - z_ext[t0:t0 + tile, None]
+    first, last = kern[:, :tile], kern[:, reach + 1:]
+    first[near] = 1.0
+    last[far] = 1.0
+    np.divide(1.0, kern, out=kern)
+    first[near] = 0.0
+    last[far] = 0.0
     return kern
 
 
-def _masked_sum(kern, contrib, q0: int, mask) -> np.ndarray:
-    """Row sums of kern * contrib over frame columns q0.. where mask holds."""
-    cols = slice(q0, q0 + mask.shape[1])
-    return (kern[:, cols] * mask) @ contrib[cols]
+def _row_sums(kern, frame, lo: int, hi: int) -> np.ndarray:
+    """kern[:, lo:hi] @ frame[lo:hi], with BLAS reducing over a multiple of
+    8 columns and the fewer than 8 left over summed elementwise."""
+    mid = hi - (hi - lo) % 8
+    sums = kern[:, lo:mid] @ frame[lo:mid]
+    if mid < hi:
+        sums += (kern[:, mid:hi, None] * frame[None, mid:hi]).sum(axis=1)
+    return sums
 
 
-def _outside_sums(kern, contrib, cuts, n: int) -> dict:
-    """Sums over |offset| > c for one tile of rows and each cut c.
+def _wrap_add(acc, start: int, vals) -> None:
+    """acc[:, (start + q) % n] += vals[:, q] for the n columns of acc."""
+    n = acc.shape[1]
+    q = 0
+    while q < vals.shape[1]:
+        a = (start + q) % n
+        s = min(vals.shape[1] - q, n - a)
+        acc[:, a:a + s] += vals[:, q:q + s]
+        q += s
 
-    The tile's rows are frame columns 0..m-1 of kern.  For cut c row r
-    keeps the window t in [r, r + w) of the frame columns starting at
-    c + 1, w = n - 2c - 1.  Columns t in [TILE - 1, w) belong to every row
-    of the tile and come from plain matmuls, nested from the antipode
-    inward; the ragged ends are masked matmuls.  Every term is added, none
-    subtracted, so a window that holds only a few nodes is as accurate as
-    its own terms.
-    """
-    m = kern.shape[0]
-    tile = _TILE
-    r = np.arange(m)[:, None]
-    t = np.arange(tile - 1)[None, :]
-    head, tail = t >= r, t < r
-    out = {}
-    lo = hi = None
-    for c in cuts:
-        w = n - 2 * c - 1
-        q0 = c + 1
-        if w < tile:
-            t_all = np.arange(w + tile - 1)[None, :]
-            out[c] = _masked_sum(kern, contrib, q0,
-                                 (t_all >= r) & (t_all < r + w))
-            continue
-        new_lo, new_hi = q0 + tile - 1, q0 + w
-        if lo is None:
-            mid = kern[:, new_lo:new_hi] @ contrib[new_lo:new_hi]
-        else:
-            mid = (mid + kern[:, new_lo:lo] @ contrib[new_lo:lo]
-                   + kern[:, hi:new_hi] @ contrib[hi:new_hi])
-        lo, hi = new_lo, new_hi
-        out[c] = (mid + _masked_sum(kern, contrib, q0, head)
-                  + _masked_sum(kern, contrib, q0 + w, tail))
-    return out
+
+def _offset_terms(sc: SampledCurve, contrib, off: int) -> np.ndarray:
+    """K[i, i+off] * contrib[i+off] for every node i, shape (F, n)."""
+    ahead = (np.arange(sc.n) + off) % sc.n
+    return (1.0 / (sc.points[ahead] - sc.points)) * contrib[ahead].T
 
 
 def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
@@ -259,53 +254,80 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
 
     values has shape (F, n); entry [f, w, i] of the (F, W, n) result is
     T_eps f at node i for eps = eps_list[w], with the conventions of
-    truncated_cauchy.  Each row block builds its kernel once and every
-    function and window is cut from it.
+    truncated_cauchy.  Each kernel entry 1/(z_j - z_i) is built once, for
+    the row i it lies ahead of, and serves node j as -1/(z_i - z_j).
     """
     n = sc.n
     vals = np.asarray(values, dtype=complex)
     if vals.ndim != 2 or vals.shape[1] != n:
         raise DomainError(
             f"function stack has shape {vals.shape}, expected (F, {n})")
-    if not np.all(np.isfinite(vals.view(float))):
+    if not np.all(np.isfinite(vals)):
         raise DomainError("grid function values must be finite")
     windows = []
     for eps in eps_list:
         _check_eps(sc, eps)
         windows.append(_window_split(eps, sc.spacing, n))
-    # offsets run over -(n-1)//2 .. n//2, so a cut past (n-1)//2 keeps nothing
+    # offsets 1..reach ahead and behind; an even grid's antipode is apart
+    reach = (n - 1) // 2
     cuts = sorted({inner + boundary for inner, boundary in windows
-                   if inner + boundary <= (n - 1) // 2}, reverse=True)
-    contrib = np.ascontiguousarray((vals * _unit_measure(sc)).T)
-    block = _TILE * max(1, -(-_BLOCK // _TILE))
-    ext = np.arange(2 * n + _TILE) % n
+                   if inner + boundary <= reach}, reverse=True)
+    slot = {}  # the window that holds the sums of each cut
+    for w, (inner, boundary) in enumerate(windows):
+        slot.setdefault(inner + boundary, w)
+    contrib = vals.T * _unit_measure(sc)[:, None]
+    tile = _TILE
+    width = reach + tile + 1  # every cut's head fits: cut + tile + 1 <= width
+    ext = np.arange(n + width) % n
+    z_ext = sc.points[ext]
     contrib_ext = contrib[ext]
-    out = np.empty((vals.shape[0], len(windows), n), dtype=complex)
-    for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n))
-        m = len(rows)
-        width = m + n + _TILE
-        kern = _kernel_block(sc, ext, rows, width)
-        frame = contrib_ext[start:start + width]
-        outside = {c: np.empty((m, vals.shape[0]), dtype=complex) for c in cuts}
-        for t0 in range(0, m, _TILE):
-            tile = slice(t0, min(t0 + _TILE, m))
-            for c, sums in _outside_sums(kern[tile, t0:], frame[t0:],
-                                         cuts, n).items():
-                outside[c][tile] = sums
-        local = np.arange(m)
-        for w, (inner, boundary) in enumerate(windows):
+    out = np.zeros((vals.shape[0], len(windows), n), dtype=complex)
+    # by cut, the terms past the head of every tile; a cumulative sum over
+    # the cuts turns these per-cut increments into values
+    grow = np.zeros((len(cuts), vals.shape[0], n), dtype=complex)
+    upper = np.triu(np.ones((tile, tile)))
+    for t0 in range(0, n, tile):
+        m = min(tile, n - t0)
+        kern = _tile_kernel(z_ext, t0, width, reach)
+        frame = contrib_ext[t0:t0 + width]
+        # the tile's rows as sources behind their targets: K[j, i] = -K[i, j]
+        src = -frame[:tile].T
+        src[:, m:] = 0.0  # rows past the last node wrap around; they add nothing
+        behind = src @ kern
+        hi = width
+        for k, c in enumerate(cuts):
+            lo = c + tile + 1
+            # rows r keep columns q > r + c: all of them from lo on, a
+            # triangle of the head c < q < lo
+            head = kern[:, c + 1:lo] * upper
+            ahead = _row_sums(kern, frame, lo, hi)
+            grow[k, :, t0:t0 + m] += ahead[:m].T
+            _wrap_add(grow[k], t0 + lo, behind[:, lo:hi])
+            level = out[:, slot[c]]
+            level[:, t0:t0 + m] += (head @ frame[c + 1:lo])[:m].T
+            _wrap_add(level, t0 + c + 1, src @ head)
+            hi = lo
+    if n % 2 == 0:
+        antipode = _offset_terms(sc, contrib, n // 2)
+        if cuts:
+            grow[0] += antipode
+    np.cumsum(grow, axis=0, out=grow)
+    for k, c in enumerate(cuts):
+        out[:, slot[c]] += grow[k]
+    for w, (inner, boundary) in enumerate(windows):
+        cut = inner + boundary
+        if slot[cut] != w:
+            out[:, w] = out[:, slot[cut]]
+    for w, (inner, boundary) in enumerate(windows):
+        if boundary:
             cut = inner + boundary
-            val = outside[cut] if cut in outside else 0.0
-            if boundary:
-                ahead = local + cut
-                node = kern[local, ahead][:, None] * frame[ahead]
-                if 2 * cut != n:  # at the antipode both offsets are one node
-                    behind = local + n - cut
-                    node = node + kern[local, behind][:, None] * frame[behind]
-                val = val + 0.5 * node
-            out[:, w, start:start + m] = np.transpose(val)
-    return out / (1j * math.pi)
+            if 2 * cut == n:  # at the antipode both offsets are one node
+                out[:, w] += 0.5 * antipode
+            else:
+                out[:, w] += 0.5 * (_offset_terms(sc, contrib, cut)
+                                    + _offset_terms(sc, contrib, n - cut))
+    out /= 1j * math.pi
+    return out
 
 
 def cauchy_family(sc: SampledCurve, values, spec: TruncationSpec | None = None):
@@ -430,6 +452,21 @@ class KernelTransform:
     values: GridFunction
     valid: np.ndarray
 
+    @staticmethod
+    def from_pv(window: KernelWindow, kernel: GridFunction, pv) -> "KernelTransform":
+        """The transform given the principal values pv of kernel.
+
+        Nodes within 2h of the center are marked unevaluated (mask False,
+        value 0): the Richardson rule is not meaningful that close to the
+        excluded ball.
+        """
+        sc = kernel.base
+        offsets = (np.arange(sc.n) - window.center_index) % sc.n
+        valid = np.minimum(offsets, sc.n - offsets) > 2
+        return KernelTransform(window=window, kernel=kernel,
+                               values=GridFunction(sc, np.where(valid, pv, 0.0)),
+                               valid=valid)
+
 
 def truncated_kernel(sc: SampledCurve, z_index: int, eps: float) -> GridFunction:
     """The Cauchy kernel at z, zeroed on the parametric eps-ball (half at
@@ -449,21 +486,10 @@ def truncated_kernel(sc: SampledCurve, z_index: int, eps: float) -> GridFunction
 
 
 def kernel_truncation_transform(sc: SampledCurve, z_index: int, eps: float) -> KernelTransform:
-    """Apply the principal-value transform to the truncated kernel.
-
-    Nodes within 2h of the center are marked unevaluated (mask False,
-    value 0): the Richardson rule is not meaningful that close to the
-    excluded ball.
-    """
+    """Apply the principal-value transform to the truncated kernel."""
     kernel = truncated_kernel(sc, z_index, eps)
-    pv = pv_cauchy_all(kernel)
-    n = sc.n
-    offsets = (np.arange(n) - z_index) % n
-    dist = np.minimum(offsets, n - offsets)
-    valid = dist > 2
-    vals = np.where(valid, pv.values, 0.0)
-    return KernelTransform(window=KernelWindow(z_index, eps), kernel=kernel,
-                           values=GridFunction(sc, vals), valid=valid)
+    return KernelTransform.from_pv(KernelWindow(z_index, eps), kernel,
+                                   pv_cauchy_all(kernel).values)
 
 
 def kernel_transform_direct_fill(kt: KernelTransform) -> np.ndarray:

@@ -146,6 +146,24 @@ def test_transform_scan_outputs(tmp_path):
         assert q in body
 
 
+def test_transform_makes_one_evaluator_pass(tmp_path, monkeypatch):
+    # f and the truncated kernel behind g_z_eps share one pass
+    from cauchylab import operators
+
+    passes = []
+    family = operators.truncated_cauchy_family
+
+    def counting(sc, values, eps_list):
+        passes.append(len(values))
+        return family(sc, values, eps_list)
+
+    monkeypatch.setattr(operators, "truncated_cauchy_family", counting)
+    text = SMALL_CIRCLE.replace("scans = diag,criterion", "scans = transform")
+    spec = _write_spec(tmp_path, text)
+    assert run(CommandInvocation("transform", str(spec), str(tmp_path / "o"))) == 0
+    assert passes == [2]
+
+
 def test_decomp_gdecay_sandwich_series_scans(tmp_path):
     text = SMALL_CIRCLE.replace("scans = diag,criterion",
                                 "scans = decomp,gdecay,sandwich")

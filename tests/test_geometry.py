@@ -167,6 +167,31 @@ def test_conformality_hairpin_offsets_have_a_gap():
     assert offs[-1] - offs[0] + 1 > len(offs)
 
 
+@pytest.mark.parametrize("build, n, d, stride", [
+    (curves.circle, 1024, 0.1, 1),
+    (lambda: curves.ellipse(2.0, 1.0), 1024, 0.3, None),
+    (curves.unit_square, 2048, 0.3, None),
+    (spiral6, 4096, 0.01, None),
+    (spiral6, 4096, 0.3, None),
+    # on the hairpin at these scales a jump ends right before a qualifying
+    # offset across the pinch, so a search that jumps one further misses it
+    (hairpin_polygon, 1024, 0.16, 1),
+    (hairpin_polygon, 1024, 0.25, 1),
+], ids=["circle", "ellipse", "square", "spiral-fine", "spiral-coarse",
+        "hairpin-0.16", "hairpin-0.25"])
+def test_offset_search_skips_only_non_qualifying_offsets(build, n, d, stride):
+    sc = curves.arclength_sample(build(), n)
+    if stride is None:
+        stride = max(1, int(d / (48.0 * sc.spacing)))
+    view = sc.points[::stride]
+    max_off = min(len(view) // 2,
+                  int(math.ceil(16.0 * d / (sc.spacing * stride))) + 1)
+    full = [off for off in range(2, max_off + 1)
+            if np.abs(np.roll(view, -off) - view).min() <= d]
+    assert full
+    assert geometry._qualifying_offsets(view, max_off, d) == full
+
+
 def test_conformality_no_qualifying_chord_is_zero():
     sc = curves.arclength_sample(curves.ellipse(2.0, 1.0), 1024)
     d = 0.5 * sc.spacing

@@ -151,19 +151,78 @@ def test_pv_all_matches_single(circle_sc, one):
         assert abs(allv.values[i] - operators.pv_cauchy(one, i)) < 1e-13
 
 
-def test_sweep_block_size_invariance(circle_sc):
+def test_family_bits_independent_of_window_order_and_layout(circle_sc):
+    # windows that share a cut share one set of sums, and the stack is
+    # copied into the evaluator's own layout: neither the order of the
+    # windows, nor repeats among them, nor the memory order of the values
+    # moves a bit
     rng = np.random.default_rng(5)
-    f = GridFunction(circle_sc, rng.normal(size=circle_sc.n)
-                     + 1j * rng.normal(size=circle_sc.n))
-    ref = operators.pv_cauchy_all(f).values
-    import cauchylab.operators as ops
-    saved = ops._BLOCK
-    try:
-        ops._BLOCK = 37
-        alt = operators.pv_cauchy_all(f).values
-    finally:
-        ops._BLOCK = saved
-    assert np.array_equal(ref, alt)
+    vals = rng.normal(size=(3, circle_sc.n)) + 1j * rng.normal(size=(3, circle_sc.n))
+    h, period = circle_sc.spacing, circle_sc.period
+    eps = [2.0 * h, 4.0 * h, period / 8.0, period / 2.0, 2.5 * h]
+    ref = operators.truncated_cauchy_family(circle_sc, vals, eps)
+    perm = [3, 0, 4, 1, 2, 0]
+    alt = operators.truncated_cauchy_family(
+        circle_sc, np.asfortranarray(vals), [eps[i] for i in perm])
+    assert np.array_equal(alt, ref[:, perm])
+
+
+def _edge_windows(sc):
+    """On-grid (half-weight boundary) and off-grid windows, in units of h,
+    around the tile width and the antipode."""
+    n, h = sc.n, sc.spacing
+    on_grid = [2, 3, 4, 63, 64, 65, 66, 128, n // 4, (n - 1) // 2]
+    off_grid = [2.5, 30.3, n / 2.0 - 0.5]
+    eps = sorted({k * h for k in on_grid + off_grid if 2 <= k < n / 2.0})
+    return eps + [sc.period / 2.0]  # the antipode, on the grid when n is even
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 96, 130])
+def test_family_edges_match_single_node_oracle(n):
+    # odd n, n off the tile size, and small n where every cut lies within
+    # one tile of the antipode
+    sc = curves.arclength_sample(curves.unit_square(), n)
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    eps = _edge_windows(sc)
+    if n <= 256:
+        nodes = np.arange(n)
+    else:
+        nodes = np.unique(np.concatenate([
+            [0, 1, 62, 63, 64, 65, 127, 128, n // 2 - 1, n // 2, n // 2 + 1,
+             n - 66, n - 65, n - 64, n - 2, n - 1], rng.integers(0, n, 8)]))
+    got = operators.truncated_cauchy_family(sc, vals, eps)[:, :, nodes]
+    ref = np.array([[[operators.truncated_cauchy(GridFunction(sc, v), i, e)
+                      for i in nodes] for e in eps] for v in vals])
+    scale = np.abs(ref).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+def test_family_of_one_matches_family_of_two(square_family):
+    sc, vals = square_family
+    eps = _edge_windows(sc)
+    one = operators.truncated_cauchy_family(sc, vals[:1], eps)[0]
+    two = operators.truncated_cauchy_family(sc, vals[:2], eps)[0]
+    scale = np.abs(one).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(one - two) <= 1e-13 * scale)
+
+
+def test_one_pass_builds_half_the_kernel(monkeypatch):
+    # each entry 1/(z_j - z_i) is built once for both nodes: n^2 / 2 plus
+    # one tile of columns per tile of rows
+    built = []
+    tile_kernel = operators._tile_kernel
+
+    def counting(*args):
+        kern = tile_kernel(*args)
+        built.append(kern.size)
+        return kern
+
+    monkeypatch.setattr(operators, "_tile_kernel", counting)
+    sc = curves.arclength_sample(curves.unit_square(), 2048)
+    operators.cauchy_family(sc, np.ones((1, sc.n)),
+                            TruncationSpec.for_curve(sc, 1, 64))
+    assert 0 < sum(built) <= 0.55 * sc.n ** 2
 
 
 @pytest.fixture(scope="module")
@@ -197,9 +256,10 @@ _FAMILY_DIGEST = """
 import hashlib, sys
 import numpy as np
 from cauchylab import curves, operators
-sc = curves.arclength_sample(curves.unit_square(), 2048)
+n, F = int(sys.argv[1]), int(sys.argv[2])
+sc = curves.arclength_sample(curves.unit_square(), n)
 rng = np.random.default_rng(21)
-vals = rng.normal(size=(15, sc.n)) + 1j * rng.normal(size=(15, sc.n))
+vals = rng.normal(size=(F, sc.n)) + 1j * rng.normal(size=(F, sc.n))
 spec = operators.TruncationSpec.for_curve(sc, 1, 64)
 pv, table = operators.cauchy_family(sc, vals, spec)
 sys.stdout.write(hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest())
@@ -207,20 +267,28 @@ sys.stdout.write(hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest())
 
 
 def test_family_bits_independent_of_blas_threads(square_family):
+    # 2048 x 15 has power-of-two shapes; at 3000 x 7 the evaluator gave
+    # other bits under one and two OpenBLAS threads until every BLAS
+    # reduction was cut to a multiple of 8 terms
     sc, vals = square_family
     pv, table = operators.cauchy_family(
         sc, vals, TruncationSpec.for_curve(sc, 1, 64))
-    digests = [hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest()]
+    in_process = hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest()
     src = str(Path(operators.__file__).resolve().parents[1])
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _FAMILY_DIGEST], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout)
-    assert digests[1:] == digests[:1] * 2
+    for n, F in ((2048, 15), (3000, 7)):
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-c", _FAMILY_DIGEST, str(n), str(F)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        if n == sc.n:
+            digests.append(in_process)
+        assert digests[1:] == digests[:1] * (len(digests) - 1), (n, F)
 
 
 def test_half_period_level_sums_its_outside_set(square_family):
