@@ -87,20 +87,21 @@ _ARC_FACTOR = 16.0
 _TABLE_SIZE = 2 ** 19
 
 
-def _qualifying_offsets(view, max_off: int, d: float) -> list:
-    """Offsets 2..max_off at which some chord of the closed grid view is <= d.
+def _qualifying_offsets(ext, n2: int, max_off: int, d: float) -> list:
+    """Offsets 2..max_off at which some chord of the closed grid of n2 nodes
+    is <= d; ext is that grid followed by at least its first max_off nodes.
 
     An offset whose shortest chord m0 exceeds d rules out the next ones
     too: by the triangle inequality a chord s offsets further is at least
     m0 - s * step, where step is the longest chord between consecutive
-    nodes.  So the search jumps over floor((m0 - d - slack) / step) offsets.
-    Each computed chord is within a few ulps of its exact value relative to
-    itself (a rounded difference and a rounded abs), so slack = 1e-12 m0
-    covers rounding by a wide margin, and the list equals that of a search
-    that tests every offset.
+    nodes.  So the search jumps over floor((m0 - d - slack) / step) offsets,
+    and over none when m0 - d is within the slack.  Each computed chord is
+    within a few ulps of its exact value relative to itself (a rounded
+    difference and a rounded abs), so slack = 1e-12 m0 covers rounding by a
+    wide margin, and the list equals that of a search that tests every
+    offset.
     """
-    n2 = len(view)
-    ext = np.concatenate([view, view[:max_off]])
+    view = ext[:n2]
     step = float(np.abs(ext[1:n2 + 1] - view).max())
     offs = []
     off = 2
@@ -110,7 +111,7 @@ def _qualifying_offsets(view, max_off: int, d: float) -> list:
             offs.append(off)
             off += 1
         else:
-            off += 1 + int((m0 - d - 1e-12 * m0) // step)
+            off += 1 + max(0, int((m0 - d - 1e-12 * m0) // step))
     return offs
 
 
@@ -131,7 +132,7 @@ def _detour_defects(sc, d: float, stride: int | None):
     h2 = sc.spacing * stride
     max_off = min(n2 // 2, int(math.ceil(_ARC_FACTOR * d / h2)) + 1)
     ext = np.concatenate([view, view[:2 * max_off]])
-    offs = _qualifying_offsets(view, max_off, d)
+    offs = _qualifying_offsets(ext, n2, max_off, d)
     if not offs:
         return
     K = offs[-1]

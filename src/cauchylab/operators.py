@@ -272,9 +272,9 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
     reach = (n - 1) // 2
     cuts = sorted({inner + boundary for inner, boundary in windows
                    if inner + boundary <= reach}, reverse=True)
-    slot = {}  # the window that holds the sums of each cut
+    by_cut = {}  # the windows of each cut; the first holds its sums
     for w, (inner, boundary) in enumerate(windows):
-        slot.setdefault(inner + boundary, w)
+        by_cut.setdefault(inner + boundary, []).append(w)
     contrib = vals.T * _unit_measure(sc)[:, None]
     tile = _TILE
     width = reach + tile + 1  # every cut's head fits: cut + tile + 1 <= width
@@ -303,7 +303,7 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
             ahead = _row_sums(kern, frame, lo, hi)
             grow[k, :, t0:t0 + m] += ahead[:m].T
             _wrap_add(grow[k], t0 + lo, behind[:, lo:hi])
-            level = out[:, slot[c]]
+            level = out[:, by_cut[c][0]]
             level[:, t0:t0 + m] += (head @ frame[c + 1:lo])[:m].T
             _wrap_add(level, t0 + c + 1, src @ head)
             hi = lo
@@ -313,19 +313,19 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
             grow[0] += antipode
     np.cumsum(grow, axis=0, out=grow)
     for k, c in enumerate(cuts):
-        out[:, slot[c]] += grow[k]
-    for w, (inner, boundary) in enumerate(windows):
-        cut = inner + boundary
-        if slot[cut] != w:
-            out[:, w] = out[:, slot[cut]]
-    for w, (inner, boundary) in enumerate(windows):
-        if boundary:
-            cut = inner + boundary
+        out[:, by_cut[c][0]] += grow[k]
+    for cut, ws in by_cut.items():
+        for w in ws[1:]:
+            out[:, w] = out[:, ws[0]]
+        edged = [w for w in ws if windows[w][1]]
+        if edged:
             if 2 * cut == n:  # at the antipode both offsets are one node
-                out[:, w] += 0.5 * antipode
+                edge = antipode
             else:
-                out[:, w] += 0.5 * (_offset_terms(sc, contrib, cut)
-                                    + _offset_terms(sc, contrib, n - cut))
+                edge = (_offset_terms(sc, contrib, cut)
+                        + _offset_terms(sc, contrib, n - cut))
+            for w in edged:
+                out[:, w] += 0.5 * edge
     out /= 1j * math.pi
     return out
 

@@ -186,10 +186,37 @@ def test_offset_search_skips_only_non_qualifying_offsets(build, n, d, stride):
     view = sc.points[::stride]
     max_off = min(len(view) // 2,
                   int(math.ceil(16.0 * d / (sc.spacing * stride))) + 1)
-    full = [off for off in range(2, max_off + 1)
-            if np.abs(np.roll(view, -off) - view).min() <= d]
+    full = full_offset_search(view, max_off, d)
     assert full
-    assert geometry._qualifying_offsets(view, max_off, d) == full
+    assert qualifying_offsets(view, max_off, d) == full
+
+
+def full_offset_search(view, max_off, d):
+    return [off for off in range(2, max_off + 1)
+            if np.abs(np.roll(view, -off) - view).min() <= d]
+
+
+def qualifying_offsets(view, max_off, d):
+    ext = np.concatenate([view, view[:2 * max_off]])
+    return geometry._qualifying_offsets(ext, len(view), max_off, d)
+
+
+@pytest.mark.parametrize("build, n", [
+    (curves.circle, 1024),
+    (curves.unit_square, 2048),
+], ids=["circle", "square"])
+def test_offset_search_moves_on_at_near_ties(build, n):
+    # the shortest chord grows with the offset on these curves, so the
+    # search steps through every offset below off and then meets a chord
+    # that exceeds d by less than the rounding slack: a jump computed as
+    # floor of a negative number must not hold the search in place
+    view = curves.arclength_sample(build(), n).points
+    max_off = 24
+    for off in range(2, 12):
+        m0 = float(np.abs(np.roll(view, -off) - view).min())
+        for d in (m0 * (1.0 - 1e-14), m0, m0 * (1.0 + 1e-14)):
+            assert qualifying_offsets(view, max_off, d) == \
+                full_offset_search(view, max_off, d)
 
 
 def test_conformality_no_qualifying_chord_is_zero():
