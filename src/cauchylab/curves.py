@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from ._quadrature import cumulative_gauss, gauss_panel
+from ._quadrature import _GL96, cumulative_gauss, gauss_panel
 from .errors import ConstructionError, DegenerateGeometryError, DomainError
 
 __all__ = [
@@ -53,8 +54,6 @@ __all__ = [
 # Smoothing kernel: the classical bump c*exp(-1/(1-u^2)) on (-1, 1),
 # normalized to unit mass.  All profile evaluations reduce to its cdf and
 # to ramp(w) = integral of (w-u)*eta(u) over u < w.
-
-_GL96 = np.polynomial.legendre.leggauss(96)
 
 
 def _bump_raw(u):
@@ -155,10 +154,14 @@ def mollified_profile(spec: PatchSpec, t):
     left = t < 0.375
     right = t > 0.625
     mid = ~(left | right)
-    out[left] = tn * xi * bump_ramp((t[left] - 0.25) / xi)
-    out[right] = tn * xi * bump_ramp((0.75 - t[right]) / xi)
-    w = (t[mid] - 0.5) / xi
-    out[mid] = tn * (0.25 - xi * (bump_ramp(w) + bump_ramp(-w)))
+    # skip absent branches: a corner zone evaluates one branch per call
+    if left.any():
+        out[left] = tn * xi * bump_ramp((t[left] - 0.25) / xi)
+    if right.any():
+        out[right] = tn * xi * bump_ramp((0.75 - t[right]) / xi)
+    if mid.any():
+        w = (t[mid] - 0.5) / xi
+        out[mid] = tn * (0.25 - xi * (bump_ramp(w) + bump_ramp(-w)))
     return out
 
 
@@ -170,9 +173,12 @@ def mollified_slope(spec: PatchSpec, t):
     left = t < 0.375
     right = t > 0.625
     mid = ~(left | right)
-    out[left] = tn * bump_cdf((t[left] - 0.25) / xi)
-    out[right] = -tn * bump_cdf((0.75 - t[right]) / xi)
-    out[mid] = tn * (1.0 - 2.0 * bump_cdf((t[mid] - 0.5) / xi))
+    if left.any():
+        out[left] = tn * bump_cdf((t[left] - 0.25) / xi)
+    if right.any():
+        out[right] = -tn * bump_cdf((0.75 - t[right]) / xi)
+    if mid.any():
+        out[mid] = tn * (1.0 - 2.0 * bump_cdf((t[mid] - 0.5) / xi))
     return out
 
 
@@ -182,7 +188,7 @@ def _patch_boundaries(xi):
 
 @dataclass(frozen=True)
 class Patch:
-    """A built smoothed bump: profile callables, straight pieces, lengths."""
+    """A built smoothed bump: straight pieces, lengths and peak height."""
 
     spec: PatchSpec
     length: float
@@ -194,12 +200,6 @@ class Patch:
     def shortening(self) -> float:
         """Arc length lost to smoothing (nonnegative)."""
         return self.corner_length - self.length
-
-    def height(self, t):
-        return mollified_profile(self.spec, t)
-
-    def slope(self, t):
-        return mollified_slope(self.spec, t)
 
     def point(self, t):
         t = _check_unit_interval(t)
@@ -256,10 +256,6 @@ class SpiralSpec:
         if self.closure not in ("smooth-closure", "open"):
             raise DomainError(f"closure must be 'smooth-closure' or 'open', got {self.closure!r}")
 
-    @property
-    def angles(self) -> tuple:
-        return tuple(1.0 / j for j in range(1, self.depth + 1))
-
     def angle_sum_exact(self) -> Fraction:
         return sum((Fraction(1, j) for j in range(1, self.depth + 1)), Fraction(0))
 
@@ -274,7 +270,6 @@ class Parametrization:
 
     period: float
     point: Callable
-    derivative: Callable | None
     kind: str
     closed: bool = True
     unit_speed: bool = False
@@ -357,7 +352,7 @@ def _as_unit_speed(p: Parametrization, samples: int = 16384) -> Parametrization:
         s = np.mod(np.asarray(s, dtype=float), length)
         return p.point(inv(s))
 
-    return Parametrization(period=float(length), point=point, derivative=None,
+    return Parametrization(period=float(length), point=point,
                            kind=p.kind, closed=p.closed, unit_speed=True,
                            meta=dict(p.meta))
 
@@ -386,11 +381,8 @@ def circle(radius: float = 1.0) -> Parametrization:
     def point(s):
         return r * np.exp(1j * np.asarray(s, dtype=float) / r)
 
-    def derivative(s):
-        return 1j * np.exp(1j * np.asarray(s, dtype=float) / r)
-
-    return Parametrization(period=2.0 * math.pi * r, point=point,
-                           derivative=derivative, kind="circle", unit_speed=True)
+    return Parametrization(period=2.0 * math.pi * r, point=point, kind="circle",
+                           unit_speed=True)
 
 
 def ellipse(a: float, b: float) -> Parametrization:
@@ -412,12 +404,7 @@ def ellipse(a: float, b: float) -> Parametrization:
         theta = inv(np.mod(np.asarray(s, dtype=float), perimeter))
         return a * np.cos(theta) + 1j * b * np.sin(theta)
 
-    def derivative(s):
-        theta = inv(np.mod(np.asarray(s, dtype=float), perimeter))
-        return (-a * np.sin(theta) + 1j * b * np.cos(theta)) / speed(theta)
-
-    return Parametrization(period=perimeter, point=point, derivative=derivative,
-                           kind="ellipse", unit_speed=True,
+    return Parametrization(period=perimeter, point=point, kind="ellipse", unit_speed=True,
                            meta={"axes": (float(a), float(b))})
 
 
@@ -447,13 +434,7 @@ def polygon(vertices: Sequence) -> Parametrization:
         e = np.clip(np.searchsorted(cum, m, side="right") - 1, 0, len(verts) - 1)
         return verts[e] + (m - cum[e]) * units[e]
 
-    def derivative(s):
-        m = np.mod(np.asarray(s, dtype=float), perimeter)
-        e = np.clip(np.searchsorted(cum, m, side="right") - 1, 0, len(verts) - 1)
-        return units[e]
-
-    return Parametrization(period=perimeter, point=point, derivative=derivative,
-                           kind="polygon", unit_speed=True,
+    return Parametrization(period=perimeter, point=point, kind="polygon", unit_speed=True,
                            meta={"corners": tuple(float(c) for c in cum[:-1]),
                                  "vertices": tuple(complex(v) for v in verts)})
 
@@ -493,27 +474,17 @@ class _LinearZone:
         lam = self.lam_a + self.lam_b * t
         return self.off + self.mult * (t + 1j * lam)
 
-    def tangent(self, ds):
-        d = self.mult * (1.0 + 1j * self.lam_b)
-        d = d / abs(d)
-        return np.full(np.shape(ds), d, dtype=complex)
 
+class _SplineZone:
+    """A smooth curved stretch t0..t1 of point_of, with clamped-spline
+    inverse arc length from the cumulative integral of its speed."""
 
-class _CurvedZone:
-    """A smooth curved stretch with a clamped-spline inverse arc length."""
+    __slots__ = ("t0", "t1", "point_of", "length", "s0", "_t_of_s", "_s_of_t",
+                 "patch_index")
 
-    __slots__ = ("t0", "t1", "off", "mult", "lam", "slope", "length", "s0",
-                 "_t_of_s", "_s_of_t", "patch_index")
-
-    def __init__(self, t0, t1, off, mult, lam, slope, patch_index, knots=65):
+    def __init__(self, point_of, speed, t0, t1, patch_index=-1, knots=65):
         self.t0, self.t1 = t0, t1
-        self.off, self.mult = off, mult
-        self.lam, self.slope = lam, slope
-        scale = abs(mult)
-
-        def speed(t):
-            return scale * np.sqrt(1.0 + np.asarray(slope(t)) ** 2)
-
+        self.point_of = point_of
         t_knots = np.linspace(t0, t1, knots)
         s_knots = cumulative_gauss(speed, t_knots)
         self.length = float(s_knots[-1])
@@ -531,45 +502,20 @@ class _CurvedZone:
         return float(self._s_of_t(t))
 
     def point(self, ds):
-        t = self.t_at(ds)
-        return self.off + self.mult * (t + 1j * self.lam(t))
-
-    def tangent(self, ds):
-        t = self.t_at(ds)
-        d = self.mult * (1.0 + 1j * self.slope(t))
-        return d / np.abs(d)
+        return self.point_of(self.t_at(ds))
 
 
-class _ParametricZone:
-    """A smooth parametric arc (the closure loop), spline inverse length."""
+def _graph_zone(t0, t1, off, mult, lam, slope, patch_index):
+    """Spline zone of the mapped graph t -> off + mult (t + i lam(t))."""
+    scale = abs(mult)
 
-    __slots__ = ("u0", "u1", "curve", "dcurve", "length", "s0", "_u_of_s",
-                 "patch_index")
+    def point(t):
+        return off + mult * (t + 1j * lam(t))
 
-    def __init__(self, curve, dcurve, u0, u1, knots=129):
-        self.curve, self.dcurve = curve, dcurve
-        self.u0, self.u1 = u0, u1
+    def speed(t):
+        return scale * np.sqrt(1.0 + np.asarray(slope(t)) ** 2)
 
-        def speed(u):
-            return np.abs(dcurve(u))
-
-        u_knots = np.linspace(u0, u1, knots)
-        s_knots = cumulative_gauss(speed, u_knots)
-        self.length = float(s_knots[-1])
-        v0 = float(speed(np.array([u0]))[0])
-        v1 = float(speed(np.array([u1]))[0])
-        self._u_of_s = CubicSpline(s_knots, u_knots, bc_type=((1, 1.0 / v0), (1, 1.0 / v1)))
-        self.s0 = 0.0
-        self.patch_index = -1
-
-    def point(self, ds):
-        u = np.clip(self._u_of_s(ds), self.u0, self.u1)
-        return self.curve(u)
-
-    def tangent(self, ds):
-        u = np.clip(self._u_of_s(ds), self.u0, self.u1)
-        d = self.dcurve(u)
-        return d / np.abs(d)
+    return _SplineZone(point, speed, t0, t1, patch_index)
 
 
 class _ZoneAssembly:
@@ -601,16 +547,6 @@ class _ZoneAssembly:
             out[mask] = self.zones[k].point(s[mask] - self.zones[k].s0)
         return out
 
-    def tangent(self, s):
-        s = np.mod(np.asarray(s, dtype=float), self.total)
-        idx = np.clip(np.searchsorted(self._starts, s, side="right") - 1, 0,
-                      len(self.zones) - 1)
-        out = np.empty(s.shape, dtype=complex)
-        for k in np.unique(idx):
-            mask = idx == k
-            out[mask] = self.zones[k].tangent(s[mask] - self.zones[k].s0)
-        return out
-
     def param_of(self, patch_index, t):
         """Forward arc length of the point with local parameter t on a patch."""
         for z in self.zones:
@@ -619,36 +555,11 @@ class _ZoneAssembly:
         raise DomainError(f"parameter {t} of patch {patch_index} is not on the curve")
 
 
-def _patch_zone_functions(spec: PatchSpec):
-    """Per-corner profile callables used by curved zones."""
-    tn, xi = math.tan(spec.angle), spec.xi
-
-    def lam1(t):
-        return tn * xi * bump_ramp((np.asarray(t) - 0.25) / xi)
-
-    def slope1(t):
-        return tn * bump_cdf((np.asarray(t) - 0.25) / xi)
-
-    def lam2(t):
-        w = (np.asarray(t) - 0.5) / xi
-        return tn * (0.25 - xi * (bump_ramp(w) + bump_ramp(-w)))
-
-    def slope2(t):
-        return tn * (1.0 - 2.0 * bump_cdf((np.asarray(t) - 0.5) / xi))
-
-    def lam3(t):
-        return tn * xi * bump_ramp((0.75 - np.asarray(t)) / xi)
-
-    def slope3(t):
-        return -tn * bump_cdf((0.75 - np.asarray(t)) / xi)
-
-    return (lam1, slope1), (lam2, slope2), (lam3, slope3)
-
-
 def _piece_zones(spec: PatchSpec, ta, tb, off, mult, patch_index):
-    """Cut a kept stretch [ta, tb] of a patch graph into smooth zones."""
+    """Cut a kept stretch [ta, tb] of a patch graph into smooth zones: the
+    straight pieces exact, the three corner zones on the smoothed profile."""
     tn, xi = math.tan(spec.angle), spec.xi
-    corners = _patch_zone_functions(spec)
+    lam, slope = partial(mollified_profile, spec), partial(mollified_slope, spec)
     bounds = _patch_boundaries(xi)
     cuts = [ta] + [b for b in bounds if ta < b < tb] + [tb]
     zones = []
@@ -656,19 +567,12 @@ def _piece_zones(spec: PatchSpec, ta, tb, off, mult, patch_index):
         m = 0.5 * (a + b)
         if m < 0.25 - xi or m > 0.75 + xi:
             zones.append(_LinearZone(a, b, off, mult, 0.0, 0.0, patch_index))
-        elif abs(m - 0.25) <= xi:
-            lam, slope = corners[0]
-            zones.append(_CurvedZone(a, b, off, mult, lam, slope, patch_index))
-        elif m < 0.5 - xi:
+        elif 0.25 + xi < m < 0.5 - xi:
             zones.append(_LinearZone(a, b, off, mult, -0.25 * tn, tn, patch_index))
-        elif abs(m - 0.5) <= xi:
-            lam, slope = corners[1]
-            zones.append(_CurvedZone(a, b, off, mult, lam, slope, patch_index))
-        elif m < 0.75 - xi:
+        elif 0.5 + xi < m < 0.75 - xi:
             zones.append(_LinearZone(a, b, off, mult, 0.75 * tn, -tn, patch_index))
         else:
-            lam, slope = corners[2]
-            zones.append(_CurvedZone(a, b, off, mult, lam, slope, patch_index))
+            zones.append(_graph_zone(a, b, off, mult, lam, slope, patch_index))
     return zones
 
 
@@ -707,6 +611,15 @@ def _closure_loop(p_from, p_to, dir_from, dir_to, dip, reach=1.5):
     return curve, dcurve
 
 
+def _loop_zones(curve, dcurve):
+    """The closure arc as eight spline zones in its parameter u."""
+    def speed(u):
+        return np.abs(dcurve(u))
+
+    return [_SplineZone(curve, speed, k / 8.0, (k + 1) / 8.0, knots=129)
+            for k in range(8)]
+
+
 def _orients_ccw(point, period, n=4096):
     s = period * np.arange(n) / n
     z = point(s)
@@ -718,21 +631,18 @@ def _closed_from_assembly(assembly, kind, meta, focus_forward=None):
     """Wrap a forward assembly as a positively oriented unit-speed curve."""
     total = assembly.total
     if _orients_ccw(assembly.point, total):
-        point, tangent = assembly.point, assembly.tangent
+        point = assembly.point
         if focus_forward is not None:
             meta = dict(meta, focus_param=float(focus_forward % total))
     else:
         def point(s):
             return assembly.point(np.mod(total - np.asarray(s, dtype=float), total))
 
-        def tangent(s):
-            return -assembly.tangent(np.mod(total - np.asarray(s, dtype=float), total))
-
         if focus_forward is not None:
             meta = dict(meta, focus_param=float((total - focus_forward) % total))
         meta = dict(meta, reversed=True)
-    return Parametrization(period=total, point=point, derivative=tangent,
-                           kind=kind, closed=True, unit_speed=True, meta=meta)
+    return Parametrization(period=total, point=point, kind=kind, closed=True,
+                           unit_speed=True, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -840,14 +750,11 @@ def build_spiral(spec: SpiralSpec, validate: bool = True) -> Parametrization:
     if spec.closure == "open":
         meta["focus_param"] = float(focus_forward)
         return Parametrization(period=spiral_length, point=open_assembly.point,
-                               derivative=open_assembly.tangent, kind="spiral",
-                               closed=False, unit_speed=True, meta=meta)
+                               kind="spiral", closed=False, unit_speed=True, meta=meta)
 
     curve, dcurve = _closure_loop(1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j,
                                   dip=0.75)
-    closure_zones = [
-        _ParametricZone(curve, dcurve, k / 8.0, (k + 1) / 8.0) for k in range(8)
-    ]
+    closure_zones = _loop_zones(curve, dcurve)
     if validate:
         u = np.linspace(0.02, 0.98, 1024)
         zc = curve(u)
@@ -948,10 +855,8 @@ def graph_closure(coeffs: Sequence[float]) -> Parametrization:
         return sum(c * (k + 1) * math.pi * np.cos((k + 1) * math.pi * t)
                    for k, c in enumerate(coeffs))
 
-    zones = [
-        _CurvedZone(k / 16.0, (k + 1) / 16.0, 0.0 + 0.0j, 1.0 + 0.0j, g, dg, 1)
-        for k in range(16)
-    ]
+    zones = [_graph_zone(k / 16.0, (k + 1) / 16.0, 0.0 + 0.0j, 1.0 + 0.0j, g, dg, 1)
+             for k in range(16)]
     grid = np.linspace(0.0, 1.0, 1024)
     gmin = float(np.min(g(grid)))
     dip = 0.75 + max(0.0, -gmin) + 0.25 * float(np.max(np.abs(g(grid))))
@@ -959,10 +864,7 @@ def graph_closure(coeffs: Sequence[float]) -> Parametrization:
     d1 = 1.0 + 1j * float(dg(np.array([0.0]))[0])
     curve, dcurve = _closure_loop(1.0 + 0.0j, 0.0 + 0.0j, d0 / abs(d0), d1 / abs(d1),
                                   dip=dip)
-    closure_zones = [
-        _ParametricZone(curve, dcurve, k / 8.0, (k + 1) / 8.0) for k in range(8)
-    ]
-    assembly = _ZoneAssembly(zones + closure_zones)
+    assembly = _ZoneAssembly(zones + _loop_zones(curve, dcurve))
     u = np.linspace(0.02, 0.98, 512)
     zg = grid + 1j * np.asarray(g(grid))
     dmin = float(np.abs(curve(u)[:, None] - zg[None, ::4]).min())

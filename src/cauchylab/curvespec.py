@@ -28,7 +28,6 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 CURVE_KINDS = ("circle", "ellipse", "graph-closure", "polygon", "spiral")
 SCAN_TAGS = ("cotlar", "criterion", "decomp", "diag", "gdecay", "sandwich",
              "series", "transform")
-FORMAT_TAGS = ("csv", "summary")
 _FN_TAG_RE = re.compile(r"^(constant|adversarial|trig:\d+|chi:\d+)$")
 
 
@@ -123,13 +122,6 @@ def _check_k_max(v, doc):
     return None
 
 
-def _check_formats(v, _doc):
-    bad = [t for t in v if t not in FORMAT_TAGS]
-    if bad:
-        return f"unknown output format {bad[0]!r}"
-    return None
-
-
 def _check_nonneg(v, _doc):
     if v < 0:
         return "value must be nonnegative"
@@ -172,7 +164,6 @@ SCHEMA = {
     },
     "output": {
         "directory": Field("tag", "out", None, None),
-        "formats": Field("tag-list", ("csv", "summary"), None, _check_formats),
     },
 }
 

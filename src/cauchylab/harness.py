@@ -495,13 +495,16 @@ def cotlar_ratio_scan(p, resolutions, tags=("constant", "trig:1", "trig:3",
             for j in tf_fn.jumps:
                 ok &= _param_dist(sc.params, j, sc.period) >= guard - 1e-12
             ratios = np.where(ok, t_star / np.maximum(m2, UNDERFLOW_FLOOR), 0.0)
-            arg = int(np.argmax(ratios))
-            rows.append(CotlarRow(n=n, tag=tf_fn.tag,
-                                  sup_ratio=float(ratios[arg]), arg_node=arg,
+            sup = float(ratios.max())
+            # lowest-index node within 1e-12 relative of the sup: symmetric
+            # curves tie many nodes to rounding, and a plain argmax among
+            # them moves with the order of the evaluator's sums
+            arg = int(np.argmax(ratios >= sup * (1.0 - 1e-12)))
+            rows.append(CotlarRow(n=n, tag=tf_fn.tag, sup_ratio=sup, arg_node=arg,
                                   arg_param=float(sc.params[arg]),
                                   flagged=flagged))
             node_ratios.append((n, tf_fn.tag, ratios))
-            agg = max(agg, float(ratios[arg]))
+            agg = max(agg, sup)
         aggregate.append((n, agg))
     verdict = classify_ratio_trend([a for _, a in aggregate])
     return CotlarReport(rows=tuple(rows), aggregate=tuple(aggregate),

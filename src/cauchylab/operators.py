@@ -86,7 +86,7 @@ class GridFunction:
         if vals.shape != (self.base.n,):
             raise DomainError(
                 f"grid function has {vals.shape} values for {self.base.n} nodes")
-        if not np.all(np.isfinite(vals.view(float))):
+        if not np.all(np.isfinite(vals)):
             raise DomainError("grid function values must be finite")
         object.__setattr__(self, "values", vals)
 

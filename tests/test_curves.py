@@ -296,8 +296,8 @@ def test_generic_reparametrization_path():
         x = np.asarray(x, dtype=float)
         return np.exp(1j * (x + 0.3 * np.sin(x)))
 
-    p = curves.Parametrization(period=2 * math.pi, point=warped, derivative=None,
-                               kind="circle", unit_speed=False)
+    p = curves.Parametrization(period=2 * math.pi, point=warped, kind="circle",
+                               unit_speed=False)
     sc = curves.arclength_sample(p, 2048)
     assert abs(sc.length - 2 * math.pi) < 1e-5
     assert np.max(np.abs(np.abs(sc.points) - 1.0)) < 1e-9
@@ -417,6 +417,37 @@ def test_spiral_open_variant():
     z1 = p.point(np.array([p.period - 1e-12]))[0]
     assert abs(z0 - 0.0) < 1e-9
     assert abs(z1 - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("closure", ["smooth-closure", "open"])
+def test_spiral_zones_land_on_their_profiles(closure):
+    # A corner zone is a 65-knot clamped spline in its local parameter t.
+    # At the knots the round trip t -> arc length -> t is exact to rounding,
+    # so the point is the profile point at t.  Between knots the round trip
+    # is a spline fit (within 1e-9), and the point must still lie on the
+    # profile graph.
+    depth = 6
+    p = curves.build_spiral(curves.SpiralSpec(depth=depth, closure=closure))
+    xi = p.meta["xi"]
+    for j in range(1, depth + 1):
+        spec = p.meta["patches"][j - 1].spec
+        off = p.meta["patch_offsets"][j - 1]
+        mult = p.meta["patch_multipliers"][j - 1]
+
+        def local(t):
+            s = curves.spiral_patch_param(p, j, t)
+            return (p.point(np.array([s]))[0] - off) / mult
+
+        corners = (0.25, 0.5, 0.75)
+        on_knots = [float(t) for c in corners
+                    for t in np.linspace(c - xi, c + xi, 65)[[16, 32, 48]]]
+        for t in on_knots + [0.625]:  # 0.625: the falling straight piece
+            want = t + 1j * curves.mollified_profile(spec, t)
+            assert abs(local(t) - want) <= 1e-12, (j, t)
+        for t in [c + d * xi for c in corners for d in (-0.7, 0.3)]:
+            w = local(t)
+            assert abs(w.real - t) <= 1e-9, (j, t)
+            assert abs(w.imag - curves.mollified_profile(spec, w.real)) <= 1e-12, (j, t)
 
 
 def test_spiral_limit_point_and_focus():

@@ -326,8 +326,8 @@ def test_branch_log_ambiguity_on_slit():
         y = np.abs(((x + 1.0) % 2.0) - 1.0)
         return y.astype(complex)
 
-    p = curves.Parametrization(period=2.0, point=slit, derivative=None,
-                               kind="polygon", unit_speed=True)
+    p = curves.Parametrization(period=2.0, point=slit, kind="polygon",
+                               unit_speed=True)
     with pytest.raises(BranchAmbiguityError):
         geometry.branch_log(p, 0.0, 0.25)
 
@@ -354,7 +354,7 @@ def test_local_bilipschitz_circle_window():
 def test_local_bilipschitz_needs_unit_speed():
     p = curves.Parametrization(period=2 * math.pi,
                                point=lambda x: np.exp(2j * np.asarray(x)),
-                               derivative=None, kind="circle", unit_speed=False)
+                               kind="circle", unit_speed=False)
     with pytest.raises(DomainError):
         geometry.local_bilipschitz(p, 0.0, 0.1)
 

@@ -36,6 +36,16 @@ def test_grid_function_validation(circle_sc):
         GridFunction(circle_sc, bad)
 
 
+def test_grid_function_accepts_strided_view(circle_sc):
+    # a column of a C-ordered (n, 2) array has a non-contiguous last axis
+    cols = np.ones((circle_sc.n, 2), dtype=complex)
+    f = GridFunction(circle_sc, cols[:, 0])
+    assert np.array_equal(f.values, np.ones(circle_sc.n))
+    cols[5, 0] = complex(1.0, np.nan)
+    with pytest.raises(DomainError):
+        GridFunction(circle_sc, cols[:, 0])
+
+
 def test_truncation_spec_clamps(circle_sc):
     spec = TruncationSpec.for_curve(circle_sc, 4, 99)
     assert spec.k_max == 11  # 2^11 = n/2 cells
