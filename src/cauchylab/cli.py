@@ -71,8 +71,7 @@ def _write(path: Path, lines) -> None:
 
 def _measure_constants(state: _RunState) -> None:
     p, sc = state.curve, state.sample
-    scl = sc if sc.n <= 2048 else arclength_sample(p, 2048)
-    state.bilip = geometry.bilipschitz_constant(scl)
+    state.bilip = harness.measure_bilip(sc)
     eps0_cfg = state.doc.get("experiment", "eps0")
     if eps0_cfg > 0.0:
         state.eps0 = eps0_cfg
@@ -92,8 +91,7 @@ def _config(state: _RunState, k_min: int | None = None) -> harness.HarnessConfig
         k_max=doc.get("experiment", "k_max"),
         bilip=state.bilip,
         dilation=dil if dil > 0.0 else None,
-        eps0=state.eps0,
-        seed=doc.get("experiment", "seed"))
+        eps0=state.eps0)
 
 
 def _gated_eps_list(state: _RunState) -> list:
@@ -138,7 +136,7 @@ def _first_function(state: _RunState):
     tags = state.doc.get("experiment", "functions")
     fam = harness.make_test_functions(
         sc, tags[:1], seed=state.doc.get("experiment", "seed"),
-        bilip=state.bilip, anchors=harness.anchor_params(state.curve))
+        anchors=harness.anchor_params(state.curve))
     return fam[0]
 
 
@@ -198,8 +196,7 @@ def _run_cotlar(state: _RunState, out: Path) -> None:
         p, doc.get("sampling", "resolutions"),
         tags=doc.get("experiment", "functions"),
         k_min=1,
-        seed=doc.get("experiment", "seed"),
-        bilip=state.bilip)
+        seed=doc.get("experiment", "seed"))
     rows = ["curve,n,f_tag,node,ratio"]
     for n, tag, ratios in report.node_ratios:
         for i, r in enumerate(ratios):
@@ -276,9 +273,9 @@ def _write_summary(state: _RunState, out: Path, inv: CommandInvocation) -> None:
     lines.append(f"subcommand: {inv.subcommand}")
     if state.bilip is not None:
         lines.append(f"bilipschitz constant: {state.bilip:.17g}")
-        needed = max(2.0 * state.bilip ** 2, state.bilip * (state.bilip + 1.0))
-        dil = state.doc.get("experiment", "dilation_m")
-        lines.append(f"window dilation: {dil if dil > 0 else needed:.17g}")
+        dil = (state.doc.get("experiment", "dilation_m")
+               or harness.required_dilation(state.bilip))
+        lines.append(f"window dilation: {dil:.17g}")
     lines.append("smallness threshold: "
                  + (f"{state.eps0:.17g}" if state.eps0 is not None else "none"))
     lines.append("criterion verdict: " + (state.criterion_verdict or "n/a"))

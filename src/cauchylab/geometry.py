@@ -331,31 +331,28 @@ def window_speed_range(p, x0: float, eps: float, m: int = 257):
     return lo, hi
 
 
-def eps0_gate(sc, bilip: float, k_min: int = 2, k_max: int | None = None,
-              threshold: float = 0.05):
+def eps0_gate(sc, bilip: float):
     """Largest dyadic eps whose chord-scale conformality defect is small.
 
     Operational stand-in for the proof-level smallness threshold: the
-    largest eps = period * 2^-k whose defect at chord scale bilip*eps stays
-    below the (positive) threshold, default 0.05.  A level is rejected at the
-    first running defect that reaches the threshold, which the full scan
-    would only raise.  Returns None when no dyadic level passes, e.g. for
-    corner curves.
+    largest eps = period * 2^-k, k >= 2, whose defect at chord scale
+    bilip*eps stays below 0.05.  A level is rejected at the first running
+    defect that reaches 0.05, which the full scan would only raise.  Returns
+    None when no dyadic level passes, e.g. for corner curves.
     """
     period = sc.period
-    if k_max is None:
-        # keep at least 8 grid cells under the probed chord scale
-        k_max = max(k_min, int(math.floor(math.log2(sc.n * bilip / 8.0))))
+    # keep at least 8 grid cells under the probed chord scale
+    k_max = max(2, int(math.floor(math.log2(sc.n * bilip / 8.0))))
     pts_sub = sc.points[:: max(1, sc.n // 256)]
     diam = float(np.abs(pts_sub[:, None] - pts_sub[None, :]).max())
-    for k in range(k_min, k_max + 1):
+    for k in range(2, k_max + 1):
         eps = period * 2.0 ** (-k)
         d = bilip * eps
         if d > 0.45 * diam:
             continue
         if d < 8.0 * sc.spacing:
             break
-        if all(v < threshold for v in _detour_defects(sc, d, None)):
+        if all(v < 0.05 for v in _detour_defects(sc, d, None)):
             return eps
     return None
 
@@ -376,21 +373,21 @@ class DiagnosticsReport:
     notes: tuple = ()
 
 
-def focus_grid(p, eps: float, width: float = 48.0, count: int = 1536):
-    """Refined parameter grid around the curve's focus point, when it has one."""
+def focus_grid(p, eps: float):
+    """1536 parameters within 48 eps of the focus point; None without one."""
     x0 = p.meta.get("focus_param")
     if x0 is None:
         return None
-    half = min(width * eps, 0.45 * p.period)
-    return x0 + np.linspace(-half, half, count)
+    half = min(48.0 * eps, 0.45 * p.period)
+    return x0 + np.linspace(-half, half, 1536)
 
 
 def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
-                x_grid_n: int = 4096, eps0="measure") -> DiagnosticsReport:
+                x_grid_n: int = 4096, eps0: float | None = None) -> DiagnosticsReport:
     """Assemble the standard diagnostics tables on dyadic scales.
 
-    eps0="measure" runs the smallness gate on this sampling; callers with a
-    finer-grid measurement pass it in instead.
+    eps0 is the smallness threshold the caller measured (see eps0_gate),
+    reported as given; None omits its row.
     """
     cac = chord_arc_constant(sc)
     bil = bilipschitz_constant(sc)
@@ -410,13 +407,12 @@ def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
         if eps < period / 4.0:
             x0 = p.meta.get("focus_param", 0.0)
             lb_rows.append((k, eps, local_bilipschitz(p, x0, eps, m=384)))
-    gate = eps0_gate(sc, bil) if eps0 == "measure" else eps0
     return DiagnosticsReport(kind=p.kind, grid_n=sc.n, chord_arc_const=cac,
                              bilip=bil, ac_table=tuple(ac_rows),
                              omega2_table=tuple(w2_rows),
                              omega2_focus_table=tuple(w2f_rows),
                              local_bilip_table=tuple(lb_rows),
-                             eps0=gate, notes=tuple(sc.warnings))
+                             eps0=eps0, notes=tuple(sc.warnings))
 
 
 def diagnostics_csv_rows(report: DiagnosticsReport):

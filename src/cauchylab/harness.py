@@ -36,6 +36,8 @@ __all__ = [
     "CriterionTable",
     "SandwichReport",
     "CotlarReport",
+    "measure_bilip",
+    "required_dilation",
     "adversarial_indicator",
     "deepest_exponent",
     "anchor_params",
@@ -56,6 +58,17 @@ JUMP_GUARD_CELLS = 4.0
 UNDERFLOW_FLOOR = 1e-14
 
 
+def measure_bilip(sc: SampledCurve) -> float:
+    """Bilipschitz constant L measured on min(n, 2048) nodes of the curve."""
+    scl = sc if sc.n <= 2048 else arclength_sample(sc.source, 2048)
+    return geometry.bilipschitz_constant(scl)
+
+
+def required_dilation(bilip: float) -> float:
+    """Window dilation max(2L^2, L(L+1)) the splitting of T_eps f needs."""
+    return max(2.0 * bilip ** 2, bilip * (bilip + 1.0))
+
+
 @dataclass(frozen=True)
 class HarnessConfig:
     """Measured curve constants plus the truncation grid for one scan run."""
@@ -64,10 +77,9 @@ class HarnessConfig:
     dilation: float
     eps0: float | None
     trunc: TruncationSpec
-    seed: int = 0
 
     def __post_init__(self):
-        needed = max(2.0 * self.bilip ** 2, self.bilip * (self.bilip + 1.0))
+        needed = required_dilation(self.bilip)
         if self.dilation < needed - 1e-9:
             raise DomainError(
                 f"window dilation {self.dilation} below the required "
@@ -76,15 +88,14 @@ class HarnessConfig:
     @staticmethod
     def for_curve(sc: SampledCurve, k_min: int = 2, k_max: int = 24,
                   bilip: float | None = None, dilation: float | None = None,
-                  eps0: float | None = None, seed: int = 0) -> "HarnessConfig":
+                  eps0: float | None = None) -> "HarnessConfig":
         if bilip is None:
-            scl = sc if sc.n <= 2048 else arclength_sample(sc.source, 2048)
-            bilip = geometry.bilipschitz_constant(scl)
+            bilip = measure_bilip(sc)
         if dilation is None:
-            dilation = max(2.0 * bilip ** 2, bilip * (bilip + 1.0))
+            dilation = required_dilation(bilip)
         trunc = TruncationSpec.for_curve(sc, k_min, k_max)
         return HarnessConfig(bilip=bilip, dilation=dilation, eps0=eps0,
-                             trunc=trunc, seed=seed)
+                             trunc=trunc)
 
 
 @dataclass(frozen=True)
@@ -136,9 +147,9 @@ def adversarial_indicator(sc: SampledCurve, eps: float, n_exp: int | None = None
     return TestFunction(tag=tag, values=values, jumps=jumps)
 
 
-def deepest_exponent(sc: SampledCurve, eps: float, floor_cells: float = 4.0) -> int:
-    """Largest integer exponent keeping the arc's inner end on the grid."""
-    target = floor_cells * sc.spacing
+def deepest_exponent(sc: SampledCurve, eps: float) -> int:
+    """Largest integer exponent keeping the arc's inner end 4 cells out."""
+    target = 4.0 * sc.spacing
     if eps < 1.0:
         return max(1, int(math.floor(math.log(target) / math.log(eps))))
     return max(1, int(math.floor(math.log(1.0 / target) / math.log(eps))))
@@ -155,7 +166,7 @@ def anchor_params(p) -> tuple:
 
 
 def make_test_functions(sc: SampledCurve, tags, seed: int = 0,
-                        bilip: float = 1.0, anchors=(0.0,)) -> tuple:
+                        anchors=(0.0,)) -> tuple:
     """Materialize a list of test-function tags on a sampled grid.
 
     Adversarial tags contribute the transformed witnesses f = T(indicator):
@@ -197,8 +208,7 @@ def make_test_functions(sc: SampledCurve, tags, seed: int = 0,
                     for sign in (+1, -1):
                         try:
                             chis.append(adversarial_indicator(
-                                sc, eps, n_exp=n_exp, sign=sign,
-                                anchor=anchor, bilip=bilip))
+                                sc, eps, n_exp=n_exp, sign=sign, anchor=anchor))
                         except ResolutionError:
                             continue
             if chis:
@@ -459,8 +469,7 @@ def classify_ratio_trend(sups) -> str:
 
 def cotlar_ratio_scan(p, resolutions, tags=("constant", "trig:1", "trig:3",
                                             "chi:4", "adversarial"),
-                      k_min: int = 2, seed: int = 0,
-                      bilip: float | None = None) -> CotlarReport:
+                      k_min: int = 2, seed: int = 0) -> CotlarReport:
     """Sup of T_* f / M^2(Tf) per test function and resolution.
 
     Ratio nodes exclude jump neighborhoods (4 grid cells) and flag
@@ -476,15 +485,9 @@ def cotlar_ratio_scan(p, resolutions, tags=("constant", "trig:1", "trig:3",
     anchors = anchor_params(p)
     for n in resolutions:
         sc = arclength_sample(p, n)
-        if bilip is None:
-            scl = sc if n <= 2048 else arclength_sample(p, 2048)
-            bilip_n = geometry.bilipschitz_constant(scl)
-        else:
-            bilip_n = bilip
         spec = TruncationSpec.for_curve(sc, k_min, 64)
         guard = JUMP_GUARD_CELLS * sc.spacing
-        fam = make_test_functions(sc, tags, seed=seed, bilip=bilip_n,
-                                  anchors=anchors)
+        fam = make_test_functions(sc, tags, seed=seed, anchors=anchors)
         agg = 0.0
         pvs, tables = cauchy_family(sc, [tf_fn.values for tf_fn in fam], spec)
         t_stars, _ = maximal_of(tables, spec)

@@ -510,12 +510,10 @@ def kernel_transform_direct_fill(kt: KernelTransform) -> np.ndarray:
     return vals
 
 
-def transform_csv_rows(sc: SampledCurve, quantity: str, values, eps_label="",
-                       node_subset=None):
+def transform_csv_rows(sc: SampledCurve, quantity: str, values, eps_label=""):
     """Rows node,param,quantity,epsilon,re,im for one transform quantity."""
     rows = []
-    nodes = range(sc.n) if node_subset is None else node_subset
-    for i in nodes:
+    for i in range(sc.n):
         v = complex(values[i])
         rows.append(f"{i},{sc.params[i]:.17g},{quantity},{eps_label},"
                     f"{v.real:.17g},{v.imag:.17g}")

@@ -24,6 +24,17 @@ def test_kernel_normalization():
     assert abs(mass - 1.0) < 1e-11
 
 
+def test_bump_norm_matches_mpmath_quadrature():
+    # BUMP_NORM is a literal; a 40-digit quadrature of exp(-1/(1-u^2)) puts
+    # it 3.1e-16 relative from 1 / mass
+    import mpmath
+
+    with mpmath.workdps(40):
+        mass = mpmath.quad(lambda u: mpmath.exp(-1 / (1 - u * u)), [-1, 0, 1])
+        rel = abs(mpmath.mpf(curves.BUMP_NORM) * mass - 1)
+    assert rel < 1e-15
+
+
 def test_kernel_abs_moment_frozen():
     assert abs(curves.bump_abs_moment() - ABS_MOMENT) < 1e-12
 

@@ -306,6 +306,18 @@ def test_cotlar_arg_node_survives_reordered_sums():
     assert got == {row.n: row.arg_node for row in alone.rows}
 
 
+def test_cotlar_scan_measures_no_constant(monkeypatch):
+    # the adversarial witnesses take the deepest exponent that fits the
+    # grid, so the scan needs no bilipschitz constant
+    def refuse(_sc):
+        raise AssertionError("cotlar_ratio_scan measured a curve constant")
+
+    monkeypatch.setattr(geometry, "bilipschitz_constant", refuse)
+    rep = harness.cotlar_ratio_scan(curves.circle(1.0), (256, 512),
+                                    tags=("constant", "adversarial"))
+    assert sorted({row.n for row in rep.rows}) == [256, 512]
+
+
 def test_far_field_remainder_halves_on_fixed_nodes():
     # |G| over a fixed far node set scales linearly with eps
     sc = curves.arclength_sample(curves.circle(1.0), 2048)
