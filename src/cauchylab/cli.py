@@ -82,12 +82,12 @@ def _measure_constants(state: _RunState) -> None:
     state.eps0 = geometry.eps0_gate(gate_sc, state.bilip)
 
 
-def _config(state: _RunState, k_min: int | None = None) -> harness.HarnessConfig:
+def _config(state: _RunState) -> harness.HarnessConfig:
     doc = state.doc
     dil = doc.get("experiment", "dilation_m")
     return harness.HarnessConfig.for_curve(
         state.sample,
-        k_min=k_min if k_min is not None else doc.get("experiment", "k_min"),
+        k_min=doc.get("experiment", "k_min"),
         k_max=doc.get("experiment", "k_max"),
         bilip=state.bilip,
         dilation=dil if dil > 0.0 else None,
@@ -169,8 +169,7 @@ def _run_transform(state: _RunState, out: Path) -> None:
     m2 = operators.hl_maximal_squared(pv)
     rows += operators.transform_csv_rows(sc, "M2", m2.values)
     if len(stack) > 1:
-        kt = operators.KernelTransform.from_pv(
-            operators.KernelWindow(0, eps_g), kernel, pvs[1])
+        kt = operators.KernelTransform.from_pv(0, kernel, pvs[1])
         rows += operators.transform_csv_rows(sc, "g_z_eps", kt.values.values,
                                              eps_label=f"T*2^-{k_g}")
     _write(out / "transform.csv", rows)

@@ -226,6 +226,11 @@ def build_patch(spec: PatchSpec) -> Patch:
                  segments=segments, peak=peak)
 
 
+def _spiral_angle(j: int) -> float:
+    """Opening angle of the spiral's j-th bump."""
+    return 1.0 / j
+
+
 def patch_half_diameter(n: int) -> float:
     """Half-diameter of the n-th rescaled bump: 2^(1-2n) / prod cos(1/j)."""
     if n < 1:
@@ -234,7 +239,7 @@ def patch_half_diameter(n: int) -> float:
         raise DomainError("patch index too large; the scale would underflow far past float range")
     log_l = (1 - 2 * n) * math.log(2.0)
     for j in range(1, n):
-        log_l -= math.log(math.cos(1.0 / j))
+        log_l -= math.log(math.cos(_spiral_angle(j)))
     if log_l < -745.0:
         return 0.0
     return math.exp(log_l)
@@ -665,7 +670,7 @@ def _spiral_maps(depth):
     """Affine map (offset, multiplier) of each patch in global coordinates."""
     offs, mults = [0.0 + 0.0j], [1.0 + 0.0j]
     for j in range(1, depth):
-        alpha = 1.0 / j
+        alpha = _spiral_angle(j)
         offs.append(offs[-1] + mults[-1] * 0.25)
         mults.append(mults[-1] * np.exp(1j * alpha) / (4.0 * math.cos(alpha)))
     return offs, mults
@@ -677,7 +682,7 @@ def _spiral_limit_point(depth_built):
     j = 1
     while abs(mult) > 1e-40 and j < depth_built + 400:
         off = off + mult * 0.25
-        alpha = 1.0 / j
+        alpha = _spiral_angle(j)
         mult = mult * np.exp(1j * alpha) / (4.0 * math.cos(alpha))
         j += 1
     return complex(off)
@@ -720,7 +725,7 @@ def build_spiral(spec: SpiralSpec) -> Parametrization:
     positively.
     """
     depth, xi = spec.depth, spec.xi
-    patches = [build_patch(PatchSpec(1.0 / j, xi)) for j in range(1, depth + 1)]
+    patches = [build_patch(PatchSpec(_spiral_angle(j), xi)) for j in range(1, depth + 1)]
     offs, mults = _spiral_maps(depth)
     zones = []
     for (j, ta, tb) in _spiral_pieces(depth, xi):
@@ -827,7 +832,7 @@ def spiral_tail_series(p: Parametrization, k: int):
     r = 0.0
     for j in range(k, depth + 1):
         lj = patch_half_diameter(j)
-        alpha = 1.0 / j
+        alpha = _spiral_angle(j)
         r += lj * (1.0 / math.cos(alpha) - 1.0) - 2.0 * lj * patches[j - 1].shortening
     poly = spiral_patch_polyline(p, k, n=4096)
     thetas = np.linspace(0.0, math.pi, 720, endpoint=False)

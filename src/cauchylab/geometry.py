@@ -15,7 +15,6 @@ from .errors import (
     BranchAmbiguityError,
     DegenerateGeometryError,
     DomainError,
-    NumericalGateError,
 )
 
 __all__ = [
@@ -36,31 +35,52 @@ __all__ = [
 ]
 
 
-def _grid_arcs(points):
-    """Cumulative inscribed-chord arc lengths along the grid."""
-    chords = np.abs(np.roll(points, -1) - points)
-    cum = np.concatenate(([0.0], np.cumsum(chords)))
-    return cum, float(cum[-1])
+def _offset_chords(pts, closed: bool = True):
+    """Yield (off, |z[i+off] - z[i]|) for every parameter offset of a grid.
+
+    A closed grid of n nodes runs offsets 1..n//2 with indices taken mod n,
+    read from one wrapped copy; an open window runs offsets 1..m-1 over the
+    pairs inside it.  A chord below 1e-12 raises DegenerateGeometryError.
+    """
+    n = len(pts)
+    ext = np.concatenate([pts, pts[:n // 2]]) if closed else pts
+    for off in range(1, n // 2 + 1 if closed else n):
+        w = n if closed else n - off
+        d = np.abs(ext[off:off + w] - ext[:w])
+        if np.any(d < 1e-12):
+            raise DegenerateGeometryError(
+                f"coincident points at parameter offset {off}")
+        yield off, d
+
+
+def _chord_constants(sc, with_arc: bool):
+    """(chord-arc constant, L) of a closed sampling from one chord scan.
+
+    L is the largest parameter-distance over chord ratio.  The chord-arc
+    constant, computed only with_arc, is the largest shorter-arc over chord
+    ratio, with arcs summed along the offset-1 chords (the grid's edges);
+    without it the first entry is 1.0.
+    """
+    if with_arc and sc.n < 64:
+        raise DomainError("need at least 64 nodes for the pair scan")
+    n, h = sc.n, sc.spacing
+    cac = bil = 1.0
+    for off, d in _offset_chords(sc.points):
+        bil = max(bil, float(np.max(off * h / d)))
+        if not with_arc:
+            continue
+        if off == 1:
+            cum = np.concatenate(([0.0], np.cumsum(d)))
+            total = float(cum[-1])
+            cum2 = np.concatenate([cum[:-1], cum[:-1] + total])
+        arc = cum2[off:off + n] - cum2[:n]
+        cac = max(cac, float(np.max(np.minimum(arc, total - arc) / d)))
+    return cac, bil
 
 
 def chord_arc_constant(sc) -> float:
     """Max over node pairs of shorter-arc length over chord length."""
-    if sc.n < 64:
-        raise DomainError("need at least 64 nodes for the pair scan")
-    pts = sc.points
-    n = sc.n
-    cum, total = _grid_arcs(pts)
-    cum2 = np.concatenate([cum[:-1], cum[:-1] + total])
-    best = 1.0
-    for off in range(1, n // 2 + 1):
-        d = np.abs(np.roll(pts, -off) - pts)
-        if np.any(d < 1e-12):
-            raise DegenerateGeometryError(
-                f"coincident points at parameter offset {off}")
-        arc = cum2[off:off + n] - cum2[:n]
-        shorter = np.minimum(arc, total - arc)
-        best = max(best, float(np.max(shorter / d)))
-    return best
+    return _chord_constants(sc, with_arc=True)[0]
 
 
 def bilipschitz_constant(sc) -> float:
@@ -69,16 +89,7 @@ def bilipschitz_constant(sc) -> float:
     The upper constant of a unit-speed parametrization is 1, so L is the
     largest parameter-distance over chord ratio with separation <= T/2.
     """
-    pts = sc.points
-    n, h = sc.n, sc.spacing
-    best = 1.0
-    for off in range(1, n // 2 + 1):
-        d = np.abs(np.roll(pts, -off) - pts)
-        if np.any(d < 1e-12):
-            raise DegenerateGeometryError(
-                f"coincident points at parameter offset {off}")
-        best = max(best, float(np.max(off * h / d)))
-    return best
+    return _chord_constants(sc, with_arc=False)[1]
 
 
 # Largest parameter separation scanned, in units of the chord scale d.
@@ -217,7 +228,6 @@ class BranchLogValue:
     """Branch-consistent log ratio of the two half-chords at a point."""
 
     value: complex
-    method: str
     condition_score: float
 
 
@@ -260,35 +270,22 @@ def _branch_log_unwrapped(p, x: float, eps: float) -> complex:
     raise BranchAmbiguityError("argument unwrapping did not stabilize")
 
 
-def branch_log(p, x: float, eps: float, method: str = "integral-formula") -> BranchLogValue:
+def branch_log(p, x: float, eps: float) -> BranchLogValue:
     """log(gamma(x+eps)-gamma(x)) - log(gamma(x-eps)-gamma(x)) + pi*i with
     the branch fixed by continuity from eps -> 0.
 
     Computed by quadrature of the straight-segment integral between the two
-    reflected half-chords (valid while that segment avoids the origin), or
-    by continuous argument unwrapping along the curve; 'cross-check' runs
-    both and requires agreement within 1e-8.
+    reflected half-chords, valid while that segment avoids the origin (else
+    BranchAmbiguityError).  The tests compare it with continuous argument
+    unwrapping along the curve (_branch_log_unwrapped).
     """
     if not 0.0 < eps < p.period:
         raise DomainError("offset must lie in (0, period)")
     z = p.point(np.array([x]))[0]
     a = z - p.point(np.array([x - eps]))[0]
     b = p.point(np.array([x + eps]))[0] - z
-    score_weight = abs(math.log(eps))
-    if method == "integral-formula":
-        val = _branch_log_integral(a, b)
-    elif method == "unwrapped-argument":
-        val = _branch_log_unwrapped(p, x, eps)
-    elif method == "cross-check":
-        val = _branch_log_integral(a, b)
-        other = _branch_log_unwrapped(p, x, eps)
-        if abs(val - other) > 1e-8:
-            raise NumericalGateError(
-                f"branch log methods disagree: {val} vs {other} at x={x}, eps={eps}")
-    else:
-        raise DomainError(f"unknown branch log method {method!r}")
-    return BranchLogValue(value=val, method=method,
-                          condition_score=abs(val) * score_weight)
+    val = _branch_log_integral(a, b)
+    return BranchLogValue(value=val, condition_score=abs(val) * abs(math.log(eps)))
 
 
 def local_bilipschitz(p, x0: float, eps: float, m: int = 512) -> float:
@@ -300,13 +297,9 @@ def local_bilipschitz(p, x0: float, eps: float, m: int = 512) -> float:
         raise DomainError("window must be smaller than a quarter period")
     m = max(m, 256)
     xs = np.linspace(x0 - eps, x0 + eps, m)
-    pts = p.point(xs)
     step = xs[1] - xs[0]
     worst = 1.0
-    for off in range(1, m):
-        d = np.abs(pts[off:] - pts[:-off])
-        if np.any(d < 1e-14):
-            raise DegenerateGeometryError("coincident points in window scan")
+    for off, d in _offset_chords(p.point(xs), closed=False):
         worst = max(worst, float(np.max(off * step / d)))
     return worst
 
@@ -321,11 +314,10 @@ def window_speed_range(p, x0: float, eps: float, m: int = 257):
     if m % 2 == 0:
         m += 1
     xs = np.linspace(x0 - eps, x0 + eps, m)
-    pts = p.point(xs)
     step = xs[1] - xs[0]
     lo, hi = np.inf, 0.0
-    for off in range(1, m):
-        ratio = np.abs(pts[off:] - pts[:-off]) / (off * step)
+    for off, d in _offset_chords(p.point(xs), closed=False):
+        ratio = d / (off * step)
         lo = min(lo, float(ratio.min()))
         hi = max(hi, float(ratio.max()))
     return lo, hi
@@ -389,8 +381,7 @@ def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
     eps0 is the smallness threshold the caller measured (see eps0_gate),
     reported as given; None omits its row.
     """
-    cac = chord_arc_constant(sc)
-    bil = bilipschitz_constant(sc)
+    cac, bil = _chord_constants(sc, with_arc=True)
     period = sc.period
     xs = period * np.arange(x_grid_n) / x_grid_n
     ac_rows, w2_rows, w2f_rows, lb_rows = [], [], [], []

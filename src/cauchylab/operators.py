@@ -51,7 +51,6 @@ from .errors import DomainError, ResolutionError
 __all__ = [
     "GridFunction",
     "TruncationSpec",
-    "KernelWindow",
     "KernelTransform",
     "MaximalValue",
     "truncated_cauchy",
@@ -131,14 +130,6 @@ class TruncationSpec:
         return tuple(range(self.k_min, self.k_max + 1))
 
 
-@dataclass(frozen=True)
-class KernelWindow:
-    """A truncation window: center node and parametric radius."""
-
-    center_index: int
-    eps: float
-
-
 class MaximalValue(NamedTuple):
     value: float
     eps_argmax: float
@@ -175,21 +166,30 @@ def _check_eps(sc: SampledCurve, eps: float):
         raise DomainError("truncation exceeds half the period")
 
 
-def truncated_cauchy(f: GridFunction, z_index: int, eps: float) -> complex:
-    """Trapezoid sum of the eps-truncated Cauchy integral at one node."""
-    sc = f.base
+def _cyclic_distance(n: int, center: int) -> np.ndarray:
+    """Index distance of every node of a closed n-node grid from center."""
+    offsets = (np.arange(n) - center) % n
+    return np.minimum(offsets, n - offsets)
+
+
+def _outside_window(sc: SampledCurve, z_index: int, eps: float):
+    """Node weights of the eps-truncated sum at z_index (0 inside the ball,
+    1/2 on its exact boundary, 1 outside) and the differences z_j - z."""
     _check_eps(sc, eps)
-    n, h = sc.n, sc.spacing
-    inner, boundary = _window_split(eps, h, n)
-    z = sc.points[z_index]
-    contrib = f.values * _unit_measure(sc)
-    offsets = (np.arange(n) - z_index) % n
-    dist = np.minimum(offsets, n - offsets)
+    inner, boundary = _window_split(eps, sc.spacing, sc.n)
+    dist = _cyclic_distance(sc.n, z_index)
     scale = np.where(dist > inner + (1 if boundary else 0), 1.0,
                      np.where(boundary & (dist == inner + 1), 0.5, 0.0))
     scale[z_index] = 0.0
-    dz = sc.points - z
+    dz = sc.points - sc.points[z_index]
     dz[z_index] = 1.0  # excluded; avoid 0/0
+    return scale, dz
+
+
+def truncated_cauchy(f: GridFunction, z_index: int, eps: float) -> complex:
+    """Trapezoid sum of the eps-truncated Cauchy integral at one node."""
+    scale, dz = _outside_window(f.base, z_index, eps)
+    contrib = f.values * _unit_measure(f.base)
     total = np.sum(contrib * scale / dz)
     return complex(total / (1j * math.pi))
 
@@ -384,9 +384,7 @@ def _ball_average(absvals, weights, i, m_incl):
     n = len(absvals)
     if m_incl >= (n - 1) // 2:
         return float(np.sum(absvals * weights) / np.sum(weights))
-    offs = (np.arange(n) - i) % n
-    dist = np.minimum(offs, n - offs)
-    mask = dist <= m_incl
+    mask = _cyclic_distance(n, i) <= m_incl
     return float(np.sum(absvals[mask] * weights[mask]) / np.sum(weights[mask]))
 
 
@@ -398,10 +396,7 @@ def _hl_radii(sc: SampledCurve):
         r = sc.period * 2.0 ** (-k)
         if r < 2.0 * sc.spacing - 1e-12:
             break
-        q = r / sc.spacing
-        near = round(q)
-        m_incl = int(near) - 1 if abs(q - near) < _BOUNDARY_TOL else int(math.floor(q))
-        ms.append(max(m_incl, 1))
+        ms.append(_window_split(r, sc.spacing, sc.n)[0])
         k += 1
     ms.append(sc.n)  # full curve
     return ms
@@ -447,23 +442,22 @@ def hl_maximal_squared(g: GridFunction) -> GridFunction:
 class KernelTransform:
     """g = T(K) for a truncated kernel K, with near-center validity mask."""
 
-    window: KernelWindow
     kernel: GridFunction
     values: GridFunction
     valid: np.ndarray
 
     @staticmethod
-    def from_pv(window: KernelWindow, kernel: GridFunction, pv) -> "KernelTransform":
-        """The transform given the principal values pv of kernel.
+    def from_pv(center: int, kernel: GridFunction, pv) -> "KernelTransform":
+        """The transform given the principal values pv of kernel, the
+        truncated kernel at node center.
 
         Nodes within 2h of the center are marked unevaluated (mask False,
         value 0): the Richardson rule is not meaningful that close to the
         excluded ball.
         """
         sc = kernel.base
-        offsets = (np.arange(sc.n) - window.center_index) % sc.n
-        valid = np.minimum(offsets, sc.n - offsets) > 2
-        return KernelTransform(window=window, kernel=kernel,
+        valid = _cyclic_distance(sc.n, center) > 2
+        return KernelTransform(kernel=kernel,
                                values=GridFunction(sc, np.where(valid, pv, 0.0)),
                                valid=valid)
 
@@ -471,25 +465,14 @@ class KernelTransform:
 def truncated_kernel(sc: SampledCurve, z_index: int, eps: float) -> GridFunction:
     """The Cauchy kernel at z, zeroed on the parametric eps-ball (half at
     the exact boundary)."""
-    _check_eps(sc, eps)
-    n = sc.n
-    inner, boundary = _window_split(eps, sc.spacing, n)
-    offsets = (np.arange(n) - z_index) % n
-    dist = np.minimum(offsets, n - offsets)
-    scale = np.where(dist > inner + (1 if boundary else 0), 1.0,
-                     np.where(boundary & (dist == inner + 1), 0.5, 0.0))
-    scale[z_index] = 0.0
-    dz = sc.points - sc.points[z_index]
-    dz[z_index] = 1.0
-    vals = scale / (1j * math.pi * dz)
-    return GridFunction(sc, vals)
+    scale, dz = _outside_window(sc, z_index, eps)
+    return GridFunction(sc, scale / (1j * math.pi * dz))
 
 
 def kernel_truncation_transform(sc: SampledCurve, z_index: int, eps: float) -> KernelTransform:
     """Apply the principal-value transform to the truncated kernel."""
     kernel = truncated_kernel(sc, z_index, eps)
-    return KernelTransform.from_pv(KernelWindow(z_index, eps), kernel,
-                                   pv_cauchy_all(kernel).values)
+    return KernelTransform.from_pv(z_index, kernel, pv_cauchy_all(kernel).values)
 
 
 def kernel_transform_direct_fill(kt: KernelTransform) -> np.ndarray:

@@ -200,3 +200,22 @@ def test_shipped_spec_files_are_valid():
     for path in specs:
         doc = curvespec.parse_spec(path.read_text())
         assert doc.kind in curvespec.CURVE_KINDS
+
+
+def test_known_defect_square_criterion_flips_bounded_at_k_max_13(tmp_path):
+    """Known defect, pinned as today's behaviour: the square's criterion
+    score grows by a constant amount per dyadic level, so the ratio tail
+    rule stops seeing growth one level past the shipped k_max = 12 and the
+    corner curve reads bounded.  Change this test when the rule changes."""
+    from pathlib import Path
+
+    spec = Path(__file__).resolve().parent.parent / "specs" / "square.cspec"
+    verdicts = {}
+    for k_max in (12, 13):
+        out = tmp_path / f"k{k_max}"
+        inv = CommandInvocation("criterion", str(spec), str(out),
+                                overrides=(f"experiment.k_max={k_max}",))
+        assert run(inv) == 0
+        summary = (out / "summary.txt").read_text()
+        verdicts[k_max] = summary.split("criterion verdict: ")[1].split("\n")[0]
+    assert verdicts == {12: "unbounded", 13: "bounded"}

@@ -75,6 +75,90 @@ def test_bilipschitz_at_least_one():
         assert geometry.bilipschitz_constant(sc) >= 1.0
 
 
+def loop_chord_arc_constant(sc):
+    """Reference scan: one np.roll per offset and its own coincidence check."""
+    pts = sc.points
+    n = sc.n
+    chords = np.abs(np.roll(pts, -1) - pts)
+    cum = np.concatenate(([0.0], np.cumsum(chords)))
+    total = float(cum[-1])
+    cum2 = np.concatenate([cum[:-1], cum[:-1] + total])
+    best = 1.0
+    for off in range(1, n // 2 + 1):
+        d = np.abs(np.roll(pts, -off) - pts)
+        assert not np.any(d < 1e-12)
+        arc = cum2[off:off + n] - cum2[:n]
+        shorter = np.minimum(arc, total - arc)
+        best = max(best, float(np.max(shorter / d)))
+    return best
+
+
+def loop_bilipschitz_constant(sc):
+    """Reference scan: one np.roll per offset, parameter distance over chord."""
+    pts = sc.points
+    best = 1.0
+    for off in range(1, sc.n // 2 + 1):
+        d = np.abs(np.roll(pts, -off) - pts)
+        assert not np.any(d < 1e-12)
+        best = max(best, float(np.max(off * sc.spacing / d)))
+    return best
+
+
+def loop_local_bilipschitz(p, x0, eps, m):
+    """Reference window scan over the pairs inside [x0 - eps, x0 + eps]."""
+    xs = np.linspace(x0 - eps, x0 + eps, m)
+    pts = p.point(xs)
+    step = xs[1] - xs[0]
+    worst = 1.0
+    for off in range(1, m):
+        d = np.abs(pts[off:] - pts[:-off])
+        worst = max(worst, float(np.max(off * step / d)))
+    return worst
+
+
+@pytest.mark.parametrize("build", [
+    lambda: curves.circle(1.0),
+    lambda: curves.ellipse(2.0, 1.0),
+    curves.unit_square,
+    lambda: spiral6(),
+], ids=["circle", "ellipse", "square", "spiral"])
+def test_chord_scans_bit_identical_to_loops(build):
+    p = build()
+    sc = curves.arclength_sample(p, 2048)
+    assert geometry.chord_arc_constant(sc) == loop_chord_arc_constant(sc)
+    assert geometry.bilipschitz_constant(sc) == loop_bilipschitz_constant(sc)
+    x0 = p.meta.get("focus_param", 0.0)
+    for k in (3, 7, 12):
+        eps = p.period * 2.0 ** (-k)
+        assert (geometry.local_bilipschitz(p, x0, eps, m=384)
+                == loop_local_bilipschitz(p, x0, eps, 384))
+
+
+def test_diagnostics_makes_one_chord_pass(monkeypatch):
+    p = curves.ellipse(2.0, 1.0)
+    sc = curves.arclength_sample(p, 256)
+    closed_passes = []
+    scan = geometry._offset_chords
+
+    def counted(pts, closed=True):
+        if closed:
+            closed_passes.append(len(pts))
+        return scan(pts, closed)
+
+    monkeypatch.setattr(geometry, "_offset_chords", counted)
+    rep = geometry.diagnostics(p, sc, k_min=3, k_max=5, x_grid_n=256)
+    assert closed_passes == [sc.n]
+    monkeypatch.undo()
+    assert rep.chord_arc_const == geometry.chord_arc_constant(sc)
+    assert rep.bilip == geometry.bilipschitz_constant(sc)
+
+
+def test_diagnostics_needs_nodes():
+    p = curves.circle(1.0)
+    with pytest.raises(DomainError):
+        geometry.diagnostics(p, curves.arclength_sample(p, 32), k_min=3, k_max=4)
+
+
 def test_degenerate_pair_detection():
     sc = curves.arclength_sample(curves.circle(1.0), 128)
     pts = sc.points.copy()
@@ -309,14 +393,13 @@ def test_branch_log_square_corner():
 
 
 def test_branch_log_methods_agree():
+    # the quadrature against continuous argument unwrapping along the curve
     for p, x, eps in [(curves.circle(1.0), 0.7, 0.05),
                       (curves.ellipse(2.0, 1.0), 2.0, 0.05),
                       (curves.build_spiral(curves.SpiralSpec(depth=6)), 0.9, 0.01)]:
-        a = geometry.branch_log(p, x, eps, method="integral-formula")
-        b = geometry.branch_log(p, x, eps, method="unwrapped-argument")
-        assert abs(a.value - b.value) < 1e-8
-        c = geometry.branch_log(p, x, eps, method="cross-check")
-        assert abs(c.value - a.value) < 1e-12
+        a = geometry.branch_log(p, x, eps)
+        b = geometry._branch_log_unwrapped(p, x, eps)
+        assert abs(a.value - b) < 1e-8
 
 
 def test_branch_log_ambiguity_on_slit():
@@ -330,11 +413,6 @@ def test_branch_log_ambiguity_on_slit():
                                unit_speed=True)
     with pytest.raises(BranchAmbiguityError):
         geometry.branch_log(p, 0.0, 0.25)
-
-
-def test_branch_log_unknown_method():
-    with pytest.raises(DomainError):
-        geometry.branch_log(curves.circle(1.0), 0.0, 0.1, method="guess")
 
 
 # -- windowed constants ---------------------------------------------------------
@@ -357,6 +435,15 @@ def test_local_bilipschitz_needs_unit_speed():
                                kind="circle", unit_speed=False)
     with pytest.raises(DomainError):
         geometry.local_bilipschitz(p, 0.0, 0.1)
+
+
+def test_window_speed_range_rejects_coincident_points():
+    # the curve stops at x = 0.5, so the window's right half is one point
+    p = curves.Parametrization(
+        period=2.0, point=lambda x: np.minimum(np.asarray(x, dtype=float), 0.5) + 0j,
+        kind="polygon", unit_speed=True)
+    with pytest.raises(DegenerateGeometryError):
+        geometry.window_speed_range(p, 0.5, 0.1)
 
 
 def test_window_speed_range_circle():
