@@ -83,15 +83,9 @@ def _measure_constants(state: _RunState) -> None:
 
 
 def _config(state: _RunState) -> harness.HarnessConfig:
-    doc = state.doc
-    dil = doc.get("experiment", "dilation_m")
+    dil = state.doc.get("experiment", "dilation_m")
     return harness.HarnessConfig.for_curve(
-        state.sample,
-        k_min=doc.get("experiment", "k_min"),
-        k_max=doc.get("experiment", "k_max"),
-        bilip=state.bilip,
-        dilation=dil if dil > 0.0 else None,
-        eps0=state.eps0)
+        state.sample, bilip=state.bilip, dilation=dil if dil > 0.0 else None)
 
 
 def _gated_eps_list(state: _RunState) -> list:
@@ -99,16 +93,12 @@ def _gated_eps_list(state: _RunState) -> list:
     threshold when the curve has one (corner curves scan the full range)."""
     doc = state.doc
     period = state.curve.period
-    out = []
-    for k in range(doc.get("experiment", "k_min"), doc.get("experiment", "k_max") + 1):
-        eps = period * 2.0 ** (-k)
-        if state.eps0 is not None and eps > state.eps0 + 1e-15:
-            continue
-        out.append(eps)
+    levels = [period * 2.0 ** (-k) for k in range(doc.get("experiment", "k_min"),
+                                                  doc.get("experiment", "k_max") + 1)]
+    out = [eps for eps in levels
+           if state.eps0 is None or eps <= state.eps0 + 1e-15]
     if not out:
-        out = [period * 2.0 ** (-k)
-               for k in range(doc.get("experiment", "k_min"),
-                              doc.get("experiment", "k_max") + 1)]
+        out = levels
         state.notes.append("no dyadic level passed the smallness gate; "
                            "criterion scanned the full configured range")
     return out
@@ -156,7 +146,7 @@ def _run_transform(state: _RunState, out: Path) -> None:
         kernel = operators.truncated_kernel(sc, 0, eps_g)
         stack.append(kernel.values)
     rows = ["node,param,quantity,epsilon,re,im"]
-    pvs, tables = operators.cauchy_family(sc, stack, spec)
+    pvs, tables = operators.cauchy_family(sc, stack, spec.eps_grid)
     for k, t_eps in zip(spec.k_grid, tables[0]):
         rows += operators.transform_csv_rows(sc, "T_eps", t_eps,
                                              eps_label=f"T*2^-{k}")
@@ -166,8 +156,8 @@ def _run_transform(state: _RunState, out: Path) -> None:
     rows += operators.transform_csv_rows(sc, "T_star", t_star.astype(complex))
     m1 = operators.hl_maximal_all(pv)
     rows += operators.transform_csv_rows(sc, "M", m1.astype(complex))
-    m2 = operators.hl_maximal_squared(pv)
-    rows += operators.transform_csv_rows(sc, "M2", m2.values)
+    m2 = operators.hl_maximal_all(GridFunction(sc, m1.astype(complex)))
+    rows += operators.transform_csv_rows(sc, "M2", m2.astype(complex))
     if len(stack) > 1:
         kt = operators.KernelTransform.from_pv(0, kernel, pvs[1])
         rows += operators.transform_csv_rows(sc, "g_z_eps", kt.values.values,
@@ -216,13 +206,12 @@ def _run_decomp(state: _RunState, out: Path) -> None:
     f = GridFunction(sc, f0.values)
     rows = ["curve,node,epsilon,residual,i_re,i_im,ii_re,ii_im,iii_re,iii_im,"
             "iv_re,iv_im,v_re,v_im"]
-    for k in (5, 7):
-        eps = sc.period * 2.0 ** (-k)
-        if cfg.dilation * eps >= sc.period / 2.0 or eps < 4.0 * sc.spacing:
-            continue
-        rep = harness.decomposition_check(f, 0, eps, cfg)
+    levels = [eps for eps in (sc.period * 2.0 ** (-k) for k in (5, 7))
+              if cfg.window_fits(sc.period, eps) and eps >= 4.0 * sc.spacing]
+    reports = harness.decomposition_check(f, 0, levels, cfg) if levels else ()
+    for rep in reports:
         rows.append(
-            f"{state.curve.kind},0,{_eps_label(sc.period, eps)},{rep.residual:.17g},"
+            f"{state.curve.kind},0,{_eps_label(sc.period, rep.eps)},{rep.residual:.17g},"
             f"{rep.term_i.real:.17g},{rep.term_i.imag:.17g},"
             f"{rep.term_ii.real:.17g},{rep.term_ii.imag:.17g},"
             f"{rep.term_iii.real:.17g},{rep.term_iii.imag:.17g},"
@@ -236,7 +225,7 @@ def _run_gdecay(state: _RunState, out: Path) -> None:
     cfg = _config(state)
     rows = ["curve,node,epsilon,worst_ratio,decay_bound,far_nodes"]
     eps = sc.period * 2.0 ** (-6)
-    if eps >= 2.0 * sc.spacing and cfg.dilation * eps < sc.period / 2.0:
+    if eps >= 2.0 * sc.spacing and cfg.window_fits(sc.period, eps):
         rep = harness.far_field_decay_check(sc, 0, eps, cfg)
         rows.append(f"{state.curve.kind},0,{_eps_label(sc.period, eps)},"
                     f"{rep.worst_ratio:.17g},{rep.decay_bound:.17g},{rep.far_nodes}")

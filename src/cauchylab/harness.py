@@ -17,15 +17,16 @@ from .curves import SampledCurve, arclength_sample
 from .errors import BranchAmbiguityError, DomainError, ResolutionError
 from .operators import (
     GridFunction,
+    KernelTransform,
     TruncationSpec,
+    _unit_measure,
     cauchy_family,
     hl_maximal_all,
     hl_maximal_squared,
     kernel_transform_direct_fill,
     kernel_truncation_transform,
     maximal_of,
-    pv_cauchy_all,
-    truncated_cauchy,
+    truncated_kernel,
 )
 
 __all__ = [
@@ -71,12 +72,10 @@ def required_dilation(bilip: float) -> float:
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Measured curve constants plus the truncation grid for one scan run."""
+    """Measured bilipschitz constant L and the window dilation for one run."""
 
     bilip: float
     dilation: float
-    eps0: float | None
-    trunc: TruncationSpec
 
     def __post_init__(self):
         needed = required_dilation(self.bilip)
@@ -86,16 +85,24 @@ class HarnessConfig:
                 f"max(2L^2, L(L+1)) = {needed:.6g} for L = {self.bilip:.6g}")
 
     @staticmethod
-    def for_curve(sc: SampledCurve, k_min: int = 2, k_max: int = 24,
-                  bilip: float | None = None, dilation: float | None = None,
-                  eps0: float | None = None) -> "HarnessConfig":
+    def for_curve(sc: SampledCurve, bilip: float | None = None,
+                  dilation: float | None = None) -> "HarnessConfig":
         if bilip is None:
             bilip = measure_bilip(sc)
         if dilation is None:
             dilation = required_dilation(bilip)
-        trunc = TruncationSpec.for_curve(sc, k_min, k_max)
-        return HarnessConfig(bilip=bilip, dilation=dilation, eps0=eps0,
-                             trunc=trunc)
+        return HarnessConfig(bilip=bilip, dilation=dilation)
+
+    def window_fits(self, period: float, eps: float) -> bool:
+        """Whether the dilated window dilation * eps stays below half the period."""
+        return self.dilation * eps < period / 2.0
+
+    def window_margin(self, sc: SampledCurve, z_index: int, eps: float) -> np.ndarray:
+        """Parametric distance of every node from node z_index minus
+        dilation * eps: a float difference has the sign of the exact one, so
+        > 0 is exactly dist > dilation * eps and < 0 exactly dist < it."""
+        dist = _param_dist(sc.params, sc.params[z_index], sc.period)
+        return dist - self.dilation * eps
 
 
 @dataclass(frozen=True)
@@ -111,23 +118,16 @@ def _param_dist(params, x0, period):
     return np.abs((params - x0 + period / 2.0) % period - period / 2.0)
 
 
-def adversarial_indicator(sc: SampledCurve, eps: float, n_exp: int | None = None,
-                          sign: int = 1, anchor: float = 0.0,
-                          bilip: float = 1.0) -> TestFunction:
+def adversarial_indicator(sc: SampledCurve, eps: float, n_exp: int,
+                          sign: int = 1, anchor: float = 0.0) -> TestFunction:
     """Indicator of the one-sided parametric arc used as necessity witness.
 
     For eps < 1 the arc is (eps^n, eps) from the anchor; for eps >= 1 it is
-    (eps^-n, eps).  The default exponent is the smallest integer making the
-    witness's log-integral at least |log eps|; larger exponents deepen the
-    arc toward the grid floor.
+    (eps^-n, eps), with n = n_exp.  Larger exponents deepen the arc toward
+    the grid floor; deepest_exponent gives the deepest that fits.
     """
     if abs(math.log(eps)) < 1e-9:
         raise DomainError("arc scale eps = 1 makes the witness exponent degenerate")
-    if n_exp is None:
-        if eps < 1.0:
-            n_exp = 2 + max(0, math.ceil(2.0 * math.log(bilip) / abs(math.log(eps))))
-        else:
-            n_exp = max(1, math.ceil(2.0 * math.log(bilip) / math.log(eps)))
     inner = eps ** n_exp if eps < 1.0 else eps ** (-n_exp)
     outer = eps
     h = sc.spacing
@@ -239,46 +239,54 @@ class DecompositionReport:
     v_over_m: float
 
 
-def decomposition_check(f: GridFunction, z_index: int, eps: float,
-                        cfg: HarnessConfig) -> DecompositionReport:
+def decomposition_check(f: GridFunction, z_index: int, levels,
+                        cfg: HarnessConfig) -> tuple:
     """Evaluate -T_eps f(z) = I + II + III by quadrature and report the
-    residual, with III split further through the branch-log factor."""
+    residual, with III split further through the branch-log factor; one
+    report per level.  One evaluator pass on [f, K_{z,eps_1}, ...] gives
+    T f, every T_eps f(z) and every kernel transform g = T(K_{z,eps})."""
     sc = f.base
-    if eps < 4.0 * sc.spacing - 1e-12:
-        raise ResolutionError("need eps >= 4h so the dilated window is resolved")
-    big = cfg.dilation * eps
-    if big >= sc.period / 2.0:
-        raise DomainError(
-            f"dilated window {big:.3g} reaches half the period; lower eps")
-    tf = pv_cauchy_all(f)
-    kt = kernel_truncation_transform(sc, z_index, eps)
-    gvals = kernel_transform_direct_fill(kt)
-    dist = _param_dist(sc.params, sc.params[z_index], sc.period)
-    inball = dist < big
-    dw = sc.tangents / np.abs(sc.tangents) * sc.weights
-    mu = sc.weights
-    mean_ball = np.sum(gvals[inball] * mu[inball]) / np.sum(mu[inball])
-    term_i = np.sum(tf.values[inball] * (gvals[inball] - mean_ball) * dw[inball])
-    term_ii = mean_ball * np.sum(tf.values[inball] * dw[inball])
-    out = ~inball
-    term_iii = np.sum(tf.values[out] * gvals[out] * dw[out])
-    t_eps = truncated_cauchy(f, z_index, eps)
-    residual = abs(t_eps + term_i + term_ii + term_iii)
-    branch = geometry.branch_log(sc.source, float(sc.params[z_index]), eps)
-    z = sc.points[z_index]
-    term_iv = np.sum(tf.values[out] / (z - sc.points[out]) * dw[out]) / math.pi ** 2
-    term_v = term_iii - branch.value * term_iv
-    m_tf = hl_maximal_all(tf)
+    levels = tuple(levels)
+    for eps in levels:
+        if eps < 4.0 * sc.spacing - 1e-12:
+            raise ResolutionError("need eps >= 4h so the dilated window is resolved")
+        if not cfg.window_fits(sc.period, eps):
+            raise DomainError(f"dilated window {cfg.dilation * eps:.3g} reaches "
+                              "half the period; lower eps")
+    kernels = [truncated_kernel(sc, z_index, eps) for eps in levels]
+    pvs, tables = cauchy_family(sc, [f.values] + [k.values for k in kernels],
+                                levels)
+    tf = pvs[0]
+    m_tf = hl_maximal_all(GridFunction(sc, tf))
     m2_tf = hl_maximal_all(GridFunction(sc, m_tf.astype(complex)))
-    return DecompositionReport(
-        z_index=z_index, eps=eps, t_eps=complex(t_eps),
-        term_i=complex(term_i), term_ii=complex(term_ii),
-        term_iii=complex(term_iii), term_iv=complex(term_iv),
-        term_v=complex(term_v), branch_value=branch.value,
-        residual=float(residual),
-        i_over_m2=float(abs(term_i) / max(m2_tf[z_index], UNDERFLOW_FLOOR)),
-        ii_over_m=float(abs(term_ii) / max(m_tf[z_index], UNDERFLOW_FLOOR)),
-        v_over_m=float(abs(term_v) / max(m_tf[z_index], UNDERFLOW_FLOOR)))
+    dw = _unit_measure(sc)
+    mu = sc.weights
+    z = sc.points[z_index]
+    reports = []
+    for row, (eps, kernel) in enumerate(zip(levels, kernels)):
+        kt = KernelTransform.from_pv(z_index, kernel, pvs[1 + row])
+        gvals = kernel_transform_direct_fill(kt)
+        inball = cfg.window_margin(sc, z_index, eps) < 0.0
+        mean_ball = np.sum(gvals[inball] * mu[inball]) / np.sum(mu[inball])
+        term_i = np.sum(tf[inball] * (gvals[inball] - mean_ball) * dw[inball])
+        term_ii = mean_ball * np.sum(tf[inball] * dw[inball])
+        out = ~inball
+        term_iii = np.sum(tf[out] * gvals[out] * dw[out])
+        t_eps = tables[0, row, z_index]
+        residual = abs(t_eps + term_i + term_ii + term_iii)
+        branch = geometry.branch_log(sc.source, float(sc.params[z_index]), eps)
+        term_iv = np.sum(tf[out] / (z - sc.points[out]) * dw[out]) / math.pi ** 2
+        term_v = term_iii - branch.value * term_iv
+        reports.append(DecompositionReport(
+            z_index=z_index, eps=eps, t_eps=complex(t_eps),
+            term_i=complex(term_i), term_ii=complex(term_ii),
+            term_iii=complex(term_iii), term_iv=complex(term_iv),
+            term_v=complex(term_v), branch_value=branch.value,
+            residual=float(residual),
+            i_over_m2=float(abs(term_i) / max(m2_tf[z_index], UNDERFLOW_FLOOR)),
+            ii_over_m=float(abs(term_ii) / max(m_tf[z_index], UNDERFLOW_FLOOR)),
+            v_over_m=float(abs(term_v) / max(m_tf[z_index], UNDERFLOW_FLOOR))))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -297,8 +305,7 @@ def far_field_decay_check(sc: SampledCurve, z_index: int, eps: float,
     """Measure the far-field remainder of the kernel transform against its
     linear-in-eps decay bound 4L."""
     kt = kernel_truncation_transform(sc, z_index, eps)
-    dist = _param_dist(sc.params, sc.params[z_index], sc.period)
-    far = (dist > cfg.dilation * eps) & kt.valid
+    far = (cfg.window_margin(sc, z_index, eps) > 0.0) & kt.valid
     if not far.any():
         raise DomainError("dilated window swallowed the whole curve")
     branch = geometry.branch_log(sc.source, float(sc.params[z_index]), eps)
@@ -312,27 +319,27 @@ def far_field_decay_check(sc: SampledCurve, z_index: int, eps: float,
                                far_nodes=int(far.sum()))
 
 
-def large_truncation_check(sc: SampledCurve, cfg: HarnessConfig,
+def large_truncation_check(sc: SampledCurve, cfg: HarnessConfig, eps0: float,
                            z_index: int = 0) -> tuple:
     """Sup of |T(K)| outside the dilated window for eps above the threshold.
 
+    Scans the dyadic levels at or above eps0 whose dilated window fits.
     Each row is (eps, measured sup, explicit bound at eps0); the bound
     collects the crude window estimates with the measured constants.
     """
-    if cfg.eps0 is None:
+    if eps0 is None:
         raise DomainError("no small-truncation threshold available for this curve")
     length = sc.length
-    bilip, dil, eps0 = cfg.bilip, cfg.dilation, cfg.eps0
+    bilip, dil = cfg.bilip, cfg.dilation
     bound = (bilip ** 2 * length / (math.pi ** 2 * dil * eps0 ** 2)
              + bilip / (math.pi * dil * eps0)
              + 2.0 * bilip ** 2 / (math.pi ** 2 * dil * eps0))
     rows = []
-    for eps in cfg.trunc.eps_grid:
-        if eps < eps0 - 1e-15 or cfg.dilation * eps >= sc.period / 2.0:
+    for eps in TruncationSpec.for_curve(sc, 1, 64).eps_grid:
+        if eps < eps0 - 1e-15 or not cfg.window_fits(sc.period, eps):
             continue
         kt = kernel_truncation_transform(sc, z_index, eps)
-        dist = _param_dist(sc.params, sc.params[z_index], sc.period)
-        far = (dist > dil * eps) & kt.valid
+        far = (cfg.window_margin(sc, z_index, eps) > 0.0) & kt.valid
         if not far.any():
             continue
         rows.append((eps, float(np.abs(kt.values.values[far]).max()), bound))
@@ -489,7 +496,8 @@ def cotlar_ratio_scan(p, resolutions, tags=("constant", "trig:1", "trig:3",
         guard = JUMP_GUARD_CELLS * sc.spacing
         fam = make_test_functions(sc, tags, seed=seed, anchors=anchors)
         agg = 0.0
-        pvs, tables = cauchy_family(sc, [tf_fn.values for tf_fn in fam], spec)
+        pvs, tables = cauchy_family(sc, [tf_fn.values for tf_fn in fam],
+                                     spec.eps_grid)
         t_stars, _ = maximal_of(tables, spec)
         for tf_fn, pv, t_star in zip(fam, pvs, t_stars):
             m2 = hl_maximal_squared(GridFunction(sc, pv)).values.real

@@ -330,18 +330,17 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
     return out
 
 
-def cauchy_family(sc: SampledCurve, values, spec: TruncationSpec | None = None):
-    """Principal values and, given spec, the dyadic T_eps table of a
+def cauchy_family(sc: SampledCurve, values, levels=()):
+    """Principal values and the T_eps table at the given levels of a
     stack of functions, from one evaluator pass.
 
     Returns (pv, table): pv has shape (F, n); table has shape (F, K, n)
-    for the K levels of spec (K = 0 without one).
+    for the K levels.
     """
     if sc.n < 16:
         raise DomainError("grid too small for the 2h/4h extrapolation")
     h = sc.spacing
-    levels = spec.eps_grid if spec is not None else ()
-    vals = truncated_cauchy_family(sc, values, (2.0 * h, 4.0 * h) + levels)
+    vals = truncated_cauchy_family(sc, values, (2.0 * h, 4.0 * h) + tuple(levels))
     return 2.0 * vals[:, 0] - vals[:, 1], vals[:, 2:]
 
 

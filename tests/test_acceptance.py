@@ -209,7 +209,7 @@ def test_acceptance_05_sandwich(circle, spiral10):
 
 @criterion(6, "far-field decay within 4L + 0.5 on the circle")
 def test_acceptance_06_far_field(circle4096):
-    cfg = harness.HarnessConfig.for_curve(circle4096, k_min=2)
+    cfg = harness.HarnessConfig.for_curve(circle4096)
     eps = circle4096.period * 2.0 ** (-6)
     rep = harness.far_field_decay_check(circle4096, 0, eps, cfg)
     assert rep.worst_ratio <= rep.decay_bound + 0.5
@@ -221,17 +221,16 @@ def test_acceptance_07_decomposition(circle):
     residuals = {}
     for n in (4096, 8192):
         sc = curves.arclength_sample(circle, n)
-        cfg = harness.HarnessConfig.for_curve(sc, k_min=2,
-                                              bilip=math.pi / 2)
+        cfg = harness.HarnessConfig.for_curve(sc, bilip=math.pi / 2)
         fns = {
             "constant": np.ones(n, dtype=complex),
             "trig3": np.exp(2j * math.pi * 3 * sc.params / sc.period),
         }
+        levels = [sc.period * 2.0 ** (-k) for k in (5, 7)]
         for tag, values in fns.items():
-            f = GridFunction(sc, values)
-            for k in (5, 7):
-                eps = sc.period * 2.0 ** (-k)
-                rep = harness.decomposition_check(f, 0, eps, cfg)
+            reps = harness.decomposition_check(GridFunction(sc, values), 0,
+                                               levels, cfg)
+            for k, rep in zip((5, 7), reps):
                 residuals[(tag, k, n)] = rep.residual
     details = []
     for tag in ("constant", "trig3"):

@@ -146,8 +146,8 @@ def test_transform_scan_outputs(tmp_path):
         assert q in body
 
 
-def test_transform_makes_one_evaluator_pass(tmp_path, monkeypatch):
-    # f and the truncated kernel behind g_z_eps share one pass
+def _count_passes(monkeypatch):
+    """Record the stack height of every evaluator call."""
     from cauchylab import operators
 
     passes = []
@@ -158,20 +158,19 @@ def test_transform_makes_one_evaluator_pass(tmp_path, monkeypatch):
         return family(sc, values, eps_list)
 
     monkeypatch.setattr(operators, "truncated_cauchy_family", counting)
+    return passes
+
+
+def test_transform_makes_one_evaluator_pass(tmp_path, monkeypatch):
+    # f and the truncated kernel behind g_z_eps share one pass
+    passes = _count_passes(monkeypatch)
     text = SMALL_CIRCLE.replace("scans = diag,criterion", "scans = transform")
     spec = _write_spec(tmp_path, text)
     assert run(CommandInvocation("transform", str(spec), str(tmp_path / "o"))) == 0
     assert passes == [2]
 
 
-def test_decomp_gdecay_sandwich_series_scans(tmp_path):
-    text = SMALL_CIRCLE.replace("scans = diag,criterion",
-                                "scans = decomp,gdecay,sandwich")
-    spec = _write_spec(tmp_path, text)
-    assert run(CommandInvocation("all", str(spec), str(tmp_path / "o"))) == 0
-    names = {p.name for p in (tmp_path / "o").iterdir()}
-    assert {"decomp.csv", "gdecay.csv", "sandwich.csv"} <= names
-    spiral_text = """
+SMALL_SPIRAL = """
 [curve]
 kind = spiral
 depth = 3
@@ -183,11 +182,58 @@ resolutions = 128,256
 [experiment]
 scans = series
 """
-    spec2 = _write_spec(tmp_path, spiral_text, "sp.cspec")
+
+ALL_SCANS = ("experiment.scans=diag,transform,criterion,cotlar,"
+             "decomp,gdecay,sandwich,series")
+
+
+def test_decomp_gdecay_sandwich_series_scans(tmp_path):
+    text = SMALL_CIRCLE.replace("scans = diag,criterion",
+                                "scans = decomp,gdecay,sandwich")
+    spec = _write_spec(tmp_path, text)
+    assert run(CommandInvocation("all", str(spec), str(tmp_path / "o"))) == 0
+    names = {p.name for p in (tmp_path / "o").iterdir()}
+    assert {"decomp.csv", "gdecay.csv", "sandwich.csv"} <= names
+    # levels 2^-5 and 2^-7 both fit n = 512: one row each
+    decomp = (tmp_path / "o" / "decomp.csv").read_text().strip().split("\n")
+    assert [row.split(",")[2] for row in decomp[1:]] == ["T*2^-5", "T*2^-7"]
+    spec2 = _write_spec(tmp_path, SMALL_SPIRAL, "sp.cspec")
     assert run(CommandInvocation("all", str(spec2), str(tmp_path / "o2"))) == 0
     series = (tmp_path / "o2" / "series.csv").read_text().strip().split("\n")
     assert series[0] == "curve,k,half_diameter,tail_excess,strip_width"
     assert len(series) == 4  # depth 3
+
+
+def test_decomp_makes_one_evaluator_pass(tmp_path, monkeypatch):
+    # f and the truncated kernels of both kept levels share one pass
+    passes = _count_passes(monkeypatch)
+    text = SMALL_CIRCLE.replace("scans = diag,criterion", "scans = decomp")
+    spec = _write_spec(tmp_path, text)
+    assert run(CommandInvocation("all", str(spec), str(tmp_path / "o"))) == 0
+    assert passes == [3]
+
+
+def test_no_program_path_calls_single_node_oracles(tmp_path, monkeypatch):
+    import sys
+
+    from cauchylab import operators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a program path called a single-node oracle")
+
+    oracles = [getattr(operators, name)
+               for name in ("truncated_cauchy", "pv_cauchy", "maximal_cauchy")]
+    # rebind every cauchylab name that holds an oracle, imported ones too
+    for key, module in list(sys.modules.items()):
+        if key == "cauchylab" or key.startswith("cauchylab."):
+            for attr, value in list(vars(module).items()):
+                if any(value is oracle for oracle in oracles):
+                    monkeypatch.setattr(module, attr, refuse)
+    for name, text in (("circle", SMALL_CIRCLE), ("spiral", SMALL_SPIRAL)):
+        spec = _write_spec(tmp_path, text, f"{name}.cspec")
+        inv = CommandInvocation("all", str(spec), str(tmp_path / name),
+                                overrides=(ALL_SCANS,))
+        assert run(inv) == 0, name
 
 
 def test_shipped_spec_files_are_valid():

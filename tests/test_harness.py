@@ -8,61 +8,58 @@ from scipy.integrate import quad
 
 from cauchylab import curves, geometry, harness, operators
 from cauchylab.errors import DomainError, ResolutionError
-from cauchylab.operators import GridFunction, TruncationSpec
+from cauchylab.operators import GridFunction
 
 
 @pytest.fixture(scope="module")
 def circle_cfg():
     sc = curves.arclength_sample(curves.circle(1.0), 1024)
-    bilip = geometry.bilipschitz_constant(sc)
-    cfg = harness.HarnessConfig.for_curve(sc, k_min=2, bilip=bilip,
-                                          eps0=geometry.eps0_gate(sc, bilip))
+    cfg = harness.HarnessConfig.for_curve(sc, bilip=geometry.bilipschitz_constant(sc))
     return sc, cfg
+
+
+@pytest.fixture(scope="module")
+def circle_eps0(circle_cfg):
+    sc, cfg = circle_cfg
+    return geometry.eps0_gate(sc, cfg.bilip)
 
 
 # -- config --------------------------------------------------------------------
 
 def test_config_dilation_floor():
-    sc = curves.arclength_sample(curves.circle(1.0), 256)
-    trunc = TruncationSpec.for_curve(sc, 3, 6)
     with pytest.raises(DomainError):
-        harness.HarnessConfig(bilip=math.pi / 2, dilation=2.0, eps0=None,
-                              trunc=trunc)
+        harness.HarnessConfig(bilip=math.pi / 2, dilation=2.0)
 
 
-def test_config_for_curve_measures(circle_cfg):
+def test_config_for_curve_measures(circle_cfg, circle_eps0):
     _, cfg = circle_cfg
     assert cfg.bilip == pytest.approx(math.pi / 2, abs=1e-3)
     assert cfg.dilation >= 2.0 * cfg.bilip ** 2 - 1e-9
-    assert cfg.eps0 == pytest.approx(2 * math.pi / 16, rel=1e-12)
+    assert circle_eps0 == pytest.approx(2 * math.pi / 16, rel=1e-12)
 
 
 # -- adversarial indicators --------------------------------------------------
 
-def test_adversarial_default_exponent_matches_rule():
-    # eps = 1/4, L = pi/2: smallest n with -2 log L + (n-2) |log eps| >= 0
-    sc = curves.arclength_sample(curves.circle(1.0), 1024)
-    tf = harness.adversarial_indicator(sc, 0.25, bilip=math.pi / 2)
-    assert ":3:" in tf.tag  # n = 3
-
-
 def test_adversarial_mass_matches_arc_length():
     sc = curves.arclength_sample(curves.circle(1.0), 2048)
     eps = 0.5
-    tf = harness.adversarial_indicator(sc, eps, n_exp=2, bilip=math.pi / 2)
+    tf = harness.adversarial_indicator(sc, eps, n_exp=2)
     mass = float(np.sum(tf.values.real * sc.weights))
     assert abs(mass - (eps - eps ** 2)) <= 1.5 * sc.spacing
 
 
 def test_adversarial_log_integral_lower_bound():
-    # |int_{eps^n}^{eps} gamma'(t)/gamma(t) dt| >= |log eps| for the default n
-    # with gamma(t) - gamma(0) in the denominator and gamma'(t) = i e^{it}
+    # |int gamma'(t)/gamma(t) dt| >= |log eps| over the witness arc, with
+    # gamma(t) - gamma(0) in the denominator and gamma'(t) = i e^{it}, for
+    # the arc scales and the exponent make_test_functions uses
     p = curves.circle(1.0)
     sc = curves.arclength_sample(p, 1024)
-    for eps in [0.25, 0.125]:
-        tf = harness.adversarial_indicator(sc, eps, bilip=math.pi / 2)
-        n_exp = int(tf.tag.split(":")[2])
-        lo, hi = eps ** n_exp, eps
+    for k_out in (1, 3):
+        eps = p.period * 2.0 ** (-k_out)
+        n_exp = harness.deepest_exponent(sc, eps)
+        tf = harness.adversarial_indicator(sc, eps, n_exp)
+        assert int(tf.tag.split(":")[2]) == n_exp
+        lo, hi = (eps ** n_exp if eps < 1.0 else eps ** (-n_exp)), eps
         anchor_point = p.point(np.array([0.0]))[0]
 
         def dre(t):
@@ -80,7 +77,7 @@ def test_adversarial_log_integral_lower_bound():
 
 def test_adversarial_inverse_exponent_branch():
     sc = curves.arclength_sample(curves.unit_square(), 1024)
-    tf = harness.adversarial_indicator(sc, 2.0, n_exp=5, anchor=1.0, bilip=2.0)
+    tf = harness.adversarial_indicator(sc, 2.0, n_exp=5, anchor=1.0)
     assert tf.values.sum() > 4
     lo = 2.0 ** (-5)
     assert tf.jumps[0] == pytest.approx((1.0 + lo) % 4.0)
@@ -89,7 +86,7 @@ def test_adversarial_inverse_exponent_branch():
 def test_adversarial_empty_arc_error():
     sc = curves.arclength_sample(curves.circle(1.0), 64)
     with pytest.raises(ResolutionError) as err:
-        harness.adversarial_indicator(sc, 0.25, n_exp=9, bilip=math.pi / 2)
+        harness.adversarial_indicator(sc, 0.25, n_exp=9)
     assert "n =" in str(err.value)
 
 
@@ -118,7 +115,7 @@ def test_decomposition_residual_small_and_split_exact(circle_cfg):
     sc, cfg = circle_cfg
     f = GridFunction(sc, np.exp(2j * np.pi * 3 * sc.params / sc.period))
     eps = sc.period * 2.0 ** (-5)
-    rep = harness.decomposition_check(f, 0, eps, cfg)
+    rep, = harness.decomposition_check(f, 0, [eps], cfg)
     assert rep.residual < 1e-3
     # the split III = F IV + V holds by construction; check consistency
     assert abs(rep.term_iii - (rep.branch_value * rep.term_iv + rep.term_v)) < 1e-14
@@ -130,7 +127,7 @@ def test_decomposition_residual_small_and_split_exact(circle_cfg):
 def test_decomposition_zero_function(circle_cfg):
     sc, cfg = circle_cfg
     zero = GridFunction.constant(sc, 0.0)
-    rep = harness.decomposition_check(zero, 0, sc.period / 32, cfg)
+    rep, = harness.decomposition_check(zero, 0, [sc.period / 32], cfg)
     assert rep.residual == 0.0
     assert rep.term_i == 0.0 and rep.term_ii == 0.0 and rep.term_iii == 0.0
 
@@ -139,9 +136,10 @@ def test_decomposition_residual_refines():
     vals = []
     for n in [512, 1024]:
         sc = curves.arclength_sample(curves.circle(1.0), n)
-        cfg = harness.HarnessConfig.for_curve(sc, k_min=2)
+        cfg = harness.HarnessConfig.for_curve(sc)
         f = GridFunction(sc, np.exp(2j * np.pi * 3 * sc.params / sc.period))
-        vals.append(harness.decomposition_check(f, 0, sc.period / 32, cfg).residual)
+        rep, = harness.decomposition_check(f, 0, [sc.period / 32], cfg)
+        vals.append(rep.residual)
     assert vals[1] < vals[0] / 1.5 or vals[1] < 1e-12
 
 
@@ -149,7 +147,7 @@ def test_decomposition_window_overflow(circle_cfg):
     sc, cfg = circle_cfg
     f = GridFunction.constant(sc, 1.0)
     with pytest.raises(DomainError):
-        harness.decomposition_check(f, 0, sc.period / 4, cfg)
+        harness.decomposition_check(f, 0, [sc.period / 4], cfg)
 
 
 # -- far field decay --------------------------------------------------------------
@@ -175,7 +173,7 @@ def test_far_field_against_explicit_log_difference():
     # nearly-cancelling logs, computable directly from the parametrization
     p = curves.unit_square()
     sc = curves.arclength_sample(p, 2048)
-    cfg = harness.HarnessConfig.for_curve(sc, k_min=2)
+    cfg = harness.HarnessConfig.for_curve(sc)
     eps = sc.period * 2.0 ** (-8)
     z_index = sc.n // 8  # middle of the bottom side
     kt = operators.kernel_truncation_transform(sc, z_index, eps)
@@ -194,12 +192,12 @@ def test_far_field_against_explicit_log_difference():
         assert abs(via_transform - direct) < 5e-3
 
 
-def test_large_truncation_bounded(circle_cfg):
+def test_large_truncation_bounded(circle_cfg, circle_eps0):
     sc, cfg = circle_cfg
-    rows = harness.large_truncation_check(sc, cfg)
+    rows = harness.large_truncation_check(sc, cfg, circle_eps0)
     assert rows
     for eps, sup, bound in rows:
-        assert eps >= cfg.eps0 - 1e-15
+        assert eps >= circle_eps0 - 1e-15
         assert sup <= bound
 
 
@@ -330,7 +328,7 @@ def test_cotlar_scan_measures_no_constant(monkeypatch):
 def test_far_field_remainder_halves_on_fixed_nodes():
     # |G| over a fixed far node set scales linearly with eps
     sc = curves.arclength_sample(curves.circle(1.0), 2048)
-    cfg = harness.HarnessConfig.for_curve(sc, k_min=2, bilip=math.pi / 2)
+    cfg = harness.HarnessConfig.for_curve(sc, bilip=math.pi / 2)
     z = sc.points[0]
     dist = np.minimum(np.arange(sc.n), sc.n - np.arange(sc.n)) * sc.spacing
     eps_big = sc.period * 2.0 ** (-6)

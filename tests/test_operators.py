@@ -231,7 +231,7 @@ def test_one_pass_builds_half_the_kernel(monkeypatch):
     monkeypatch.setattr(operators, "_tile_kernel", counting)
     sc = curves.arclength_sample(curves.unit_square(), 2048)
     operators.cauchy_family(sc, np.ones((1, sc.n)),
-                            TruncationSpec.for_curve(sc, 1, 64))
+                            TruncationSpec.for_curve(sc, 1, 64).eps_grid)
     assert 0 < sum(built) <= 0.55 * sc.n ** 2
 
 
@@ -248,7 +248,7 @@ def test_family_matches_single_calls(square_family):
     # family and a family of one agree to 1e-13, not bitwise
     sc, vals = square_family
     spec = TruncationSpec.for_curve(sc, 1, 64)
-    pvs, tables = operators.cauchy_family(sc, vals, spec)
+    pvs, tables = operators.cauchy_family(sc, vals, spec.eps_grid)
     t_stars, _ = operators.maximal_of(tables, spec)
     for f_vals, pv, table, t_star in list(zip(vals, pvs, tables, t_stars))[::4]:
         f = GridFunction(sc, f_vals)
@@ -271,7 +271,7 @@ sc = curves.arclength_sample(curves.unit_square(), n)
 rng = np.random.default_rng(21)
 vals = rng.normal(size=(F, sc.n)) + 1j * rng.normal(size=(F, sc.n))
 spec = operators.TruncationSpec.for_curve(sc, 1, 64)
-pv, table = operators.cauchy_family(sc, vals, spec)
+pv, table = operators.cauchy_family(sc, vals, spec.eps_grid)
 sys.stdout.write(hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest())
 """
 
@@ -282,7 +282,7 @@ def test_family_bits_independent_of_blas_threads(square_family):
     # reduction was cut to a multiple of 8 terms
     sc, vals = square_family
     pv, table = operators.cauchy_family(
-        sc, vals, TruncationSpec.for_curve(sc, 1, 64))
+        sc, vals, TruncationSpec.for_curve(sc, 1, 64).eps_grid)
     in_process = hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest()
     src = str(Path(operators.__file__).resolve().parents[1])
     for n, F in ((2048, 15), (3000, 7)):
