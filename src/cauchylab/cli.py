@@ -8,7 +8,6 @@ machine-parsable ``code:`` prefix.  Outputs are byte-identical across runs.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ from .curves import (
     write_curve_csv,
 )
 from .errors import CauchyLabError, NumericalGateError, ValidationError
-from .operators import GridFunction, TruncationSpec
+from .operators import GridFunction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,14 +53,8 @@ class _RunState:
     eps0: float | None = None
     criterion_verdict: str | None = None
     cotlar_verdict: str | None = None
+    first_function: GridFunction | None = None
     notes: list = field(default_factory=list)
-
-
-def _eps_label(period: float, eps: float) -> str:
-    k = round(math.log2(period / eps))
-    if abs(period * 2.0 ** (-k) - eps) <= 1e-12 * period:
-        return f"T*2^-{int(k)}"
-    return repr(eps)
 
 
 def _write(path: Path, lines) -> None:
@@ -88,14 +81,16 @@ def _config(state: _RunState) -> harness.HarnessConfig:
         state.sample, bilip=state.bilip, dilation=dil if dil > 0.0 else None)
 
 
-def _gated_eps_list(state: _RunState) -> list:
-    """Dyadic levels of the configured range, trimmed by the smallness
-    threshold when the curve has one (corner curves scan the full range)."""
+def _gated_levels(state: _RunState) -> list:
+    """Dyadic (k, eps) levels of the configured range, trimmed by the
+    smallness threshold when the curve has one (corner curves scan the full
+    range)."""
     doc = state.doc
     period = state.curve.period
-    levels = [period * 2.0 ** (-k) for k in range(doc.get("experiment", "k_min"),
-                                                  doc.get("experiment", "k_max") + 1)]
-    out = [eps for eps in levels
+    levels = [(k, period * 2.0 ** (-k))
+              for k in range(doc.get("experiment", "k_min"),
+                             doc.get("experiment", "k_max") + 1)]
+    out = [(k, eps) for k, eps in levels
            if state.eps0 is None or eps <= state.eps0 + 1e-15]
     if not out:
         out = levels
@@ -121,23 +116,25 @@ def _run_diag(state: _RunState, out: Path) -> None:
     _write(out / "diagnostics.csv", geometry.diagnostics_csv_rows(report))
 
 
-def _first_function(state: _RunState):
-    sc = state.sample
-    tags = state.doc.get("experiment", "functions")
-    fam = harness.make_test_functions(
-        sc, tags[:1], seed=state.doc.get("experiment", "seed"),
-        anchors=harness.anchor_params(state.curve))
-    return fam[0]
+def _first_function(state: _RunState) -> GridFunction:
+    """The first function of the configured tags, built once per run."""
+    if state.first_function is None:
+        sc = state.sample
+        tags = state.doc.get("experiment", "functions")
+        fam = harness.make_test_functions(
+            sc, tags[:1], seed=state.doc.get("experiment", "seed"),
+            anchors=harness.anchor_params(state.curve))
+        state.first_function = GridFunction(sc, fam[0].values)
+    return state.first_function
 
 
 def _run_transform(state: _RunState, out: Path) -> None:
     sc = state.sample
     doc = state.doc
     period = sc.period
-    f0 = _first_function(state)
-    f = GridFunction(sc, f0.values)
-    spec = TruncationSpec.for_curve(sc, doc.get("experiment", "k_min"),
-                                    doc.get("experiment", "k_max"))
+    f = _first_function(state)
+    levels = operators.dyadic_levels(sc, doc.get("experiment", "k_min"),
+                                     doc.get("experiment", "k_max"))
     # the kernel for g_z_eps rides in the same evaluator pass as f
     k_g = max(doc.get("experiment", "k_min"), 6)
     eps_g = period * 2.0 ** (-k_g)
@@ -146,13 +143,13 @@ def _run_transform(state: _RunState, out: Path) -> None:
         kernel = operators.truncated_kernel(sc, 0, eps_g)
         stack.append(kernel.values)
     rows = ["node,param,quantity,epsilon,re,im"]
-    pvs, tables = operators.cauchy_family(sc, stack, spec.eps_grid)
-    for k, t_eps in zip(spec.k_grid, tables[0]):
+    pvs, tables = operators.cauchy_family(sc, stack, [eps for _, eps in levels])
+    for (k, _), t_eps in zip(levels, tables[0]):
         rows += operators.transform_csv_rows(sc, "T_eps", t_eps,
                                              eps_label=f"T*2^-{k}")
     pv = GridFunction(sc, pvs[0])
     rows += operators.transform_csv_rows(sc, "T_pv", pv.values)
-    t_star, _ = operators.maximal_of(tables[0], spec)
+    t_star, _ = operators.maximal_of(tables[0], levels)
     rows += operators.transform_csv_rows(sc, "T_star", t_star.astype(complex))
     m1 = operators.hl_maximal_all(pv)
     rows += operators.transform_csv_rows(sc, "M", m1.astype(complex))
@@ -168,12 +165,13 @@ def _run_transform(state: _RunState, out: Path) -> None:
 def _run_criterion(state: _RunState, out: Path) -> None:
     p = state.curve
     xs = harness.default_scan_params(p)
-    table = harness.criterion_scan(p, xs, _gated_eps_list(state))
+    levels = _gated_levels(state)
+    k_of = {eps: k for k, eps in levels}
+    table = harness.criterion_scan(p, xs, [eps for _, eps in levels])
     rows = ["curve,x,epsilon,score,branch_ok"]
     for x, eps, score, ok in table.rows:
         score_txt = f"{score:.17g}" if ok else ""
-        rows.append(f"{p.kind},{x:.17g},{_eps_label(p.period, eps)},"
-                    f"{score_txt},{int(ok)}")
+        rows.append(f"{p.kind},{x:.17g},T*2^-{k_of[eps]},{score_txt},{int(ok)}")
     _write(out / "criterion.csv", rows)
     state.criterion_verdict = table.verdict
 
@@ -184,7 +182,6 @@ def _run_cotlar(state: _RunState, out: Path) -> None:
     report = harness.cotlar_ratio_scan(
         p, doc.get("sampling", "resolutions"),
         tags=doc.get("experiment", "functions"),
-        k_min=1,
         seed=doc.get("experiment", "seed"))
     rows = ["curve,n,f_tag,node,ratio"]
     for n, tag, ratios in report.node_ratios:
@@ -202,16 +199,17 @@ def _run_cotlar(state: _RunState, out: Path) -> None:
 def _run_decomp(state: _RunState, out: Path) -> None:
     sc = state.sample
     cfg = _config(state)
-    f0 = _first_function(state)
-    f = GridFunction(sc, f0.values)
+    f = _first_function(state)
     rows = ["curve,node,epsilon,residual,i_re,i_im,ii_re,ii_im,iii_re,iii_im,"
             "iv_re,iv_im,v_re,v_im"]
-    levels = [eps for eps in (sc.period * 2.0 ** (-k) for k in (5, 7))
+    levels = [(k, sc.period * 2.0 ** (-k)) for k in (5, 7)]
+    levels = [(k, eps) for k, eps in levels
               if cfg.window_fits(sc.period, eps) and eps >= 4.0 * sc.spacing]
-    reports = harness.decomposition_check(f, 0, levels, cfg) if levels else ()
-    for rep in reports:
+    reports = (harness.decomposition_check(f, 0, [eps for _, eps in levels], cfg)
+               if levels else ())
+    for (k, _), rep in zip(levels, reports):
         rows.append(
-            f"{state.curve.kind},0,{_eps_label(sc.period, rep.eps)},{rep.residual:.17g},"
+            f"{state.curve.kind},0,T*2^-{k},{rep.residual:.17g},"
             f"{rep.term_i.real:.17g},{rep.term_i.imag:.17g},"
             f"{rep.term_ii.real:.17g},{rep.term_ii.imag:.17g},"
             f"{rep.term_iii.real:.17g},{rep.term_iii.imag:.17g},"
@@ -224,10 +222,11 @@ def _run_gdecay(state: _RunState, out: Path) -> None:
     sc = state.sample
     cfg = _config(state)
     rows = ["curve,node,epsilon,worst_ratio,decay_bound,far_nodes"]
-    eps = sc.period * 2.0 ** (-6)
+    k = 6
+    eps = sc.period * 2.0 ** (-k)
     if eps >= 2.0 * sc.spacing and cfg.window_fits(sc.period, eps):
         rep = harness.far_field_decay_check(sc, 0, eps, cfg)
-        rows.append(f"{state.curve.kind},0,{_eps_label(sc.period, eps)},"
+        rows.append(f"{state.curve.kind},0,T*2^-{k},"
                     f"{rep.worst_ratio:.17g},{rep.decay_bound:.17g},{rep.far_nodes}")
     _write(out / "gdecay.csv", rows)
 
@@ -235,11 +234,12 @@ def _run_gdecay(state: _RunState, out: Path) -> None:
 def _run_sandwich(state: _RunState, out: Path) -> None:
     p = state.curve
     xs = harness.default_scan_params(p, count=48)
-    rep = harness.sandwich_check(p, xs, _gated_eps_list(state), state.bilip)
+    levels = _gated_levels(state)
+    k_of = {eps: k for k, eps in levels}
+    rep = harness.sandwich_check(p, xs, [eps for _, eps in levels], state.bilip)
     rows = ["curve,x,epsilon,ratio_upper,ratio_lower"]
     for x, eps, up, lo in rep.rows:
-        rows.append(f"{p.kind},{x:.17g},{_eps_label(p.period, eps)},"
-                    f"{up:.17g},{lo:.17g}")
+        rows.append(f"{p.kind},{x:.17g},T*2^-{k_of[eps]},{up:.17g},{lo:.17g}")
     rows.append(f"{p.kind},,,{rep.worst_violation:.17g},")
     _write(out / "sandwich.csv", rows)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -247,22 +246,16 @@ def patch_half_diameter(n: int) -> float:
 
 @dataclass(frozen=True)
 class SpiralSpec:
-    """Recursion depth, smoothing width, and closure mode for the spiral."""
+    """Recursion depth and smoothing width for the spiral."""
 
     depth: int
     xi: float = 1.0 / 200.0
-    closure: str = "smooth-closure"
 
     def __post_init__(self):
         if self.depth < 1:
             raise DomainError("spiral depth must be >= 1")
         if not 0.0 < self.xi < 0.01:
             raise DomainError(f"smoothing width xi must satisfy 0 < xi < 1/100, got {self.xi}")
-        if self.closure not in ("smooth-closure", "open"):
-            raise DomainError(f"closure must be 'smooth-closure' or 'open', got {self.closure!r}")
-
-    def angle_sum_exact(self) -> Fraction:
-        return sum((Fraction(1, j) for j in range(1, self.depth + 1)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +269,6 @@ class Parametrization:
     period: float
     point: Callable
     kind: str
-    closed: bool = True
     unit_speed: bool = False
     meta: Mapping = field(default_factory=dict)
 
@@ -358,7 +350,7 @@ def _as_unit_speed(p: Parametrization, samples: int = 16384) -> Parametrization:
         return p.point(inv(s))
 
     return Parametrization(period=float(length), point=point,
-                           kind=p.kind, closed=p.closed, unit_speed=True,
+                           kind=p.kind, unit_speed=True,
                            meta=dict(p.meta))
 
 
@@ -645,7 +637,7 @@ def _closed_from_assembly(assembly, kind, meta, focus_forward=None):
         if focus_forward is not None:
             meta = dict(meta, focus_param=float((total - focus_forward) % total))
         meta = dict(meta, reversed=True)
-    return Parametrization(period=total, point=point, kind=kind, closed=True,
+    return Parametrization(period=total, point=point, kind=kind,
                            unit_speed=True, meta=meta)
 
 
@@ -716,13 +708,12 @@ def _validate_spiral_separation(patches, offs, mults, xi, depth):
 
 
 def build_spiral(spec: SpiralSpec) -> Parametrization:
-    """Assemble the truncated recursive spiral, optionally closed smoothly.
+    """Assemble the truncated recursive spiral, closed smoothly.
 
     Each gluing rotates by the patch opening angle and rescales so the next
     bump's endpoints match its parent's middle-segment chord; the deepest
-    bump keeps its middle segment.  With smooth closure, a C2 arc in the
-    lower half plane joins the endpoints and the result is oriented
-    positively.
+    bump keeps its middle segment.  A C2 arc in the lower half plane joins
+    the endpoints and the result is oriented positively.
     """
     depth, xi = spec.depth, spec.xi
     patches = [build_patch(PatchSpec(_spiral_angle(j), xi)) for j in range(1, depth + 1)]
@@ -745,14 +736,8 @@ def build_spiral(spec: SpiralSpec) -> Parametrization:
         "patch_multipliers": tuple(complex(m) for m in mults),
         "limit_point": _spiral_limit_point(depth),
         "finest_scale": patch_half_diameter(depth),
-        "engine": open_assembly,
         "patches": tuple(patches),
     }
-
-    if spec.closure == "open":
-        meta["focus_param"] = float(focus_forward)
-        return Parametrization(period=spiral_length, point=open_assembly.point,
-                               kind="spiral", closed=False, unit_speed=True, meta=meta)
 
     curve, dcurve = _closure_loop(1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j,
                                   dip=0.75)

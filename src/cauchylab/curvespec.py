@@ -61,12 +61,6 @@ def _check_depth(v, _doc):
     return None
 
 
-def _check_closure(v, _doc):
-    if v not in ("smooth-closure", "open"):
-        return "closure must be smooth-closure or open"
-    return None
-
-
 def _check_vertices(v, _doc):
     if len(v) < 6 or len(v) % 2 != 0:
         return "vertices needs an even list of at least 6 coordinates"
@@ -145,7 +139,6 @@ SCHEMA = {
         "coeffs": Field("real-list", (0.3, 0.05), ("graph-closure",), _check_coeffs),
         "depth": Field("int", 12, ("spiral",), _check_depth),
         "xi": Field("real", 0.005, ("spiral",), _check_xi),
-        "closure": Field("tag", "smooth-closure", ("spiral",), _check_closure),
     },
     "sampling": {
         "n": Field("int", 4096, None, _check_n),
@@ -346,5 +339,4 @@ def build_from_document(doc: SpecDocument):
         return builtin_curve("polygon", list(curve["vertices"]))
     if kind == "graph-closure":
         return builtin_curve("graph-closure", list(curve["coeffs"]))
-    return build_spiral(SpiralSpec(depth=curve["depth"], xi=curve["xi"],
-                                   closure=curve["closure"]))
+    return build_spiral(SpiralSpec(depth=curve["depth"], xi=curve["xi"]))

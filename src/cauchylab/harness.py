@@ -18,10 +18,9 @@ from .errors import BranchAmbiguityError, DomainError, ResolutionError
 from .operators import (
     GridFunction,
     KernelTransform,
-    TruncationSpec,
     _unit_measure,
     cauchy_family,
-    hl_maximal_all,
+    dyadic_levels,
     hl_maximal_squared,
     kernel_transform_direct_fill,
     kernel_truncation_transform,
@@ -226,7 +225,6 @@ class DecompositionReport:
 
     z_index: int
     eps: float
-    t_eps: complex
     term_i: complex
     term_ii: complex
     term_iii: complex
@@ -234,9 +232,6 @@ class DecompositionReport:
     term_v: complex
     branch_value: complex
     residual: float
-    i_over_m2: float
-    ii_over_m: float
-    v_over_m: float
 
 
 def decomposition_check(f: GridFunction, z_index: int, levels,
@@ -257,8 +252,6 @@ def decomposition_check(f: GridFunction, z_index: int, levels,
     pvs, tables = cauchy_family(sc, [f.values] + [k.values for k in kernels],
                                 levels)
     tf = pvs[0]
-    m_tf = hl_maximal_all(GridFunction(sc, tf))
-    m2_tf = hl_maximal_all(GridFunction(sc, m_tf.astype(complex)))
     dw = _unit_measure(sc)
     mu = sc.weights
     z = sc.points[z_index]
@@ -272,20 +265,16 @@ def decomposition_check(f: GridFunction, z_index: int, levels,
         term_ii = mean_ball * np.sum(tf[inball] * dw[inball])
         out = ~inball
         term_iii = np.sum(tf[out] * gvals[out] * dw[out])
-        t_eps = tables[0, row, z_index]
-        residual = abs(t_eps + term_i + term_ii + term_iii)
+        residual = abs(tables[0, row, z_index] + term_i + term_ii + term_iii)
         branch = geometry.branch_log(sc.source, float(sc.params[z_index]), eps)
         term_iv = np.sum(tf[out] / (z - sc.points[out]) * dw[out]) / math.pi ** 2
         term_v = term_iii - branch.value * term_iv
         reports.append(DecompositionReport(
-            z_index=z_index, eps=eps, t_eps=complex(t_eps),
-            term_i=complex(term_i), term_ii=complex(term_ii),
-            term_iii=complex(term_iii), term_iv=complex(term_iv),
+            z_index=z_index, eps=eps, term_i=complex(term_i),
+            term_ii=complex(term_ii), term_iii=complex(term_iii),
+            term_iv=complex(term_iv),
             term_v=complex(term_v), branch_value=branch.value,
-            residual=float(residual),
-            i_over_m2=float(abs(term_i) / max(m2_tf[z_index], UNDERFLOW_FLOOR)),
-            ii_over_m=float(abs(term_ii) / max(m_tf[z_index], UNDERFLOW_FLOOR)),
-            v_over_m=float(abs(term_v) / max(m_tf[z_index], UNDERFLOW_FLOOR))))
+            residual=float(residual)))
     return tuple(reports)
 
 
@@ -335,7 +324,7 @@ def large_truncation_check(sc: SampledCurve, cfg: HarnessConfig, eps0: float,
              + bilip / (math.pi * dil * eps0)
              + 2.0 * bilip ** 2 / (math.pi ** 2 * dil * eps0))
     rows = []
-    for eps in TruncationSpec.for_curve(sc, 1, 64).eps_grid:
+    for _, eps in dyadic_levels(sc, 1):
         if eps < eps0 - 1e-15 or not cfg.window_fits(sc.period, eps):
             continue
         kt = kernel_truncation_transform(sc, z_index, eps)
@@ -476,7 +465,7 @@ def classify_ratio_trend(sups) -> str:
 
 def cotlar_ratio_scan(p, resolutions, tags=("constant", "trig:1", "trig:3",
                                             "chi:4", "adversarial"),
-                      k_min: int = 2, seed: int = 0) -> CotlarReport:
+                      seed: int = 0) -> CotlarReport:
     """Sup of T_* f / M^2(Tf) per test function and resolution.
 
     Ratio nodes exclude jump neighborhoods (4 grid cells) and flag
@@ -492,13 +481,13 @@ def cotlar_ratio_scan(p, resolutions, tags=("constant", "trig:1", "trig:3",
     anchors = anchor_params(p)
     for n in resolutions:
         sc = arclength_sample(p, n)
-        spec = TruncationSpec.for_curve(sc, k_min, 64)
+        levels = dyadic_levels(sc, 1)
         guard = JUMP_GUARD_CELLS * sc.spacing
         fam = make_test_functions(sc, tags, seed=seed, anchors=anchors)
         agg = 0.0
         pvs, tables = cauchy_family(sc, [tf_fn.values for tf_fn in fam],
-                                     spec.eps_grid)
-        t_stars, _ = maximal_of(tables, spec)
+                                     [eps for _, eps in levels])
+        t_stars, _ = maximal_of(tables, levels)
         for tf_fn, pv, t_star in zip(fam, pvs, t_stars):
             m2 = hl_maximal_squared(GridFunction(sc, pv)).values.real
             ok = m2 > UNDERFLOW_FLOOR

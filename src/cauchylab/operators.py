@@ -5,7 +5,9 @@ Hardy-Littlewood maximal operator, and the kernel-truncation transform.
 Conventions: the excluded set is always the parametric ball (parameter
 interval of radius eps), nodes exactly on the exclusion boundary carry half
 weight in Cauchy sums, and the complex measure at a node is its unit chord
-tangent times its arc weight.
+tangent times its arc weight.  The truncation levels are dyadic, (k,
+eps_k = period * 2^-k) from k_min down to the two-cell floor 2h, and
+dyadic_levels alone produces them.
 
 One evaluator, truncated_cauchy_family, computes every all-nodes Cauchy
 sum: a stack of F functions times a list of windows.  The kernel is
@@ -50,7 +52,7 @@ from .errors import DomainError, ResolutionError
 
 __all__ = [
     "GridFunction",
-    "TruncationSpec",
+    "dyadic_levels",
     "KernelTransform",
     "MaximalValue",
     "truncated_cauchy",
@@ -94,42 +96,6 @@ class GridFunction:
         return GridFunction(base, np.full(base.n, complex(c)))
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Decreasing dyadic truncation levels eps_k = period * 2^-k."""
-
-    period: float
-    k_min: int
-    k_max: int
-    eps_floor: float
-
-    def __post_init__(self):
-        if self.k_min > self.k_max:
-            raise DomainError("empty truncation grid")
-        if self.period * 2.0 ** (-self.k_max) < self.eps_floor - 1e-12:
-            raise DomainError("truncation grid dips below the resolution floor")
-
-    @staticmethod
-    def for_curve(sc: SampledCurve, k_min: int, k_max: int) -> "TruncationSpec":
-        """Clamp k_max so every level resolves at least two grid cells."""
-        floor = 2.0 * sc.spacing
-        deepest = int(math.floor(math.log2(sc.n / 2.0)))
-        if k_min > deepest:
-            raise DomainError(
-                f"k_min={k_min} already below the floor at n={sc.n}")
-        return TruncationSpec(period=sc.period, k_min=k_min,
-                              k_max=min(k_max, deepest), eps_floor=floor)
-
-    @property
-    def eps_grid(self) -> tuple:
-        return tuple(self.period * 2.0 ** (-k)
-                     for k in range(self.k_min, self.k_max + 1))
-
-    @property
-    def k_grid(self) -> tuple:
-        return tuple(range(self.k_min, self.k_max + 1))
-
-
 class MaximalValue(NamedTuple):
     value: float
     eps_argmax: float
@@ -164,6 +130,23 @@ def _check_eps(sc: SampledCurve, eps: float):
             "refine the grid")
     if eps > sc.period / 2.0:
         raise DomainError("truncation exceeds half the period")
+
+
+def dyadic_levels(sc: SampledCurve, k_min: int, k_max: int = 64) -> tuple:
+    """The dyadic truncation levels (k, eps_k = period * 2^-k) for
+    k_min <= k <= k_max whose eps resolves at least two grid cells
+    (eps_k >= 2h), by decreasing eps.  The sup that defines T_* f is taken
+    over these levels."""
+    levels = []
+    for k in range(k_min, k_max + 1):
+        eps = sc.period * 2.0 ** (-k)
+        if eps < 2.0 * sc.spacing:
+            break
+        levels.append((k, eps))
+    if not levels:
+        raise DomainError(f"no dyadic level from k_min={k_min} resolves "
+                          f"two cells at n={sc.n}")
+    return tuple(levels)
 
 
 def _cyclic_distance(n: int, center: int) -> np.ndarray:
@@ -344,11 +327,12 @@ def cauchy_family(sc: SampledCurve, values, levels=()):
     return 2.0 * vals[:, 0] - vals[:, 1], vals[:, 2:]
 
 
-def maximal_of(table: np.ndarray, spec: TruncationSpec):
-    """Sup over the levels of a (..., K, n) T_eps table: (values, argmax eps)."""
+def maximal_of(table: np.ndarray, levels):
+    """Sup over the (k, eps) levels of a (..., K, n) T_eps table:
+    (values, argmax eps)."""
     stack = np.abs(table)
     arg = np.argmax(stack, axis=-2)
-    return stack.max(axis=-2), np.asarray(spec.eps_grid)[arg]
+    return stack.max(axis=-2), np.asarray([eps for _, eps in levels])[arg]
 
 
 def pv_cauchy_all(f: GridFunction) -> GridFunction:
@@ -357,26 +341,28 @@ def pv_cauchy_all(f: GridFunction) -> GridFunction:
     return GridFunction(f.base, pv[0])
 
 
-def truncated_cauchy_all(f: GridFunction, spec: TruncationSpec) -> dict:
-    """Truncated transforms at every node for each dyadic level of spec."""
-    table = truncated_cauchy_family(f.base, f.values[None, :], spec.eps_grid)[0]
-    return dict(zip(spec.k_grid, table))
+def truncated_cauchy_all(f: GridFunction, levels) -> dict:
+    """Truncated transforms at every node for each (k, eps) level, by k."""
+    table = truncated_cauchy_family(f.base, f.values[None, :],
+                                    [eps for _, eps in levels])[0]
+    return {k: row for (k, _), row in zip(levels, table)}
 
 
-def maximal_cauchy(f: GridFunction, z_index: int, spec: TruncationSpec) -> MaximalValue:
-    """Sup over the dyadic truncation grid of |T_eps f| at one node."""
+def maximal_cauchy(f: GridFunction, z_index: int, levels) -> MaximalValue:
+    """Sup over the (k, eps) levels of |T_eps f| at one node."""
     best, arg = -1.0, None
-    for eps in spec.eps_grid:
+    for _, eps in levels:
         v = abs(truncated_cauchy(f, z_index, eps))
         if v > best:
             best, arg = v, eps
     return MaximalValue(best, arg)
 
 
-def maximal_cauchy_all(f: GridFunction, spec: TruncationSpec):
+def maximal_cauchy_all(f: GridFunction, levels):
     """Vectorized maximal transform: (values, argmax eps) per node."""
-    table = truncated_cauchy_family(f.base, f.values[None, :], spec.eps_grid)[0]
-    return maximal_of(table, spec)
+    table = truncated_cauchy_family(f.base, f.values[None, :],
+                                    [eps for _, eps in levels])[0]
+    return maximal_of(table, levels)
 
 
 def _ball_average(absvals, weights, i, m_incl):
@@ -388,17 +374,9 @@ def _ball_average(absvals, weights, i, m_incl):
 
 
 def _hl_radii(sc: SampledCurve):
-    """Dyadic parametric radii from 2h up to half the period, plus the full curve."""
-    ms = []
-    k = 1
-    while True:
-        r = sc.period * 2.0 ** (-k)
-        if r < 2.0 * sc.spacing - 1e-12:
-            break
-        ms.append(_window_split(r, sc.spacing, sc.n)[0])
-        k += 1
-    ms.append(sc.n)  # full curve
-    return ms
+    """Interior half-widths of the dyadic parametric balls, plus the full curve."""
+    return [_window_split(eps, sc.spacing, sc.n)[0]
+            for _, eps in dyadic_levels(sc, 1)] + [sc.n]
 
 
 def hl_maximal(g: GridFunction, z_index: int) -> float:

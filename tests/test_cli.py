@@ -55,6 +55,15 @@ def test_exit_2_on_bad_spec(tmp_path):
     assert run(CommandInvocation("build", str(spec), str(tmp_path / "o"))) == 2
 
 
+def test_exit_2_on_spiral_closure_key(tmp_path, capsys):
+    # every curve is a closed Jordan curve; no key selects an open spiral
+    for closure in ("open", "smooth-closure"):
+        spec = _write_spec(tmp_path, "[curve]\nkind = spiral\ndepth = 3\n"
+                           f"closure = {closure}\n")
+        assert run(CommandInvocation("build", str(spec), str(tmp_path / "o"))) == 2
+        assert "closure" in capsys.readouterr().err
+
+
 def test_exit_2_on_missing_file(tmp_path):
     assert run(CommandInvocation("build", str(tmp_path / "nope.cspec"),
                                  str(tmp_path / "o"))) == 2
@@ -168,6 +177,18 @@ def test_transform_makes_one_evaluator_pass(tmp_path, monkeypatch):
     spec = _write_spec(tmp_path, text)
     assert run(CommandInvocation("transform", str(spec), str(tmp_path / "o"))) == 0
     assert passes == [2]
+
+
+def test_first_function_is_built_once_per_run(tmp_path, monkeypatch):
+    # the four adversarial witnesses take one pass; transform and decomp
+    # share the first of them instead of rebuilding it
+    passes = _count_passes(monkeypatch)
+    text = (SMALL_CIRCLE
+            .replace("scans = diag,criterion", "scans = transform,decomp,gdecay")
+            .replace("functions = constant,trig:1", "functions = adversarial,constant"))
+    spec = _write_spec(tmp_path, text)
+    assert run(CommandInvocation("all", str(spec), str(tmp_path / "o"))) == 0
+    assert passes == [4, 2, 3, 1]
 
 
 SMALL_SPIRAL = """

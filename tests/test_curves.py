@@ -1,7 +1,6 @@
 """Tests for curve construction, patch profiles, and arc-length sampling."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -337,15 +336,6 @@ def test_spiral_spec_validation():
         curves.SpiralSpec(depth=0)
     with pytest.raises(DomainError):
         curves.SpiralSpec(depth=4, xi=0.02)
-    with pytest.raises(DomainError):
-        curves.SpiralSpec(depth=4, closure="loop")
-
-
-def test_spiral_angle_sum_is_harmonic_number():
-    spec = curves.SpiralSpec(depth=4)
-    assert spec.angle_sum_exact() == Fraction(25, 12)
-    spec12 = curves.SpiralSpec(depth=12)
-    assert spec12.angle_sum_exact() == sum(Fraction(1, j) for j in range(1, 13))
 
 
 def test_spiral_depth_one_single_patch():
@@ -353,7 +343,6 @@ def test_spiral_depth_one_single_patch():
     assert p.meta["depth"] == 1
     # no gluing: sole patch carries zero rotation
     assert p.meta["patch_multipliers"] == (1 + 0j,)
-    assert p.closed
 
 
 def test_spiral_gluing_rotations_are_harmonic():
@@ -412,7 +401,6 @@ def test_spiral_geometric_series_bound():
 
 def test_spiral_closure_stays_low_and_closes():
     p = curves.build_spiral(curves.SpiralSpec(depth=4))
-    assert p.closed
     x = np.linspace(0, p.period, 4097)
     z = p.point(x)
     assert abs(z[0] - z[-1]) < 1e-9
@@ -421,24 +409,14 @@ def test_spiral_closure_stays_low_and_closes():
     assert area2 > 0
 
 
-def test_spiral_open_variant():
-    p = curves.build_spiral(curves.SpiralSpec(depth=3, closure="open"))
-    assert not p.closed
-    z0 = p.point(np.array([0.0]))[0]
-    z1 = p.point(np.array([p.period - 1e-12]))[0]
-    assert abs(z0 - 0.0) < 1e-9
-    assert abs(z1 - 1.0) < 1e-6
-
-
-@pytest.mark.parametrize("closure", ["smooth-closure", "open"])
-def test_spiral_zones_land_on_their_profiles(closure):
+def test_spiral_zones_land_on_their_profiles():
     # A corner zone is a 65-knot clamped spline in its local parameter t.
     # At the knots the round trip t -> arc length -> t is exact to rounding,
     # so the point is the profile point at t.  Between knots the round trip
     # is a spline fit (within 1e-9), and the point must still lie on the
     # profile graph.
     depth = 6
-    p = curves.build_spiral(curves.SpiralSpec(depth=depth, closure=closure))
+    p = curves.build_spiral(curves.SpiralSpec(depth=depth))
     xi = p.meta["xi"]
     for j in range(1, depth + 1):
         spec = p.meta["patches"][j - 1].spec

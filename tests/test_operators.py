@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cauchylab import curves, operators
+from cauchylab import curves, curvespec, operators
 from cauchylab.errors import DomainError, ResolutionError
-from cauchylab.operators import GridFunction, TruncationSpec
+from cauchylab.operators import GridFunction, dyadic_levels
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def one(circle_sc):
     return GridFunction.constant(circle_sc, 1.0)
 
 
-# -- grid functions and truncation specs --------------------------------------
+# -- grid functions and truncation levels --------------------------------------
 
 def test_grid_function_validation(circle_sc):
     with pytest.raises(DomainError):
@@ -46,19 +46,32 @@ def test_grid_function_accepts_strided_view(circle_sc):
         GridFunction(circle_sc, cols[:, 0])
 
 
-def test_truncation_spec_clamps(circle_sc):
-    spec = TruncationSpec.for_curve(circle_sc, 4, 99)
-    assert spec.k_max == 11  # 2^11 = n/2 cells
-    eps = spec.eps_grid
-    assert all(a > b for a, b in zip(eps[:-1], eps[1:]))
-    assert eps[-1] >= spec.eps_floor - 1e-15
-
-
-def test_truncation_spec_rejects_empty(circle_sc):
+def test_dyadic_levels_stop_at_the_two_cell_floor(circle_sc):
+    # every level the evaluator accepts and not one more, on every grid of
+    # 16..4100 nodes of each shipped curve's period
+    assert [k for k, _ in dyadic_levels(circle_sc, 4, 99)] == list(range(4, 12))
     with pytest.raises(DomainError):
-        TruncationSpec.for_curve(circle_sc, 13, 14)
-    with pytest.raises(DomainError):
-        TruncationSpec(period=1.0, k_min=5, k_max=4, eps_floor=0.001)
+        dyadic_levels(circle_sc, 5, 4)
+    specs = Path(__file__).resolve().parent.parent / "specs"
+    periods = [curves.arclength_sample(curvespec.build_from_document(
+        curvespec.parse_spec(path.read_text())), 16).period
+        for path in sorted(specs.glob("*.cspec"))]
+    assert len(periods) >= 4
+    for period in periods:
+        for n in range(16, 4101):
+            # the levels and the floor read only n and the period
+            sc = curves.SampledCurve(n=n, period=period, params=None,
+                                     points=None, tangents=None, weights=None)
+            levels = dyadic_levels(sc, 1)
+            assert [k for k, _ in levels] == list(range(1, len(levels) + 1))
+            for k, eps in levels:
+                assert eps == period * 2.0 ** (-k)
+                operators._check_eps(sc, eps)
+            deeper = len(levels) + 1
+            with pytest.raises(ResolutionError):
+                operators._check_eps(sc, period * 2.0 ** (-deeper))
+            with pytest.raises(DomainError):
+                dyadic_levels(sc, deeper)
 
 
 # -- truncated transform --------------------------------------------------------
@@ -231,7 +244,7 @@ def test_one_pass_builds_half_the_kernel(monkeypatch):
     monkeypatch.setattr(operators, "_tile_kernel", counting)
     sc = curves.arclength_sample(curves.unit_square(), 2048)
     operators.cauchy_family(sc, np.ones((1, sc.n)),
-                            TruncationSpec.for_curve(sc, 1, 64).eps_grid)
+                            [eps for _, eps in dyadic_levels(sc, 1)])
     assert 0 < sum(built) <= 0.55 * sc.n ** 2
 
 
@@ -247,18 +260,18 @@ def test_family_matches_single_calls(square_family):
     # matrix-matrix and matrix-vector products round differently, so the
     # family and a family of one agree to 1e-13, not bitwise
     sc, vals = square_family
-    spec = TruncationSpec.for_curve(sc, 1, 64)
-    pvs, tables = operators.cauchy_family(sc, vals, spec.eps_grid)
-    t_stars, _ = operators.maximal_of(tables, spec)
+    levels = dyadic_levels(sc, 1)
+    pvs, tables = operators.cauchy_family(sc, vals, [eps for _, eps in levels])
+    t_stars, _ = operators.maximal_of(tables, levels)
     for f_vals, pv, table, t_star in list(zip(vals, pvs, tables, t_stars))[::4]:
         f = GridFunction(sc, f_vals)
         single = operators.pv_cauchy_all(f).values
         assert np.max(np.abs(pv - single)) <= 1e-13 * np.max(np.abs(single))
-        levels = operators.truncated_cauchy_all(f, spec)
-        for k, row in zip(spec.k_grid, table):
-            assert np.max(np.abs(row - levels[k])) <= \
-                1e-13 * np.max(np.abs(levels[k]))
-        t_single, _ = operators.maximal_cauchy_all(f, spec)
+        by_k = operators.truncated_cauchy_all(f, levels)
+        for (k, _), row in zip(levels, table):
+            assert np.max(np.abs(row - by_k[k])) <= \
+                1e-13 * np.max(np.abs(by_k[k]))
+        t_single, _ = operators.maximal_cauchy_all(f, levels)
         assert np.max(np.abs(t_star - t_single)) <= 1e-13 * np.max(t_single)
 
 
@@ -270,8 +283,8 @@ n, F = int(sys.argv[1]), int(sys.argv[2])
 sc = curves.arclength_sample(curves.unit_square(), n)
 rng = np.random.default_rng(21)
 vals = rng.normal(size=(F, sc.n)) + 1j * rng.normal(size=(F, sc.n))
-spec = operators.TruncationSpec.for_curve(sc, 1, 64)
-pv, table = operators.cauchy_family(sc, vals, spec.eps_grid)
+levels = operators.dyadic_levels(sc, 1)
+pv, table = operators.cauchy_family(sc, vals, [eps for _, eps in levels])
 sys.stdout.write(hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest())
 """
 
@@ -282,7 +295,7 @@ def test_family_bits_independent_of_blas_threads(square_family):
     # reduction was cut to a multiple of 8 terms
     sc, vals = square_family
     pv, table = operators.cauchy_family(
-        sc, vals, TruncationSpec.for_curve(sc, 1, 64).eps_grid)
+        sc, vals, [eps for _, eps in dyadic_levels(sc, 1)])
     in_process = hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest()
     src = str(Path(operators.__file__).resolve().parents[1])
     for n, F in ((2048, 15), (3000, 7)):
@@ -305,14 +318,14 @@ def test_half_period_level_sums_its_outside_set(square_family):
     # at eps = T/2 only the antipode is kept, so the level is one small
     # term; it must not come out of a near-cancelling difference
     sc, vals = square_family
-    spec = TruncationSpec.for_curve(sc, 1, 2)
+    levels = dyadic_levels(sc, 1, 2)
     f = GridFunction(sc, vals[0])
-    table = operators.truncated_cauchy_all(f, spec)
+    table = operators.truncated_cauchy_all(f, levels)
     for i in [0, 5, 700, 1500, 2047]:
         ref = operators.truncated_cauchy(f, i, sc.period / 2.0)
         assert abs(table[1][i] - ref) <= 1e-13 * abs(ref)
     chi = GridFunction(sc, (np.arange(sc.n) < sc.n // 8).astype(complex))
-    table = operators.truncated_cauchy_all(chi, spec)
+    table = operators.truncated_cauchy_all(chi, levels)
     antipode_outside = (np.arange(sc.n) + sc.n // 2) % sc.n >= sc.n // 8
     assert np.all(table[1][antipode_outside] == 0.0)
 
@@ -320,22 +333,22 @@ def test_half_period_level_sums_its_outside_set(square_family):
 # -- maximal transform -------------------------------------------------------------
 
 def test_maximal_cauchy_circle_constant(one, circle_sc):
-    spec = TruncationSpec.for_curve(circle_sc, 4, 9)
-    got = operators.maximal_cauchy(one, 3, spec)
+    levels = dyadic_levels(circle_sc, 4, 9)
+    got = operators.maximal_cauchy(one, 3, levels)
     eps_min = circle_sc.period * 2.0 ** (-9)
     assert got.value == pytest.approx(1.0 - eps_min / math.pi, abs=1e-10)
     assert got.eps_argmax == pytest.approx(eps_min)
 
 
 def test_maximal_c_zero(circle_sc):
-    spec = TruncationSpec.for_curve(circle_sc, 4, 9)
+    levels = dyadic_levels(circle_sc, 4, 9)
     zero = GridFunction.constant(circle_sc, 0.0)
-    assert operators.maximal_cauchy(zero, 3, spec).value == 0.0
+    assert operators.maximal_cauchy(zero, 3, levels).value == 0.0
 
 
 def test_maximal_grid_monotone(one, circle_sc):
-    small = TruncationSpec.for_curve(circle_sc, 5, 7)
-    big = TruncationSpec.for_curve(circle_sc, 4, 9)
+    small = dyadic_levels(circle_sc, 5, 7)
+    big = dyadic_levels(circle_sc, 4, 9)
     assert operators.maximal_cauchy(one, 3, big).value >= \
         operators.maximal_cauchy(one, 3, small).value
 
@@ -344,19 +357,19 @@ def test_maximal_argmax_scale_invariant(circle_sc):
     rng = np.random.default_rng(11)
     f = GridFunction(circle_sc, rng.normal(size=circle_sc.n)
                      + 1j * rng.normal(size=circle_sc.n))
-    spec = TruncationSpec.for_curve(circle_sc, 4, 9)
-    base = operators.maximal_cauchy(f, 99, spec)
+    levels = dyadic_levels(circle_sc, 4, 9)
+    base = operators.maximal_cauchy(f, 99, levels)
     scaled = operators.maximal_cauchy(GridFunction(circle_sc, 7.5 * f.values),
-                                      99, spec)
+                                      99, levels)
     assert scaled.eps_argmax == base.eps_argmax
     assert scaled.value == pytest.approx(7.5 * base.value, rel=1e-12)
 
 
 def test_maximal_all_matches_single(circle_sc, one):
-    spec = TruncationSpec.for_curve(circle_sc, 4, 9)
-    vals, args = operators.maximal_cauchy_all(one, spec)
+    levels = dyadic_levels(circle_sc, 4, 9)
+    vals, args = operators.maximal_cauchy_all(one, levels)
     for i in [5, 999]:
-        single = operators.maximal_cauchy(one, i, spec)
+        single = operators.maximal_cauchy(one, i, levels)
         assert vals[i] == pytest.approx(single.value, abs=1e-13)
         assert args[i] == pytest.approx(single.eps_argmax)
 
@@ -366,11 +379,11 @@ def test_half_period_window_antipodal_half_weight(circle_sc):
     rng = np.random.default_rng(9)
     f = GridFunction(circle_sc, rng.normal(size=circle_sc.n)
                      + 1j * rng.normal(size=circle_sc.n))
-    spec = TruncationSpec.for_curve(circle_sc, 1, 3)
-    table = operators.truncated_cauchy_all(f, spec)
+    levels = dyadic_levels(circle_sc, 1, 3)
+    table = operators.truncated_cauchy_all(f, levels)
     for i in [0, 41, 2048]:
-        for k in spec.k_grid:
-            single = operators.truncated_cauchy(f, i, circle_sc.period * 2.0 ** (-k))
+        for k, eps in levels:
+            single = operators.truncated_cauchy(f, i, eps)
             assert abs(table[k][i] - single) < 1e-13
 
 
