@@ -46,12 +46,26 @@ def test_grid_function_accepts_strided_view(circle_sc):
         GridFunction(circle_sc, cols[:, 0])
 
 
-def test_dyadic_levels_stop_at_the_two_cell_floor(circle_sc):
-    # every level the evaluator accepts and not one more, on every grid of
-    # 16..4100 nodes of each shipped curve's period
-    assert [k for k, _ in dyadic_levels(circle_sc, 4, 99)] == list(range(4, 12))
+def test_truncation_spec_clamps(circle_sc):
+    # a k_max past the floor is cut at 2^11 = n/2 cells
+    levels = dyadic_levels(circle_sc, 4, 99)
+    assert [k for k, _ in levels] == list(range(4, 12))
+    eps = [e for _, e in levels]
+    assert all(a > b for a, b in zip(eps[:-1], eps[1:]))
+    assert eps[-1] >= 2.0 * circle_sc.spacing
+
+
+def test_truncation_spec_rejects_empty(circle_sc):
+    # a range wholly past the floor, and an empty range
+    with pytest.raises(DomainError):
+        dyadic_levels(circle_sc, 13, 14)
     with pytest.raises(DomainError):
         dyadic_levels(circle_sc, 5, 4)
+
+
+def test_dyadic_levels_stop_at_the_two_cell_floor():
+    # every level the evaluator accepts and not one more, on every grid of
+    # 16..4100 nodes of each shipped curve's period
     specs = Path(__file__).resolve().parent.parent / "specs"
     periods = [curves.arclength_sample(curvespec.build_from_document(
         curvespec.parse_spec(path.read_text())), 16).period
