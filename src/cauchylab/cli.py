@@ -65,20 +65,10 @@ def _write(path: Path, lines) -> None:
 def _measure_constants(state: _RunState) -> None:
     p, sc = state.curve, state.sample
     state.bilip = harness.measure_bilip(sc)
-    eps0_cfg = state.doc.get("experiment", "eps0")
-    if eps0_cfg > 0.0:
-        state.eps0 = eps0_cfg
-        return
     gate_sc = sc
     if "finest_scale" in p.meta and sc.n < _GATE_GRID:
         gate_sc = arclength_sample(p, _GATE_GRID)
     state.eps0 = geometry.eps0_gate(gate_sc, state.bilip)
-
-
-def _config(state: _RunState) -> harness.HarnessConfig:
-    dil = state.doc.get("experiment", "dilation_m")
-    return harness.HarnessConfig.for_curve(
-        state.sample, bilip=state.bilip, dilation=dil if dil > 0.0 else None)
 
 
 def _gated_levels(state: _RunState) -> list:
@@ -131,15 +121,14 @@ def _first_function(state: _RunState) -> GridFunction:
 def _run_transform(state: _RunState, out: Path) -> None:
     sc = state.sample
     doc = state.doc
-    period = sc.period
     f = _first_function(state)
     levels = operators.dyadic_levels(sc, doc.get("experiment", "k_min"),
                                      doc.get("experiment", "k_max"))
     # the kernel for g_z_eps rides in the same evaluator pass as f
     k_g = max(doc.get("experiment", "k_min"), 6)
-    eps_g = period * 2.0 ** (-k_g)
+    eps_g = dict(operators.dyadic_levels(sc, 1)).get(k_g)
     stack = [f.values]
-    if eps_g >= 2.0 * sc.spacing:
+    if eps_g is not None:
         kernel = operators.truncated_kernel(sc, 0, eps_g)
         stack.append(kernel.values)
     rows = ["node,param,quantity,epsilon,re,im"]
@@ -198,7 +187,7 @@ def _run_cotlar(state: _RunState, out: Path) -> None:
 
 def _run_decomp(state: _RunState, out: Path) -> None:
     sc = state.sample
-    cfg = _config(state)
+    cfg = harness.HarnessConfig(state.bilip)
     f = _first_function(state)
     rows = ["curve,node,epsilon,residual,i_re,i_im,ii_re,ii_im,iii_re,iii_im,"
             "iv_re,iv_im,v_re,v_im"]
@@ -220,11 +209,11 @@ def _run_decomp(state: _RunState, out: Path) -> None:
 
 def _run_gdecay(state: _RunState, out: Path) -> None:
     sc = state.sample
-    cfg = _config(state)
+    cfg = harness.HarnessConfig(state.bilip)
     rows = ["curve,node,epsilon,worst_ratio,decay_bound,far_nodes"]
     k = 6
-    eps = sc.period * 2.0 ** (-k)
-    if eps >= 2.0 * sc.spacing and cfg.window_fits(sc.period, eps):
+    eps = dict(operators.dyadic_levels(sc, 1)).get(k)
+    if eps is not None and cfg.window_fits(sc.period, eps):
         rep = harness.far_field_decay_check(sc, 0, eps, cfg)
         rows.append(f"{state.curve.kind},0,T*2^-{k},"
                     f"{rep.worst_ratio:.17g},{rep.decay_bound:.17g},{rep.far_nodes}")
@@ -261,9 +250,7 @@ def _write_summary(state: _RunState, out: Path, inv: CommandInvocation) -> None:
     lines.append(f"subcommand: {inv.subcommand}")
     if state.bilip is not None:
         lines.append(f"bilipschitz constant: {state.bilip:.17g}")
-        dil = (state.doc.get("experiment", "dilation_m")
-               or harness.required_dilation(state.bilip))
-        lines.append(f"window dilation: {dil:.17g}")
+        lines.append(f"window dilation: {harness.required_dilation(state.bilip):.17g}")
     lines.append("smallness threshold: "
                  + (f"{state.eps0:.17g}" if state.eps0 is not None else "none"))
     lines.append("criterion verdict: " + (state.criterion_verdict or "n/a"))

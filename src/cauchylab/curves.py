@@ -264,12 +264,15 @@ class SpiralSpec:
 
 @dataclass(frozen=True)
 class Parametrization:
-    """A periodic plane curve: parameter -> complex point, plus metadata."""
+    """A periodic plane curve: arc length -> complex point, plus metadata.
+
+    Every builder returns a unit-speed map; the sampler and the windowed
+    constants read the parameter as arc length.
+    """
 
     period: float
     point: Callable
     kind: str
-    unit_speed: bool = False
     meta: Mapping = field(default_factory=dict)
 
     def __call__(self, x):
@@ -308,8 +311,6 @@ def arclength_sample(p: Parametrization, n: int) -> SampledCurve:
     """
     if n < 16:
         raise DomainError("need at least 16 sample nodes")
-    if not p.unit_speed:
-        p = _as_unit_speed(p)
     period = p.period
     h = period / n
     params = h * np.arange(n)
@@ -332,26 +333,6 @@ def arclength_sample(p: Parametrization, n: int) -> SampledCurve:
     return SampledCurve(n=n, period=period, params=params, points=points,
                         tangents=tangents, weights=weights, source=p,
                         warnings=warnings)
-
-
-def _as_unit_speed(p: Parametrization, samples: int = 16384) -> Parametrization:
-    """Arc-length reparametrization of a generic parametrization."""
-    knots = np.linspace(0.0, p.period, samples + 1)
-    pts = p.point(knots)
-    chords = np.abs(np.diff(pts))
-    if np.any(chords <= 0.0):
-        raise DegenerateGeometryError("parametrization has coincident consecutive samples")
-    cum = np.concatenate(([0.0], np.cumsum(chords)))
-    length = cum[-1]
-    inv = CubicSpline(cum, knots)
-
-    def point(s):
-        s = np.mod(np.asarray(s, dtype=float), length)
-        return p.point(inv(s))
-
-    return Parametrization(period=float(length), point=point,
-                           kind=p.kind, unit_speed=True,
-                           meta=dict(p.meta))
 
 
 def write_curve_csv(sc: SampledCurve, path):
@@ -378,8 +359,7 @@ def circle(radius: float = 1.0) -> Parametrization:
     def point(s):
         return r * np.exp(1j * np.asarray(s, dtype=float) / r)
 
-    return Parametrization(period=2.0 * math.pi * r, point=point, kind="circle",
-                           unit_speed=True)
+    return Parametrization(period=2.0 * math.pi * r, point=point, kind="circle")
 
 
 def ellipse(a: float, b: float) -> Parametrization:
@@ -401,7 +381,7 @@ def ellipse(a: float, b: float) -> Parametrization:
         theta = inv(np.mod(np.asarray(s, dtype=float), perimeter))
         return a * np.cos(theta) + 1j * b * np.sin(theta)
 
-    return Parametrization(period=perimeter, point=point, kind="ellipse", unit_speed=True)
+    return Parametrization(period=perimeter, point=point, kind="ellipse")
 
 
 def polygon(vertices: Sequence) -> Parametrization:
@@ -430,7 +410,7 @@ def polygon(vertices: Sequence) -> Parametrization:
         e = np.clip(np.searchsorted(cum, m, side="right") - 1, 0, len(verts) - 1)
         return verts[e] + (m - cum[e]) * units[e]
 
-    return Parametrization(period=perimeter, point=point, kind="polygon", unit_speed=True,
+    return Parametrization(period=perimeter, point=point, kind="polygon",
                            meta={"corners": tuple(float(c) for c in cum[:-1]),
                                  "vertices": tuple(complex(v) for v in verts)})
 
@@ -616,29 +596,22 @@ def _loop_zones(curve, dcurve):
             for k in range(8)]
 
 
-def _orients_ccw(point, period, n=4096):
-    s = period * np.arange(n) / n
-    z = point(s)
-    area2 = float(np.sum((np.conj(z) * (np.roll(z, -1) - z)).imag))
-    return area2 > 0.0
-
-
 def _closed_from_assembly(assembly, kind, meta, focus_forward=None):
-    """Wrap a forward assembly as a positively oriented unit-speed curve."""
-    total = assembly.total
-    if _orients_ccw(assembly.point, total):
-        point = assembly.point
-        if focus_forward is not None:
-            meta = dict(meta, focus_param=float(focus_forward % total))
-    else:
-        def point(s):
-            return assembly.point(np.mod(total - np.asarray(s, dtype=float), total))
+    """Wrap a forward assembly as a positively oriented unit-speed curve.
 
-        if focus_forward is not None:
-            meta = dict(meta, focus_param=float((total - focus_forward) % total))
-        meta = dict(meta, reversed=True)
-    return Parametrization(period=total, point=point, kind=kind,
-                           unit_speed=True, meta=meta)
+    The spiral and the graph closure both run their graph forward (left to
+    right) and return along a closure arc below it, so the forward order is
+    clockwise and the curve runs it backwards: parameter s is forward arc
+    length total - s.
+    """
+    total = assembly.total
+
+    def point(s):
+        return assembly.point(np.mod(total - np.asarray(s, dtype=float), total))
+
+    if focus_forward is not None:
+        meta = dict(meta, focus_param=float((total - focus_forward) % total))
+    return Parametrization(period=total, point=point, kind=kind, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -775,11 +748,8 @@ def spiral_patch_polyline(p: Parametrization, j: int, n: int = 2048) -> np.ndarr
 
 def spiral_patch_param(p: Parametrization, j: int, t: float) -> float:
     """Curve parameter of the kept point with local parameter t on patch j."""
-    engine = _spiral_engine(p)
-    s_forward = engine.param_of(j, t)
-    if p.meta.get("reversed"):
-        return float((p.period - s_forward) % p.period)
-    return float(s_forward)
+    s_forward = _spiral_engine(p).param_of(j, t)
+    return float((p.period - s_forward) % p.period)
 
 
 def spiral_corner_params(p: Parametrization) -> tuple:

@@ -28,7 +28,7 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 CURVE_KINDS = ("circle", "ellipse", "graph-closure", "polygon", "spiral")
 SCAN_TAGS = ("cotlar", "criterion", "decomp", "diag", "gdecay", "sandwich",
              "series", "transform")
-_FN_TAG_RE = re.compile(r"^(constant|adversarial|trig:\d+|chi:\d+)$")
+_FN_TAG_RE = re.compile(r"^(constant|adversarial|(trig|chi):(\d+))$")
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ def _check_resolutions(v, _doc):
         return "resolutions must be nonempty"
     if any(r < 16 for r in v):
         return "every resolution must be at least 16"
-    if list(v) != sorted(v):
-        return "resolutions must be increasing"
+    if any(b <= a for a, b in zip(v[:-1], v[1:])):
+        return "resolutions must be strictly increasing"
     return None
 
 
@@ -98,9 +98,12 @@ def _check_scans(v, _doc):
 
 def _check_functions(v, _doc):
     for t in v:
-        if not _FN_TAG_RE.match(t):
+        m = _FN_TAG_RE.match(t)
+        if not m:
             return (f"unknown test function tag {t!r} "
                     "(constant | trig:<deg> | chi:<count> | adversarial)")
+        if m.group(3) is not None and not 1 <= int(m.group(3)) <= 64:
+            return f"{t!r}: the degree or count must lie in 1..64"
     return None
 
 
@@ -151,8 +154,6 @@ SCHEMA = {
                            None, _check_functions),
         "k_min": Field("int", 4, None, _check_k_min),
         "k_max": Field("int", 12, None, _check_k_max),
-        "dilation_m": Field("real", 0.0, None, _check_nonneg),
-        "eps0": Field("real", 0.0, None, _check_nonneg),
         "seed": Field("int", 0, None, _check_nonneg),
     },
     "output": {

@@ -290,9 +290,7 @@ def branch_log(p, x: float, eps: float) -> BranchLogValue:
 
 def local_bilipschitz(p, x0: float, eps: float, m: int = 512) -> float:
     """Smallest window constant C with |x-y|/C <= |gamma(x)-gamma(y)| on
-    [x0-eps, x0+eps], by pair scan on a window grid."""
-    if not p.unit_speed:
-        raise DomainError("window constant needs a unit-speed parametrization")
+    [x0-eps, x0+eps] of a unit-speed curve, by pair scan on a window grid."""
     if eps >= p.period / 4.0:
         raise DomainError("window must be smaller than a quarter period")
     m = max(m, 256)

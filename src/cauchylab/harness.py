@@ -45,7 +45,6 @@ __all__ = [
     "default_scan_params",
     "decomposition_check",
     "far_field_decay_check",
-    "large_truncation_check",
     "criterion_scan",
     "sandwich_check",
     "cotlar_ratio_scan",
@@ -71,26 +70,14 @@ def required_dilation(bilip: float) -> float:
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Measured bilipschitz constant L and the window dilation for one run."""
+    """Measured bilipschitz constant L of one run and its dilated-window rules."""
 
     bilip: float
-    dilation: float
 
-    def __post_init__(self):
-        needed = required_dilation(self.bilip)
-        if self.dilation < needed - 1e-9:
-            raise DomainError(
-                f"window dilation {self.dilation} below the required "
-                f"max(2L^2, L(L+1)) = {needed:.6g} for L = {self.bilip:.6g}")
-
-    @staticmethod
-    def for_curve(sc: SampledCurve, bilip: float | None = None,
-                  dilation: float | None = None) -> "HarnessConfig":
-        if bilip is None:
-            bilip = measure_bilip(sc)
-        if dilation is None:
-            dilation = required_dilation(bilip)
-        return HarnessConfig(bilip=bilip, dilation=dilation)
+    @property
+    def dilation(self) -> float:
+        """Window dilation max(2L^2, L(L+1)) of the measured L."""
+        return required_dilation(self.bilip)
 
     def window_fits(self, period: float, eps: float) -> bool:
         """Whether the dilated window dilation * eps stays below half the period."""
@@ -306,33 +293,6 @@ def far_field_decay_check(sc: SampledCurve, z_index: int, eps: float,
                                worst_ratio=float(ratio.max()),
                                decay_bound=4.0 * cfg.bilip,
                                far_nodes=int(far.sum()))
-
-
-def large_truncation_check(sc: SampledCurve, cfg: HarnessConfig, eps0: float,
-                           z_index: int = 0) -> tuple:
-    """Sup of |T(K)| outside the dilated window for eps above the threshold.
-
-    Scans the dyadic levels at or above eps0 whose dilated window fits.
-    Each row is (eps, measured sup, explicit bound at eps0); the bound
-    collects the crude window estimates with the measured constants.
-    """
-    if eps0 is None:
-        raise DomainError("no small-truncation threshold available for this curve")
-    length = sc.length
-    bilip, dil = cfg.bilip, cfg.dilation
-    bound = (bilip ** 2 * length / (math.pi ** 2 * dil * eps0 ** 2)
-             + bilip / (math.pi * dil * eps0)
-             + 2.0 * bilip ** 2 / (math.pi ** 2 * dil * eps0))
-    rows = []
-    for _, eps in dyadic_levels(sc, 1):
-        if eps < eps0 - 1e-15 or not cfg.window_fits(sc.period, eps):
-            continue
-        kt = kernel_truncation_transform(sc, z_index, eps)
-        far = (cfg.window_margin(sc, z_index, eps) > 0.0) & kt.valid
-        if not far.any():
-            continue
-        rows.append((eps, float(np.abs(kt.values.values[far]).max()), bound))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)

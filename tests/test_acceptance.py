@@ -209,7 +209,7 @@ def test_acceptance_05_sandwich(circle, spiral10):
 
 @criterion(6, "far-field decay within 4L + 0.5 on the circle")
 def test_acceptance_06_far_field(circle4096):
-    cfg = harness.HarnessConfig.for_curve(circle4096)
+    cfg = harness.HarnessConfig(harness.measure_bilip(circle4096))
     eps = circle4096.period * 2.0 ** (-6)
     rep = harness.far_field_decay_check(circle4096, 0, eps, cfg)
     assert rep.worst_ratio <= rep.decay_bound + 0.5
@@ -221,7 +221,7 @@ def test_acceptance_07_decomposition(circle):
     residuals = {}
     for n in (4096, 8192):
         sc = curves.arclength_sample(circle, n)
-        cfg = harness.HarnessConfig.for_curve(sc, bilip=math.pi / 2)
+        cfg = harness.HarnessConfig(bilip=math.pi / 2)
         fns = {
             "constant": np.ones(n, dtype=complex),
             "trig3": np.exp(2j * math.pi * 3 * sc.params / sc.period),

@@ -64,6 +64,22 @@ def test_exit_2_on_spiral_closure_key(tmp_path, capsys):
         assert "closure" in capsys.readouterr().err
 
 
+def test_exit_2_on_measured_constant_keys(tmp_path, capsys):
+    # the window dilation and the smallness threshold are measured, never set
+    for line in ("dilation_m = 10", "eps0 = 0.1"):
+        spec = _write_spec(tmp_path, f"[curve]\nkind = circle\n[experiment]\n{line}\n")
+        assert run(CommandInvocation("build", str(spec), str(tmp_path / "o"))) == 2
+        assert "unknown key" in capsys.readouterr().err
+
+
+def test_exit_2_on_function_tag_range_before_build(tmp_path, capsys):
+    spec = _write_spec(tmp_path, "[curve]\nkind = spiral\n[experiment]\n"
+                       "functions = trig:0\n")
+    assert run(CommandInvocation("all", str(spec), str(tmp_path / "o"))) == 2
+    assert "1..64" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "curve.csv").exists()
+
+
 def test_exit_2_on_missing_file(tmp_path):
     assert run(CommandInvocation("build", str(tmp_path / "nope.cspec"),
                                  str(tmp_path / "o"))) == 2

@@ -299,22 +299,6 @@ def test_sample_rejects_tiny_grid():
         curves.arclength_sample(curves.circle(1.0), 8)
 
 
-def test_generic_reparametrization_path():
-    base = curves.circle(1.0)
-
-    def warped(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(1j * (x + 0.3 * np.sin(x)))
-
-    p = curves.Parametrization(period=2 * math.pi, point=warped, kind="circle",
-                               unit_speed=False)
-    sc = curves.arclength_sample(p, 2048)
-    assert abs(sc.length - 2 * math.pi) < 1e-5
-    assert np.max(np.abs(np.abs(sc.points) - 1.0)) < 1e-9
-    ref = curves.arclength_sample(base, 2048)
-    assert abs(sc.length - ref.length) < 1e-5
-
-
 def test_curve_csv_export(tmp_path):
     sc = curves.arclength_sample(curves.circle(1.0), 16)
     path = tmp_path / "curve.csv"
@@ -397,6 +381,28 @@ def test_spiral_geometric_series_bound():
         alpha = 1.0 / k
         bound = 12.0 * math.cos(alpha) / (4.0 * math.cos(alpha) - 1.0) - 3.0
         assert 3.0 * tail / lk <= bound + 1e-12
+
+
+_BUILDERS = {
+    "circle": lambda: curves.circle(1.0),
+    "ellipse": lambda: curves.ellipse(2.0, 1.0),
+    "polygon": curves.unit_square,
+    "graph-closure": lambda: curves.graph_closure([0.3, 0.05]),
+    "spiral-1": lambda: curves.build_spiral(curves.SpiralSpec(depth=1)),
+    "spiral-6": lambda: curves.build_spiral(curves.SpiralSpec(depth=6)),
+    "spiral-15": lambda: curves.build_spiral(curves.SpiralSpec(depth=15)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_every_builder_is_positively_oriented_and_closed(name):
+    # the graph closure and the spiral run their zone chains backwards with
+    # no orientation test, so this pins that the result is counter-clockwise
+    p = _BUILDERS[name]()
+    z = p.point(np.linspace(0.0, p.period, 8193))
+    assert abs(z[0] - z[-1]) < 1e-9
+    area2 = float(np.sum((np.conj(z[:-1]) * (z[1:] - z[:-1])).imag))
+    assert area2 > 0
 
 
 def test_spiral_closure_stays_low_and_closes():

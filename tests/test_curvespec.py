@@ -96,8 +96,11 @@ INVALID_CASES = [
     "[sampling]\nn = 8\n",
     "[sampling]\nresolutions = 64,32\n",
     "[sampling]\nresolutions = 8,16\n",
+    "[sampling]\nresolutions = 1024,1024\n",
     "[experiment]\nscans = dance\n",
     "[experiment]\nfunctions = wavelet:3\n",
+    "[experiment]\nfunctions = trig:0\n",
+    "[experiment]\nfunctions = chi:65\n",
     "[experiment]\nk_min = 0\n",
     "[experiment]\nk_min = 9\nk_max = 9\n",
     "[experiment]\nseed = -1\n",

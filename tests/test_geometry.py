@@ -409,8 +409,7 @@ def test_branch_log_ambiguity_on_slit():
         y = np.abs(((x + 1.0) % 2.0) - 1.0)
         return y.astype(complex)
 
-    p = curves.Parametrization(period=2.0, point=slit, kind="polygon",
-                               unit_speed=True)
+    p = curves.Parametrization(period=2.0, point=slit, kind="polygon")
     with pytest.raises(BranchAmbiguityError):
         geometry.branch_log(p, 0.0, 0.25)
 
@@ -429,19 +428,11 @@ def test_local_bilipschitz_circle_window():
     assert got == pytest.approx(eps / math.sin(eps), rel=1e-5)
 
 
-def test_local_bilipschitz_needs_unit_speed():
-    p = curves.Parametrization(period=2 * math.pi,
-                               point=lambda x: np.exp(2j * np.asarray(x)),
-                               kind="circle", unit_speed=False)
-    with pytest.raises(DomainError):
-        geometry.local_bilipschitz(p, 0.0, 0.1)
-
-
 def test_window_speed_range_rejects_coincident_points():
     # the curve stops at x = 0.5, so the window's right half is one point
     p = curves.Parametrization(
         period=2.0, point=lambda x: np.minimum(np.asarray(x, dtype=float), 0.5) + 0j,
-        kind="polygon", unit_speed=True)
+        kind="polygon")
     with pytest.raises(DegenerateGeometryError):
         geometry.window_speed_range(p, 0.5, 0.1)
 
