@@ -191,9 +191,11 @@ def _run_decomp(state: _RunState, out: Path) -> None:
     f = _first_function(state)
     rows = ["curve,node,epsilon,residual,i_re,i_im,ii_re,ii_im,iii_re,iii_im,"
             "iv_re,iv_im,v_re,v_im"]
+    # eps >= 4h exactly when eps / 2 is a level of dyadic_levels
+    halves = {eps for _, eps in operators.dyadic_levels(sc, 1)}
     levels = [(k, sc.period * 2.0 ** (-k)) for k in (5, 7)]
     levels = [(k, eps) for k, eps in levels
-              if cfg.window_fits(sc.period, eps) and eps >= 4.0 * sc.spacing]
+              if cfg.window_fits(sc.period, eps) and eps / 2 in halves]
     reports = (harness.decomposition_check(f, 0, [eps for _, eps in levels], cfg)
                if levels else ())
     for (k, _), rep in zip(levels, reports):

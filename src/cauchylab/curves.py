@@ -40,7 +40,6 @@ __all__ = [
     "circle",
     "ellipse",
     "polygon",
-    "unit_square",
     "graph_closure",
     "builtin_curve",
     "arclength_sample",
@@ -103,11 +102,6 @@ def bump_ramp(w):
     w = np.asarray(w, dtype=float)
     body = _bump_panel(w, "ramp")
     return np.where(w >= 1.0, w, np.where(w <= -1.0, 0.0, body))
-
-
-def bump_abs_moment():
-    """First absolute moment of the kernel; sets the smoothed peak height."""
-    return float(2.0 * bump_ramp(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +407,6 @@ def polygon(vertices: Sequence) -> Parametrization:
     return Parametrization(period=perimeter, point=point, kind="polygon",
                            meta={"corners": tuple(float(c) for c in cum[:-1]),
                                  "vertices": tuple(complex(v) for v in verts)})
-
-
-def unit_square() -> Parametrization:
-    return polygon([0.0, 1.0, 1.0 + 1.0j, 1.0j])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Geometric functionals of sampled curves: chord-arc and bilipschitz
-constants, the asymptotic-conformality defect, second differences, turning
-angles, windowed bilipschitz constants, and the branch-consistent log ratio
-of the two half-chords at a point (with its |log eps|-weighted score)."""
+constants, the asymptotic-conformality defect, second differences, the
+windowed bilipschitz constant, and the branch-consistent log ratio of the
+two half-chords at a point (with its |log eps|-weighted score)."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from .errors import (
     DegenerateGeometryError,
     DomainError,
 )
+from .operators import dyadic_levels
 
 __all__ = [
     "BranchLogValue",
@@ -25,10 +26,8 @@ __all__ = [
     "conformality_modulus",
     "second_difference",
     "omega2",
-    "turning_angle",
     "branch_log",
     "local_bilipschitz",
-    "window_speed_range",
     "eps0_gate",
     "diagnostics",
     "diagnostics_csv_rows",
@@ -211,18 +210,6 @@ def omega2(p, eps: float, x_grid):
     return float(vals[k]), float(x_grid[k])
 
 
-def turning_angle(p, x, eps: float):
-    """Unsigned angle in [0, pi] between the two chords leaving gamma(x)."""
-    if not 0.0 < eps < p.period / 2.0:
-        raise DomainError("offset must lie in (0, period/2)")
-    x = np.asarray(x, dtype=float)
-    a = p.point(x) - p.point(x - eps)
-    b = p.point(x + eps) - p.point(x)
-    if np.any(np.abs(a) < 1e-14) or np.any(np.abs(b) < 1e-14):
-        raise DegenerateGeometryError("degenerate chord in turning angle")
-    return np.abs(np.angle(b / a))
-
-
 @dataclass(frozen=True)
 class BranchLogValue:
     """Branch-consistent log ratio of the two half-chords at a point."""
@@ -248,26 +235,6 @@ def _branch_log_integral(a: complex, b: complex) -> complex:
             f"chord segment passes within {zmin:.2e} of the origin; "
             "the log branch is ambiguous here")
     return complex(adaptive_complex(lambda t: d / (a + t * d), 0.0, 1.0, tol=1e-11))
-
-
-def _branch_log_unwrapped(p, x: float, eps: float) -> complex:
-    steps = 32
-    while steps <= 16384:
-        s = eps * np.arange(1, steps + 1) / steps
-        z = p.point(np.array([x]))[0]
-        u = p.point(x + s) - z
-        v = p.point(x - s) - z
-        if np.min(np.abs(u)) < 1e-14 or np.min(np.abs(v)) < 1e-14:
-            raise DegenerateGeometryError("degenerate chord in argument unwrapping")
-        du = np.angle(u[1:] / u[:-1])
-        dv = np.angle(v[1:] / v[:-1])
-        if max(np.max(np.abs(du), initial=0.0), np.max(np.abs(dv), initial=0.0)) < 1.0:
-            base = float(np.angle(u[0] / (-v[0])))
-            imag = base + float(du.sum()) - float(dv.sum())
-            real = math.log(abs(u[-1])) - math.log(abs(v[-1]))
-            return complex(real, imag)
-        steps *= 2
-    raise BranchAmbiguityError("argument unwrapping did not stabilize")
 
 
 def branch_log(p, x: float, eps: float) -> BranchLogValue:
@@ -300,25 +267,6 @@ def local_bilipschitz(p, x0: float, eps: float, m: int = 512) -> float:
     for off, d in _offset_chords(p.point(xs), closed=False):
         worst = max(worst, float(np.max(off * step / d)))
     return worst
-
-
-def window_speed_range(p, x0: float, eps: float, m: int = 257):
-    """Extremes (c, C) of chord speed |gamma(x)-gamma(y)|/|x-y| on a window.
-
-    Odd node counts keep the window center and both endpoints on the grid,
-    so the two exact half-chords at x0 are always among the scanned pairs.
-    """
-    m = max(m, 65)
-    if m % 2 == 0:
-        m += 1
-    xs = np.linspace(x0 - eps, x0 + eps, m)
-    step = xs[1] - xs[0]
-    lo, hi = np.inf, 0.0
-    for off, d in _offset_chords(p.point(xs), closed=False):
-        ratio = d / (off * step)
-        lo = min(lo, float(ratio.min()))
-        hi = max(hi, float(ratio.max()))
-    return lo, hi
 
 
 def eps0_gate(sc, bilip: float):
@@ -376,16 +324,19 @@ def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
                 x_grid_n: int = 4096, eps0: float | None = None) -> DiagnosticsReport:
     """Assemble the standard diagnostics tables on dyadic scales.
 
+    The conformality table keeps only the levels of dyadic_levels, which
+    resolve two grid cells; the other tables take every k_min..k_max.
     eps0 is the smallness threshold the caller measured (see eps0_gate),
     reported as given; None omits its row.
     """
     cac, bil = _chord_constants(sc, with_arc=True)
     period = sc.period
+    resolved = dict(dyadic_levels(sc, 1))
     xs = period * np.arange(x_grid_n) / x_grid_n
     ac_rows, w2_rows, w2f_rows, lb_rows = [], [], [], []
     for k in range(k_min, k_max + 1):
         eps = period * 2.0 ** (-k)
-        if eps >= 2.0 * sc.spacing:
+        if k in resolved:
             ac_rows.append((k, eps, conformality_modulus(sc, bil * eps)))
         val, argx = omega2(p, eps, xs)
         w2_rows.append((k, eps, val, argx))

@@ -225,13 +225,17 @@ def decomposition_check(f: GridFunction, z_index: int, levels,
                         cfg: HarnessConfig) -> tuple:
     """Evaluate -T_eps f(z) = I + II + III by quadrature and report the
     residual, with III split further through the branch-log factor; one
-    report per level.  One evaluator pass on [f, K_{z,eps_1}, ...] gives
+    report per level.  Each level is a dyadic eps = period * 2^-k with
+    eps >= 4h.  One evaluator pass on [f, K_{z,eps_1}, ...] gives
     T f, every T_eps f(z) and every kernel transform g = T(K_{z,eps})."""
     sc = f.base
     levels = tuple(levels)
+    # eps >= 4h exactly when eps / 2 is a level of dyadic_levels
+    halves = {eps for _, eps in dyadic_levels(sc, 1)}
     for eps in levels:
-        if eps < 4.0 * sc.spacing - 1e-12:
-            raise ResolutionError("need eps >= 4h so the dilated window is resolved")
+        if eps / 2 not in halves:
+            raise ResolutionError("need a dyadic eps >= 4h so the dilated "
+                                  "window is resolved")
         if not cfg.window_fits(sc.period, eps):
             raise DomainError(f"dilated window {cfg.dilation * eps:.3g} reaches "
                               "half the period; lower eps")

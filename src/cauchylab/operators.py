@@ -25,9 +25,8 @@ antipode and the half-weight boundary nodes are separate gathers.  Every
 term is added, none subtracted, so a window that holds only a few nodes is
 as accurate as its own terms.  Besides the result the pass holds one
 accumulator of F x n per distinct cut.  pv_cauchy_all, truncated_cauchy_all
-and maximal_cauchy_all are that evaluator on a family of one; the
-single-node functions truncated_cauchy, pv_cauchy and maximal_cauchy are
-the readable oracles it is tested against.
+and maximal_cauchy_all are that evaluator on a family of one.  The
+readable single-node oracles it is tested against are in tests/oracles.py.
 
 Determinism: reruns give the same bits.  Every BLAS product reduces over a
 multiple of 8 terms (a tile's 64 rows, or a column range cut to a multiple
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,17 +52,12 @@ __all__ = [
     "GridFunction",
     "dyadic_levels",
     "KernelTransform",
-    "MaximalValue",
-    "truncated_cauchy",
-    "pv_cauchy",
     "truncated_cauchy_family",
     "cauchy_family",
     "maximal_of",
     "pv_cauchy_all",
     "truncated_cauchy_all",
-    "maximal_cauchy",
     "maximal_cauchy_all",
-    "hl_maximal",
     "hl_maximal_all",
     "hl_maximal_squared",
     "kernel_truncation_transform",
@@ -94,11 +87,6 @@ class GridFunction:
     @staticmethod
     def constant(base: SampledCurve, c: complex) -> "GridFunction":
         return GridFunction(base, np.full(base.n, complex(c)))
-
-
-class MaximalValue(NamedTuple):
-    value: float
-    eps_argmax: float
 
 
 def _unit_measure(sc: SampledCurve) -> np.ndarray:
@@ -169,22 +157,6 @@ def _outside_window(sc: SampledCurve, z_index: int, eps: float):
     return scale, dz
 
 
-def truncated_cauchy(f: GridFunction, z_index: int, eps: float) -> complex:
-    """Trapezoid sum of the eps-truncated Cauchy integral at one node."""
-    scale, dz = _outside_window(f.base, z_index, eps)
-    contrib = f.values * _unit_measure(f.base)
-    total = np.sum(contrib * scale / dz)
-    return complex(total / (1j * math.pi))
-
-
-def pv_cauchy(f: GridFunction, z_index: int) -> complex:
-    """Principal value via first-order Richardson from levels 2h and 4h."""
-    h = f.base.spacing
-    t2 = truncated_cauchy(f, z_index, 2.0 * h)
-    t4 = truncated_cauchy(f, z_index, 4.0 * h)
-    return 2.0 * t2 - t4
-
-
 def _tile_kernel(z_ext, t0: int, width: int, reach: int) -> np.ndarray:
     """Ahead half of the Cauchy kernel for the _TILE rows from node t0.
 
@@ -236,9 +208,9 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
     """Truncated transforms of a stack of functions for several windows.
 
     values has shape (F, n); entry [f, w, i] of the (F, W, n) result is
-    T_eps f at node i for eps = eps_list[w], with the conventions of
-    truncated_cauchy.  Each kernel entry 1/(z_j - z_i) is built once, for
-    the row i it lies ahead of, and serves node j as -1/(z_i - z_j).
+    T_eps f at node i for eps = eps_list[w], with the module's conventions.
+    Each kernel entry 1/(z_j - z_i) is built once, for the row i it lies
+    ahead of, and serves node j as -1/(z_i - z_j).
     """
     n = sc.n
     vals = np.asarray(values, dtype=complex)
@@ -348,29 +320,11 @@ def truncated_cauchy_all(f: GridFunction, levels) -> dict:
     return {k: row for (k, _), row in zip(levels, table)}
 
 
-def maximal_cauchy(f: GridFunction, z_index: int, levels) -> MaximalValue:
-    """Sup over the (k, eps) levels of |T_eps f| at one node."""
-    best, arg = -1.0, None
-    for _, eps in levels:
-        v = abs(truncated_cauchy(f, z_index, eps))
-        if v > best:
-            best, arg = v, eps
-    return MaximalValue(best, arg)
-
-
 def maximal_cauchy_all(f: GridFunction, levels):
     """Vectorized maximal transform: (values, argmax eps) per node."""
     table = truncated_cauchy_family(f.base, f.values[None, :],
                                     [eps for _, eps in levels])[0]
     return maximal_of(table, levels)
-
-
-def _ball_average(absvals, weights, i, m_incl):
-    n = len(absvals)
-    if m_incl >= (n - 1) // 2:
-        return float(np.sum(absvals * weights) / np.sum(weights))
-    mask = _cyclic_distance(n, i) <= m_incl
-    return float(np.sum(absvals[mask] * weights[mask]) / np.sum(weights[mask]))
 
 
 def _hl_radii(sc: SampledCurve):
@@ -379,16 +333,9 @@ def _hl_radii(sc: SampledCurve):
             for _, eps in dyadic_levels(sc, 1)] + [sc.n]
 
 
-def hl_maximal(g: GridFunction, z_index: int) -> float:
-    """Max over dyadic parametric balls of the average of |g|."""
-    sc = g.base
-    absvals = np.abs(g.values)
-    w = sc.weights
-    return max(_ball_average(absvals, w, z_index, m) for m in _hl_radii(sc))
-
-
 def hl_maximal_all(g: GridFunction) -> np.ndarray:
-    """hl_maximal at every node via circular rolling sums."""
+    """Max over dyadic parametric balls of the average of |g|, at every
+    node via circular rolling sums."""
     sc = g.base
     n = sc.n
     absvals = np.abs(g.values)

@@ -1,0 +1,124 @@
+"""Readable oracles the tests check the program against, kept out of the
+package because no program path calls them: the truncated, principal-value
+and maximal Cauchy transforms and the Hardy-Littlewood maximal function at
+one node (for the batched evaluators in cauchylab.operators), the branch
+log by continuous argument unwrapping (for geometry.branch_log), and the
+turning angle and chord-speed range of a window (for the second-difference
+tests)."""
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from cauchylab.errors import (
+    BranchAmbiguityError,
+    DegenerateGeometryError,
+    DomainError,
+)
+from cauchylab.geometry import _offset_chords
+from cauchylab.operators import (
+    GridFunction,
+    _cyclic_distance,
+    _hl_radii,
+    _outside_window,
+    _unit_measure,
+)
+
+
+class MaximalValue(NamedTuple):
+    value: float
+    eps_argmax: float
+
+
+def truncated_cauchy(f: GridFunction, z_index: int, eps: float) -> complex:
+    """Trapezoid sum of the eps-truncated Cauchy integral at one node."""
+    scale, dz = _outside_window(f.base, z_index, eps)
+    contrib = f.values * _unit_measure(f.base)
+    total = np.sum(contrib * scale / dz)
+    return complex(total / (1j * math.pi))
+
+
+def pv_cauchy(f: GridFunction, z_index: int) -> complex:
+    """Principal value via first-order Richardson from levels 2h and 4h."""
+    h = f.base.spacing
+    t2 = truncated_cauchy(f, z_index, 2.0 * h)
+    t4 = truncated_cauchy(f, z_index, 4.0 * h)
+    return 2.0 * t2 - t4
+
+
+def maximal_cauchy(f: GridFunction, z_index: int, levels) -> MaximalValue:
+    """Sup over the (k, eps) levels of |T_eps f| at one node."""
+    best, arg = -1.0, None
+    for _, eps in levels:
+        v = abs(truncated_cauchy(f, z_index, eps))
+        if v > best:
+            best, arg = v, eps
+    return MaximalValue(best, arg)
+
+
+def _ball_average(absvals, weights, i, m_incl):
+    n = len(absvals)
+    if m_incl >= (n - 1) // 2:
+        return float(np.sum(absvals * weights) / np.sum(weights))
+    mask = _cyclic_distance(n, i) <= m_incl
+    return float(np.sum(absvals[mask] * weights[mask]) / np.sum(weights[mask]))
+
+
+def hl_maximal(g: GridFunction, z_index: int) -> float:
+    """Max over dyadic parametric balls of the average of |g|."""
+    sc = g.base
+    absvals = np.abs(g.values)
+    w = sc.weights
+    return max(_ball_average(absvals, w, z_index, m) for m in _hl_radii(sc))
+
+
+def _branch_log_unwrapped(p, x: float, eps: float) -> complex:
+    steps = 32
+    while steps <= 16384:
+        s = eps * np.arange(1, steps + 1) / steps
+        z = p.point(np.array([x]))[0]
+        u = p.point(x + s) - z
+        v = p.point(x - s) - z
+        if np.min(np.abs(u)) < 1e-14 or np.min(np.abs(v)) < 1e-14:
+            raise DegenerateGeometryError("degenerate chord in argument unwrapping")
+        du = np.angle(u[1:] / u[:-1])
+        dv = np.angle(v[1:] / v[:-1])
+        if max(np.max(np.abs(du), initial=0.0), np.max(np.abs(dv), initial=0.0)) < 1.0:
+            base = float(np.angle(u[0] / (-v[0])))
+            imag = base + float(du.sum()) - float(dv.sum())
+            real = math.log(abs(u[-1])) - math.log(abs(v[-1]))
+            return complex(real, imag)
+        steps *= 2
+    raise BranchAmbiguityError("argument unwrapping did not stabilize")
+
+
+def turning_angle(p, x, eps: float):
+    """Unsigned angle in [0, pi] between the two chords leaving gamma(x)."""
+    if not 0.0 < eps < p.period / 2.0:
+        raise DomainError("offset must lie in (0, period/2)")
+    x = np.asarray(x, dtype=float)
+    a = p.point(x) - p.point(x - eps)
+    b = p.point(x + eps) - p.point(x)
+    if np.any(np.abs(a) < 1e-14) or np.any(np.abs(b) < 1e-14):
+        raise DegenerateGeometryError("degenerate chord in turning angle")
+    return np.abs(np.angle(b / a))
+
+
+def window_speed_range(p, x0: float, eps: float, m: int = 257):
+    """Extremes (c, C) of chord speed |gamma(x)-gamma(y)|/|x-y| on a window.
+
+    Odd node counts keep the window center and both endpoints on the grid,
+    so the two exact half-chords at x0 are always among the scanned pairs.
+    """
+    m = max(m, 65)
+    if m % 2 == 0:
+        m += 1
+    xs = np.linspace(x0 - eps, x0 + eps, m)
+    step = xs[1] - xs[0]
+    lo, hi = np.inf, 0.0
+    for off, d in _offset_chords(p.point(xs), closed=False):
+        ratio = d / (off * step)
+        lo = min(lo, float(ratio.min()))
+        hi = max(hi, float(ratio.max()))
+    return lo, hi

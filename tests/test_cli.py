@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from cauchylab import cli
 from cauchylab.cli import CommandInvocation, main, run
-from cauchylab.errors import NumericalGateError
+from cauchylab.errors import NumericalGateError, ResolutionError
 
 SMALL_CIRCLE = """
 [curve]
@@ -250,22 +250,58 @@ def test_decomp_makes_one_evaluator_pass(tmp_path, monkeypatch):
     assert passes == [3]
 
 
-def test_no_program_path_calls_single_node_oracles(tmp_path, monkeypatch):
-    import sys
+def test_decomp_scan_keeps_the_levels_decomposition_check_accepts(tmp_path):
+    # one 4h rule: at n = 510 the level T*2^-7 is below 4h and both drop
+    # it; at n = 512 it is exactly 4h and both keep it
+    import pytest
 
-    from cauchylab import operators
+    from cauchylab import curves, curvespec, harness
+    from cauchylab.operators import GridFunction
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a program path called a single-node oracle")
+    for n, kept in ((510, ["T*2^-5"]), (512, ["T*2^-5", "T*2^-7"])):
+        text = (SMALL_CIRCLE.replace("scans = diag,criterion", "scans = decomp")
+                .replace("n = 512", f"n = {n}"))
+        spec = _write_spec(tmp_path, text, f"c{n}.cspec")
+        out = tmp_path / f"o{n}"
+        assert run(CommandInvocation("all", str(spec), str(out))) == 0
+        rows = (out / "decomp.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[2] for row in rows] == kept
+        p = curvespec.build_from_document(curvespec.parse_spec(text))
+        sc = curves.arclength_sample(p, n)
+        cfg = harness.HarnessConfig(harness.measure_bilip(sc))
+        f = GridFunction.constant(sc, 1.0)
+        for k in (5, 7):
+            eps = sc.period * 2.0 ** (-k)
+            if f"T*2^-{k}" in kept:
+                harness.decomposition_check(f, 0, [eps], cfg)
+            else:
+                with pytest.raises(ResolutionError):
+                    harness.decomposition_check(f, 0, [eps], cfg)
+    # at n = 512 a hair below 4h fails the scan's eps >= 4h, and the check
+    # refuses it too
+    assert 4.0 * sc.spacing == sc.period * 2.0 ** (-7)
+    with pytest.raises(ResolutionError):
+        harness.decomposition_check(f, 0, [4.0 * sc.spacing * (1 - 1e-13)], cfg)
 
-    oracles = [getattr(operators, name)
-               for name in ("truncated_cauchy", "pv_cauchy", "maximal_cauchy")]
-    # rebind every cauchylab name that holds an oracle, imported ones too
-    for key, module in list(sys.modules.items()):
-        if key == "cauchylab" or key.startswith("cauchylab."):
-            for attr, value in list(vars(module).items()):
-                if any(value is oracle for oracle in oracles):
-                    monkeypatch.setattr(module, attr, refuse)
+
+def test_no_program_path_calls_single_node_oracles(tmp_path):
+    import importlib
+    import pkgutil
+
+    import cauchylab
+
+    # the oracles live in tests/oracles.py and the test-only helpers are
+    # gone, so no cauchylab module holds any of their names
+    gone = {"truncated_cauchy", "pv_cauchy", "maximal_cauchy", "MaximalValue",
+            "hl_maximal", "_ball_average", "_branch_log_unwrapped",
+            "turning_angle", "window_speed_range", "bump_abs_moment",
+            "unit_square"}
+    names = ["cauchylab"] + [f"cauchylab.{info.name}" for info in
+                             pkgutil.iter_modules(cauchylab.__path__)]
+    for key in names:
+        module = importlib.import_module(key)
+        assert not gone & set(vars(module)), key
+        assert not gone & set(getattr(module, "__all__", ())), key
     for name, text in (("circle", SMALL_CIRCLE), ("spiral", SMALL_SPIRAL)):
         spec = _write_spec(tmp_path, text, f"{name}.cspec")
         inv = CommandInvocation("all", str(spec), str(tmp_path / name),

@@ -35,7 +35,8 @@ def test_bump_norm_matches_mpmath_quadrature():
 
 
 def test_kernel_abs_moment_frozen():
-    assert abs(curves.bump_abs_moment() - ABS_MOMENT) < 1e-12
+    # the first absolute moment is twice the smoothed ramp at 0
+    assert abs(2 * curves.bump_ramp(0.0) - ABS_MOMENT) < 1e-12
 
 
 def test_corner_profile_values():
@@ -173,7 +174,7 @@ def test_circle_parametrization():
 
 
 def test_unit_square_corners():
-    sq = curves.unit_square()
+    sq = curves.polygon([0, 1, 1 + 1j, 1j])
     assert sq.period == pytest.approx(4.0)
     corners = sq.meta["corners"]
     assert corners == (0.0, 1.0, 2.0, 3.0)
@@ -227,7 +228,7 @@ def test_builtin_curve_dispatch_and_validation():
 BUILDERS = {
     "circle": lambda: curves.circle(1.0),
     "ellipse": lambda: curves.ellipse(2.0, 1.0),
-    "square": curves.unit_square,
+    "square": lambda: curves.polygon([0, 1, 1 + 1j, 1j]),
     "graph": lambda: curves.graph_closure([0.3, 0.05]),
     "spiral": lambda: curves.build_spiral(curves.SpiralSpec(depth=6)),
 }
@@ -261,7 +262,7 @@ def test_circle_sample_weights_uniform():
 
 
 def test_square_sample_total_weight():
-    sc = curves.arclength_sample(curves.unit_square(), 4096)
+    sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 4096)
     assert abs(sc.length - 4.0) < 1e-9
 
 
@@ -386,7 +387,7 @@ def test_spiral_geometric_series_bound():
 _BUILDERS = {
     "circle": lambda: curves.circle(1.0),
     "ellipse": lambda: curves.ellipse(2.0, 1.0),
-    "polygon": curves.unit_square,
+    "polygon": lambda: curves.polygon([0, 1, 1 + 1j, 1j]),
     "graph-closure": lambda: curves.graph_closure([0.3, 0.05]),
     "spiral-1": lambda: curves.build_spiral(curves.SpiralSpec(depth=1)),
     "spiral-6": lambda: curves.build_spiral(curves.SpiralSpec(depth=6)),

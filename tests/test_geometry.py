@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from cauchylab import curves, geometry
 from cauchylab.errors import (
     BranchAmbiguityError,
@@ -20,7 +21,7 @@ def circle_sc():
 
 @pytest.fixture(scope="module")
 def square_sc():
-    return curves.arclength_sample(curves.unit_square(), 2048)
+    return curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 2048)
 
 
 # -- chord-arc and bilipschitz constants -------------------------------------
@@ -119,7 +120,7 @@ def loop_local_bilipschitz(p, x0, eps, m):
 @pytest.mark.parametrize("build", [
     lambda: curves.circle(1.0),
     lambda: curves.ellipse(2.0, 1.0),
-    curves.unit_square,
+    lambda: curves.polygon([0, 1, 1 + 1j, 1j]),
     lambda: spiral6(),
 ], ids=["circle", "ellipse", "square", "spiral"])
 def test_chord_scans_bit_identical_to_loops(build):
@@ -182,7 +183,7 @@ def test_conformality_circle_closed_form():
 
 
 def test_conformality_square_corner_floor():
-    sc = curves.arclength_sample(curves.unit_square(), 4096)
+    sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 4096)
     for d in [0.4, 0.2, 0.1]:
         assert geometry.conformality_modulus(sc, d, stride=1) >= math.sqrt(2.0) - 1.0 - 1e-9
 
@@ -230,8 +231,8 @@ def spiral6():
 @pytest.mark.parametrize("build, n, d, stride", [
     (curves.circle, 1024, 0.1, 1),
     (curves.circle, 4096, 0.4, None),  # stride 5
-    (curves.unit_square, 2048, 0.1, 1),
-    (curves.unit_square, 2048, 0.3, None),  # stride 3
+    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048, 0.1, 1),
+    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048, 0.3, None),  # stride 3
     (lambda: curves.ellipse(2.0, 1.0), 1024, 0.3, None),
     (spiral6, 4096, 0.01, None),
     (spiral6, 4096, 0.3, None),
@@ -254,7 +255,7 @@ def test_conformality_hairpin_offsets_have_a_gap():
 @pytest.mark.parametrize("build, n, d, stride", [
     (curves.circle, 1024, 0.1, 1),
     (lambda: curves.ellipse(2.0, 1.0), 1024, 0.3, None),
-    (curves.unit_square, 2048, 0.3, None),
+    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048, 0.3, None),
     (spiral6, 4096, 0.01, None),
     (spiral6, 4096, 0.3, None),
     # on the hairpin at these scales a jump ends right before a qualifying
@@ -287,7 +288,7 @@ def qualifying_offsets(view, max_off, d):
 
 @pytest.mark.parametrize("build, n", [
     (curves.circle, 1024),
-    (curves.unit_square, 2048),
+    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048),
 ], ids=["circle", "square"])
 def test_offset_search_moves_on_at_near_ties(build, n):
     # the shortest chord grows with the offset on these curves, so the
@@ -321,7 +322,7 @@ def test_second_difference_circle():
 
 
 def test_second_difference_square_side_and_corner():
-    p = curves.unit_square()
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
     eps = 0.1
     assert geometry.second_difference(p, 0.5, eps) == pytest.approx(0.0, abs=1e-14)
     assert geometry.second_difference(p, 1.0, eps) == pytest.approx(
@@ -329,7 +330,7 @@ def test_second_difference_square_side_and_corner():
 
 
 def test_omega2_argmax_square():
-    p = curves.unit_square()
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
     xs = p.period * np.arange(4096) / 4096
     val, argx = geometry.omega2(p, 0.05, xs)
     assert val == pytest.approx(math.sqrt(2.0) * 0.05, abs=1e-12)
@@ -349,20 +350,20 @@ def test_omega2_upper_bound_invariant():
 def test_turning_angle_circle():
     p = curves.circle(1.0)
     for eps in [0.3, 0.01]:
-        got = geometry.turning_angle(p, np.array([0.3, 2.0]), eps)
+        got = oracles.turning_angle(p, np.array([0.3, 2.0]), eps)
         assert np.max(np.abs(got - eps)) < 1e-12
 
 
 def test_turning_angle_square():
-    p = curves.unit_square()
-    assert geometry.turning_angle(p, 0.5, 0.1) == pytest.approx(0.0, abs=1e-14)
-    assert geometry.turning_angle(p, 1.0, 0.1) == pytest.approx(math.pi / 2, abs=1e-12)
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
+    assert oracles.turning_angle(p, 0.5, 0.1) == pytest.approx(0.0, abs=1e-14)
+    assert oracles.turning_angle(p, 1.0, 0.1) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_turning_angle_domain():
     p = curves.circle(1.0)
     with pytest.raises(DomainError):
-        geometry.turning_angle(p, 0.0, 2 * math.pi)
+        oracles.turning_angle(p, 0.0, 2 * math.pi)
 
 
 # -- branch log ----------------------------------------------------------------
@@ -377,13 +378,13 @@ def test_branch_log_circle_exact():
 
 
 def test_branch_log_straight_side_zero():
-    p = curves.unit_square()
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
     val = geometry.branch_log(p, 0.5, 0.2)
     assert abs(val.value) < 1e-12
 
 
 def test_branch_log_square_corner():
-    p = curves.unit_square()
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
     for k in range(6, 11):
         eps = p.period * 2.0 ** (-k)
         val = geometry.branch_log(p, 1.0, eps)
@@ -398,7 +399,7 @@ def test_branch_log_methods_agree():
                       (curves.ellipse(2.0, 1.0), 2.0, 0.05),
                       (curves.build_spiral(curves.SpiralSpec(depth=6)), 0.9, 0.01)]:
         a = geometry.branch_log(p, x, eps)
-        b = geometry._branch_log_unwrapped(p, x, eps)
+        b = oracles._branch_log_unwrapped(p, x, eps)
         assert abs(a.value - b) < 1e-8
 
 
@@ -417,7 +418,7 @@ def test_branch_log_ambiguity_on_slit():
 # -- windowed constants ---------------------------------------------------------
 
 def test_local_bilipschitz_straight_window():
-    p = curves.unit_square()
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
     assert geometry.local_bilipschitz(p, 0.5, 0.2) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -434,12 +435,12 @@ def test_window_speed_range_rejects_coincident_points():
         period=2.0, point=lambda x: np.minimum(np.asarray(x, dtype=float), 0.5) + 0j,
         kind="polygon")
     with pytest.raises(DegenerateGeometryError):
-        geometry.window_speed_range(p, 0.5, 0.1)
+        oracles.window_speed_range(p, 0.5, 0.1)
 
 
 def test_window_speed_range_circle():
     p = curves.circle(1.0)
-    lo, hi = geometry.window_speed_range(p, 0.0, 0.4)
+    lo, hi = oracles.window_speed_range(p, 0.0, 0.4)
     assert hi <= 1.0 + 1e-12
     assert lo == pytest.approx(math.sin(0.4) / 0.4, rel=1e-4)
 
@@ -452,12 +453,12 @@ def test_cosine_bound_invariant():
               curves.build_spiral(curves.SpiralSpec(depth=6))]:
         eps = p.period / 256.0
         for x in np.linspace(0.1, p.period, 7):
-            lo, hi = geometry.window_speed_range(p, float(x), eps)
+            lo, hi = oracles.window_speed_range(p, float(x), eps)
             za = p.point(np.array([x])) - p.point(np.array([x - eps]))
             zb = p.point(np.array([x + eps])) - p.point(np.array([x]))
             amag, bmag = float(np.abs(za)[0]), float(np.abs(zb)[0])
             d2 = float(geometry.second_difference(p, np.array([x]), eps)[0])
-            ang = float(geometry.turning_angle(p, float(x), eps))
+            ang = float(oracles.turning_angle(p, float(x), eps))
             law = amag ** 2 + bmag ** 2 - 2.0 * amag * bmag * math.cos(ang)
             assert d2 ** 2 == pytest.approx(law, abs=1e-12)
             assert lo * eps - 1e-9 <= amag <= hi * eps + 1e-9
@@ -476,7 +477,7 @@ def test_eps0_gate_circle():
 
 
 def test_eps0_gate_square_is_none():
-    sc = curves.arclength_sample(curves.unit_square(), 2048)
+    sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 2048)
     assert geometry.eps0_gate(sc, 2.0) is None
 
 
@@ -515,6 +516,24 @@ def test_diagnostics_report_and_csv():
     assert rows[0] == "quantity,epsilon,value,arg_param"
     assert any(r.startswith("ac_modulus,T*2^-") for r in rows)
     assert any(r.startswith("omega2,T*2^-") for r in rows)
+
+
+def test_diagnostics_past_the_two_cell_floor():
+    # at n = 64 the floor 2h is T/32, so no level of k = 6..7 resolves: the
+    # conformality table is empty and the other tables are written as usual
+    p = curves.circle(1.0)
+    sc = curves.arclength_sample(p, 64)
+    rep = geometry.diagnostics(p, sc, k_min=6, k_max=7, x_grid_n=256)
+    assert rep.ac_table == ()
+    assert [k for k, *_ in rep.omega2_table] == [6, 7]
+    assert [k for k, *_ in rep.local_bilip_table] == [6, 7]
+    rows = geometry.diagnostics_csv_rows(rep)
+    assert not any(r.startswith("ac_modulus") for r in rows)
+    assert rows[1].startswith("chord_arc_const,,")
+    assert rows[2].startswith("bilipschitz,,")
+    assert [r.split(",")[:2] for r in rows[3:]] == [
+        ["omega2", "T*2^-6"], ["omega2", "T*2^-7"],
+        ["local_bilip", "T*2^-6"], ["local_bilip", "T*2^-7"]]
 
 
 def test_diagnostics_focus_tables_for_spiral():

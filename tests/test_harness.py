@@ -71,7 +71,7 @@ def test_adversarial_log_integral_lower_bound():
 
 
 def test_adversarial_inverse_exponent_branch():
-    sc = curves.arclength_sample(curves.unit_square(), 1024)
+    sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 1024)
     tf = harness.adversarial_indicator(sc, 2.0, n_exp=5, anchor=1.0)
     assert tf.values.sum() > 4
     lo = 2.0 ** (-5)
@@ -163,7 +163,7 @@ def test_far_field_linear_in_eps(circle_cfg):
 def test_far_field_against_explicit_log_difference():
     # straight-side window of the square: the remainder is a difference of
     # nearly-cancelling logs, computable directly from the parametrization
-    p = curves.unit_square()
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
     sc = curves.arclength_sample(p, 2048)
     cfg = harness.HarnessConfig(harness.measure_bilip(sc))
     eps = sc.period * 2.0 ** (-8)
@@ -198,7 +198,7 @@ def test_criterion_circle_bounded():
 
 
 def test_criterion_square_unbounded():
-    p = curves.unit_square()
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
     eps_list = [p.period * 2.0 ** (-k) for k in range(4, 13)]
     table = harness.criterion_scan(p, harness.default_scan_params(p, 32), eps_list)
     assert table.verdict == "unbounded"
@@ -221,6 +221,39 @@ def test_known_defect_square_sups_read_stable():
     is under the 25% stability bound, so the corner curve reads stable.
     Change this test when the rule changes."""
     assert harness.classify_ratio_trend([1.4623, 1.6094, 1.6630]) == "stable"
+
+
+def _adversarial_sups(vertices):
+    rep = harness.cotlar_ratio_scan(curves.polygon(vertices), (2048, 4096, 8192),
+                                    tags=("adversarial",))
+    return rep.verdict, [sup for _, sup in rep.aggregate]
+
+
+def test_known_defect_hexagon_sups_read_stable():
+    """Known defect, pinned as today's behaviour: the regular hexagon's
+    criterion score climbs by theta ln 2 per level and reads unbounded, but
+    its adversarial family sups at n = 2048, 4096 and 8192 (0.9983, 0.9991,
+    0.9996) barely move, so the cotlar verdict reads stable and the two
+    verdicts disagree.  Change this test when the witnesses change."""
+    r = math.sqrt(3.0) / 2.0
+    verdict, sups = _adversarial_sups(
+        [1, 0.5 + r * 1j, -0.5 + r * 1j, -1, -0.5 - r * 1j, 0.5 - r * 1j])
+    assert verdict == "stable"
+    assert sups == pytest.approx([0.9983, 0.9991, 0.9996], abs=1e-4)
+
+
+def test_known_defect_square_verdict_depends_on_side():
+    """Known defect, pinned as today's behaviour: T, T_* and M do not
+    change under dilation, yet the adversarial witnesses sit at absolute
+    arc lengths, so the unit square reads growing while the same square
+    with side 1.5 reads indeterminate (sups 1.0226, 1.0678, 1.2857 at
+    n = 2048, 4096 and 8192).  Change this test when the witnesses become
+    dilation invariant."""
+    verdict, _ = _adversarial_sups([0, 1, 1 + 1j, 1j])
+    assert verdict == "growing"
+    verdict, sups = _adversarial_sups([0, 1.5, 1.5 + 1.5j, 1.5j])
+    assert verdict == "indeterminate"
+    assert sups == pytest.approx([1.0226, 1.0678, 1.2857], abs=1e-4)
 
 
 def test_classify_ratio_trend_cases():
@@ -254,7 +287,7 @@ def test_sandwich_circle():
 
 
 def test_sandwich_straight_sides_trivial():
-    p = curves.unit_square()
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
     rep = harness.sandwich_check(p, [0.5, 2.5], [0.05, 0.01], 2.0)
     assert rep.trivial_passes == 4
     assert rep.worst_violation == 0.0

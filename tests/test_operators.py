@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from cauchylab import curves, curvespec, operators
 from cauchylab.errors import DomainError, ResolutionError
 from cauchylab.operators import GridFunction, dyadic_levels
@@ -95,13 +96,13 @@ def test_truncated_cauchy_circle_closed_form(one, circle_sc):
     for k in [3, 5, 7, 9]:
         eps = circle_sc.period * 2.0 ** (-k)
         for z in [0, 1234]:
-            got = operators.truncated_cauchy(one, z, eps)
+            got = oracles.truncated_cauchy(one, z, eps)
             assert abs(got - (1.0 - eps / math.pi)) < 1e-6
 
 
 def test_truncated_cauchy_zero_function(circle_sc):
     zero = GridFunction.constant(circle_sc, 0.0)
-    assert operators.truncated_cauchy(zero, 5, 0.3) == 0.0
+    assert oracles.truncated_cauchy(zero, 5, 0.3) == 0.0
 
 
 def test_truncated_cauchy_mpmath_oracle(circle_sc):
@@ -112,7 +113,7 @@ def test_truncated_cauchy_mpmath_oracle(circle_sc):
     sc = circle_sc
     f = GridFunction(sc, sc.points.copy())  # f(w) = w
     eps = math.pi
-    got = operators.truncated_cauchy(f, 0, eps)
+    got = oracles.truncated_cauchy(f, 0, eps)
 
     n, h = sc.n, sc.spacing
     inner = round(eps / h) - 1
@@ -134,7 +135,7 @@ def test_truncated_cauchy_mpmath_oracle(circle_sc):
 
 def test_truncated_cauchy_floor(one, circle_sc):
     with pytest.raises(ResolutionError):
-        operators.truncated_cauchy(one, 0, 0.5 * circle_sc.spacing)
+        oracles.truncated_cauchy(one, 0, 0.5 * circle_sc.spacing)
 
 
 def test_linearity_exact(circle_sc):
@@ -145,16 +146,16 @@ def test_linearity_exact(circle_sc):
                       + 1j * rng.normal(size=circle_sc.n))
     a, b = 2.5 - 1j, -0.75 + 0.25j
     combo = GridFunction(circle_sc, a * fa.values + b * fb.values)
-    lhs = operators.truncated_cauchy(combo, 17, 0.3)
-    rhs = a * operators.truncated_cauchy(fa, 17, 0.3) \
-        + b * operators.truncated_cauchy(fb, 17, 0.3)
+    lhs = oracles.truncated_cauchy(combo, 17, 0.3)
+    rhs = a * oracles.truncated_cauchy(fa, 17, 0.3) \
+        + b * oracles.truncated_cauchy(fb, 17, 0.3)
     assert abs(lhs - rhs) < 1e-12
 
 
 # -- principal value --------------------------------------------------------------
 
 def test_pv_identity_on_circle(one):
-    got = operators.pv_cauchy(one, 100)
+    got = oracles.pv_cauchy(one, 100)
     assert abs(got - 1.0) < 5e-3
 
 
@@ -168,7 +169,7 @@ def test_pv_identity_on_smooth_curves():
 
 def test_pv_zero(circle_sc):
     zero = GridFunction.constant(circle_sc, 0.0)
-    assert operators.pv_cauchy(zero, 9) == 0.0
+    assert oracles.pv_cauchy(zero, 9) == 0.0
 
 
 def test_pv_grid_doubling_oracle():
@@ -177,7 +178,7 @@ def test_pv_grid_doubling_oracle():
     for n in [1024, 2048, 4096]:
         sc = curves.arclength_sample(curves.circle(1.0), n)
         f = GridFunction(sc, sc.points.copy())
-        vals[n] = operators.pv_cauchy(f, 0)
+        vals[n] = oracles.pv_cauchy(f, 0)
     extrap = 2.0 * vals[4096] - vals[2048]
     assert abs(vals[1024] - extrap) < 1e-3
 
@@ -185,7 +186,7 @@ def test_pv_grid_doubling_oracle():
 def test_pv_all_matches_single(circle_sc, one):
     allv = operators.pv_cauchy_all(one)
     for i in [0, 77, 2048, 4095]:
-        assert abs(allv.values[i] - operators.pv_cauchy(one, i)) < 1e-13
+        assert abs(allv.values[i] - oracles.pv_cauchy(one, i)) < 1e-13
 
 
 def test_family_bits_independent_of_window_order_and_layout(circle_sc):
@@ -218,7 +219,7 @@ def _edge_windows(sc):
 def test_family_edges_match_single_node_oracle(n):
     # odd n, n off the tile size, and small n where every cut lies within
     # one tile of the antipode
-    sc = curves.arclength_sample(curves.unit_square(), n)
+    sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
     rng = np.random.default_rng(n)
     vals = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
     eps = _edge_windows(sc)
@@ -229,7 +230,7 @@ def test_family_edges_match_single_node_oracle(n):
             [0, 1, 62, 63, 64, 65, 127, 128, n // 2 - 1, n // 2, n // 2 + 1,
              n - 66, n - 65, n - 64, n - 2, n - 1], rng.integers(0, n, 8)]))
     got = operators.truncated_cauchy_family(sc, vals, eps)[:, :, nodes]
-    ref = np.array([[[operators.truncated_cauchy(GridFunction(sc, v), i, e)
+    ref = np.array([[[oracles.truncated_cauchy(GridFunction(sc, v), i, e)
                       for i in nodes] for e in eps] for v in vals])
     scale = np.abs(ref).max(axis=-1, keepdims=True)
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
@@ -256,7 +257,7 @@ def test_one_pass_builds_half_the_kernel(monkeypatch):
         return kern
 
     monkeypatch.setattr(operators, "_tile_kernel", counting)
-    sc = curves.arclength_sample(curves.unit_square(), 2048)
+    sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 2048)
     operators.cauchy_family(sc, np.ones((1, sc.n)),
                             [eps for _, eps in dyadic_levels(sc, 1)])
     assert 0 < sum(built) <= 0.55 * sc.n ** 2
@@ -264,7 +265,7 @@ def test_one_pass_builds_half_the_kernel(monkeypatch):
 
 @pytest.fixture(scope="module")
 def square_family():
-    sc = curves.arclength_sample(curves.unit_square(), 2048)
+    sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 2048)
     rng = np.random.default_rng(21)
     vals = rng.normal(size=(15, sc.n)) + 1j * rng.normal(size=(15, sc.n))
     return sc, vals
@@ -294,7 +295,7 @@ import hashlib, sys
 import numpy as np
 from cauchylab import curves, operators
 n, F = int(sys.argv[1]), int(sys.argv[2])
-sc = curves.arclength_sample(curves.unit_square(), n)
+sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
 rng = np.random.default_rng(21)
 vals = rng.normal(size=(F, sc.n)) + 1j * rng.normal(size=(F, sc.n))
 levels = operators.dyadic_levels(sc, 1)
@@ -336,7 +337,7 @@ def test_half_period_level_sums_its_outside_set(square_family):
     f = GridFunction(sc, vals[0])
     table = operators.truncated_cauchy_all(f, levels)
     for i in [0, 5, 700, 1500, 2047]:
-        ref = operators.truncated_cauchy(f, i, sc.period / 2.0)
+        ref = oracles.truncated_cauchy(f, i, sc.period / 2.0)
         assert abs(table[1][i] - ref) <= 1e-13 * abs(ref)
     chi = GridFunction(sc, (np.arange(sc.n) < sc.n // 8).astype(complex))
     table = operators.truncated_cauchy_all(chi, levels)
@@ -348,7 +349,7 @@ def test_half_period_level_sums_its_outside_set(square_family):
 
 def test_maximal_cauchy_circle_constant(one, circle_sc):
     levels = dyadic_levels(circle_sc, 4, 9)
-    got = operators.maximal_cauchy(one, 3, levels)
+    got = oracles.maximal_cauchy(one, 3, levels)
     eps_min = circle_sc.period * 2.0 ** (-9)
     assert got.value == pytest.approx(1.0 - eps_min / math.pi, abs=1e-10)
     assert got.eps_argmax == pytest.approx(eps_min)
@@ -357,14 +358,14 @@ def test_maximal_cauchy_circle_constant(one, circle_sc):
 def test_maximal_c_zero(circle_sc):
     levels = dyadic_levels(circle_sc, 4, 9)
     zero = GridFunction.constant(circle_sc, 0.0)
-    assert operators.maximal_cauchy(zero, 3, levels).value == 0.0
+    assert oracles.maximal_cauchy(zero, 3, levels).value == 0.0
 
 
 def test_maximal_grid_monotone(one, circle_sc):
     small = dyadic_levels(circle_sc, 5, 7)
     big = dyadic_levels(circle_sc, 4, 9)
-    assert operators.maximal_cauchy(one, 3, big).value >= \
-        operators.maximal_cauchy(one, 3, small).value
+    assert oracles.maximal_cauchy(one, 3, big).value >= \
+        oracles.maximal_cauchy(one, 3, small).value
 
 
 def test_maximal_argmax_scale_invariant(circle_sc):
@@ -372,8 +373,8 @@ def test_maximal_argmax_scale_invariant(circle_sc):
     f = GridFunction(circle_sc, rng.normal(size=circle_sc.n)
                      + 1j * rng.normal(size=circle_sc.n))
     levels = dyadic_levels(circle_sc, 4, 9)
-    base = operators.maximal_cauchy(f, 99, levels)
-    scaled = operators.maximal_cauchy(GridFunction(circle_sc, 7.5 * f.values),
+    base = oracles.maximal_cauchy(f, 99, levels)
+    scaled = oracles.maximal_cauchy(GridFunction(circle_sc, 7.5 * f.values),
                                       99, levels)
     assert scaled.eps_argmax == base.eps_argmax
     assert scaled.value == pytest.approx(7.5 * base.value, rel=1e-12)
@@ -383,7 +384,7 @@ def test_maximal_all_matches_single(circle_sc, one):
     levels = dyadic_levels(circle_sc, 4, 9)
     vals, args = operators.maximal_cauchy_all(one, levels)
     for i in [5, 999]:
-        single = operators.maximal_cauchy(one, i, levels)
+        single = oracles.maximal_cauchy(one, i, levels)
         assert vals[i] == pytest.approx(single.value, abs=1e-13)
         assert args[i] == pytest.approx(single.eps_argmax)
 
@@ -397,7 +398,7 @@ def test_half_period_window_antipodal_half_weight(circle_sc):
     table = operators.truncated_cauchy_all(f, levels)
     for i in [0, 41, 2048]:
         for k, eps in levels:
-            single = operators.truncated_cauchy(f, i, eps)
+            single = oracles.truncated_cauchy(f, i, eps)
             assert abs(table[k][i] - single) < 1e-13
 
 
@@ -429,7 +430,7 @@ def brute_hl(g, i):
 
 def test_hl_constant(circle_sc):
     g = GridFunction.constant(circle_sc, 3.0 - 4.0j)
-    assert operators.hl_maximal(g, 17) == pytest.approx(5.0, rel=1e-12)
+    assert oracles.hl_maximal(g, 17) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_hl_ball_indicator_center():
@@ -438,7 +439,7 @@ def test_hl_ball_indicator_center():
     dist = np.minimum(np.arange(sc.n), sc.n - np.arange(sc.n)) * sc.spacing
     ind = np.roll((dist < r0).astype(complex), 100)
     g = GridFunction(sc, ind)
-    assert operators.hl_maximal(g, 100) == pytest.approx(1.0, abs=1e-14)
+    assert oracles.hl_maximal(g, 100) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_hl_arc_indicator_bounds():
@@ -449,7 +450,7 @@ def test_hl_arc_indicator_bounds():
     vals = (np.abs((prm - 0.0 + sc.period / 2) % sc.period - sc.period / 2) < r0)
     g = GridFunction(sc, vals.astype(complex))
     i = int(round((d + 0.0) / sc.spacing))
-    got = operators.hl_maximal(g, i)
+    got = oracles.hl_maximal(g, i)
     # sup over dyadic radii only: allow a factor-2 slack under the continuum
     # value 2 r0 / (2 (r0 + d)) attained at r = r0 + d
     assert 0.5 * r0 / (r0 + d) * 0.9 <= got <= 1.0
@@ -588,7 +589,7 @@ def test_quadrature_convergence_constant_across_eps():
         for n in (512, 1024, 2048):
             sc = curves.arclength_sample(curves.circle(1.0), n)
             eps = sc.period * 2.0 ** (-k)
-            vals[n] = operators.truncated_cauchy(f_of(sc), 0, eps)
+            vals[n] = oracles.truncated_cauchy(f_of(sc), 0, eps)
         diffs[k] = [abs(vals[512] - vals[1024]) * 512,
                     abs(vals[1024] - vals[2048]) * 1024]
     ks = [d for pair in diffs.values() for d in pair]
