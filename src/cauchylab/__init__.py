@@ -1,5 +1,13 @@
 """Numerical laboratory for the maximal Cauchy integral on chord-arc curves."""
 
+import os
+
+# Before numpy loads OpenBLAS: its idle worker threads spin between the
+# evaluator's small per-tile products and add no speed; the second core goes
+# to the evaluator's kernel-building helper instead.  A value set by the user
+# is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import curves, curvespec, geometry, harness, operators
 from .errors import (
     BranchAmbiguityError,

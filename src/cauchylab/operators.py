@@ -28,19 +28,29 @@ accumulator of F x n per distinct cut.  pv_cauchy_all, truncated_cauchy_all
 and maximal_cauchy_all are that evaluator on a family of one.  The
 readable single-node oracles it is tested against are in tests/oracles.py.
 
-Determinism: reruns give the same bits.  Every BLAS product reduces over a
-multiple of 8 terms (a tile's 64 rows, or a column range cut to a multiple
-of 8 with the rest summed elementwise).  With the OpenBLAS build the tests
-run on, that made the bits the same under one and two BLAS threads at
-n = 2048, 3000, 4096 and 8192, where ragged reductions had differed; the
-test pins 2048 x 15 and 3000 x 7 functions.  It is an observation about
-that library, not a guarantee for others.  A family and a single call
-agree to 1e-13 relative (products of other shapes round differently).
+Threads: each call runs one helper thread that builds tile t+1's kernel
+while the calling thread sums tile t, so two tile kernels (about 8 MB at
+n = 8192) are live at once.  The helper only subtracts, divides and masks;
+it makes no BLAS call, and the call joins it before returning.  Importing
+cauchylab before numpy sets OPENBLAS_NUM_THREADS=1 unless it is already
+set: the per-tile products are too small for BLAS threads, which only spun.
+
+Determinism: reruns give the same bits, and which thread builds a kernel
+changes none of them, since no sum changes order.  Every BLAS product
+reduces over a multiple of 8 terms (a tile's 64 rows, or a column range
+cut to a multiple of 8 with the rest summed elementwise).  With the
+OpenBLAS build the tests run on, that made the bits the same under one
+and two BLAS threads at n = 2048, 3000, 4096 and 8192, where ragged
+reductions had differed; the test pins 2048 x 15 and 3000 x 7 functions.
+It is an observation about that library, not a guarantee for others.  A
+family and a single call agree to 1e-13 relative (products of other
+shapes round differently).
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,27 +251,35 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
     # the cuts turns these per-cut increments into values
     grow = np.zeros((len(cuts), vals.shape[0], n), dtype=complex)
     upper = np.triu(np.ones((tile, tile)))
-    for t0 in range(0, n, tile):
-        m = min(tile, n - t0)
-        kern = _tile_kernel(z_ext, t0, width, reach)
-        frame = contrib_ext[t0:t0 + width]
-        # the tile's rows as sources behind their targets: K[j, i] = -K[i, j]
-        src = -frame[:tile].T
-        src[:, m:] = 0.0  # rows past the last node wrap around; they add nothing
-        behind = src @ kern
-        hi = width
-        for k, c in enumerate(cuts):
-            lo = c + tile + 1
-            # rows r keep columns q > r + c: all of them from lo on, a
-            # triangle of the head c < q < lo
-            head = kern[:, c + 1:lo] * upper
-            ahead = _row_sums(kern, frame, lo, hi)
-            grow[k, :, t0:t0 + m] += ahead[:m].T
-            _wrap_add(grow[k], t0 + lo, behind[:, lo:hi])
-            level = out[:, by_cut[c][0]]
-            level[:, t0:t0 + m] += (head @ frame[c + 1:lo])[:m].T
-            _wrap_add(level, t0 + c + 1, src @ head)
-            hi = lo
+    # the helper builds the next tile's kernel while this thread sums the
+    # current one; it only subtracts, divides and masks, so no two threads
+    # are ever inside BLAS at once
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        next_kern = helper.submit(_tile_kernel, z_ext, 0, width, reach)
+        for t0 in range(0, n, tile):
+            m = min(tile, n - t0)
+            kern = next_kern.result()
+            if t0 + tile < n:
+                next_kern = helper.submit(_tile_kernel, z_ext, t0 + tile,
+                                          width, reach)
+            frame = contrib_ext[t0:t0 + width]
+            # the tile's rows as sources behind their targets: K[j, i] = -K[i, j]
+            src = -frame[:tile].T
+            src[:, m:] = 0.0  # rows past the last node wrap around; they add nothing
+            behind = src @ kern
+            hi = width
+            for k, c in enumerate(cuts):
+                lo = c + tile + 1
+                # rows r keep columns q > r + c: all of them from lo on, a
+                # triangle of the head c < q < lo
+                head = kern[:, c + 1:lo] * upper
+                ahead = _row_sums(kern, frame, lo, hi)
+                grow[k, :, t0:t0 + m] += ahead[:m].T
+                _wrap_add(grow[k], t0 + lo, behind[:, lo:hi])
+                level = out[:, by_cut[c][0]]
+                level[:, t0:t0 + m] += (head @ frame[c + 1:lo])[:m].T
+                _wrap_add(level, t0 + c + 1, src @ head)
+                hi = lo
     if n % 2 == 0:
         antipode = _offset_terms(sc, contrib, n // 2)
         if cuts:

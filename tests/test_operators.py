@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -247,7 +248,8 @@ def test_family_of_one_matches_family_of_two(square_family):
 
 def test_one_pass_builds_half_the_kernel(monkeypatch):
     # each entry 1/(z_j - z_i) is built once for both nodes: n^2 / 2 plus
-    # one tile of columns per tile of rows
+    # one tile of columns per tile of rows; the helper thread builds every
+    # tile's kernel exactly once, a ragged last tile included
     built = []
     tile_kernel = operators._tile_kernel
 
@@ -257,10 +259,14 @@ def test_one_pass_builds_half_the_kernel(monkeypatch):
         return kern
 
     monkeypatch.setattr(operators, "_tile_kernel", counting)
-    sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 2048)
-    operators.cauchy_family(sc, np.ones((1, sc.n)),
-                            [eps for _, eps in dyadic_levels(sc, 1)])
-    assert 0 < sum(built) <= 0.55 * sc.n ** 2
+    for n in (2048, 1001):
+        built.clear()
+        sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
+        operators.cauchy_family(sc, np.ones((1, sc.n)),
+                                [eps for _, eps in dyadic_levels(sc, 1)])
+        assert len(built) == math.ceil(n / operators._TILE), n
+        if n == 2048:
+            assert 0 < sum(built) <= 0.55 * sc.n ** 2
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +310,60 @@ sys.stdout.write(hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest())
 """
 
 
+def test_concurrent_calls_give_serial_bits(square_family):
+    # each call owns its kernel-building helper: three callers at once (six
+    # threads on a two-core box) get the bits of serial calls, and every
+    # helper is joined before its call returns
+    sc, vals = square_family
+    eps = [eps for _, eps in dyadic_levels(sc, 1)]
+    stacks = (vals[:3], vals[3:8], vals[8:])
+    serial = [operators.truncated_cauchy_family(sc, v, eps) for v in stacks]
+    start = threading.active_count()
+    got = [None] * len(stacks)
+
+    def call(i):
+        got[i] = operators.truncated_cauchy_family(sc, stacks[i], eps)
+
+    callers = [threading.Thread(target=call, args=(i,))
+               for i in range(len(stacks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == start
+    for ref, out in zip(serial, got):
+        assert out is not None and out.tobytes() == ref.tobytes()
+
+
+def _src_env(**variables):
+    """The environment with this checkout's src first on PYTHONPATH, no
+    OPENBLAS_NUM_THREADS, then the given variables."""
+    src = str(Path(operators.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(variables)
+    return env
+
+
+def test_import_defaults_to_one_blas_thread():
+    # importing cauchylab before numpy sets one OpenBLAS thread unless the
+    # user chose a count, which the digest test below relies on
+    show = "import os, cauchylab; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for given, left in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")):
+        proc = subprocess.run([sys.executable, "-c", show],
+                              env=_src_env(**given), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == left
+
+
 def test_family_bits_independent_of_blas_threads(square_family):
     # 2048 x 15 has power-of-two shapes; at 3000 x 7 the evaluator gave
     # other bits under one and two OpenBLAS threads until every BLAS
@@ -312,16 +372,13 @@ def test_family_bits_independent_of_blas_threads(square_family):
     pv, table = operators.cauchy_family(
         sc, vals, [eps for _, eps in dyadic_levels(sc, 1)])
     in_process = hashlib.sha256(pv.tobytes() + table.tobytes()).hexdigest()
-    src = str(Path(operators.__file__).resolve().parents[1])
     for n, F in ((2048, 15), (3000, 7)):
         digests = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
             proc = subprocess.run(
                 [sys.executable, "-c", _FAMILY_DIGEST, str(n), str(F)],
-                env=env, capture_output=True, text=True, timeout=120)
+                env=_src_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout)
         if n == sc.n:
