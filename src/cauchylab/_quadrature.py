@@ -1,12 +1,10 @@
-"""Small quadrature helpers: fixed Gauss-Legendre panels and an adaptive
-complex-valued rule used for the log-branch integral."""
+"""Fixed Gauss-Legendre panels for the curve builders' arc lengths."""
 
 from __future__ import annotations
 
 import numpy as np
 
 _GL16 = np.polynomial.legendre.leggauss(16)
-_GL48 = np.polynomial.legendre.leggauss(48)
 _GL96 = np.polynomial.legendre.leggauss(96)
 
 
@@ -31,21 +29,3 @@ def cumulative_gauss(f, knots, rule=_GL16):
     out[0] = 0.0
     np.cumsum(increments, out=out[1:])
     return out
-
-
-def adaptive_complex(f, a, b, tol=1e-11, _depth=0):
-    """Adaptive bisection with a GL16/GL48 error estimate, complex integrand.
-
-    f must accept an ndarray of real nodes and return complex values.
-    """
-    nodes16, w16 = _GL16
-    nodes48, w48 = _GL48
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    coarse = half * np.sum(w16 * f(mid + half * nodes16))
-    fine = half * np.sum(w48 * f(mid + half * nodes48))
-    if abs(fine - coarse) <= tol or _depth >= 24:
-        return fine
-    left = adaptive_complex(f, a, mid, tol / 2.0, _depth + 1)
-    right = adaptive_complex(f, mid, b, tol / 2.0, _depth + 1)
-    return left + right

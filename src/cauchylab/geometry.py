@@ -1,7 +1,8 @@
 """Geometric functionals of sampled curves: chord-arc and bilipschitz
 constants, the asymptotic-conformality defect, second differences, the
 windowed bilipschitz constant, and the branch-consistent log ratio of the
-two half-chords at a point (with its |log eps|-weighted score)."""
+two half-chords at a point (with its |log eps|-weighted score), in closed
+form as the principal Log of their quotient."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import adaptive_complex
 from .errors import (
     BranchAmbiguityError,
     DegenerateGeometryError,
@@ -218,40 +218,55 @@ class BranchLogValue:
     condition_score: float
 
 
-def _segment_min_distance(a: complex, d: complex) -> float:
-    """Distance from the origin to the segment {a + t d : t in [0, 1]}."""
-    dd = abs(d) ** 2
-    if dd == 0.0:
-        return abs(a)
-    t = min(max(-((a * np.conj(d)).real) / dd, 0.0), 1.0)
-    return abs(a + t * d)
+def _branch_logs(p, x, eps: float):
+    """Principal Log(b/a) at every parameter of x, where
+    a = gamma(x) - gamma(x-eps) and b = gamma(x+eps) - gamma(x), and the
+    distance from the origin to the segment [a, b] (|a| when b = a).
+
+    A segment that misses the origin subtends an angle below pi, so the
+    integral of dz/z along it is exactly Log(b/a).  Within 1e-12 of the
+    origin the branch is ambiguous and the value is nan.  With w = (b-a)/a,
+    Re = log1p(2 Re w + |w|^2) / 2 and Im = atan2(Im w, 1 + Re w) keep
+    their relative accuracy when b is close to a, where log(b / a) and
+    complex log1p lose it.
+    """
+    if not 0.0 < eps < p.period:
+        raise DomainError("offset must lie in (0, period)")
+    x = np.asarray(x, dtype=float)
+    z = p.point(x)
+    a = z - p.point(x - eps)
+    d = p.point(x + eps) - z - a
+    dd = np.abs(d) ** 2
+    t = np.clip(-(a * np.conj(d)).real / np.where(dd == 0.0, 1.0, dd), 0.0, 1.0)
+    dist = np.abs(a + t * d)
+    ok = dist > 1e-12
+    w = d[ok] / a[ok]
+    values = np.full(x.shape, complex(math.nan, math.nan))
+    values[ok] = (0.5 * np.log1p(2.0 * w.real + (w.real ** 2 + w.imag ** 2))
+                  + 1j * np.arctan2(w.imag, 1.0 + w.real))
+    return values, dist
 
 
-def _branch_log_integral(a: complex, b: complex) -> complex:
-    d = b - a
-    zmin = _segment_min_distance(a, d)
-    if zmin <= 1e-12:
-        raise BranchAmbiguityError(
-            f"chord segment passes within {zmin:.2e} of the origin; "
-            "the log branch is ambiguous here")
-    return complex(adaptive_complex(lambda t: d / (a + t * d), 0.0, 1.0, tol=1e-11))
+def _ambiguous(dist: float) -> BranchAmbiguityError:
+    return BranchAmbiguityError(
+        f"chord segment passes within {dist:.2e} of the origin; "
+        "the log branch is ambiguous here")
 
 
 def branch_log(p, x: float, eps: float) -> BranchLogValue:
     """log(gamma(x+eps)-gamma(x)) - log(gamma(x-eps)-gamma(x)) + pi*i with
     the branch fixed by continuity from eps -> 0.
 
-    Computed by quadrature of the straight-segment integral between the two
-    reflected half-chords, valid while that segment avoids the origin (else
-    BranchAmbiguityError).  The tests compare it with continuous argument
-    unwrapping along the curve (_branch_log_unwrapped).
+    The closed form of _branch_logs at one parameter: the straight-segment
+    integral between the two reflected half-chords, valid while that
+    segment avoids the origin (else BranchAmbiguityError).  The tests
+    compare it with a 40-digit log(b/a) and with continuous argument
+    unwrapping along the curve (_branch_log_unwrapped in tests/oracles.py).
     """
-    if not 0.0 < eps < p.period:
-        raise DomainError("offset must lie in (0, period)")
-    z = p.point(np.array([x]))[0]
-    a = z - p.point(np.array([x - eps]))[0]
-    b = p.point(np.array([x + eps]))[0] - z
-    val = _branch_log_integral(a, b)
+    values, dist = _branch_logs(p, [x], eps)
+    val = complex(values[0])
+    if math.isnan(val.real):
+        raise _ambiguous(float(dist[0]))
     return BranchLogValue(value=val, condition_score=abs(val) * abs(math.log(eps)))
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .curves import SampledCurve, arclength_sample
-from .errors import BranchAmbiguityError, DomainError, ResolutionError
+from .curves import SampledCurve, arclength_sample, spiral_corner_params
+from .errors import DomainError, ResolutionError
 from .operators import (
     GridFunction,
     KernelTransform,
@@ -332,8 +332,6 @@ def classify_score_profile(scores) -> str:
 def default_scan_params(p, count: int = 64) -> np.ndarray:
     """Uniform anchors plus curve landmarks (corners, focus offsets, and the
     smoothed-corner apexes of recursive curves)."""
-    from .curves import spiral_corner_params
-
     xs = [p.period * np.arange(count) / count]
     if "corners" in p.meta:
         xs.append(np.asarray(p.meta["corners"], dtype=float))
@@ -348,21 +346,18 @@ def default_scan_params(p, count: int = 64) -> np.ndarray:
 
 
 def criterion_scan(p, x_grid, eps_list) -> CriterionTable:
-    """Tabulate |F(x, eps)| |log eps| over the grids; ambiguous branches are
-    marked rather than guessed."""
+    """Tabulate |F(x, eps)| |log eps| over the grids, one curve pass per
+    eps; ambiguous branches are marked rather than guessed."""
+    xs = np.asarray(x_grid, dtype=float)
     rows = []
     profile = []
     for eps in sorted(eps_list, reverse=True):
-        best = 0.0
-        for x in np.asarray(x_grid, dtype=float):
-            try:
-                val = geometry.branch_log(p, float(x), eps)
-            except BranchAmbiguityError:
-                rows.append((float(x), eps, math.nan, False))
-                continue
-            rows.append((float(x), eps, val.condition_score, True))
-            best = max(best, val.condition_score)
-        profile.append((eps, best))
+        values, _ = geometry._branch_logs(p, xs, eps)
+        scores = np.abs(values) * abs(math.log(eps))
+        ok = ~np.isnan(scores)
+        rows += [(float(x), eps, float(s), bool(o))
+                 for x, s, o in zip(xs, scores, ok)]
+        profile.append((eps, float(scores[ok].max(initial=0.0))))
     return CriterionTable(rows=tuple(rows), profile=tuple(profile),
                           verdict=classify_score_profile([v for _, v in profile]))
 
@@ -383,13 +378,17 @@ def sandwich_check(p, x_grid, eps_list, bilip: float) -> SandwichReport:
     trivial = 0
     rows = []
     c = math.sqrt(2.0) * bilip
+    xs = np.asarray(x_grid, dtype=float)
     for eps in eps_list:
-        d2 = geometry.second_difference(p, np.asarray(x_grid, dtype=float), eps)
-        for x, dd in zip(np.asarray(x_grid, dtype=float), d2):
+        d2 = geometry.second_difference(p, xs, eps)
+        values, dist = geometry._branch_logs(p, xs, eps)
+        for x, dd, val, zmin in zip(xs, d2, values, dist):
             if dd < 1e-14:
                 trivial += 1
                 continue
-            fval = abs(geometry.branch_log(p, float(x), eps).value)
+            if np.isnan(val):
+                raise geometry._ambiguous(float(zmin))
+            fval = abs(val)
             up = fval * eps / (c * dd)
             lo = dd / (c * eps * fval)
             rows.append((float(x), eps, up, lo))

@@ -122,7 +122,7 @@ def _window_split(eps: float, h: float, n: int):
 
 
 def _check_eps(sc: SampledCurve, eps: float):
-    if eps < 2.0 * sc.spacing - 1e-12 * sc.period:
+    if eps < 2.0 * sc.spacing:
         raise ResolutionError(
             f"truncation {eps:.3e} below the floor 2h = {2 * sc.spacing:.3e}; "
             "refine the grid")

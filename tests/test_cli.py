@@ -321,20 +321,30 @@ def test_shipped_spec_files_are_valid():
         assert doc.kind in curvespec.CURVE_KINDS
 
 
-def test_known_defect_square_criterion_flips_bounded_at_k_max_13(tmp_path):
+def test_known_defect_square_criterion_flips_bounded_at_k_max_14(tmp_path):
     """Known defect, pinned as today's behaviour: the square's criterion
     score grows by a constant amount per dyadic level, so the ratio tail
-    rule stops seeing growth one level past the shipped k_max = 12 and the
-    corner curve reads bounded.  Change this test when the rule changes."""
+    rule stops seeing growth past the shipped k_max = 12 and the corner
+    curve reads bounded from k_max = 14.  At k_max = 13 the last step is
+    11/10, exactly the rule's 10% climb, so the verdict there rests on the
+    last bit of the scores and is not pinned.  Change this test when the
+    rule changes."""
     from pathlib import Path
+
+    from cauchylab import curves, harness
 
     spec = Path(__file__).resolve().parent.parent / "specs" / "square.cspec"
     verdicts = {}
-    for k_max in (12, 13):
+    for k_max in (12, 14):
         out = tmp_path / f"k{k_max}"
         inv = CommandInvocation("criterion", str(spec), str(out),
                                 overrides=(f"experiment.k_max={k_max}",))
         assert run(inv) == 0
         summary = (out / "summary.txt").read_text()
         verdicts[k_max] = summary.split("criterion verdict: ")[1].split("\n")[0]
-    assert verdicts == {12: "unbounded", 13: "bounded"}
+    assert verdicts == {12: "unbounded", 14: "bounded"}
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
+    table = harness.criterion_scan(p, harness.default_scan_params(p),
+                                   [4.0 * 2.0 ** (-k) for k in (12, 13)])
+    (_, s12), (_, s13) = table.profile
+    assert abs(s13 / s12 - 1.1) <= 1e-15

@@ -1,12 +1,13 @@
 """Tests for the geometric functionals."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from cauchylab import curves, geometry
+from cauchylab import curves, curvespec, geometry, harness
 from cauchylab.errors import (
     BranchAmbiguityError,
     DegenerateGeometryError,
@@ -394,13 +395,38 @@ def test_branch_log_square_corner():
 
 
 def test_branch_log_methods_agree():
-    # the quadrature against continuous argument unwrapping along the curve
+    # the closed form against continuous argument unwrapping along the curve
     for p, x, eps in [(curves.circle(1.0), 0.7, 0.05),
                       (curves.ellipse(2.0, 1.0), 2.0, 0.05),
                       (curves.build_spiral(curves.SpiralSpec(depth=6)), 0.9, 0.01)]:
         a = geometry.branch_log(p, x, eps)
         b = oracles._branch_log_unwrapped(p, x, eps)
         assert abs(a.value - b) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["spiral", "square", "ellipse"])
+def test_branch_log_against_mpmath_log(name):
+    # the closed form against a 40-digit Log(b/a) of the same half-chords,
+    # at every criterion scan point of the shipped spec's configured levels
+    import mpmath
+
+    spec = Path(__file__).resolve().parent.parent / "specs" / f"{name}.cspec"
+    doc = curvespec.parse_spec(spec.read_text())
+    p = curvespec.build_from_document(doc)
+    xs = harness.default_scan_params(p)
+    with mpmath.workdps(40):
+        for k in range(doc.get("experiment", "k_min"),
+                       doc.get("experiment", "k_max") + 1):
+            eps = p.period * 2.0 ** (-k)
+            values, _ = geometry._branch_logs(p, xs, eps)
+            z = p.point(xs)
+            a = z - p.point(xs - eps)
+            b = p.point(xs + eps) - z
+            for val, ai, bi in zip(values, a, b):
+                ref = mpmath.log(mpmath.mpc(bi.real, bi.imag)
+                                 / mpmath.mpc(ai.real, ai.imag))
+                err = abs(mpmath.mpc(val.real, val.imag) - ref)
+                assert err <= 1e-15 * abs(ref)
 
 
 def test_branch_log_ambiguity_on_slit():

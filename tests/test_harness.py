@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from cauchylab import curves, geometry, harness, operators
-from cauchylab.errors import DomainError, ResolutionError
+from cauchylab.errors import BranchAmbiguityError, DomainError, ResolutionError
 from cauchylab.operators import GridFunction
 
 
@@ -204,6 +204,53 @@ def test_criterion_square_unbounded():
     assert table.verdict == "unbounded"
     for eps, score in table.profile:
         assert score == pytest.approx((math.pi / 2) * abs(math.log(eps)), rel=1e-6)
+
+
+def _regular_polygon(sides):
+    return curves.polygon(np.exp(2j * math.pi * np.arange(sides) / sides))
+
+
+@pytest.mark.parametrize("sides", [3, 4, 6, 8])
+def test_criterion_corner_slope_is_theta_ln2(sides):
+    # at a corner of turning angle theta the score is theta |log eps|, so
+    # the profile climbs by exactly theta ln 2 per dyadic level
+    p = _regular_polygon(sides)
+    eps_list = [p.period * 2.0 ** (-k) for k in range(4, 13)]
+    table = harness.criterion_scan(p, harness.default_scan_params(p), eps_list)
+    scores = [v for _, v in table.profile]
+    slope = (2.0 * math.pi / sides) * math.log(2.0)
+    for lo, hi in zip(scores[:-1], scores[1:]):
+        assert abs(hi - lo - slope) <= 1e-11
+
+
+def _slit():
+    # a back-and-forth slit of period 2 folding at x = 0 and x = 1, where
+    # the two half-chords are anti-parallel and the branch is ambiguous
+    def point(x):
+        x = np.asarray(x, dtype=float)
+        return np.abs(((x + 1.0) % 2.0) - 1.0).astype(complex)
+
+    return curves.Parametrization(period=2.0, point=point, kind="polygon")
+
+
+def test_criterion_marks_ambiguous_branches():
+    table = harness.criterion_scan(_slit(), [0.0, 0.5, 1.0, 1.5], [0.125, 0.25])
+    assert [(x, eps, ok) for x, eps, _, ok in table.rows] == [
+        (x, eps, ok) for eps in (0.25, 0.125)
+        for x, ok in ((0.0, False), (0.5, True), (1.0, False), (1.5, True))]
+    for _, _, score, ok in table.rows:
+        assert score == 0.0 if ok else math.isnan(score)
+    # the folds stay out of the profile
+    assert table.profile == ((0.25, 0.0), (0.125, 0.0))
+
+
+def test_sandwich_raises_on_ambiguous_branch():
+    p = _slit()
+    with pytest.raises(BranchAmbiguityError):
+        harness.sandwich_check(p, [0.5, 0.0, 1.0], [0.25], 1.0)
+    # straight points pass trivially and never ask for the branch
+    rep = harness.sandwich_check(p, [0.5, 1.5], [0.25], 1.0)
+    assert rep.trivial_passes == 2 and rep.rows == ()
 
 
 def test_classify_score_profile_cases():

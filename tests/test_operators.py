@@ -1,5 +1,6 @@
 """Tests for the discrete transforms and maximal operators."""
 
+import ctypes
 import hashlib
 import math
 import os
@@ -86,6 +87,8 @@ def test_dyadic_levels_stop_at_the_two_cell_floor():
             deeper = len(levels) + 1
             with pytest.raises(ResolutionError):
                 operators._check_eps(sc, period * 2.0 ** (-deeper))
+            with pytest.raises(ResolutionError):
+                operators._check_eps(sc, 2.0 * sc.spacing * (1.0 - 1e-14))
             with pytest.raises(DomainError):
                 dyadic_levels(sc, deeper)
 
@@ -362,6 +365,32 @@ def test_import_defaults_to_one_blas_thread():
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == left
+
+
+def _numpy_openblas_threads():
+    """Thread count of the OpenBLAS bundled with numpy, None when neither
+    its library nor its getter is found."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy loaded
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
+def test_tests_run_with_one_blas_thread():
+    # conftest.py imports cauchylab before numpy, so this process runs the
+    # one OpenBLAS thread the command line gets, whatever the core count
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        pytest.skip("OPENBLAS_NUM_THREADS set to another count")
+    threads = _numpy_openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's OpenBLAS thread getter not found")
+    assert threads == 1
 
 
 def test_family_bits_independent_of_blas_threads(square_family):
