@@ -16,6 +16,7 @@ import click
 
 from . import __version__, curvespec, geometry, harness, operators
 from .curves import (
+    _g17,
     arclength_sample,
     patch_half_diameter,
     spiral_tail_series,
@@ -131,23 +132,22 @@ def _run_transform(state: _RunState, out: Path) -> None:
     if eps_g is not None:
         kernel = operators.truncated_kernel(sc, 0, eps_g)
         stack.append(kernel.values)
-    rows = ["node,param,quantity,epsilon,re,im"]
     pvs, tables = operators.cauchy_family(sc, stack, [eps for _, eps in levels])
-    for (k, _), t_eps in zip(levels, tables[0]):
-        rows += operators.transform_csv_rows(sc, "T_eps", t_eps,
-                                             eps_label=f"T*2^-{k}")
+    table = [("T_eps", f"T*2^-{k}", t_eps)
+             for (k, _), t_eps in zip(levels, tables[0])]
     pv = GridFunction(sc, pvs[0])
-    rows += operators.transform_csv_rows(sc, "T_pv", pv.values)
+    table.append(("T_pv", "", pv.values))
     t_star, _ = operators.maximal_of(tables[0], levels)
-    rows += operators.transform_csv_rows(sc, "T_star", t_star.astype(complex))
+    table.append(("T_star", "", t_star))
     m1 = operators.hl_maximal_all(pv)
-    rows += operators.transform_csv_rows(sc, "M", m1.astype(complex))
+    table.append(("M", "", m1))
     m2 = operators.hl_maximal_all(GridFunction(sc, m1.astype(complex)))
-    rows += operators.transform_csv_rows(sc, "M2", m2.astype(complex))
+    table.append(("M2", "", m2))
     if len(stack) > 1:
         kt = operators.KernelTransform.from_pv(0, kernel, pvs[1])
-        rows += operators.transform_csv_rows(sc, "g_z_eps", kt.values.values,
-                                             eps_label=f"T*2^-{k_g}")
+        table.append(("g_z_eps", f"T*2^-{k_g}", kt.values.values))
+    rows = ["node,param,quantity,epsilon,re,im"]
+    rows += operators.transform_csv_rows(sc, table)
     _write(out / "transform.csv", rows)
 
 
@@ -165,6 +165,16 @@ def _run_criterion(state: _RunState, out: Path) -> None:
     state.criterion_verdict = table.verdict
 
 
+def _cotlar_csv_rows(kind: str, node_ratios) -> list:
+    """cotlar.csv: a header, then one row per node of each (n, tag, ratios)
+    entry, with the curve,n,f_tag prefix built once per entry."""
+    rows = ["curve,n,f_tag,node,ratio"]
+    for n, tag, ratios in node_ratios:
+        head = f"{kind},{n},{tag},"
+        rows += [f"{head}{i},{r}" for i, r in enumerate(_g17(ratios))]
+    return rows
+
+
 def _run_cotlar(state: _RunState, out: Path) -> None:
     p = state.curve
     doc = state.doc
@@ -172,11 +182,7 @@ def _run_cotlar(state: _RunState, out: Path) -> None:
         p, doc.get("sampling", "resolutions"),
         tags=doc.get("experiment", "functions"),
         seed=doc.get("experiment", "seed"))
-    rows = ["curve,n,f_tag,node,ratio"]
-    for n, tag, ratios in report.node_ratios:
-        for i, r in enumerate(ratios):
-            rows.append(f"{p.kind},{n},{tag},{i},{r:.17g}")
-    _write(out / "cotlar.csv", rows)
+    _write(out / "cotlar.csv", _cotlar_csv_rows(p.kind, report.node_ratios))
     sup_rows = ["curve,n,f_tag,sup_ratio,arg_node,arg_param,flagged"]
     for row in report.rows:
         sup_rows.append(f"{p.kind},{row.n},{row.tag},{row.sup_ratio:.17g},"

@@ -329,14 +329,19 @@ def arclength_sample(p: Parametrization, n: int) -> SampledCurve:
                         warnings=warnings)
 
 
+def _g17(values):
+    """An iterator over the "%.17g" text of each float of an array, in
+    order: the same text as format(x, ".17g").  The CSV writers format a
+    whole column with it rather than one value per row."""
+    return map("%.17g".__mod__, values.tolist())
+
+
 def write_curve_csv(sc: SampledCurve, path):
     """Curve export: param,x,y,tx,ty,weight at 17 significant digits, LF."""
+    columns = (sc.params, sc.points.real, sc.points.imag,
+               sc.tangents.real, sc.tangents.imag, sc.weights)
     lines = ["param,x,y,tx,ty,weight"]
-    for k in range(sc.n):
-        lines.append(
-            f"{sc.params[k]:.17g},{sc.points[k].real:.17g},{sc.points[k].imag:.17g},"
-            f"{sc.tangents[k].real:.17g},{sc.tangents[k].imag:.17g},{sc.weights[k]:.17g}"
-        )
+    lines += map(",".join, zip(*map(_g17, columns)))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve
+from .curves import SampledCurve, _g17
 from .errors import DomainError, ResolutionError
 
 __all__ = [
@@ -435,11 +435,18 @@ def kernel_transform_direct_fill(kt: KernelTransform) -> np.ndarray:
     return vals
 
 
-def transform_csv_rows(sc: SampledCurve, quantity: str, values, eps_label=""):
-    """Rows node,param,quantity,epsilon,re,im for one transform quantity."""
+def transform_csv_rows(sc: SampledCurve, table):
+    """Rows node,param,quantity,epsilon,re,im of a transform table.
+
+    table is a sequence of (quantity, eps_label, values); the rows are every
+    node of its first entry, then every node of the next, and so on.  The
+    node,param prefix is formatted once per table and each entry's re and
+    im columns once each.
+    """
+    prefix = [f"{i},{x}," for i, x in enumerate(_g17(sc.params))]
     rows = []
-    for i in range(sc.n):
-        v = complex(values[i])
-        rows.append(f"{i},{sc.params[i]:.17g},{quantity},{eps_label},"
-                    f"{v.real:.17g},{v.imag:.17g}")
+    for quantity, eps_label, values in table:
+        mid = f"{quantity},{eps_label},"
+        rows += [f"{head}{mid}{re},{im}" for head, re, im
+                 in zip(prefix, _g17(values.real), _g17(values.imag))]
     return rows

@@ -4,7 +4,8 @@ and maximal Cauchy transforms and the Hardy-Littlewood maximal function at
 one node (for the batched evaluators in cauchylab.operators), the branch
 log by continuous argument unwrapping (for geometry.branch_log), and the
 turning angle and chord-speed range of a window (for the second-difference
-tests)."""
+tests), and the row-at-a-time CSV writers, one f-string per row, that the
+column-at-a-time writers must match byte for byte."""
 
 import math
 from typing import NamedTuple
@@ -122,3 +123,35 @@ def window_speed_range(p, x0: float, eps: float, m: int = 257):
         lo = min(lo, float(ratio.min()))
         hi = max(hi, float(ratio.max()))
     return lo, hi
+
+
+def transform_csv_rows(sc, quantity: str, values, eps_label=""):
+    """Rows node,param,quantity,epsilon,re,im for one transform quantity."""
+    rows = []
+    for i in range(sc.n):
+        v = complex(values[i])
+        rows.append(f"{i},{sc.params[i]:.17g},{quantity},{eps_label},"
+                    f"{v.real:.17g},{v.imag:.17g}")
+    return rows
+
+
+def write_curve_csv(sc, path):
+    """Curve export: param,x,y,tx,ty,weight at 17 significant digits, LF."""
+    lines = ["param,x,y,tx,ty,weight"]
+    for k in range(sc.n):
+        lines.append(
+            f"{sc.params[k]:.17g},{sc.points[k].real:.17g},{sc.points[k].imag:.17g},"
+            f"{sc.tangents[k].real:.17g},{sc.tangents[k].imag:.17g},{sc.weights[k]:.17g}"
+        )
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def cotlar_csv_rows(kind: str, node_ratios):
+    """cotlar.csv rows: a header, then one row per node of each
+    (n, tag, ratios) entry."""
+    rows = ["curve,n,f_tag,node,ratio"]
+    for n, tag, ratios in node_ratios:
+        for i, r in enumerate(ratios):
+            rows.append(f"{kind},{n},{tag},{i},{r:.17g}")
+    return rows

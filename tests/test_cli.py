@@ -2,9 +2,12 @@
 
 import filecmp
 
+import numpy as np
+import pytest
 from click.testing import CliRunner
 
-from cauchylab import cli
+import oracles
+from cauchylab import cli, curves, operators
 from cauchylab.cli import CommandInvocation, main, run
 from cauchylab.errors import NumericalGateError, ResolutionError
 
@@ -127,15 +130,81 @@ def test_seed_override(tmp_path):
     assert "seed = 7" in (tmp_path / "o" / "summary.txt").read_text()
 
 
-def test_byte_identical_reruns(tmp_path):
+def _rerun_names(tmp_path, overrides=()):
+    """Run the small circle twice; assert the two output directories hold
+    byte-identical files and return their names."""
     spec = _write_spec(tmp_path, SMALL_CIRCLE)
     for d in ("o1", "o2"):
-        assert run(CommandInvocation("all", str(spec), str(tmp_path / d))) == 0
+        assert run(CommandInvocation("all", str(spec), str(tmp_path / d),
+                                     overrides=overrides)) == 0
     d1, d2 = tmp_path / "o1", tmp_path / "o2"
     names = sorted(p.name for p in d1.iterdir())
     assert names == sorted(p.name for p in d2.iterdir())
     for name in names:
         assert filecmp.cmp(d1 / name, d2 / name, shallow=False), name
+    return names
+
+
+def test_byte_identical_reruns(tmp_path):
+    _rerun_names(tmp_path)
+
+
+def test_byte_identical_reruns_of_the_bulk_writers(tmp_path):
+    names = _rerun_names(
+        tmp_path, ("experiment.scans=diag,transform,criterion,cotlar",))
+    assert {"curve.csv", "transform.csv", "cotlar.csv"} <= set(names)
+
+
+# a float of each kind "%.17g" must render: signed zeros, the smallest
+# subnormal and normal, the largest double, both sides of the switches
+# between fixed and exponent notation at 1e17 and 1e-4, plain values, and
+# the non-finite ones
+_EDGE = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 1e16, 1e17, 123456789012345678.0,
+                  1e-4, 9.9999999999999991e-05, 0.1, 1 / 3, -2.5, 1.0,
+                  np.inf, np.nan])
+
+
+def _circle_512():
+    return curves.arclength_sample(curves.circle(1.0), 512)
+
+
+def _complex(re, im):
+    # set the parts directly: re + 1j * im would turn 1j * inf into nan + inf j
+    z = np.empty(re.size, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _edge_curve():
+    # every column of the curve export, and the param prefix of the
+    # transform rows, runs through the edge values with both signs
+    v = np.concatenate([_EDGE, -_EDGE])
+    return curves.SampledCurve(n=v.size, period=1.0, params=v,
+                               points=_complex(v, v[::-1]),
+                               tangents=_complex(-v[::-1], v),
+                               weights=v[::-1])
+
+
+@pytest.mark.parametrize("make_sc", [_circle_512, _edge_curve],
+                         ids=["circle-512", "edge-values"])
+def test_bulk_writers_match_row_writers_byte_for_byte(tmp_path, make_sc):
+    sc = make_sc()
+    cplx = sc.points[::-1]
+    real = sc.weights
+    table = [("T_eps", "T*2^-4", cplx), ("T_pv", "", sc.tangents),
+             ("T_star", "", real), ("M2", "", real.astype(complex))]
+    want = [row for q, label, values in table
+            for row in oracles.transform_csv_rows(sc, q, values, eps_label=label)]
+    assert operators.transform_csv_rows(sc, table) == want
+
+    curves.write_curve_csv(sc, tmp_path / "new.csv")
+    oracles.write_curve_csv(sc, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    node_ratios = [(128, "constant", real), (256, "trig:1", sc.params[::-1])]
+    assert (cli._cotlar_csv_rows("square", node_ratios)
+            == oracles.cotlar_csv_rows("square", node_ratios))
 
 
 def test_click_entry_points(tmp_path):

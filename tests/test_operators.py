@@ -659,10 +659,21 @@ def test_kernel_far_field_magnitude_bound():
 
 
 def test_transform_csv_rows(circle_sc, one):
-    rows = operators.transform_csv_rows(circle_sc, "T_pv", one.values)
+    rows = operators.transform_csv_rows(circle_sc, [("T_pv", "", one.values)])
     assert rows[0].startswith("0,0,T_pv,,1,")
     assert rows[5].startswith("5,")
     assert len(rows) == circle_sc.n
+
+
+def test_transform_csv_rows_keep_table_order(circle_sc, one):
+    # every row of the first quantity, then every row of the second
+    n = circle_sc.n
+    rows = operators.transform_csv_rows(
+        circle_sc, [("T_eps", "T*2^-4", one.values), ("M", "", np.zeros(n))])
+    assert len(rows) == 2 * n
+    assert all(r.split(",")[2:4] == ["T_eps", "T*2^-4"] for r in rows[:n])
+    assert all(r.split(",")[2:4] == ["M", ""] for r in rows[n:])
+    assert [int(r.split(",", 1)[0]) for r in rows] == 2 * list(range(n))
 
 
 def test_quadrature_convergence_constant_across_eps():
