@@ -21,6 +21,7 @@ from .curves import (
     patch_half_diameter,
     spiral_tail_series,
     write_curve_csv,
+    write_lines,
 )
 from .errors import CauchyLabError, NumericalGateError, ValidationError
 from .operators import GridFunction
@@ -56,11 +57,6 @@ class _RunState:
     cotlar_verdict: str | None = None
     first_function: GridFunction | None = None
     notes: list = field(default_factory=list)
-
-
-def _write(path: Path, lines) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _measure_constants(state: _RunState) -> None:
@@ -104,7 +100,7 @@ def _run_diag(state: _RunState, out: Path) -> None:
         k_min=max(3, doc.get("experiment", "k_min") - 1),
         k_max=doc.get("experiment", "k_max"),
         eps0=state.eps0)
-    _write(out / "diagnostics.csv", geometry.diagnostics_csv_rows(report))
+    write_lines(out / "diagnostics.csv", geometry.diagnostics_csv_rows(report))
 
 
 def _first_function(state: _RunState) -> GridFunction:
@@ -148,7 +144,7 @@ def _run_transform(state: _RunState, out: Path) -> None:
         table.append(("g_z_eps", f"T*2^-{k_g}", kt.values.values))
     rows = ["node,param,quantity,epsilon,re,im"]
     rows += operators.transform_csv_rows(sc, table)
-    _write(out / "transform.csv", rows)
+    write_lines(out / "transform.csv", rows)
 
 
 def _run_criterion(state: _RunState, out: Path) -> None:
@@ -161,7 +157,7 @@ def _run_criterion(state: _RunState, out: Path) -> None:
     for x, eps, score, ok in table.rows:
         score_txt = f"{score:.17g}" if ok else ""
         rows.append(f"{p.kind},{x:.17g},T*2^-{k_of[eps]},{score_txt},{int(ok)}")
-    _write(out / "criterion.csv", rows)
+    write_lines(out / "criterion.csv", rows)
     state.criterion_verdict = table.verdict
 
 
@@ -182,12 +178,12 @@ def _run_cotlar(state: _RunState, out: Path) -> None:
         p, doc.get("sampling", "resolutions"),
         tags=doc.get("experiment", "functions"),
         seed=doc.get("experiment", "seed"))
-    _write(out / "cotlar.csv", _cotlar_csv_rows(p.kind, report.node_ratios))
+    write_lines(out / "cotlar.csv", _cotlar_csv_rows(p.kind, report.node_ratios))
     sup_rows = ["curve,n,f_tag,sup_ratio,arg_node,arg_param,flagged"]
     for row in report.rows:
         sup_rows.append(f"{p.kind},{row.n},{row.tag},{row.sup_ratio:.17g},"
                         f"{row.arg_node},{row.arg_param:.17g},{row.flagged}")
-    _write(out / "cotlar_sup.csv", sup_rows)
+    write_lines(out / "cotlar_sup.csv", sup_rows)
     state.cotlar_verdict = report.verdict
 
 
@@ -212,7 +208,7 @@ def _run_decomp(state: _RunState, out: Path) -> None:
             f"{rep.term_iii.real:.17g},{rep.term_iii.imag:.17g},"
             f"{rep.term_iv.real:.17g},{rep.term_iv.imag:.17g},"
             f"{rep.term_v.real:.17g},{rep.term_v.imag:.17g}")
-    _write(out / "decomp.csv", rows)
+    write_lines(out / "decomp.csv", rows)
 
 
 def _run_gdecay(state: _RunState, out: Path) -> None:
@@ -225,7 +221,7 @@ def _run_gdecay(state: _RunState, out: Path) -> None:
         rep = harness.far_field_decay_check(sc, 0, eps, cfg)
         rows.append(f"{state.curve.kind},0,T*2^-{k},"
                     f"{rep.worst_ratio:.17g},{rep.decay_bound:.17g},{rep.far_nodes}")
-    _write(out / "gdecay.csv", rows)
+    write_lines(out / "gdecay.csv", rows)
 
 
 def _run_sandwich(state: _RunState, out: Path) -> None:
@@ -238,7 +234,7 @@ def _run_sandwich(state: _RunState, out: Path) -> None:
     for x, eps, up, lo in rep.rows:
         rows.append(f"{p.kind},{x:.17g},T*2^-{k_of[eps]},{up:.17g},{lo:.17g}")
     rows.append(f"{p.kind},,,{rep.worst_violation:.17g},")
-    _write(out / "sandwich.csv", rows)
+    write_lines(out / "sandwich.csv", rows)
 
 
 def _run_series(state: _RunState, out: Path) -> None:
@@ -250,7 +246,7 @@ def _run_series(state: _RunState, out: Path) -> None:
     for k in range(1, p.meta["depth"] + 1):
         r, h = spiral_tail_series(p, k)
         rows.append(f"{p.kind},{k},{patch_half_diameter(k):.17g},{r:.17g},{h:.17g}")
-    _write(out / "series.csv", rows)
+    write_lines(out / "series.csv", rows)
 
 
 def _write_summary(state: _RunState, out: Path, inv: CommandInvocation) -> None:
@@ -270,7 +266,7 @@ def _write_summary(state: _RunState, out: Path, inv: CommandInvocation) -> None:
         lines.append(f"note: {note}")
     lines += ["", "resolved spec:", ""]
     lines += curvespec.serialize_spec(state.doc).split("\n")
-    _write(out / "summary.txt", lines)
+    write_lines(out / "summary.txt", lines)
 
 
 _SCAN_RUNNERS = {

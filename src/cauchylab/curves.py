@@ -44,6 +44,7 @@ __all__ = [
     "builtin_curve",
     "arclength_sample",
     "write_curve_csv",
+    "write_lines",
 ]
 
 
@@ -342,8 +343,18 @@ def write_curve_csv(sc: SampledCurve, path):
                sc.tangents.real, sc.tangents.imag, sc.weights)
     lines = ["param,x,y,tx,ty,weight"]
     lines += map(",".join, zip(*map(_g17, columns)))
+    write_lines(path, lines)
+
+
+def write_lines(path, lines) -> None:
+    """Write a list of lines to path, each followed by LF.  The text goes
+    out joined 4096 lines at a time: a join of the whole file, and the
+    encoded copy the text file makes of it, would double the list's memory
+    (7.4 MiB twice for the transform table at n = 8192)."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for i in range(0, len(lines), 4096):
+            fh.write("\n".join(lines[i:i + 4096]))
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -34,22 +34,34 @@ __all__ = [
 ]
 
 
-def _offset_chords(pts, closed: bool = True):
-    """Yield (off, |z[i+off] - z[i]|) for every parameter offset of a grid.
+def _apart(off, d):
+    """d, once no chord in it is below 1e-12; off is the parameter offset of
+    its chords, one for all or one per chord.  Else DegenerateGeometryError
+    names the smallest offset with coincident points."""
+    bad = d < 1e-12
+    if np.any(bad):
+        off = np.broadcast_to(off, d.shape)[bad].min()
+        raise DegenerateGeometryError(
+            f"coincident points at parameter offset {off}")
+    return d
 
-    A closed grid of n nodes runs offsets 1..n//2 with indices taken mod n,
-    read from one wrapped copy; an open window runs offsets 1..m-1 over the
-    pairs inside it.  A chord below 1e-12 raises DegenerateGeometryError.
-    """
+
+def _offset_chords(pts):
+    """Yield (off, |z[i+off] - z[i]|) for every parameter offset 1..n//2 of a
+    closed grid of n nodes, with indices taken mod n, read from one wrapped
+    copy."""
     n = len(pts)
-    ext = np.concatenate([pts, pts[:n // 2]]) if closed else pts
-    for off in range(1, n // 2 + 1 if closed else n):
-        w = n if closed else n - off
-        d = np.abs(ext[off:off + w] - ext[:w])
-        if np.any(d < 1e-12):
-            raise DegenerateGeometryError(
-                f"coincident points at parameter offset {off}")
-        yield off, d
+    ext = np.concatenate([pts, pts[:n // 2]])
+    for off in range(1, n // 2 + 1):
+        yield off, _apart(off, np.abs(ext[off:off + n] - ext[:n]))
+
+
+def _window_chords(pts):
+    """(off, |z[j] - z[i]|) over the pairs i < j of an open window grid, as
+    two arrays from one pass over the pair upper triangle."""
+    i, j = np.triu_indices(len(pts), 1)
+    off = j - i
+    return off, _apart(off, np.abs(pts[j] - pts[i]))
 
 
 def _chord_constants(sc, with_arc: bool):
@@ -95,6 +107,8 @@ def bilipschitz_constant(sc) -> float:
 _ARC_FACTOR = 16.0
 # Doubles in one node block's distance table; sets the block length.
 _TABLE_SIZE = 2 ** 19
+# Relative slack of the polygonal-arc bound that prunes the detour scan.
+_ARC_SLACK = 1e-9
 
 
 def _qualifying_offsets(ext, n2: int, max_off: int, d: float) -> list:
@@ -125,15 +139,47 @@ def _qualifying_offsets(ext, n2: int, max_off: int, d: float) -> list:
     return offs
 
 
-def _detour_defects(sc, d: float, stride: int | None):
+def _arc_survivors(sel, arc, chord, bar: float):
+    """Columns of the mask sel whose chord may have a detour defect above
+    bar: those whose polygonal arc exceeds (1 + bar) chord / (1 + _ARC_SLACK).
+    Why the slack makes the others safe to skip is in _detour_defects."""
+    lim = (1.0 + bar) / (1.0 + _ARC_SLACK)
+    return np.flatnonzero(sel & (arc > lim * chord))
+
+
+def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0):
     """Running worst detour defect at chord scale d, yielded after each
-    (node block, offset) pair that holds a chord <= d.
+    node block's midpoint seeds and after each (node block, offset) pair
+    whose chords <= d are not all skipped.  A chord is skipped when it
+    provably cannot raise the running worst above max(worst, floor), so
+    the yielded value is exact once it reaches floor, and the last one is
+    the exact maximum.
 
     Nodes run in blocks of B.  For one block the table
     F[j, t] = |z[t+j] - z[t]| (j <= K, the largest offset with a chord
     <= d) is built once, and its row-skewed view G[j, t] = F[j, t-j] puts
     both legs of every detour through z[i+k] on the chord (z[i], z[i+off])
     into two plain slices: F[k, i] + G[off-k, i+off].
+
+    Pruning.  By the triangle inequality every detour of the chord is at
+    most its polygonal arc P, the sum of its off edges F[1, i+m], kept as
+    one running row over the offsets.  The running worst starts from each
+    chord's midpoint detour F[off//2, i] + G[off - off//2, i+off], a sum
+    the full scan forms with the same bits, over every offset of the
+    block.  Then _arc_survivors skips a chord c when
+    P <= (1 + bar) c / (1 + _ARC_SLACK), bar = max(worst, floor).
+    Rounding: each leg and edge is one complex subtraction and abs, within
+    a few ulps u of its exact value; the running sum of off edges is within
+    about off u of the exact P; the products, the ratio and the final
+    subtraction of 1 add a few u more.  _ARC_SLACK covers that many times
+    over for any table that fits in memory (off u is about 1e-10 at
+    off = 10^6), so a skipped chord's computed defect is at most the bar.
+
+    The surviving columns get their leg sums as a gather.  When they fill
+    more than an eighth of the block, the whole block is summed by slices
+    instead: gathering (off-1) x cols legs costs about as much as slicing
+    (off-1) x B of them once cols is 5-20% of B, and on a circle nearly
+    every column survives.
     """
     if stride is None:
         stride = max(1, int(d / (48.0 * sc.spacing)))
@@ -151,6 +197,7 @@ def _detour_defects(sc, d: float, stride: int | None):
     G = np.lib.stride_tricks.as_strided(
         F, strides=(F.strides[0] - F.strides[1], F.strides[1]), writeable=False)
     legs = np.empty((K, B))
+    arc = np.empty(B)
     worst = 0.0
     for b0 in range(0, n2, B):
         nb = min(B, n2 - b0)
@@ -158,15 +205,34 @@ def _detour_defects(sc, d: float, stride: int | None):
         e = ext[b0:b0 + w + K]
         for j in range(1, K + 1):
             np.abs(e[j:j + w] - e[:w], out=F[j, :w])
+        chords = []
         for off in offs:
             chord = F[off, :nb]
             sel = chord <= d
             if not sel.any():
                 continue
-            s = np.add(F[1:off, :nb], G[off - 1:0:-1, off:off + nb],
-                       out=legs[:off - 1, :nb])
-            ratio = s.max(axis=0)[sel] / chord[sel]
-            worst = max(worst, float(ratio.max()) - 1.0)
+            h = off // 2
+            mid = np.add(F[h, :nb], G[off - h, off:off + nb], out=legs[0, :nb])
+            mid /= chord
+            worst = max(worst, float(mid.max(where=sel, initial=0.0)) - 1.0)
+            chords.append((off, sel))
+        yield worst
+        arc[:nb] = F[1, :nb]
+        m = 1  # arc[:nb] is the polygonal arc of offset m
+        for off, sel in chords:
+            while m < off:
+                arc[:nb] += F[1, m:m + nb]
+                m += 1
+            chord = F[off, :nb]
+            cols = _arc_survivors(sel, arc[:nb], chord, max(worst, floor))
+            if not cols.size:
+                continue
+            if cols.size > nb // 8:
+                s = np.add(F[1:off, :nb], G[off - 1:0:-1, off:off + nb],
+                           out=legs[:off - 1, :nb]).max(axis=0)[cols]
+            else:
+                s = (F[1:off, cols] + G[off - 1:0:-1, off + cols]).max(axis=0)
+            worst = max(worst, float((s / chord[cols]).max()) - 1.0)
             yield worst
 
 
@@ -180,13 +246,19 @@ def conformality_modulus(sc, d: float, stride: int | None = None) -> float:
     parameter separation beyond 16 d are skipped: on a curve of chord-arc
     constant below 16 they cannot reach chords <= d.
 
+    A chord whose polygonal arc, widened by the slack _ARC_SLACK, stays
+    within (1 + running worst) times the chord is skipped: it cannot raise
+    the worst (the bound and its rounding are in _detour_defects).
+
     The value is bit-identical to a loop that forms every detour sum and
     divides it by its chord: each leg is the same complex subtraction and
     abs, max is exact, and division by a chord c > 0 is monotone under
     rounding, so max_k fl(s_k / c) == fl(max_k s_k / c).  Memory is one
-    distance table of (K+1)(B+K) doubles plus a leg buffer of K B, where K
-    is the largest offset with a chord <= d and B = max(K, 2^19 / (K+1)):
-    about 2^20 + 3 K^2 doubles at most: 8 MB plus 24 K^2 bytes at any grid size.
+    distance table of (K+1)(B+K) doubles, a leg buffer of K B, one arc row
+    of B and the gather buffers of the surviving columns (under K B / 8
+    doubles each), where K is the largest offset with a chord <= d and
+    B = max(K, 2^19 / (K+1)): about 2^21 + 4 K^2 doubles at most, 16 MB
+    plus 32 K^2 bytes at any grid size.
     """
     return max(_detour_defects(sc, d, stride), default=0.0)
 
@@ -272,16 +344,15 @@ def branch_log(p, x: float, eps: float) -> BranchLogValue:
 
 def local_bilipschitz(p, x0: float, eps: float, m: int = 512) -> float:
     """Smallest window constant C with |x-y|/C <= |gamma(x)-gamma(y)| on
-    [x0-eps, x0+eps] of a unit-speed curve, by pair scan on a window grid."""
+    [x0-eps, x0+eps] of a unit-speed curve, by one pass over the m (m-1) / 2
+    node pairs of a window grid (about 73k pairs, 2 MB, at m = 384)."""
     if eps >= p.period / 4.0:
         raise DomainError("window must be smaller than a quarter period")
     m = max(m, 256)
     xs = np.linspace(x0 - eps, x0 + eps, m)
     step = xs[1] - xs[0]
-    worst = 1.0
-    for off, d in _offset_chords(p.point(xs), closed=False):
-        worst = max(worst, float(np.max(off * step / d)))
-    return worst
+    off, d = _window_chords(p.point(xs))
+    return max(1.0, float(np.max(off * step / d)))
 
 
 def eps0_gate(sc, bilip: float):
@@ -292,6 +363,14 @@ def eps0_gate(sc, bilip: float):
     bilip*eps stays below 0.05.  A level is rejected at the first running
     defect that reaches 0.05, which the full scan would only raise.  Returns
     None when no dyadic level passes, e.g. for corner curves.
+
+    Each level runs the detour scan of conformality_modulus with the bar
+    max(running worst, 0.05): a chord whose polygonal arc, widened by the
+    slack _ARC_SLACK, stays within (1 + bar) times the chord cannot reach
+    0.05 (see _detour_defects), so it is skipped and the gate returns the
+    eps of a full scan.  Memory
+    is that of conformality_modulus: one distance table, one arc row and
+    the gather buffers of the surviving columns.
     """
     period = sc.period
     # keep at least 8 grid cells under the probed chord scale
@@ -305,7 +384,7 @@ def eps0_gate(sc, bilip: float):
             continue
         if d < 8.0 * sc.spacing:
             break
-        if all(v < 0.05 for v in _detour_defects(sc, d, None)):
+        if all(v < 0.05 for v in _detour_defects(sc, d, None, 0.05)):
             return eps
     return None
 

@@ -4,8 +4,11 @@ and maximal Cauchy transforms and the Hardy-Littlewood maximal function at
 one node (for the batched evaluators in cauchylab.operators), the branch
 log by continuous argument unwrapping (for geometry.branch_log), and the
 turning angle and chord-speed range of a window (for the second-difference
-tests), and the row-at-a-time CSV writers, one f-string per row, that the
-column-at-a-time writers must match byte for byte."""
+tests), the detour scan that forms every detour sum and the smallness gate
+that runs it on every level (for the pruned scan behind
+geometry.conformality_modulus and geometry.eps0_gate), and the row-at-a-time
+CSV writers, one f-string per row, that the column-at-a-time writers must
+match byte for byte."""
 
 import math
 from typing import NamedTuple
@@ -17,7 +20,7 @@ from cauchylab.errors import (
     DegenerateGeometryError,
     DomainError,
 )
-from cauchylab.geometry import _offset_chords
+from cauchylab.geometry import _window_chords
 from cauchylab.operators import (
     GridFunction,
     _cyclic_distance,
@@ -117,12 +120,60 @@ def window_speed_range(p, x0: float, eps: float, m: int = 257):
         m += 1
     xs = np.linspace(x0 - eps, x0 + eps, m)
     step = xs[1] - xs[0]
-    lo, hi = np.inf, 0.0
-    for off, d in _offset_chords(p.point(xs), closed=False):
-        ratio = d / (off * step)
-        lo = min(lo, float(ratio.min()))
-        hi = max(hi, float(ratio.max()))
-    return lo, hi
+    off, d = _window_chords(p.point(xs))
+    ratio = d / (off * step)
+    return float(ratio.min()), float(ratio.max())
+
+
+def loop_conformality_modulus(sc, d, stride=None):
+    """Reference scan: one detour sum per chord <= d and inner node."""
+    if stride is None:
+        stride = max(1, int(d / (48.0 * sc.spacing)))
+    view = sc.points[::stride]
+    n2 = len(view)
+    h2 = sc.spacing * stride
+    max_off = min(n2 // 2, int(math.ceil(16.0 * d / h2)) + 1)
+    worst = 0.0
+    for off in range(2, max_off + 1):
+        chord = np.abs(np.roll(view, -off) - view)
+        sel = np.nonzero(chord <= d)[0]
+        if sel.size == 0:
+            continue
+        worst = max(worst, float(loop_detour_ratios(view, off, sel).max()) - 1.0)
+    return worst
+
+
+def loop_detour_ratios(view, off, sel):
+    """Worst detour over chord, max over 0 < k < off of
+    (|z[i+k] - z[i]| + |z[i+off] - z[i+k]|) / |z[i+off] - z[i]|, for each
+    node index i in sel of the closed grid view, indices mod its length."""
+    n2 = len(view)
+    za = view[sel]
+    zb = view[(sel + off) % n2]
+    c = np.abs(zb - za)
+    best = np.zeros(len(sel))
+    for k in range(1, off):
+        zm = view[(sel + k) % n2]
+        np.maximum(best, (np.abs(zm - za) + np.abs(zb - zm)) / c, out=best)
+    return best
+
+
+def loop_eps0_gate(sc, bilip):
+    """eps0_gate's level loop with every level scanned in full by
+    loop_conformality_modulus: the largest eps = period * 2^-k whose
+    defect at chord scale bilip * eps is below 0.05, or None."""
+    pts = sc.points[::max(1, sc.n // 256)]
+    diam = float(np.abs(pts[:, None] - pts[None, :]).max())
+    for k in range(2, max(2, int(math.floor(math.log2(sc.n * bilip / 8.0)))) + 1):
+        eps = sc.period * 2.0 ** (-k)
+        d = bilip * eps
+        if d > 0.45 * diam:
+            continue
+        if d < 8.0 * sc.spacing:
+            break
+        if loop_conformality_modulus(sc, d) < 0.05:
+            return eps
+    return None
 
 
 def transform_csv_rows(sc, quantity: str, values, eps_label=""):

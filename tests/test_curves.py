@@ -314,6 +314,14 @@ def test_curve_csv_export(tmp_path):
     assert float(first[1]) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 10000])
+def test_write_lines_joins_across_its_chunks(tmp_path, count):
+    lines = [f"row{i}" for i in range(count)]
+    path = tmp_path / "rows.txt"
+    curves.write_lines(path, lines)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 # -- spiral ------------------------------------------------------------------
 
 def test_spiral_spec_validation():

@@ -142,10 +142,9 @@ def test_diagnostics_makes_one_chord_pass(monkeypatch):
     closed_passes = []
     scan = geometry._offset_chords
 
-    def counted(pts, closed=True):
-        if closed:
-            closed_passes.append(len(pts))
-        return scan(pts, closed)
+    def counted(pts):
+        closed_passes.append(len(pts))
+        return scan(pts)
 
     monkeypatch.setattr(geometry, "_offset_chords", counted)
     rep = geometry.diagnostics(p, sc, k_min=3, k_max=5, x_grid_n=256)
@@ -168,8 +167,21 @@ def test_degenerate_pair_detection():
     bad = curves.SampledCurve(n=sc.n, period=sc.period, params=sc.params,
                               points=pts, tangents=sc.tangents,
                               weights=sc.weights)
-    with pytest.raises(DegenerateGeometryError):
+    with pytest.raises(DegenerateGeometryError, match="offset 63$"):
         geometry.bilipschitz_constant(bad)
+
+
+def test_window_scan_names_the_smallest_coincident_offset():
+    # window nodes 200 and 250 repeat nodes 190 and 230
+    x0, eps, m = 0.0, 0.1, 384
+    xs = np.linspace(x0 - eps, x0 + eps, m)
+    pts = xs + 0j
+    pts[200], pts[250] = pts[190], pts[230]
+    p = curves.Parametrization(
+        period=2.0, kind="polygon",
+        point=lambda x: pts[np.rint((np.asarray(x) - xs[0]) / (xs[1] - xs[0])).astype(int)])
+    with pytest.raises(DegenerateGeometryError, match="offset 10$"):
+        geometry.local_bilipschitz(p, x0, eps, m=m)
 
 
 # -- conformality defect ------------------------------------------------------
@@ -194,31 +206,6 @@ def test_conformality_nonnegative():
     assert geometry.conformality_modulus(sc, 0.3) >= 0.0
 
 
-def loop_conformality_modulus(sc, d, stride=None):
-    """Reference scan: one detour sum per chord <= d and inner node."""
-    if stride is None:
-        stride = max(1, int(d / (48.0 * sc.spacing)))
-    view = sc.points[::stride]
-    n2 = len(view)
-    h2 = sc.spacing * stride
-    max_off = min(n2 // 2, int(math.ceil(16.0 * d / h2)) + 1)
-    worst = 0.0
-    for off in range(2, max_off + 1):
-        chord = np.abs(np.roll(view, -off) - view)
-        sel = np.nonzero(chord <= d)[0]
-        if sel.size == 0:
-            continue
-        za = view[sel]
-        zb = view[(sel + off) % n2]
-        c = chord[sel]
-        best = np.zeros(sel.size)
-        for k in range(1, off):
-            zm = view[(sel + k) % n2]
-            np.maximum(best, (np.abs(zm - za) + np.abs(zb - zm)) / c, out=best)
-        worst = max(worst, float(best.max()) - 1.0)
-    return worst
-
-
 def hairpin_polygon():
     """Rectangle with a spike from the top edge down to just above the bottom
     edge: chords <= 0.2 at short offsets and again across the pinch."""
@@ -227,6 +214,21 @@ def hairpin_polygon():
 
 def spiral6():
     return curves.build_spiral(curves.SpiralSpec(depth=6))
+
+
+def tight_corner_polygon(defect):
+    """An 11-gon whose corner at vertex 0, node 0 of every grid, turns by
+    2 acos(1 / (1 + defect)): each chord symmetric about it has detour
+    defect `defect`, and its polygonal arc equals that detour.  The other
+    ten corners share the rest of the turn (defect about 0.042 each); the
+    first two edges take the lengths that close the polygon."""
+    theta = 2.0 * math.acos(1.0 / (1.0 + defect))
+    dirs = np.exp(1j * (2.0 * math.pi - theta) / 10.0 * np.arange(11))
+    lengths = np.ones(11)
+    gap = -dirs[2:].sum()
+    lengths[:2] = np.linalg.solve([dirs[:2].real, dirs[:2].imag],
+                                  [gap.real, gap.imag])
+    return curves.polygon(np.cumsum(np.concatenate([[0.0], lengths[:-1] * dirs[:-1]])))
 
 
 @pytest.mark.parametrize("build, n, d, stride", [
@@ -238,12 +240,25 @@ def spiral6():
     (spiral6, 4096, 0.01, None),
     (spiral6, 4096, 0.3, None),
     (hairpin_polygon, 1024, 0.2, 1),
+    # the polygonal-arc bound skips over 98% of the chords of the next
+    # three: a fine ellipse scale, and the eps0 gate's levels k = 11
+    # (rejected) and 12 (accepted) on spiral6 at 2^14
+    (lambda: curves.ellipse(2.0, 1.0), 4096, 0.02, None),
+    (spiral6, 2 ** 14, 0.0042, None),
+    (spiral6, 2 ** 14, 0.0021, None),
+    # and none of this one's: only offset 2 has chords <= d, and each arc is
+    # its chord's only detour, all within rounding of the worst
+    (curves.circle, 1024, 0.015, 1),
+    # chords around a corner node, whose arcs equal their worst detours
+    (lambda: tight_corner_polygon(0.05), 1024, 0.2, 1),
 ], ids=["circle", "circle-stride", "square", "square-stride", "ellipse",
-        "spiral-fine", "spiral-coarse", "hairpin"])
+        "spiral-fine", "spiral-coarse", "hairpin", "ellipse-fine",
+        "spiral-gate-k11", "spiral-gate-k12", "circle-one-offset",
+        "tight-corner"])
 def test_conformality_bit_identical_to_loop(build, n, d, stride):
     sc = curves.arclength_sample(build(), n)
     got = geometry.conformality_modulus(sc, d, stride=stride)
-    assert got == loop_conformality_modulus(sc, d, stride=stride)
+    assert got == oracles.loop_conformality_modulus(sc, d, stride=stride)
 
 
 def test_conformality_hairpin_offsets_have_a_gap():
@@ -309,7 +324,7 @@ def test_conformality_no_qualifying_chord_is_zero():
     sc = curves.arclength_sample(curves.ellipse(2.0, 1.0), 1024)
     d = 0.5 * sc.spacing
     assert geometry.conformality_modulus(sc, d, stride=1) == 0.0
-    assert loop_conformality_modulus(sc, d, stride=1) == 0.0
+    assert oracles.loop_conformality_modulus(sc, d, stride=1) == 0.0
 
 
 # -- second differences and turning angles -----------------------------------
@@ -511,22 +526,43 @@ def test_eps0_gate_early_stop_matches_full_scans():
     p = spiral6()
     sc = curves.arclength_sample(p, 2 ** 14)
     bil = geometry.bilipschitz_constant(curves.arclength_sample(p, 2048))
-    # the gate's level loop, with every level scanned in full by the loop
-    pts = sc.points[::sc.n // 256]
-    diam = float(np.abs(pts[:, None] - pts[None, :]).max())
-    expected = None
-    for k in range(2, int(math.floor(math.log2(sc.n * bil / 8.0))) + 1):
-        eps = sc.period * 2.0 ** (-k)
-        d = bil * eps
-        if d > 0.45 * diam:
-            continue
-        if d < 8.0 * sc.spacing:
-            break
-        if loop_conformality_modulus(sc, d) < 0.05:
-            expected = eps
-            break
+    expected = oracles.loop_eps0_gate(sc, bil)
     assert expected is not None
     assert geometry.eps0_gate(sc, bil) == expected
+
+
+@pytest.mark.parametrize("offset", [-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9])
+def test_arc_bound_skips_no_chord_above_the_bar(offset):
+    # Every chord that the polygonal-arc rule of the detour scan skips at
+    # the gate's bar 0.05 has a loop defect of at most 0.05.  The chords
+    # symmetric about the corner have arcs equal to their worst detours and
+    # defects within 1e-9 of the bar, so only the rule's slack stops it from
+    # skipping those above the bar.  The midpoint seeds, which find these
+    # chords in the scan itself, play no part here.
+    sc = curves.arclength_sample(tight_corner_polygon(0.05 + offset), 1024)
+    z = sc.points
+    edges = np.abs(np.roll(z, -1) - z)
+    arc = edges.copy()
+    every = np.ones(len(z), dtype=bool)
+    for off in range(2, 33):
+        arc += np.roll(edges, 1 - off)  # the scan's running sum, in its order
+        chord = np.abs(np.roll(z, -off) - z)
+        skipped = every.copy()
+        skipped[geometry._arc_survivors(every, arc, chord, 0.05)] = False
+        defect = oracles.loop_detour_ratios(z, off, np.flatnonzero(skipped)) - 1.0
+        assert np.all(defect <= 0.05), (off, defect.max())
+
+
+@pytest.mark.parametrize("offset", [-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9])
+def test_eps0_gate_on_the_threshold_at_a_corner(offset):
+    # the corner's defect sits within 1e-9 of the 0.05 threshold, where the
+    # polygonal-arc bound is tight, on either side of it
+    sc = curves.arclength_sample(tight_corner_polygon(0.05 + offset), 1024)
+    bil = geometry.bilipschitz_constant(sc)
+    gate = geometry.eps0_gate(sc, bil)
+    assert gate == oracles.loop_eps0_gate(sc, bil)
+    if abs(offset) >= 1e-12:
+        assert (gate is None) == (offset > 0)
 
 
 def test_diagnostics_report_and_csv():
