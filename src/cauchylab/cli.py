@@ -140,8 +140,9 @@ def _run_transform(state: _RunState, out: Path) -> None:
     m2 = operators.hl_maximal_all(GridFunction(sc, m1.astype(complex)))
     table.append(("M2", "", m2))
     if len(stack) > 1:
-        kt = operators.KernelTransform.from_pv(0, kernel, pvs[1])
-        table.append(("g_z_eps", f"T*2^-{k_g}", kt.values.values))
+        g = pvs[1].copy()
+        g[operators._near_center(sc.n, 0)] = 0.0
+        table.append(("g_z_eps", f"T*2^-{k_g}", g))
     rows = ["node,param,quantity,epsilon,re,im"]
     rows += operators.transform_csv_rows(sc, table)
     write_lines(out / "transform.csv", rows)
@@ -189,7 +190,6 @@ def _run_cotlar(state: _RunState, out: Path) -> None:
 
 def _run_decomp(state: _RunState, out: Path) -> None:
     sc = state.sample
-    cfg = harness.HarnessConfig(state.bilip)
     f = _first_function(state)
     rows = ["curve,node,epsilon,residual,i_re,i_im,ii_re,ii_im,iii_re,iii_im,"
             "iv_re,iv_im,v_re,v_im"]
@@ -197,9 +197,10 @@ def _run_decomp(state: _RunState, out: Path) -> None:
     halves = {eps for _, eps in operators.dyadic_levels(sc, 1)}
     levels = [(k, sc.period * 2.0 ** (-k)) for k in (5, 7)]
     levels = [(k, eps) for k, eps in levels
-              if cfg.window_fits(sc.period, eps) and eps / 2 in halves]
-    reports = (harness.decomposition_check(f, 0, [eps for _, eps in levels], cfg)
-               if levels else ())
+              if harness.window_fits(state.bilip, sc.period, eps)
+              and eps / 2 in halves]
+    reports = (harness.decomposition_check(f, 0, [eps for _, eps in levels],
+                                           state.bilip) if levels else ())
     for (k, _), rep in zip(levels, reports):
         rows.append(
             f"{state.curve.kind},0,T*2^-{k},{rep.residual:.17g},"
@@ -213,12 +214,11 @@ def _run_decomp(state: _RunState, out: Path) -> None:
 
 def _run_gdecay(state: _RunState, out: Path) -> None:
     sc = state.sample
-    cfg = harness.HarnessConfig(state.bilip)
     rows = ["curve,node,epsilon,worst_ratio,decay_bound,far_nodes"]
     k = 6
     eps = dict(operators.dyadic_levels(sc, 1)).get(k)
-    if eps is not None and cfg.window_fits(sc.period, eps):
-        rep = harness.far_field_decay_check(sc, 0, eps, cfg)
+    if eps is not None and harness.window_fits(state.bilip, sc.period, eps):
+        rep = harness.far_field_decay_check(sc, 0, eps, state.bilip)
         rows.append(f"{state.curve.kind},0,T*2^-{k},"
                     f"{rep.worst_ratio:.17g},{rep.decay_bound:.17g},{rep.far_nodes}")
     write_lines(out / "gdecay.csv", rows)

@@ -558,10 +558,11 @@ def _piece_zones(spec: PatchSpec, ta, tb, off, mult, patch_index):
     return zones
 
 
-def _closure_loop(p_from, p_to, dir_from, dir_to, dip, reach=1.5):
-    """C2 quintic Hermite arc from p_from to p_to with the given unit end
-    directions, zero end curvature, pushed into the lower half plane."""
-    rhs = np.array([p_from, reach * dir_from, 0.0, p_to, reach * dir_to, 0.0],
+def _closure_loop(p_from, p_to, dir_from, dir_to, dip):
+    """C2 quintic Hermite arc from p_from to p_to with end velocities 1.5
+    times the given unit directions, zero end curvature, pushed into the
+    lower half plane."""
+    rhs = np.array([p_from, 1.5 * dir_from, 0.0, p_to, 1.5 * dir_to, 0.0],
                    dtype=complex)
     mat = np.zeros((6, 6))
     for k in range(6):

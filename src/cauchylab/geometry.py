@@ -1,8 +1,8 @@
 """Geometric functionals of sampled curves: chord-arc and bilipschitz
 constants, the asymptotic-conformality defect, second differences, the
 windowed bilipschitz constant, and the branch-consistent log ratio of the
-two half-chords at a point (with its |log eps|-weighted score), in closed
-form as the principal Log of their quotient."""
+two half-chords at a point, in closed form as the principal Log of their
+quotient."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from .errors import (
 from .operators import dyadic_levels
 
 __all__ = [
-    "BranchLogValue",
     "DiagnosticsReport",
     "chord_arc_constant",
     "bilipschitz_constant",
@@ -282,14 +281,6 @@ def omega2(p, eps: float, x_grid):
     return float(vals[k]), float(x_grid[k])
 
 
-@dataclass(frozen=True)
-class BranchLogValue:
-    """Branch-consistent log ratio of the two half-chords at a point."""
-
-    value: complex
-    condition_score: float
-
-
 def _branch_logs(p, x, eps: float):
     """Principal Log(b/a) at every parameter of x, where
     a = gamma(x) - gamma(x-eps) and b = gamma(x+eps) - gamma(x), and the
@@ -325,7 +316,7 @@ def _ambiguous(dist: float) -> BranchAmbiguityError:
         "the log branch is ambiguous here")
 
 
-def branch_log(p, x: float, eps: float) -> BranchLogValue:
+def branch_log(p, x: float, eps: float) -> complex:
     """log(gamma(x+eps)-gamma(x)) - log(gamma(x-eps)-gamma(x)) + pi*i with
     the branch fixed by continuity from eps -> 0.
 
@@ -339,7 +330,7 @@ def branch_log(p, x: float, eps: float) -> BranchLogValue:
     val = complex(values[0])
     if math.isnan(val.real):
         raise _ambiguous(float(dist[0]))
-    return BranchLogValue(value=val, condition_score=abs(val) * abs(math.log(eps)))
+    return val
 
 
 def local_bilipschitz(p, x0: float, eps: float, m: int = 512) -> float:

@@ -17,7 +17,7 @@ from .curves import SampledCurve, arclength_sample, spiral_corner_params
 from .errors import DomainError, ResolutionError
 from .operators import (
     GridFunction,
-    KernelTransform,
+    _near_center,
     _unit_measure,
     cauchy_family,
     dyadic_levels,
@@ -29,7 +29,6 @@ from .operators import (
 )
 
 __all__ = [
-    "HarnessConfig",
     "TestFunction",
     "DecompositionReport",
     "FarFieldDecayReport",
@@ -38,6 +37,7 @@ __all__ = [
     "CotlarReport",
     "measure_bilip",
     "required_dilation",
+    "window_fits",
     "adversarial_indicator",
     "deepest_exponent",
     "anchor_params",
@@ -68,27 +68,20 @@ def required_dilation(bilip: float) -> float:
     return max(2.0 * bilip ** 2, bilip * (bilip + 1.0))
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Measured bilipschitz constant L of one run and its dilated-window rules."""
+def window_fits(bilip: float, period: float, eps: float) -> bool:
+    """Whether the dilated window required_dilation(L) * eps stays below
+    half the period."""
+    return required_dilation(bilip) * eps < period / 2.0
 
-    bilip: float
 
-    @property
-    def dilation(self) -> float:
-        """Window dilation max(2L^2, L(L+1)) of the measured L."""
-        return required_dilation(self.bilip)
-
-    def window_fits(self, period: float, eps: float) -> bool:
-        """Whether the dilated window dilation * eps stays below half the period."""
-        return self.dilation * eps < period / 2.0
-
-    def window_margin(self, sc: SampledCurve, z_index: int, eps: float) -> np.ndarray:
-        """Parametric distance of every node from node z_index minus
-        dilation * eps: a float difference has the sign of the exact one, so
-        > 0 is exactly dist > dilation * eps and < 0 exactly dist < it."""
-        dist = _param_dist(sc.params, sc.params[z_index], sc.period)
-        return dist - self.dilation * eps
+def _window_margin(sc: SampledCurve, z_index: int, eps: float,
+                   bilip: float) -> np.ndarray:
+    """Parametric distance of every node from node z_index minus
+    required_dilation(L) * eps: a float difference has the sign of the
+    exact one, so > 0 is exactly dist > dilation * eps and < 0 exactly
+    dist < it."""
+    dist = _param_dist(sc.params, sc.params[z_index], sc.period)
+    return dist - required_dilation(bilip) * eps
 
 
 @dataclass(frozen=True)
@@ -119,11 +112,10 @@ def adversarial_indicator(sc: SampledCurve, eps: float, n_exp: int,
     h = sc.spacing
     n_nodes = int(math.floor(outer / h)) - int(math.ceil(inner / h)) + 1
     if inner >= outer or n_nodes < 4:
-        min_fit = (math.ceil(math.log(4.0 * h) / math.log(eps)) if eps < 1.0
-                   else math.floor(math.log(1.0 / (4.0 * h)) / math.log(eps)))
         raise ResolutionError(
             f"adversarial arc ({inner:.3g}, {outer:.3g}) has fewer than 4 grid "
-            f"nodes; the deepest exponent fitting this grid is n = {min_fit}")
+            "nodes; the deepest exponent fitting this grid is "
+            f"n = {deepest_exponent(sc, eps)}")
     rel = ((sc.params - anchor) % sc.period if sign >= 0
            else (anchor - sc.params) % sc.period)
     values = ((rel > inner) & (rel < outer)).astype(complex)
@@ -222,7 +214,7 @@ class DecompositionReport:
 
 
 def decomposition_check(f: GridFunction, z_index: int, levels,
-                        cfg: HarnessConfig) -> tuple:
+                        bilip: float) -> tuple:
     """Evaluate -T_eps f(z) = I + II + III by quadrature and report the
     residual, with III split further through the branch-log factor; one
     report per level.  Each level is a dyadic eps = period * 2^-k with
@@ -236,9 +228,9 @@ def decomposition_check(f: GridFunction, z_index: int, levels,
         if eps / 2 not in halves:
             raise ResolutionError("need a dyadic eps >= 4h so the dilated "
                                   "window is resolved")
-        if not cfg.window_fits(sc.period, eps):
-            raise DomainError(f"dilated window {cfg.dilation * eps:.3g} reaches "
-                              "half the period; lower eps")
+        if not window_fits(bilip, sc.period, eps):
+            raise DomainError(f"dilated window {required_dilation(bilip) * eps:.3g} "
+                              "reaches half the period; lower eps")
     kernels = [truncated_kernel(sc, z_index, eps) for eps in levels]
     pvs, tables = cauchy_family(sc, [f.values] + [k.values for k in kernels],
                                 levels)
@@ -248,9 +240,8 @@ def decomposition_check(f: GridFunction, z_index: int, levels,
     z = sc.points[z_index]
     reports = []
     for row, (eps, kernel) in enumerate(zip(levels, kernels)):
-        kt = KernelTransform.from_pv(z_index, kernel, pvs[1 + row])
-        gvals = kernel_transform_direct_fill(kt)
-        inball = cfg.window_margin(sc, z_index, eps) < 0.0
+        gvals = kernel_transform_direct_fill(kernel, z_index, pvs[1 + row])
+        inball = _window_margin(sc, z_index, eps, bilip) < 0.0
         mean_ball = np.sum(gvals[inball] * mu[inball]) / np.sum(mu[inball])
         term_i = np.sum(tf[inball] * (gvals[inball] - mean_ball) * dw[inball])
         term_ii = mean_ball * np.sum(tf[inball] * dw[inball])
@@ -259,12 +250,12 @@ def decomposition_check(f: GridFunction, z_index: int, levels,
         residual = abs(tables[0, row, z_index] + term_i + term_ii + term_iii)
         branch = geometry.branch_log(sc.source, float(sc.params[z_index]), eps)
         term_iv = np.sum(tf[out] / (z - sc.points[out]) * dw[out]) / math.pi ** 2
-        term_v = term_iii - branch.value * term_iv
+        term_v = term_iii - branch * term_iv
         reports.append(DecompositionReport(
             z_index=z_index, eps=eps, term_i=complex(term_i),
             term_ii=complex(term_ii), term_iii=complex(term_iii),
             term_iv=complex(term_iv),
-            term_v=complex(term_v), branch_value=branch.value,
+            term_v=complex(term_v), branch_value=branch,
             residual=float(residual)))
     return tuple(reports)
 
@@ -281,21 +272,22 @@ class FarFieldDecayReport:
 
 
 def far_field_decay_check(sc: SampledCurve, z_index: int, eps: float,
-                          cfg: HarnessConfig) -> FarFieldDecayReport:
+                          bilip: float) -> FarFieldDecayReport:
     """Measure the far-field remainder of the kernel transform against its
-    linear-in-eps decay bound 4L."""
-    kt = kernel_truncation_transform(sc, z_index, eps)
-    far = (cfg.window_margin(sc, z_index, eps) > 0.0) & kt.valid
+    linear-in-eps decay bound 4L, away from the nodes within 2h of z where
+    the transform is unevaluated."""
+    g = kernel_truncation_transform(sc, z_index, eps)
+    far = ((_window_margin(sc, z_index, eps, bilip) > 0.0)
+           & ~_near_center(sc.n, z_index))
     if not far.any():
         raise DomainError("dilated window swallowed the whole curve")
     branch = geometry.branch_log(sc.source, float(sc.params[z_index]), eps)
     z = sc.points[z_index]
-    g_far = kt.values.values[far]
-    remainder = math.pi ** 2 * (z - sc.points[far]) * g_far - branch.value
+    remainder = math.pi ** 2 * (z - sc.points[far]) * g[far] - branch
     ratio = np.abs(remainder) * np.abs(z - sc.points[far]) / eps
     return FarFieldDecayReport(z_index=z_index, eps=eps,
                                worst_ratio=float(ratio.max()),
-                               decay_bound=4.0 * cfg.bilip,
+                               decay_bound=4.0 * bilip,
                                far_nodes=int(far.sum()))
 
 
@@ -308,6 +300,14 @@ class CriterionTable:
     verdict: str
 
 
+def _climbs(values) -> bool:
+    """Whether the last three values each climb at least 10% over the one
+    before, from a positive start."""
+    tail = values[-3:]
+    return len(tail) == 3 and all(b >= 1.10 * a > 0.0
+                                  for a, b in zip(tail[:-1], tail[1:]))
+
+
 def classify_score_profile(scores) -> str:
     """Trend verdict for a score profile ordered by decreasing scale.
 
@@ -318,8 +318,7 @@ def classify_score_profile(scores) -> str:
     s = [float(v) for v in scores]
     if len(s) < 3:
         return "indeterminate"
-    tail = s[-3:]
-    if all(b >= 1.10 * a > 0.0 for a, b in zip(tail[:-1], tail[1:])):
+    if _climbs(s):
         return "unbounded"
     lower = s[len(s) // 2:]
     if all(b <= a + 1e-12 for a, b in zip(lower[:-1], lower[1:])):
@@ -419,7 +418,7 @@ class CotlarReport:
 
 def classify_ratio_trend(sups) -> str:
     s = [float(v) for v in sups]
-    if len(s) >= 3 and all(b >= 1.10 * a > 0.0 for a, b in zip(s[-3:-1], s[-2:])):
+    if _climbs(s):
         return "growing"
     if len(s) >= 2 and min(s) > 0.0 and (max(s) - min(s)) / min(s) < 0.25:
         return "stable"

@@ -7,7 +7,10 @@ interval of radius eps), nodes exactly on the exclusion boundary carry half
 weight in Cauchy sums, and the complex measure at a node is its unit chord
 tangent times its arc weight.  The truncation levels are dyadic, (k,
 eps_k = period * 2^-k) from k_min down to the two-cell floor 2h, and
-dyadic_levels alone produces them.
+dyadic_levels alone produces them.  The kernel transform g = T(K_{z,eps})
+of the truncated kernel is a plain array: kernel_truncation_transform
+leaves it 0 at the nodes within 2h of z, kernel_transform_direct_fill
+fills them by trapezoid sums, and _near_center alone marks them.
 
 One evaluator, truncated_cauchy_family, computes every all-nodes Cauchy
 sum: a stack of F functions times a list of windows.  The kernel is
@@ -61,7 +64,6 @@ from .errors import DomainError, ResolutionError
 __all__ = [
     "GridFunction",
     "dyadic_levels",
-    "KernelTransform",
     "truncated_cauchy_family",
     "cauchy_family",
     "maximal_of",
@@ -380,30 +382,6 @@ def hl_maximal_squared(g: GridFunction) -> GridFunction:
     return GridFunction(g.base, hl_maximal_all(once).astype(complex))
 
 
-@dataclass(frozen=True)
-class KernelTransform:
-    """g = T(K) for a truncated kernel K, with near-center validity mask."""
-
-    kernel: GridFunction
-    values: GridFunction
-    valid: np.ndarray
-
-    @staticmethod
-    def from_pv(center: int, kernel: GridFunction, pv) -> "KernelTransform":
-        """The transform given the principal values pv of kernel, the
-        truncated kernel at node center.
-
-        Nodes within 2h of the center are marked unevaluated (mask False,
-        value 0): the Richardson rule is not meaningful that close to the
-        excluded ball.
-        """
-        sc = kernel.base
-        valid = _cyclic_distance(sc.n, center) > 2
-        return KernelTransform(kernel=kernel,
-                               values=GridFunction(sc, np.where(valid, pv, 0.0)),
-                               valid=valid)
-
-
 def truncated_kernel(sc: SampledCurve, z_index: int, eps: float) -> GridFunction:
     """The Cauchy kernel at z, zeroed on the parametric eps-ball (half at
     the exact boundary)."""
@@ -411,22 +389,32 @@ def truncated_kernel(sc: SampledCurve, z_index: int, eps: float) -> GridFunction
     return GridFunction(sc, scale / (1j * math.pi * dz))
 
 
-def kernel_truncation_transform(sc: SampledCurve, z_index: int, eps: float) -> KernelTransform:
-    """Apply the principal-value transform to the truncated kernel."""
-    kernel = truncated_kernel(sc, z_index, eps)
-    return KernelTransform.from_pv(z_index, kernel, pv_cauchy_all(kernel).values)
+def _near_center(n: int, center: int) -> np.ndarray:
+    """Nodes within 2h of node center, where g = T(K_{z,eps}) is left
+    unevaluated: the Richardson rule is not meaningful that close to the
+    excluded ball."""
+    return _cyclic_distance(n, center) <= 2
 
 
-def kernel_transform_direct_fill(kt: KernelTransform) -> np.ndarray:
-    """Values with the near-center nodes filled by plain trapezoid sums.
+def kernel_truncation_transform(sc: SampledCurve, z_index: int, eps: float) -> np.ndarray:
+    """g = T(K) for the truncated kernel K at z_index, with 0 at the nodes
+    within 2h of z_index."""
+    pv = pv_cauchy_all(truncated_kernel(sc, z_index, eps)).values
+    return np.where(_near_center(sc.n, z_index), 0.0, pv)
+
+
+def kernel_transform_direct_fill(kernel: GridFunction, center: int,
+                                 pv: np.ndarray) -> np.ndarray:
+    """g = T(K) from the principal values pv of the truncated kernel K at
+    node center, with the nodes within 2h of it filled by plain trapezoid sums.
 
     The kernel vanishes identically near those nodes, so the full sum has
     no singular part there and needs no principal-value treatment.
     """
-    sc = kt.kernel.base
-    vals = kt.values.values.copy()
-    contrib = kt.kernel.values * _unit_measure(sc)
-    for i in np.nonzero(~kt.valid)[0]:
+    sc = kernel.base
+    vals = pv.copy()
+    contrib = kernel.values * _unit_measure(sc)
+    for i in np.nonzero(_near_center(sc.n, center))[0]:
         dz = sc.points - sc.points[i]
         dz[i] = 1.0
         c = contrib / dz

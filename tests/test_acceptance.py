@@ -146,7 +146,7 @@ def test_acceptance_02_branch_log(circle):
     for eps in (0.1, 0.01):
         for x in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
             val = geometry.branch_log(circle, float(x), eps)
-            worst = max(worst, abs(val.value - 1j * eps))
+            worst = max(worst, abs(val - 1j * eps))
     assert worst <= 1e-6
     return f"max |F - i eps| = {worst:.2e}"
 
@@ -154,14 +154,19 @@ def test_acceptance_02_branch_log(circle):
 @criterion(3, "corner detection: |F| = pi/2 and unbounded criterion")
 def test_acceptance_03_corner_detection(square):
     period = square.period
+    corners = square.meta["corners"]
     worst = 0.0
-    for corner in square.meta["corners"]:
-        for k in range(6, 11):
-            eps = period * 2.0 ** (-k)
+    for k in range(6, 11):
+        eps = period * 2.0 ** (-k)
+        for corner in corners:
             val = geometry.branch_log(square, float(corner), eps)
-            worst = max(worst, abs(abs(val.value) - math.pi / 2))
-            assert val.condition_score == pytest.approx(
-                (math.pi / 2) * abs(math.log(eps)), rel=1e-9)
+            worst = max(worst, abs(abs(val) - math.pi / 2))
+        rows = harness.criterion_scan(square, corners, [eps]).rows
+        assert len(rows) == len(corners)
+        for _, _, score, ok in rows:
+            assert ok
+            assert score == pytest.approx((math.pi / 2) * abs(math.log(eps)),
+                                          rel=1e-9)
     assert worst <= 1e-6
     eps_list = [period * 2.0 ** (-k) for k in range(4, 13)]
     table = harness.criterion_scan(square, harness.default_scan_params(square),
@@ -210,9 +215,9 @@ def test_acceptance_05_sandwich(circle, spiral10):
 
 @criterion(6, "far-field decay within 4L + 0.5 on the circle")
 def test_acceptance_06_far_field(circle4096):
-    cfg = harness.HarnessConfig(harness.measure_bilip(circle4096))
     eps = circle4096.period * 2.0 ** (-6)
-    rep = harness.far_field_decay_check(circle4096, 0, eps, cfg)
+    rep = harness.far_field_decay_check(circle4096, 0, eps,
+                                        harness.measure_bilip(circle4096))
     assert rep.worst_ratio <= rep.decay_bound + 0.5
     return f"worst {rep.worst_ratio:.3f} vs bound {rep.decay_bound + 0.5:.3f}"
 
@@ -222,7 +227,6 @@ def test_acceptance_07_decomposition(circle):
     residuals = {}
     for n in (4096, 8192):
         sc = curves.arclength_sample(circle, n)
-        cfg = harness.HarnessConfig(bilip=math.pi / 2)
         fns = {
             "constant": np.ones(n, dtype=complex),
             "trig3": np.exp(2j * math.pi * 3 * sc.params / sc.period),
@@ -230,7 +234,7 @@ def test_acceptance_07_decomposition(circle):
         levels = [sc.period * 2.0 ** (-k) for k in (5, 7)]
         for tag, values in fns.items():
             reps = harness.decomposition_check(GridFunction(sc, values), 0,
-                                               levels, cfg)
+                                               levels, math.pi / 2)
             for k, rep in zip((5, 7), reps):
                 residuals[(tag, k, n)] = rep.residual
     details = []

@@ -337,20 +337,20 @@ def test_decomp_scan_keeps_the_levels_decomposition_check_accepts(tmp_path):
         assert [row.split(",")[2] for row in rows] == kept
         p = curvespec.build_from_document(curvespec.parse_spec(text))
         sc = curves.arclength_sample(p, n)
-        cfg = harness.HarnessConfig(harness.measure_bilip(sc))
+        bilip = harness.measure_bilip(sc)
         f = GridFunction.constant(sc, 1.0)
         for k in (5, 7):
             eps = sc.period * 2.0 ** (-k)
             if f"T*2^-{k}" in kept:
-                harness.decomposition_check(f, 0, [eps], cfg)
+                harness.decomposition_check(f, 0, [eps], bilip)
             else:
                 with pytest.raises(ResolutionError):
-                    harness.decomposition_check(f, 0, [eps], cfg)
+                    harness.decomposition_check(f, 0, [eps], bilip)
     # at n = 512 a hair below 4h fails the scan's eps >= 4h, and the check
     # refuses it too
     assert 4.0 * sc.spacing == sc.period * 2.0 ** (-7)
     with pytest.raises(ResolutionError):
-        harness.decomposition_check(f, 0, [4.0 * sc.spacing * (1 - 1e-13)], cfg)
+        harness.decomposition_check(f, 0, [4.0 * sc.spacing * (1 - 1e-13)], bilip)
 
 
 def test_no_program_path_calls_single_node_oracles(tmp_path):

@@ -386,17 +386,20 @@ def test_turning_angle_domain():
 
 def test_branch_log_circle_exact():
     p = curves.circle(1.0)
+    xs = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     for eps in [0.1, 0.01]:
-        for x in np.linspace(0, 2 * math.pi, 8, endpoint=False):
+        for x in xs:
             val = geometry.branch_log(p, float(x), eps)
-            assert abs(val.value - 1j * eps) < 1e-10
-            assert val.condition_score == pytest.approx(eps * abs(math.log(eps)), abs=1e-9)
+            assert abs(val - 1j * eps) < 1e-10
+        for _, _, score, ok in harness.criterion_scan(p, xs, [eps]).rows:
+            assert ok
+            assert score == pytest.approx(eps * abs(math.log(eps)), abs=1e-9)
 
 
 def test_branch_log_straight_side_zero():
     p = curves.polygon([0, 1, 1 + 1j, 1j])
     val = geometry.branch_log(p, 0.5, 0.2)
-    assert abs(val.value) < 1e-12
+    assert abs(val) < 1e-12
 
 
 def test_branch_log_square_corner():
@@ -404,9 +407,10 @@ def test_branch_log_square_corner():
     for k in range(6, 11):
         eps = p.period * 2.0 ** (-k)
         val = geometry.branch_log(p, 1.0, eps)
-        assert abs(abs(val.value) - math.pi / 2) < 1e-10
-        assert val.condition_score == pytest.approx(
-            (math.pi / 2) * abs(math.log(eps)), abs=1e-8)
+        assert abs(abs(val) - math.pi / 2) < 1e-10
+        (x, _, score, ok), = harness.criterion_scan(p, [1.0], [eps]).rows
+        assert x == 1.0 and ok
+        assert score == pytest.approx((math.pi / 2) * abs(math.log(eps)), abs=1e-8)
 
 
 def test_branch_log_methods_agree():
@@ -416,7 +420,7 @@ def test_branch_log_methods_agree():
                       (curves.build_spiral(curves.SpiralSpec(depth=6)), 0.9, 0.01)]:
         a = geometry.branch_log(p, x, eps)
         b = oracles._branch_log_unwrapped(p, x, eps)
-        assert abs(a.value - b) < 1e-8
+        assert abs(a - b) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["spiral", "square", "ellipse"])

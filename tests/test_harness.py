@@ -12,24 +12,23 @@ from cauchylab.operators import GridFunction
 
 
 @pytest.fixture(scope="module")
-def circle_cfg():
+def circle_bilip():
     sc = curves.arclength_sample(curves.circle(1.0), 1024)
-    cfg = harness.HarnessConfig(bilip=geometry.bilipschitz_constant(sc))
-    return sc, cfg
+    return sc, geometry.bilipschitz_constant(sc)
 
 
 @pytest.fixture(scope="module")
-def circle_eps0(circle_cfg):
-    sc, cfg = circle_cfg
-    return geometry.eps0_gate(sc, cfg.bilip)
+def circle_eps0(circle_bilip):
+    sc, bilip = circle_bilip
+    return geometry.eps0_gate(sc, bilip)
 
 
 # -- config --------------------------------------------------------------------
 
-def test_config_for_curve_measures(circle_cfg, circle_eps0):
-    _, cfg = circle_cfg
-    assert cfg.bilip == pytest.approx(math.pi / 2, abs=1e-3)
-    assert cfg.dilation >= 2.0 * cfg.bilip ** 2 - 1e-9
+def test_config_for_curve_measures(circle_bilip, circle_eps0):
+    _, bilip = circle_bilip
+    assert bilip == pytest.approx(math.pi / 2, abs=1e-3)
+    assert harness.required_dilation(bilip) >= 2.0 * bilip ** 2 - 1e-9
     assert circle_eps0 == pytest.approx(2 * math.pi / 16, rel=1e-12)
 
 
@@ -85,6 +84,19 @@ def test_adversarial_empty_arc_error():
     assert "n =" in str(err.value)
 
 
+def test_adversarial_error_names_deepest_exponent():
+    # the arc (eps^1, eps) is empty; the message must name the exponent
+    # deepest_exponent gives, 12, and not 13, whose inner end lies 3.5
+    # cells out, inside the 4-cell floor
+    sc = curves.arclength_sample(curves.circle(1.0), 512)
+    eps = sc.period / 8
+    assert eps ** 13 < 4.0 * sc.spacing <= eps ** 12
+    assert harness.deepest_exponent(sc, eps) == 12
+    with pytest.raises(ResolutionError) as err:
+        harness.adversarial_indicator(sc, eps, n_exp=1)
+    assert str(err.value).endswith("n = 12")
+
+
 def test_deepest_exponent_keeps_arc_on_grid():
     sc = curves.arclength_sample(curves.circle(1.0), 4096)
     for eps in [0.5, math.pi]:
@@ -106,20 +118,20 @@ def test_make_test_functions_tags():
 
 # -- decomposition -------------------------------------------------------------
 
-def test_decomposition_residual_small_and_split_exact(circle_cfg):
-    sc, cfg = circle_cfg
+def test_decomposition_residual_small_and_split_exact(circle_bilip):
+    sc, bilip = circle_bilip
     f = GridFunction(sc, np.exp(2j * np.pi * 3 * sc.params / sc.period))
     eps = sc.period * 2.0 ** (-5)
-    rep, = harness.decomposition_check(f, 0, [eps], cfg)
+    rep, = harness.decomposition_check(f, 0, [eps], bilip)
     assert rep.residual < 1e-3
     # the split III = F IV + V holds by construction; check consistency
     assert abs(rep.term_iii - (rep.branch_value * rep.term_iv + rep.term_v)) < 1e-14
 
 
-def test_decomposition_zero_function(circle_cfg):
-    sc, cfg = circle_cfg
+def test_decomposition_zero_function(circle_bilip):
+    sc, bilip = circle_bilip
     zero = GridFunction.constant(sc, 0.0)
-    rep, = harness.decomposition_check(zero, 0, [sc.period / 32], cfg)
+    rep, = harness.decomposition_check(zero, 0, [sc.period / 32], bilip)
     assert rep.residual == 0.0
     assert rep.term_i == 0.0 and rep.term_ii == 0.0 and rep.term_iii == 0.0
 
@@ -128,34 +140,34 @@ def test_decomposition_residual_refines():
     vals = []
     for n in [512, 1024]:
         sc = curves.arclength_sample(curves.circle(1.0), n)
-        cfg = harness.HarnessConfig(harness.measure_bilip(sc))
         f = GridFunction(sc, np.exp(2j * np.pi * 3 * sc.params / sc.period))
-        rep, = harness.decomposition_check(f, 0, [sc.period / 32], cfg)
+        rep, = harness.decomposition_check(f, 0, [sc.period / 32],
+                                           harness.measure_bilip(sc))
         vals.append(rep.residual)
     assert vals[1] < vals[0] / 1.5 or vals[1] < 1e-12
 
 
-def test_decomposition_window_overflow(circle_cfg):
-    sc, cfg = circle_cfg
+def test_decomposition_window_overflow(circle_bilip):
+    sc, bilip = circle_bilip
     f = GridFunction.constant(sc, 1.0)
     with pytest.raises(DomainError):
-        harness.decomposition_check(f, 0, [sc.period / 4], cfg)
+        harness.decomposition_check(f, 0, [sc.period / 4], bilip)
 
 
 # -- far field decay --------------------------------------------------------------
 
-def test_far_field_decay_circle(circle_cfg):
-    sc, cfg = circle_cfg
+def test_far_field_decay_circle(circle_bilip):
+    sc, bilip = circle_bilip
     eps = sc.period * 2.0 ** (-6)
-    rep = harness.far_field_decay_check(sc, 0, eps, cfg)
+    rep = harness.far_field_decay_check(sc, 0, eps, bilip)
     assert rep.worst_ratio <= rep.decay_bound + 0.5
     assert rep.far_nodes > sc.n // 2
 
 
-def test_far_field_linear_in_eps(circle_cfg):
-    sc, cfg = circle_cfg
-    r1 = harness.far_field_decay_check(sc, 0, sc.period * 2.0 ** (-5), cfg)
-    r2 = harness.far_field_decay_check(sc, 0, sc.period * 2.0 ** (-6), cfg)
+def test_far_field_linear_in_eps(circle_bilip):
+    sc, bilip = circle_bilip
+    r1 = harness.far_field_decay_check(sc, 0, sc.period * 2.0 ** (-5), bilip)
+    r2 = harness.far_field_decay_check(sc, 0, sc.period * 2.0 ** (-6), bilip)
     # remainders scale linearly, so the normalized ratio stays put
     assert 0.5 <= r1.worst_ratio / r2.worst_ratio <= 2.0
 
@@ -165,10 +177,9 @@ def test_far_field_against_explicit_log_difference():
     # nearly-cancelling logs, computable directly from the parametrization
     p = curves.polygon([0, 1, 1 + 1j, 1j])
     sc = curves.arclength_sample(p, 2048)
-    cfg = harness.HarnessConfig(harness.measure_bilip(sc))
     eps = sc.period * 2.0 ** (-8)
     z_index = sc.n // 8  # middle of the bottom side
-    kt = operators.kernel_truncation_transform(sc, z_index, eps)
+    g = operators.kernel_truncation_transform(sc, z_index, eps)
     branch = geometry.branch_log(p, float(sc.params[z_index]), eps)
     x = float(sc.params[z_index])
     z = sc.points[z_index]
@@ -178,8 +189,7 @@ def test_far_field_against_explicit_log_difference():
         # the splitting with opposite orientation to the center's logs
         direct = (np.log(p.point(np.array([x - eps]))[0] - w)
                   - np.log(p.point(np.array([x + eps]))[0] - w))
-        via_transform = (math.pi ** 2 * (z - w) * kt.values.values[w_index]
-                         - branch.value)
+        via_transform = math.pi ** 2 * (z - w) * g[w_index] - branch
         assert abs(direct) < 0.1  # nearly-cancelling logs far from a jump
         assert abs(via_transform - direct) < 5e-3
 
@@ -390,16 +400,15 @@ def test_cotlar_scan_measures_no_constant(monkeypatch):
 def test_far_field_remainder_halves_on_fixed_nodes():
     # |G| over a fixed far node set scales linearly with eps
     sc = curves.arclength_sample(curves.circle(1.0), 2048)
-    cfg = harness.HarnessConfig(bilip=math.pi / 2)
     z = sc.points[0]
     dist = np.minimum(np.arange(sc.n), sc.n - np.arange(sc.n)) * sc.spacing
     eps_big = sc.period * 2.0 ** (-6)
-    fixed_far = dist > cfg.dilation * eps_big
+    fixed_far = dist > harness.required_dilation(math.pi / 2) * eps_big
     maxima = []
     for eps in (eps_big, eps_big / 2.0):
-        kt = operators.kernel_truncation_transform(sc, 0, eps)
+        g = operators.kernel_truncation_transform(sc, 0, eps)
         branch = geometry.branch_log(sc.source, 0.0, eps)
-        rem = (math.pi ** 2 * (z - sc.points[fixed_far])
-               * kt.values.values[fixed_far] - branch.value)
+        rem = (math.pi ** 2 * (z - sc.points[fixed_far]) * g[fixed_far]
+               - branch)
         maxima.append(float(np.abs(rem).max()))
     assert 1.6 <= maxima[0] / maxima[1] <= 2.4

@@ -607,10 +607,10 @@ def test_m2_brute_double_iteration():
 def test_kernel_transform_direct_oracle():
     sc = curves.arclength_sample(curves.circle(1.0), 512)
     eps = sc.period * 2.0 ** (-4)
-    kt = operators.kernel_truncation_transform(sc, 0, eps)
+    g = operators.kernel_truncation_transform(sc, 0, eps)
 
     # independent brute force: Richardson pv of the kernel by plain loops
-    kernel = kt.kernel.values
+    kernel = operators.truncated_kernel(sc, 0, eps).values
     unit = sc.tangents / np.abs(sc.tangents)
 
     def brute_teps(i, level):
@@ -627,18 +627,25 @@ def test_kernel_transform_direct_oracle():
 
     for i in [7, 130, 400]:
         ref = 2.0 * brute_teps(i, 2 * sc.spacing) - brute_teps(i, 4 * sc.spacing)
-        assert abs(kt.values.values[i] - ref) < 1e-13
-        assert kt.valid[i]
+        assert abs(g[i] - ref) < 1e-13
+        assert not operators._near_center(sc.n, 0)[i]
 
 
 def test_kernel_transform_masks_near_center():
     sc = curves.arclength_sample(curves.circle(1.0), 512)
-    kt = operators.kernel_truncation_transform(sc, 10, sc.period / 16)
-    assert not kt.valid[10] and not kt.valid[11] and not kt.valid[8]
-    assert kt.valid[14]
-    assert np.all(kt.values.values[~kt.valid] == 0.0)
-    filled = operators.kernel_transform_direct_fill(kt)
-    assert np.all(np.isfinite(filled[~kt.valid].view(float)))
+    eps = sc.period / 16
+    near = operators._near_center(sc.n, 10)
+    assert near[10] and near[11] and near[8]
+    assert not near[14]
+    assert list(np.flatnonzero(near)) == [8, 9, 10, 11, 12]
+    assert list(np.flatnonzero(operators._near_center(sc.n, 0))) == [0, 1, 2, 510, 511]
+    g = operators.kernel_truncation_transform(sc, 10, eps)
+    assert np.all(g[near] == 0.0)
+    kernel = operators.truncated_kernel(sc, 10, eps)
+    filled = operators.kernel_transform_direct_fill(
+        kernel, 10, operators.pv_cauchy_all(kernel).values)
+    assert np.all(np.isfinite(filled[near].view(float)))
+    assert np.array_equal(filled[~near], g[~near])
 
 
 def test_kernel_far_field_magnitude_bound():
@@ -647,15 +654,15 @@ def test_kernel_far_field_magnitude_bound():
 
     sc = curves.arclength_sample(curves.circle(1.0), 2048)
     eps = sc.period * 2.0 ** (-6)
-    kt = operators.kernel_truncation_transform(sc, 0, eps)
+    g = operators.kernel_truncation_transform(sc, 0, eps)
     L = math.pi / 2
     branch = geometry.branch_log(sc.source, 0.0, eps)
     dist = np.minimum(np.arange(sc.n), sc.n - np.arange(sc.n)) * sc.spacing
-    far = (dist > 2 * L * L * eps) & kt.valid
+    far = (dist > 2 * L * L * eps) & ~operators._near_center(sc.n, 0)
     z = sc.points[0]
     r = np.abs(z - sc.points[far])
-    bound = (abs(branch.value) + 4 * L * eps / r) / (math.pi ** 2 * r)
-    assert np.all(np.abs(kt.values.values[far]) <= bound + 1e-9)
+    bound = (abs(branch) + 4 * L * eps / r) / (math.pi ** 2 * r)
+    assert np.all(np.abs(g[far]) <= bound + 1e-9)
 
 
 def test_transform_csv_rows(circle_sc, one):
