@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__, curvespec, geometry, harness, operators
 from .curves import (
@@ -24,7 +25,6 @@ from .curves import (
     write_lines,
 )
 from .errors import CauchyLabError, NumericalGateError, ValidationError
-from .operators import GridFunction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -55,7 +55,7 @@ class _RunState:
     eps0: float | None = None
     criterion_verdict: str | None = None
     cotlar_verdict: str | None = None
-    first_function: GridFunction | None = None
+    first_function: np.ndarray | None = None
     notes: list = field(default_factory=list)
 
 
@@ -103,7 +103,7 @@ def _run_diag(state: _RunState, out: Path) -> None:
     write_lines(out / "diagnostics.csv", geometry.diagnostics_csv_rows(report))
 
 
-def _first_function(state: _RunState) -> GridFunction:
+def _first_function(state: _RunState) -> np.ndarray:
     """The first function of the configured tags, built once per run."""
     if state.first_function is None:
         sc = state.sample
@@ -111,7 +111,7 @@ def _first_function(state: _RunState) -> GridFunction:
         fam = harness.make_test_functions(
             sc, tags[:1], seed=state.doc.get("experiment", "seed"),
             anchors=harness.anchor_params(state.curve))
-        state.first_function = GridFunction(sc, fam[0].values)
+        state.first_function = fam[0].values
     return state.first_function
 
 
@@ -124,20 +124,18 @@ def _run_transform(state: _RunState, out: Path) -> None:
     # the kernel for g_z_eps rides in the same evaluator pass as f
     k_g = max(doc.get("experiment", "k_min"), 6)
     eps_g = dict(operators.dyadic_levels(sc, 1)).get(k_g)
-    stack = [f.values]
+    stack = [f]
     if eps_g is not None:
-        kernel = operators.truncated_kernel(sc, 0, eps_g)
-        stack.append(kernel.values)
+        stack.append(operators.truncated_kernel(sc, 0, eps_g))
     pvs, tables = operators.cauchy_family(sc, stack, [eps for _, eps in levels])
     table = [("T_eps", f"T*2^-{k}", t_eps)
              for (k, _), t_eps in zip(levels, tables[0])]
-    pv = GridFunction(sc, pvs[0])
-    table.append(("T_pv", "", pv.values))
+    table.append(("T_pv", "", pvs[0]))
     t_star, _ = operators.maximal_of(tables[0], levels)
     table.append(("T_star", "", t_star))
-    m1 = operators.hl_maximal_all(pv)
+    m1 = operators.hl_maximal_all(sc, pvs[0])
     table.append(("M", "", m1))
-    m2 = operators.hl_maximal_all(GridFunction(sc, m1.astype(complex)))
+    m2 = operators.hl_maximal_all(sc, m1)
     table.append(("M2", "", m2))
     if len(stack) > 1:
         g = pvs[1].copy()
@@ -199,7 +197,7 @@ def _run_decomp(state: _RunState, out: Path) -> None:
     levels = [(k, eps) for k, eps in levels
               if harness.window_fits(state.bilip, sc.period, eps)
               and eps / 2 in halves]
-    reports = (harness.decomposition_check(f, 0, [eps for _, eps in levels],
+    reports = (harness.decomposition_check(sc, f, 0, [eps for _, eps in levels],
                                            state.bilip) if levels else ())
     for (k, _), rep in zip(levels, reports):
         rows.append(

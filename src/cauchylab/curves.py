@@ -380,18 +380,15 @@ def ellipse(a: float, b: float) -> Parametrization:
         theta = np.asarray(theta, dtype=float)
         return np.sqrt((a * np.sin(theta)) ** 2 + (b * np.cos(theta)) ** 2)
 
-    knots = np.linspace(0.0, 2.0 * math.pi, 8193)
-    cum = cumulative_gauss(speed, knots)
-    perimeter = float(cum[-1])
-    inv = CubicSpline(cum, knots,
-                      bc_type=((1, 1.0 / float(speed(0.0))),
-                               (1, 1.0 / float(speed(2.0 * math.pi)))))
-
-    def point(s):
-        theta = inv(np.mod(np.asarray(s, dtype=float), perimeter))
+    def point_of(theta):
         return a * np.cos(theta) + 1j * b * np.sin(theta)
 
-    return Parametrization(period=perimeter, point=point, kind="ellipse")
+    zone = _SplineZone(point_of, speed, 0.0, 2.0 * math.pi, knots=8193)
+
+    def point(s):
+        return zone.point(np.mod(np.asarray(s, dtype=float), zone.length))
+
+    return Parametrization(period=zone.length, point=point, kind="ellipse")
 
 
 def polygon(vertices: Sequence) -> Parametrization:

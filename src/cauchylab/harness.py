@@ -16,7 +16,6 @@ from . import geometry
 from .curves import SampledCurve, arclength_sample, spiral_corner_params
 from .errors import DomainError, ResolutionError
 from .operators import (
-    GridFunction,
     _near_center,
     _unit_measure,
     cauchy_family,
@@ -109,16 +108,15 @@ def adversarial_indicator(sc: SampledCurve, eps: float, n_exp: int,
         raise DomainError("arc scale eps = 1 makes the witness exponent degenerate")
     inner = eps ** n_exp if eps < 1.0 else eps ** (-n_exp)
     outer = eps
-    h = sc.spacing
-    n_nodes = int(math.floor(outer / h)) - int(math.ceil(inner / h)) + 1
-    if inner >= outer or n_nodes < 4:
+    rel = ((sc.params - anchor) % sc.period if sign >= 0
+           else (anchor - sc.params) % sc.period)
+    held = (rel > inner) & (rel < outer)
+    if np.count_nonzero(held) < 4:
         raise ResolutionError(
             f"adversarial arc ({inner:.3g}, {outer:.3g}) has fewer than 4 grid "
             "nodes; the deepest exponent fitting this grid is "
             f"n = {deepest_exponent(sc, eps)}")
-    rel = ((sc.params - anchor) % sc.period if sign >= 0
-           else (anchor - sc.params) % sc.period)
-    values = ((rel > inner) & (rel < outer)).astype(complex)
+    values = held.astype(complex)
     jumps = ((anchor + (inner if sign >= 0 else -inner)) % sc.period,
              (anchor + (outer if sign >= 0 else -outer)) % sc.period)
     tag = f"adversarial:{eps:.6g}:{n_exp}:{'+' if sign >= 0 else '-'}@{anchor:.6g}"
@@ -213,14 +211,13 @@ class DecompositionReport:
     residual: float
 
 
-def decomposition_check(f: GridFunction, z_index: int, levels,
+def decomposition_check(sc: SampledCurve, values, z_index: int, levels,
                         bilip: float) -> tuple:
     """Evaluate -T_eps f(z) = I + II + III by quadrature and report the
     residual, with III split further through the branch-log factor; one
     report per level.  Each level is a dyadic eps = period * 2^-k with
     eps >= 4h.  One evaluator pass on [f, K_{z,eps_1}, ...] gives
     T f, every T_eps f(z) and every kernel transform g = T(K_{z,eps})."""
-    sc = f.base
     levels = tuple(levels)
     # eps >= 4h exactly when eps / 2 is a level of dyadic_levels
     halves = {eps for _, eps in dyadic_levels(sc, 1)}
@@ -232,15 +229,14 @@ def decomposition_check(f: GridFunction, z_index: int, levels,
             raise DomainError(f"dilated window {required_dilation(bilip) * eps:.3g} "
                               "reaches half the period; lower eps")
     kernels = [truncated_kernel(sc, z_index, eps) for eps in levels]
-    pvs, tables = cauchy_family(sc, [f.values] + [k.values for k in kernels],
-                                levels)
+    pvs, tables = cauchy_family(sc, [values] + kernels, levels)
     tf = pvs[0]
     dw = _unit_measure(sc)
     mu = sc.weights
     z = sc.points[z_index]
     reports = []
     for row, (eps, kernel) in enumerate(zip(levels, kernels)):
-        gvals = kernel_transform_direct_fill(kernel, z_index, pvs[1 + row])
+        gvals = kernel_transform_direct_fill(sc, kernel, z_index, pvs[1 + row])
         inball = _window_margin(sc, z_index, eps, bilip) < 0.0
         mean_ball = np.sum(gvals[inball] * mu[inball]) / np.sum(mu[inball])
         term_i = np.sum(tf[inball] * (gvals[inball] - mean_ball) * dw[inball])
@@ -425,9 +421,7 @@ def classify_ratio_trend(sups) -> str:
     return "indeterminate"
 
 
-def cotlar_ratio_scan(p, resolutions, tags=("constant", "trig:1", "trig:3",
-                                            "chi:4", "adversarial"),
-                      seed: int = 0) -> CotlarReport:
+def cotlar_ratio_scan(p, resolutions, tags, seed: int = 0) -> CotlarReport:
     """Sup of T_* f / M^2(Tf) per test function and resolution.
 
     Ratio nodes exclude jump neighborhoods (4 grid cells) and flag
@@ -450,8 +444,8 @@ def cotlar_ratio_scan(p, resolutions, tags=("constant", "trig:1", "trig:3",
         pvs, tables = cauchy_family(sc, [tf_fn.values for tf_fn in fam],
                                      [eps for _, eps in levels])
         t_stars, _ = maximal_of(tables, levels)
-        for tf_fn, pv, t_star in zip(fam, pvs, t_stars):
-            m2 = hl_maximal_squared(GridFunction(sc, pv)).values.real
+        m2s = hl_maximal_squared(sc, pvs)
+        for tf_fn, t_star, m2 in zip(fam, t_stars, m2s):
             ok = m2 > UNDERFLOW_FLOOR
             flagged = int(np.sum(~ok))
             for j in tf_fn.jumps:

@@ -2,14 +2,17 @@
 principal-value, and maximal Cauchy transforms over parametric balls, the
 Hardy-Littlewood maximal operator, and the kernel-truncation transform.
 
-Conventions: the excluded set is always the parametric ball (parameter
-interval of radius eps), nodes exactly on the exclusion boundary carry half
-weight in Cauchy sums, and the complex measure at a node is its unit chord
-tangent times its arc weight.  The truncation levels are dyadic, (k,
-eps_k = period * 2^-k) from k_min down to the two-cell floor 2h, and
-dyadic_levels alone produces them.  The kernel transform g = T(K_{z,eps})
-of the truncated kernel is a plain array: kernel_truncation_transform
-leaves it 0 at the nodes within 2h of z, kernel_transform_direct_fill
+Conventions: every function takes the sampled curve and plain node
+values, (sc, values), with values of shape (n,) or a stack (F, n), and
+returns arrays; the Cauchy sums check the shape and finiteness of what
+they are given.  The excluded set is always the parametric ball
+(parameter interval of radius eps), nodes exactly on the exclusion
+boundary carry half weight in Cauchy sums, and the complex measure at a
+node is its unit chord tangent times its arc weight.  The truncation
+levels are dyadic, (k, eps_k = period * 2^-k) from k_min down to the
+two-cell floor 2h, and dyadic_levels alone produces them.  The kernel
+transform g = T(K_{z,eps}) of the truncated kernel is 0 at the nodes
+within 2h of z in kernel_truncation_transform; kernel_transform_direct_fill
 fills them by trapezoid sums, and _near_center alone marks them.
 
 One evaluator, truncated_cauchy_family, computes every all-nodes Cauchy
@@ -27,9 +30,13 @@ the cuts turns into values, plus the same masked head.  An even grid's
 antipode and the half-weight boundary nodes are separate gathers.  Every
 term is added, none subtracted, so a window that holds only a few nodes is
 as accurate as its own terms.  Besides the result the pass holds one
-accumulator of F x n per distinct cut.  pv_cauchy_all, truncated_cauchy_all
-and maximal_cauchy_all are that evaluator on a family of one.  The
-readable single-node oracles it is tested against are in tests/oracles.py.
+accumulator of F x n per distinct cut.  The readable single-node oracles
+it is tested against are in tests/oracles.py.
+
+pv_cauchy_all, truncated_cauchy_all and maximal_cauchy_all are that
+evaluator on a family of one.  No program path calls them; they stay only
+because the benchmark's traced runs wrap them by name, and they go with
+the benchmark change that drops them from its table.
 
 Threads: each call runs one helper thread that builds tile t+1's kernel
 while the calling thread sums tile t, so two tile kernels (about 8 MB at
@@ -54,7 +61,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +68,6 @@ from .curves import SampledCurve, _g17
 from .errors import DomainError, ResolutionError
 
 __all__ = [
-    "GridFunction",
     "dyadic_levels",
     "truncated_cauchy_family",
     "cauchy_family",
@@ -78,27 +83,6 @@ __all__ = [
 
 _TILE = 64  # kernel rows built together; also the width of each masked head
 _BOUNDARY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex node values attached to a sampled curve."""
-
-    base: SampledCurve
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.base.n,):
-            raise DomainError(
-                f"grid function has {vals.shape} values for {self.base.n} nodes")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("grid function values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @staticmethod
-    def constant(base: SampledCurve, c: complex) -> "GridFunction":
-        return GridFunction(base, np.full(base.n, complex(c)))
 
 
 def _unit_measure(sc: SampledCurve) -> np.ndarray:
@@ -327,23 +311,21 @@ def maximal_of(table: np.ndarray, levels):
     return stack.max(axis=-2), np.asarray([eps for _, eps in levels])[arg]
 
 
-def pv_cauchy_all(f: GridFunction) -> GridFunction:
+def pv_cauchy_all(sc: SampledCurve, values) -> np.ndarray:
     """Richardson principal value at every node (a family of one)."""
-    pv, _ = cauchy_family(f.base, f.values[None, :])
-    return GridFunction(f.base, pv[0])
+    pv, _ = cauchy_family(sc, [values])
+    return pv[0]
 
 
-def truncated_cauchy_all(f: GridFunction, levels) -> dict:
+def truncated_cauchy_all(sc: SampledCurve, values, levels) -> dict:
     """Truncated transforms at every node for each (k, eps) level, by k."""
-    table = truncated_cauchy_family(f.base, f.values[None, :],
-                                    [eps for _, eps in levels])[0]
+    table = truncated_cauchy_family(sc, [values], [eps for _, eps in levels])[0]
     return {k: row for (k, _), row in zip(levels, table)}
 
 
-def maximal_cauchy_all(f: GridFunction, levels):
+def maximal_cauchy_all(sc: SampledCurve, values, levels):
     """Vectorized maximal transform: (values, argmax eps) per node."""
-    table = truncated_cauchy_family(f.base, f.values[None, :],
-                                    [eps for _, eps in levels])[0]
+    table = truncated_cauchy_family(sc, [values], [eps for _, eps in levels])[0]
     return maximal_of(table, levels)
 
 
@@ -353,40 +335,43 @@ def _hl_radii(sc: SampledCurve):
             for _, eps in dyadic_levels(sc, 1)] + [sc.n]
 
 
-def hl_maximal_all(g: GridFunction) -> np.ndarray:
-    """Max over dyadic parametric balls of the average of |g|, at every
-    node via circular rolling sums."""
-    sc = g.base
+def _circular_prefix(x) -> np.ndarray:
+    """Prefix sums, from 0, of x repeated three times along its last axis."""
+    zero = np.zeros(x.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate([zero, x, x, x], axis=-1), axis=-1)
+
+
+def hl_maximal_all(sc: SampledCurve, values) -> np.ndarray:
+    """Max over dyadic parametric balls of the average of |values|, at every
+    node of each row of a (..., n) stack, via circular rolling sums."""
     n = sc.n
-    absvals = np.abs(g.values)
     w = sc.weights
-    vw = absvals * w
-    pref_vw = np.concatenate(([0.0], np.cumsum(np.concatenate([vw, vw, vw]))))
-    pref_w = np.concatenate(([0.0], np.cumsum(np.concatenate([w, w, w]))))
-    out = np.full(n, np.sum(vw) / np.sum(w))
+    vw = np.abs(values) * w
+    pref_vw = _circular_prefix(vw)
+    pref_w = _circular_prefix(w)
+    out = np.repeat(np.sum(vw, axis=-1, keepdims=True) / np.sum(w), n, axis=-1)
     idx = np.arange(n)
     for m in _hl_radii(sc):
         if m >= (n - 1) // 2:
             continue
         lo = idx - m + n
         hi = idx + m + n
-        num = pref_vw[hi + 1] - pref_vw[lo]
+        num = pref_vw[..., hi + 1] - pref_vw[..., lo]
         den = pref_w[hi + 1] - pref_w[lo]
         np.maximum(out, num / den, out=out)
     return out
 
 
-def hl_maximal_squared(g: GridFunction) -> GridFunction:
-    """Twice-iterated maximal operator as a grid function."""
-    once = GridFunction(g.base, hl_maximal_all(g).astype(complex))
-    return GridFunction(g.base, hl_maximal_all(once).astype(complex))
+def hl_maximal_squared(sc: SampledCurve, values) -> np.ndarray:
+    """Twice-iterated maximal operator of each row of a (..., n) stack."""
+    return hl_maximal_all(sc, hl_maximal_all(sc, values))
 
 
-def truncated_kernel(sc: SampledCurve, z_index: int, eps: float) -> GridFunction:
+def truncated_kernel(sc: SampledCurve, z_index: int, eps: float) -> np.ndarray:
     """The Cauchy kernel at z, zeroed on the parametric eps-ball (half at
     the exact boundary)."""
     scale, dz = _outside_window(sc, z_index, eps)
-    return GridFunction(sc, scale / (1j * math.pi * dz))
+    return scale / (1j * math.pi * dz)
 
 
 def _near_center(n: int, center: int) -> np.ndarray:
@@ -399,21 +384,20 @@ def _near_center(n: int, center: int) -> np.ndarray:
 def kernel_truncation_transform(sc: SampledCurve, z_index: int, eps: float) -> np.ndarray:
     """g = T(K) for the truncated kernel K at z_index, with 0 at the nodes
     within 2h of z_index."""
-    pv = pv_cauchy_all(truncated_kernel(sc, z_index, eps)).values
-    return np.where(_near_center(sc.n, z_index), 0.0, pv)
+    pv, _ = cauchy_family(sc, [truncated_kernel(sc, z_index, eps)])
+    return np.where(_near_center(sc.n, z_index), 0.0, pv[0])
 
 
-def kernel_transform_direct_fill(kernel: GridFunction, center: int,
-                                 pv: np.ndarray) -> np.ndarray:
+def kernel_transform_direct_fill(sc: SampledCurve, kernel: np.ndarray,
+                                 center: int, pv: np.ndarray) -> np.ndarray:
     """g = T(K) from the principal values pv of the truncated kernel K at
     node center, with the nodes within 2h of it filled by plain trapezoid sums.
 
     The kernel vanishes identically near those nodes, so the full sum has
     no singular part there and needs no principal-value treatment.
     """
-    sc = kernel.base
     vals = pv.copy()
-    contrib = kernel.values * _unit_measure(sc)
+    contrib = kernel * _unit_measure(sc)
     for i in np.nonzero(_near_center(sc.n, center))[0]:
         dz = sc.points - sc.points[i]
         dz[i] = 1.0

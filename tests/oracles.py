@@ -8,7 +8,10 @@ tests), the detour scan that forms every detour sum and the smallness gate
 that runs it on every level (for the pruned scan behind
 geometry.conformality_modulus and geometry.eps0_gate), and the row-at-a-time
 CSV writers, one f-string per row, that the column-at-a-time writers must
-match byte for byte."""
+match byte for byte.
+
+The single-node oracles take what the operators take: the sampled curve
+and plain node values, (sc, values, z_index, ...)."""
 
 import math
 from typing import NamedTuple
@@ -22,7 +25,6 @@ from cauchylab.errors import (
 )
 from cauchylab.geometry import _window_chords
 from cauchylab.operators import (
-    GridFunction,
     _cyclic_distance,
     _hl_radii,
     _outside_window,
@@ -35,27 +37,26 @@ class MaximalValue(NamedTuple):
     eps_argmax: float
 
 
-def truncated_cauchy(f: GridFunction, z_index: int, eps: float) -> complex:
+def truncated_cauchy(sc, values, z_index: int, eps: float) -> complex:
     """Trapezoid sum of the eps-truncated Cauchy integral at one node."""
-    scale, dz = _outside_window(f.base, z_index, eps)
-    contrib = f.values * _unit_measure(f.base)
+    scale, dz = _outside_window(sc, z_index, eps)
+    contrib = np.asarray(values) * _unit_measure(sc)
     total = np.sum(contrib * scale / dz)
     return complex(total / (1j * math.pi))
 
 
-def pv_cauchy(f: GridFunction, z_index: int) -> complex:
+def pv_cauchy(sc, values, z_index: int) -> complex:
     """Principal value via first-order Richardson from levels 2h and 4h."""
-    h = f.base.spacing
-    t2 = truncated_cauchy(f, z_index, 2.0 * h)
-    t4 = truncated_cauchy(f, z_index, 4.0 * h)
+    t2 = truncated_cauchy(sc, values, z_index, 2.0 * sc.spacing)
+    t4 = truncated_cauchy(sc, values, z_index, 4.0 * sc.spacing)
     return 2.0 * t2 - t4
 
 
-def maximal_cauchy(f: GridFunction, z_index: int, levels) -> MaximalValue:
+def maximal_cauchy(sc, values, z_index: int, levels) -> MaximalValue:
     """Sup over the (k, eps) levels of |T_eps f| at one node."""
     best, arg = -1.0, None
     for _, eps in levels:
-        v = abs(truncated_cauchy(f, z_index, eps))
+        v = abs(truncated_cauchy(sc, values, z_index, eps))
         if v > best:
             best, arg = v, eps
     return MaximalValue(best, arg)
@@ -69,10 +70,9 @@ def _ball_average(absvals, weights, i, m_incl):
     return float(np.sum(absvals[mask] * weights[mask]) / np.sum(weights[mask]))
 
 
-def hl_maximal(g: GridFunction, z_index: int) -> float:
-    """Max over dyadic parametric balls of the average of |g|."""
-    sc = g.base
-    absvals = np.abs(g.values)
+def hl_maximal(sc, values, z_index: int) -> float:
+    """Max over dyadic parametric balls of the average of |values|."""
+    absvals = np.abs(values)
     w = sc.weights
     return max(_ball_average(absvals, w, z_index, m) for m in _hl_radii(sc))
 

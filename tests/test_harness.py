@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from cauchylab import curves, geometry, harness, operators
 from cauchylab.errors import BranchAmbiguityError, DomainError, ResolutionError
-from cauchylab.operators import GridFunction
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +83,19 @@ def test_adversarial_empty_arc_error():
     assert "n =" in str(err.value)
 
 
+def test_adversarial_guard_counts_the_nodes_the_indicator_holds():
+    # on the unit square at n = 64 (h = 1/16) the arc (h, 4h) spans 4
+    # nodes counted with its ends, but the open arc holds only 2h and 3h
+    sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 64)
+    assert sc.spacing == 1.0 / 16
+    with pytest.raises(ResolutionError):
+        harness.adversarial_indicator(sc, 0.25, n_exp=2)
+    # at n = 128 (h = 1/32) the same arc, (2h, 8h), holds 5 nodes
+    fine = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 128)
+    tf = harness.adversarial_indicator(fine, 0.25, n_exp=2)
+    assert np.count_nonzero(tf.values) == 5
+
+
 def test_adversarial_error_names_deepest_exponent():
     # the arc (eps^1, eps) is empty; the message must name the exponent
     # deepest_exponent gives, 12, and not 13, whose inner end lies 3.5
@@ -120,9 +132,9 @@ def test_make_test_functions_tags():
 
 def test_decomposition_residual_small_and_split_exact(circle_bilip):
     sc, bilip = circle_bilip
-    f = GridFunction(sc, np.exp(2j * np.pi * 3 * sc.params / sc.period))
+    f = np.exp(2j * np.pi * 3 * sc.params / sc.period)
     eps = sc.period * 2.0 ** (-5)
-    rep, = harness.decomposition_check(f, 0, [eps], bilip)
+    rep, = harness.decomposition_check(sc, f, 0, [eps], bilip)
     assert rep.residual < 1e-3
     # the split III = F IV + V holds by construction; check consistency
     assert abs(rep.term_iii - (rep.branch_value * rep.term_iv + rep.term_v)) < 1e-14
@@ -130,8 +142,8 @@ def test_decomposition_residual_small_and_split_exact(circle_bilip):
 
 def test_decomposition_zero_function(circle_bilip):
     sc, bilip = circle_bilip
-    zero = GridFunction.constant(sc, 0.0)
-    rep, = harness.decomposition_check(zero, 0, [sc.period / 32], bilip)
+    zero = np.zeros(sc.n, dtype=complex)
+    rep, = harness.decomposition_check(sc, zero, 0, [sc.period / 32], bilip)
     assert rep.residual == 0.0
     assert rep.term_i == 0.0 and rep.term_ii == 0.0 and rep.term_iii == 0.0
 
@@ -140,8 +152,8 @@ def test_decomposition_residual_refines():
     vals = []
     for n in [512, 1024]:
         sc = curves.arclength_sample(curves.circle(1.0), n)
-        f = GridFunction(sc, np.exp(2j * np.pi * 3 * sc.params / sc.period))
-        rep, = harness.decomposition_check(f, 0, [sc.period / 32],
+        f = np.exp(2j * np.pi * 3 * sc.params / sc.period)
+        rep, = harness.decomposition_check(sc, f, 0, [sc.period / 32],
                                            harness.measure_bilip(sc))
         vals.append(rep.residual)
     assert vals[1] < vals[0] / 1.5 or vals[1] < 1e-12
@@ -149,9 +161,9 @@ def test_decomposition_residual_refines():
 
 def test_decomposition_window_overflow(circle_bilip):
     sc, bilip = circle_bilip
-    f = GridFunction.constant(sc, 1.0)
+    f = np.ones(sc.n, dtype=complex)
     with pytest.raises(DomainError):
-        harness.decomposition_check(f, 0, [sc.period / 4], bilip)
+        harness.decomposition_check(sc, f, 0, [sc.period / 4], bilip)
 
 
 # -- far field decay --------------------------------------------------------------
@@ -363,7 +375,7 @@ def test_cotlar_scan_circle_stable():
 
 def test_cotlar_scan_requires_two_resolutions():
     with pytest.raises(DomainError):
-        harness.cotlar_ratio_scan(curves.circle(1.0), (512,))
+        harness.cotlar_ratio_scan(curves.circle(1.0), (512,), tags=("constant",))
 
 
 def test_cotlar_flags_zero_denominators():
@@ -379,7 +391,9 @@ def test_cotlar_arg_node_survives_reordered_sums():
     # shipped family and a pass of trig:1 alone order the sums differently,
     # and the reported node must not follow that order
     p = curves.circle(1.0)
-    family = harness.cotlar_ratio_scan(p, (512, 1024))
+    family = harness.cotlar_ratio_scan(
+        p, (512, 1024),
+        tags=("constant", "trig:1", "trig:3", "chi:4", "adversarial"))
     alone = harness.cotlar_ratio_scan(p, (512, 1024), tags=("trig:1",))
     got = {row.n: row.arg_node for row in family.rows if row.tag == "trig:1"}
     assert got == {row.n: row.arg_node for row in alone.rows}

@@ -15,7 +15,7 @@ import pytest
 import oracles
 from cauchylab import curves, curvespec, operators
 from cauchylab.errors import DomainError, ResolutionError
-from cauchylab.operators import GridFunction, dyadic_levels
+from cauchylab.operators import dyadic_levels
 
 
 @pytest.fixture(scope="module")
@@ -25,28 +25,36 @@ def circle_sc():
 
 @pytest.fixture(scope="module")
 def one(circle_sc):
-    return GridFunction.constant(circle_sc, 1.0)
+    return np.ones(circle_sc.n, dtype=complex)
 
 
-# -- grid functions and truncation levels --------------------------------------
+# -- function stacks and truncation levels ---------------------------------------
 
-def test_grid_function_validation(circle_sc):
+def test_family_rejects_wrong_length_and_nonfinite_values(circle_sc):
+    # every Cauchy sum passes this check: a row of the wrong length, a
+    # stack of the wrong rank and an infinite value are refused
+    eps = [4.0 * circle_sc.spacing]
     with pytest.raises(DomainError):
-        GridFunction(circle_sc, np.ones(7))
-    bad = np.ones(circle_sc.n)
-    bad[3] = np.inf
+        operators.truncated_cauchy_family(circle_sc, np.ones((1, 7)), eps)
     with pytest.raises(DomainError):
-        GridFunction(circle_sc, bad)
+        operators.truncated_cauchy_family(circle_sc, np.ones(circle_sc.n), eps)
+    bad = np.ones((1, circle_sc.n))
+    bad[0, 3] = np.inf
+    with pytest.raises(DomainError):
+        operators.truncated_cauchy_family(circle_sc, bad, eps)
 
 
-def test_grid_function_accepts_strided_view(circle_sc):
-    # a column of a C-ordered (n, 2) array has a non-contiguous last axis
+def test_family_accepts_strided_column(circle_sc):
+    # a column of a C-ordered (n, 2) array has a non-contiguous last axis;
+    # it gives the bits of a contiguous row, and a NaN in it is refused
+    eps = [4.0 * circle_sc.spacing]
     cols = np.ones((circle_sc.n, 2), dtype=complex)
-    f = GridFunction(circle_sc, cols[:, 0])
-    assert np.array_equal(f.values, np.ones(circle_sc.n))
+    got = operators.truncated_cauchy_family(circle_sc, [cols[:, 0]], eps)
+    ref = operators.truncated_cauchy_family(circle_sc, [np.ones(circle_sc.n)], eps)
+    assert np.array_equal(got, ref)
     cols[5, 0] = complex(1.0, np.nan)
     with pytest.raises(DomainError):
-        GridFunction(circle_sc, cols[:, 0])
+        operators.truncated_cauchy_family(circle_sc, [cols[:, 0]], eps)
 
 
 def test_truncation_spec_clamps(circle_sc):
@@ -100,13 +108,13 @@ def test_truncated_cauchy_circle_closed_form(one, circle_sc):
     for k in [3, 5, 7, 9]:
         eps = circle_sc.period * 2.0 ** (-k)
         for z in [0, 1234]:
-            got = oracles.truncated_cauchy(one, z, eps)
+            got = oracles.truncated_cauchy(circle_sc, one, z, eps)
             assert abs(got - (1.0 - eps / math.pi)) < 1e-6
 
 
 def test_truncated_cauchy_zero_function(circle_sc):
-    zero = GridFunction.constant(circle_sc, 0.0)
-    assert oracles.truncated_cauchy(zero, 5, 0.3) == 0.0
+    zero = np.zeros(circle_sc.n, dtype=complex)
+    assert oracles.truncated_cauchy(circle_sc, zero, 5, 0.3) == 0.0
 
 
 def test_truncated_cauchy_mpmath_oracle(circle_sc):
@@ -115,9 +123,8 @@ def test_truncated_cauchy_mpmath_oracle(circle_sc):
 
     mpmath.mp.dps = 80
     sc = circle_sc
-    f = GridFunction(sc, sc.points.copy())  # f(w) = w
     eps = math.pi
-    got = oracles.truncated_cauchy(f, 0, eps)
+    got = oracles.truncated_cauchy(sc, sc.points, 0, eps)  # f(w) = w
 
     n, h = sc.n, sc.spacing
     inner = round(eps / h) - 1
@@ -139,41 +146,37 @@ def test_truncated_cauchy_mpmath_oracle(circle_sc):
 
 def test_truncated_cauchy_floor(one, circle_sc):
     with pytest.raises(ResolutionError):
-        oracles.truncated_cauchy(one, 0, 0.5 * circle_sc.spacing)
+        oracles.truncated_cauchy(circle_sc, one, 0, 0.5 * circle_sc.spacing)
 
 
 def test_linearity_exact(circle_sc):
     rng = np.random.default_rng(3)
-    fa = GridFunction(circle_sc, rng.normal(size=circle_sc.n)
-                      + 1j * rng.normal(size=circle_sc.n))
-    fb = GridFunction(circle_sc, rng.normal(size=circle_sc.n)
-                      + 1j * rng.normal(size=circle_sc.n))
+    fa = rng.normal(size=circle_sc.n) + 1j * rng.normal(size=circle_sc.n)
+    fb = rng.normal(size=circle_sc.n) + 1j * rng.normal(size=circle_sc.n)
     a, b = 2.5 - 1j, -0.75 + 0.25j
-    combo = GridFunction(circle_sc, a * fa.values + b * fb.values)
-    lhs = oracles.truncated_cauchy(combo, 17, 0.3)
-    rhs = a * oracles.truncated_cauchy(fa, 17, 0.3) \
-        + b * oracles.truncated_cauchy(fb, 17, 0.3)
+    lhs = oracles.truncated_cauchy(circle_sc, a * fa + b * fb, 17, 0.3)
+    rhs = a * oracles.truncated_cauchy(circle_sc, fa, 17, 0.3) \
+        + b * oracles.truncated_cauchy(circle_sc, fb, 17, 0.3)
     assert abs(lhs - rhs) < 1e-12
 
 
 # -- principal value --------------------------------------------------------------
 
-def test_pv_identity_on_circle(one):
-    got = oracles.pv_cauchy(one, 100)
+def test_pv_identity_on_circle(circle_sc, one):
+    got = oracles.pv_cauchy(circle_sc, one, 100)
     assert abs(got - 1.0) < 5e-3
 
 
 def test_pv_identity_on_smooth_curves():
     for p in [curves.ellipse(2.0, 1.0), curves.graph_closure([0.3, 0.05])]:
         sc = curves.arclength_sample(p, 2048)
-        f = GridFunction.constant(sc, 1.0)
-        vals = operators.pv_cauchy_all(f)
-        assert np.max(np.abs(vals.values - 1.0)) < 5e-3
+        vals = operators.pv_cauchy_all(sc, np.ones(sc.n))
+        assert np.max(np.abs(vals - 1.0)) < 5e-3
 
 
 def test_pv_zero(circle_sc):
-    zero = GridFunction.constant(circle_sc, 0.0)
-    assert oracles.pv_cauchy(zero, 9) == 0.0
+    zero = np.zeros(circle_sc.n, dtype=complex)
+    assert oracles.pv_cauchy(circle_sc, zero, 9) == 0.0
 
 
 def test_pv_grid_doubling_oracle():
@@ -181,16 +184,15 @@ def test_pv_grid_doubling_oracle():
     vals = {}
     for n in [1024, 2048, 4096]:
         sc = curves.arclength_sample(curves.circle(1.0), n)
-        f = GridFunction(sc, sc.points.copy())
-        vals[n] = oracles.pv_cauchy(f, 0)
+        vals[n] = oracles.pv_cauchy(sc, sc.points, 0)
     extrap = 2.0 * vals[4096] - vals[2048]
     assert abs(vals[1024] - extrap) < 1e-3
 
 
 def test_pv_all_matches_single(circle_sc, one):
-    allv = operators.pv_cauchy_all(one)
+    allv = operators.pv_cauchy_all(circle_sc, one)
     for i in [0, 77, 2048, 4095]:
-        assert abs(allv.values[i] - oracles.pv_cauchy(one, i)) < 1e-13
+        assert abs(allv[i] - oracles.pv_cauchy(circle_sc, one, i)) < 1e-13
 
 
 def test_family_bits_independent_of_window_order_and_layout(circle_sc):
@@ -234,7 +236,7 @@ def test_family_edges_match_single_node_oracle(n):
             [0, 1, 62, 63, 64, 65, 127, 128, n // 2 - 1, n // 2, n // 2 + 1,
              n - 66, n - 65, n - 64, n - 2, n - 1], rng.integers(0, n, 8)]))
     got = operators.truncated_cauchy_family(sc, vals, eps)[:, :, nodes]
-    ref = np.array([[[oracles.truncated_cauchy(GridFunction(sc, v), i, e)
+    ref = np.array([[[oracles.truncated_cauchy(sc, v, i, e)
                       for i in nodes] for e in eps] for v in vals])
     scale = np.abs(ref).max(axis=-1, keepdims=True)
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
@@ -288,14 +290,13 @@ def test_family_matches_single_calls(square_family):
     pvs, tables = operators.cauchy_family(sc, vals, [eps for _, eps in levels])
     t_stars, _ = operators.maximal_of(tables, levels)
     for f_vals, pv, table, t_star in list(zip(vals, pvs, tables, t_stars))[::4]:
-        f = GridFunction(sc, f_vals)
-        single = operators.pv_cauchy_all(f).values
+        single = operators.pv_cauchy_all(sc, f_vals)
         assert np.max(np.abs(pv - single)) <= 1e-13 * np.max(np.abs(single))
-        by_k = operators.truncated_cauchy_all(f, levels)
+        by_k = operators.truncated_cauchy_all(sc, f_vals, levels)
         for (k, _), row in zip(levels, table):
             assert np.max(np.abs(row - by_k[k])) <= \
                 1e-13 * np.max(np.abs(by_k[k]))
-        t_single, _ = operators.maximal_cauchy_all(f, levels)
+        t_single, _ = operators.maximal_cauchy_all(sc, f_vals, levels)
         assert np.max(np.abs(t_star - t_single)) <= 1e-13 * np.max(t_single)
 
 
@@ -420,13 +421,12 @@ def test_half_period_level_sums_its_outside_set(square_family):
     # term; it must not come out of a near-cancelling difference
     sc, vals = square_family
     levels = dyadic_levels(sc, 1, 2)
-    f = GridFunction(sc, vals[0])
-    table = operators.truncated_cauchy_all(f, levels)
+    table = operators.truncated_cauchy_all(sc, vals[0], levels)
     for i in [0, 5, 700, 1500, 2047]:
-        ref = oracles.truncated_cauchy(f, i, sc.period / 2.0)
+        ref = oracles.truncated_cauchy(sc, vals[0], i, sc.period / 2.0)
         assert abs(table[1][i] - ref) <= 1e-13 * abs(ref)
-    chi = GridFunction(sc, (np.arange(sc.n) < sc.n // 8).astype(complex))
-    table = operators.truncated_cauchy_all(chi, levels)
+    chi = (np.arange(sc.n) < sc.n // 8).astype(complex)
+    table = operators.truncated_cauchy_all(sc, chi, levels)
     antipode_outside = (np.arange(sc.n) + sc.n // 2) % sc.n >= sc.n // 8
     assert np.all(table[1][antipode_outside] == 0.0)
 
@@ -435,7 +435,7 @@ def test_half_period_level_sums_its_outside_set(square_family):
 
 def test_maximal_cauchy_circle_constant(one, circle_sc):
     levels = dyadic_levels(circle_sc, 4, 9)
-    got = oracles.maximal_cauchy(one, 3, levels)
+    got = oracles.maximal_cauchy(circle_sc, one, 3, levels)
     eps_min = circle_sc.period * 2.0 ** (-9)
     assert got.value == pytest.approx(1.0 - eps_min / math.pi, abs=1e-10)
     assert got.eps_argmax == pytest.approx(eps_min)
@@ -443,34 +443,32 @@ def test_maximal_cauchy_circle_constant(one, circle_sc):
 
 def test_maximal_c_zero(circle_sc):
     levels = dyadic_levels(circle_sc, 4, 9)
-    zero = GridFunction.constant(circle_sc, 0.0)
-    assert oracles.maximal_cauchy(zero, 3, levels).value == 0.0
+    zero = np.zeros(circle_sc.n, dtype=complex)
+    assert oracles.maximal_cauchy(circle_sc, zero, 3, levels).value == 0.0
 
 
 def test_maximal_grid_monotone(one, circle_sc):
     small = dyadic_levels(circle_sc, 5, 7)
     big = dyadic_levels(circle_sc, 4, 9)
-    assert oracles.maximal_cauchy(one, 3, big).value >= \
-        oracles.maximal_cauchy(one, 3, small).value
+    assert oracles.maximal_cauchy(circle_sc, one, 3, big).value >= \
+        oracles.maximal_cauchy(circle_sc, one, 3, small).value
 
 
 def test_maximal_argmax_scale_invariant(circle_sc):
     rng = np.random.default_rng(11)
-    f = GridFunction(circle_sc, rng.normal(size=circle_sc.n)
-                     + 1j * rng.normal(size=circle_sc.n))
+    f = rng.normal(size=circle_sc.n) + 1j * rng.normal(size=circle_sc.n)
     levels = dyadic_levels(circle_sc, 4, 9)
-    base = oracles.maximal_cauchy(f, 99, levels)
-    scaled = oracles.maximal_cauchy(GridFunction(circle_sc, 7.5 * f.values),
-                                      99, levels)
+    base = oracles.maximal_cauchy(circle_sc, f, 99, levels)
+    scaled = oracles.maximal_cauchy(circle_sc, 7.5 * f, 99, levels)
     assert scaled.eps_argmax == base.eps_argmax
     assert scaled.value == pytest.approx(7.5 * base.value, rel=1e-12)
 
 
 def test_maximal_all_matches_single(circle_sc, one):
     levels = dyadic_levels(circle_sc, 4, 9)
-    vals, args = operators.maximal_cauchy_all(one, levels)
+    vals, args = operators.maximal_cauchy_all(circle_sc, one, levels)
     for i in [5, 999]:
-        single = oracles.maximal_cauchy(one, i, levels)
+        single = oracles.maximal_cauchy(circle_sc, one, i, levels)
         assert vals[i] == pytest.approx(single.value, abs=1e-13)
         assert args[i] == pytest.approx(single.eps_argmax)
 
@@ -478,24 +476,22 @@ def test_maximal_all_matches_single(circle_sc, one):
 def test_half_period_window_antipodal_half_weight(circle_sc):
     # at eps = T/2 on an even grid both boundary offsets are one node
     rng = np.random.default_rng(9)
-    f = GridFunction(circle_sc, rng.normal(size=circle_sc.n)
-                     + 1j * rng.normal(size=circle_sc.n))
+    f = rng.normal(size=circle_sc.n) + 1j * rng.normal(size=circle_sc.n)
     levels = dyadic_levels(circle_sc, 1, 3)
-    table = operators.truncated_cauchy_all(f, levels)
+    table = operators.truncated_cauchy_all(circle_sc, f, levels)
     for i in [0, 41, 2048]:
         for k, eps in levels:
-            single = oracles.truncated_cauchy(f, i, eps)
+            single = oracles.truncated_cauchy(circle_sc, f, i, eps)
             assert abs(table[k][i] - single) < 1e-13
 
 
 # -- Hardy-Littlewood maximal -------------------------------------------------------
 
-def brute_hl(g, i):
-    sc = g.base
+def brute_hl(sc, values, i):
     n = sc.n
     offs = (np.arange(n) - i) % n
     dist = np.minimum(offs, n - offs)
-    absv = np.abs(g.values)
+    absv = np.abs(values)
     best = float(np.sum(absv * sc.weights) / np.sum(sc.weights))
     k = 1
     while True:
@@ -515,8 +511,8 @@ def brute_hl(g, i):
 
 
 def test_hl_constant(circle_sc):
-    g = GridFunction.constant(circle_sc, 3.0 - 4.0j)
-    assert oracles.hl_maximal(g, 17) == pytest.approx(5.0, rel=1e-12)
+    g = np.full(circle_sc.n, 3.0 - 4.0j)
+    assert oracles.hl_maximal(circle_sc, g, 17) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_hl_ball_indicator_center():
@@ -524,8 +520,7 @@ def test_hl_ball_indicator_center():
     r0 = sc.period * 2.0 ** (-4)
     dist = np.minimum(np.arange(sc.n), sc.n - np.arange(sc.n)) * sc.spacing
     ind = np.roll((dist < r0).astype(complex), 100)
-    g = GridFunction(sc, ind)
-    assert oracles.hl_maximal(g, 100) == pytest.approx(1.0, abs=1e-14)
+    assert oracles.hl_maximal(sc, ind, 100) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_hl_arc_indicator_bounds():
@@ -534,43 +529,42 @@ def test_hl_arc_indicator_bounds():
     d = sc.period / 8.0
     prm = sc.params
     vals = (np.abs((prm - 0.0 + sc.period / 2) % sc.period - sc.period / 2) < r0)
-    g = GridFunction(sc, vals.astype(complex))
+    g = vals.astype(complex)
     i = int(round((d + 0.0) / sc.spacing))
-    got = oracles.hl_maximal(g, i)
+    got = oracles.hl_maximal(sc, g, i)
     # sup over dyadic radii only: allow a factor-2 slack under the continuum
     # value 2 r0 / (2 (r0 + d)) attained at r = r0 + d
     assert 0.5 * r0 / (r0 + d) * 0.9 <= got <= 1.0
-    assert got == pytest.approx(brute_hl(g, i), abs=1e-13)
+    assert got == pytest.approx(brute_hl(sc, g, i), abs=1e-13)
 
 
 def test_hl_all_matches_brute(circle_sc):
     rng = np.random.default_rng(0)
-    g = GridFunction(circle_sc, rng.normal(size=circle_sc.n)
-                     + 1j * rng.normal(size=circle_sc.n))
-    allv = operators.hl_maximal_all(g)
+    g = rng.normal(size=circle_sc.n) + 1j * rng.normal(size=circle_sc.n)
+    allv = operators.hl_maximal_all(circle_sc, g)
     for i in [0, 1, 511, 4095]:
-        assert allv[i] == pytest.approx(brute_hl(g, i), abs=1e-12)
+        assert allv[i] == pytest.approx(brute_hl(circle_sc, g, i), abs=1e-12)
 
 
 def test_hl_sublinear_and_homogeneous(circle_sc):
     rng = np.random.default_rng(2)
     a = rng.normal(size=circle_sc.n) + 1j * rng.normal(size=circle_sc.n)
     b = rng.normal(size=circle_sc.n) + 1j * rng.normal(size=circle_sc.n)
-    ma = operators.hl_maximal_all(GridFunction(circle_sc, a))
-    mb = operators.hl_maximal_all(GridFunction(circle_sc, b))
-    msum = operators.hl_maximal_all(GridFunction(circle_sc, a + b))
+    ma = operators.hl_maximal_all(circle_sc, a)
+    mb = operators.hl_maximal_all(circle_sc, b)
+    msum = operators.hl_maximal_all(circle_sc, a + b)
     assert np.all(msum <= ma + mb + 1e-12)
-    mscaled = operators.hl_maximal_all(GridFunction(circle_sc, 3.0 * a))
+    mscaled = operators.hl_maximal_all(circle_sc, 3.0 * a)
     assert np.allclose(mscaled, 3.0 * ma, rtol=1e-11, atol=1e-11)
 
 
 def test_m_chain_dominates_mean(circle_sc):
     # the full-curve ball is always among the candidates
     rng = np.random.default_rng(4)
-    g = GridFunction(circle_sc, rng.normal(size=circle_sc.n).astype(complex))
-    m1 = operators.hl_maximal_all(g)
-    m2 = operators.hl_maximal_squared(g).values.real
-    mean = np.sum(np.abs(g.values) * circle_sc.weights) / circle_sc.period
+    g = rng.normal(size=circle_sc.n).astype(complex)
+    m1 = operators.hl_maximal_all(circle_sc, g)
+    m2 = operators.hl_maximal_squared(circle_sc, g)
+    mean = np.sum(np.abs(g) * circle_sc.weights) / circle_sc.period
     assert np.all(m1 >= mean - 1e-12)
     assert np.all(m2 >= mean - 1e-12)
 
@@ -578,28 +572,43 @@ def test_m_chain_dominates_mean(circle_sc):
 def test_m2_dominates_m_on_smooth_data(circle_sc):
     # the pointwise chain M^2 g >= M g is a vanishing-ball statement; it
     # holds discretely once the data varies on resolved scales
-    g = GridFunction(circle_sc, np.exp(2j * np.pi * 3 * circle_sc.params
-                                       / circle_sc.period))
-    m1 = operators.hl_maximal_all(g)
-    m2 = operators.hl_maximal_squared(g).values.real
+    g = np.exp(2j * np.pi * 3 * circle_sc.params / circle_sc.period)
+    m1 = operators.hl_maximal_all(circle_sc, g)
+    m2 = operators.hl_maximal_squared(circle_sc, g)
     assert np.all(m2 >= m1 - 1e-6)
 
 
 def test_m2_constant(circle_sc):
-    g = GridFunction.constant(circle_sc, -2.0)
-    m2 = operators.hl_maximal_squared(g)
-    assert np.max(np.abs(m2.values - 2.0)) < 1e-11
+    m2 = operators.hl_maximal_squared(circle_sc, np.full(circle_sc.n, -2.0))
+    assert np.max(np.abs(m2 - 2.0)) < 1e-11
 
 
 def test_m2_brute_double_iteration():
     sc = curves.arclength_sample(curves.circle(1.0), 512)
     dist = np.minimum(np.arange(sc.n), sc.n - np.arange(sc.n)) * sc.spacing
-    g = GridFunction(sc, (dist < sc.period / 16).astype(complex))
-    m2 = operators.hl_maximal_squared(g).values.real
+    g = (dist < sc.period / 16).astype(complex)
+    m2 = operators.hl_maximal_squared(sc, g)
     mid = sc.n // 2  # antipodal node
-    once = np.array([brute_hl(g, i) for i in range(sc.n)])
-    twice = brute_hl(GridFunction(sc, once.astype(complex)), mid)
+    once = np.array([brute_hl(sc, g, i) for i in range(sc.n)])
+    twice = brute_hl(sc, once, mid)
     assert m2[mid] == pytest.approx(twice, abs=1e-12)
+
+
+def test_hl_stack_matches_rows_bit_for_bit():
+    # a (F, n) stack gives each row the bits of its own call, on an odd and
+    # an even grid, with a zero row and an indicator among the rows
+    for p, n in ((curves.circle(1.0), 1001),
+                 (curves.polygon([0, 1, 1 + 1j, 1j]), 2048)):
+        sc = curves.arclength_sample(p, n)
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+        stack[1] = 0.0
+        stack[2] = np.arange(n) < n // 8
+        for op in (operators.hl_maximal_all, operators.hl_maximal_squared):
+            got = op(sc, stack)
+            assert got.shape == stack.shape
+            for row, values in zip(got, stack):
+                assert row.tobytes() == op(sc, values).tobytes()
 
 
 # -- kernel truncation transform ------------------------------------------------------
@@ -610,7 +619,7 @@ def test_kernel_transform_direct_oracle():
     g = operators.kernel_truncation_transform(sc, 0, eps)
 
     # independent brute force: Richardson pv of the kernel by plain loops
-    kernel = operators.truncated_kernel(sc, 0, eps).values
+    kernel = operators.truncated_kernel(sc, 0, eps)
     unit = sc.tangents / np.abs(sc.tangents)
 
     def brute_teps(i, level):
@@ -642,8 +651,8 @@ def test_kernel_transform_masks_near_center():
     g = operators.kernel_truncation_transform(sc, 10, eps)
     assert np.all(g[near] == 0.0)
     kernel = operators.truncated_kernel(sc, 10, eps)
-    filled = operators.kernel_transform_direct_fill(
-        kernel, 10, operators.pv_cauchy_all(kernel).values)
+    pv, _ = operators.cauchy_family(sc, [kernel])
+    filled = operators.kernel_transform_direct_fill(sc, kernel, 10, pv[0])
     assert np.all(np.isfinite(filled[near].view(float)))
     assert np.array_equal(filled[~near], g[~near])
 
@@ -666,7 +675,7 @@ def test_kernel_far_field_magnitude_bound():
 
 
 def test_transform_csv_rows(circle_sc, one):
-    rows = operators.transform_csv_rows(circle_sc, [("T_pv", "", one.values)])
+    rows = operators.transform_csv_rows(circle_sc, [("T_pv", "", one)])
     assert rows[0].startswith("0,0,T_pv,,1,")
     assert rows[5].startswith("5,")
     assert len(rows) == circle_sc.n
@@ -676,7 +685,7 @@ def test_transform_csv_rows_keep_table_order(circle_sc, one):
     # every row of the first quantity, then every row of the second
     n = circle_sc.n
     rows = operators.transform_csv_rows(
-        circle_sc, [("T_eps", "T*2^-4", one.values), ("M", "", np.zeros(n))])
+        circle_sc, [("T_eps", "T*2^-4", one), ("M", "", np.zeros(n))])
     assert len(rows) == 2 * n
     assert all(r.split(",")[2:4] == ["T_eps", "T*2^-4"] for r in rows[:n])
     assert all(r.split(",")[2:4] == ["M", ""] for r in rows[n:])
@@ -685,15 +694,14 @@ def test_transform_csv_rows_keep_table_order(circle_sc, one):
 
 def test_quadrature_convergence_constant_across_eps():
     # |T_eps f| at n and 2n differ by at most K/n with K stable across eps
-    f_of = lambda sc: GridFunction(
-        sc, np.exp(2j * np.pi * 2 * sc.params / sc.period))
+    f_of = lambda sc: np.exp(2j * np.pi * 2 * sc.params / sc.period)
     diffs = {}
     for k in (4, 6):
         vals = {}
         for n in (512, 1024, 2048):
             sc = curves.arclength_sample(curves.circle(1.0), n)
             eps = sc.period * 2.0 ** (-k)
-            vals[n] = oracles.truncated_cauchy(f_of(sc), 0, eps)
+            vals[n] = oracles.truncated_cauchy(sc, f_of(sc), 0, eps)
         diffs[k] = [abs(vals[512] - vals[1024]) * 512,
                     abs(vals[1024] - vals[2048]) * 1024]
     ks = [d for pair in diffs.values() for d in pair]
