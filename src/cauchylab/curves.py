@@ -5,7 +5,8 @@ deliberate counterexample family, never smoothed), smooth graph closures,
 and a recursive spiral assembled from smoothed triangular bumps whose
 opening angles decay harmonically.  All builders emit unit-speed
 parametrizations; non-analytic curves are backed by per-zone cumulative
-arc-length splines with clamped end derivatives.
+arc-length splines with clamped end derivatives.  The clamped spline is
+in-house numpy code that matches scipy's ``CubicSpline`` bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._quadrature import _GL96, cumulative_gauss, gauss_panel
 from .errors import ConstructionError, DegenerateGeometryError, DomainError
@@ -454,12 +454,87 @@ class _LinearZone:
         return self.off + self.mult * (t + 1j * lam)
 
 
+def _gtsv(dl, d, du, b):
+    """Solve a tridiagonal system for one right-hand side by Gaussian
+    elimination with partial pivoting, operation for operation as LAPACK
+    dgtsv does it (rows i and i+1 swap when |d_i| < |dl_i|).  Takes and
+    overwrites Python lists of floats; returns the solution list b."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise ConstructionError("singular spline knot system")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:  # the last row has no second superdiagonal fill
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise ConstructionError("singular spline knot system")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+class _ClampedSpline:
+    """Cubic spline through (x, y) with end slopes d0 and d1 (de Boor's
+    complete spline).  It repeats the arithmetic of scipy's
+    ``CubicSpline(x, y, bc_type=((1, d0), (1, d1)))`` step for step, so it
+    returns the same bits, extrapolation by the end cubics included."""
+
+    __slots__ = ("_inner", "_x", "_c3", "_c2", "_c1", "_c0")
+
+    def __init__(self, x, y, d0, d1):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        n = len(x)
+        d = np.empty(n)
+        d[0] = d[-1] = 1.0
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
+        du = np.concatenate(([0.0], dx[:-1]))
+        dl = np.concatenate((dx[1:], [0.0]))
+        b = np.empty(n)
+        b[0], b[-1] = d0, d1
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        m = np.array(_gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist()))
+        t = (m[:-1] + m[1:] - 2 * slope) / dx
+        # PPoly's sum starts from 0.0, which turns a -0.0 value into +0.0
+        self._c3, self._c2 = 0.0 + y[:-1], m[:-1]
+        self._c1, self._c0 = (slope - m[:-1]) / dx - t, t / dx
+        self._inner, self._x = x[1:-1], x[:-1]
+
+    def __call__(self, v):
+        # the interval is searchsorted(x, v, "right") - 1 clipped to the end
+        # intervals, which the interior knots give directly
+        v = np.asarray(v, dtype=float)
+        i = self._inner.searchsorted(v, "right")
+        h = v - self._x[i]
+        hh = h * h
+        # PPoly's order: ((c3 + c2 h) + c1 h^2) + c0 h^3, with h^3 = (h h) h
+        return self._c3[i] + self._c2[i] * h + self._c1[i] * hh + self._c0[i] * (hh * h)
+
+
 class _SplineZone:
     """A smooth curved stretch t0..t1 of point_of, with clamped-spline
-    inverse arc length from the cumulative integral of its speed."""
+    inverse arc length from the cumulative integral of its speed.  The
+    spline s(t), which only `param_of` reads, is fitted on first use from
+    the kept knots."""
 
     __slots__ = ("t0", "t1", "point_of", "length", "s0", "_t_of_s", "_s_of_t",
-                 "patch_index")
+                 "_knots", "patch_index")
 
     def __init__(self, point_of, speed, t0, t1, patch_index=-1, knots=65):
         self.t0, self.t1 = t0, t1
@@ -469,8 +544,9 @@ class _SplineZone:
         self.length = float(s_knots[-1])
         v0 = float(speed(np.array([t0]))[0])
         v1 = float(speed(np.array([t1]))[0])
-        self._t_of_s = CubicSpline(s_knots, t_knots, bc_type=((1, 1.0 / v0), (1, 1.0 / v1)))
-        self._s_of_t = CubicSpline(t_knots, s_knots, bc_type=((1, v0), (1, v1)))
+        self._t_of_s = _ClampedSpline(s_knots, t_knots, 1.0 / v0, 1.0 / v1)
+        self._s_of_t = None
+        self._knots = (t_knots, s_knots, v0, v1)
         self.s0 = 0.0
         self.patch_index = patch_index
 
@@ -478,6 +554,8 @@ class _SplineZone:
         return np.clip(self._t_of_s(ds), self.t0, self.t1)
 
     def s_at(self, t):
+        if self._s_of_t is None:
+            self._s_of_t = _ClampedSpline(*self._knots)
         return float(self._s_of_t(t))
 
     def point(self, ds):

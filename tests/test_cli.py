@@ -1,6 +1,10 @@
 """End-to-end CLI tests: artifacts, exit statuses, determinism."""
 
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,8 +395,6 @@ def test_no_program_path_calls_single_node_oracles(tmp_path, monkeypatch):
 
 
 def test_shipped_spec_files_are_valid():
-    from pathlib import Path
-
     from cauchylab import curvespec
 
     specs = sorted(Path(__file__).resolve().parent.parent.glob("specs/*.cspec"))
@@ -400,6 +402,36 @@ def test_shipped_spec_files_are_valid():
     for path in specs:
         doc = curvespec.parse_spec(path.read_text())
         assert doc.kind in curvespec.CURVE_KINDS
+
+
+# runs the command line with every scipy import failing
+_NO_SCIPY_MAIN = ("import sys; sys.modules['scipy'] = None; "
+                  "from cauchylab.cli import main; main()")
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    # scipy is a test oracle only: the spline-backed curves (ellipse, spiral,
+    # graph closure) run the default scans to agreement with it blocked, and
+    # importing the package and its command line loads no scipy module
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, curve in (("ellipse", "ellipse"), ("spiral", "spiral\ndepth = 3"),
+                        ("graph", "graph-closure")):
+        spec = _write_spec(tmp_path, f"[curve]\nkind = {curve}\n[sampling]\n"
+                           "n = 512\nresolutions = 128,256,512\n[experiment]\n"
+                           "k_min = 4\nk_max = 9\n", f"{name}.cspec")
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_MAIN, "all", "--spec", str(spec),
+             "--out", str(tmp_path / name), "--assert-theorem"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (name, proc.stderr)
+    show = ("import sys, cauchylab, cauchylab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", show], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_known_defect_square_criterion_flips_bounded_at_k_max_14(tmp_path):
@@ -410,8 +442,6 @@ def test_known_defect_square_criterion_flips_bounded_at_k_max_14(tmp_path):
     11/10, exactly the rule's 10% climb, so the verdict there rests on the
     last bit of the scores and is not pinned.  Change this test when the
     rule changes."""
-    from pathlib import Path
-
     from cauchylab import curves, harness
 
     spec = Path(__file__).resolve().parent.parent / "specs" / "square.cspec"

@@ -1,12 +1,14 @@
 """Tests for curve construction, patch profiles, and arc-length sampling."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
-from cauchylab import curves
+from cauchylab import curves, curvespec
 from cauchylab.errors import ConstructionError, DomainError
 
 
@@ -221,6 +223,106 @@ def test_builtin_curve_dispatch_and_validation():
         curves.builtin_curve("circle", [-1.0])
     with pytest.raises(DomainError):
         curves.builtin_curve("torus", [1.0])
+
+
+# -- clamped splines: scipy's CubicSpline is the bit-for-bit oracle ----------
+
+def _spline_probes(x):
+    """The knots, two points inside every interval, points just outside
+    and one interval beyond both ends, and NaN."""
+    h = np.diff(x)
+    return np.concatenate((
+        x, x[:-1] + 0.5 * h, x[:-1] + 0.3 * h,
+        [x[0] - h[0], np.nextafter(x[0], -np.inf),
+         np.nextafter(x[-1], np.inf), x[-1] + h[-1], np.nan]))
+
+
+def _assert_scipy_bits(spline, x, y, d0, d1):
+    want = CubicSpline(x, y, bc_type=((1, d0), (1, d1)))
+    v = _spline_probes(x)
+    assert np.array_equal(spline(v), want(v), equal_nan=True)
+
+
+def _assert_zone_splines_match_scipy(zone):
+    # the two splines _SplineZone fitted with scipy: t(s) and s(t)
+    t_knots, s_knots, v0, v1 = zone._knots
+    _assert_scipy_bits(zone._t_of_s, s_knots, t_knots, 1.0 / v0, 1.0 / v1)
+    zone.s_at(t_knots[1])
+    _assert_scipy_bits(zone._s_of_t, t_knots, s_knots, v0, v1)
+
+
+_SPLINE_ZONE = curves._SplineZone
+
+
+def _spline_zones(monkeypatch, build):
+    """Every _SplineZone the builder makes."""
+    zones = []
+
+    class Recorded(_SPLINE_ZONE):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            zones.append(self)
+
+    monkeypatch.setattr(curves, "_SplineZone", Recorded)
+    build()
+    return zones
+
+
+_SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def test_shipped_zone_splines_match_scipy_bit_for_bit(monkeypatch):
+    # the circle and the square build no spline zone; the ellipse builds
+    # one, the spiral and the default graph closure build the rest
+    docs = [curvespec.parse_spec(path.read_text())
+            for path in sorted(_SPECS.glob("*.cspec"))]
+    docs.append(curvespec.default_document("graph-closure"))
+    zones = {doc.kind: _spline_zones(
+        monkeypatch, lambda: curvespec.build_from_document(doc)) for doc in docs}
+    assert {k: len(z) for k, z in zones.items()} == {
+        "circle": 0, "ellipse": 1, "graph-closure": 24, "polygon": 0, "spiral": 26}
+    for kind_zones in zones.values():
+        for zone in kind_zones:
+            _assert_zone_splines_match_scipy(zone)
+
+
+def test_wide_ellipse_spline_pivots_and_matches_scipy(monkeypatch):
+    # the first row of the clamped knot system is (1, 0 | slope); with a
+    # knot gap in s above 1 (b = 1500: 1500 * 2 pi / 8192 = 1.15) dgtsv
+    # swaps it with the second row.  At b = 1000 the gap is 0.77, no swap.
+    zones = _spline_zones(monkeypatch, lambda: curves.ellipse(2000.0, 1500.0))
+    assert len(zones) == 1
+    s_knots = zones[0]._knots[1]
+    assert s_knots[2] - s_knots[1] > 1.0
+    _assert_zone_splines_match_scipy(zones[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 300])
+def test_clamped_spline_matches_scipy_on_random_knots(n):
+    # spacings from 1e-4 to 1e4 within one knot set, so rows swap
+    rng = np.random.default_rng(n)
+    for _ in range(25):
+        x = rng.normal() + np.concatenate(
+            ([0.0], np.cumsum(10.0 ** rng.uniform(-4.0, 4.0, n - 1))))
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        d0, d1 = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        _assert_scipy_bits(curves._ClampedSpline(x, y, d0, d1), x, y, d0, d1)
+
+
+def test_spline_zone_fits_s_of_t_on_first_use():
+    # only param_of reads s(t): the build asks for the deepest apex (the
+    # focus), and a zone fits s(t) once, on the first parameter it holds
+    p = curves.build_spiral(curves.SpiralSpec(depth=2))
+    zones = [z for z in curves._spiral_engine(p).zones
+             if isinstance(z, curves._SplineZone)]
+
+    def fitted():
+        return [z.patch_index for z in zones if z._s_of_t is not None]
+
+    assert len(zones) > 6 and fitted() == [2]
+    curves.spiral_patch_param(p, 1, 0.5)
+    curves.spiral_patch_param(p, 1, 0.5 + 1e-4)
+    assert sorted(fitted()) == [1, 2]
 
 
 # -- periodicity / injectivity invariants ------------------------------------
