@@ -7,6 +7,10 @@ opening angles decay harmonically.  All builders emit unit-speed
 parametrizations; non-analytic curves are backed by per-zone cumulative
 arc-length splines with clamped end derivatives.  The clamped spline is
 in-house numpy code that matches scipy's ``CubicSpline`` bit for bit.
+
+``builtin_curve(kind, **keys)`` is the one dispatch from a curve kind to
+its builder: a table keyed by kind that passes the [curve] keys of a .cspec
+file by their spec names.
 """
 
 from __future__ import annotations
@@ -23,14 +27,10 @@ from .errors import ConstructionError, DegenerateGeometryError, DomainError
 
 __all__ = [
     "PatchSpec",
-    "Patch",
-    "SpiralSpec",
     "Parametrization",
     "SampledCurve",
-    "corner_profile",
     "mollified_profile",
     "mollified_slope",
-    "build_patch",
     "patch_half_diameter",
     "build_spiral",
     "spiral_patch_polyline",
@@ -106,7 +106,7 @@ def bump_ramp(w):
 
 
 # ---------------------------------------------------------------------------
-# Patch profiles.
+# Smoothed-bump profiles.
 
 
 @dataclass(frozen=True)
@@ -128,12 +128,6 @@ def _check_unit_interval(t):
     if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
         raise DomainError("profile parameter must lie in [0, 1]")
     return np.clip(t, 0.0, 1.0)
-
-
-def corner_profile(spec: PatchSpec, t):
-    """Triangular profile max{0, (1/4 - |t - 1/2|) tan(angle)} on [0, 1]."""
-    t = _check_unit_interval(t)
-    return np.maximum(0.0, (0.25 - np.abs(t - 0.5)) * math.tan(spec.angle))
 
 
 def mollified_profile(spec: PatchSpec, t):
@@ -180,44 +174,16 @@ def _patch_boundaries(xi):
     return (0.0, 0.25 - xi, 0.25 + xi, 0.5 - xi, 0.5 + xi, 0.75 - xi, 0.75 + xi, 1.0)
 
 
-@dataclass(frozen=True)
-class Patch:
-    """A built smoothed bump: straight pieces, lengths and peak height."""
-
-    spec: PatchSpec
-    length: float
-    corner_length: float
-    segments: tuple  # four ((t, height), (t, height)) straight pieces
-    peak: float
-
-    @property
-    def shortening(self) -> float:
-        """Arc length lost to smoothing (nonnegative)."""
-        return self.corner_length - self.length
-
-    def point(self, t):
-        t = _check_unit_interval(t)
-        return t + 1j * mollified_profile(self.spec, t)
-
-
-def build_patch(spec: PatchSpec) -> Patch:
-    """Build one smoothed bump and measure its arc length per smooth zone."""
-    tn, xi = math.tan(spec.angle), spec.xi
-    bounds = _patch_boundaries(xi)
+def _patch_shortening(spec: PatchSpec) -> float:
+    """Arc length the smoothing takes off the bump: the corner profile's
+    length 1/2 + 1/(2 cos(angle)) less the smoothed profile's, measured by
+    one Gauss panel per smooth zone."""
+    bounds = _patch_boundaries(spec.xi)
     length = 0.0
     for a, b in zip(bounds[:-1], bounds[1:]):
         length += gauss_panel(
             lambda t: np.sqrt(1.0 + mollified_slope(spec, t) ** 2), a, b)
-    corner_length = 0.5 + 0.5 / math.cos(spec.angle)
-    segments = (
-        ((0.0, 0.0), (0.25 - xi, 0.0)),
-        ((0.25 + xi, xi * tn), (0.5 - xi, (0.25 - xi) * tn)),
-        ((0.5 + xi, (0.25 - xi) * tn), (0.75 - xi, xi * tn)),
-        ((0.75 + xi, 0.0), (1.0, 0.0)),
-    )
-    peak = float(mollified_profile(spec, 0.5))
-    return Patch(spec=spec, length=float(length), corner_length=corner_length,
-                 segments=segments, peak=peak)
+    return (0.5 + 0.5 / math.cos(spec.angle)) - float(length)
 
 
 def _spiral_angle(j: int) -> float:
@@ -237,20 +203,6 @@ def patch_half_diameter(n: int) -> float:
     if log_l < -745.0:
         return 0.0
     return math.exp(log_l)
-
-
-@dataclass(frozen=True)
-class SpiralSpec:
-    """Recursion depth and smoothing width for the spiral."""
-
-    depth: int
-    xi: float = 1.0 / 200.0
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise DomainError("spiral depth must be >= 1")
-        if not 0.0 < self.xi < 0.01:
-            raise DomainError(f"smoothing width xi must satisfy 0 < xi < 1/100, got {self.xi}")
 
 
 # ---------------------------------------------------------------------------
@@ -723,22 +675,10 @@ def _spiral_maps(depth):
     return offs, mults
 
 
-def _spiral_limit_point(depth_built):
-    """Accumulation point of the untruncated recursion (converges fast)."""
-    off, mult = 0.0 + 0.0j, 1.0 + 0.0j
-    j = 1
-    while abs(mult) > 1e-40 and j < depth_built + 400:
-        off = off + mult * 0.25
-        alpha = _spiral_angle(j)
-        mult = mult * np.exp(1j * alpha) / (4.0 * math.cos(alpha))
-        j += 1
-    return complex(off)
-
-
 def _validate_spiral_separation(patches, offs, mults, xi, depth):
     """Neighboring patches must stay 1e-9 apart away from their junctions."""
     for j in range(1, depth):
-        spec_a, spec_b = patches[j - 1].spec, patches[j].spec
+        spec_a, spec_b = patches[j - 1], patches[j]
         scale = abs(mults[j - 1])
         # patch j kept stretches in its own local frame
         ta = np.linspace(4.0 * xi if j > 1 else 0.0, 0.25 + xi, 400)
@@ -762,20 +702,22 @@ def _validate_spiral_separation(patches, offs, mults, xi, depth):
                 f"(depth {j + 1}, separation {float(d.min()) * scale:.3e})")
 
 
-def build_spiral(spec: SpiralSpec) -> Parametrization:
-    """Assemble the truncated recursive spiral, closed smoothly.
+def build_spiral(depth: int, xi: float = 1.0 / 200.0) -> Parametrization:
+    """Assemble the truncated recursive spiral of `depth` bumps with
+    smoothing width `xi`, closed smoothly.
 
     Each gluing rotates by the patch opening angle and rescales so the next
     bump's endpoints match its parent's middle-segment chord; the deepest
     bump keeps its middle segment.  A C2 arc in the lower half plane joins
     the endpoints and the result is oriented positively.
     """
-    depth, xi = spec.depth, spec.xi
-    patches = [build_patch(PatchSpec(_spiral_angle(j), xi)) for j in range(1, depth + 1)]
+    if depth < 1:
+        raise DomainError("spiral depth must be >= 1")
+    patches = [PatchSpec(_spiral_angle(j), xi) for j in range(1, depth + 1)]
     offs, mults = _spiral_maps(depth)
     zones = []
     for (j, ta, tb) in _spiral_pieces(depth, xi):
-        zones.extend(_piece_zones(patches[j - 1].spec, ta, tb,
+        zones.extend(_piece_zones(patches[j - 1], ta, tb,
                                   offs[j - 1], mults[j - 1], j))
     open_assembly = _ZoneAssembly(zones)
     spiral_length = open_assembly.total
@@ -789,9 +731,9 @@ def build_spiral(spec: SpiralSpec) -> Parametrization:
         "xi": xi,
         "patch_offsets": tuple(complex(o) for o in offs),
         "patch_multipliers": tuple(complex(m) for m in mults),
-        "limit_point": _spiral_limit_point(depth),
         "finest_scale": patch_half_diameter(depth),
         "patches": tuple(patches),
+        "shortenings": tuple(_patch_shortening(spec) for spec in patches),
     }
 
     curve, dcurve = _closure_loop(1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j,
@@ -822,7 +764,7 @@ def spiral_patch_polyline(p: Parametrization, j: int, n: int = 2048) -> np.ndarr
     depth = p.meta["depth"]
     if not 1 <= j <= depth:
         raise DomainError(f"patch index {j} outside 1..{depth}")
-    spec = p.meta["patches"][j - 1].spec
+    spec = p.meta["patches"][j - 1]
     t = np.linspace(0.0, 1.0, n)
     return (p.meta["patch_offsets"][j - 1]
             + p.meta["patch_multipliers"][j - 1] * (t + 1j * mollified_profile(spec, t)))
@@ -865,12 +807,12 @@ def spiral_tail_series(p: Parametrization, k: int):
     depth = p.meta["depth"]
     if not 1 <= k <= depth:
         raise DomainError(f"scale index {k} outside 1..{depth}")
-    patches = p.meta["patches"]
+    shortenings = p.meta["shortenings"]
     r = 0.0
     for j in range(k, depth + 1):
         lj = patch_half_diameter(j)
         alpha = _spiral_angle(j)
-        r += lj * (1.0 / math.cos(alpha) - 1.0) - 2.0 * lj * patches[j - 1].shortening
+        r += lj * (1.0 / math.cos(alpha) - 1.0) - 2.0 * lj * shortenings[j - 1]
     poly = spiral_patch_polyline(p, k, n=4096)
     thetas = np.linspace(0.0, math.pi, 720, endpoint=False)
     proj = np.outer(np.exp(-1j * thetas), poly).real
@@ -914,22 +856,23 @@ def graph_closure(coeffs: Sequence[float]) -> Parametrization:
     return _closed_from_assembly(assembly, "graph-closure", {})
 
 
-def builtin_curve(kind: str, params: Sequence[float]) -> Parametrization:
-    """Parameter-list front end used by the spec-file loader."""
-    params = [float(v) for v in params]
-    if kind == "circle":
-        if len(params) != 1:
-            raise DomainError("circle takes a single positive radius")
-        return circle(params[0])
-    if kind == "ellipse":
-        if len(params) != 2:
-            raise DomainError("ellipse takes two positive semi-axes")
-        return ellipse(params[0], params[1])
-    if kind == "polygon":
-        if len(params) < 6 or len(params) % 2 != 0:
-            raise DomainError("polygon takes an even list of >= 6 coordinates")
-        verts = [complex(params[2 * i], params[2 * i + 1]) for i in range(len(params) // 2)]
-        return polygon(verts)
-    if kind == "graph-closure":
-        return graph_closure(params)
-    raise DomainError(f"unknown builtin curve kind {kind!r}")
+# The builder of each curve kind, called with the kind's [curve] keys by
+# their .cspec names.  Each lambda looks its builder up by module name when
+# it runs, so a rebound name (a wrapped builder) is the one called.
+_BUILDERS = {
+    "circle": lambda radius: circle(radius),
+    "ellipse": lambda a, b: ellipse(a, b),
+    "polygon": lambda vertices: polygon(
+        [complex(x, y) for x, y in zip(vertices[::2], vertices[1::2])]),
+    "graph-closure": lambda coeffs: graph_closure(coeffs),
+    "spiral": lambda depth, xi: build_spiral(depth, xi),
+}
+
+
+def builtin_curve(kind: str, **keys) -> Parametrization:
+    """Build a curve of the given kind from its [curve] keys, named as in a
+    .cspec file (polygon vertices as a flat x0,y0,x1,y1,... list).  A key
+    the kind does not take is a TypeError, as for any call."""
+    if kind not in _BUILDERS:
+        raise DomainError(f"unknown builtin curve kind {kind!r}")
+    return _BUILDERS[kind](**keys)

@@ -2,14 +2,19 @@
 [section] headers, schema-typed values, strict validation before any
 computation, and a canonical serializer (alphabetical sections and keys,
 LF endings, shortest round-trip reals).  Files use the .cspec extension;
-comments start at '#' and are not preserved."""
+comments start at '#' and are not preserved.
+
+A validated document's [curve] section goes to ``curves.builtin_curve``
+whole: the schema names each key as its kind's builder takes it.  An
+override that switches the curve kind starts that section afresh, so the
+new kind's defaults fill in around the [curve] keys the overrides give."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
-from .curves import SpiralSpec, build_spiral, builtin_curve
+from .curves import builtin_curve
 from .errors import ValidationError
 
 __all__ = [
@@ -309,8 +314,13 @@ def serialize_spec(doc: SpecDocument) -> str:
 
 
 def apply_overrides(doc: SpecDocument, assignments) -> SpecDocument:
-    """Apply repeatable section.key=value overrides with full revalidation."""
+    """Apply repeatable section.key=value overrides with full revalidation.
+
+    An override that changes curve.kind drops the document's other [curve]
+    keys, which belong to the old kind; the [curve] keys among the
+    overrides, in any order, still apply."""
     raw = {sec: dict(items) for sec, items in doc.data}
+    given: dict = {}
     for text in assignments:
         if "=" not in text or "." not in text.split("=", 1)[0]:
             raise ValidationError(f"override {text!r} is not section.key=value")
@@ -319,8 +329,12 @@ def apply_overrides(doc: SpecDocument, assignments) -> SpecDocument:
         sec, key = sec.strip(), key.strip()
         if sec not in SCHEMA or key not in SCHEMA[sec]:
             raise ValidationError(f"override {text!r}: unknown key {sec}.{key}")
-        raw.setdefault(sec, {})[key] = _parse_value(
+        given.setdefault(sec, {})[key] = _parse_value(
             value.strip(), SCHEMA[sec][key].ftype, f"override {sec}.{key}")
+    for sec, items in given.items():
+        raw.setdefault(sec, {}).update(items)
+    if raw["curve"]["kind"] != doc.kind:
+        raw["curve"] = given["curve"]
     return _validate(raw, source="overrides")
 
 
@@ -330,14 +344,4 @@ def default_document(kind: str = "circle") -> SpecDocument:
 
 def build_from_document(doc: SpecDocument):
     """Construct the curve a validated document describes."""
-    kind = doc.kind
-    curve = doc.section("curve")
-    if kind == "circle":
-        return builtin_curve("circle", [curve["radius"]])
-    if kind == "ellipse":
-        return builtin_curve("ellipse", [curve["a"], curve["b"]])
-    if kind == "polygon":
-        return builtin_curve("polygon", list(curve["vertices"]))
-    if kind == "graph-closure":
-        return builtin_curve("graph-closure", list(curve["coeffs"]))
-    return build_spiral(SpiralSpec(depth=curve["depth"], xi=curve["xi"]))
+    return builtin_curve(**doc.section("curve"))

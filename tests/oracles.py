@@ -8,7 +8,9 @@ tests), the detour scan that forms every detour sum and the smallness gate
 that runs it on every level (for the pruned scan behind
 geometry.conformality_modulus and geometry.eps0_gate), and the row-at-a-time
 CSV writers, one f-string per row, that the column-at-a-time writers must
-match byte for byte.
+match byte for byte; and for the curve builders, the unsmoothed corner
+profile that curves.mollified_profile smooths and the spiral's limit point,
+the accumulation point of its untruncated recursion.
 
 The single-node oracles take what the operators take: the sampled curve
 and plain node values, (sc, values, z_index, ...)."""
@@ -18,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from cauchylab.curves import _check_unit_interval, _spiral_angle
 from cauchylab.errors import (
     BranchAmbiguityError,
     DegenerateGeometryError,
@@ -206,3 +209,22 @@ def cotlar_csv_rows(kind: str, node_ratios):
         for i, r in enumerate(ratios):
             rows.append(f"{kind},{n},{tag},{i},{r:.17g}")
     return rows
+
+
+def corner_profile(spec, t):
+    """Triangular profile max{0, (1/4 - |t - 1/2|) tan(angle)} on [0, 1]."""
+    t = _check_unit_interval(t)
+    return np.maximum(0.0, (0.25 - np.abs(t - 0.5)) * math.tan(spec.angle))
+
+
+def spiral_limit_point(depth_built):
+    """Accumulation point of the untruncated spiral recursion (converges
+    fast)."""
+    off, mult = 0.0 + 0.0j, 1.0 + 0.0j
+    j = 1
+    while abs(mult) > 1e-40 and j < depth_built + 400:
+        off = off + mult * 0.25
+        alpha = _spiral_angle(j)
+        mult = mult * np.exp(1j * alpha) / (4.0 * math.cos(alpha))
+        j += 1
+    return complex(off)

@@ -52,12 +52,12 @@ def circle4096(circle):
 
 @pytest.fixture(scope="module")
 def spiral10():
-    return curves.build_spiral(curves.SpiralSpec(depth=10))
+    return curves.build_spiral(10)
 
 
 @pytest.fixture(scope="module")
 def spiral12():
-    return curves.build_spiral(curves.SpiralSpec(depth=12))
+    return curves.build_spiral(12)
 
 
 CIRCLE_SPEC = """

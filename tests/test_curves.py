@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+import oracles
 from cauchylab import curves, curvespec
 from cauchylab.errors import ConstructionError, DomainError
 
@@ -43,15 +44,15 @@ def test_kernel_abs_moment_frozen():
 
 def test_corner_profile_values():
     spec = curves.PatchSpec(math.pi / 4)
-    assert curves.corner_profile(spec, 0.5) == pytest.approx(0.25, abs=1e-15)
-    assert curves.corner_profile(spec, 0.1) == 0.0
-    assert curves.corner_profile(spec, 3 / 8) == pytest.approx(0.125, abs=1e-15)
+    assert oracles.corner_profile(spec, 0.5) == pytest.approx(0.25, abs=1e-15)
+    assert oracles.corner_profile(spec, 0.1) == 0.0
+    assert oracles.corner_profile(spec, 3 / 8) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_corner_profile_domain_error():
     spec = curves.PatchSpec(math.pi / 4)
     with pytest.raises(DomainError):
-        curves.corner_profile(spec, 1.2)
+        oracles.corner_profile(spec, 1.2)
     with pytest.raises(DomainError):
         curves.mollified_profile(spec, -0.1)
 
@@ -61,7 +62,7 @@ def test_mollified_profile_matches_brute_force_convolution():
 
     def brute(t):
         val, _ = quad(
-            lambda u: float(curves.corner_profile(spec, np.clip(t - spec.xi * u, 0, 1))
+            lambda u: float(oracles.corner_profile(spec, np.clip(t - spec.xi * u, 0, 1))
                             * curves.bump(np.array([u]))[0]),
             -1, 1, epsabs=1e-12, limit=200)
         return val
@@ -87,7 +88,7 @@ def test_mollified_profile_exact_outside_corner_neighborhoods():
         np.linspace(0.75 + spec.xi, 1.0, 40),
     ])
     assert np.max(np.abs(curves.mollified_profile(spec, ts)
-                         - curves.corner_profile(spec, ts))) < 1e-12
+                         - oracles.corner_profile(spec, ts))) < 1e-12
 
 
 def test_patch_spec_validation():
@@ -99,12 +100,15 @@ def test_patch_spec_validation():
         curves.PatchSpec(0.5, xi=0.02)
 
 
-# -- built patches -----------------------------------------------------------
+# -- smoothed patches --------------------------------------------------------
 
 def test_patch_straight_pieces_exact():
+    # the four straight pieces run between every other zone boundary, and
+    # on them the smoothed profile is the corner profile, a straight line
     spec = curves.PatchSpec(0.5, 1 / 200)
-    patch = curves.build_patch(spec)
-    for (t0, y0), (t1, y1) in patch.segments:
+    bounds = curves._patch_boundaries(spec.xi)
+    for t0, t1 in zip(bounds[0::2], bounds[1::2]):
+        y0, y1 = oracles.corner_profile(spec, t0), oracles.corner_profile(spec, t1)
         assert curves.mollified_profile(spec, t0) == pytest.approx(y0, abs=1e-12)
         assert curves.mollified_profile(spec, t1) == pytest.approx(y1, abs=1e-12)
         tm = 0.5 * (t0 + t1)
@@ -113,10 +117,10 @@ def test_patch_straight_pieces_exact():
 
 
 def test_patch_endpoints_and_midpoint():
-    patch = curves.build_patch(curves.PatchSpec(math.pi / 4))
-    assert patch.point(0.0) == pytest.approx(0.0, abs=1e-14)
-    assert patch.point(1.0) == pytest.approx(1.0, abs=1e-14)
-    assert patch.peak < 0.25 * math.tan(math.pi / 4)
+    spec = curves.PatchSpec(math.pi / 4)
+    assert curves.mollified_profile(spec, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert curves.mollified_profile(spec, 1.0) == pytest.approx(0.0, abs=1e-14)
+    assert curves.mollified_profile(spec, 0.5) < 0.25 * math.tan(math.pi / 4)
 
 
 def test_patch_convexity_pattern():
@@ -133,17 +137,19 @@ def test_patch_convexity_pattern():
 
 def test_patch_shortening_bounds():
     for angle in [0.5, 0.25, 0.125, 0.0625]:
-        patch = curves.build_patch(curves.PatchSpec(angle))
-        assert 0.0 <= patch.shortening <= 2.0 * math.tan(angle)
+        shortening = curves._patch_shortening(curves.PatchSpec(angle))
+        assert 0.0 <= shortening <= 2.0 * math.tan(angle)
 
 
 def test_patch_arclength_against_quadrature():
+    # the smoothed bump's length is the corner profile's less the shortening
     spec = curves.PatchSpec(0.5, 1 / 200)
-    patch = curves.build_patch(spec)
+    corner_length = 0.5 + 0.5 / math.cos(spec.angle)
+    length = corner_length - curves._patch_shortening(spec)
     ref, _ = quad(lambda t: math.sqrt(1.0 + float(curves.mollified_slope(spec, t)) ** 2),
                   0.0, 1.0, epsabs=1e-11, limit=400,
                   points=list(curves._patch_boundaries(spec.xi)))
-    assert patch.length == pytest.approx(ref, abs=1e-9)
+    assert length == pytest.approx(ref, abs=1e-9)
 
 
 # -- scale sequence ----------------------------------------------------------
@@ -215,14 +221,20 @@ def test_ellipse_unit_speed_and_perimeter():
 
 
 def test_builtin_curve_dispatch_and_validation():
-    assert curves.builtin_curve("circle", [2.0]).kind == "circle"
-    assert curves.builtin_curve("ellipse", [2.0, 1.0]).kind == "ellipse"
-    assert curves.builtin_curve("polygon", [0, 0, 1, 0, 1, 1, 0, 1]).kind == "polygon"
-    assert curves.builtin_curve("graph-closure", [0.3]).kind == "graph-closure"
+    assert curves.builtin_curve("circle", radius=2.0).kind == "circle"
+    assert curves.builtin_curve("ellipse", a=2.0, b=1.0).kind == "ellipse"
+    square = curves.builtin_curve("polygon", vertices=(0, 0, 1, 0, 1, 1, 0, 1))
+    assert square.kind == "polygon" and square.period == pytest.approx(4.0)
+    assert curves.builtin_curve("graph-closure", coeffs=(0.3,)).kind == "graph-closure"
+    assert curves.builtin_curve("spiral", depth=2, xi=0.005).kind == "spiral"
     with pytest.raises(DomainError):
-        curves.builtin_curve("circle", [-1.0])
+        curves.builtin_curve("circle", radius=-1.0)
     with pytest.raises(DomainError):
-        curves.builtin_curve("torus", [1.0])
+        curves.builtin_curve("torus", radius=1.0)
+    with pytest.raises(TypeError, match="colour"):
+        curves.builtin_curve("circle", radius=1.0, colour=2.0)
+    with pytest.raises(TypeError, match="'b'"):
+        curves.builtin_curve("ellipse", a=2.0)
 
 
 # -- clamped splines: scipy's CubicSpline is the bit-for-bit oracle ----------
@@ -312,7 +324,7 @@ def test_clamped_spline_matches_scipy_on_random_knots(n):
 def test_spline_zone_fits_s_of_t_on_first_use():
     # only param_of reads s(t): the build asks for the deepest apex (the
     # focus), and a zone fits s(t) once, on the first parameter it holds
-    p = curves.build_spiral(curves.SpiralSpec(depth=2))
+    p = curves.build_spiral(2)
     zones = [z for z in curves._spiral_engine(p).zones
              if isinstance(z, curves._SplineZone)]
 
@@ -332,7 +344,7 @@ BUILDERS = {
     "ellipse": lambda: curves.ellipse(2.0, 1.0),
     "square": lambda: curves.polygon([0, 1, 1 + 1j, 1j]),
     "graph": lambda: curves.graph_closure([0.3, 0.05]),
-    "spiral": lambda: curves.build_spiral(curves.SpiralSpec(depth=6)),
+    "spiral": lambda: curves.build_spiral(6),
 }
 
 
@@ -382,17 +394,17 @@ def test_sample_grid_doubling_cauchy():
 
 
 def test_spiral_sample_grid_doubling():
-    p = curves.build_spiral(curves.SpiralSpec(depth=8))
+    p = curves.build_spiral(8)
     l1 = curves.arclength_sample(p, 2 ** 16).length
     l2 = curves.arclength_sample(p, 2 ** 17).length
     assert abs(l1 - l2) / l2 < 1e-4
 
 
 def test_sample_under_resolution_warning():
-    p = curves.build_spiral(curves.SpiralSpec(depth=8))
+    p = curves.build_spiral(8)
     sc = curves.arclength_sample(p, 1024)
     assert sc.warnings and "under-resolved" in sc.warnings[0]
-    shallow = curves.build_spiral(curves.SpiralSpec(depth=5))
+    shallow = curves.build_spiral(5)
     fine = curves.arclength_sample(shallow, 2 ** 13)
     assert not fine.warnings
 
@@ -428,20 +440,20 @@ def test_write_lines_joins_across_its_chunks(tmp_path, count):
 
 def test_spiral_spec_validation():
     with pytest.raises(DomainError):
-        curves.SpiralSpec(depth=0)
+        curves.build_spiral(0)
     with pytest.raises(DomainError):
-        curves.SpiralSpec(depth=4, xi=0.02)
+        curves.build_spiral(4, xi=0.02)
 
 
 def test_spiral_depth_one_single_patch():
-    p = curves.build_spiral(curves.SpiralSpec(depth=1))
+    p = curves.build_spiral(1)
     assert p.meta["depth"] == 1
     # no gluing: sole patch carries zero rotation
     assert p.meta["patch_multipliers"] == (1 + 0j,)
 
 
 def test_spiral_gluing_rotations_are_harmonic():
-    p = curves.build_spiral(curves.SpiralSpec(depth=8))
+    p = curves.build_spiral(8)
     mults = p.meta["patch_multipliers"]
     for n in range(1, 9):
         expected = sum(1.0 / j for j in range(1, n))
@@ -449,7 +461,7 @@ def test_spiral_gluing_rotations_are_harmonic():
 
 
 def test_spiral_subpatch_diameters_match_scale():
-    p = curves.build_spiral(curves.SpiralSpec(depth=8))
+    p = curves.build_spiral(8)
     for n in range(1, 9):
         poly = curves.spiral_patch_polyline(p, n, 2048)
         ends = abs(poly[-1] - poly[0])
@@ -460,7 +472,7 @@ def test_spiral_subpatch_diameters_match_scale():
 
 
 def test_spiral_tail_series_matches_measured_arc_excess():
-    p = curves.build_spiral(curves.SpiralSpec(depth=8))
+    p = curves.build_spiral(8)
     for k in [3, 5, 7]:
         x1 = curves.spiral_patch_param(p, k, 0.10)
         x2 = curves.spiral_patch_param(p, k, 0.90)
@@ -472,7 +484,7 @@ def test_spiral_tail_series_matches_measured_arc_excess():
 
 
 def test_spiral_tail_ratios_shrink():
-    p = curves.build_spiral(curves.SpiralSpec(depth=12))
+    p = curves.build_spiral(12)
     ratios_r, ratios_h = [], []
     for k in range(6, 12):
         r, h = curves.spiral_tail_series(p, k)
@@ -499,9 +511,9 @@ _BUILDERS = {
     "ellipse": lambda: curves.ellipse(2.0, 1.0),
     "polygon": lambda: curves.polygon([0, 1, 1 + 1j, 1j]),
     "graph-closure": lambda: curves.graph_closure([0.3, 0.05]),
-    "spiral-1": lambda: curves.build_spiral(curves.SpiralSpec(depth=1)),
-    "spiral-6": lambda: curves.build_spiral(curves.SpiralSpec(depth=6)),
-    "spiral-15": lambda: curves.build_spiral(curves.SpiralSpec(depth=15)),
+    "spiral-1": lambda: curves.build_spiral(1),
+    "spiral-6": lambda: curves.build_spiral(6),
+    "spiral-15": lambda: curves.build_spiral(15),
 }
 
 
@@ -517,7 +529,7 @@ def test_every_builder_is_positively_oriented_and_closed(name):
 
 
 def test_spiral_closure_stays_low_and_closes():
-    p = curves.build_spiral(curves.SpiralSpec(depth=4))
+    p = curves.build_spiral(4)
     x = np.linspace(0, p.period, 4097)
     z = p.point(x)
     assert abs(z[0] - z[-1]) < 1e-9
@@ -533,10 +545,10 @@ def test_spiral_zones_land_on_their_profiles():
     # is a spline fit (within 1e-9), and the point must still lie on the
     # profile graph.
     depth = 6
-    p = curves.build_spiral(curves.SpiralSpec(depth=depth))
+    p = curves.build_spiral(depth)
     xi = p.meta["xi"]
     for j in range(1, depth + 1):
-        spec = p.meta["patches"][j - 1].spec
+        spec = p.meta["patches"][j - 1]
         off = p.meta["patch_offsets"][j - 1]
         mult = p.meta["patch_multipliers"][j - 1]
 
@@ -557,8 +569,8 @@ def test_spiral_zones_land_on_their_profiles():
 
 
 def test_spiral_limit_point_and_focus():
-    p = curves.build_spiral(curves.SpiralSpec(depth=10))
-    z0 = p.meta["limit_point"]
+    p = curves.build_spiral(10)
+    z0 = oracles.spiral_limit_point(10)
     x0 = p.meta["focus_param"]
     znear = p.point(np.array([x0]))[0]
     assert abs(znear - z0) < 4.0 * curves.patch_half_diameter(10)
@@ -567,7 +579,7 @@ def test_spiral_limit_point_and_focus():
 def test_spiral_deep_separation_guard_trips_when_too_deep():
     # depth 16 folds fall under the 1e-9 separation tolerance
     with pytest.raises(ConstructionError):
-        curves.build_spiral(curves.SpiralSpec(depth=16))
+        curves.build_spiral(16)
 
 
 def test_patch_angle_arc_chord_bound():
@@ -589,7 +601,7 @@ def test_patch_angle_arc_chord_bound():
 def test_spiral_deep_pairs_meet_chain_bound():
     # pairs inside the union of bumps at depth >= k: the measured arc-chord
     # sup stays under 1/cos(a_k) + 4 h_{k+1}/(cos(a_k) L_{k+1}) + 4 R_{k+1}/L_{k+1}
-    p = curves.build_spiral(curves.SpiralSpec(depth=12))
+    p = curves.build_spiral(12)
     xi = p.meta["xi"]
     for k in (5, 7):
         lo = curves.spiral_patch_param(p, k, 0.25 + xi)
@@ -613,7 +625,7 @@ def test_spiral_deep_pairs_meet_chain_bound():
 
 def test_spiral_window_constant_trend():
     # (1 - 1/C_eps) |log eps|^2 stays in a narrow band near the focus
-    p = curves.build_spiral(curves.SpiralSpec(depth=12))
+    p = curves.build_spiral(12)
     from cauchylab import geometry
     x0 = p.meta["focus_param"]
     scores = []

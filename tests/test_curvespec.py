@@ -1,10 +1,12 @@
 """Tests for the experiment definition format."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchylab import curvespec
+from cauchylab import curves, curvespec
 from cauchylab.curvespec import SCHEMA, parse_spec, serialize_spec
 from cauchylab.errors import ValidationError
 
@@ -143,13 +145,68 @@ def test_overrides_apply_and_validate():
         curvespec.apply_overrides(doc, ["curve.volume=3"])
 
 
+def test_override_switching_kind_drops_the_old_kinds_keys():
+    # the square's vertices, and the defaults of a circle, do not carry over
+    # to a spiral; the spiral's defaults fill in
+    square = parse_spec("[curve]\nkind = polygon\n")
+    over = curvespec.apply_overrides(square, ["curve.kind=spiral"])
+    assert over == curvespec.default_document("spiral")
+    circle = parse_spec("[curve]\nkind = circle\nradius = 2\n")
+    over = curvespec.apply_overrides(circle, ["curve.kind=ellipse"])
+    assert over.section("curve") == {"kind": "ellipse", "a": 2.0, "b": 1.0}
+    # the other sections are kept
+    assert over.section("sampling") == circle.section("sampling")
+
+
+def test_override_switching_kind_keeps_the_given_curve_keys():
+    square = parse_spec("[curve]\nkind = polygon\n")
+    for order in (["curve.kind=spiral", "curve.depth=3"],
+                  ["curve.depth=3", "curve.kind=spiral"]):
+        over = curvespec.apply_overrides(square, order)
+        assert over.section("curve") == {"kind": "spiral", "depth": 3, "xi": 0.005}
+
+
+def test_override_switching_kind_rejects_a_key_of_another_kind():
+    square = parse_spec("[curve]\nkind = polygon\n")
+    with pytest.raises(ValidationError) as err:
+        curvespec.apply_overrides(square, ["curve.kind=spiral", "curve.radius=2"])
+    assert "does not apply" in str(err.value)
+    with pytest.raises(ValidationError):
+        curvespec.apply_overrides(square, ["curve.kind=torus"])
+
+
+def test_override_keeping_kind_keeps_the_written_keys():
+    circle = parse_spec("[curve]\nkind = circle\nradius = 2\n")
+    over = curvespec.apply_overrides(circle, ["curve.kind=circle"])
+    assert over == circle
+
+
 def test_build_from_document_kinds():
-    for kind, extra in [("circle", ""), ("ellipse", ""),
-                        ("polygon", ""), ("graph-closure", ""),
-                        ("spiral", "depth = 3\n")]:
-        doc = parse_spec(f"[curve]\nkind = {kind}\n{extra}")
-        p = curvespec.build_from_document(doc)
+    # every schema kind has a builder, fed the kind's default keys
+    for kind in curvespec.CURVE_KINDS:
+        p = curvespec.build_from_document(curvespec.default_document(kind))
         assert p.kind == kind
+
+
+def test_spiral_build_calls_the_module_builder_once(monkeypatch):
+    # a benchmark trace wraps curves.build_spiral by rebinding the name in
+    # every cauchylab module that holds it; the dispatch must call the name
+    calls = []
+    original = curves.build_spiral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cauchylab" or name.startswith("cauchylab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    doc = curvespec.apply_overrides(curvespec.default_document("spiral"),
+                                    ["curve.depth=3"])
+    assert curvespec.build_from_document(doc).kind == "spiral"
+    assert len(calls) == 1
 
 
 # -- generated round-trip property suite --------------------------------------

@@ -213,7 +213,7 @@ def hairpin_polygon():
 
 
 def spiral6():
-    return curves.build_spiral(curves.SpiralSpec(depth=6))
+    return curves.build_spiral(6)
 
 
 def tight_corner_polygon(defect):
@@ -417,7 +417,7 @@ def test_branch_log_methods_agree():
     # the closed form against continuous argument unwrapping along the curve
     for p, x, eps in [(curves.circle(1.0), 0.7, 0.05),
                       (curves.ellipse(2.0, 1.0), 2.0, 0.05),
-                      (curves.build_spiral(curves.SpiralSpec(depth=6)), 0.9, 0.01)]:
+                      (curves.build_spiral(6), 0.9, 0.01)]:
         a = geometry.branch_log(p, x, eps)
         b = oracles._branch_log_unwrapped(p, x, eps)
         assert abs(a - b) < 1e-8
@@ -495,7 +495,7 @@ def test_cosine_bound_invariant():
     # half-chord speeds inside the window extremes; the quadratic form is
     # convex, so its box maximum over [c, C]^2 sits at a corner
     for p in [curves.circle(1.0), curves.ellipse(2.0, 1.0),
-              curves.build_spiral(curves.SpiralSpec(depth=6))]:
+              curves.build_spiral(6)]:
         eps = p.period / 256.0
         for x in np.linspace(0.1, p.period, 7):
             lo, hi = oracles.window_speed_range(p, float(x), eps)
@@ -603,7 +603,7 @@ def test_diagnostics_past_the_two_cell_floor():
 
 
 def test_diagnostics_focus_tables_for_spiral():
-    p = curves.build_spiral(curves.SpiralSpec(depth=5))
+    p = curves.build_spiral(5)
     sc = curves.arclength_sample(p, 1024)
     rep = geometry.diagnostics(p, sc, k_min=4, k_max=7, x_grid_n=1024)
     assert rep.omega2_focus_table  # near-focus table present
