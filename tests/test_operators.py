@@ -431,6 +431,37 @@ def test_half_period_level_sums_its_outside_set(square_family):
     assert np.all(table[1][antipode_outside] == 0.0)
 
 
+@pytest.fixture(scope="module")
+def transpose_curves():
+    hexagon = [complex(math.cos(a), math.sin(a))
+               for a in np.arange(6) * math.pi / 3.0]
+    return {"circle": curves.circle(1.0),
+            "square": curves.polygon([0, 1, 1 + 1j, 1j]),
+            "hexagon": curves.polygon(hexagon),
+            "spiral": curves.build_spiral(3)}
+
+
+@pytest.mark.parametrize("n", [1001, 2048, 3000])
+@pytest.mark.parametrize("name", ["circle", "square", "hexagon", "spiral"])
+def test_richardson_pv_is_antisymmetric(transpose_curves, name, n):
+    # A = 2 T_2h - T_4h weights each pair of nodes by its index distance
+    # and its kernel is antisymmetric, so sum (A u) v mu = -sum u (A v) mu
+    # for the node measure mu; every path of the evaluator (ahead and
+    # behind sums, heads, bands, antipode, half-weight edges) enters it
+    sc = curves.arclength_sample(transpose_curves[name], n)
+    phase = 2.0 * math.pi * sc.params / sc.period
+    trig = [np.exp(1j * k * phase) for k in (1, -1, 3, -3)]
+    arc = (np.abs(sc.params - 0.3 * sc.period) < sc.period / 16.0)
+    kernels = [operators.truncated_kernel(sc, z, eps) for z, eps in
+               ((0, sc.period / 8.0), (n // 3, 5.0 * sc.spacing))]
+    stack = np.array(trig + [arc.astype(complex)] + kernels)
+    pv, _ = operators.cauchy_family(sc, stack)
+    mu = operators._unit_measure(sc)
+    pairs = pv @ (stack * mu).T  # [a, b] = sum (A u_a) u_b mu
+    scale = np.abs(pv) @ np.abs(stack * mu).T
+    assert np.all(np.abs(pairs + pairs.T) <= 1e-14 * (scale + scale.T))
+
+
 # -- maximal transform -------------------------------------------------------------
 
 def test_maximal_cauchy_circle_constant(one, circle_sc):
