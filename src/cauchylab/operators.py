@@ -23,15 +23,22 @@ _TILE = 64 and each tile builds only the ahead half of its kernel: offsets
 every row is a contiguous column range (about 4 MB at n = 8192, whatever
 F is).  Each entry serves twice.  Its row's ahead sums come from plain
 matmuls over the columns the whole tile keeps, nested from the antipode
-inward, plus one masked head per window cut.  The transposed product of
-the tile's own values gives its target nodes their behind sums: whole
-columns past the head, as per-cut increments that one cumulative sum over
-the cuts turns into values, plus the same masked head.  An even grid's
-antipode and the half-weight boundary nodes are separate gathers.  Every
-term is added, none subtracted, so a window that holds only a few nodes is
-as accurate as its own terms.  Besides the result the pass holds one
-accumulator of F x n per distinct cut.  The readable single-node oracles
-it is tested against are in tests/oracles.py.
+inward, and the transposed product of the tile's own values gives its
+target nodes their behind sums over the same columns.  These band sums go
+straight into the result, into one slot per distinct cut (the first window
+with that cut), and a running sum over the slots from the antipode inward
+turns them into the sums past each cut's head.  A heads sweep then goes
+cut by cut: the helper rebuilds the cut's masked head triangles, _TILE
+entries per row, a chunk of tiles at a time, and their ahead and behind
+sums collect in tile order in one F x n scratch that joins the slot in one
+addition.  An even grid's antipode and the half-weight boundary nodes are
+separate gathers.  Every term is added, none subtracted, so a window that
+holds only a few nodes is as accurate as its own terms.  Besides the
+result, the pass holds the same memory for any number of windows: the
+values in its own layout, one F x n scratch and two tile kernels or chunks
+of heads; traced at n = 2048 and F = 15, the result plus 10.7 F x n slabs
+for 2 windows and for 12.  The readable single-node oracles it is tested
+against are in tests/oracles.py.
 
 pv_cauchy_all, truncated_cauchy_all and maximal_cauchy_all are that
 evaluator on a family of one.  No program path calls them; they stay only
@@ -39,11 +46,13 @@ because the benchmark's traced runs wrap them by name, and they go with
 the benchmark change that drops them from its table.
 
 Threads: each call runs one helper thread that builds tile t+1's kernel
-while the calling thread sums tile t, so two tile kernels (about 8 MB at
-n = 8192) are live at once.  The helper only subtracts, divides and masks;
-it makes no BLAS call, and the call joins it before returning.  Importing
-cauchylab before numpy sets OPENBLAS_NUM_THREADS=1 unless it is already
-set: the per-tile products are too small for BLAS threads, which only spun.
+while the calling thread sums tile t, and then each next chunk of heads,
+at most the size of a tile kernel, while the calling thread sums the
+current one; so two tile kernels (about 8 MB at n = 8192) are live at once.
+The helper does only elementwise work; it makes no BLAS call, and the call
+joins it before returning.  Importing cauchylab before numpy sets
+OPENBLAS_NUM_THREADS=1 unless it is already set: the per-tile products are
+too small for BLAS threads, which only spun.
 
 Determinism: reruns give the same bits, and which thread builds a kernel
 changes none of them, since no sum changes order.  Every BLAS product
@@ -51,7 +60,8 @@ reduces over a multiple of 8 terms (a tile's 64 rows, or a column range
 cut to a multiple of 8 with the rest summed elementwise).  With the
 OpenBLAS build the tests run on, that made the bits the same under one
 and two BLAS threads at n = 2048, 3000, 4096 and 8192, where ragged
-reductions had differed; the test pins 2048 x 15 and 3000 x 7 functions.
+reductions had differed; the test pins 2048 x 15 and 3000 x 7 functions,
+and CI the square's all-scans output at 2048, 4096 and 8192 nodes.
 It is an observation about that library, not a guarantee for others.  A
 family and a single call agree to 1e-13 relative (products of other
 shapes round differently).
@@ -200,13 +210,36 @@ def _offset_terms(sc: SampledCurve, contrib, off: int) -> np.ndarray:
     return (1.0 / (sc.points[ahead] - sc.points)) * contrib[ahead].T
 
 
+def _head_blocks(z_ext, c: int, start: int, count: int, reach: int) -> np.ndarray:
+    """The masked heads of cut c for the count tiles from node start.
+
+    Block [t, r, q] is entry [r, c + 1 + q] of the kernel of the tile from
+    t0 = start + t * _TILE, times [q >= r], built with _tile_kernel's
+    operations, so its bits are the ones that kernel holds there: the
+    triangle of the head columns that row r keeps at cut c.
+    """
+    tile = _TILE
+    offset = np.arange(c + 1, c + tile + 1) - np.arange(tile)[:, None]
+    masked = (offset <= 0) | (offset > reach)
+    rows = z_ext[start:start + count * tile].reshape(count, tile, 1)
+    cols = z_ext[start + c + 1:start + c + 1 + count * tile].reshape(count, 1, tile)
+    heads = cols - rows
+    np.copyto(heads, 1.0, where=masked)
+    np.divide(1.0, heads, out=heads)
+    np.copyto(heads, 0.0, where=masked)
+    heads *= np.triu(np.ones((tile, tile), dtype=complex))
+    return heads
+
+
 def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
     """Truncated transforms of a stack of functions for several windows.
 
     values has shape (F, n); entry [f, w, i] of the (F, W, n) result is
     T_eps f at node i for eps = eps_list[w], with the module's conventions.
-    Each kernel entry 1/(z_j - z_i) is built once, for the row i it lies
-    ahead of, and serves node j as -1/(z_i - z_j).
+    Each kernel entry 1/(z_j - z_i) is built once in its tile's kernel, for
+    the row i it lies ahead of, and serves node j as -1/(z_i - z_j); the
+    head entries, _TILE per row and cut, are built a second time for the
+    heads sweep.
     """
     n = sc.n
     vals = np.asarray(values, dtype=complex)
@@ -232,47 +265,79 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
     ext = np.arange(n + width) % n
     z_ext = sc.points[ext]
     contrib_ext = contrib[ext]
-    out = np.zeros((vals.shape[0], len(windows), n), dtype=complex)
-    # by cut, the terms past the head of every tile; a cumulative sum over
-    # the cuts turns these per-cut increments into values
-    grow = np.zeros((len(cuts), vals.shape[0], n), dtype=complex)
-    upper = np.triu(np.ones((tile, tile)))
-    # the helper builds the next tile's kernel while this thread sums the
-    # current one; it only subtracts, divides and masks, so no two threads
-    # are ever inside BLAS at once
+    f = vals.shape[0]
+    out = np.zeros((f, len(windows), n), dtype=complex)
+    # each cut's slot first takes the terms past the head of every tile
+    # that lie before the previous cut's head; a running sum over the cuts
+    # then makes them the terms past the head
+    slots = {c: out[:, by_cut[c][0]] for c in cuts}
+    # the heads sweep takes each cut's tiles in chunks whose heads fill at
+    # most the memory of one tile kernel (exactly that when 128 divides n:
+    # one block size for the helper's allocations keeps peak RSS steady)
+    tiles = -(-n // tile)
+    per_chunk = max(1, width // tile)
+    chunks = [(c, t * tile, min(per_chunk, tiles - t)) for c in cuts
+              for t in range(0, tiles, per_chunk)]
+    # the helper builds the next tile's kernel, then the next chunk of
+    # heads, while this thread sums the current one; its work is all
+    # elementwise, so no two threads are ever inside BLAS at once
     with ThreadPoolExecutor(max_workers=1) as helper:
-        next_kern = helper.submit(_tile_kernel, z_ext, 0, width, reach)
+        job = helper.submit(_tile_kernel, z_ext, 0, width, reach)
         for t0 in range(0, n, tile):
             m = min(tile, n - t0)
-            kern = next_kern.result()
+            kern = job.result()
             if t0 + tile < n:
-                next_kern = helper.submit(_tile_kernel, z_ext, t0 + tile,
-                                          width, reach)
+                job = helper.submit(_tile_kernel, z_ext, t0 + tile,
+                                    width, reach)
+            elif chunks:
+                job = helper.submit(_head_blocks, z_ext, *chunks[0], reach)
             frame = contrib_ext[t0:t0 + width]
             # the tile's rows as sources behind their targets: K[j, i] = -K[i, j]
             src = -frame[:tile].T
             src[:, m:] = 0.0  # rows past the last node wrap around; they add nothing
             behind = src @ kern
             hi = width
-            for k, c in enumerate(cuts):
-                lo = c + tile + 1
+            for c in cuts:
                 # rows r keep columns q > r + c: all of them from lo on, a
-                # triangle of the head c < q < lo
-                head = kern[:, c + 1:lo] * upper
+                # triangle of the head c < q < lo, which the heads sweep adds
+                lo = c + tile + 1
                 ahead = _row_sums(kern, frame, lo, hi)
-                grow[k, :, t0:t0 + m] += ahead[:m].T
-                _wrap_add(grow[k], t0 + lo, behind[:, lo:hi])
-                level = out[:, by_cut[c][0]]
-                level[:, t0:t0 + m] += (head @ frame[c + 1:lo])[:m].T
-                _wrap_add(level, t0 + c + 1, src @ head)
+                slots[c][:, t0:t0 + m] += ahead[:m].T
+                _wrap_add(slots[c], t0 + lo, behind[:, lo:hi])
                 hi = lo
-    if n % 2 == 0:
-        antipode = _offset_terms(sc, contrib, n // 2)
-        if cuts:
-            grow[0] += antipode
-    np.cumsum(grow, axis=0, out=grow)
-    for k, c in enumerate(cuts):
-        out[:, by_cut[c][0]] += grow[k]
+        kern = behind = None  # free before the heads sweep builds its own
+        if n % 2 == 0:
+            antipode = _offset_terms(sc, contrib, n // 2)
+            if cuts:
+                slots[cuts[0]] += antipode
+        for prev, c in zip(cuts, cuts[1:]):
+            slots[c] += slots[prev]
+        # each cut's head triangles join its slot in one addition; a
+        # chunk's tiles take the same per-tile products as one stack, and
+        # each node still gets its head terms in tile order (its one ahead
+        # term may move before behind terms, which commutes from zero)
+        heads_sum = np.zeros((f, n), dtype=complex)
+        for i, (c, s, count) in enumerate(chunks):
+            heads = job.result()
+            if i + 1 < len(chunks):
+                job = helper.submit(_head_blocks, z_ext, *chunks[i + 1], reach)
+            span = count * tile
+            rows = min(span, n - s)
+            frames = contrib_ext[s + c + 1:s + c + 1 + span]
+            ahead = heads @ frames.reshape(count, tile, f)
+            heads_sum[:, s:s + rows] += ahead.reshape(span, f)[:rows].T
+            del ahead
+            src = -contrib_ext[s:s + span]
+            src[rows:] = 0.0  # rows past the last node add nothing
+            behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ heads
+            del src
+            _wrap_add(heads_sum, s + c + 1,
+                      behind.transpose(1, 0, 2).reshape(f, span))
+            del behind
+            if s + span >= n:
+                slots[c] += heads_sum
+                heads_sum[:] = 0.0
+        heads = heads_sum = None  # free before the edge sums
     for cut, ws in by_cut.items():
         for w in ws[1:]:
             out[:, w] = out[:, ws[0]]
@@ -294,13 +359,25 @@ def cauchy_family(sc: SampledCurve, values, levels=()):
     stack of functions, from one evaluator pass.
 
     Returns (pv, table): pv has shape (F, n); table has shape (F, K, n)
-    for the K levels.
+    for the K levels.  The pv is the Richardson value 2 T_2h - T_4h; a
+    level with the window of 2h or 4h serves for it, so those windows are
+    only added to the pass when no level has them.
     """
     if sc.n < 16:
         raise DomainError("grid too small for the 2h/4h extrapolation")
     h = sc.spacing
-    vals = truncated_cauchy_family(sc, values, (2.0 * h, 4.0 * h) + tuple(levels))
-    return 2.0 * vals[:, 0] - vals[:, 1], vals[:, 2:]
+    eps_list = list(levels)
+    count = len(eps_list)
+    splits = [_window_split(eps, h, sc.n) for eps in eps_list]
+    picks = []
+    for eps in (2.0 * h, 4.0 * h):
+        split = _window_split(eps, h, sc.n)
+        if split not in splits:
+            eps_list.append(eps)
+            splits.append(split)
+        picks.append(splits.index(split))
+    vals = truncated_cauchy_family(sc, values, eps_list)
+    return 2.0 * vals[:, picks[0]] - vals[:, picks[1]], vals[:, :count]
 
 
 def maximal_of(table: np.ndarray, levels):

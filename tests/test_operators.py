@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from cauchylab import curves, curvespec, operators
+from cauchylab import curves, curvespec, harness, operators
 from cauchylab.errors import DomainError, ResolutionError
 from cauchylab.operators import dyadic_levels
 
@@ -221,10 +222,11 @@ def _edge_windows(sc):
     return eps + [sc.period / 2.0]  # the antipode, on the grid when n is even
 
 
-@pytest.mark.parametrize("n", [1000, 1001, 96, 130])
+@pytest.mark.parametrize("n", [1000, 1001, 96, 130, 16, 17, 33, 63])
 def test_family_edges_match_single_node_oracle(n):
     # odd n, n off the tile size, and small n where every cut lies within
-    # one tile of the antipode
+    # one tile of the antipode; below one tile (n < 64) a head's columns
+    # wrap onto the same node twice, and both terms must reach it
     sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
     rng = np.random.default_rng(n)
     vals = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
@@ -254,22 +256,35 @@ def test_family_of_one_matches_family_of_two(square_family):
 def test_one_pass_builds_half_the_kernel(monkeypatch):
     # each entry 1/(z_j - z_i) is built once for both nodes: n^2 / 2 plus
     # one tile of columns per tile of rows; the helper thread builds every
-    # tile's kernel exactly once, a ragged last tile included
-    built = []
-    tile_kernel = operators._tile_kernel
+    # tile's kernel exactly once, a ragged last tile included.  The heads
+    # sweep builds the head entries again: one _TILE x _TILE block per
+    # tile and distinct cut, _TILE entries per row and cut
+    built, heads = [], []
+    tile_kernel, head_blocks = operators._tile_kernel, operators._head_blocks
 
     def counting(*args):
         kern = tile_kernel(*args)
         built.append(kern.size)
         return kern
 
+    def counting_heads(*args):
+        block = head_blocks(*args)
+        heads.append(block.size)
+        return block
+
     monkeypatch.setattr(operators, "_tile_kernel", counting)
-    for n in (2048, 1001):
+    monkeypatch.setattr(operators, "_head_blocks", counting_heads)
+    # the levels' distinct cuts below the antipode: at 2048 eps = T/2 is
+    # the antipode's own window and 2h, 4h are levels; at 1001 neither
+    for n, cuts in ((2048, 9), (1001, 10)):
         built.clear()
+        heads.clear()
         sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
         operators.cauchy_family(sc, np.ones((1, sc.n)),
                                 [eps for _, eps in dyadic_levels(sc, 1)])
-        assert len(built) == math.ceil(n / operators._TILE), n
+        tiles = math.ceil(n / operators._TILE)
+        assert len(built) == tiles, n
+        assert sum(heads) == cuts * tiles * operators._TILE ** 2, n
         if n == 2048:
             assert 0 < sum(built) <= 0.55 * sc.n ** 2
 
@@ -280,6 +295,68 @@ def square_family():
     rng = np.random.default_rng(21)
     vals = rng.normal(size=(15, sc.n)) + 1j * rng.normal(size=(15, sc.n))
     return sc, vals
+
+
+def test_pass_memory_does_not_grow_with_windows(square_family):
+    # the result is the only per-window storage, one slot per window: the
+    # rest of a pass's traced peak is the same for 2 windows and for 12
+    # (10 distinct cuts), within half a slab of F x n complex values.  The
+    # two threads' short-lived ufunc buffers (a few hundred kB) meet or
+    # miss each other by timing, so each list takes its least of 3 passes
+    sc, vals = square_family
+    h = sc.spacing
+    slab = vals.shape[0] * sc.n * np.dtype(complex).itemsize
+    levels = [eps for _, eps in dyadic_levels(sc, 1)]
+    extra = []
+    for eps in ([2.0 * h, 4.0 * h], [2.0 * h, 4.0 * h] + levels):
+        peaks = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                out = operators.truncated_cauchy_family(sc, vals, eps)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base
+                             - out.nbytes)
+            finally:
+                tracemalloc.stop()
+            del out
+        extra.append(min(peaks))
+    assert abs(extra[1] - extra[0]) <= 0.5 * slab, [e / slab for e in extra]
+
+
+def test_cotlar_pass_asks_for_each_window_once(monkeypatch):
+    # the cotlar levels end at 4h and 2h on a power-of-two grid, so the
+    # family pass takes the Richardson windows from them and adds none
+    windows = []
+    family = operators.truncated_cauchy_family
+
+    def counting(sc, values, eps_list):
+        windows.append((sc.n, len(eps_list)))
+        return family(sc, values, eps_list)
+
+    monkeypatch.setattr(operators, "truncated_cauchy_family", counting)
+    harness.cotlar_ratio_scan(curves.polygon([0, 1, 1 + 1j, 1j]),
+                              (1024, 2048), ("trig:1",))
+    assert windows == [(1024, 9), (2048, 10)]
+
+
+@pytest.mark.parametrize("n", [2048, 3000])
+def test_cauchy_family_bits_equal_the_prepended_floor_windows(n):
+    # reading 2h and 4h from the levels that hold them gives the bits of a
+    # pass with (2h, 4h) put before the levels, for levels that end at the
+    # floor, that stop short of it, and (n = 3000) that end above 2h
+    sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    h = sc.spacing
+    levels = [eps for _, eps in dyadic_levels(sc, 1)]
+    for lv in (levels, levels[:6], []):
+        pv, table = operators.cauchy_family(sc, vals, lv)
+        ref = operators.truncated_cauchy_family(sc, vals, [2.0 * h, 4.0 * h] + lv)
+        assert pv.tobytes() == (2.0 * ref[:, 0] - ref[:, 1]).tobytes()
+        assert table.shape == ref[:, 2:].shape
+        assert table.tobytes() == ref[:, 2:].tobytes()
 
 
 def test_family_matches_single_calls(square_family):
