@@ -4,8 +4,8 @@ import os
 
 # Before numpy loads OpenBLAS: its idle worker threads spin between the
 # evaluator's small per-tile products and add no speed; the second core goes
-# to the evaluator's kernel-building helper instead.  A value set by the user
-# is kept.
+# to the sweeps' second peer worker instead, and each product runs on the
+# worker that calls it.  A value set by the user is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import curves, curvespec, geometry, harness, operators

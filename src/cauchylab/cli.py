@@ -17,12 +17,13 @@ import numpy as np
 
 from . import __version__, curvespec, geometry, harness, operators
 from .curves import (
-    _g17,
+    _csv_block,
     arclength_sample,
     patch_half_diameter,
     spiral_tail_series,
     write_curve_csv,
     write_lines,
+    write_text,
 )
 from .errors import CauchyLabError, NumericalGateError, ValidationError
 
@@ -160,14 +161,15 @@ def _run_criterion(state: _RunState, out: Path) -> None:
     state.criterion_verdict = table.verdict
 
 
-def _cotlar_csv_rows(kind: str, node_ratios) -> list:
-    """cotlar.csv: a header, then one row per node of each (n, tag, ratios)
-    entry, with the curve,n,f_tag prefix built once per entry."""
-    rows = ["curve,n,f_tag,node,ratio"]
+def _cotlar_csv_blocks(kind: str, node_ratios) -> list:
+    """cotlar.csv as text blocks: a header, then the rows of each (n, tag,
+    ratios) entry, one per node, formatted as one block."""
+    blocks = ["curve,n,f_tag,node,ratio\n"]
     for n, tag, ratios in node_ratios:
-        head = f"{kind},{n},{tag},"
-        rows += [f"{head}{i},{r}" for i, r in enumerate(_g17(ratios))]
-    return rows
+        head = f"{kind},{n},{tag},".replace("%", "%%")
+        blocks.append(_csv_block(head + "%d,%.17g",
+                                 [range(len(ratios)), ratios.tolist()]))
+    return blocks
 
 
 def _run_cotlar(state: _RunState, out: Path) -> None:
@@ -177,7 +179,7 @@ def _run_cotlar(state: _RunState, out: Path) -> None:
         p, doc.get("sampling", "resolutions"),
         tags=doc.get("experiment", "functions"),
         seed=doc.get("experiment", "seed"))
-    write_lines(out / "cotlar.csv", _cotlar_csv_rows(p.kind, report.node_ratios))
+    write_text(out / "cotlar.csv", _cotlar_csv_blocks(p.kind, report.node_ratios))
     sup_rows = ["curve,n,f_tag,sup_ratio,arg_node,arg_param,flagged"]
     for row in report.rows:
         sup_rows.append(f"{p.kind},{row.n},{row.tag},{row.sup_ratio:.17g},"

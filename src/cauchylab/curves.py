@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "arclength_sample",
     "write_curve_csv",
     "write_lines",
+    "write_text",
 ]
 
 
@@ -282,20 +284,29 @@ def arclength_sample(p: Parametrization, n: int) -> SampledCurve:
                         warnings=warnings)
 
 
-def _g17(values):
-    """An iterator over the "%.17g" text of each float of an array, in
-    order: the same text as format(x, ".17g").  The CSV writers format a
-    whole column with it rather than one value per row."""
-    return map("%.17g".__mod__, values.tolist())
+def _csv_block(row: str, columns) -> str:
+    """The text of row % (c[i] for c in columns), each followed by LF, for
+    every i, from one % operation: the text that formatting each row by
+    itself gives, with one C-level call for the whole block.  The columns
+    are sequences of one length (a float array through tolist()); a
+    literal % in row is written %%."""
+    return ((row + "\n") * len(columns[0])
+            % tuple(chain.from_iterable(zip(*columns))))
 
 
 def write_curve_csv(sc: SampledCurve, path):
     """Curve export: param,x,y,tx,ty,weight at 17 significant digits, LF."""
     columns = (sc.params, sc.points.real, sc.points.imag,
                sc.tangents.real, sc.tangents.imag, sc.weights)
-    lines = ["param,x,y,tx,ty,weight"]
-    lines += map(",".join, zip(*map(_g17, columns)))
-    write_lines(path, lines)
+    write_text(path, ["param,x,y,tx,ty,weight\n",
+                      _csv_block(",".join(["%.17g"] * 6),
+                                 [c.tolist() for c in columns])])
+
+
+def write_text(path, blocks) -> None:
+    """Write text blocks to path one after another, lines ending in LF."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(blocks)
 
 
 def write_lines(path, lines) -> None:

@@ -7,10 +7,13 @@ quotient."""
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from ._peers import in_task_order
 from .errors import (
     BranchAmbiguityError,
     DegenerateGeometryError,
@@ -45,14 +48,27 @@ def _apart(off, d):
     return d
 
 
+# Chords in one block of offsets of the closed chord scan (1 MB of
+# complex differences).
+_CHORD_BLOCK = 2 ** 16
+
+
 def _offset_chords(pts):
-    """Yield (off, |z[i+off] - z[i]|) for every parameter offset 1..n//2 of a
-    closed grid of n nodes, with indices taken mod n, read from one wrapped
-    copy."""
+    """The blocks of the parameter offsets 1..n//2 of a closed grid of n
+    nodes, in order of offset, as calls that each return (off, d): the
+    block's offsets as a column and d[k, i] = |z[i + off[k]] - z[i]| with
+    indices taken mod n, read from one wrapped copy."""
     n = len(pts)
     ext = np.concatenate([pts, pts[:n // 2]])
-    for off in range(1, n // 2 + 1):
-        yield off, _apart(off, np.abs(ext[off:off + n] - ext[:n]))
+    rows = np.lib.stride_tricks.sliding_window_view(ext, n)
+    step = max(1, _CHORD_BLOCK // n)
+    return [partial(_block_chords, rows, ext[:n], lo, min(lo + step, n // 2 + 1))
+            for lo in range(1, n // 2 + 1, step)]
+
+
+def _block_chords(rows, base, lo: int, hi: int):
+    off = np.arange(lo, hi)[:, None]
+    return off, _apart(off, np.abs(rows[lo:hi] - base))
 
 
 def _window_chords(pts):
@@ -69,22 +85,35 @@ def _chord_constants(sc, with_arc: bool):
     L is the largest parameter-distance over chord ratio.  The chord-arc
     constant, computed only with_arc, is the largest shorter-arc over chord
     ratio, with arcs summed along the offset-1 chords (the grid's edges);
-    without it the first entry is 1.0.
+    without it the first entry is 1.0.  The blocks of offsets run on two
+    peer workers; a maximum is exact in any order, and a degenerate block
+    raises in offset order, so the error names the smallest bad offset.
     """
     if with_arc and sc.n < 64:
         raise DomainError("need at least 64 nodes for the pair scan")
     n, h = sc.n, sc.spacing
-    cac = bil = 1.0
-    for off, d in _offset_chords(sc.points):
-        bil = max(bil, float(np.max(off * h / d)))
+    pts = sc.points
+    if with_arc:
+        edges = _apart(1, np.abs(np.roll(pts, -1) - pts))
+        cum = np.concatenate(([0.0], np.cumsum(edges)))
+        total = float(cum[-1])
+        arcs = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([cum[:-1], cum[:-1] + total]), n)
+
+    def scan(chords, _scratch):
+        off, d = chords()
+        yield
+        bil = float(np.max(off * h / d))
         if not with_arc:
-            continue
-        if off == 1:
-            cum = np.concatenate(([0.0], np.cumsum(d)))
-            total = float(cum[-1])
-            cum2 = np.concatenate([cum[:-1], cum[:-1] + total])
-        arc = cum2[off:off + n] - cum2[:n]
-        cac = max(cac, float(np.max(np.minimum(arc, total - arc) / d)))
+            return 1.0, bil
+        arc = arcs[off[0, 0]:off[-1, 0] + 1] - cum[:n]
+        return float(np.max(np.minimum(arc, total - arc) / d)), bil
+
+    cac = bil = 1.0
+    tasks = [partial(scan, chords) for chords in _offset_chords(pts)]
+    with closing(in_task_order(tasks)) as results:
+        for block_cac, block_bil in results:
+            cac, bil = max(cac, block_cac), max(bil, block_bil)
     return cac, bil
 
 
@@ -267,7 +296,11 @@ def second_difference(p, x, eps: float):
     if not 0.0 < eps < p.period:
         raise DomainError("offset must lie in (0, period)")
     x = np.asarray(x, dtype=float)
-    return np.abs(p.point(x + eps) + p.point(x - eps) - 2.0 * p.point(x))
+    return _second_differences(p.point(x + eps), p.point(x - eps), p.point(x))
+
+
+def _second_differences(ahead, behind, at):
+    return np.abs(ahead + behind - 2.0 * at)
 
 
 def omega2(p, eps: float, x_grid):
@@ -276,7 +309,10 @@ def omega2(p, eps: float, x_grid):
     Returns (value, argmax parameter).
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    vals = second_difference(p, x_grid, eps)
+    return _peak(second_difference(p, x_grid, eps), x_grid)
+
+
+def _peak(vals, x_grid):
     k = int(np.argmax(vals))
     return float(vals[k]), float(x_grid[k])
 
@@ -339,11 +375,17 @@ def local_bilipschitz(p, x0: float, eps: float, m: int = 512) -> float:
     node pairs of a window grid (about 73k pairs, 2 MB, at m = 384)."""
     if eps >= p.period / 4.0:
         raise DomainError("window must be smaller than a quarter period")
-    m = max(m, 256)
-    xs = np.linspace(x0 - eps, x0 + eps, m)
-    step = xs[1] - xs[0]
-    off, d = _window_chords(p.point(xs))
-    return max(1.0, float(np.max(off * step / d)))
+    xs = _window_grid(x0, eps, m)
+    return _window_constant(xs, p.point(xs))
+
+
+def _window_grid(x0: float, eps: float, m: int):
+    return np.linspace(x0 - eps, x0 + eps, max(m, 256))
+
+
+def _window_constant(xs, pts) -> float:
+    off, d = _window_chords(pts)
+    return max(1.0, float(np.max(off * (xs[1] - xs[0]) / d)))
 
 
 def eps0_gate(sc, bilip: float):
@@ -412,26 +454,42 @@ def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
     The conformality table keeps only the levels of dyadic_levels, which
     resolve two grid cells; the other tables take every k_min..k_max.
     eps0 is the smallness threshold the caller measured (see eps0_gate),
-    reported as given; None omits its row.
+    reported as given; None omits its row.  Every parameter the omega2,
+    focus and window tables read goes through one p.point call, and each
+    table takes its slice of the points.
     """
     cac, bil = _chord_constants(sc, with_arc=True)
     period = sc.period
     resolved = dict(dyadic_levels(sc, 1))
     xs = period * np.arange(x_grid_n) / x_grid_n
-    ac_rows, w2_rows, w2f_rows, lb_rows = [], [], [], []
+    x0 = p.meta.get("focus_param", 0.0)
+    levels = []
     for k in range(k_min, k_max + 1):
         eps = period * 2.0 ** (-k)
+        win = _window_grid(x0, eps, 384) if eps < period / 4.0 else None
+        levels.append((k, eps, focus_grid(p, eps), win))
+    params = [xs]
+    for k, eps, fg, win in levels:
+        params += [xs + eps, xs - eps]
+        if fg is not None:
+            params += [fg + eps, fg - eps, fg]
+        if win is not None:
+            params.append(win)
+    # the points come back in the order their parameters went in
+    pts = iter(np.split(p.point(np.concatenate(params)),
+                        np.cumsum([len(x) for x in params])[:-1]))
+    at = next(pts)
+    ac_rows, w2_rows, w2f_rows, lb_rows = [], [], [], []
+    for k, eps, fg, win in levels:
         if k in resolved:
             ac_rows.append((k, eps, conformality_modulus(sc, bil * eps)))
-        val, argx = omega2(p, eps, xs)
-        w2_rows.append((k, eps, val, argx))
-        fg = focus_grid(p, eps)
+        w2_rows.append((k, eps) + _peak(
+            _second_differences(next(pts), next(pts), at), xs))
         if fg is not None:
-            fval, fargx = omega2(p, eps, fg)
-            w2f_rows.append((k, eps, fval, fargx))
-        if eps < period / 4.0:
-            x0 = p.meta.get("focus_param", 0.0)
-            lb_rows.append((k, eps, local_bilipschitz(p, x0, eps, m=384)))
+            w2f_rows.append((k, eps) + _peak(
+                _second_differences(next(pts), next(pts), next(pts)), fg))
+        if win is not None:
+            lb_rows.append((k, eps, _window_constant(win, next(pts))))
     return DiagnosticsReport(kind=p.kind, grid_n=sc.n, chord_arc_const=cac,
                              bilip=bil, ac_table=tuple(ac_rows),
                              omega2_table=tuple(w2_rows),

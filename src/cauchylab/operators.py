@@ -28,33 +28,37 @@ target nodes their behind sums over the same columns.  These band sums go
 straight into the result, into one slot per distinct cut (the first window
 with that cut), and a running sum over the slots from the antipode inward
 turns them into the sums past each cut's head.  A heads sweep then goes
-cut by cut: the helper rebuilds the cut's masked head triangles, _TILE
-entries per row, a chunk of tiles at a time, and their ahead and behind
-sums collect in tile order in one F x n scratch that joins the slot in one
+cut by cut: it rebuilds the cut's masked head triangles, _TILE entries
+per row, a chunk of tiles at a time, and their ahead and behind sums
+collect in tile order in one F x n scratch that joins the slot in one
 addition.  An even grid's antipode and the half-weight boundary nodes are
 separate gathers.  Every term is added, none subtracted, so a window that
 holds only a few nodes is as accurate as its own terms.  Besides the
 result, the pass holds the same memory for any number of windows: the
-values in its own layout, one F x n scratch and two tile kernels or chunks
-of heads; traced at n = 2048 and F = 15, the result plus 10.7 F x n slabs
-for 2 windows and for 12.  The readable single-node oracles it is tested
-against are in tests/oracles.py.
+values in its own layout, one F x n scratch, two tile-kernel buffers and
+the products of at most three tiles or chunks; traced at n = 2048 and
+F = 15, the result plus 11.5 F x n slabs for 2 windows and for 12.  The
+readable single-node oracles it is tested against are in tests/oracles.py.
 
 pv_cauchy_all, truncated_cauchy_all and maximal_cauchy_all are that
 evaluator on a family of one.  No program path calls them; they stay only
 because the benchmark's traced runs wrap them by name, and they go with
 the benchmark change that drops them from its table.
 
-Threads: each call runs one helper thread that builds tile t+1's kernel
-while the calling thread sums tile t, and then each next chunk of heads,
-at most the size of a tile kernel, while the calling thread sums the
-current one; so two tile kernels (about 8 MB at n = 8192) are live at once.
-The helper does only elementwise work; it makes no BLAS call, and the call
-joins it before returning.  Importing cauchylab before numpy sets
-OPENBLAS_NUM_THREADS=1 unless it is already set: the per-tile products are
+Threads: each call runs two peer workers, the calling thread and one
+helper, through _peers.in_task_order.  The band sweep's tasks are its
+tiles and the heads sweep's its chunks, in one list; each worker takes the
+next task not yet started, builds its kernel or head blocks in its own
+buffer of one tile kernel (two buffers, about 8 MB at n = 8192, allocated
+before the sweep), and makes the task's products.  Only the calling thread
+adds results into the pass's arrays, in task order, so every node gets
+its terms in the same order whichever worker ran a task.  The call joins
+its helper before returning.  Both workers call BLAS; importing cauchylab
+before numpy sets OPENBLAS_NUM_THREADS=1 unless it is already set, so
+each product runs on the thread that calls it: the per-tile products are
 too small for BLAS threads, which only spun.
 
-Determinism: reruns give the same bits, and which thread builds a kernel
+Determinism: reruns give the same bits, and which worker runs a task
 changes none of them, since no sum changes order.  Every BLAS product
 reduces over a multiple of 8 terms (a tile's 64 rows, or a column range
 cut to a multiple of 8 with the rest summed elementwise).  With the
@@ -70,11 +74,13 @@ shapes round differently).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
+from functools import partial
 
 import numpy as np
 
-from .curves import SampledCurve, _g17
+from ._peers import in_task_order
+from .curves import SampledCurve, _csv_block
 from .errors import DomainError, ResolutionError
 
 __all__ = [
@@ -163,8 +169,9 @@ def _outside_window(sc: SampledCurve, z_index: int, eps: float):
     return scale, dz
 
 
-def _tile_kernel(z_ext, t0: int, width: int, reach: int) -> np.ndarray:
-    """Ahead half of the Cauchy kernel for the _TILE rows from node t0.
+def _tile_kernel(z_ext, t0: int, width: int, reach: int, out=None) -> np.ndarray:
+    """Ahead half of the Cauchy kernel for the _TILE rows from node t0,
+    built in out (shape (_TILE, width)) when given.
 
     Entry [r, q] is 1/(z[t0+q] - z[t0+r]) when the offset q - r lies in
     1..reach and zero elsewhere.  Only the first _TILE columns hold offsets
@@ -173,7 +180,8 @@ def _tile_kernel(z_ext, t0: int, width: int, reach: int) -> np.ndarray:
     tile = _TILE
     near = np.tri(tile, dtype=bool)           # q <= r
     far = ~np.tri(tile, k=-1, dtype=bool)     # q - (reach + 1) >= r
-    kern = z_ext[t0:t0 + width][None, :] - z_ext[t0:t0 + tile, None]
+    kern = np.subtract(z_ext[t0:t0 + width][None, :], z_ext[t0:t0 + tile, None],
+                       out=out)
     first, last = kern[:, :tile], kern[:, reach + 1:]
     first[near] = 1.0
     last[far] = 1.0
@@ -210,8 +218,10 @@ def _offset_terms(sc: SampledCurve, contrib, off: int) -> np.ndarray:
     return (1.0 / (sc.points[ahead] - sc.points)) * contrib[ahead].T
 
 
-def _head_blocks(z_ext, c: int, start: int, count: int, reach: int) -> np.ndarray:
-    """The masked heads of cut c for the count tiles from node start.
+def _head_blocks(z_ext, c: int, start: int, count: int, reach: int,
+                 out=None) -> np.ndarray:
+    """The masked heads of cut c for the count tiles from node start, built
+    in out (shape (count, _TILE, _TILE)) when given.
 
     Block [t, r, q] is entry [r, c + 1 + q] of the kernel of the tile from
     t0 = start + t * _TILE, times [q >= r], built with _tile_kernel's
@@ -223,12 +233,60 @@ def _head_blocks(z_ext, c: int, start: int, count: int, reach: int) -> np.ndarra
     masked = (offset <= 0) | (offset > reach)
     rows = z_ext[start:start + count * tile].reshape(count, tile, 1)
     cols = z_ext[start + c + 1:start + c + 1 + count * tile].reshape(count, 1, tile)
-    heads = cols - rows
+    heads = np.subtract(cols, rows, out=out)
     np.copyto(heads, 1.0, where=masked)
     np.divide(1.0, heads, out=heads)
     np.copyto(heads, 0.0, where=masked)
     heads *= np.triu(np.ones((tile, tile), dtype=complex))
     return heads
+
+
+def _band_task(z_ext, contrib_ext, t0: int, m: int, width: int, reach: int,
+               cuts, buf):
+    """One tile of the band sweep, a task of _peers.in_task_order: it
+    builds the tile's kernel in buf, yields, and returns, for each cut from
+    the antipode inward, the (F, m) sums of the tile's m rows over the
+    columns past the previous cut's head up to its own, and the (F, width)
+    sums that its rows, as sources, give the frame's columns."""
+    tile = _TILE
+    kern = _tile_kernel(z_ext, t0, width, reach, out=buf)
+    yield
+    frame = contrib_ext[t0:t0 + width]
+    aheads, hi = [], width
+    for c in cuts:
+        # rows r keep columns q > r + c: all of them from lo on, a
+        # triangle of the head c < q < lo, which the heads sweep adds
+        lo = c + tile + 1
+        aheads.append(_row_sums(kern, frame, lo, hi)[:m].T)
+        hi = lo
+    # the tile's rows as sources behind their targets: K[j, i] = -K[i, j]
+    src = -frame[:tile].T
+    src[:, m:] = 0.0  # rows past the last node wrap around; they add nothing
+    return aheads, src @ kern
+
+
+def _heads_task(z_ext, contrib_ext, n: int, reach: int, c: int, s: int,
+                count: int, buf):
+    """One chunk of the heads sweep, a task of _peers.in_task_order: it
+    builds the chunk's head blocks in buf, yields, and returns the (F, rows)
+    sums of its rows over cut c's head triangles and the (F, count * _TILE)
+    sums those triangles give their columns from node s + c + 1 on.  The
+    chunk's tiles take the per-tile products as one stack."""
+    tile = _TILE
+    f = contrib_ext.shape[1]
+    span = count * tile
+    rows = min(span, n - s)
+    heads = _head_blocks(z_ext, c, s, count, reach,
+                         out=buf.reshape(-1)[:span * tile].reshape(count, tile, tile))
+    yield
+    src = -contrib_ext[s:s + span]
+    src[rows:] = 0.0  # rows past the last node add nothing
+    behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ heads
+    del src
+    behind = behind.transpose(1, 0, 2).reshape(f, span)
+    frames = contrib_ext[s + c + 1:s + c + 1 + span]
+    ahead = heads @ frames.reshape(count, tile, f)
+    return ahead.reshape(span, f)[:rows].T, behind
 
 
 def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
@@ -272,72 +330,45 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
     # then makes them the terms past the head
     slots = {c: out[:, by_cut[c][0]] for c in cuts}
     # the heads sweep takes each cut's tiles in chunks whose heads fill at
-    # most the memory of one tile kernel (exactly that when 128 divides n:
-    # one block size for the helper's allocations keeps peak RSS steady)
+    # most half a tile kernel's buffer, so that a chunk's products are no
+    # larger than a tile's
     tiles = -(-n // tile)
-    per_chunk = max(1, width // tile)
+    per_chunk = max(1, width // (2 * tile))
     chunks = [(c, t * tile, min(per_chunk, tiles - t)) for c in cuts
               for t in range(0, tiles, per_chunk)]
-    # the helper builds the next tile's kernel, then the next chunk of
-    # heads, while this thread sums the current one; its work is all
-    # elementwise, so no two threads are ever inside BLAS at once
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        job = helper.submit(_tile_kernel, z_ext, 0, width, reach)
-        for t0 in range(0, n, tile):
-            m = min(tile, n - t0)
-            kern = job.result()
-            if t0 + tile < n:
-                job = helper.submit(_tile_kernel, z_ext, t0 + tile,
-                                    width, reach)
-            elif chunks:
-                job = helper.submit(_head_blocks, z_ext, *chunks[0], reach)
-            frame = contrib_ext[t0:t0 + width]
-            # the tile's rows as sources behind their targets: K[j, i] = -K[i, j]
-            src = -frame[:tile].T
-            src[:, m:] = 0.0  # rows past the last node wrap around; they add nothing
-            behind = src @ kern
+    starts = range(0, n, tile)
+    tasks = [partial(_band_task, z_ext, contrib_ext, t0, min(tile, n - t0),
+                     width, reach, cuts) for t0 in starts]
+    tasks += [partial(_heads_task, z_ext, contrib_ext, n, reach, *chunk)
+              for chunk in chunks]
+    # both workers build every kernel and chunk of heads in their own buffer
+    scratch = tuple(np.empty((tile, width), dtype=complex) for _ in range(2))
+    with closing(in_task_order(tasks, scratch)) as results:
+        for t0, (aheads, behind) in zip(starts, results):
             hi = width
-            for c in cuts:
-                # rows r keep columns q > r + c: all of them from lo on, a
-                # triangle of the head c < q < lo, which the heads sweep adds
+            for c, ahead in zip(cuts, aheads):
                 lo = c + tile + 1
-                ahead = _row_sums(kern, frame, lo, hi)
-                slots[c][:, t0:t0 + m] += ahead[:m].T
+                slots[c][:, t0:t0 + ahead.shape[1]] += ahead
                 _wrap_add(slots[c], t0 + lo, behind[:, lo:hi])
                 hi = lo
-        kern = behind = None  # free before the heads sweep builds its own
+        aheads = behind = None  # free the last tile's sums
         if n % 2 == 0:
             antipode = _offset_terms(sc, contrib, n // 2)
             if cuts:
                 slots[cuts[0]] += antipode
         for prev, c in zip(cuts, cuts[1:]):
             slots[c] += slots[prev]
-        # each cut's head triangles join its slot in one addition; a
-        # chunk's tiles take the same per-tile products as one stack, and
-        # each node still gets its head terms in tile order (its one ahead
-        # term may move before behind terms, which commutes from zero)
+        # each cut's head triangles join its slot in one addition; each
+        # node gets its head terms in tile order (its one ahead term may
+        # move before behind terms, which commutes from zero)
         heads_sum = np.zeros((f, n), dtype=complex)
-        for i, (c, s, count) in enumerate(chunks):
-            heads = job.result()
-            if i + 1 < len(chunks):
-                job = helper.submit(_head_blocks, z_ext, *chunks[i + 1], reach)
-            span = count * tile
-            rows = min(span, n - s)
-            frames = contrib_ext[s + c + 1:s + c + 1 + span]
-            ahead = heads @ frames.reshape(count, tile, f)
-            heads_sum[:, s:s + rows] += ahead.reshape(span, f)[:rows].T
-            del ahead
-            src = -contrib_ext[s:s + span]
-            src[rows:] = 0.0  # rows past the last node add nothing
-            behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ heads
-            del src
-            _wrap_add(heads_sum, s + c + 1,
-                      behind.transpose(1, 0, 2).reshape(f, span))
-            del behind
-            if s + span >= n:
+        for (c, s, count), (ahead, behind) in zip(chunks, results):
+            heads_sum[:, s:s + ahead.shape[1]] += ahead
+            _wrap_add(heads_sum, s + c + 1, behind)
+            if s + count * tile >= n:
                 slots[c] += heads_sum
                 heads_sum[:] = 0.0
-        heads = heads_sum = None  # free before the edge sums
+    scratch = heads_sum = ahead = behind = None  # free before the edge sums
     for cut, ws in by_cut.items():
         for w in ws[1:]:
             out[:, w] = out[:, ws[0]]
@@ -489,13 +520,14 @@ def transform_csv_rows(sc: SampledCurve, table):
 
     table is a sequence of (quantity, eps_label, values); the rows are every
     node of its first entry, then every node of the next, and so on.  The
-    node,param prefix is formatted once per table and each entry's re and
-    im columns once each.
+    node,param prefix is formatted once per table, and each entry's rows
+    as one block.
     """
-    prefix = [f"{i},{x}," for i, x in enumerate(_g17(sc.params))]
+    prefix = _csv_block("%d,%.17g,", [range(sc.n), sc.params.tolist()])
+    prefix = prefix.split("\n")[:-1]
     rows = []
     for quantity, eps_label, values in table:
-        mid = f"{quantity},{eps_label},"
-        rows += [f"{head}{mid}{re},{im}" for head, re, im
-                 in zip(prefix, _g17(values.real), _g17(values.imag))]
+        row = "%s" + f"{quantity},{eps_label},".replace("%", "%%") + "%.17g,%.17g"
+        block = _csv_block(row, [prefix, values.real.tolist(), values.imag.tolist()])
+        rows += block.split("\n")[:-1]
     return rows

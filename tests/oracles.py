@@ -6,11 +6,13 @@ log by continuous argument unwrapping (for geometry.branch_log), and the
 turning angle and chord-speed range of a window (for the second-difference
 tests), the detour scan that forms every detour sum and the smallness gate
 that runs it on every level (for the pruned scan behind
-geometry.conformality_modulus and geometry.eps0_gate), and the row-at-a-time
-CSV writers, one f-string per row, that the column-at-a-time writers must
-match byte for byte; and for the curve builders, the unsmoothed corner
-profile that curves.mollified_profile smooths and the spiral's limit point,
-the accumulation point of its untruncated recursion.
+geometry.conformality_modulus and geometry.eps0_gate), the row-at-a-time
+CSV writers, one f-string per row, that the block writers must match byte
+for byte, and the two one-sided schedules of the sweeps' peer workers
+that the default schedule must match bit for bit; and for the curve
+builders, the unsmoothed corner profile that curves.mollified_profile
+smooths and the spiral's limit point, the accumulation point of its
+untruncated recursion.
 
 The single-node oracles take what the operators take: the sampled curve
 and plain node values, (sc, values, z_index, ...)."""
@@ -20,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from cauchylab import _peers
 from cauchylab.curves import _check_unit_interval, _spiral_angle
 from cauchylab.errors import (
     BranchAmbiguityError,
@@ -228,3 +231,13 @@ def spiral_limit_point(depth_built):
         mult = mult * np.exp(1j * alpha) / (4.0 * math.cos(alpha))
         j += 1
     return complex(off)
+
+
+def patch_schedule(monkeypatch, schedule: str) -> None:
+    """Make the calling thread run every task of each sweep ("caller"), or
+    leave every task the helper can take to the helper ("helper"); any
+    other schedule changes nothing."""
+    if schedule == "caller":
+        monkeypatch.setattr(_peers._Peers, "serve", lambda self: None)
+    elif schedule == "helper":
+        monkeypatch.setattr(_peers._Peers, "take", lambda self: None)

@@ -198,17 +198,19 @@ def test_bulk_writers_match_row_writers_byte_for_byte(tmp_path, make_sc):
     real = sc.weights
     table = [("T_eps", "T*2^-4", cplx), ("T_pv", "", sc.tangents),
              ("T_star", "", real), ("M2", "", real.astype(complex))]
+    # each writer's file text against the oracle's rows, joined as
+    # write_lines writes them
     want = [row for q, label, values in table
             for row in oracles.transform_csv_rows(sc, q, values, eps_label=label)]
-    assert operators.transform_csv_rows(sc, table) == want
+    assert "\n".join(operators.transform_csv_rows(sc, table)) == "\n".join(want)
 
     curves.write_curve_csv(sc, tmp_path / "new.csv")
     oracles.write_curve_csv(sc, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     node_ratios = [(128, "constant", real), (256, "trig:1", sc.params[::-1])]
-    assert (cli._cotlar_csv_rows("square", node_ratios)
-            == oracles.cotlar_csv_rows("square", node_ratios))
+    assert ("".join(cli._cotlar_csv_blocks("square", node_ratios))
+            == "\n".join(oracles.cotlar_csv_rows("square", node_ratios)) + "\n")
 
 
 def test_click_entry_points(tmp_path):

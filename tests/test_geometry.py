@@ -1,5 +1,6 @@
 """Tests for the geometric functionals."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -154,6 +155,40 @@ def test_diagnostics_makes_one_chord_pass(monkeypatch):
     assert rep.bilip == geometry.bilipschitz_constant(sc)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: curves.circle(1.0),
+    lambda: curves.ellipse(2.0, 1.0),
+    lambda: curves.polygon([0, 1, 1 + 1j, 1j]),
+    lambda: spiral6(),
+], ids=["circle", "ellipse", "square", "spiral"])
+def test_diagnostics_tables_equal_per_level_calls(build):
+    # one p.point call serves every omega2, focus and window table, and
+    # each row has the bits of its own per-level call; the spiral has a
+    # focus point, so its focus table is filled too
+    p = build()
+    sc = curves.arclength_sample(p, 256)
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return p.point(x)
+
+    rep = geometry.diagnostics(dataclasses.replace(p, point=counted), sc,
+                               k_min=3, k_max=12, x_grid_n=1024)
+    assert len(calls) == 1
+    xs = p.period * np.arange(1024) / 1024
+    x0 = p.meta.get("focus_param", 0.0)
+    assert [row[0] for row in rep.omega2_table] == list(range(3, 13))
+    for k, eps, val, argx in rep.omega2_table:
+        assert (val, argx) == geometry.omega2(p, eps, xs)
+    assert len(rep.omega2_focus_table) == (10 if "focus_param" in p.meta else 0)
+    for k, eps, val, argx in rep.omega2_focus_table:
+        assert (val, argx) == geometry.omega2(p, eps, geometry.focus_grid(p, eps))
+    assert rep.local_bilip_table
+    for k, eps, val in rep.local_bilip_table:
+        assert val == geometry.local_bilipschitz(p, x0, eps, m=384)
+
+
 def test_diagnostics_needs_nodes():
     p = curves.circle(1.0)
     with pytest.raises(DomainError):
@@ -169,6 +204,40 @@ def test_degenerate_pair_detection():
                               weights=sc.weights)
     with pytest.raises(DegenerateGeometryError, match="offset 63$"):
         geometry.bilipschitz_constant(bad)
+
+
+@pytest.mark.parametrize("schedule", ["default", "caller", "helper"])
+def test_chord_scan_names_the_smallest_offset_across_blocks(monkeypatch, schedule):
+    # blocks of 4 offsets (1-4, 5-8, 9-12, ...): coincident points at
+    # offsets 8 and 9 lie on both sides of a block boundary, and the error
+    # names 8 whichever worker scans which block first
+    monkeypatch.setattr(geometry, "_CHORD_BLOCK", 4 * 128)
+    oracles.patch_schedule(monkeypatch, schedule)
+    sc = curves.arclength_sample(curves.circle(1.0), 128)
+    pts = sc.points.copy()
+    pts[28] = pts[20]
+    pts[59] = pts[50]
+    bad = curves.SampledCurve(n=sc.n, period=sc.period, params=sc.params,
+                              points=pts, tangents=sc.tangents,
+                              weights=sc.weights)
+    with pytest.raises(DegenerateGeometryError, match="offset 8$"):
+        geometry.bilipschitz_constant(bad)
+    with pytest.raises(DegenerateGeometryError, match="offset 8$"):
+        geometry.chord_arc_constant(bad)
+
+
+@pytest.mark.parametrize("schedule", ["caller", "helper"])
+def test_chord_constants_independent_of_schedule(monkeypatch, schedule):
+    # a maximum is exact in any order: small blocks (many tasks) on either
+    # worker alone give the bits of the default schedule
+    monkeypatch.setattr(geometry, "_CHORD_BLOCK", 8 * 2048)
+    curves_ = (curves.polygon([0, 1, 1 + 1j, 1j]), spiral6())
+    samples = [curves.arclength_sample(p, 2048) for p in curves_]
+    want = [geometry._chord_constants(sc, True) for sc in samples]
+    oracles.patch_schedule(monkeypatch, schedule)
+    assert [geometry._chord_constants(sc, True) for sc in samples] == want
+    assert ([geometry.bilipschitz_constant(sc) for sc in samples]
+            == [w[1] for w in want])
 
 
 def test_window_scan_names_the_smallest_coincident_offset():

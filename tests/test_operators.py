@@ -255,20 +255,20 @@ def test_family_of_one_matches_family_of_two(square_family):
 
 def test_one_pass_builds_half_the_kernel(monkeypatch):
     # each entry 1/(z_j - z_i) is built once for both nodes: n^2 / 2 plus
-    # one tile of columns per tile of rows; the helper thread builds every
-    # tile's kernel exactly once, a ragged last tile included.  The heads
-    # sweep builds the head entries again: one _TILE x _TILE block per
-    # tile and distinct cut, _TILE entries per row and cut
+    # one tile of columns per tile of rows; the two workers together build
+    # every tile's kernel exactly once, a ragged last tile included.  The
+    # heads sweep builds the head entries again: one _TILE x _TILE block
+    # per tile and distinct cut, _TILE entries per row and cut
     built, heads = [], []
     tile_kernel, head_blocks = operators._tile_kernel, operators._head_blocks
 
-    def counting(*args):
-        kern = tile_kernel(*args)
+    def counting(*args, **kwargs):
+        kern = tile_kernel(*args, **kwargs)
         built.append(kern.size)
         return kern
 
-    def counting_heads(*args):
-        block = head_blocks(*args)
+    def counting_heads(*args, **kwargs):
+        block = head_blocks(*args, **kwargs)
         heads.append(block.size)
         return block
 
@@ -420,6 +420,40 @@ def test_concurrent_calls_give_serial_bits(square_family):
     assert threading.active_count() == start
     for ref, out in zip(serial, got):
         assert out is not None and out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("schedule", ["caller", "helper"])
+def test_family_bits_independent_of_schedule(monkeypatch, schedule):
+    # only the calling thread adds results, in task order: with every task
+    # on the calling thread, or every task the helper can take on the
+    # helper, each pass gives the bits of the default schedule
+    cases = []
+    for n in (16, 63, 1001, 2048, 8192):
+        sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
+        levels = [eps for _, eps in dyadic_levels(sc, 1)]
+        for f in (1, 2, 15):
+            rng = np.random.default_rng(n + f)
+            cases.append((sc, rng.normal(size=(f, n))
+                          + 1j * rng.normal(size=(f, n)), levels))
+
+    def digests():
+        return [hashlib.sha256(operators.truncated_cauchy_family(
+            sc, vals, levels).tobytes()).hexdigest()
+            for sc, vals, levels in cases]
+
+    want = digests()
+    oracles.patch_schedule(monkeypatch, schedule)
+    caller = threading.get_ident()
+    builders = set()
+    tile_kernel = operators._tile_kernel
+
+    def tracked(*args, **kwargs):
+        builders.add(threading.get_ident() == caller)
+        return tile_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_tile_kernel", tracked)
+    assert digests() == want
+    assert builders == {schedule == "caller"}
 
 
 def _src_env(**variables):
