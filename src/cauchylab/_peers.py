@@ -9,13 +9,14 @@ whichever thread ran them.
 
 A task is a generator function.  Called with its worker's scratch, it
 does its bulk (building a kernel in the worker's buffer) up to a yield,
-then makes its result and returns it.  The helper builds its next task
-while its previous result waits to be handed back, but makes the next
-result only once that one is back; the caller runs its tasks straight
-through and starts none while a result of its own waits.  So at most one
-result waits at a time, besides the one the caller is adding and one
-being made.  Each thread is woken only when it waits, and the helper is
-joined before the sweep returns.
+then makes its result and returns it.  A worker starts no task while a
+result of its own waits to be handed back, except that the helper may
+build its next one; it makes that task's result only once the waiting one
+is back.  The caller runs its own task a part at a time and hands back a
+finished result between the parts, so a result of the helper's waits at
+most for one part.  So at most one result waits, besides the one the
+caller is adding and those being made.  Each thread is woken only when it
+waits, and the helper is joined before the sweep returns.
 """
 
 from __future__ import annotations
@@ -33,31 +34,21 @@ def _finish(steps):
 
 
 class _Peers:
-    """The shared state of one sweep: tasks not yet started, and results
-    finished but not yet handed back, each with the worker that ran it."""
+    """The shared state of one sweep: tasks not yet started, the caller's
+    task in progress, and results finished but not yet handed back, each
+    with the worker that ran it."""
 
     def __init__(self, tasks, scratch):
         self.tasks, self.scratch = tasks, scratch
         self.started = 0
+        self.own = None             # the caller's task: [index, steps or None]
         self.done = {}              # index -> (value, error, worker)
         self.held = [False, False]  # worker w has a result in done
         self.waiting = [False, False]
         self.closed = False
         self.cond = threading.Condition()
 
-    def run(self, worker: int, i: int) -> None:
-        try:
-            steps = self.tasks[i](self.scratch[worker])
-            next(steps)
-            if worker == 1:
-                with self.cond:
-                    while self.held[1] and not self.closed:
-                        self.waiting[1] = True
-                        self.cond.wait()
-                        self.waiting[1] = False
-            value, error = _finish(steps), None
-        except Exception as exc:  # raised by the caller in the task's place
-            value, error = None, exc
+    def finished(self, worker: int, i: int, value, error) -> None:
         with self.cond:
             self.done[i] = (value, error, worker)
             self.held[worker] = True
@@ -72,7 +63,18 @@ class _Peers:
                     return
                 i = self.started
                 self.started += 1
-            self.run(1, i)
+            try:
+                steps = self.tasks[i](self.scratch[1])
+                next(steps)
+                with self.cond:
+                    while self.held[1] and not self.closed:
+                        self.waiting[1] = True
+                        self.cond.wait()
+                        self.waiting[1] = False
+                value, error = _finish(steps), None
+            except Exception as exc:  # raised by the caller in the task's place
+                value, error = None, exc
+            self.finished(1, i, value, error)
 
     def take(self) -> int | None:
         """The next task for the calling thread, or None when it should
@@ -92,13 +94,25 @@ class _Peers:
                     if worker == 1 and self.waiting[1]:
                         self.cond.notify()
                     break
-                j = self.take()
-                if j is None:
-                    self.waiting[0] = True
-                    self.cond.wait()
-                    self.waiting[0] = False
+                if self.own is None:
+                    j = self.take()
+                    if j is None:
+                        self.waiting[0] = True
+                        self.cond.wait()
+                        self.waiting[0] = False
+                        continue
+                    self.own = [j, None]
+            j, steps = self.own
+            try:
+                if steps is None:  # its bulk; then look for a result again
+                    self.own[1] = self.tasks[j](self.scratch[0])
+                    next(self.own[1])
                     continue
-            self.run(0, j)
+                value, error = _finish(steps), None
+            except Exception as exc:
+                value, error = None, exc
+            self.own = None
+            self.finished(0, j, value, error)
         if error is not None:
             raise error
         return value
