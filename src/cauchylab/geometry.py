@@ -54,16 +54,16 @@ _CHORD_BLOCK = 2 ** 16
 
 
 def _offset_chords(pts):
-    """The blocks of the parameter offsets 1..n//2 of a closed grid of n
-    nodes, in order of offset, as calls that each return (off, d): the
+    """Yield the blocks of the parameter offsets 1..n//2 of a closed grid of
+    n nodes, in order of offset, as calls that each return (off, d): the
     block's offsets as a column and d[k, i] = |z[i + off[k]] - z[i]| with
     indices taken mod n, read from one wrapped copy."""
     n = len(pts)
     ext = np.concatenate([pts, pts[:n // 2]])
     rows = np.lib.stride_tricks.sliding_window_view(ext, n)
     step = max(1, _CHORD_BLOCK // n)
-    return [partial(_block_chords, rows, ext[:n], lo, min(lo + step, n // 2 + 1))
-            for lo in range(1, n // 2 + 1, step)]
+    for lo in range(1, n // 2 + 1, step):
+        yield partial(_block_chords, rows, ext[:n], lo, min(lo + step, n // 2 + 1))
 
 
 def _block_chords(rows, base, lo: int, hi: int):
