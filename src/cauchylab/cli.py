@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__, curvespec, geometry, harness, operators
 from .curves import (
-    _csv_block,
     arclength_sample,
     patch_half_diameter,
     spiral_tail_series,
@@ -164,11 +163,12 @@ def _run_criterion(state: _RunState, out: Path) -> None:
 def _cotlar_csv_blocks(kind: str, node_ratios) -> list:
     """cotlar.csv as text blocks: a header, then the rows of each (n, tag,
     ratios) entry, one per node, formatted as one block."""
+    from ._csvtext import csv_block  # compiled on first use
+
     blocks = ["curve,n,f_tag,node,ratio\n"]
     for n, tag, ratios in node_ratios:
-        head = f"{kind},{n},{tag},".replace("%", "%%")
-        blocks.append(_csv_block(head + "%d,%.17g",
-                                 [range(len(ratios)), ratios.tolist()]))
+        blocks.append(csv_block([f"{kind},{n},{tag},", np.arange(len(ratios)),
+                                 ",", ratios]))
     return blocks
 
 

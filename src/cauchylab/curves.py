@@ -11,6 +11,10 @@ in-house numpy code that matches scipy's ``CubicSpline`` bit for bit.
 ``builtin_curve(kind, **keys)`` is the one dispatch from a curve kind to
 its builder: a table keyed by kind that passes the [curve] keys of a .cspec
 file by their spec names.
+
+The curve export goes through ``_csvtext.csv_block``, the numpy block
+formatter of every large CSV table, which writes the bytes of
+``'%.17g' % x`` for whole columns at once.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -284,23 +287,15 @@ def arclength_sample(p: Parametrization, n: int) -> SampledCurve:
                         warnings=warnings)
 
 
-def _csv_block(row: str, columns) -> str:
-    """The text of row % (c[i] for c in columns), each followed by LF, for
-    every i, from one % operation: the text that formatting each row by
-    itself gives, with one C-level call for the whole block.  The columns
-    are sequences of one length (a float array through tolist()); a
-    literal % in row is written %%."""
-    return ((row + "\n") * len(columns[0])
-            % tuple(chain.from_iterable(zip(*columns))))
-
-
 def write_curve_csv(sc: SampledCurve, path):
     """Curve export: param,x,y,tx,ty,weight at 17 significant digits, LF."""
-    columns = (sc.params, sc.points.real, sc.points.imag,
-               sc.tangents.real, sc.tangents.imag, sc.weights)
-    write_text(path, ["param,x,y,tx,ty,weight\n",
-                      _csv_block(",".join(["%.17g"] * 6),
-                                 [c.tolist() for c in columns])])
+    from ._csvtext import csv_block  # compiled on first use
+
+    fields = []
+    for column in (sc.params, sc.points.real, sc.points.imag,
+                   sc.tangents.real, sc.tangents.imag, sc.weights):
+        fields += [",", column]
+    write_text(path, ["param,x,y,tx,ty,weight\n", csv_block(fields[1:])])
 
 
 def write_text(path, blocks) -> None:

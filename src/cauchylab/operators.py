@@ -80,7 +80,7 @@ from functools import partial
 import numpy as np
 
 from ._peers import in_task_order
-from .curves import SampledCurve, _csv_block
+from .curves import SampledCurve
 from .errors import DomainError, ResolutionError
 
 __all__ = [
@@ -520,14 +520,15 @@ def transform_csv_rows(sc: SampledCurve, table):
 
     table is a sequence of (quantity, eps_label, values); the rows are every
     node of its first entry, then every node of the next, and so on.  The
-    node,param prefix is formatted once per table, and each entry's rows
-    as one block.
+    node,param prefix is formatted once per table, as a byte matrix, and
+    each entry's rows as one block.
     """
-    prefix = _csv_block("%d,%.17g,", [range(sc.n), sc.params.tolist()])
-    prefix = prefix.split("\n")[:-1]
+    from ._csvtext import byte_matrix, csv_block  # compiled on first use
+
+    prefix = byte_matrix([np.arange(sc.n), ",", sc.params, ","])
     rows = []
     for quantity, eps_label, values in table:
-        row = "%s" + f"{quantity},{eps_label},".replace("%", "%%") + "%.17g,%.17g"
-        block = _csv_block(row, [prefix, values.real.tolist(), values.imag.tolist()])
+        block = csv_block([prefix, f"{quantity},{eps_label},",
+                           values.real, ",", values.imag])
         rows += block.split("\n")[:-1]
     return rows

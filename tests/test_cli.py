@@ -163,10 +163,13 @@ def test_byte_identical_reruns_of_the_bulk_writers(tmp_path):
 # subnormal and normal, the largest double, both sides of the switches
 # between fixed and exponent notation at 1e17 and 1e-4, plain values, and
 # the non-finite ones
+# 1311831073385388.75 is an exact tie at 17 digits, which the block
+# formatter leaves to '%.17g'; the double nearest 1e-14 lies below it and
+# its 17 digits carry into that decade
 _EDGE = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
                   1.7976931348623157e308, 1e16, 1e17, 123456789012345678.0,
                   1e-4, 9.9999999999999991e-05, 0.1, 1 / 3, -2.5, 1.0,
-                  np.inf, np.nan])
+                  np.inf, np.nan, 1311831073385388.75, 1e-14])
 
 
 def _circle_512():
@@ -208,7 +211,7 @@ def test_bulk_writers_match_row_writers_byte_for_byte(tmp_path, make_sc):
     oracles.write_curve_csv(sc, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    node_ratios = [(128, "constant", real), (256, "trig:1", sc.params[::-1])]
+    node_ratios = [(128, "constant", real), (256, "trig:1%d", sc.params[::-1])]
     assert ("".join(cli._cotlar_csv_blocks("square", node_ratios))
             == "\n".join(oracles.cotlar_csv_rows("square", node_ratios)) + "\n")
 
