@@ -102,7 +102,6 @@ def _chord_constants(sc, with_arc: bool):
 
     def scan(chords, _scratch):
         off, d = chords()
-        yield
         bil = float(np.max(off * h / d))
         if not with_arc:
             return 1.0, bil

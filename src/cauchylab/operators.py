@@ -36,9 +36,11 @@ separate gathers.  Every term is added, none subtracted, so a window that
 holds only a few nodes is as accurate as its own terms.  Besides the
 result, the pass holds the same memory for any number of windows: the
 values in its own layout, one F x n scratch, two tile-kernel buffers and
-the products of at most three tiles or chunks; traced at n = 2048 and
-F = 15, the result plus 11.5 F x n slabs for 2 windows and for 12.  The
-readable single-node oracles it is tested against are in tests/oracles.py.
+the products of at most four tiles or chunks (two of the helper's, one of
+the calling thread's and the last one added); traced at n = 2048 and
+F = 15, the result plus 11.5-11.7 F x n slabs for 2 windows and for 12.
+The readable single-node oracles it is tested against are in
+tests/oracles.py.
 
 pv_cauchy_all, truncated_cauchy_all and maximal_cauchy_all are that
 evaluator on a family of one.  No program path calls them; they stay only
@@ -47,16 +49,18 @@ the benchmark change that drops them from its table.
 
 Threads: each call runs two peer workers, the calling thread and one
 helper, through _peers.in_task_order.  The band sweep's tasks are its
-tiles and the heads sweep's its chunks, in one list; each worker takes the
-next task not yet started, builds its kernel or head blocks in its own
-buffer of one tile kernel (two buffers, about 8 MB at n = 8192, allocated
-before the sweep), and makes the task's products.  Only the calling thread
-adds results into the pass's arrays, in task order, so every node gets
-its terms in the same order whichever worker ran a task.  The call joins
-its helper before returning.  Both workers call BLAS; importing cauchylab
-before numpy sets OPENBLAS_NUM_THREADS=1 unless it is already set, so
-each product runs on the thread that calls it: the per-tile products are
-too small for BLAS threads, which only spun.
+tiles and the heads sweep's its chunks, in one list of plain functions;
+each worker takes the next task not yet started, builds its kernel or
+head blocks in its own buffer of one tile kernel (two buffers, about 8 MB
+at n = 8192, allocated before the sweep), and makes the task's products.
+The helper holds at most two results not yet added, the calling thread
+one.  Only the calling thread adds results into the pass's arrays, in
+task order, so every node gets its terms in the same order whichever
+worker ran a task.  The call joins its helper before returning.  Both
+workers call BLAS; importing cauchylab before numpy sets
+OPENBLAS_NUM_THREADS=1 unless it is already set, so each product runs on
+the thread that calls it: the per-tile products are too small for BLAS
+threads, which only spun.
 
 Determinism: reruns give the same bits, and which worker runs a task
 changes none of them, since no sum changes order.  Every BLAS product
@@ -224,33 +228,31 @@ def _head_blocks(z_ext, c: int, start: int, count: int, reach: int,
     in out (shape (count, _TILE, _TILE)) when given.
 
     Block [t, r, q] is entry [r, c + 1 + q] of the kernel of the tile from
-    t0 = start + t * _TILE, times [q >= r], built with _tile_kernel's
-    operations, so its bits are the ones that kernel holds there: the
-    triangle of the head columns that row r keeps at cut c.
+    t0 = start + t * _TILE where q >= r, and zero elsewhere, built with
+    _tile_kernel's operations, so its bits are the ones that kernel holds
+    there: the triangle of the head columns that row r keeps at cut c.
     """
     tile = _TILE
     offset = np.arange(c + 1, c + tile + 1) - np.arange(tile)[:, None]
-    masked = (offset <= 0) | (offset > reach)
+    masked = (offset <= c) | (offset > reach)  # q < r, or past the kernel
     rows = z_ext[start:start + count * tile].reshape(count, tile, 1)
     cols = z_ext[start + c + 1:start + c + 1 + count * tile].reshape(count, 1, tile)
     heads = np.subtract(cols, rows, out=out)
     np.copyto(heads, 1.0, where=masked)
     np.divide(1.0, heads, out=heads)
     np.copyto(heads, 0.0, where=masked)
-    heads *= np.triu(np.ones((tile, tile), dtype=complex))
     return heads
 
 
 def _band_task(z_ext, contrib_ext, t0: int, m: int, width: int, reach: int,
                cuts, buf):
     """One tile of the band sweep, a task of _peers.in_task_order: it
-    builds the tile's kernel in buf, yields, and returns, for each cut from
+    builds the tile's kernel in buf and returns, for each cut from
     the antipode inward, the (F, m) sums of the tile's m rows over the
     columns past the previous cut's head up to its own, and the (F, width)
     sums that its rows, as sources, give the frame's columns."""
     tile = _TILE
     kern = _tile_kernel(z_ext, t0, width, reach, out=buf)
-    yield
     frame = contrib_ext[t0:t0 + width]
     aheads, hi = [], width
     for c in cuts:
@@ -268,7 +270,7 @@ def _band_task(z_ext, contrib_ext, t0: int, m: int, width: int, reach: int,
 def _heads_task(z_ext, contrib_ext, n: int, reach: int, c: int, s: int,
                 count: int, buf):
     """One chunk of the heads sweep, a task of _peers.in_task_order: it
-    builds the chunk's head blocks in buf, yields, and returns the (F, rows)
+    builds the chunk's head blocks in buf and returns the (F, rows)
     sums of its rows over cut c's head triangles and the (F, count * _TILE)
     sums those triangles give their columns from node s + c + 1 on.  The
     chunk's tiles take the per-tile products as one stack."""
@@ -278,7 +280,6 @@ def _heads_task(z_ext, contrib_ext, n: int, reach: int, c: int, s: int,
     rows = min(span, n - s)
     heads = _head_blocks(z_ext, c, s, count, reach,
                          out=buf.reshape(-1)[:span * tile].reshape(count, tile, tile))
-    yield
     src = -contrib_ext[s:s + span]
     src[rows:] = 0.0  # rows past the last node add nothing
     behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ heads

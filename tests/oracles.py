@@ -234,10 +234,11 @@ def spiral_limit_point(depth_built):
 
 
 def patch_schedule(monkeypatch, schedule: str) -> None:
-    """Make the calling thread run every task of each sweep ("caller"), or
-    leave every task the helper can take to the helper ("helper"); any
-    other schedule changes nothing."""
+    """Make the calling thread run every task of each sweep ("caller": the
+    helper gets no permit), or leave every task to the helper ("helper":
+    the calling thread may hold no result of its own); any other schedule
+    changes nothing."""
     if schedule == "caller":
-        monkeypatch.setattr(_peers._Peers, "serve", lambda self: None)
+        monkeypatch.setattr(_peers, "_AHEAD", 0)
     elif schedule == "helper":
-        monkeypatch.setattr(_peers._Peers, "take", lambda self: None)
+        monkeypatch.setattr(_peers, "_OWN", 0)
