@@ -8,6 +8,14 @@ parametrizations; non-analytic curves are backed by per-zone cumulative
 arc-length splines with clamped end derivatives.  The clamped spline is
 in-house numpy code that matches scipy's ``CubicSpline`` bit for bit.
 
+The spiral's bumps share one smoothing width, so in local patch
+coordinates they share every kernel argument: a build computes the
+corner-zone kernel values once per corner shape (and those of the
+shortenings and the separation check once per parameter set) and derives
+every bump's slopes, speeds and profiles from them with the arithmetic of
+``mollified_slope`` and ``mollified_profile``.  Nothing is kept between
+builds.
+
 ``builtin_curve(kind, **keys)`` is the one dispatch from a curve kind to
 its builder: a table keyed by kind that passes the [curve] keys of a .cspec
 file by their spec names.
@@ -26,7 +34,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._quadrature import _GL96, cumulative_gauss, gauss_panel
+from ._quadrature import (_GL96, cumulative_gauss, cumulative_nodes, panel_nodes,
+                          panel_sum)
 from .errors import ConstructionError, DegenerateGeometryError, DomainError
 
 __all__ = [
@@ -111,7 +120,10 @@ def bump_ramp(w):
 
 
 # ---------------------------------------------------------------------------
-# Smoothed-bump profiles.
+# Smoothed-bump profiles.  A bump's profile has one branch per corner apex
+# 1/4, 1/2, 3/4, and each branch is tan(angle) times a kernel value at
+# w = (t - apex)/xi (mirrored at 3/4).  The kernel values at fixed t and xi
+# therefore serve every opening angle.
 
 
 @dataclass(frozen=True)
@@ -135,60 +147,99 @@ def _check_unit_interval(t):
     return np.clip(t, 0.0, 1.0)
 
 
+def _branches(t):
+    """(apex, mask) of the profile's three branches over an array t."""
+    left = t < 0.375
+    right = t > 0.625
+    return ((0.25, left), (0.75, right), (0.5, ~(left | right)))
+
+
+def _kernel_arg(apex, t, xi):
+    return (0.75 - t) / xi if apex == 0.75 else (t - apex) / xi
+
+
+def _cdf_value(apex, w):
+    return bump_cdf(w)
+
+
+def _ramp_value(apex, w):
+    """The smoothed ramp of a branch; the cap at 1/2 takes both sides."""
+    return bump_ramp(w) + bump_ramp(-w) if apex == 0.5 else bump_ramp(w)
+
+
+def _branch_slope(apex, tn, xi, cdf):
+    if apex == 0.25:
+        return tn * cdf
+    if apex == 0.75:
+        return -tn * cdf
+    return tn * (1.0 - 2.0 * cdf)
+
+
+def _branch_profile(apex, tn, xi, ramp):
+    if apex == 0.5:
+        return tn * (0.25 - xi * ramp)
+    return tn * xi * ramp
+
+
+def _at_params(t, xi, kernel, branch):
+    """One profile quantity at parameters t in [0, 1] of every bump of
+    width xi, as a function of tan(angle): the kernel values are computed
+    here, once, and each call makes only the branch arithmetic."""
+    # skip absent branches: a corner zone's parameters lie on one branch
+    parts = [(apex, mask, kernel(apex, _kernel_arg(apex, t[mask], xi)))
+             for apex, mask in _branches(t) if mask.any()]
+
+    def at_angle(tn):
+        out = np.empty_like(t)
+        for apex, mask, k in parts:
+            out[mask] = branch(apex, tn, xi, k)
+        return out
+
+    return at_angle
+
+
+def _slopes_at(t, xi):
+    return _at_params(t, xi, _cdf_value, _branch_slope)
+
+
+def _profiles_at(t, xi):
+    return _at_params(t, xi, _ramp_value, _branch_profile)
+
+
 def mollified_profile(spec: PatchSpec, t):
     """Corner profile convolved with the unit-mass kernel of width xi.
 
     Agrees with the unsmoothed profile exactly outside xi-neighborhoods of
     the three corner abscissas 1/4, 1/2, 3/4.
     """
-    t = _check_unit_interval(t)
-    tn, xi = math.tan(spec.angle), spec.xi
-    out = np.empty_like(t)
-    left = t < 0.375
-    right = t > 0.625
-    mid = ~(left | right)
-    # skip absent branches: a corner zone evaluates one branch per call
-    if left.any():
-        out[left] = tn * xi * bump_ramp((t[left] - 0.25) / xi)
-    if right.any():
-        out[right] = tn * xi * bump_ramp((0.75 - t[right]) / xi)
-    if mid.any():
-        w = (t[mid] - 0.5) / xi
-        out[mid] = tn * (0.25 - xi * (bump_ramp(w) + bump_ramp(-w)))
-    return out
+    return _profiles_at(_check_unit_interval(t), spec.xi)(math.tan(spec.angle))
 
 
 def mollified_slope(spec: PatchSpec, t):
     """Derivative of the smoothed profile (kernel cdf in the corner zones)."""
-    t = _check_unit_interval(t)
-    tn, xi = math.tan(spec.angle), spec.xi
-    out = np.empty_like(t)
-    left = t < 0.375
-    right = t > 0.625
-    mid = ~(left | right)
-    if left.any():
-        out[left] = tn * bump_cdf((t[left] - 0.25) / xi)
-    if right.any():
-        out[right] = -tn * bump_cdf((0.75 - t[right]) / xi)
-    if mid.any():
-        out[mid] = tn * (1.0 - 2.0 * bump_cdf((t[mid] - 0.5) / xi))
-    return out
+    return _slopes_at(_check_unit_interval(t), spec.xi)(math.tan(spec.angle))
 
 
 def _patch_boundaries(xi):
     return (0.0, 0.25 - xi, 0.25 + xi, 0.5 - xi, 0.5 + xi, 0.75 - xi, 0.75 + xi, 1.0)
 
 
-def _patch_shortening(spec: PatchSpec) -> float:
-    """Arc length the smoothing takes off the bump: the corner profile's
-    length 1/2 + 1/(2 cos(angle)) less the smoothed profile's, measured by
-    one Gauss panel per smooth zone."""
-    bounds = _patch_boundaries(spec.xi)
-    length = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        length += gauss_panel(
-            lambda t: np.sqrt(1.0 + mollified_slope(spec, t) ** 2), a, b)
-    return (0.5 + 0.5 / math.cos(spec.angle)) - float(length)
+def _patch_shortenings(xi, angles) -> tuple:
+    """Arc length the smoothing takes off each bump of width xi and the
+    given opening angles: the corner profile's length 1/2 + 1/(2 cos(angle))
+    less the smoothed profile's, measured by one Gauss panel per smooth
+    zone.  The kernel values at the panel nodes serve every angle."""
+    bounds = _patch_boundaries(xi)
+    panels = [(a, b, _slopes_at(panel_nodes(a, b), xi))
+              for a, b in zip(bounds[:-1], bounds[1:])]
+    out = []
+    for angle in angles:
+        tn = math.tan(angle)
+        length = 0.0
+        for a, b, slope in panels:
+            length += panel_sum(np.sqrt(1.0 + slope(tn) ** 2), a, b)
+        out.append((0.5 + 0.5 / math.cos(angle)) - float(length))
+    return tuple(out)
 
 
 def _spiral_angle(j: int) -> float:
@@ -341,7 +392,7 @@ def ellipse(a: float, b: float) -> Parametrization:
     def point_of(theta):
         return a * np.cos(theta) + 1j * b * np.sin(theta)
 
-    zone = _SplineZone(point_of, speed, 0.0, 2.0 * math.pi, knots=8193)
+    zone = _speed_zone(point_of, speed, 0.0, 2.0 * math.pi, knots=8193)
 
     def point(s):
         return zone.point(np.mod(np.asarray(s, dtype=float), zone.length))
@@ -486,22 +537,18 @@ class _ClampedSpline:
 
 
 class _SplineZone:
-    """A smooth curved stretch t0..t1 of point_of, with clamped-spline
-    inverse arc length from the cumulative integral of its speed.  The
-    spline s(t), which only `param_of` reads, is fitted on first use from
-    the kept knots."""
+    """A smooth curved stretch of point_of over the parameter knots t_knots,
+    with clamped-spline inverse arc length from the knots' arc lengths
+    s_knots and the end speeds v0, v1.  The spline s(t), which only
+    `param_of` reads, is fitted on first use from the kept knots."""
 
     __slots__ = ("t0", "t1", "point_of", "length", "s0", "_t_of_s", "_s_of_t",
                  "_knots", "patch_index")
 
-    def __init__(self, point_of, speed, t0, t1, patch_index=-1, knots=65):
-        self.t0, self.t1 = t0, t1
+    def __init__(self, point_of, t_knots, s_knots, v0, v1, patch_index=-1):
+        self.t0, self.t1 = float(t_knots[0]), float(t_knots[-1])
         self.point_of = point_of
-        t_knots = np.linspace(t0, t1, knots)
-        s_knots = cumulative_gauss(speed, t_knots)
         self.length = float(s_knots[-1])
-        v0 = float(speed(np.array([t0]))[0])
-        v1 = float(speed(np.array([t1]))[0])
         self._t_of_s = _ClampedSpline(s_knots, t_knots, 1.0 / v0, 1.0 / v1)
         self._s_of_t = None
         self._knots = (t_knots, s_knots, v0, v1)
@@ -520,6 +567,19 @@ class _SplineZone:
         return self.point_of(self.t_at(ds))
 
 
+_KNOTS = 65  # knots of a zone's inverse arc-length spline
+
+
+def _speed_zone(point_of, speed, t0, t1, patch_index=-1, knots=_KNOTS):
+    """Spline zone of point_of over t0..t1, its knot arc lengths integrated
+    from the speed function."""
+    t_knots = np.linspace(t0, t1, knots)
+    nodes = cumulative_nodes(t_knots)
+    s_knots = cumulative_gauss(speed(nodes.ravel()).reshape(nodes.shape), t_knots)
+    v0, v1 = (float(speed(np.array([t]))[0]) for t in (t0, t1))
+    return _SplineZone(point_of, t_knots, s_knots, v0, v1, patch_index)
+
+
 def _graph_zone(t0, t1, off, mult, lam, slope, patch_index):
     """Spline zone of the mapped graph t -> off + mult (t + i lam(t))."""
     scale = abs(mult)
@@ -530,7 +590,41 @@ def _graph_zone(t0, t1, off, mult, lam, slope, patch_index):
     def speed(t):
         return scale * np.sqrt(1.0 + np.asarray(slope(t)) ** 2)
 
-    return _SplineZone(point, speed, t0, t1, patch_index)
+    return _speed_zone(point, speed, t0, t1, patch_index)
+
+
+def _corner_point(apex, tn, xi, off, mult, t):
+    """Point of a corner zone of the mapped bump graph.  The zone's t is
+    clipped to its ends, inside [0, 1], and lies on one branch, so the
+    kernel takes it without the domain check of mollified_profile."""
+    ramp = _ramp_value(apex, _kernel_arg(apex, t, xi))
+    return off + mult * (t + 1j * _branch_profile(apex, tn, xi, ramp))
+
+
+class _CornerKernel:
+    """The corner zone [apex - xi, apex + xi] of every bump of width xi.
+
+    In local patch coordinates these zones share their knots, so the kernel
+    cdf at the knots' Gauss nodes and at the two ends is computed once, here,
+    and each bump's knot speeds come from it with the arithmetic of
+    mollified_slope: only tan(angle) and the bump's scale differ.
+    """
+
+    def __init__(self, apex, xi):
+        self.apex, self.xi = apex, xi
+        self.t_knots = np.linspace(apex - xi, apex + xi, _KNOTS)
+        nodes = cumulative_nodes(self.t_knots)
+        self._shape = nodes.shape
+        self._slopes = [_slopes_at(t, xi) for t in (
+            nodes.ravel(), np.array([apex - xi]), np.array([apex + xi]))]
+
+    def zone(self, tn, off, mult, patch_index):
+        """The corner zone of the bump with tan(angle) tn mapped by off + mult z."""
+        scale = abs(mult)
+        nodes, v0, v1 = (scale * np.sqrt(1.0 + slope(tn) ** 2) for slope in self._slopes)
+        s_knots = cumulative_gauss(nodes.reshape(self._shape), self.t_knots)
+        return _SplineZone(partial(_corner_point, self.apex, tn, self.xi, off, mult),
+                           self.t_knots, s_knots, float(v0[0]), float(v1[0]), patch_index)
 
 
 class _ZoneAssembly:
@@ -557,7 +651,7 @@ class _ZoneAssembly:
         idx = np.clip(np.searchsorted(self._starts, s, side="right") - 1, 0,
                       len(self.zones) - 1)
         out = np.empty(s.shape, dtype=complex)
-        for k in np.unique(idx):
+        for k in np.flatnonzero(np.bincount(idx.ravel(), minlength=len(self.zones))):
             mask = idx == k
             out[mask] = self.zones[k].point(s[mask] - self.zones[k].s0)
         return out
@@ -570,11 +664,12 @@ class _ZoneAssembly:
         raise DomainError(f"parameter {t} of patch {patch_index} is not on the curve")
 
 
-def _piece_zones(spec: PatchSpec, ta, tb, off, mult, patch_index):
+def _piece_zones(spec: PatchSpec, corners, ta, tb, off, mult, patch_index):
     """Cut a kept stretch [ta, tb] of a patch graph into smooth zones: the
-    straight pieces exact, the three corner zones on the smoothed profile."""
+    straight pieces exact, the corner zones on the smoothed profile.  No
+    kept stretch ends inside a corner zone, so each corner zone is whole and
+    `corners` maps its ends to its _CornerKernel."""
     tn, xi = math.tan(spec.angle), spec.xi
-    lam, slope = partial(mollified_profile, spec), partial(mollified_slope, spec)
     bounds = _patch_boundaries(xi)
     cuts = [ta] + [b for b in bounds if ta < b < tb] + [tb]
     zones = []
@@ -587,7 +682,7 @@ def _piece_zones(spec: PatchSpec, ta, tb, off, mult, patch_index):
         elif 0.5 + xi < m < 0.75 - xi:
             zones.append(_LinearZone(a, b, off, mult, 0.75 * tn, -tn, patch_index))
         else:
-            zones.append(_graph_zone(a, b, off, mult, lam, slope, patch_index))
+            zones.append(corners[a, b].zone(tn, off, mult, patch_index))
     return zones
 
 
@@ -632,7 +727,7 @@ def _loop_zones(curve, dcurve):
     def speed(u):
         return np.abs(dcurve(u))
 
-    return [_SplineZone(curve, speed, k / 8.0, (k + 1) / 8.0, knots=129)
+    return [_speed_zone(curve, speed, k / 8.0, (k + 1) / 8.0, knots=129)
             for k in range(8)]
 
 
@@ -683,24 +778,28 @@ def _spiral_maps(depth):
 
 def _validate_spiral_separation(patches, offs, mults, xi, depth):
     """Neighboring patches must stay 1e-9 apart away from their junctions."""
+    t_child = np.linspace(0.0, 1.0, 800)
+    keep_b = (t_child > 24.0 * xi) & (t_child < 1.0 - 24.0 * xi)
+    child = _profiles_at(t_child, xi)
     for j in range(1, depth):
         spec_a, spec_b = patches[j - 1], patches[j]
         scale = abs(mults[j - 1])
-        # patch j kept stretches in its own local frame
-        ta = np.linspace(4.0 * xi if j > 1 else 0.0, 0.25 + xi, 400)
-        tb = np.linspace(0.5 - xi, 1.0 if j == 1 else 1.0 - 4.0 * xi, 400)
-        t_parent = np.concatenate([ta, tb])
-        za = t_parent + 1j * mollified_profile(spec_a, t_parent)
-        # child graph mapped into the parent frame
-        rel = (offs[j] - offs[j - 1]) / mults[j - 1], mults[j] / mults[j - 1]
-        t_child = np.linspace(0.0, 1.0, 800)
-        zb = rel[0] + rel[1] * (t_child + 1j * mollified_profile(spec_b, t_child))
-        # junctions: parent t = 1/4+xi <-> child t = 4xi, parent 1/2-xi <-> child 1-4xi
-        keep_a = (np.abs(t_parent - (0.25 + xi)) > 8.0 * xi) & \
-                 (np.abs(t_parent - (0.5 - xi)) > 8.0 * xi)
-        keep_b = (t_child > 24.0 * xi) & (t_child < 1.0 - 24.0 * xi)
+        if j <= 2:
+            # patch j kept stretches in its own local frame; every parent
+            # below patch 1 keeps the stretches of patch 2
+            ta = np.linspace(4.0 * xi if j > 1 else 0.0, 0.25 + xi, 400)
+            tb = np.linspace(0.5 - xi, 1.0 if j == 1 else 1.0 - 4.0 * xi, 400)
+            t_parent = np.concatenate([ta, tb])
+            parent = _profiles_at(t_parent, xi)
+            # junctions: parent t = 1/4+xi <-> child t = 4xi, parent 1/2-xi <-> child 1-4xi
+            keep_a = (np.abs(t_parent - (0.25 + xi)) > 8.0 * xi) & \
+                     (np.abs(t_parent - (0.5 - xi)) > 8.0 * xi)
         if not keep_a.any() or not keep_b.any():
             continue
+        za = t_parent + 1j * parent(math.tan(spec_a.angle))
+        # child graph mapped into the parent frame
+        rel = (offs[j] - offs[j - 1]) / mults[j - 1], mults[j] / mults[j - 1]
+        zb = rel[0] + rel[1] * (t_child + 1j * child(math.tan(spec_b.angle)))
         d = np.abs(za[keep_a][:, None] - zb[None, keep_b])
         if float(d.min()) * scale <= 1e-9:
             raise ConstructionError(
@@ -721,17 +820,23 @@ def build_spiral(depth: int, xi: float = 1.0 / 200.0) -> Parametrization:
         raise DomainError("spiral depth must be >= 1")
     patches = [PatchSpec(_spiral_angle(j), xi) for j in range(1, depth + 1)]
     offs, mults = _spiral_maps(depth)
+    corners = {(apex - xi, apex + xi): _CornerKernel(apex, xi)
+               for apex in (0.25, 0.5, 0.75)}
     zones = []
     for (j, ta, tb) in _spiral_pieces(depth, xi):
-        zones.extend(_piece_zones(patches[j - 1], ta, tb,
+        zones.extend(_piece_zones(patches[j - 1], corners, ta, tb,
                                   offs[j - 1], mults[j - 1], j))
-    open_assembly = _ZoneAssembly(zones)
-    spiral_length = open_assembly.total
+    curve, dcurve = _closure_loop(1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j,
+                                  dip=0.75)
+    closure_zones = _loop_zones(curve, dcurve)
+    full = _ZoneAssembly(zones + closure_zones)
+    # the spiral runs forward from 0 to the closure arc's start
+    spiral_length = closure_zones[0].s0
 
     if depth > 1:
         _validate_spiral_separation(patches, offs, mults, xi, depth)
 
-    focus_forward = open_assembly.param_of(depth, 0.5)
+    focus_forward = full.param_of(depth, 0.5)
     meta = {
         "depth": depth,
         "xi": xi,
@@ -739,21 +844,17 @@ def build_spiral(depth: int, xi: float = 1.0 / 200.0) -> Parametrization:
         "patch_multipliers": tuple(complex(m) for m in mults),
         "finest_scale": patch_half_diameter(depth),
         "patches": tuple(patches),
-        "shortenings": tuple(_patch_shortening(spec) for spec in patches),
+        "shortenings": _patch_shortenings(xi, [spec.angle for spec in patches]),
     }
 
-    curve, dcurve = _closure_loop(1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j,
-                                  dip=0.75)
-    closure_zones = _loop_zones(curve, dcurve)
     u = np.linspace(0.02, 0.98, 1024)
     zc = curve(u)
-    sg = open_assembly.point(np.linspace(0.0, spiral_length, 2048))
-    dmin = float(np.abs(zc[:, None] - sg[None, ::2]).min())
+    sg = full.point(np.linspace(0.0, spiral_length, 2048)[::2])
+    dmin = float(np.abs(zc[:, None] - sg[None, :]).min())
     if dmin <= 1e-9:
         raise ConstructionError(f"closure arc touches the spiral (min distance {dmin:.3e})")
     if np.max(zc.imag) >= -1e-12:
         raise ConstructionError("closure arc left the lower half plane")
-    full = _ZoneAssembly(zones + closure_zones)
     meta["engine"] = full
     return _closed_from_assembly(full, "spiral", meta, focus_forward=focus_forward)
 

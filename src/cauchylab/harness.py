@@ -337,7 +337,10 @@ def default_scan_params(p, count: int = 64) -> np.ndarray:
         xs.append(x0 - offs)
     if "depth" in p.meta:
         xs.append(np.asarray(spiral_corner_params(p), dtype=float))
-    return np.unique(np.concatenate(xs) % p.period)
+    # sorted, equal neighbours dropped: np.unique's values, without the
+    # numpy.ma import its first call makes
+    x = np.sort(np.concatenate(xs) % p.period)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 def criterion_scan(p, x_grid, eps_list) -> CriterionTable:

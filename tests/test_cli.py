@@ -439,6 +439,30 @@ def test_runtime_never_imports_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+# runs `all` in-process on the shipped spiral and circle at 512/1024/2048,
+# then prints whether numpy.ma was imported
+_NUMPY_MA_AFTER_RUNS = (
+    "import sys; from cauchylab import cli\n"
+    "for name in ('spiral', 'circle'):\n"
+    "    inv = cli.CommandInvocation('all', f'specs/{name}.cspec', sys.argv[1] + name,\n"
+    "        overrides=('sampling.resolutions=512,1024,2048',), assert_theorem=True)\n"
+    "    assert cli.run(inv) == 0, name\n"
+    "print('numpy.ma' in sys.modules)\n")
+
+
+def test_runs_never_import_numpy_ma(tmp_path):
+    # np.unique's first call imports numpy.ma (17-39 ms a process), and no
+    # program path calls it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_AFTER_RUNS, f"{tmp_path}{os.sep}"],
+        cwd=src.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_known_defect_square_criterion_flips_bounded_at_k_max_14(tmp_path):
     """Known defect, pinned as today's behaviour: the square's criterion
     score grows by a constant amount per dyadic level, so the ratio tail

@@ -1,6 +1,9 @@
 """Tests for curve construction, patch profiles, and arc-length sampling."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 import oracles
-from cauchylab import curves, curvespec
+from cauchylab import _quadrature, curves, curvespec
 from cauchylab.errors import ConstructionError, DomainError
 
 
@@ -137,7 +140,7 @@ def test_patch_convexity_pattern():
 
 def test_patch_shortening_bounds():
     for angle in [0.5, 0.25, 0.125, 0.0625]:
-        shortening = curves._patch_shortening(curves.PatchSpec(angle))
+        shortening, = curves._patch_shortenings(1 / 200, [angle])
         assert 0.0 <= shortening <= 2.0 * math.tan(angle)
 
 
@@ -145,7 +148,7 @@ def test_patch_arclength_against_quadrature():
     # the smoothed bump's length is the corner profile's less the shortening
     spec = curves.PatchSpec(0.5, 1 / 200)
     corner_length = 0.5 + 0.5 / math.cos(spec.angle)
-    length = corner_length - curves._patch_shortening(spec)
+    length = corner_length - curves._patch_shortenings(spec.xi, [spec.angle])[0]
     ref, _ = quad(lambda t: math.sqrt(1.0 + float(curves.mollified_slope(spec, t)) ** 2),
                   0.0, 1.0, epsabs=1e-11, limit=400,
                   points=list(curves._patch_boundaries(spec.xi)))
@@ -335,6 +338,65 @@ def test_spline_zone_fits_s_of_t_on_first_use():
     curves.spiral_patch_param(p, 1, 0.5)
     curves.spiral_patch_param(p, 1, 0.5 + 1e-4)
     assert sorted(fitted()) == [1, 2]
+
+
+# prints the points of a depth-6 spiral at 65,536 parameters as raw bytes
+_SPIRAL_POINTS = (
+    "import sys; import numpy as np; from cauchylab import curves; "
+    "p = curves.build_spiral(6); "
+    "sys.stdout.buffer.write("
+    "p.point(np.linspace(0.0, p.period, 65536, endpoint=False)).tobytes())")
+
+
+def test_spiral_kernel_sharing_is_bit_exact_and_stateless():
+    # a build computes its corner kernel values once and keeps nothing: a
+    # build after one of another depth and width, and a build in a fresh
+    # process, give the first build's points bit for bit
+    first = curves.build_spiral(6)
+    x = np.linspace(0.0, first.period, 65536, endpoint=False)
+    want = first.point(x).tobytes()
+    other = curves.build_spiral(4, xi=1 / 300)
+    assert other.period != first.period
+    again = curves.build_spiral(6)
+    assert again.period == first.period
+    assert again.point(x).tobytes() == want
+    src = str(Path(curves.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SPIRAL_POINTS], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
+
+
+def test_corner_zones_match_the_public_profile_bit_for_bit():
+    # each corner zone's knot arc lengths and end speeds, taken from the
+    # build's shared kernel tables, are those of a speed built from the
+    # public mollified_slope; its points (no domain check) are those of
+    # the public mollified_profile
+    p = curves.build_spiral(6)
+    zones = [z for z in curves._spiral_engine(p).zones
+             if isinstance(z, curves._SplineZone) and z.patch_index > 0]
+    assert len(zones) == 18
+    for zone in zones:
+        j = zone.patch_index
+        spec = p.meta["patches"][j - 1]
+        off = p.meta["patch_offsets"][j - 1]
+        mult = p.meta["patch_multipliers"][j - 1]
+
+        def speed(t):
+            return abs(mult) * np.sqrt(1.0 + curves.mollified_slope(spec, t) ** 2)
+
+        t_knots, s_knots, v0, v1 = zone._knots
+        nodes = _quadrature.cumulative_nodes(t_knots)
+        arcs = _quadrature.cumulative_gauss(
+            speed(nodes.ravel()).reshape(nodes.shape), t_knots)
+        assert s_knots.tobytes() == arcs.tobytes(), j
+        assert v0 == speed(t_knots[:1])[0] and v1 == speed(t_knots[-1:])[0], j
+        ds = np.linspace(0.0, zone.length, 33)
+        t = zone.t_at(ds)
+        profile = off + mult * (t + 1j * curves.mollified_profile(spec, t))
+        assert zone.point(ds).tobytes() == profile.tobytes(), j
 
 
 # -- periodicity / injectivity invariants ------------------------------------

@@ -1,12 +1,13 @@
 """Tests for the verification scans."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cauchylab import curves, geometry, harness, operators
+from cauchylab import curves, curvespec, geometry, harness, operators
 from cauchylab.errors import BranchAmbiguityError, DomainError, ResolutionError
 
 
@@ -230,6 +231,27 @@ def test_criterion_square_unbounded():
 
 def _regular_polygon(sides):
     return curves.polygon(np.exp(2j * math.pi * np.arange(sides) / sides))
+
+
+def test_default_scan_params_are_np_unique_of_the_landmarks():
+    # sorted with equal neighbours dropped gives np.unique's values bit for
+    # bit (np.unique, whose first call imports numpy.ma, is the oracle here
+    # only); the square's corners repeat uniform anchors
+    specs = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.cspec"))
+    shapes = [curvespec.build_from_document(curvespec.parse_spec(path.read_text()))
+              for path in specs]
+    assert len(shapes) == 4
+    for p in shapes + [_regular_polygon(6)]:
+        xs = [p.period * np.arange(64) / 64]
+        if "corners" in p.meta:
+            xs.append(np.asarray(p.meta["corners"], dtype=float))
+        if "focus_param" in p.meta:
+            offs = p.period * 2.0 ** (-np.arange(2.0, 15.0))
+            xs += [p.meta["focus_param"] + offs, p.meta["focus_param"] - offs]
+        if "depth" in p.meta:
+            xs.append(np.asarray(curves.spiral_corner_params(p), dtype=float))
+        want = np.unique(np.concatenate(xs) % p.period)
+        assert harness.default_scan_params(p).tobytes() == want.tobytes(), p.kind
 
 
 @pytest.mark.parametrize("sides", [3, 4, 6, 8])
