@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import click
@@ -141,9 +142,9 @@ def _run_transform(state: _RunState, out: Path) -> None:
         g = pvs[1].copy()
         g[operators._near_center(sc.n, 0)] = 0.0
         table.append(("g_z_eps", f"T*2^-{k_g}", g))
-    rows = ["node,param,quantity,epsilon,re,im"]
-    rows += operators.transform_csv_rows(sc, table)
-    write_lines(out / "transform.csv", rows)
+    write_text(out / "transform.csv",
+               chain(["node,param,quantity,epsilon,re,im\n"],
+                     operators.transform_csv_blocks(sc, table)))
 
 
 def _run_criterion(state: _RunState, out: Path) -> None:
@@ -160,16 +161,16 @@ def _run_criterion(state: _RunState, out: Path) -> None:
     state.criterion_verdict = table.verdict
 
 
-def _cotlar_csv_blocks(kind: str, node_ratios) -> list:
-    """cotlar.csv as text blocks: a header, then the rows of each (n, tag,
-    ratios) entry, one per node, formatted as one block."""
+def _cotlar_csv_blocks(kind: str, node_ratios):
+    """cotlar.csv as text blocks, each made when it is asked for: a header,
+    then the rows of each (n, tag, ratios) entry, one per node, formatted
+    as one block."""
     from ._csvtext import csv_block  # compiled on first use
 
-    blocks = ["curve,n,f_tag,node,ratio\n"]
+    yield "curve,n,f_tag,node,ratio\n"
     for n, tag, ratios in node_ratios:
-        blocks.append(csv_block([f"{kind},{n},{tag},", np.arange(len(ratios)),
-                                 ",", ratios]))
-    return blocks
+        yield csv_block([f"{kind},{n},{tag},", np.arange(len(ratios)),
+                         ",", ratios])
 
 
 def _run_cotlar(state: _RunState, out: Path) -> None:

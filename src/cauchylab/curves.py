@@ -350,20 +350,20 @@ def write_curve_csv(sc: SampledCurve, path):
 
 
 def write_text(path, blocks) -> None:
-    """Write text blocks to path one after another, lines ending in LF."""
+    """Write text blocks to path one after another, lines ending in LF.
+    blocks may be a generator: each block is written, and let go, before
+    the next is asked for."""
     with open(path, "w", newline="") as fh:
         fh.writelines(blocks)
 
 
 def write_lines(path, lines) -> None:
-    """Write a list of lines to path, each followed by LF.  The text goes
-    out joined 4096 lines at a time: a join of the whole file, and the
-    encoded copy the text file makes of it, would double the list's memory
-    (7.4 MiB twice for the transform table at n = 8192)."""
+    """Write a list of lines to path, each followed by LF, in one join
+    (nothing for an empty list).  Its callers write at most a few thousand
+    short lines; the large tables go out as blocks through write_text."""
     with open(path, "w", newline="") as fh:
-        for i in range(0, len(lines), 4096):
-            fh.write("\n".join(lines[i:i + 4096]))
-            fh.write("\n")
+        if lines:
+            fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

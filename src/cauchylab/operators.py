@@ -45,7 +45,9 @@ tests/oracles.py.
 pv_cauchy_all, truncated_cauchy_all and maximal_cauchy_all are that
 evaluator on a family of one.  No program path calls them; they stay only
 because the benchmark's traced runs wrap them by name, and they go with
-the benchmark change that drops them from its table.
+the benchmark change that drops them from its table.  transform_csv_rows
+is kept the same way: transform.csv goes out from transform_csv_blocks,
+one table entry at a time.
 
 Threads: each call runs two peer workers, the calling thread and one
 helper, through _peers.in_task_order.  The band sweep's tasks are its
@@ -98,6 +100,7 @@ __all__ = [
     "hl_maximal_all",
     "hl_maximal_squared",
     "kernel_truncation_transform",
+    "transform_csv_blocks",
     "transform_csv_rows",
 ]
 
@@ -516,20 +519,34 @@ def kernel_transform_direct_fill(sc: SampledCurve, kernel: np.ndarray,
     return vals
 
 
-def transform_csv_rows(sc: SampledCurve, table):
-    """Rows node,param,quantity,epsilon,re,im of a transform table.
+def transform_csv_blocks(sc: SampledCurve, table):
+    """The text of a transform table's rows node,param,quantity,epsilon,re,im,
+    each followed by LF, as one block per table entry.
 
-    table is a sequence of (quantity, eps_label, values); the rows are every
-    node of its first entry, then every node of the next, and so on.  The
-    node,param prefix is formatted once per table, as a byte matrix, and
-    each entry's rows as one block.
+    table is a sequence of (quantity, eps_label, values); the first block
+    is every node of its first entry, the next block every node of the
+    next, and so on.  The node,param prefix is formatted once per table, as
+    a byte matrix.  Each block is made when it is asked for, so a writer
+    that takes them one at a time (``curves.write_text``) holds one entry's
+    text, not the table's.
     """
     from ._csvtext import byte_matrix, csv_block  # compiled on first use
 
     prefix = byte_matrix([np.arange(sc.n), ",", sc.params, ","])
-    rows = []
     for quantity, eps_label, values in table:
-        block = csv_block([prefix, f"{quantity},{eps_label},",
-                           values.real, ",", values.imag])
+        yield csv_block([prefix, f"{quantity},{eps_label},",
+                         values.real, ",", values.imag])
+
+
+def transform_csv_rows(sc: SampledCurve, table):
+    """The rows of transform_csv_blocks, one string per node and entry,
+    without LF.
+
+    No program path calls it: it holds the whole table's text at once,
+    where transform.csv is written block by block.  It stays as the row
+    view that tests read, and the benchmark's traced runs wrap it by name.
+    """
+    rows = []
+    for block in transform_csv_blocks(sc, table):
         rows += block.split("\n")[:-1]
     return rows

@@ -201,11 +201,15 @@ def test_bulk_writers_match_row_writers_byte_for_byte(tmp_path, make_sc):
     real = sc.weights
     table = [("T_eps", "T*2^-4", cplx), ("T_pv", "", sc.tangents),
              ("T_star", "", real), ("M2", "", real.astype(complex))]
-    # each writer's file text against the oracle's rows, joined as
-    # write_lines writes them
+    # each writer's file text against the oracle's rows, each followed by
+    # LF; the transform blocks go out one at a time, as transform.csv does
     want = [row for q, label, values in table
             for row in oracles.transform_csv_rows(sc, q, values, eps_label=label)]
-    assert "\n".join(operators.transform_csv_rows(sc, table)) == "\n".join(want)
+    curves.write_text(tmp_path / "transform.csv",
+                      operators.transform_csv_blocks(sc, table))
+    assert ((tmp_path / "transform.csv").read_bytes()
+            == "".join(row + "\n" for row in want).encode())
+    assert operators.transform_csv_rows(sc, table) == want
 
     curves.write_curve_csv(sc, tmp_path / "new.csv")
     oracles.write_curve_csv(sc, tmp_path / "old.csv")
@@ -374,10 +378,12 @@ def test_no_program_path_calls_single_node_oracles(tmp_path, monkeypatch):
             "hl_maximal", "_ball_average", "_branch_log_unwrapped",
             "turning_angle", "window_speed_range", "bump_abs_moment",
             "unit_square"}
-    # the single-function shims stay only for the benchmark's traced runs,
-    # which wrap them by name; every scan must go through the family
-    # evaluator, so here they raise wherever a module holds them
-    shims = ("pv_cauchy_all", "truncated_cauchy_all", "maximal_cauchy_all")
+    # the single-function shims and the transform table's row view stay
+    # only for the benchmark's traced runs, which wrap them by name; every
+    # scan must go through the family evaluator, and transform.csv out
+    # block by block, so here they raise wherever a module holds them
+    shims = ("pv_cauchy_all", "truncated_cauchy_all", "maximal_cauchy_all",
+             "transform_csv_rows")
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("a program path called a single-function shim")

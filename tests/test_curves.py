@@ -498,6 +498,12 @@ def test_write_lines_joins_across_its_chunks(tmp_path, count):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_write_lines_writes_nothing_for_no_lines(tmp_path):
+    path = tmp_path / "rows.txt"
+    curves.write_lines(path, [])
+    assert path.read_bytes() == b""
+
+
 # -- spiral ------------------------------------------------------------------
 
 def test_spiral_spec_validation():

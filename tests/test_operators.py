@@ -834,6 +834,29 @@ def test_transform_csv_rows_keep_table_order(circle_sc, one):
     assert [int(r.split(",", 1)[0]) for r in rows] == 2 * list(range(n))
 
 
+def test_transform_write_memory_does_not_grow_with_entries(circle_sc, tmp_path):
+    # transform.csv goes out one table entry at a time: the traced peak of
+    # writing 13 entries exceeds that of 3 by less than one entry's text
+    # (0.3 MB at n = 4096), where a list of every row would add ten
+    # entries' rows (about 5 MB)
+    n = circle_sc.n
+    rng = np.random.default_rng(8)
+    table = [("T_eps", f"T*2^-{k}", rng.normal(size=n) + 1j * rng.normal(size=n))
+             for k in range(13)]
+    block = len(next(operators.transform_csv_blocks(circle_sc, table)))
+    peaks = []
+    for entries in (table[:3], table):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            curves.write_text(tmp_path / "transform.csv",
+                              operators.transform_csv_blocks(circle_sc, entries))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < block, (peaks, block)
+
+
 def test_quadrature_convergence_constant_across_eps():
     # |T_eps f| at n and 2n differ by at most K/n with K stable across eps
     f_of = lambda sc: np.exp(2j * np.pi * 2 * sc.params / sc.period)
