@@ -490,18 +490,13 @@ def test_curve_csv_export(tmp_path):
     assert float(first[1]) == pytest.approx(1.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 10000])
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 10000])
 def test_write_lines_joins_across_its_chunks(tmp_path, count):
+    # each line followed by LF, so nothing for no lines
     lines = [f"row{i}" for i in range(count)]
     path = tmp_path / "rows.txt"
     curves.write_lines(path, lines)
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-
-
-def test_write_lines_writes_nothing_for_no_lines(tmp_path):
-    path = tmp_path / "rows.txt"
-    curves.write_lines(path, [])
-    assert path.read_bytes() == b""
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
 
 # -- spiral ------------------------------------------------------------------

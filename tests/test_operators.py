@@ -837,8 +837,8 @@ def test_transform_csv_rows_keep_table_order(circle_sc, one):
 def test_transform_write_memory_does_not_grow_with_entries(circle_sc, tmp_path):
     # transform.csv goes out one table entry at a time: the traced peak of
     # writing 13 entries exceeds that of 3 by less than one entry's text
-    # (0.3 MB at n = 4096), where a list of every row would add ten
-    # entries' rows (about 5 MB)
+    # (0.3 MB at n = 4096); a list of the rows, written by write_lines,
+    # adds 11.8 MB
     n = circle_sc.n
     rng = np.random.default_rng(8)
     table = [("T_eps", f"T*2^-{k}", rng.normal(size=n) + 1j * rng.normal(size=n))
