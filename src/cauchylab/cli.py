@@ -132,7 +132,7 @@ def _run_transform(state: _RunState, out: Path) -> None:
     table = [("T_eps", f"T*2^-{k}", t_eps)
              for (k, _), t_eps in zip(levels, tables[0])]
     table.append(("T_pv", "", pvs[0]))
-    t_star, _ = operators.maximal_of(tables[0], levels)
+    t_star = operators.maximal_of(tables[0])
     table.append(("T_star", "", t_star))
     m1 = operators.hl_maximal_all(sc, pvs[0])
     table.append(("M", "", m1))
@@ -189,40 +189,21 @@ def _run_cotlar(state: _RunState, out: Path) -> None:
     state.cotlar_verdict = report.verdict
 
 
-def _run_decomp(state: _RunState, out: Path) -> None:
+def _run_proof(state: _RunState, out: Path) -> None:
     sc = state.sample
     f = _first_function(state)
     rows = ["curve,node,epsilon,residual,i_re,i_im,ii_re,ii_im,iii_re,iii_im,"
-            "iv_re,iv_im,v_re,v_im"]
-    # eps >= 4h exactly when eps / 2 is a level of dyadic_levels
-    halves = {eps for _, eps in operators.dyadic_levels(sc, 1)}
-    levels = [(k, sc.period * 2.0 ** (-k)) for k in (5, 7)]
-    levels = [(k, eps) for k, eps in levels
-              if harness.window_fits(state.bilip, sc.period, eps)
-              and eps / 2 in halves]
-    reports = (harness.decomposition_check(sc, f, 0, [eps for _, eps in levels],
-                                           state.bilip) if levels else ())
+            "iv_re,iv_im,v_re,v_im,worst_ratio,decay_bound,far_nodes"]
+    levels = harness.proof_levels(sc, (5, 6, 7), state.bilip)
+    reports = (harness.proof_check(sc, f, 0, [eps for _, eps in levels],
+                                   state.bilip) if levels else ())
     for (k, _), rep in zip(levels, reports):
-        rows.append(
-            f"{state.curve.kind},0,T*2^-{k},{rep.residual:.17g},"
-            f"{rep.term_i.real:.17g},{rep.term_i.imag:.17g},"
-            f"{rep.term_ii.real:.17g},{rep.term_ii.imag:.17g},"
-            f"{rep.term_iii.real:.17g},{rep.term_iii.imag:.17g},"
-            f"{rep.term_iv.real:.17g},{rep.term_iv.imag:.17g},"
-            f"{rep.term_v.real:.17g},{rep.term_v.imag:.17g}")
-    write_lines(out / "decomp.csv", rows)
-
-
-def _run_gdecay(state: _RunState, out: Path) -> None:
-    sc = state.sample
-    rows = ["curve,node,epsilon,worst_ratio,decay_bound,far_nodes"]
-    k = 6
-    eps = dict(operators.dyadic_levels(sc, 1)).get(k)
-    if eps is not None and harness.window_fits(state.bilip, sc.period, eps):
-        rep = harness.far_field_decay_check(sc, 0, eps, state.bilip)
-        rows.append(f"{state.curve.kind},0,T*2^-{k},"
-                    f"{rep.worst_ratio:.17g},{rep.decay_bound:.17g},{rep.far_nodes}")
-    write_lines(out / "gdecay.csv", rows)
+        terms = (rep.term_i, rep.term_ii, rep.term_iii, rep.term_iv, rep.term_v)
+        rows.append(f"{state.curve.kind},0,T*2^-{k},{rep.residual:.17g},"
+                    + "".join(f"{t.real:.17g},{t.imag:.17g}," for t in terms)
+                    + f"{rep.worst_ratio:.17g},{rep.decay_bound:.17g},"
+                    f"{rep.far_nodes}")
+    write_lines(out / "proof.csv", rows)
 
 
 def _run_sandwich(state: _RunState, out: Path) -> None:
@@ -275,8 +256,7 @@ _SCAN_RUNNERS = {
     "transform": _run_transform,
     "criterion": _run_criterion,
     "cotlar": _run_cotlar,
-    "decomp": _run_decomp,
-    "gdecay": _run_gdecay,
+    "proof": _run_proof,
     "sandwich": _run_sandwich,
     "series": _run_series,
 }

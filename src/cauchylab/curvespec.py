@@ -31,8 +31,8 @@ _TAG_RE = re.compile(r"^[A-Za-z0-9_.:+@/-]+$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 CURVE_KINDS = ("circle", "ellipse", "graph-closure", "polygon", "spiral")
-SCAN_TAGS = ("cotlar", "criterion", "decomp", "diag", "gdecay", "sandwich",
-             "series", "transform")
+SCAN_TAGS = ("cotlar", "criterion", "diag", "proof", "sandwich", "series",
+             "transform")
 _FN_TAG_RE = re.compile(r"^(constant|adversarial|(trig|chi):(\d+))$")
 
 

@@ -1,9 +1,9 @@
-"""Verification scans tying the pieces together: the three-term
-decomposition identity of the truncated transform, far-field decay of the
-kernel transform, the |log eps|-weighted boundedness criterion with its
-adversarial indicator family, the two-sided second-difference comparison,
-and the maximal-ratio trend scan whose verdict the criterion verdict must
-match."""
+"""Verification scans tying the pieces together: the proof check (the
+three-term splitting of the truncated transform and the far-field decay of
+the kernel transform, from one evaluator pass), the |log eps|-weighted
+boundedness criterion with its adversarial indicator family, the two-sided
+second-difference comparison, and the maximal-ratio trend scan whose
+verdict the criterion verdict must match."""
 
 from __future__ import annotations
 
@@ -22,15 +22,13 @@ from .operators import (
     dyadic_levels,
     hl_maximal_squared,
     kernel_transform_direct_fill,
-    kernel_truncation_transform,
     maximal_of,
     truncated_kernel,
 )
 
 __all__ = [
     "TestFunction",
-    "DecompositionReport",
-    "FarFieldDecayReport",
+    "ProofReport",
     "CriterionTable",
     "SandwichReport",
     "CotlarReport",
@@ -42,8 +40,8 @@ __all__ = [
     "anchor_params",
     "make_test_functions",
     "default_scan_params",
-    "decomposition_check",
-    "far_field_decay_check",
+    "proof_levels",
+    "proof_check",
     "criterion_scan",
     "sandwich_check",
     "cotlar_ratio_scan",
@@ -197,8 +195,10 @@ def make_test_functions(sc: SampledCurve, tags, seed: int = 0,
 
 
 @dataclass(frozen=True)
-class DecompositionReport:
-    """Terms and residual of the three-part splitting at one (node, eps)."""
+class ProofReport:
+    """The proof's splitting at one (node, eps): the terms of
+    -T_eps f(z) = I + II + III with III = branch * IV + V and its residual,
+    and the worst far-field ratio of g = T(K_{z,eps}) against its bound 4L."""
 
     z_index: int
     eps: float
@@ -209,35 +209,61 @@ class DecompositionReport:
     term_v: complex
     branch_value: complex
     residual: float
+    worst_ratio: float
+    decay_bound: float
+    far_nodes: int
 
 
-def decomposition_check(sc: SampledCurve, values, z_index: int, levels,
-                        bilip: float) -> tuple:
-    """Evaluate -T_eps f(z) = I + II + III by quadrature and report the
-    residual, with III split further through the branch-log factor; one
-    report per level.  Each level is a dyadic eps = period * 2^-k with
-    eps >= 4h.  One evaluator pass on [f, K_{z,eps_1}, ...] gives
-    T f, every T_eps f(z) and every kernel transform g = T(K_{z,eps})."""
-    levels = tuple(levels)
+def _level_error(sc: SampledCurve, eps: float, bilip: float):
+    """The error proof_check raises for the level eps, or None when it
+    takes it: eps must be >= 4h, so that the dilated window is resolved,
+    and the dilated window must fit (window_fits)."""
     # eps >= 4h exactly when eps / 2 is a level of dyadic_levels
-    halves = {eps for _, eps in dyadic_levels(sc, 1)}
+    if eps / 2 not in {e for _, e in dyadic_levels(sc, 1)}:
+        return ResolutionError("need a dyadic eps >= 4h so the dilated "
+                               "window is resolved")
+    if not window_fits(bilip, sc.period, eps):
+        return DomainError(f"dilated window {required_dilation(bilip) * eps:.3g} "
+                           "reaches half the period; lower eps")
+    return None
+
+
+def proof_levels(sc: SampledCurve, ks, bilip: float) -> tuple:
+    """The levels (k, eps = period * 2^-k), k in ks, that proof_check takes."""
+    levels = [(k, sc.period * 2.0 ** (-k)) for k in ks]
+    return tuple((k, eps) for k, eps in levels
+                 if _level_error(sc, eps, bilip) is None)
+
+
+def proof_check(sc: SampledCurve, values, z_index: int, levels,
+                bilip: float) -> tuple:
+    """The proof's splitting of T_eps f at node z_index, one report per
+    level eps (see proof_levels for the levels it takes).
+
+    -T_eps f(z) = I + II + III is evaluated by quadrature, with III split
+    further through the branch-log factor, and the far-field remainder
+    pi^2 (z - w) g(w) - branch of the kernel transform is measured against
+    its linear-in-eps decay bound 4L at the nodes w outside the dilated
+    window and more than 2h from z.  One evaluator pass on
+    [f, K_{z,eps_1}, ...] gives T f, every T_eps f(z) and every kernel
+    transform g = T(K_{z,eps})."""
+    levels = tuple(levels)
     for eps in levels:
-        if eps / 2 not in halves:
-            raise ResolutionError("need a dyadic eps >= 4h so the dilated "
-                                  "window is resolved")
-        if not window_fits(bilip, sc.period, eps):
-            raise DomainError(f"dilated window {required_dilation(bilip) * eps:.3g} "
-                              "reaches half the period; lower eps")
+        error = _level_error(sc, eps, bilip)
+        if error is not None:
+            raise error
     kernels = [truncated_kernel(sc, z_index, eps) for eps in levels]
     pvs, tables = cauchy_family(sc, [values] + kernels, levels)
     tf = pvs[0]
     dw = _unit_measure(sc)
     mu = sc.weights
     z = sc.points[z_index]
+    near = _near_center(sc.n, z_index)
     reports = []
     for row, (eps, kernel) in enumerate(zip(levels, kernels)):
         gvals = kernel_transform_direct_fill(sc, kernel, z_index, pvs[1 + row])
-        inball = _window_margin(sc, z_index, eps, bilip) < 0.0
+        margin = _window_margin(sc, z_index, eps, bilip)
+        inball = margin < 0.0
         mean_ball = np.sum(gvals[inball] * mu[inball]) / np.sum(mu[inball])
         term_i = np.sum(tf[inball] * (gvals[inball] - mean_ball) * dw[inball])
         term_ii = mean_ball * np.sum(tf[inball] * dw[inball])
@@ -246,45 +272,19 @@ def decomposition_check(sc: SampledCurve, values, z_index: int, levels,
         residual = abs(tables[0, row, z_index] + term_i + term_ii + term_iii)
         branch = geometry.branch_log(sc.source, float(sc.params[z_index]), eps)
         term_iv = np.sum(tf[out] / (z - sc.points[out]) * dw[out]) / math.pi ** 2
-        term_v = term_iii - branch * term_iv
-        reports.append(DecompositionReport(
+        far = (margin > 0.0) & ~near
+        if not far.any():
+            raise DomainError("dilated window swallowed the whole curve")
+        dz = z - sc.points[far]
+        ratio = np.abs(math.pi ** 2 * dz * gvals[far] - branch) * np.abs(dz) / eps
+        reports.append(ProofReport(
             z_index=z_index, eps=eps, term_i=complex(term_i),
             term_ii=complex(term_ii), term_iii=complex(term_iii),
             term_iv=complex(term_iv),
-            term_v=complex(term_v), branch_value=branch,
-            residual=float(residual)))
+            term_v=complex(term_iii - branch * term_iv), branch_value=branch,
+            residual=float(residual), worst_ratio=float(ratio.max()),
+            decay_bound=4.0 * bilip, far_nodes=int(far.sum())))
     return tuple(reports)
-
-
-@dataclass(frozen=True)
-class FarFieldDecayReport:
-    """Worst-case |G| |z-w| / eps outside the dilated window at one node."""
-
-    z_index: int
-    eps: float
-    worst_ratio: float
-    decay_bound: float
-    far_nodes: int
-
-
-def far_field_decay_check(sc: SampledCurve, z_index: int, eps: float,
-                          bilip: float) -> FarFieldDecayReport:
-    """Measure the far-field remainder of the kernel transform against its
-    linear-in-eps decay bound 4L, away from the nodes within 2h of z where
-    the transform is unevaluated."""
-    g = kernel_truncation_transform(sc, z_index, eps)
-    far = ((_window_margin(sc, z_index, eps, bilip) > 0.0)
-           & ~_near_center(sc.n, z_index))
-    if not far.any():
-        raise DomainError("dilated window swallowed the whole curve")
-    branch = geometry.branch_log(sc.source, float(sc.params[z_index]), eps)
-    z = sc.points[z_index]
-    remainder = math.pi ** 2 * (z - sc.points[far]) * g[far] - branch
-    ratio = np.abs(remainder) * np.abs(z - sc.points[far]) / eps
-    return FarFieldDecayReport(z_index=z_index, eps=eps,
-                               worst_ratio=float(ratio.max()),
-                               decay_bound=4.0 * bilip,
-                               far_nodes=int(far.sum()))
 
 
 @dataclass(frozen=True)
@@ -446,7 +446,7 @@ def cotlar_ratio_scan(p, resolutions, tags, seed: int = 0) -> CotlarReport:
         agg = 0.0
         pvs, tables = cauchy_family(sc, [tf_fn.values for tf_fn in fam],
                                      [eps for _, eps in levels])
-        t_stars, _ = maximal_of(tables, levels)
+        t_stars = maximal_of(tables)
         m2s = hl_maximal_squared(sc, pvs)
         for tf_fn, t_star, m2 in zip(fam, t_stars, m2s):
             ok = m2 > UNDERFLOW_FLOOR

@@ -11,9 +11,9 @@ boundary carry half weight in Cauchy sums, and the complex measure at a
 node is its unit chord tangent times its arc weight.  The truncation
 levels are dyadic, (k, eps_k = period * 2^-k) from k_min down to the
 two-cell floor 2h, and dyadic_levels alone produces them.  The kernel
-transform g = T(K_{z,eps}) of the truncated kernel is 0 at the nodes
-within 2h of z in kernel_truncation_transform; kernel_transform_direct_fill
-fills them by trapezoid sums, and _near_center alone marks them.
+transform g = T(K_{z,eps}) of the truncated kernel is left unevaluated at
+the nodes within 2h of z, which _near_center alone marks;
+kernel_transform_direct_fill fills them by trapezoid sums.
 
 One evaluator, truncated_cauchy_family, computes every all-nodes Cauchy
 sum: a stack of F functions times a list of windows.  The kernel is
@@ -43,11 +43,12 @@ The readable single-node oracles it is tested against are in
 tests/oracles.py.
 
 pv_cauchy_all, truncated_cauchy_all and maximal_cauchy_all are that
-evaluator on a family of one.  No program path calls them; they stay only
-because the benchmark's traced runs wrap them by name, and they go with
-the benchmark change that drops them from its table.  transform_csv_rows
-is kept the same way: transform.csv goes out from transform_csv_blocks,
-one table entry at a time.
+evaluator on a family of one, and kernel_truncation_transform is g for one
+kernel.  No program path calls them; they stay only because the
+benchmark's traced runs wrap them by name, and they go with the benchmark
+change that drops them from its table.  transform_csv_rows is kept the
+same way: transform.csv goes out from transform_csv_blocks, one table
+entry at a time.
 
 Threads: each call runs two peer workers, the calling thread and one
 helper, through _peers.in_task_order.  The band sweep's tasks are its
@@ -415,12 +416,9 @@ def cauchy_family(sc: SampledCurve, values, levels=()):
     return 2.0 * vals[:, picks[0]] - vals[:, picks[1]], vals[:, :count]
 
 
-def maximal_of(table: np.ndarray, levels):
-    """Sup over the (k, eps) levels of a (..., K, n) T_eps table:
-    (values, argmax eps)."""
-    stack = np.abs(table)
-    arg = np.argmax(stack, axis=-2)
-    return stack.max(axis=-2), np.asarray([eps for _, eps in levels])[arg]
+def maximal_of(table: np.ndarray) -> np.ndarray:
+    """Sup over the K levels of a (..., K, n) T_eps table."""
+    return np.abs(table).max(axis=-2)
 
 
 def pv_cauchy_all(sc: SampledCurve, values) -> np.ndarray:
@@ -437,8 +435,10 @@ def truncated_cauchy_all(sc: SampledCurve, values, levels) -> dict:
 
 def maximal_cauchy_all(sc: SampledCurve, values, levels):
     """Vectorized maximal transform: (values, argmax eps) per node."""
-    table = truncated_cauchy_family(sc, [values], [eps for _, eps in levels])[0]
-    return maximal_of(table, levels)
+    stack = np.abs(truncated_cauchy_family(sc, [values],
+                                           [eps for _, eps in levels])[0])
+    arg = np.argmax(stack, axis=0)
+    return stack.max(axis=0), np.asarray([eps for _, eps in levels])[arg]
 
 
 def _hl_radii(sc: SampledCurve):
@@ -495,7 +495,11 @@ def _near_center(n: int, center: int) -> np.ndarray:
 
 def kernel_truncation_transform(sc: SampledCurve, z_index: int, eps: float) -> np.ndarray:
     """g = T(K) for the truncated kernel K at z_index, with 0 at the nodes
-    within 2h of z_index."""
+    within 2h of z_index.
+
+    No program path calls it: the proof check takes g from its own family
+    pass.  It stays because the benchmark's traced runs wrap it by name.
+    """
     pv, _ = cauchy_family(sc, [truncated_kernel(sc, z_index, eps)])
     return np.where(_near_center(sc.n, z_index), 0.0, pv[0])
 

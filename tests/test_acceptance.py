@@ -214,8 +214,9 @@ def test_acceptance_05_sandwich(circle, spiral10):
 @criterion(6, "far-field decay within 4L + 0.5 on the circle")
 def test_acceptance_06_far_field(circle4096):
     eps = circle4096.period * 2.0 ** (-6)
-    rep = harness.far_field_decay_check(circle4096, 0, eps,
-                                        harness.measure_bilip(circle4096))
+    rep, = harness.proof_check(circle4096,
+                               np.ones(circle4096.n, dtype=complex), 0, [eps],
+                               harness.measure_bilip(circle4096))
     assert rep.worst_ratio <= rep.decay_bound + 0.5
     return f"worst {rep.worst_ratio:.3f} vs bound {rep.decay_bound + 0.5:.3f}"
 
@@ -231,8 +232,7 @@ def test_acceptance_07_decomposition(circle):
         }
         levels = [sc.period * 2.0 ** (-k) for k in (5, 7)]
         for tag, values in fns.items():
-            reps = harness.decomposition_check(sc, values, 0, levels,
-                                               math.pi / 2)
+            reps = harness.proof_check(sc, values, 0, levels, math.pi / 2)
             for k, rep in zip((5, 7), reps):
                 residuals[(tag, k, n)] = rep.residual
     details = []

@@ -278,15 +278,15 @@ def test_transform_makes_one_evaluator_pass(tmp_path, monkeypatch):
 
 
 def test_first_function_is_built_once_per_run(tmp_path, monkeypatch):
-    # the four adversarial witnesses take one pass; transform and decomp
+    # the four adversarial witnesses take one pass; transform and proof
     # share the first of them instead of rebuilding it
     passes = _count_passes(monkeypatch)
     text = (SMALL_CIRCLE
-            .replace("scans = diag,criterion", "scans = transform,decomp,gdecay")
+            .replace("scans = diag,criterion", "scans = transform,proof")
             .replace("functions = constant,trig:1", "functions = adversarial,constant"))
     spec = _write_spec(tmp_path, text)
     assert run(CommandInvocation("all", str(spec), str(tmp_path / "o"))) == 0
-    assert passes == [4, 2, 3, 1]
+    assert passes == [4, 2, 4]
 
 
 SMALL_SPIRAL = """
@@ -303,19 +303,25 @@ scans = series
 """
 
 ALL_SCANS = ("experiment.scans=diag,transform,criterion,cotlar,"
-             "decomp,gdecay,sandwich,series")
+             "proof,sandwich,series")
 
 
-def test_decomp_gdecay_sandwich_series_scans(tmp_path):
+def test_proof_sandwich_series_scans(tmp_path):
     text = SMALL_CIRCLE.replace("scans = diag,criterion",
-                                "scans = decomp,gdecay,sandwich")
+                                "scans = proof,sandwich")
     spec = _write_spec(tmp_path, text)
     assert run(CommandInvocation("all", str(spec), str(tmp_path / "o"))) == 0
     names = {p.name for p in (tmp_path / "o").iterdir()}
-    assert {"decomp.csv", "gdecay.csv", "sandwich.csv"} <= names
-    # levels 2^-5 and 2^-7 both fit n = 512: one row each
-    decomp = (tmp_path / "o" / "decomp.csv").read_text().strip().split("\n")
-    assert [row.split(",")[2] for row in decomp[1:]] == ["T*2^-5", "T*2^-7"]
+    assert {"proof.csv", "sandwich.csv"} <= names
+    assert not {"decomp.csv", "gdecay.csv"} & names
+    # levels 2^-5, 2^-6 and 2^-7 all fit n = 512: one row each
+    proof = (tmp_path / "o" / "proof.csv").read_text().strip().split("\n")
+    assert proof[0] == ("curve,node,epsilon,residual,i_re,i_im,ii_re,ii_im,"
+                        "iii_re,iii_im,iv_re,iv_im,v_re,v_im,worst_ratio,"
+                        "decay_bound,far_nodes")
+    assert [row.split(",")[2] for row in proof[1:]] == ["T*2^-5", "T*2^-6",
+                                                        "T*2^-7"]
+    assert all(len(row.split(",")) == 17 for row in proof)
     spec2 = _write_spec(tmp_path, SMALL_SPIRAL, "sp.cspec")
     assert run(CommandInvocation("all", str(spec2), str(tmp_path / "o2"))) == 0
     series = (tmp_path / "o2" / "series.csv").read_text().strip().split("\n")
@@ -323,47 +329,56 @@ def test_decomp_gdecay_sandwich_series_scans(tmp_path):
     assert len(series) == 4  # depth 3
 
 
-def test_decomp_makes_one_evaluator_pass(tmp_path, monkeypatch):
-    # f and the truncated kernels of both kept levels share one pass
+def test_proof_makes_one_evaluator_pass(tmp_path, monkeypatch):
+    # f and the truncated kernels of the three kept levels share one pass
     passes = _count_passes(monkeypatch)
-    text = SMALL_CIRCLE.replace("scans = diag,criterion", "scans = decomp")
+    text = SMALL_CIRCLE.replace("scans = diag,criterion", "scans = proof")
     spec = _write_spec(tmp_path, text)
     assert run(CommandInvocation("all", str(spec), str(tmp_path / "o"))) == 0
-    assert passes == [3]
+    assert passes == [4]
 
 
-def test_decomp_scan_keeps_the_levels_decomposition_check_accepts(tmp_path):
+def test_proof_scan_keeps_the_levels_proof_check_accepts(tmp_path):
     # one 4h rule: at n = 510 the level T*2^-7 is below 4h and both drop
     # it; at n = 512 it is exactly 4h and both keep it
     import pytest
 
     from cauchylab import curves, curvespec, harness
 
-    for n, kept in ((510, ["T*2^-5"]), (512, ["T*2^-5", "T*2^-7"])):
-        text = (SMALL_CIRCLE.replace("scans = diag,criterion", "scans = decomp")
+    for n, kept in ((510, ["T*2^-5", "T*2^-6"]),
+                    (512, ["T*2^-5", "T*2^-6", "T*2^-7"])):
+        text = (SMALL_CIRCLE.replace("scans = diag,criterion", "scans = proof")
                 .replace("n = 512", f"n = {n}"))
         spec = _write_spec(tmp_path, text, f"c{n}.cspec")
         out = tmp_path / f"o{n}"
         assert run(CommandInvocation("all", str(spec), str(out))) == 0
-        rows = (out / "decomp.csv").read_text().strip().split("\n")[1:]
+        rows = (out / "proof.csv").read_text().strip().split("\n")[1:]
         assert [row.split(",")[2] for row in rows] == kept
         p = curvespec.build_from_document(curvespec.parse_spec(text))
         sc = curves.arclength_sample(p, n)
         bilip = harness.measure_bilip(sc)
         f = np.ones(sc.n, dtype=complex)
-        for k in (5, 7):
+        for k in (5, 6, 7):
             eps = sc.period * 2.0 ** (-k)
             if f"T*2^-{k}" in kept:
-                harness.decomposition_check(sc, f, 0, [eps], bilip)
+                harness.proof_check(sc, f, 0, [eps], bilip)
             else:
                 with pytest.raises(ResolutionError):
-                    harness.decomposition_check(sc, f, 0, [eps], bilip)
+                    harness.proof_check(sc, f, 0, [eps], bilip)
     # at n = 512 a hair below 4h fails the scan's eps >= 4h, and the check
     # refuses it too
     assert 4.0 * sc.spacing == sc.period * 2.0 ** (-7)
     with pytest.raises(ResolutionError):
-        harness.decomposition_check(sc, f, 0, [4.0 * sc.spacing * (1 - 1e-13)],
-                                    bilip)
+        harness.proof_check(sc, f, 0, [4.0 * sc.spacing * (1 - 1e-13)], bilip)
+
+
+def test_exit_2_on_retired_scan_tags(tmp_path, capsys):
+    # decomp and gdecay became the one proof scan, with no alias
+    for tag in ("decomp", "gdecay"):
+        text = SMALL_CIRCLE.replace("scans = diag,criterion", f"scans = {tag}")
+        spec = _write_spec(tmp_path, text, f"{tag}.cspec")
+        assert run(CommandInvocation("all", str(spec), str(tmp_path / tag))) == 2
+        assert f"unknown scan tag {tag!r}" in capsys.readouterr().err
 
 
 def test_no_program_path_calls_single_node_oracles(tmp_path, monkeypatch):
@@ -378,12 +393,13 @@ def test_no_program_path_calls_single_node_oracles(tmp_path, monkeypatch):
             "hl_maximal", "_ball_average", "_branch_log_unwrapped",
             "turning_angle", "window_speed_range", "bump_abs_moment",
             "unit_square"}
-    # the single-function shims and the transform table's row view stay
-    # only for the benchmark's traced runs, which wrap them by name; every
-    # scan must go through the family evaluator, and transform.csv out
-    # block by block, so here they raise wherever a module holds them
+    # the single-function shims, the single-kernel transform and the
+    # transform table's row view stay only for the benchmark's traced
+    # runs, which wrap them by name; every scan must go through the family
+    # evaluator, and transform.csv out block by block, so here they raise
+    # wherever a module holds them
     shims = ("pv_cauchy_all", "truncated_cauchy_all", "maximal_cauchy_all",
-             "transform_csv_rows")
+             "kernel_truncation_transform", "transform_csv_rows")
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("a program path called a single-function shim")

@@ -129,13 +129,13 @@ def test_make_test_functions_tags():
         harness.make_test_functions(sc, ("mystery",))
 
 
-# -- decomposition -------------------------------------------------------------
+# -- proof check: decomposition ------------------------------------------------
 
 def test_decomposition_residual_small_and_split_exact(circle_bilip):
     sc, bilip = circle_bilip
     f = np.exp(2j * np.pi * 3 * sc.params / sc.period)
     eps = sc.period * 2.0 ** (-5)
-    rep, = harness.decomposition_check(sc, f, 0, [eps], bilip)
+    rep, = harness.proof_check(sc, f, 0, [eps], bilip)
     assert rep.residual < 1e-3
     # the split III = F IV + V holds by construction; check consistency
     assert abs(rep.term_iii - (rep.branch_value * rep.term_iv + rep.term_v)) < 1e-14
@@ -144,7 +144,7 @@ def test_decomposition_residual_small_and_split_exact(circle_bilip):
 def test_decomposition_zero_function(circle_bilip):
     sc, bilip = circle_bilip
     zero = np.zeros(sc.n, dtype=complex)
-    rep, = harness.decomposition_check(sc, zero, 0, [sc.period / 32], bilip)
+    rep, = harness.proof_check(sc, zero, 0, [sc.period / 32], bilip)
     assert rep.residual == 0.0
     assert rep.term_i == 0.0 and rep.term_ii == 0.0 and rep.term_iii == 0.0
 
@@ -154,8 +154,8 @@ def test_decomposition_residual_refines():
     for n in [512, 1024]:
         sc = curves.arclength_sample(curves.circle(1.0), n)
         f = np.exp(2j * np.pi * 3 * sc.params / sc.period)
-        rep, = harness.decomposition_check(sc, f, 0, [sc.period / 32],
-                                           harness.measure_bilip(sc))
+        rep, = harness.proof_check(sc, f, 0, [sc.period / 32],
+                                   harness.measure_bilip(sc))
         vals.append(rep.residual)
     assert vals[1] < vals[0] / 1.5 or vals[1] < 1e-12
 
@@ -164,23 +164,25 @@ def test_decomposition_window_overflow(circle_bilip):
     sc, bilip = circle_bilip
     f = np.ones(sc.n, dtype=complex)
     with pytest.raises(DomainError):
-        harness.decomposition_check(sc, f, 0, [sc.period / 4], bilip)
+        harness.proof_check(sc, f, 0, [sc.period / 4], bilip)
 
 
-# -- far field decay --------------------------------------------------------------
+# -- proof check: far field decay -------------------------------------------------
 
 def test_far_field_decay_circle(circle_bilip):
     sc, bilip = circle_bilip
     eps = sc.period * 2.0 ** (-6)
-    rep = harness.far_field_decay_check(sc, 0, eps, bilip)
+    rep, = harness.proof_check(sc, np.ones(sc.n, dtype=complex), 0, [eps], bilip)
     assert rep.worst_ratio <= rep.decay_bound + 0.5
+    assert rep.decay_bound == 4.0 * bilip
     assert rep.far_nodes > sc.n // 2
 
 
 def test_far_field_linear_in_eps(circle_bilip):
     sc, bilip = circle_bilip
-    r1 = harness.far_field_decay_check(sc, 0, sc.period * 2.0 ** (-5), bilip)
-    r2 = harness.far_field_decay_check(sc, 0, sc.period * 2.0 ** (-6), bilip)
+    r1, r2 = harness.proof_check(sc, np.ones(sc.n, dtype=complex), 0,
+                                 [sc.period * 2.0 ** (-5),
+                                  sc.period * 2.0 ** (-6)], bilip)
     # remainders scale linearly, so the normalized ratio stays put
     assert 0.5 <= r1.worst_ratio / r2.worst_ratio <= 2.0
 

@@ -365,7 +365,7 @@ def test_family_matches_single_calls(square_family):
     sc, vals = square_family
     levels = dyadic_levels(sc, 1)
     pvs, tables = operators.cauchy_family(sc, vals, [eps for _, eps in levels])
-    t_stars, _ = operators.maximal_of(tables, levels)
+    t_stars = operators.maximal_of(tables)
     for f_vals, pv, table, t_star in list(zip(vals, pvs, tables, t_stars))[::4]:
         single = operators.pv_cauchy_all(sc, f_vals)
         assert np.max(np.abs(pv - single)) <= 1e-13 * np.max(np.abs(single))
