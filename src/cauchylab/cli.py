@@ -161,18 +161,6 @@ def _run_criterion(state: _RunState, out: Path) -> None:
     state.criterion_verdict = table.verdict
 
 
-def _cotlar_csv_blocks(kind: str, node_ratios):
-    """cotlar.csv as text blocks, each made when it is asked for: a header,
-    then the rows of each (n, tag, ratios) entry, one per node, formatted
-    as one block."""
-    from ._csvtext import csv_block  # compiled on first use
-
-    yield "curve,n,f_tag,node,ratio\n"
-    for n, tag, ratios in node_ratios:
-        yield csv_block([f"{kind},{n},{tag},", np.arange(len(ratios)),
-                         ",", ratios])
-
-
 def _run_cotlar(state: _RunState, out: Path) -> None:
     p = state.curve
     doc = state.doc
@@ -180,7 +168,6 @@ def _run_cotlar(state: _RunState, out: Path) -> None:
         p, doc.get("sampling", "resolutions"),
         tags=doc.get("experiment", "functions"),
         seed=doc.get("experiment", "seed"))
-    write_text(out / "cotlar.csv", _cotlar_csv_blocks(p.kind, report.node_ratios))
     sup_rows = ["curve,n,f_tag,sup_ratio,arg_node,arg_param,flagged"]
     for row in report.rows:
         sup_rows.append(f"{p.kind},{row.n},{row.tag},{row.sup_ratio:.17g},"
@@ -203,6 +190,10 @@ def _run_proof(state: _RunState, out: Path) -> None:
                     + "".join(f"{t.real:.17g},{t.imag:.17g}," for t in terms)
                     + f"{rep.worst_ratio:.17g},{rep.decay_bound:.17g},"
                     f"{rep.far_nodes}")
+        if rep.worst_ratio > rep.decay_bound:
+            state.notes.append(
+                f"proof far-field ratio {rep.worst_ratio:.17g} exceeds its "
+                f"bound 4L = {rep.decay_bound:.17g} at T*2^-{k}")
     write_lines(out / "proof.csv", rows)
 
 

@@ -407,12 +407,12 @@ class CotlarRow:
 
 @dataclass(frozen=True)
 class CotlarReport:
-    """Per-function and per-resolution ratio sups and the trend verdict."""
+    """Per-function and per-resolution ratio sups and the trend verdict;
+    the per-node ratios behind each sup are not kept."""
 
     rows: tuple
     aggregate: tuple     # (n, sup over the family)
     verdict: str
-    node_ratios: tuple   # (n, tag, ndarray) kept for CSV export
 
 
 def classify_ratio_trend(sups) -> str:
@@ -436,7 +436,6 @@ def cotlar_ratio_scan(p, resolutions, tags, seed: int = 0) -> CotlarReport:
         raise DomainError("trend analysis needs at least two resolutions")
     rows = []
     aggregate = []
-    node_ratios = []
     anchors = anchor_params(p)
     for n in resolutions:
         sc = arclength_sample(p, n)
@@ -462,12 +461,11 @@ def cotlar_ratio_scan(p, resolutions, tags, seed: int = 0) -> CotlarReport:
             rows.append(CotlarRow(n=n, tag=tf_fn.tag, sup_ratio=sup, arg_node=arg,
                                   arg_param=float(sc.params[arg]),
                                   flagged=flagged))
-            node_ratios.append((n, tf_fn.tag, ratios))
             agg = max(agg, sup)
         aggregate.append((n, agg))
     verdict = classify_ratio_trend([a for _, a in aggregate])
     return CotlarReport(rows=tuple(rows), aggregate=tuple(aggregate),
-                        verdict=verdict, node_ratios=tuple(node_ratios))
+                        verdict=verdict)
 
 
 def verdicts_agree(criterion_verdict: str, cotlar_verdict: str) -> bool:

@@ -204,16 +204,6 @@ def write_curve_csv(sc, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def cotlar_csv_rows(kind: str, node_ratios):
-    """cotlar.csv rows: a header, then one row per node of each
-    (n, tag, ratios) entry."""
-    rows = ["curve,n,f_tag,node,ratio"]
-    for n, tag, ratios in node_ratios:
-        for i, r in enumerate(ratios):
-            rows.append(f"{kind},{n},{tag},{i},{r:.17g}")
-    return rows
-
-
 def corner_profile(spec, t):
     """Triangular profile max{0, (1/4 - |t - 1/2|) tan(angle)} on [0, 1]."""
     t = _check_unit_interval(t)

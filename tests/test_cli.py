@@ -156,7 +156,9 @@ def test_byte_identical_reruns(tmp_path):
 def test_byte_identical_reruns_of_the_bulk_writers(tmp_path):
     names = _rerun_names(
         tmp_path, ("experiment.scans=diag,transform,criterion,cotlar",))
-    assert {"curve.csv", "transform.csv", "cotlar.csv"} <= set(names)
+    # the cotlar scan writes its sups only, no per-node table
+    assert names == ["cotlar_sup.csv", "criterion.csv", "curve.csv",
+                     "diagnostics.csv", "summary.txt", "transform.csv"]
 
 
 # a float of each kind "%.17g" must render: signed zeros, the smallest
@@ -214,10 +216,6 @@ def test_bulk_writers_match_row_writers_byte_for_byte(tmp_path, make_sc):
     curves.write_curve_csv(sc, tmp_path / "new.csv")
     oracles.write_curve_csv(sc, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-    node_ratios = [(128, "constant", real), (256, "trig:1%d", sc.params[::-1])]
-    assert ("".join(cli._cotlar_csv_blocks("square", node_ratios))
-            == "\n".join(oracles.cotlar_csv_rows("square", node_ratios)) + "\n")
 
 
 def test_click_entry_points(tmp_path):
@@ -370,6 +368,30 @@ def test_proof_scan_keeps_the_levels_proof_check_accepts(tmp_path):
     assert 4.0 * sc.spacing == sc.period * 2.0 ** (-7)
     with pytest.raises(ResolutionError):
         harness.proof_check(sc, f, 0, [4.0 * sc.spacing * (1 - 1e-13)], bilip)
+
+
+def test_proof_notes_each_level_past_the_far_field_bound(tmp_path):
+    # the square's far-field ratio passes its bound 4L at every level, the
+    # circle's at none; summary.txt says so once per level, naming the
+    # level, the ratio and the bound of its proof.csv row
+    root = Path(__file__).resolve().parent.parent
+    counts = {}
+    for name in ("square", "circle"):
+        out = tmp_path / name
+        inv = CommandInvocation(
+            "all", str(root / "specs" / f"{name}.cspec"), str(out),
+            overrides=("experiment.scans=proof", "sampling.n=512"))
+        assert run(inv) == 0
+        want = []
+        for row in (out / "proof.csv").read_text().strip().split("\n")[1:]:
+            fields = row.split(",")
+            if float(fields[14]) > float(fields[15]):
+                want.append(f"note: proof far-field ratio {fields[14]} exceeds "
+                            f"its bound 4L = {fields[15]} at {fields[2]}")
+        summary = (out / "summary.txt").read_text().split("\n")
+        assert [line for line in summary if "far-field" in line] == want
+        counts[name] = len(want)
+    assert counts == {"square": 3, "circle": 0}
 
 
 def test_exit_2_on_retired_scan_tags(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oracles
 from cauchylab import curves, curvespec, geometry, harness, operators
 from cauchylab.errors import BranchAmbiguityError, DomainError, ResolutionError
 
@@ -433,6 +434,53 @@ def test_cotlar_scan_measures_no_constant(monkeypatch):
     rep = harness.cotlar_ratio_scan(curves.circle(1.0), (256, 512),
                                     tags=("constant", "adversarial"))
     assert sorted({row.n for row in rep.rows}) == [256, 512]
+
+
+def _oracle_cotlar_ratios(sc, fn):
+    """Per-node T_* f / M^2(Tf) of one test function from the single-node
+    oracles, 0 where the 4-cell jump guard or the underflow floor drops the
+    node, and the count of nodes the floor flags."""
+    levels = operators.dyadic_levels(sc, 1)
+    nodes = range(sc.n)
+    t_star = [oracles.maximal_cauchy(sc, fn.values, i, levels).value
+              for i in nodes]
+    tf = np.array([oracles.pv_cauchy(sc, fn.values, i) for i in nodes])
+    m1 = np.array([oracles.hl_maximal(sc, tf, i) for i in nodes])
+    m2 = [oracles.hl_maximal(sc, m1, i) for i in nodes]
+    guard = harness.JUMP_GUARD_CELLS * sc.spacing
+    ratios = np.zeros(sc.n)
+    flagged = 0
+    for i in nodes:
+        if m2[i] <= harness.UNDERFLOW_FLOOR:
+            flagged += 1
+            continue
+        gaps = [abs(sc.params[i] - j) % sc.period for j in fn.jumps]
+        if any(min(g, sc.period - g) < guard - 1e-12 for g in gaps):
+            continue
+        ratios[i] = t_star[i] / m2[i]
+    return ratios, flagged
+
+
+def test_cotlar_sups_match_single_node_oracles():
+    # the scan's sup, flag count and reported node against T_* f / M^2(Tf)
+    # built node by node from the readable oracles
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
+    tags = ("constant", "trig:1", "chi:2", "adversarial")
+    rep = harness.cotlar_ratio_scan(p, (128, 256), tags=tags)
+    rows = iter(rep.rows)
+    for n in (128, 256):
+        sc = curves.arclength_sample(p, n)
+        fam = harness.make_test_functions(sc, tags,
+                                          anchors=harness.anchor_params(p))
+        for fn in fam:
+            row = next(rows)
+            assert (row.n, row.tag) == (n, fn.tag)
+            ratios, flagged = _oracle_cotlar_ratios(sc, fn)
+            sup = ratios.max()
+            assert abs(row.sup_ratio - sup) <= 1e-12 * sup, row
+            assert row.flagged == flagged, row
+            assert abs(ratios[row.arg_node] - sup) <= 1e-12 * sup, row
+    assert next(rows, None) is None
 
 
 def test_far_field_remainder_halves_on_fixed_nodes():
