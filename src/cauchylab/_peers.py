@@ -2,10 +2,10 @@
 helper each take the next task not yet started, and the calling thread
 gets every result back in task order.
 
-in_task_order serves the evaluator's band and heads sweeps in operators
-and the chord scan in geometry.  The caller adds the results into its own
-arrays as they come, so the order of its additions is that of the tasks,
-whichever thread ran them.
+in_task_order serves the evaluator's sweeps in operators (band tiles and
+heads chunks, both one kind of task) and the chord scan in geometry.
+The caller adds the results into its own arrays as they come, so the
+order of its additions is that of the tasks, whichever thread ran them.
 
 A task is a plain function of its worker's scratch.  Both workers draw
 task indices from one counter; the helper puts each result in an outbox.

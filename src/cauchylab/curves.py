@@ -538,11 +538,11 @@ class _ClampedSpline:
 
 class _SplineZone:
     """A smooth curved stretch of point_of over the parameter knots t_knots,
-    with clamped-spline inverse arc length from the knots' arc lengths
-    s_knots and the end speeds v0, v1.  The spline s(t), which only
-    `param_of` reads, is fitted on first use from the kept knots."""
+    with clamped-spline inverse arc length t(s) from the knots' arc lengths
+    s_knots and the end speeds v0, v1.  Its arc length at a parameter,
+    which only `param_of` reads, inverts that one spline."""
 
-    __slots__ = ("t0", "t1", "point_of", "length", "s0", "_t_of_s", "_s_of_t",
+    __slots__ = ("t0", "t1", "point_of", "length", "s0", "_t_of_s",
                  "_knots", "patch_index")
 
     def __init__(self, point_of, t_knots, s_knots, v0, v1, patch_index=-1):
@@ -550,7 +550,6 @@ class _SplineZone:
         self.point_of = point_of
         self.length = float(s_knots[-1])
         self._t_of_s = _ClampedSpline(s_knots, t_knots, 1.0 / v0, 1.0 / v1)
-        self._s_of_t = None
         self._knots = (t_knots, s_knots, v0, v1)
         self.s0 = 0.0
         self.patch_index = patch_index
@@ -559,9 +558,21 @@ class _SplineZone:
         return np.clip(self._t_of_s(ds), self.t0, self.t1)
 
     def s_at(self, t):
-        if self._s_of_t is None:
-            self._s_of_t = _ClampedSpline(*self._knots)
-        return float(self._s_of_t(t))
+        """Arc length at t in [t0, t1]: s_knots[i] at knot i, elsewhere the
+        point of its knot interval where t(s) meets t, by bisection."""
+        t_knots, s_knots = self._knots[:2]
+        i = int(t_knots.searchsorted(t))
+        if t_knots[i] == t:
+            return float(s_knots[i])
+        lo, hi = float(s_knots[i - 1]), float(s_knots[i])
+        mid = 0.5 * (lo + hi)
+        while mid not in (lo, hi):
+            if self._t_of_s(mid) < t:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        return mid
 
     def point(self, ds):
         return self.point_of(self.t_at(ds))

@@ -31,7 +31,10 @@ turns them into the sums past each cut's head.  A heads sweep then goes
 cut by cut: it rebuilds the cut's masked head triangles, _TILE entries
 per row, a chunk of tiles at a time, and their ahead and behind sums
 collect in tile order in one F x n scratch that joins the slot in one
-addition.  An even grid's antipode and the half-weight boundary nodes are
+addition.  One builder, _kernel_blocks, makes the entries of both sweeps
+with the same operations, so a head entry has the bits of the band entry
+it repeats, and one task function, _sweep_task, makes the products of
+both.  An even grid's antipode and the half-weight boundary nodes are
 separate gathers.  Every term is added, none subtracted, so a window that
 holds only a few nodes is as accurate as its own terms.  Besides the
 result, the pass holds the same memory for any number of windows: the
@@ -51,11 +54,11 @@ same way: transform.csv goes out from transform_csv_blocks, one table
 entry at a time.
 
 Threads: each call runs two peer workers, the calling thread and one
-helper, through _peers.in_task_order.  The band sweep's tasks are its
-tiles and the heads sweep's its chunks, in one list of plain functions;
-each worker takes the next task not yet started, builds its kernel or
-head blocks in its own buffer of one tile kernel (two buffers, about 8 MB
-at n = 8192, allocated before the sweep), and makes the task's products.
+helper, through _peers.in_task_order.  The band tiles and then the heads
+chunks are the tasks, each one call of _sweep_task, in one list; each
+worker takes the next task not yet started, builds its kernel blocks in
+its own buffer of one tile kernel (two buffers, about 8 MB at n = 8192,
+allocated before the sweep), and makes the task's products of them.
 The helper holds at most two results not yet added, the calling thread
 one.  Only the calling thread adds results into the pass's arrays, in
 task order, so every node gets its terms in the same order whichever
@@ -177,36 +180,49 @@ def _outside_window(sc: SampledCurve, z_index: int, eps: float):
     return scale, dz
 
 
-def _tile_kernel(z_ext, t0: int, width: int, reach: int, out=None) -> np.ndarray:
-    """Ahead half of the Cauchy kernel for the _TILE rows from node t0,
-    built in out (shape (_TILE, width)) when given.
+def _tile_windows(ext, start: int, count: int, cols: int) -> np.ndarray:
+    """View of the count windows of cols rows of ext from rows start,
+    start + _TILE, ..., shape (count, cols) + ext.shape[1:]; ext must be
+    contiguous, and a window past its end raises."""
+    step = ext.strides[0]
+    return np.ndarray((count, cols) + ext.shape[1:], ext.dtype, ext,
+                      start * step, (_TILE * step,) + ext.strides)
 
-    Entry [r, q] is 1/(z[t0+q] - z[t0+r]) when the offset q - r lies in
-    1..reach and zero elsewhere.  Only the first _TILE columns hold offsets
-    below 1, and only the last _TILE (from reach + 1) offsets above reach.
+
+def _kernel_blocks(z_ext, start: int, count: int, first: int, cols: int,
+                   cut: int, reach: int, out) -> np.ndarray:
+    """Kernel blocks of the count tiles of _TILE rows from node start,
+    built in out, of shape (count, _TILE, cols).
+
+    Entry [t, r, q] is 1/(z[s + first + q] - z[s + r]), s = start + t * _TILE,
+    when the offset first + q - r lies in cut + 1..reach, and zero
+    elsewhere.  Only the columns where some row leaves that range are
+    masked: those before cut - first + _TILE, and those from
+    reach - first + 1 on.  A band tile is one block of the frame's width
+    (first = cut = 0); a heads chunk is count blocks of _TILE columns from
+    first = c + 1 for cut c, each the columns c + 1..c + _TILE of its tile's
+    band kernel without the entries at offsets up to c.
     """
     tile = _TILE
-    near = np.tri(tile, dtype=bool)           # q <= r
-    far = ~np.tri(tile, k=-1, dtype=bool)     # q - (reach + 1) >= r
-    kern = np.subtract(z_ext[t0:t0 + width][None, :], z_ext[t0:t0 + tile, None],
-                       out=out)
-    first, last = kern[:, :tile], kern[:, reach + 1:]
-    first[near] = 1.0
-    last[far] = 1.0
+    rows = z_ext[start:start + count * tile].reshape(count, tile, 1)
+    kern = np.subtract(_tile_windows(z_ext, start + first, count, cols)[:, None],
+                       rows, out=out)
+    low = min(cols, cut - first + tile)
+    masks = []
+    for a, b in ((0, low), (max(low, reach - first + 1), cols)):
+        if a < b:
+            # the offset is constant along diagonals: entry [r, q] of the
+            # mask is run[q - r + _TILE - 1], a view of one run of offsets
+            run = np.arange(first + a - tile + 1, first + b)
+            run = (run <= cut) | (run > reach)
+            masks.append((kern[..., a:b], np.ndarray(
+                (tile, b - a), bool, run, tile - 1, (-1, 1))))
+    for part, masked in masks:
+        np.copyto(part, 1.0, where=masked)
     np.divide(1.0, kern, out=kern)
-    first[near] = 0.0
-    last[far] = 0.0
+    for part, masked in masks:
+        np.copyto(part, 0.0, where=masked)
     return kern
-
-
-def _row_sums(kern, frame, lo: int, hi: int) -> np.ndarray:
-    """kern[:, lo:hi] @ frame[lo:hi], with BLAS reducing over a multiple of
-    8 columns and the fewer than 8 left over summed elementwise."""
-    mid = hi - (hi - lo) % 8
-    sums = kern[:, lo:mid] @ frame[lo:mid]
-    if mid < hi:
-        sums += (kern[:, mid:hi, None] * frame[None, mid:hi]).sum(axis=1)
-    return sums
 
 
 def _wrap_add(acc, start: int, vals) -> None:
@@ -226,72 +242,37 @@ def _offset_terms(sc: SampledCurve, contrib, off: int) -> np.ndarray:
     return (1.0 / (sc.points[ahead] - sc.points)) * contrib[ahead].T
 
 
-def _head_blocks(z_ext, c: int, start: int, count: int, reach: int,
-                 out=None) -> np.ndarray:
-    """The masked heads of cut c for the count tiles from node start, built
-    in out (shape (count, _TILE, _TILE)) when given.
-
-    Block [t, r, q] is entry [r, c + 1 + q] of the kernel of the tile from
-    t0 = start + t * _TILE where q >= r, and zero elsewhere, built with
-    _tile_kernel's operations, so its bits are the ones that kernel holds
-    there: the triangle of the head columns that row r keeps at cut c.
-    """
-    tile = _TILE
-    offset = np.arange(c + 1, c + tile + 1) - np.arange(tile)[:, None]
-    masked = (offset <= c) | (offset > reach)  # q < r, or past the kernel
-    rows = z_ext[start:start + count * tile].reshape(count, tile, 1)
-    cols = z_ext[start + c + 1:start + c + 1 + count * tile].reshape(count, 1, tile)
-    heads = np.subtract(cols, rows, out=out)
-    np.copyto(heads, 1.0, where=masked)
-    np.divide(1.0, heads, out=heads)
-    np.copyto(heads, 0.0, where=masked)
-    return heads
-
-
-def _band_task(z_ext, contrib_ext, t0: int, m: int, width: int, reach: int,
-               cuts, buf):
-    """One tile of the band sweep, a task of _peers.in_task_order: it
-    builds the tile's kernel in buf and returns, for each cut from
-    the antipode inward, the (F, m) sums of the tile's m rows over the
-    columns past the previous cut's head up to its own, and the (F, width)
-    sums that its rows, as sources, give the frame's columns."""
-    tile = _TILE
-    kern = _tile_kernel(z_ext, t0, width, reach, out=buf)
-    frame = contrib_ext[t0:t0 + width]
-    aheads, hi = [], width
-    for c in cuts:
-        # rows r keep columns q > r + c: all of them from lo on, a
-        # triangle of the head c < q < lo, which the heads sweep adds
-        lo = c + tile + 1
-        aheads.append(_row_sums(kern, frame, lo, hi)[:m].T)
-        hi = lo
-    # the tile's rows as sources behind their targets: K[j, i] = -K[i, j]
-    src = -frame[:tile].T
-    src[:, m:] = 0.0  # rows past the last node wrap around; they add nothing
-    return aheads, src @ kern
-
-
-def _heads_task(z_ext, contrib_ext, n: int, reach: int, c: int, s: int,
-                count: int, buf):
-    """One chunk of the heads sweep, a task of _peers.in_task_order: it
-    builds the chunk's head blocks in buf and returns the (F, rows)
-    sums of its rows over cut c's head triangles and the (F, count * _TILE)
-    sums those triangles give their columns from node s + c + 1 on.  The
-    chunk's tiles take the per-tile products as one stack."""
+def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
+                count: int, first: int, cols: int, cut: int, ranges, buf):
+    """One band tile or heads chunk, a task of _peers.in_task_order: it
+    builds the kernel blocks of _kernel_blocks in buf and returns, for each
+    column range (lo, hi) of ranges, the (F, rows) sums of the blocks' rows
+    that are nodes over those columns, and the (F, count * cols) sums that
+    the rows, as sources, give the blocks' columns in order."""
     tile = _TILE
     f = contrib_ext.shape[1]
     span = count * tile
-    rows = min(span, n - s)
-    heads = _head_blocks(z_ext, c, s, count, reach,
-                         out=buf.reshape(-1)[:span * tile].reshape(count, tile, tile))
-    src = -contrib_ext[s:s + span]
-    src[rows:] = 0.0  # rows past the last node add nothing
-    behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ heads
+    rows = min(span, n - start)
+    kern = _kernel_blocks(z_ext, start, count, first, cols, cut, reach,
+                          buf.reshape(-1)[:span * cols].reshape(count, tile, cols))
+    # the rows as sources behind their targets: K[j, i] = -K[i, j]; these
+    # come first, so that the negated sources are freed before the row
+    # sums are made
+    src = -contrib_ext[start:start + span]
+    src[rows:] = 0.0  # rows past the last node wrap around; they add nothing
+    behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ kern
     del src
-    behind = behind.transpose(1, 0, 2).reshape(f, span)
-    frames = contrib_ext[s + c + 1:s + c + 1 + span]
-    ahead = heads @ frames.reshape(count, tile, f)
-    return ahead.reshape(span, f)[:rows].T, behind
+    behind = behind.transpose(1, 0, 2).reshape(f, count * cols)
+    frames = _tile_windows(contrib_ext, start + first, count, cols)
+    aheads = []
+    for lo, hi in ranges:
+        # BLAS reduces over a multiple of 8 columns, the rest elementwise
+        mid = hi - (hi - lo) % 8
+        sums = kern[..., lo:mid] @ frames[:, lo:mid]
+        if mid < hi:
+            sums += (kern[..., mid:hi, None] * frames[:, None, mid:hi]).sum(axis=2)
+        aheads.append(sums.reshape(span, f)[:rows].T)
+    return aheads, behind
 
 
 def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
@@ -341,21 +322,22 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
     per_chunk = max(1, width // (2 * tile))
     chunks = [(c, t * tile, min(per_chunk, tiles - t)) for c in cuts
               for t in range(0, tiles, per_chunk)]
+    # a band tile's rows keep the columns past each cut's head: from the
+    # antipode inward, lo = cut + tile + 1 up to the previous cut's lo
+    bounds = [width] + [c + tile + 1 for c in cuts]
+    ranges = list(zip(bounds[1:], bounds))
     starts = range(0, n, tile)
-    tasks = [partial(_band_task, z_ext, contrib_ext, t0, min(tile, n - t0),
-                     width, reach, cuts) for t0 in starts]
-    tasks += [partial(_heads_task, z_ext, contrib_ext, n, reach, *chunk)
-              for chunk in chunks]
+    band = [(t0, 1, 0, width, 0, ranges) for t0 in starts]
+    heads = [(s, count, c + 1, tile, c, [(0, tile)]) for c, s, count in chunks]
+    tasks = [partial(_sweep_task, z_ext, contrib_ext, n, reach, *task)
+             for task in band + heads]
     # both workers build every kernel and chunk of heads in their own buffer
     scratch = tuple(np.empty((tile, width), dtype=complex) for _ in range(2))
     with closing(in_task_order(tasks, scratch)) as results:
         for t0, (aheads, behind) in zip(starts, results):
-            hi = width
-            for c, ahead in zip(cuts, aheads):
-                lo = c + tile + 1
+            for c, (lo, hi), ahead in zip(cuts, ranges, aheads):
                 slots[c][:, t0:t0 + ahead.shape[1]] += ahead
                 _wrap_add(slots[c], t0 + lo, behind[:, lo:hi])
-                hi = lo
         aheads = behind = None  # free the last tile's sums
         if n % 2 == 0:
             antipode = _offset_terms(sc, contrib, n // 2)
@@ -367,7 +349,7 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
         # node gets its head terms in tile order (its one ahead term may
         # move before behind terms, which commutes from zero)
         heads_sum = np.zeros((f, n), dtype=complex)
-        for (c, s, count), (ahead, behind) in zip(chunks, results):
+        for (c, s, count), ((ahead,), behind) in zip(chunks, results):
             heads_sum[:, s:s + ahead.shape[1]] += ahead
             _wrap_add(heads_sum, s + c + 1, behind)
             if s + count * tile >= n:

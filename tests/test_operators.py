@@ -258,22 +258,17 @@ def test_one_pass_builds_half_the_kernel(monkeypatch):
     # one tile of columns per tile of rows; the two workers together build
     # every tile's kernel exactly once, a ragged last tile included.  The
     # heads sweep builds the head entries again: one _TILE x _TILE block
-    # per tile and distinct cut, _TILE entries per row and cut
+    # per tile and distinct cut, _TILE entries per row and cut.  Band tiles
+    # are the builder's calls from column offset 0, heads chunks the rest
     built, heads = [], []
-    tile_kernel, head_blocks = operators._tile_kernel, operators._head_blocks
+    kernel_blocks = operators._kernel_blocks
 
-    def counting(*args, **kwargs):
-        kern = tile_kernel(*args, **kwargs)
-        built.append(kern.size)
+    def counting(z_ext, start, count, first, *args):
+        kern = kernel_blocks(z_ext, start, count, first, *args)
+        (heads if first else built).append(kern.size)
         return kern
 
-    def counting_heads(*args, **kwargs):
-        block = head_blocks(*args, **kwargs)
-        heads.append(block.size)
-        return block
-
-    monkeypatch.setattr(operators, "_tile_kernel", counting)
-    monkeypatch.setattr(operators, "_head_blocks", counting_heads)
+    monkeypatch.setattr(operators, "_kernel_blocks", counting)
     # the levels' distinct cuts below the antipode: at 2048 eps = T/2 is
     # the antipode's own window and 2h, 4h are levels; at 1001 neither
     for n, cuts in ((2048, 9), (1001, 10)):
@@ -287,6 +282,42 @@ def test_one_pass_builds_half_the_kernel(monkeypatch):
         assert sum(heads) == cuts * tiles * operators._TILE ** 2, n
         if n == 2048:
             assert 0 < sum(built) <= 0.55 * sc.n ** 2
+
+
+@pytest.mark.parametrize("n", [130, 1001, 1024])
+def test_head_blocks_are_band_kernel_columns_bit_for_bit(n):
+    # a heads chunk's block t is columns c + 1..c + _TILE of tile t's band
+    # kernel with the entries at offsets up to c zeroed, and the band
+    # kernel is 1/(z_j - z_i) entry by entry.  Odd and even n; 130 and 1001
+    # end on a ragged tile; the cuts from reach - _TILE + 1 on also take
+    # the band's far mask (offsets past reach)
+    sc = curves.arclength_sample(curves.build_spiral(3), n)
+    tile = operators._TILE
+    reach = (n - 1) // 2
+    width = reach + tile + 1
+    z_ext = sc.points[np.arange(n + width) % n]
+    tiles = -(-n // tile)
+    band = [operators._kernel_blocks(z_ext, t * tile, 1, 0, width, 0, reach,
+                                     np.empty((1, tile, width), complex))[0]
+            for t in range(tiles)]
+    rows, cols = np.arange(tile)[:, None], np.arange(width)
+    inside = (cols - rows >= 1) & (cols - rows <= reach)
+    for t, kern in enumerate(band):
+        with np.errstate(divide="ignore", invalid="ignore"):  # offset 0
+            direct = 1.0 / (z_ext[t * tile + cols] - z_ext[t * tile + rows])
+        assert kern.tobytes() == np.where(inside, direct, 0.0).tobytes()
+    far = 0
+    for c in sorted({0, 1, 7, 63, 64, reach - 64, reach - 40, reach - 1, reach}):
+        heads = operators._kernel_blocks(z_ext, 0, tiles, c + 1, tile, c, reach,
+                                         np.empty((tiles, tile, tile), complex))
+        offset = c + 1 + np.arange(tile) - rows
+        for t, kern in enumerate(band):
+            want = np.where(offset > c, kern[:, c + 1:c + 1 + tile], 0.0)
+            assert heads[t].tobytes() == want.tobytes(), (c, t)
+        far += np.count_nonzero(offset > reach)
+        assert not np.any(heads[:, offset > reach])
+        assert np.all(heads[:, (offset > c) & (offset <= reach)] != 0.0)
+    assert far > 0
 
 
 @pytest.fixture(scope="module")
@@ -445,13 +476,13 @@ def test_family_bits_independent_of_schedule(monkeypatch, schedule):
     oracles.patch_schedule(monkeypatch, schedule)
     caller = threading.get_ident()
     builders = set()
-    tile_kernel = operators._tile_kernel
+    kernel_blocks = operators._kernel_blocks
 
     def tracked(*args, **kwargs):
         builders.add(threading.get_ident() == caller)
-        return tile_kernel(*args, **kwargs)
+        return kernel_blocks(*args, **kwargs)
 
-    monkeypatch.setattr(operators, "_tile_kernel", tracked)
+    monkeypatch.setattr(operators, "_kernel_blocks", tracked)
     assert digests() == want
     assert builders == {schedule == "caller"}
 
@@ -542,23 +573,43 @@ def test_half_period_level_sums_its_outside_set(square_family):
     assert np.all(table[1][antipode_outside] == 0.0)
 
 
+def _dilated(p, j):
+    """The curve 2^j p, at unit speed: period 2^j T, point 2^j p(s / 2^j)."""
+    scale = 2.0 ** j
+    return curves.Parametrization(period=scale * p.period,
+                                  point=lambda s: scale * p.point(s / scale),
+                                  kind=p.kind)
+
+
+def _rotated(p):
+    """The curve i p, at unit speed."""
+    return curves.Parametrization(period=p.period,
+                                  point=lambda s: 1j * p.point(s), kind=p.kind)
+
+
 @pytest.fixture(scope="module")
 def transpose_curves():
     hexagon = [complex(math.cos(a), math.sin(a))
                for a in np.arange(6) * math.pi / 3.0]
+    square = curves.polygon([0, 1, 1 + 1j, 1j])
+    spiral = curves.build_spiral(3)
     return {"circle": curves.circle(1.0),
-            "square": curves.polygon([0, 1, 1 + 1j, 1j]),
+            "square": square,
             "hexagon": curves.polygon(hexagon),
-            "spiral": curves.build_spiral(3)}
+            "spiral": spiral,
+            "square-dilated": _dilated(square, 3),
+            "spiral-rotated": _rotated(spiral)}
 
 
 @pytest.mark.parametrize("n", [1001, 2048, 3000])
-@pytest.mark.parametrize("name", ["circle", "square", "hexagon", "spiral"])
+@pytest.mark.parametrize("name", ["circle", "square", "hexagon", "spiral",
+                                  "square-dilated", "spiral-rotated"])
 def test_richardson_pv_is_antisymmetric(transpose_curves, name, n):
     # A = 2 T_2h - T_4h weights each pair of nodes by its index distance
     # and its kernel is antisymmetric, so sum (A u) v mu = -sum u (A v) mu
     # for the node measure mu; every path of the evaluator (ahead and
-    # behind sums, heads, bands, antipode, half-weight edges) enters it
+    # behind sums, heads, bands, antipode, half-weight edges) enters it,
+    # on the shipped shapes and on a dilated and a rotated copy
     sc = curves.arclength_sample(transpose_curves[name], n)
     phase = 2.0 * math.pi * sc.params / sc.period
     trig = [np.exp(1j * k * phase) for k in (1, -1, 3, -3)]
