@@ -79,7 +79,7 @@ def _gated_levels(state: _RunState) -> list:
               for k in range(doc.get("experiment", "k_min"),
                              doc.get("experiment", "k_max") + 1)]
     out = [(k, eps) for k, eps in levels
-           if state.eps0 is None or eps <= state.eps0 + 1e-15]
+           if state.eps0 is None or eps <= state.eps0]
     if not out:
         out = levels
         state.notes.append("no dyadic level passed the smallness gate; "

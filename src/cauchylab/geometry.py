@@ -10,6 +10,7 @@ import math
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -138,32 +139,30 @@ _TABLE_SIZE = 2 ** 19
 _ARC_SLACK = 1e-9
 
 
-def _qualifying_offsets(ext, n2: int, max_off: int, d: float) -> list:
-    """Offsets 2..max_off at which some chord of the closed grid of n2 nodes
-    is <= d; ext is that grid followed by at least its first max_off nodes.
+def _table_height(ext, n2: int, max_off: int, d: float) -> int:
+    """The largest offset 2..max_off at which some chord of the closed grid
+    of n2 nodes is <= d, or 0 when there is none; ext is that grid followed
+    by at least its first max_off nodes.
 
-    An offset whose shortest chord m0 exceeds d rules out the next ones
-    too: by the triangle inequality a chord s offsets further is at least
-    m0 - s * step, where step is the longest chord between consecutive
-    nodes.  So the search jumps over floor((m0 - d - slack) / step) offsets,
-    and over none when m0 - d is within the slack.  Each computed chord is
-    within a few ulps of its exact value relative to itself (a rounded
-    difference and a rounded abs), so slack = 1e-12 m0 covers rounding by a
-    wide margin, and the list equals that of a search that tests every
-    offset.
+    The search runs down from max_off.  An offset whose shortest chord m0
+    exceeds d rules out the offsets just below it too: by the triangle
+    inequality a chord s offsets nearer is at least m0 - s * step, where
+    step is the longest chord between consecutive nodes.  So the search
+    jumps over floor((m0 - d - slack) / step) offsets, and over none when
+    m0 - d is within the slack.  Each computed chord is within a few ulps
+    of its exact value relative to itself (a rounded difference and a
+    rounded abs), so slack = 1e-12 m0 covers rounding by a wide margin, and
+    the height equals that of a search that tests every offset.
     """
     view = ext[:n2]
     step = float(np.abs(ext[1:n2 + 1] - view).max())
-    offs = []
-    off = 2
-    while off <= max_off:
+    off = max_off
+    while off >= 2:
         m0 = float(np.abs(ext[off:off + n2] - view).min())
         if m0 <= d:
-            offs.append(off)
-            off += 1
-        else:
-            off += 1 + max(0, int((m0 - d - 1e-12 * m0) // step))
-    return offs
+            return off
+        off -= 1 + max(0, int((m0 - d - 1e-12 * m0) // step))
+    return 0
 
 
 def _arc_survivors(sel, arc, chord, bar: float):
@@ -174,7 +173,8 @@ def _arc_survivors(sel, arc, chord, bar: float):
     return np.flatnonzero(sel & (arc > lim * chord))
 
 
-def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0):
+def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0,
+                    start: int = 0, hit: list | None = None):
     """Running worst detour defect at chord scale d, yielded after each
     node block's midpoint seeds and after each (node block, offset) pair
     whose chords <= d are not all skipped.  A chord is skipped when it
@@ -182,11 +182,18 @@ def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0):
     the yielded value is exact once it reaches floor, and the last one is
     the exact maximum.
 
-    Nodes run in blocks of B.  For one block the table
-    F[j, t] = |z[t+j] - z[t]| (j <= K, the largest offset with a chord
-    <= d) is built once, and its row-skewed view G[j, t] = F[j, t-j] puts
-    both legs of every detour through z[i+k] on the chord (z[i], z[i+off])
-    into two plain slices: F[k, i] + G[off-k, i+off].
+    Nodes run in blocks of B, from the block that holds node `start` of sc
+    to the last and then from the first; the maximum, and whether it
+    reaches floor, do not depend on that order.  With a list `hit`, the
+    chord that first lifts the running worst to floor or above appends the
+    node of sc at its start, so that a scan at the next scale can start
+    where this one reached floor.  For one block
+    the table F[j, t] = |z[t+j] - z[t]| (j <= K, the largest offset with a
+    chord <= d, from _table_height) is built once, and its row-skewed view
+    G[j, t] = F[j, t-j] puts both legs of every detour through z[i+k] on
+    the chord (z[i], z[i+off]) into two plain slices:
+    F[k, i] + G[off-k, i+off].  An offset with no chord <= d in the block
+    is passed over.
 
     Pruning.  By the triangle inequality every detour of the chord is at
     most its polygonal arc P, the sum of its off edges F[1, i+m], kept as
@@ -215,10 +222,9 @@ def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0):
     h2 = sc.spacing * stride
     max_off = min(n2 // 2, int(math.ceil(_ARC_FACTOR * d / h2)) + 1)
     ext = np.concatenate([view, view[:2 * max_off]])
-    offs = _qualifying_offsets(ext, n2, max_off, d)
-    if not offs:
+    K = _table_height(ext, n2, max_off, d)
+    if not K:
         return
-    K = offs[-1]
     B = min(n2, max(K, _TABLE_SIZE // (K + 1)))
     F = np.empty((K + 1, B + K))
     G = np.lib.stride_tricks.as_strided(
@@ -226,14 +232,16 @@ def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0):
     legs = np.empty((K, B))
     arc = np.empty(B)
     worst = 0.0
-    for b0 in range(0, n2, B):
+    blocks = range(0, n2, B)
+    first = start // stride // B
+    for b0 in chain(blocks[first:], blocks[:first]):
         nb = min(B, n2 - b0)
         w = nb + K
         e = ext[b0:b0 + w + K]
         for j in range(1, K + 1):
             np.abs(e[j:j + w] - e[:w], out=F[j, :w])
         chords = []
-        for off in offs:
+        for off in range(2, K + 1):
             chord = F[off, :nb]
             sel = chord <= d
             if not sel.any():
@@ -241,7 +249,11 @@ def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0):
             h = off // 2
             mid = np.add(F[h, :nb], G[off - h, off:off + nb], out=legs[0, :nb])
             mid /= chord
-            worst = max(worst, float(mid.max(where=sel, initial=0.0)) - 1.0)
+            v = float(mid.max(where=sel, initial=0.0)) - 1.0
+            if v > worst:
+                worst = v
+                if hit is not None and not hit and worst >= floor:
+                    hit.append((b0 + int(np.where(sel, mid, 0.0).argmax())) * stride)
             chords.append((off, sel))
         yield worst
         arc[:nb] = F[1, :nb]
@@ -259,7 +271,12 @@ def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0):
                            out=legs[:off - 1, :nb]).max(axis=0)[cols]
             else:
                 s = (F[1:off, cols] + G[off - 1:0:-1, off + cols]).max(axis=0)
-            worst = max(worst, float((s / chord[cols]).max()) - 1.0)
+            r = s / chord[cols]
+            v = float(r.max()) - 1.0
+            if v > worst:
+                worst = v
+                if hit is not None and not hit and worst >= floor:
+                    hit.append((b0 + int(cols[r.argmax()])) * stride)
             yield worst
 
 
@@ -285,7 +302,9 @@ def conformality_modulus(sc, d: float, stride: int | None = None) -> float:
     of B and the gather buffers of the surviving columns (under K B / 8
     doubles each), where K is the largest offset with a chord <= d and
     B = max(K, 2^19 / (K+1)): about 2^21 + 4 K^2 doubles at most, 16 MB
-    plus 32 K^2 bytes at any grid size.
+    plus 32 K^2 bytes at any grid size.  K comes from a search down from
+    the largest scanned offset, one pass over the grid per offset it
+    probes (_table_height); the node blocks run from the first.
     """
     return max(_detour_defects(sc, d, stride), default=0.0)
 
@@ -400,15 +419,20 @@ def eps0_gate(sc, bilip: float):
     max(running worst, 0.05): a chord whose polygonal arc, widened by the
     slack _ARC_SLACK, stays within (1 + bar) times the chord cannot reach
     0.05 (see _detour_defects), so it is skipped and the gate returns the
-    eps of a full scan.  Memory
-    is that of conformality_modulus: one distance table, one arc row and
-    the gather buffers of the surviving columns.
+    eps of a full scan.  Each level after the first starts its node blocks
+    at the one that holds the chord that rejected the level before, and
+    wraps round: the defect lifts with the scale where the curve is least
+    conformal, so a rejected level tends to reject again there, in its
+    first block; a level passes only once every block is scanned, in any
+    order.  Memory is that of conformality_modulus: one distance table,
+    one arc row and the gather buffers of the surviving columns.
     """
     period = sc.period
     # keep at least 8 grid cells under the probed chord scale
     k_max = max(2, int(math.floor(math.log2(sc.n * bilip / 8.0))))
     pts_sub = sc.points[:: max(1, sc.n // 256)]
     diam = float(np.abs(pts_sub[:, None] - pts_sub[None, :]).max())
+    start = 0
     for k in range(2, k_max + 1):
         eps = period * 2.0 ** (-k)
         d = bilip * eps
@@ -416,8 +440,10 @@ def eps0_gate(sc, bilip: float):
             continue
         if d < 8.0 * sc.spacing:
             break
-        if all(v < 0.05 for v in _detour_defects(sc, d, None, 0.05)):
+        hit = []
+        if all(v < 0.05 for v in _detour_defects(sc, d, None, 0.05, start, hit)):
             return eps
+        start = hit[0]
     return None
 
 

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from cauchylab import cli, curves, operators
+from cauchylab import cli, curves, curvespec, operators
 from cauchylab.cli import CommandInvocation, main, run
 from cauchylab.errors import NumericalGateError, ResolutionError
 
@@ -35,6 +35,19 @@ def _write_spec(tmp_path, text, name="case.cspec"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def test_gated_levels_compare_eps0_exactly():
+    # the gate's eps0 and the levels are the same product period * 2^-k, so
+    # they compare exactly at any size; on a circle of radius 2^-50 eps0 at
+    # k = 4 is about 3.5e-16, and an absolute allowance of 1e-15 on top of it
+    # would admit the level k = 3 above it
+    doc = curvespec.parse_spec("[curve]\nkind = circle\n"
+                               "[experiment]\nk_min = 2\nk_max = 6\n")
+    p = curves.circle(2.0 ** -50)
+    state = cli._RunState(doc=doc, curve=p, eps0=p.period * 2.0 ** -4)
+    assert [k for k, _ in cli._gated_levels(state)] == [4, 5, 6]
+    assert state.notes == []
 
 
 def test_build_writes_curve_csv(tmp_path):

@@ -343,12 +343,15 @@ def test_conformality_hairpin_offsets_have_a_gap():
     (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048, 0.3, None),
     (spiral6, 4096, 0.01, None),
     (spiral6, 4096, 0.3, None),
-    # on the hairpin at these scales a jump ends right before a qualifying
-    # offset across the pinch, so a search that jumps one further misses it
+    # on the hairpin at these scales the offsets with a chord <= d have a
+    # gap, and the height is the last offset across the pinch, far above
+    # the gap; the search from max_off reaches it in 5 and 6 probes
     (hairpin_polygon, 1024, 0.16, 1),
     (hairpin_polygon, 1024, 0.25, 1),
+    # d below the grid spacing: no chord of offset >= 2 is that short
+    (lambda: curves.ellipse(2.0, 1.0), 1024, 0.005, 1),
 ], ids=["circle", "ellipse", "square", "spiral-fine", "spiral-coarse",
-        "hairpin-0.16", "hairpin-0.25"])
+        "hairpin-0.16", "hairpin-0.25", "no-chord"])
 def test_offset_search_skips_only_non_qualifying_offsets(build, n, d, stride):
     sc = curves.arclength_sample(build(), n)
     if stride is None:
@@ -357,8 +360,8 @@ def test_offset_search_skips_only_non_qualifying_offsets(build, n, d, stride):
     max_off = min(len(view) // 2,
                   int(math.ceil(16.0 * d / (sc.spacing * stride))) + 1)
     full = full_offset_search(view, max_off, d)
-    assert full
-    assert qualifying_offsets(view, max_off, d) == full
+    assert bool(full) == (d > sc.spacing)
+    assert table_height(view, max_off, d) == (full[-1] if full else 0)
 
 
 def full_offset_search(view, max_off, d):
@@ -366,9 +369,9 @@ def full_offset_search(view, max_off, d):
             if np.abs(np.roll(view, -off) - view).min() <= d]
 
 
-def qualifying_offsets(view, max_off, d):
+def table_height(view, max_off, d):
     ext = np.concatenate([view, view[:2 * max_off]])
-    return geometry._qualifying_offsets(ext, len(view), max_off, d)
+    return geometry._table_height(ext, len(view), max_off, d)
 
 
 @pytest.mark.parametrize("build, n", [
@@ -377,16 +380,16 @@ def qualifying_offsets(view, max_off, d):
 ], ids=["circle", "square"])
 def test_offset_search_moves_on_at_near_ties(build, n):
     # the shortest chord grows with the offset on these curves, so the
-    # search steps through every offset below off and then meets a chord
-    # that exceeds d by less than the rounding slack: a jump computed as
-    # floor of a negative number must not hold the search in place
+    # search steps down through every offset above off and then meets a
+    # chord that exceeds d by less than the rounding slack: a jump computed
+    # as floor of a negative number must not hold the search in place
     view = curves.arclength_sample(build(), n).points
     max_off = 24
     for off in range(2, 12):
         m0 = float(np.abs(np.roll(view, -off) - view).min())
         for d in (m0 * (1.0 - 1e-14), m0, m0 * (1.0 + 1e-14)):
-            assert qualifying_offsets(view, max_off, d) == \
-                full_offset_search(view, max_off, d)
+            full = full_offset_search(view, max_off, d)
+            assert table_height(view, max_off, d) == (full[-1] if full else 0)
 
 
 def test_conformality_no_qualifying_chord_is_zero():
@@ -394,6 +397,72 @@ def test_conformality_no_qualifying_chord_is_zero():
     d = 0.5 * sc.spacing
     assert geometry.conformality_modulus(sc, d, stride=1) == 0.0
     assert oracles.loop_conformality_modulus(sc, d, stride=1) == 0.0
+
+
+@pytest.mark.parametrize("build, n, d, stride, roll", [
+    # the eps0 gate's levels k = 11 and 12 on spiral6 at 2^14 (43 and 21
+    # blocks at this table size)
+    (spiral6, 2 ** 14, 0.0042, None, 0),
+    (spiral6, 2 ** 14, 0.0021, None, 0),
+    # three blocks, the last two holding the chords across the pinch
+    (hairpin_polygon, 1024, 0.2, 1, 0),
+    # the corner rolled to node 1000, in the last of three blocks
+    (lambda: tight_corner_polygon(0.05), 1024, 0.2, 1, -24),
+], ids=["spiral-gate-k11", "spiral-gate-k12", "hairpin", "tight-corner-last"])
+def test_detour_scan_max_independent_of_start_block(monkeypatch, build, n, d, stride, roll):
+    monkeypatch.setattr(geometry, "_TABLE_SIZE", 2 ** 13)
+    sc = curves.arclength_sample(build(), n)
+    sc = dataclasses.replace(sc, points=np.roll(sc.points, roll))
+    want = oracles.loop_conformality_modulus(sc, d, stride=stride)
+    for start in (0, sc.n // 2, sc.n - 1):  # first, middle and last block
+        got = max(geometry._detour_defects(sc, d, stride, start=start), default=0.0)
+        assert got == want, start
+
+
+def bend_and_jog_polygon():
+    """A 12-gon of unit edges and 30-degree turns with two features.  A
+    fifth of the way round, its third edge holds a jog: two opposite
+    45-degree turns 0.006 apart (about two cells of a 4096-node grid),
+    whose chords have detour defect about 0.07 up to chord scales near
+    0.15.  Its ninth edge, about 0.7 of the way round, is cut to 0.06, so
+    that its two corners act as one 60-degree corner (defect 0.155) at
+    chord scales well above 0.06 and as two of defect 0.035 below it.
+    Base edges 3 and 6 take the lengths that close the polygon."""
+    lens = np.ones(14)
+    lens[2:5] = 0.45, 0.006, 0.55 - 0.006 * math.cos(math.pi / 4)
+    lens[10] = 0.06
+    turns = np.full(14, 30.0)
+    turns[2:4] = 45.0, -45.0
+    dirs = np.exp(1j * np.radians(np.concatenate([[0.0], np.cumsum(turns[:-1])])))
+    fit = [5, 8]
+    rest = np.ones(14, dtype=bool)
+    rest[fit] = False
+    gap = -(lens[rest] * dirs[rest]).sum()
+    lens[fit] = np.linalg.solve([dirs[fit].real, dirs[fit].imag], [gap.real, gap.imag])
+    return curves.polygon(np.cumsum(np.concatenate([[0.0], lens[:-1] * dirs[:-1]])))
+
+
+def test_eps0_gate_wraps_to_blocks_before_the_start(monkeypatch):
+    # Each gate level starts at the block of the previous level's rejecting
+    # chord.  The bend rejects the levels with chord scales 0.31 and 0.15
+    # (the jog also rejects the second, but the scan meets the bend first),
+    # and at scale 0.077 only the jog, 2000 nodes before the bend, rejects:
+    # with a table of 2^13 doubles that level runs in blocks of under 300
+    # nodes, so only a scan that wraps round from the bend's block finds it.
+    monkeypatch.setattr(geometry, "_TABLE_SIZE", 2 ** 13)
+    scan = geometry._detour_defects
+    levels = []
+
+    def traced(sc, d, stride, floor=0.0, start=0, hit=None):
+        levels.append((start, hit))
+        return scan(sc, d, stride, floor, start, hit)
+
+    monkeypatch.setattr(geometry, "_detour_defects", traced)
+    sc = curves.arclength_sample(bend_and_jog_polygon(), 4096)
+    bil = geometry.bilipschitz_constant(sc)
+    gate = geometry.eps0_gate(sc, bil)
+    assert any(hit and start - hit[0] > sc.n // 4 for start, hit in levels)
+    assert gate == oracles.loop_eps0_gate(sc, bil)
 
 
 # -- second differences and turning angles -----------------------------------
