@@ -7,14 +7,11 @@ quotient."""
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from ._peers import in_task_order
 from .errors import (
     BranchAmbiguityError,
     DegenerateGeometryError,
@@ -37,39 +34,33 @@ __all__ = [
 ]
 
 
+# Chords below this floor mark coincident points (see _apart).
+_COINCIDENT = 1e-12
+
+
 def _apart(off, d):
-    """d, once no chord in it is below 1e-12; off is the parameter offset of
-    its chords, one for all or one per chord.  Else DegenerateGeometryError
-    names the smallest offset with coincident points."""
-    bad = d < 1e-12
+    """d, once no chord in it is below _COINCIDENT; off is the parameter
+    offset of its chords, one for all or one per chord.  Else
+    DegenerateGeometryError names the smallest offset with coincident
+    points.
+
+    The floor is absolute, not relative to the period or the spacing,
+    because what it tells apart is rounding: two nodes that are one point
+    (a curve through a point twice, a repeated sample) differ by a few ulps
+    of their coordinates.  On curves of size about 1 a chord below 1e-12
+    is within a few thousand ulps of a unit coordinate, while grid edges,
+    about period / n, are many orders longer.  A curve shrunk until its
+    grid edges near 1e-12 is reported degenerate (the tests pin this at
+    2^-36 times the unit circle).  The skip rule of the closed chord scan
+    reads the same floor (_skip_below), so that it skips no offset holding
+    a chord below it.
+    """
+    bad = d < _COINCIDENT
     if np.any(bad):
         off = np.broadcast_to(off, d.shape)[bad].min()
         raise DegenerateGeometryError(
             f"coincident points at parameter offset {off}")
     return d
-
-
-# Chords in one block of offsets of the closed chord scan (1 MB of
-# complex differences).
-_CHORD_BLOCK = 2 ** 16
-
-
-def _offset_chords(pts):
-    """Yield the blocks of the parameter offsets 1..n//2 of a closed grid of
-    n nodes, in order of offset, as calls that each return (off, d): the
-    block's offsets as a column and d[k, i] = |z[i + off[k]] - z[i]| with
-    indices taken mod n, read from one wrapped copy."""
-    n = len(pts)
-    ext = np.concatenate([pts, pts[:n // 2]])
-    rows = np.lib.stride_tricks.sliding_window_view(ext, n)
-    step = max(1, _CHORD_BLOCK // n)
-    for lo in range(1, n // 2 + 1, step):
-        yield partial(_block_chords, rows, ext[:n], lo, min(lo + step, n // 2 + 1))
-
-
-def _block_chords(rows, base, lo: int, hi: int):
-    off = np.arange(lo, hi)[:, None]
-    return off, _apart(off, np.abs(rows[lo:hi] - base))
 
 
 def _window_chords(pts):
@@ -80,40 +71,96 @@ def _window_chords(pts):
     return off, _apart(off, np.abs(pts[j] - pts[i]))
 
 
+def _chord_row(ext, n: int, off: int):
+    """|z[i + off] - z[i]| over the nodes i of a closed grid of n nodes;
+    ext is the grid followed by at least its first off nodes."""
+    return np.abs(ext[off:off + n] - ext[:n])
+
+
+def _skip_below(off: int, h: float, m0: float, step: float, bil: float,
+                arcs: tuple | None = None) -> int:
+    """How many offsets off-1 .. off-s below a computed row of the closed
+    chord scan may go unscanned: none of their chords is below _COINCIDENT
+    or has a parameter-distance ratio above bil, nor, with
+    arcs = (A, emin, total, cac), an arc ratio above cac.
+
+    m0 is the row's shortest chord, step and emin the longest and shortest
+    grid edge, h the spacing; A is the row's longest arc and total the
+    curve's length.  Offset off-t passes when
+    lo = m0 - t step - 1e-12 (m0 + t step) >= _COINCIDENT,
+    (off - t) h <= bil lo and A - t emin + 1e-12 (A + t total) <= cac lo.
+    By the triangle inequality each chord t offsets nearer is at least
+    m0 - t step, and its arc is at most A less the t edges it lacks, as the
+    arcs are differences of a cumsum that rises by each edge.  Each
+    condition is linear in t, so once it holds at t = 1 and t = s it holds
+    at every t between; s is the largest that a bisection finds.
+
+    Rounding: the computed chords, m0 and step are within a few ulps u of
+    their exact values relative to themselves, each step of the cumsum
+    within a few u of total of its edge, and each ratio and each test above
+    within a few u of itself.  m0 can exceed lo many times (by about
+    n bil / 2), so the slack is relative to m0, t step, A and t total, not
+    to lo; 1e-12 covers those few u by a wide margin.  So every computed
+    chord of a skipped offset exceeds lo and the floor, and its computed
+    ratios are at most bil and cac.
+    """
+    def passes(t: int) -> bool:
+        lo = m0 - t * step - 1e-12 * (m0 + t * step)
+        if lo < _COINCIDENT or (off - t) * h > bil * lo:
+            return False
+        if arcs is None:
+            return True
+        A, emin, total, cac = arcs
+        return A - t * emin + 1e-12 * (A + t * total) <= cac * lo
+
+    if off < 2 or not passes(1):
+        return 0
+    s, top = 1, off
+    while top - s > 1:
+        mid = (s + top) // 2
+        s, top = (mid, top) if passes(mid) else (s, mid)
+    return s
+
+
 def _chord_constants(sc, with_arc: bool):
     """(chord-arc constant, L) of a closed sampling from one chord scan.
 
     L is the largest parameter-distance over chord ratio.  The chord-arc
     constant, computed only with_arc, is the largest shorter-arc over chord
     ratio, with arcs summed along the offset-1 chords (the grid's edges);
-    without it the first entry is 1.0.  The blocks of offsets run on two
-    peer workers; a maximum is exact in any order, and a degenerate block
-    raises in offset order, so the error names the smallest bad offset.
+    without it the first entry is 1.0.  Both are maxima over the rows of
+    chords at the offsets 1..n//2, and a search down from n//2 computes
+    only the rows that may raise them: below each computed row it passes
+    over the offsets that _skip_below rules out, given the running maxima.
+    So the constants are those of a scan of every row, bit for bit.  When
+    a computed row holds coincident points, the rows up to it are scanned
+    upward, so the error names the smallest offset that holds them.
     """
     if with_arc and sc.n < 64:
         raise DomainError("need at least 64 nodes for the pair scan")
     n, h = sc.n, sc.spacing
-    pts = sc.points
+    ext = np.concatenate([sc.points, sc.points[:n // 2]])
+    edges = _chord_row(ext, n, 1)
+    step, emin = float(edges.max()), float(edges.min())
     if with_arc:
-        edges = _apart(1, np.abs(np.roll(pts, -1) - pts))
-        cum = np.concatenate(([0.0], np.cumsum(edges)))
+        cum = np.concatenate(([0.0], np.cumsum(_apart(1, edges))))
         total = float(cum[-1])
-        arcs = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([cum[:-1], cum[:-1] + total]), n)
-
-    def scan(chords, _scratch):
-        off, d = chords()
-        bil = float(np.max(off * h / d))
-        if not with_arc:
-            return 1.0, bil
-        arc = arcs[off[0, 0]:off[-1, 0] + 1] - cum[:n]
-        return float(np.max(np.minimum(arc, total - arc) / d)), bil
-
+        cum2 = np.concatenate([cum[:-1], cum[:-1] + total])
     cac = bil = 1.0
-    tasks = [partial(scan, chords) for chords in _offset_chords(pts)]
-    with closing(in_task_order(tasks)) as results:
-        for block_cac, block_bil in results:
-            cac, bil = max(cac, block_cac), max(bil, block_bil)
+    off = n // 2
+    while off >= 1:
+        d = _chord_row(ext, n, off)
+        m0 = float(d.min())
+        if m0 < _COINCIDENT:
+            for o in range(1, off + 1):
+                _apart(o, _chord_row(ext, n, o))
+        bil = max(bil, float(np.max(off * h / d)))
+        arcs = None
+        if with_arc:
+            arc = cum2[off:off + n] - cum[:n]
+            cac = max(cac, float(np.max(np.minimum(arc, total - arc) / d)))
+            arcs = float(arc.max()), emin, total, cac
+        off -= 1 + _skip_below(off, h, m0, step, bil, arcs)
     return cac, bil
 
 

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from cauchylab import curves, curvespec, geometry, harness
+from cauchylab import _peers, curves, curvespec, geometry, harness
 from cauchylab.errors import (
     BranchAmbiguityError,
     DegenerateGeometryError,
@@ -119,15 +120,31 @@ def loop_local_bilipschitz(p, x0, eps, m):
     return worst
 
 
-@pytest.mark.parametrize("build", [
-    lambda: curves.circle(1.0),
-    lambda: curves.ellipse(2.0, 1.0),
-    lambda: curves.polygon([0, 1, 1 + 1j, 1j]),
-    lambda: spiral6(),
-], ids=["circle", "ellipse", "square", "spiral"])
-def test_chord_scans_bit_identical_to_loops(build):
+def regular_hexagon():
+    return curves.polygon(np.exp(2j * math.pi * np.arange(6) / 6))
+
+
+@pytest.mark.parametrize("build, n", [
+    (lambda: curves.circle(1.0), 2048),
+    (lambda: curves.ellipse(2.0, 1.0), 2048),
+    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048),
+    (lambda: spiral6(), 2048),
+    # an odd grid, the smallest grid the arc scan takes, and a larger one
+    (lambda: curves.ellipse(2.0, 1.0), 1001),
+    (lambda: curves.ellipse(2.0, 1.0), 64),
+    (lambda: spiral6(), 4096),
+    # the hairpin's pinch puts its L at offset 672 and makes the search
+    # compute 436 of its 1024 rows; corner polygons, on which chords along
+    # a side are exactly the triangle inequality's bound
+    (lambda: hairpin_polygon(), 2048),
+    (lambda: tight_corner_polygon(0.05), 2048),
+    (lambda: bend_and_jog_polygon(), 2048),
+    (regular_hexagon, 2048),
+], ids=["circle", "ellipse", "square", "spiral", "ellipse-1001", "ellipse-64",
+        "spiral-4096", "hairpin", "tight-corner", "bend-and-jog", "hexagon"])
+def test_chord_scans_bit_identical_to_loops(build, n):
     p = build()
-    sc = curves.arclength_sample(p, 2048)
+    sc = curves.arclength_sample(p, n)
     assert geometry.chord_arc_constant(sc) == loop_chord_arc_constant(sc)
     assert geometry.bilipschitz_constant(sc) == loop_bilipschitz_constant(sc)
     x0 = p.meta.get("focus_param", 0.0)
@@ -140,19 +157,50 @@ def test_chord_scans_bit_identical_to_loops(build):
 def test_diagnostics_makes_one_chord_pass(monkeypatch):
     p = curves.ellipse(2.0, 1.0)
     sc = curves.arclength_sample(p, 256)
-    closed_passes = []
-    scan = geometry._offset_chords
+    closed_scans = []
+    scan = geometry._chord_constants
 
-    def counted(pts):
-        closed_passes.append(len(pts))
-        return scan(pts)
+    def counted(sc_, with_arc):
+        closed_scans.append((sc_.n, with_arc))
+        return scan(sc_, with_arc)
 
-    monkeypatch.setattr(geometry, "_offset_chords", counted)
+    monkeypatch.setattr(geometry, "_chord_constants", counted)
     rep = geometry.diagnostics(p, sc, k_min=3, k_max=5, x_grid_n=256)
-    assert closed_passes == [sc.n]
+    assert closed_scans == [(sc.n, True)]
     monkeypatch.undo()
     assert rep.chord_arc_const == geometry.chord_arc_constant(sc)
     assert rep.bilip == geometry.bilipschitz_constant(sc)
+
+
+def probed_offsets(monkeypatch):
+    """The offsets of the chord rows the closed scan computes, in order,
+    once the returned list is filled by a scan."""
+    rows = []
+    chord_row = geometry._chord_row
+
+    def counted(ext, n, off):
+        rows.append(off)
+        return chord_row(ext, n, off)
+
+    monkeypatch.setattr(geometry, "_chord_row", counted)
+    return rows
+
+
+@pytest.mark.parametrize("build, most", [
+    (lambda: spiral6(), 64),
+    (lambda: curves.circle(1.0), 32),
+], ids=["spiral", "circle"])
+def test_chord_scan_probes_few_offsets(monkeypatch, build, most):
+    # of the 2048 offsets at n = 4096 the search computes the edges (offset
+    # 1) once up front, then each row at most once, from n // 2 down; the
+    # spiral needs 37 rows and the circle 11
+    sc = curves.arclength_sample(build(), 4096)
+    rows = probed_offsets(monkeypatch)
+    geometry._chord_constants(sc, True)
+    assert rows[0] == 1 and rows[1] == sc.n // 2
+    probed = rows[1:]
+    assert probed == sorted(set(probed), reverse=True)
+    assert len(probed) <= most
 
 
 @pytest.mark.parametrize("build", [
@@ -206,38 +254,117 @@ def test_degenerate_pair_detection():
         geometry.bilipschitz_constant(bad)
 
 
-@pytest.mark.parametrize("schedule", ["default", "caller", "helper"])
-def test_chord_scan_names_the_smallest_offset_across_blocks(monkeypatch, schedule):
-    # blocks of 4 offsets (1-4, 5-8, 9-12, ...): coincident points at
-    # offsets 8 and 9 lie on both sides of a block boundary, and the error
-    # names 8 whichever worker scans which block first
-    monkeypatch.setattr(geometry, "_CHORD_BLOCK", 4 * 128)
-    oracles.patch_schedule(monkeypatch, schedule)
+def with_points(sc, pts):
+    return curves.SampledCurve(n=sc.n, period=sc.period, params=sc.params,
+                               points=pts, tangents=sc.tangents,
+                               weights=sc.weights)
+
+
+def test_chord_scan_names_the_smallest_of_two_coincident_offsets():
+    # coincident points at offsets 8 and 9: the error names 8
     sc = curves.arclength_sample(curves.circle(1.0), 128)
     pts = sc.points.copy()
     pts[28] = pts[20]
     pts[59] = pts[50]
-    bad = curves.SampledCurve(n=sc.n, period=sc.period, params=sc.params,
-                              points=pts, tangents=sc.tangents,
-                              weights=sc.weights)
+    bad = with_points(sc, pts)
     with pytest.raises(DegenerateGeometryError, match="offset 8$"):
         geometry.bilipschitz_constant(bad)
     with pytest.raises(DegenerateGeometryError, match="offset 8$"):
         geometry.chord_arc_constant(bad)
 
 
-@pytest.mark.parametrize("schedule", ["caller", "helper"])
-def test_chord_constants_independent_of_schedule(monkeypatch, schedule):
-    # a maximum is exact in any order: small blocks (many tasks) on either
-    # worker alone give the bits of the default schedule
-    monkeypatch.setattr(geometry, "_CHORD_BLOCK", 8 * 2048)
-    curves_ = (curves.polygon([0, 1, 1 + 1j, 1j]), spiral6())
-    samples = [curves.arclength_sample(p, 2048) for p in curves_]
-    want = [geometry._chord_constants(sc, True) for sc in samples]
-    oracles.patch_schedule(monkeypatch, schedule)
-    assert [geometry._chord_constants(sc, True) for sc in samples] == want
-    assert ([geometry.bilipschitz_constant(sc) for sc in samples]
-            == [w[1] for w in want])
+def test_chord_scan_finds_a_coincidence_the_clean_search_skips(monkeypatch):
+    # on the clean 1024-node circle the search computes 9 rows and skips
+    # offset 300; with nodes 40 and 340 made one point the error names 300
+    sc = curves.arclength_sample(curves.circle(1.0), 1024)
+    rows = probed_offsets(monkeypatch)
+    geometry._chord_constants(sc, True)
+    assert 300 not in rows
+    pts = sc.points.copy()
+    pts[340] = pts[40]
+    bad = with_points(sc, pts)
+    with pytest.raises(DegenerateGeometryError, match="offset 300$"):
+        geometry.bilipschitz_constant(bad)
+    with pytest.raises(DegenerateGeometryError, match="offset 300$"):
+        geometry.chord_arc_constant(bad)
+
+
+@pytest.mark.parametrize("n, node, frac", [(1024, 500, 0.01), (1001, 300, 0.02)])
+def test_chord_scan_reaches_a_largest_ratio_at_offset_one(n, node, frac):
+    # one node of the circle pulled to a small fraction of its edge from the
+    # next: L = 1 / frac sits at offset 1, at the bottom of the search
+    sc = curves.arclength_sample(curves.circle(1.0), n)
+    pts = sc.points.copy()
+    pts[node] = pts[node + 1] + frac * (pts[node] - pts[node + 1])
+    near = with_points(sc, pts)
+    assert geometry.bilipschitz_constant(near) == loop_bilipschitz_constant(near)
+    assert geometry.chord_arc_constant(near) == loop_chord_arc_constant(near)
+
+
+def test_chord_scan_stops_skipping_at_the_coincidence_floor(monkeypatch):
+    # The 1024-node circle's search computes the row at offset 20 and then
+    # skips 19..1.  Shrunk by 2^-36, which keeps every bit of the search's
+    # ratios, its chords up to offset 11 are below 1e-12, so its edges
+    # count as coincident points: the skip must stop above the floor and
+    # find them.  The arc scan checks the edges first.
+    sc = curves.arclength_sample(curves.circle(1.0), 1024)
+    rows = probed_offsets(monkeypatch)
+    geometry._chord_constants(sc, False)
+    assert rows[-1] == 20
+    scale = 2.0 ** -36
+    tiny = dataclasses.replace(sc, period=scale * sc.period,
+                               points=scale * sc.points)
+    assert np.abs(np.roll(tiny.points, -11) - tiny.points).max() < 1e-12
+    assert np.abs(np.roll(tiny.points, -12) - tiny.points).min() > 1e-12
+    with pytest.raises(DegenerateGeometryError, match="offset 1$"):
+        geometry.bilipschitz_constant(tiny)
+    with pytest.raises(DegenerateGeometryError, match="offset 1$"):
+        geometry.chord_arc_constant(tiny)
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-7, 1e-10])
+@pytest.mark.parametrize("with_arc", [False, True], ids=["bil", "arc"])
+def test_skip_rule_slack_covers_rounding(gap, with_arc):
+    # A row at offset 2049 whose shortest chord is 1, with edges of at most
+    # (1 - gap) / 2048: at t = 2048 the triangle bound leaves a chord of
+    # gap, 1 / gap times less than m0.  bil (or cac) is set 2e-12 above
+    # what an exact rule would need to skip down to offset 1, so only the
+    # slack decides there.  Each skip the rule makes must still hold with
+    # m0, step, A and emin moved by 8 ulps against it (and at every t
+    # between 1 and s, the conditions being linear in t)
+    off, h, m0 = 2049, 2.0 * gap, 1.0
+    step = (1.0 - gap) / 2048
+    tight = Fraction(m0) - 2048 * Fraction(step)
+    bil = float(Fraction(h) / tight) * (1.0 + 2e-12)
+    arcs = None
+    if with_arc:
+        A, emin, total = 2.0, step, 4.0
+        cac = float((A - 2048 * Fraction(emin)) / tight) * (1.0 + 2e-12)
+        arcs = A, emin, total, cac
+        bil *= 2.0
+    s = geometry._skip_below(off, h, m0, step, bil, arcs)
+    assert 1024 <= s < 2048
+    e = Fraction(8, 2 ** 53)
+    for t in (1, s):
+        low = Fraction(m0) * (1 - e) - t * Fraction(step) * (1 + e)
+        assert low >= Fraction(geometry._COINCIDENT)
+        assert (off - t) * Fraction(h) * (1 + e) <= Fraction(bil) * low
+        if with_arc:
+            arc = A * (1 + e) - t * (Fraction(emin) - e * total)
+            assert arc <= Fraction(cac) * low
+
+
+def test_chord_scan_starts_no_peer_worker(monkeypatch):
+    # the chord scan runs on the calling thread alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("peer workers started")
+
+    monkeypatch.setattr(_peers, "in_task_order", refuse)
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
+    sc = curves.arclength_sample(p, 512)
+    assert geometry.bilipschitz_constant(sc) == loop_bilipschitz_constant(sc)
+    rep = geometry.diagnostics(p, sc, k_min=3, k_max=5, x_grid_n=256)
+    assert rep.chord_arc_const == loop_chord_arc_constant(sc)
 
 
 def test_window_scan_names_the_smallest_coincident_offset():
