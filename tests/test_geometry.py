@@ -260,8 +260,12 @@ def with_points(sc, pts):
                                weights=sc.weights)
 
 
-def test_chord_scan_names_the_smallest_of_two_coincident_offsets():
-    # coincident points at offsets 8 and 9: the error names 8
+@pytest.mark.parametrize("schedule", ["default", "caller", "helper"])
+def test_chord_scan_names_the_smallest_offset_across_blocks(monkeypatch, schedule):
+    # coincident points at offsets 8 and 9, on both sides of a boundary
+    # between blocks of 4 offsets: the error names 8 whatever the peer
+    # schedule
+    oracles.patch_schedule(monkeypatch, schedule)
     sc = curves.arclength_sample(curves.circle(1.0), 128)
     pts = sc.points.copy()
     pts[28] = pts[20]
@@ -352,6 +356,19 @@ def test_skip_rule_slack_covers_rounding(gap, with_arc):
         if with_arc:
             arc = A * (1 + e) - t * (Fraction(emin) - e * total)
             assert arc <= Fraction(cac) * low
+
+
+@pytest.mark.parametrize("schedule", ["caller", "helper"])
+def test_chord_constants_independent_of_schedule(monkeypatch, schedule):
+    # a maximum is exact in any order: either worker alone gives the bits
+    # of the default schedule
+    curves_ = (curves.polygon([0, 1, 1 + 1j, 1j]), spiral6())
+    samples = [curves.arclength_sample(p, 2048) for p in curves_]
+    want = [geometry._chord_constants(sc, True) for sc in samples]
+    oracles.patch_schedule(monkeypatch, schedule)
+    assert [geometry._chord_constants(sc, True) for sc in samples] == want
+    assert ([geometry.bilipschitz_constant(sc) for sc in samples]
+            == [w[1] for w in want])
 
 
 def test_chord_scan_starts_no_peer_worker(monkeypatch):
