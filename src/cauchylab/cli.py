@@ -62,7 +62,7 @@ class _RunState:
 
 def _measure_constants(state: _RunState) -> None:
     p, sc = state.curve, state.sample
-    state.bilip = harness.measure_bilip(sc)
+    state.bilip = geometry.bilipschitz_constant(sc)
     gate_sc = sc
     if "finest_scale" in p.meta and sc.n < _GATE_GRID:
         gate_sc = arclength_sample(p, _GATE_GRID)

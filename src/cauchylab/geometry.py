@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -78,16 +78,19 @@ def _chord_row(ext, n: int, off: int):
 
 
 def _skip_below(off: int, h: float, m0: float, step: float, bil: float,
-                arcs: tuple | None = None) -> int:
-    """How many offsets off-1 .. off-s below a computed row of the closed
-    chord scan may go unscanned: none of their chords is below _COINCIDENT
-    or has a parameter-distance ratio above bil, nor, with
-    arcs = (A, emin, total, cac), an arc ratio above cac.
+                arcs: tuple | None = None, floor: float = _COINCIDENT) -> int:
+    """How many offsets off-1 .. off-s below a computed row of a closed
+    chord scan may go unscanned: none of their chords is below floor or
+    has a parameter-distance ratio above bil, nor, with
+    arcs = (A, emin, total, cac), an arc ratio above cac.  The chord-arc
+    scan takes the coincidence floor _COINCIDENT; the table height of the
+    detour scan (_table_height) takes its chord scale d, and h = 0, which
+    makes every parameter-distance ratio 0.
 
     m0 is the row's shortest chord, step and emin the longest and shortest
     grid edge, h the spacing; A is the row's longest arc and total the
     curve's length.  Offset off-t passes when
-    lo = m0 - t step - 1e-12 (m0 + t step) >= _COINCIDENT,
+    lo = m0 - t step - 1e-12 (m0 + t step) >= floor,
     (off - t) h <= bil lo and A - t emin + 1e-12 (A + t total) <= cac lo.
     By the triangle inequality each chord t offsets nearer is at least
     m0 - t step, and its arc is at most A less the t edges it lacks, as the
@@ -106,7 +109,7 @@ def _skip_below(off: int, h: float, m0: float, step: float, bil: float,
     """
     def passes(t: int) -> bool:
         lo = m0 - t * step - 1e-12 * (m0 + t * step)
-        if lo < _COINCIDENT or (off - t) * h > bil * lo:
+        if lo < floor or (off - t) * h > bil * lo:
             return False
         if arcs is None:
             return True
@@ -191,15 +194,11 @@ def _table_height(ext, n2: int, max_off: int, d: float) -> int:
     of n2 nodes is <= d, or 0 when there is none; ext is that grid followed
     by at least its first max_off nodes.
 
-    The search runs down from max_off.  An offset whose shortest chord m0
-    exceeds d rules out the offsets just below it too: by the triangle
-    inequality a chord s offsets nearer is at least m0 - s * step, where
-    step is the longest chord between consecutive nodes.  So the search
-    jumps over floor((m0 - d - slack) / step) offsets, and over none when
-    m0 - d is within the slack.  Each computed chord is within a few ulps
-    of its exact value relative to itself (a rounded difference and a
-    rounded abs), so slack = 1e-12 m0 covers rounding by a wide margin, and
-    the height equals that of a search that tests every offset.
+    The search runs down from max_off.  Below an offset whose shortest
+    chord exceeds d it passes over the offsets that _skip_below rules out
+    with d as its floor: the triangle-inequality rule of the chord-arc
+    scan, with its one rounding slack, so the height equals that of a
+    search that tests every offset.
     """
     view = ext[:n2]
     step = float(np.abs(ext[1:n2 + 1] - view).max())
@@ -208,7 +207,7 @@ def _table_height(ext, n2: int, max_off: int, d: float) -> int:
         m0 = float(np.abs(ext[off:off + n2] - view).min())
         if m0 <= d:
             return off
-        off -= 1 + max(0, int((m0 - d - 1e-12 * m0) // step))
+        off -= 1 + _skip_below(off, 0.0, m0, step, 1.0, floor=d)
     return 0
 
 
@@ -221,20 +220,18 @@ def _arc_survivors(sel, arc, chord, bar: float):
 
 
 def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0,
-                    start: int = 0, hit: list | None = None):
-    """Running worst detour defect at chord scale d, yielded after each
-    node block's midpoint seeds and after each (node block, offset) pair
-    whose chords <= d are not all skipped.  A chord is skipped when it
+                    start: int = 0):
+    """(worst, node) of the detour scan at chord scale d.  With floor > 0
+    the scan returns at the first chord that lifts the running worst to
+    floor or above, with the node of sc at that chord's start; otherwise
+    it returns the exact maximum and None.  A chord is skipped when it
     provably cannot raise the running worst above max(worst, floor), so
-    the yielded value is exact once it reaches floor, and the last one is
-    the exact maximum.
+    the maximum, and whether it reaches floor, are exact.
 
     Nodes run in blocks of B, from the block that holds node `start` of sc
     to the last and then from the first; the maximum, and whether it
-    reaches floor, do not depend on that order.  With a list `hit`, the
-    chord that first lifts the running worst to floor or above appends the
-    node of sc at its start, so that a scan at the next scale can start
-    where this one reached floor.  For one block
+    reaches floor, do not depend on that order, so a scan at the next scale
+    can start at the node where this one reached floor.  For one block
     the table F[j, t] = |z[t+j] - z[t]| (j <= K, the largest offset with a
     chord <= d, from _table_height) is built once, and its row-skewed view
     G[j, t] = F[j, t-j] puts both legs of every detour through z[i+k] on
@@ -271,7 +268,7 @@ def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0,
     ext = np.concatenate([view, view[:2 * max_off]])
     K = _table_height(ext, n2, max_off, d)
     if not K:
-        return
+        return 0.0, None
     B = min(n2, max(K, _TABLE_SIZE // (K + 1)))
     F = np.empty((K + 1, B + K))
     G = np.lib.stride_tricks.as_strided(
@@ -299,10 +296,10 @@ def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0,
             v = float(mid.max(where=sel, initial=0.0)) - 1.0
             if v > worst:
                 worst = v
-                if hit is not None and not hit and worst >= floor:
-                    hit.append((b0 + int(np.where(sel, mid, 0.0).argmax())) * stride)
+                if 0.0 < floor <= worst:
+                    i = int(np.where(sel, mid, 0.0).argmax())
+                    return worst, (b0 + i) * stride
             chords.append((off, sel))
-        yield worst
         arc[:nb] = F[1, :nb]
         m = 1  # arc[:nb] is the polygonal arc of offset m
         for off, sel in chords:
@@ -322,9 +319,9 @@ def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0,
             v = float(r.max()) - 1.0
             if v > worst:
                 worst = v
-                if hit is not None and not hit and worst >= floor:
-                    hit.append((b0 + int(cols[r.argmax()])) * stride)
-            yield worst
+                if 0.0 < floor <= worst:
+                    return worst, (b0 + int(cols[r.argmax()])) * stride
+    return worst, None
 
 
 def conformality_modulus(sc, d: float, stride: int | None = None) -> float:
@@ -335,11 +332,9 @@ def conformality_modulus(sc, d: float, stride: int | None = None) -> float:
     ties break toward the shorter-parameter arc).  The scan runs on a
     stride-subsampled grid tuned to the chord scale, and pairs of
     parameter separation beyond 16 d are skipped: on a curve of chord-arc
-    constant below 16 they cannot reach chords <= d.
-
-    A chord whose polygonal arc, widened by the slack _ARC_SLACK, stays
-    within (1 + running worst) times the chord is skipped: it cannot raise
-    the worst (the bound and its rounding are in _detour_defects).
+    constant below 16 they cannot reach chords <= d.  Chords whose
+    polygonal arc bounds their detours within the running worst are
+    skipped (the bound and its rounding are in _detour_defects).
 
     The value is bit-identical to a loop that forms every detour sum and
     divides it by its chord: each leg is the same complex subtraction and
@@ -349,11 +344,10 @@ def conformality_modulus(sc, d: float, stride: int | None = None) -> float:
     of B and the gather buffers of the surviving columns (under K B / 8
     doubles each), where K is the largest offset with a chord <= d and
     B = max(K, 2^19 / (K+1)): about 2^21 + 4 K^2 doubles at most, 16 MB
-    plus 32 K^2 bytes at any grid size.  K comes from a search down from
-    the largest scanned offset, one pass over the grid per offset it
-    probes (_table_height); the node blocks run from the first.
+    plus 32 K^2 bytes at any grid size.  K comes from _table_height; with
+    no floor the scan runs every node block, from the first.
     """
-    return max(_detour_defects(sc, d, stride), default=0.0)
+    return _detour_defects(sc, d, stride)[0]
 
 
 def second_difference(p, x, eps: float):
@@ -389,10 +383,14 @@ def _branch_logs(p, x, eps: float):
 
     A segment that misses the origin subtends an angle below pi, so the
     integral of dz/z along it is exactly Log(b/a).  Within 1e-12 of the
-    origin the branch is ambiguous and the value is nan.  With w = (b-a)/a,
-    Re = log1p(2 Re w + |w|^2) / 2 and Im = atan2(Im w, 1 + Re w) keep
-    their relative accuracy when b is close to a, where log(b / a) and
-    complex log1p lose it.
+    origin the branch is ambiguous and the value is nan.  That distance is
+    absolute for the reason _COINCIDENT is (see _apart): it tells apart
+    rounding, a few ulps of the coordinates a and b are differenced from.
+    It is a known scale defect all the same: on a curve shrunk until its
+    half-chords near 1e-12, every branch reads ambiguous.  With
+    w = (b-a)/a, Re = log1p(2 Re w + |w|^2) / 2 and
+    Im = atan2(Im w, 1 + Re w) keep their relative accuracy when b is close
+    to a, where log(b / a) and complex log1p lose it.
     """
     if not 0.0 < eps < p.period:
         raise DomainError("offset must lie in (0, period)")
@@ -458,40 +456,34 @@ def eps0_gate(sc, bilip: float):
 
     Operational stand-in for the proof-level smallness threshold: the
     largest eps = period * 2^-k, k >= 2, whose defect at chord scale
-    bilip*eps stays below 0.05.  A level is rejected at the first running
-    defect that reaches 0.05, which the full scan would only raise.  Returns
+    d = bilip*eps stays below 0.05, with d at least 8 grid cells.  Returns
     None when no dyadic level passes, e.g. for corner curves.
 
-    Each level runs the detour scan of conformality_modulus with the bar
-    max(running worst, 0.05): a chord whose polygonal arc, widened by the
-    slack _ARC_SLACK, stays within (1 + bar) times the chord cannot reach
-    0.05 (see _detour_defects), so it is skipped and the gate returns the
-    eps of a full scan.  Each level after the first starts its node blocks
-    at the one that holds the chord that rejected the level before, and
+    Each level runs the detour scan of conformality_modulus with floor
+    0.05 (_detour_defects), which skips every chord that cannot reach 0.05
+    and returns at the first chord that does, rejecting the level; a full
+    scan would only raise that defect.  Each level after the first starts
+    its node blocks at the node where the level before was rejected, and
     wraps round: the defect lifts with the scale where the curve is least
     conformal, so a rejected level tends to reject again there, in its
     first block; a level passes only once every block is scanned, in any
-    order.  Memory is that of conformality_modulus: one distance table,
-    one arc row and the gather buffers of the surviving columns.
+    order.  Memory is that of conformality_modulus.
     """
-    period = sc.period
-    # keep at least 8 grid cells under the probed chord scale
-    k_max = max(2, int(math.floor(math.log2(sc.n * bilip / 8.0))))
     pts_sub = sc.points[:: max(1, sc.n // 256)]
     diam = float(np.abs(pts_sub[:, None] - pts_sub[None, :]).max())
     start = 0
-    for k in range(2, k_max + 1):
-        eps = period * 2.0 ** (-k)
+    for k in count(2):
+        eps = sc.period * 2.0 ** (-k)
         d = bilip * eps
         if d > 0.45 * diam:
             continue
+        # keep at least 8 grid cells under the probed chord scale
         if d < 8.0 * sc.spacing:
-            break
-        hit = []
-        if all(v < 0.05 for v in _detour_defects(sc, d, None, 0.05, start, hit)):
+            return None
+        _, node = _detour_defects(sc, d, None, 0.05, start)
+        if node is None:
             return eps
-        start = hit[0]
-    return None
+        start = node
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ __all__ = [
     "CriterionTable",
     "SandwichReport",
     "CotlarReport",
-    "measure_bilip",
     "required_dilation",
     "window_fits",
     "adversarial_indicator",
@@ -52,12 +51,6 @@ __all__ = [
 
 JUMP_GUARD_CELLS = 4.0
 UNDERFLOW_FLOOR = 1e-14
-
-
-def measure_bilip(sc: SampledCurve) -> float:
-    """Bilipschitz constant L measured on min(n, 2048) nodes of the curve."""
-    scl = sc if sc.n <= 2048 else arclength_sample(sc.source, 2048)
-    return geometry.bilipschitz_constant(scl)
 
 
 def required_dilation(bilip: float) -> float:
@@ -100,7 +93,11 @@ def adversarial_indicator(sc: SampledCurve, eps: float, n_exp: int,
 
     For eps < 1 the arc is (eps^n, eps) from the anchor; for eps >= 1 it is
     (eps^-n, eps), with n = n_exp.  Larger exponents deepen the arc toward
-    the grid floor; deepest_exponent gives the deepest that fits.
+    the grid floor; deepest_exponent gives the deepest that fits.  The
+    guard |log eps| < 1e-9 is absolute because eps = 1 makes eps^n = eps
+    for every n, whatever the rounding.  An arc built from powers of an
+    absolute length is a known scale defect: dilation can move a witness
+    scale onto 1 (a known-defect test in tests/test_symmetry.py pins it).
     """
     if abs(math.log(eps)) < 1e-9:
         raise DomainError("arc scale eps = 1 makes the witness exponent degenerate")
@@ -146,7 +143,8 @@ def make_test_functions(sc: SampledCurve, tags, seed: int = 0,
     Adversarial tags contribute the transformed witnesses f = T(indicator):
     the necessity argument constrains the inequality through functions
     whose transform is the indicator, and the transform inverts itself on
-    closed curves.
+    closed curves.  A witness scale with |log eps| < 1e-9 is the degenerate
+    eps = 1 of adversarial_indicator, skipped (the guard is discussed there).
     """
     rng = np.random.default_rng(seed)
     period = sc.period
@@ -371,7 +369,12 @@ class SandwichReport:
 
 def sandwich_check(p, x_grid, eps_list, bilip: float) -> SandwichReport:
     """Worst of |F| eps / (sqrt2 L |D2|) and |D2| / (sqrt2 L eps |F|) over
-    the grids; points with vanishing second difference pass trivially."""
+    the grids; points with second difference below 1e-14 pass trivially.
+    That absolute floor is a known scale defect: it stands for the rounding
+    of a straight stretch, a few ulps of coordinates of size about 1, so on
+    a far smaller curve real second differences pass trivially, and on a
+    far larger one rounding does not.
+    """
     worst = 0.0
     trivial = 0
     rows = []
@@ -428,9 +431,12 @@ def cotlar_ratio_scan(p, resolutions, tags, seed: int = 0) -> CotlarReport:
     """Sup of T_* f / M^2(Tf) per test function and resolution.
 
     Ratio nodes exclude jump neighborhoods (4 grid cells) and flag
-    underflowing denominators.  The verdict classifies the per-resolution
-    family sups: bounded variation reads stable, a monotone >= 10% climb
-    reads growing.
+    underflowing denominators.  The guard's slack 1e-12 keeps a node 4
+    cells out despite the rounding of parameter differences, a few ulps of
+    the period; being absolute, it is a known scale defect for periods
+    above about 1e3 or cells near 1e-12.  The verdict classifies the
+    per-resolution family sups: bounded variation reads stable, a monotone
+    >= 10% climb reads growing.
     """
     if len(resolutions) < 2:
         raise DomainError("trend analysis needs at least two resolutions")

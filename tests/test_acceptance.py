@@ -216,7 +216,7 @@ def test_acceptance_06_far_field(circle4096):
     eps = circle4096.period * 2.0 ** (-6)
     rep, = harness.proof_check(circle4096,
                                np.ones(circle4096.n, dtype=complex), 0, [eps],
-                               harness.measure_bilip(circle4096))
+                               geometry.bilipschitz_constant(circle4096))
     assert rep.worst_ratio <= rep.decay_bound + 0.5
     return f"worst {rep.worst_ratio:.3f} vs bound {rep.decay_bound + 0.5:.3f}"
 

@@ -340,6 +340,24 @@ def test_proof_sandwich_series_scans(tmp_path):
     assert len(series) == 4  # depth 3
 
 
+@pytest.mark.parametrize("text", [
+    SMALL_SPIRAL.replace("n = 512", "n = 3000"),
+    "[curve]\nkind = graph-closure\n",  # n = 4096
+], ids=["spiral-3000", "graph-closure"])
+def test_summary_and_diagnostics_report_one_bilipschitz_constant(tmp_path, text):
+    # both read L from the working grid of n > 2048 nodes
+    spec = _write_spec(tmp_path, text)
+    out = tmp_path / "o"
+    assert run(CommandInvocation("diag", str(spec), str(out))) == 0
+    summary = (out / "summary.txt").read_text().split("\n")
+    diag = (out / "diagnostics.csv").read_text().split("\n")
+    got, = [line.split(": ")[1] for line in summary
+            if line.startswith("bilipschitz constant: ")]
+    want, = [row.split(",")[2] for row in diag
+             if row.startswith("bilipschitz,")]
+    assert got == want
+
+
 def test_proof_makes_one_evaluator_pass(tmp_path, monkeypatch):
     # f and the truncated kernels of the three kept levels share one pass
     passes = _count_passes(monkeypatch)
@@ -354,7 +372,7 @@ def test_proof_scan_keeps_the_levels_proof_check_accepts(tmp_path):
     # it; at n = 512 it is exactly 4h and both keep it
     import pytest
 
-    from cauchylab import curves, curvespec, harness
+    from cauchylab import curves, curvespec, geometry, harness
 
     for n, kept in ((510, ["T*2^-5", "T*2^-6"]),
                     (512, ["T*2^-5", "T*2^-6", "T*2^-7"])):
@@ -367,7 +385,7 @@ def test_proof_scan_keeps_the_levels_proof_check_accepts(tmp_path):
         assert [row.split(",")[2] for row in rows] == kept
         p = curvespec.build_from_document(curvespec.parse_spec(text))
         sc = curves.arclength_sample(p, n)
-        bilip = harness.measure_bilip(sc)
+        bilip = geometry.bilipschitz_constant(sc)
         f = np.ones(sc.n, dtype=complex)
         for k in (5, 6, 7):
             eps = sc.period * 2.0 ** (-k)

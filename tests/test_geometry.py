@@ -559,8 +559,9 @@ def test_detour_scan_max_independent_of_start_block(monkeypatch, build, n, d, st
     sc = dataclasses.replace(sc, points=np.roll(sc.points, roll))
     want = oracles.loop_conformality_modulus(sc, d, stride=stride)
     for start in (0, sc.n // 2, sc.n - 1):  # first, middle and last block
-        got = max(geometry._detour_defects(sc, d, stride, start=start), default=0.0)
+        got, node = geometry._detour_defects(sc, d, stride, start=start)
         assert got == want, start
+        assert node is None, start
 
 
 def bend_and_jog_polygon():
@@ -597,15 +598,17 @@ def test_eps0_gate_wraps_to_blocks_before_the_start(monkeypatch):
     scan = geometry._detour_defects
     levels = []
 
-    def traced(sc, d, stride, floor=0.0, start=0, hit=None):
-        levels.append((start, hit))
-        return scan(sc, d, stride, floor, start, hit)
+    def traced(sc, d, stride, floor=0.0, start=0):
+        worst, node = scan(sc, d, stride, floor, start)
+        levels.append((start, node))
+        return worst, node
 
     monkeypatch.setattr(geometry, "_detour_defects", traced)
     sc = curves.arclength_sample(bend_and_jog_polygon(), 4096)
     bil = geometry.bilipschitz_constant(sc)
     gate = geometry.eps0_gate(sc, bil)
-    assert any(hit and start - hit[0] > sc.n // 4 for start, hit in levels)
+    assert any(node is not None and start - node > sc.n // 4
+               for start, node in levels)
     assert gate == oracles.loop_eps0_gate(sc, bil)
 
 

@@ -156,7 +156,7 @@ def test_decomposition_residual_refines():
         sc = curves.arclength_sample(curves.circle(1.0), n)
         f = np.exp(2j * np.pi * 3 * sc.params / sc.period)
         rep, = harness.proof_check(sc, f, 0, [sc.period / 32],
-                                   harness.measure_bilip(sc))
+                                   geometry.bilipschitz_constant(sc))
         vals.append(rep.residual)
     assert vals[1] < vals[0] / 1.5 or vals[1] < 1e-12
 

@@ -5,8 +5,9 @@ every sample point, parameter, spacing, weight and truncation level is
 2^j times the undilated one, bit for bit, and the chord tangents, the
 Cauchy sums (kernel 1/dz times a measure, both scaled by 2^j) and the
 maximal averages (ratios of sums scaled by 2^j) keep their bits.  These
-tests pin that on the unit square and the unit circle for j = -2..2, for
-the evaluator and for the proof, geometry and sandwich checks.
+tests pin that on the unit square, the unit circle and the 2:1 ellipse for
+j = -2..2, for the evaluator and for the proof, geometry and sandwich
+checks.
 """
 
 import dataclasses
@@ -23,7 +24,8 @@ def _square(side):
     return curves.polygon([0, side, side + side * 1j, side * 1j])
 
 
-CURVES = {"square": _square, "circle": curves.circle}
+CURVES = {"square": _square, "circle": curves.circle,
+          "ellipse": lambda s: curves.ellipse(2.0 * s, s)}
 
 
 def _inputs(sc):
@@ -70,7 +72,7 @@ def _checks(build, scale):
     the sandwich check and the eps0 gate on the curve of the given scale."""
     p = build(scale)
     sc = curves.arclength_sample(p, N)
-    bilip = harness.measure_bilip(sc)
+    bilip = geometry.bilipschitz_constant(sc)
     levels = harness.proof_levels(sc, (5, 6, 7), bilip)
     assert [k for k, _ in levels] == [5, 6, 7]
     proofs = [harness.proof_check(sc, f, 0, [eps for _, eps in levels], bilip)
@@ -111,7 +113,7 @@ def test_dilation_keeps_the_bits_of_the_proof_and_geometry_checks(
                                   for x, eps, up, lo in sandwich0.rows)
     assert sandwich.worst_violation == sandwich0.worst_violation
     assert sandwich.trivial_passes == sandwich0.trivial_passes
-    if name == "circle":
+    if name in ("circle", "ellipse"):
         assert eps0 == scale * eps0_0
     else:  # corners: no level passes the gate
         assert eps0 is None and eps0_0 is None
