@@ -32,8 +32,6 @@ EXIT_VALIDATION = 2
 EXIT_GATE = 3
 EXIT_VERDICT = 4
 
-_GATE_GRID = 2 ** 16  # resolution used to measure the smallness threshold
-
 
 @dataclass(frozen=True)
 class CommandInvocation:
@@ -57,22 +55,16 @@ class _RunState:
     criterion_verdict: str | None = None
     cotlar_verdict: str | None = None
     first_function: np.ndarray | None = None
+    levels: list | None = None
     notes: list = field(default_factory=list)
-
-
-def _measure_constants(state: _RunState) -> None:
-    p, sc = state.curve, state.sample
-    state.bilip = geometry.bilipschitz_constant(sc)
-    gate_sc = sc
-    if "finest_scale" in p.meta and sc.n < _GATE_GRID:
-        gate_sc = arclength_sample(p, _GATE_GRID)
-    state.eps0 = geometry.eps0_gate(gate_sc, state.bilip)
 
 
 def _gated_levels(state: _RunState) -> list:
     """Dyadic (k, eps) levels of the configured range, trimmed by the
     smallness threshold when the curve has one (corner curves scan the full
-    range)."""
+    range); found once per run, for the criterion and sandwich scans."""
+    if state.levels is not None:
+        return state.levels
     doc = state.doc
     period = state.curve.period
     levels = [(k, period * 2.0 ** (-k))
@@ -82,8 +74,9 @@ def _gated_levels(state: _RunState) -> list:
            if state.eps0 is None or eps <= state.eps0]
     if not out:
         out = levels
-        state.notes.append("no dyadic level passed the smallness gate; "
-                           "criterion scanned the full configured range")
+        state.notes.append("no dyadic level passed the smallness gate; criterion "
+                           "and sandwich scan the full configured range")
+    state.levels = out
     return out
 
 
@@ -110,8 +103,7 @@ def _first_function(state: _RunState) -> np.ndarray:
         sc = state.sample
         tags = state.doc.get("experiment", "functions")
         fam = harness.make_test_functions(
-            sc, tags[:1], seed=state.doc.get("experiment", "seed"),
-            anchors=harness.anchor_params(state.curve))
+            sc, tags[:1], seed=state.doc.get("experiment", "seed"))
         state.first_function = fam[0].values
     return state.first_function
 
@@ -272,7 +264,8 @@ def run(inv: CommandInvocation) -> int:
         out.mkdir(parents=True, exist_ok=True)
         state.curve = curvespec.build_from_document(doc)
         _run_build(state, out)
-        _measure_constants(state)
+        state.bilip = geometry.bilipschitz_constant(state.sample)
+        state.eps0 = geometry.eps0_gate(state.sample, state.bilip)
         if inv.subcommand == "build":
             todo = []
         elif inv.subcommand == "all":

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .curves import builtin_curve
 from .errors import ValidationError
+from .harness import tag_error
 
 __all__ = [
     "SpecDocument",
@@ -33,7 +34,6 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 CURVE_KINDS = ("circle", "ellipse", "graph-closure", "polygon", "spiral")
 SCAN_TAGS = ("cotlar", "criterion", "diag", "proof", "sandwich", "series",
              "transform")
-_FN_TAG_RE = re.compile(r"^(constant|adversarial|(trig|chi):(\d+))$")
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,7 @@ def _check_scans(v, _doc):
 
 
 def _check_functions(v, _doc):
-    for t in v:
-        m = _FN_TAG_RE.match(t)
-        if not m:
-            return (f"unknown test function tag {t!r} "
-                    "(constant | trig:<deg> | chi:<count> | adversarial)")
-        if m.group(3) is not None and not 1 <= int(m.group(3)) <= 64:
-            return f"{t!r}: the degree or count must lie in 1..64"
-    return None
+    return next(filter(None, map(tag_error, v)), None)
 
 
 def _check_k_min(v, _doc):

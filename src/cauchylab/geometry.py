@@ -12,6 +12,7 @@ from itertools import chain, count
 
 import numpy as np
 
+from .curves import arclength_sample
 from .errors import (
     BranchAmbiguityError,
     DegenerateGeometryError,
@@ -432,18 +433,18 @@ def branch_log(p, x: float, eps: float) -> complex:
     return val
 
 
-def local_bilipschitz(p, x0: float, eps: float, m: int = 512) -> float:
+def local_bilipschitz(p, x0: float, eps: float) -> float:
     """Smallest window constant C with |x-y|/C <= |gamma(x)-gamma(y)| on
-    [x0-eps, x0+eps] of a unit-speed curve, by one pass over the m (m-1) / 2
-    node pairs of a window grid (about 73k pairs, 2 MB, at m = 384)."""
+    [x0-eps, x0+eps] of a unit-speed curve, by one pass over the node pairs
+    of the diagnostics' 384-node window grid (about 73k pairs, 2 MB)."""
     if eps >= p.period / 4.0:
         raise DomainError("window must be smaller than a quarter period")
-    xs = _window_grid(x0, eps, m)
+    xs = _window_grid(x0, eps)
     return _window_constant(xs, p.point(xs))
 
 
-def _window_grid(x0: float, eps: float, m: int):
-    return np.linspace(x0 - eps, x0 + eps, max(m, 256))
+def _window_grid(x0: float, eps: float):
+    return np.linspace(x0 - eps, x0 + eps, 384)
 
 
 def _window_constant(xs, pts) -> float:
@@ -457,7 +458,9 @@ def eps0_gate(sc, bilip: float):
     Operational stand-in for the proof-level smallness threshold: the
     largest eps = period * 2^-k, k >= 2, whose defect at chord scale
     d = bilip*eps stays below 0.05, with d at least 8 grid cells.  Returns
-    None when no dyadic level passes, e.g. for corner curves.
+    None when no dyadic level passes, e.g. for corner curves.  A curve with
+    a finest scale (the spiral) is gated on 2^16 nodes of sc.source when sc
+    has fewer: coarser grids' 8-cell floor cuts off its passing scales.
 
     Each level runs the detour scan of conformality_modulus with floor
     0.05 (_detour_defects), which skips every chord that cannot reach 0.05
@@ -469,6 +472,9 @@ def eps0_gate(sc, bilip: float):
     first block; a level passes only once every block is scanned, in any
     order.  Memory is that of conformality_modulus.
     """
+    p = sc.source
+    if p is not None and "finest_scale" in p.meta and sc.n < 2 ** 16:
+        sc = arclength_sample(p, 2 ** 16)
     pts_sub = sc.points[:: max(1, sc.n // 256)]
     diam = float(np.abs(pts_sub[:, None] - pts_sub[None, :]).max())
     start = 0
@@ -490,8 +496,6 @@ def eps0_gate(sc, bilip: float):
 class DiagnosticsReport:
     """Geometry diagnostics of one sampled curve."""
 
-    kind: str
-    grid_n: int
     chord_arc_const: float
     bilip: float
     ac_table: tuple          # (k, eps, delta)
@@ -499,7 +503,6 @@ class DiagnosticsReport:
     omega2_focus_table: tuple
     local_bilip_table: tuple  # (k, eps, C_eps)
     eps0: float | None
-    notes: tuple = ()
 
 
 def focus_grid(p, eps: float):
@@ -530,7 +533,7 @@ def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
     levels = []
     for k in range(k_min, k_max + 1):
         eps = period * 2.0 ** (-k)
-        win = _window_grid(x0, eps, 384) if eps < period / 4.0 else None
+        win = _window_grid(x0, eps) if eps < period / 4.0 else None
         levels.append((k, eps, focus_grid(p, eps), win))
     params = [xs]
     for k, eps, fg, win in levels:
@@ -554,12 +557,11 @@ def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
                 _second_differences(next(pts), next(pts), next(pts)), fg))
         if win is not None:
             lb_rows.append((k, eps, _window_constant(win, next(pts))))
-    return DiagnosticsReport(kind=p.kind, grid_n=sc.n, chord_arc_const=cac,
-                             bilip=bil, ac_table=tuple(ac_rows),
+    return DiagnosticsReport(chord_arc_const=cac, bilip=bil,
+                             ac_table=tuple(ac_rows),
                              omega2_table=tuple(w2_rows),
                              omega2_focus_table=tuple(w2f_rows),
-                             local_bilip_table=tuple(lb_rows),
-                             eps0=eps0, notes=tuple(sc.warnings))
+                             local_bilip_table=tuple(lb_rows), eps0=eps0)
 
 
 def diagnostics_csv_rows(report: DiagnosticsReport):

@@ -8,6 +8,7 @@ verdict the criterion verdict must match."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "adversarial_indicator",
     "deepest_exponent",
     "anchor_params",
+    "tag_error",
     "make_test_functions",
     "default_scan_params",
     "proof_levels",
@@ -136,42 +138,55 @@ def anchor_params(p) -> tuple:
     return (0.0,)
 
 
-def make_test_functions(sc: SampledCurve, tags, seed: int = 0,
-                        anchors=(0.0,)) -> tuple:
+_FN_TAG_RE = re.compile(r"constant|adversarial|(trig|chi):([0-9]+)")
+
+
+def tag_error(tag: str) -> str | None:
+    """Why tag names no test function, or None; the spec parser asks it
+    too.  The degree or count is ASCII digits of a value in 1..64."""
+    m = _FN_TAG_RE.fullmatch(tag)
+    if m is None:
+        return (f"unknown test function tag {tag!r} "
+                "(constant | trig:<deg> | chi:<count> | adversarial)")
+    if m[2] is not None and not 1 <= int(m[2]) <= 64:
+        return f"{tag!r}: the degree or count must lie in 1..64"
+    return None
+
+
+def make_test_functions(sc: SampledCurve, tags, seed: int = 0) -> tuple:
     """Materialize a list of test-function tags on a sampled grid.
 
-    Adversarial tags contribute the transformed witnesses f = T(indicator):
-    the necessity argument constrains the inequality through functions
-    whose transform is the indicator, and the transform inverts itself on
-    closed curves.  A witness scale with |log eps| < 1e-9 is the degenerate
-    eps = 1 of adversarial_indicator, skipped (the guard is discussed there).
+    Adversarial tags contribute the transformed witnesses f = T(indicator)
+    at anchor_params(sc.source): the necessity argument constrains the
+    inequality through functions whose transform is the indicator, and the
+    transform inverts itself on closed curves.  A witness scale with
+    |log eps| < 1e-9 is the degenerate eps = 1 of adversarial_indicator,
+    skipped (the guard is discussed there).
     """
     rng = np.random.default_rng(seed)
     period = sc.period
     out = []
     for tag in tags:
-        if tag == "constant":
+        error = tag_error(tag)
+        if error:
+            raise DomainError(error)
+        kind, _, num = tag.partition(":")
+        if kind == "constant":
             out.append(TestFunction("constant", np.ones(sc.n, dtype=complex)))
-        elif tag.startswith("trig:"):
-            deg = int(tag.split(":", 1)[1])
-            if not 1 <= deg <= 64:
-                raise DomainError(f"trig degree {deg} out of range 1..64")
+        elif kind == "trig":
             out.append(TestFunction(
-                tag, np.exp(2j * math.pi * deg * sc.params / period)))
-        elif tag.startswith("chi:"):
-            count = int(tag.split(":", 1)[1])
-            if not 1 <= count <= 64:
-                raise DomainError(f"indicator anchor count {count} out of range 1..64")
-            centers = np.sort(rng.uniform(0.0, period, count))
+                tag, np.exp(2j * math.pi * int(num) * sc.params / period)))
+        elif kind == "chi":
+            centers = np.sort(rng.uniform(0.0, period, int(num)))
             half = period / 16.0
             for c in centers:
                 dist = _param_dist(sc.params, c, period)
                 out.append(TestFunction(
                     f"chi@{c:.6g}", (dist < half).astype(complex),
                     jumps=((c - half) % period, (c + half) % period)))
-        elif tag == "adversarial":
+        else:
             chis = []
-            for anchor in anchors[:2]:  # symmetric landmarks add nothing
+            for anchor in anchor_params(sc.source)[:2]:  # symmetric landmarks add nothing
                 for k_out in (1, 3):
                     eps = period * 2.0 ** (-k_out)
                     if abs(math.log(eps)) < 1e-9:
@@ -187,8 +202,6 @@ def make_test_functions(sc: SampledCurve, tags, seed: int = 0,
                 witnesses, _ = cauchy_family(sc, [chi.values for chi in chis])
                 out += [TestFunction("T*" + chi.tag, w, jumps=chi.jumps)
                         for chi, w in zip(chis, witnesses)]
-        else:
-            raise DomainError(f"unknown test function tag {tag!r}")
     return tuple(out)
 
 
@@ -442,12 +455,11 @@ def cotlar_ratio_scan(p, resolutions, tags, seed: int = 0) -> CotlarReport:
         raise DomainError("trend analysis needs at least two resolutions")
     rows = []
     aggregate = []
-    anchors = anchor_params(p)
     for n in resolutions:
         sc = arclength_sample(p, n)
         levels = dyadic_levels(sc, 1)
         guard = JUMP_GUARD_CELLS * sc.spacing
-        fam = make_test_functions(sc, tags, seed=seed, anchors=anchors)
+        fam = make_test_functions(sc, tags, seed=seed)
         agg = 0.0
         pvs, tables = cauchy_family(sc, [tf_fn.values for tf_fn in fam],
                                      [eps for _, eps in levels])

@@ -192,17 +192,18 @@ def test_acceptance_04_constants(circle, square):
 
 @criterion(5, "two-sided second-difference comparison within 1.1")
 def test_acceptance_05_sandwich(circle, spiral10):
-    cases = [(circle, 2048), (curves.ellipse(2.0, 1.0), 2048),
-             (spiral10, 2 ** 16)]
+    # each curve on the grid a default run samples, with that grid's L;
+    # eps0_gate picks its own gate grid (2^16 nodes for the spiral), and
+    # the levels compare with eps0 exactly, as a run gates them
+    n = curvespec.default_document().get("sampling", "n")
     details = []
-    for p, n_gate in cases:
-        sc = curves.arclength_sample(p, n_gate)
-        scl = sc if n_gate <= 2048 else curves.arclength_sample(p, 2048)
-        bil = geometry.bilipschitz_constant(scl)
+    for p in (circle, curves.ellipse(2.0, 1.0), spiral10):
+        sc = curves.arclength_sample(p, n)
+        bil = geometry.bilipschitz_constant(sc)
         eps0 = geometry.eps0_gate(sc, bil)
         assert eps0 is not None
         eps_list = [p.period * 2.0 ** (-k) for k in range(4, 15)
-                    if p.period * 2.0 ** (-k) <= eps0 * (1 + 1e-12)]
+                    if p.period * 2.0 ** (-k) <= eps0]
         assert eps_list, f"empty gated range for {p.kind}"
         rep = harness.sandwich_check(p, harness.default_scan_params(p, 48),
                                      eps_list, bil)

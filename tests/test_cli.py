@@ -50,6 +50,21 @@ def test_gated_levels_compare_eps0_exactly():
     assert state.notes == []
 
 
+def test_gate_note_is_written_once(tmp_path):
+    # every configured level of the shipped spiral lies above its eps0, so
+    # the criterion and sandwich scans both take the full range; the levels
+    # are gated once per run, and the note says so once
+    spec = Path(__file__).resolve().parent.parent / "specs" / "spiral.cspec"
+    out = tmp_path / "o"
+    assert run(CommandInvocation("all", str(spec), str(out), overrides=(
+        "experiment.k_max=10", "experiment.scans=criterion,sandwich",
+        "sampling.resolutions=256,512"))) == 0
+    notes = [line for line in (out / "summary.txt").read_text().split("\n")
+             if line.startswith("note: no dyadic level passed")]
+    assert notes == ["note: no dyadic level passed the smallness gate; "
+                     "criterion and sandwich scan the full configured range"]
+
+
 def test_build_writes_curve_csv(tmp_path):
     spec = _write_spec(tmp_path, SMALL_CIRCLE)
     inv = CommandInvocation("build", str(spec), str(tmp_path / "o"))

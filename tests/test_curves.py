@@ -677,6 +677,6 @@ def test_spiral_window_constant_trend():
     scores = []
     for k in range(6, 15):
         eps = p.period * 2.0 ** (-k)
-        c_eps = geometry.local_bilipschitz(p, x0, eps, m=512)
+        c_eps = geometry.local_bilipschitz(p, x0, eps)
         scores.append((1.0 - 1.0 / c_eps) * math.log(eps) ** 2)
     assert max(scores) / min(scores) <= 3.0

@@ -150,7 +150,7 @@ def test_chord_scans_bit_identical_to_loops(build, n):
     x0 = p.meta.get("focus_param", 0.0)
     for k in (3, 7, 12):
         eps = p.period * 2.0 ** (-k)
-        assert (geometry.local_bilipschitz(p, x0, eps, m=384)
+        assert (geometry.local_bilipschitz(p, x0, eps)
                 == loop_local_bilipschitz(p, x0, eps, 384))
 
 
@@ -234,7 +234,20 @@ def test_diagnostics_tables_equal_per_level_calls(build):
         assert (val, argx) == geometry.omega2(p, eps, geometry.focus_grid(p, eps))
     assert rep.local_bilip_table
     for k, eps, val in rep.local_bilip_table:
-        assert val == geometry.local_bilipschitz(p, x0, eps, m=384)
+        assert val == geometry.local_bilipschitz(p, x0, eps)
+
+
+def test_local_bilipschitz_defaults_give_the_diagnostics_rows():
+    # the library call and diagnostics.csv share one window grid
+    p = spiral6()
+    sc = curves.arclength_sample(p, 1024)
+    rep = geometry.diagnostics(p, sc, k_min=6, k_max=9, x_grid_n=256)
+    x0 = p.meta["focus_param"]
+    want = [f"local_bilip,T*2^-{k},"
+            f"{geometry.local_bilipschitz(p, x0, p.period * 2.0 ** -k):.17g},"
+            for k in range(6, 10)]
+    rows = geometry.diagnostics_csv_rows(rep)
+    assert [r for r in rows if r.startswith("local_bilip,")] == want
 
 
 def test_diagnostics_needs_nodes():
@@ -394,7 +407,7 @@ def test_window_scan_names_the_smallest_coincident_offset():
         period=2.0, kind="polygon",
         point=lambda x: pts[np.rint((np.asarray(x) - xs[0]) / (xs[1] - xs[0])).astype(int)])
     with pytest.raises(DegenerateGeometryError, match="offset 10$"):
-        geometry.local_bilipschitz(p, x0, eps, m=m)
+        geometry.local_bilipschitz(p, x0, eps)
 
 
 # -- conformality defect ------------------------------------------------------
@@ -809,6 +822,15 @@ def test_eps0_gate_circle():
 def test_eps0_gate_square_is_none():
     sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 2048)
     assert geometry.eps0_gate(sc, 2.0) is None
+
+
+def test_eps0_gate_picks_its_own_grid_on_the_spiral():
+    # the depth-6 spiral's defect falls below 0.05 only at scales that a
+    # 4096-node grid's 8-cell floor cuts off; the gate measures them on
+    # 2^16 nodes of the curve itself, as a run on this sample reports
+    sc = curves.arclength_sample(spiral6(), 4096)
+    bil = geometry.bilipschitz_constant(sc)
+    assert geometry.eps0_gate(sc, bil) == 0.0009552201406216753
 
 
 def test_eps0_gate_early_stop_matches_full_scans():

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 import oracles
 from cauchylab import curves, curvespec, geometry, harness, operators
-from cauchylab.errors import BranchAmbiguityError, DomainError, ResolutionError
+from cauchylab.errors import (BranchAmbiguityError, DomainError, ResolutionError,
+                              ValidationError)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,43 @@ def test_make_test_functions_tags():
     assert sum(1 for t in tags if t.startswith("chi@")) == 3
     with pytest.raises(DomainError):
         harness.make_test_functions(sc, ("mystery",))
+
+
+def test_library_and_parser_reject_the_same_tags():
+    # one rule for both: a sign, a space, a non-ASCII digit or a value
+    # outside 1..64 is no degree or count
+    sc = curves.arclength_sample(curves.circle(1.0), 256)
+    doc = curvespec.default_document()
+    valid = {"constant", "adversarial", "trig:3", "trig:007", "chi:64"}
+    tags = sorted(valid) + [
+        "trig:+3", "chi:-3", "trig: 3", "trig:\u0663", "trig:0", "trig:65",
+        "chi:0", "chi:1.5", "trig:", "trig", "chi:3:1", "Trig:3",
+        "constant:1", "mystery"]
+    got = {}
+    for tag in tags:
+        try:
+            curvespec.apply_overrides(doc, [f"experiment.functions={tag}"])
+            parsed = True
+        except ValidationError:
+            parsed = False
+        try:
+            harness.make_test_functions(sc, (tag,))
+            built = True
+        except DomainError:
+            built = False
+        got[tag] = (parsed, built)
+    assert got == {tag: (tag in valid,) * 2 for tag in tags}
+
+
+def test_adversarial_witnesses_are_the_ratio_scans():
+    # the library call anchors its witnesses where the ratio scan does: at
+    # the unit square's first two corners, 4 witnesses each
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
+    fam = harness.make_test_functions(curves.arclength_sample(p, 2048),
+                                      ("adversarial",))
+    rep = harness.cotlar_ratio_scan(p, (1024, 2048), tags=("adversarial",))
+    assert len(fam) == 8
+    assert [f.tag for f in fam] == [row.tag for row in rep.rows if row.n == 2048]
 
 
 # -- proof check: decomposition ------------------------------------------------
@@ -470,8 +508,7 @@ def test_cotlar_sups_match_single_node_oracles():
     rows = iter(rep.rows)
     for n in (128, 256):
         sc = curves.arclength_sample(p, n)
-        fam = harness.make_test_functions(sc, tags,
-                                          anchors=harness.anchor_params(p))
+        fam = harness.make_test_functions(sc, tags)
         for fn in fam:
             row = next(rows)
             assert (row.n, row.tag) == (n, fn.tag)

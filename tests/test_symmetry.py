@@ -131,5 +131,5 @@ def test_known_defect_adversarial_witnesses_drop_on_dilated_squares():
         p = _square(side)
         sc = curves.arclength_sample(p, N)
         counts[side] = len(harness.make_test_functions(
-            sc, ("adversarial",), anchors=harness.anchor_params(p)))
+            sc, ("adversarial",)))
     assert counts == {0.5: 4, 1.0: 8, 2.0: 4}
