@@ -58,7 +58,7 @@ def in_task_order(tasks, scratch=(None, None)):
             i = take()
             if i == n:
                 return
-            outbox.put((i, *run(i, scratch[1])))
+            outbox.put((i, run(i, scratch[1])))
 
     helper = threading.Thread(target=serve, daemon=True)
     helper.start()
@@ -71,12 +71,12 @@ def in_task_order(tasks, scratch=(None, None)):
                     done[j] = run(j, scratch[0])
                     own.add(j)
                 else:
-                    j, value, error = outbox.get()
-                    done[j] = value, error
-            value, error = done.pop(i)
-            if error is not None:
-                raise error
-            yield value
+                    done.update([outbox.get()])
+            # no name here holds a result once it is handed on, so the
+            # caller frees it when it drops it
+            if done[i][1] is not None:
+                raise done.pop(i)[1]
+            yield done.pop(i)[0]
             if i in own:
                 own.remove(i)
             else:

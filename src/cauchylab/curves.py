@@ -742,6 +742,18 @@ def _loop_zones(curve, dcurve):
             for k in range(8)]
 
 
+_DISTANCE_BLOCK = 1 << 16  # entries of one block of a distance table
+
+
+def _min_distance(a, b) -> float:
+    """min |a_i - b_j| over all pairs, from row blocks of the distance
+    table of at most _DISTANCE_BLOCK entries (a min is exact in any order,
+    so this is the min of the whole table)."""
+    rows = max(1, _DISTANCE_BLOCK // b.size)
+    return float(np.min([np.abs(a[i:i + rows, None] - b[None, :]).min()
+                         for i in range(0, a.size, rows)]))
+
+
 def _closed_from_assembly(assembly, kind, meta, focus_forward=None):
     """Wrap a forward assembly as a positively oriented unit-speed curve.
 
@@ -811,11 +823,11 @@ def _validate_spiral_separation(patches, offs, mults, xi, depth):
         # child graph mapped into the parent frame
         rel = (offs[j] - offs[j - 1]) / mults[j - 1], mults[j] / mults[j - 1]
         zb = rel[0] + rel[1] * (t_child + 1j * child(math.tan(spec_b.angle)))
-        d = np.abs(za[keep_a][:, None] - zb[None, keep_b])
-        if float(d.min()) * scale <= 1e-9:
+        sep = _min_distance(za[keep_a], zb[keep_b]) * scale
+        if sep <= 1e-9:
             raise ConstructionError(
                 f"rescaled patch {j + 1} approaches its parent within 1e-9 "
-                f"(depth {j + 1}, separation {float(d.min()) * scale:.3e})")
+                f"(depth {j + 1}, separation {sep:.3e})")
 
 
 def build_spiral(depth: int, xi: float = 1.0 / 200.0) -> Parametrization:
@@ -861,7 +873,7 @@ def build_spiral(depth: int, xi: float = 1.0 / 200.0) -> Parametrization:
     u = np.linspace(0.02, 0.98, 1024)
     zc = curve(u)
     sg = full.point(np.linspace(0.0, spiral_length, 2048)[::2])
-    dmin = float(np.abs(zc[:, None] - sg[None, :]).min())
+    dmin = _min_distance(zc, sg)
     if dmin <= 1e-9:
         raise ConstructionError(f"closure arc touches the spiral (min distance {dmin:.3e})")
     if np.max(zc.imag) >= -1e-12:
@@ -968,7 +980,7 @@ def graph_closure(coeffs: Sequence[float]) -> Parametrization:
     assembly = _ZoneAssembly(zones + _loop_zones(curve, dcurve))
     u = np.linspace(0.02, 0.98, 512)
     zg = grid + 1j * np.asarray(g(grid))
-    dmin = float(np.abs(curve(u)[:, None] - zg[None, ::4]).min())
+    dmin = _min_distance(curve(u), zg[::4])
     if dmin <= 1e-9:
         raise ConstructionError(f"closure arc touches the graph (min distance {dmin:.3e})")
     return _closed_from_assembly(assembly, "graph-closure", {})

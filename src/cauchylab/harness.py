@@ -440,6 +440,39 @@ def classify_ratio_trend(sups) -> str:
     return "indeterminate"
 
 
+def _cotlar_grid(p, n: int, tags, seed: int) -> tuple:
+    """The cotlar rows of one resolution and their sup.  Nothing of the
+    grid outlives the call, so the next grid's pass starts without it; the
+    (F, K, n) table goes once the maxima are taken."""
+    sc = arclength_sample(p, n)
+    levels = dyadic_levels(sc, 1)
+    guard = JUMP_GUARD_CELLS * sc.spacing
+    fam = make_test_functions(sc, tags, seed=seed)
+    pvs, tables = cauchy_family(sc, [tf_fn.values for tf_fn in fam],
+                                 [eps for _, eps in levels])
+    t_stars = maximal_of(tables)
+    tables = None
+    m2s = hl_maximal_squared(sc, pvs)
+    rows = []
+    agg = 0.0
+    for tf_fn, t_star, m2 in zip(fam, t_stars, m2s):
+        ok = m2 > UNDERFLOW_FLOOR
+        flagged = int(np.sum(~ok))
+        for j in tf_fn.jumps:
+            ok &= _param_dist(sc.params, j, sc.period) >= guard - 1e-12
+        ratios = np.where(ok, t_star / np.maximum(m2, UNDERFLOW_FLOOR), 0.0)
+        sup = float(ratios.max())
+        # lowest-index node within 1e-12 relative of the sup: symmetric
+        # curves tie many nodes to rounding, and a plain argmax among
+        # them moves with the order of the evaluator's sums
+        arg = int(np.argmax(ratios >= sup * (1.0 - 1e-12)))
+        rows.append(CotlarRow(n=n, tag=tf_fn.tag, sup_ratio=sup, arg_node=arg,
+                              arg_param=float(sc.params[arg]),
+                              flagged=flagged))
+        agg = max(agg, sup)
+    return rows, agg
+
+
 def cotlar_ratio_scan(p, resolutions, tags, seed: int = 0) -> CotlarReport:
     """Sup of T_* f / M^2(Tf) per test function and resolution.
 
@@ -456,30 +489,8 @@ def cotlar_ratio_scan(p, resolutions, tags, seed: int = 0) -> CotlarReport:
     rows = []
     aggregate = []
     for n in resolutions:
-        sc = arclength_sample(p, n)
-        levels = dyadic_levels(sc, 1)
-        guard = JUMP_GUARD_CELLS * sc.spacing
-        fam = make_test_functions(sc, tags, seed=seed)
-        agg = 0.0
-        pvs, tables = cauchy_family(sc, [tf_fn.values for tf_fn in fam],
-                                     [eps for _, eps in levels])
-        t_stars = maximal_of(tables)
-        m2s = hl_maximal_squared(sc, pvs)
-        for tf_fn, t_star, m2 in zip(fam, t_stars, m2s):
-            ok = m2 > UNDERFLOW_FLOOR
-            flagged = int(np.sum(~ok))
-            for j in tf_fn.jumps:
-                ok &= _param_dist(sc.params, j, sc.period) >= guard - 1e-12
-            ratios = np.where(ok, t_star / np.maximum(m2, UNDERFLOW_FLOOR), 0.0)
-            sup = float(ratios.max())
-            # lowest-index node within 1e-12 relative of the sup: symmetric
-            # curves tie many nodes to rounding, and a plain argmax among
-            # them moves with the order of the evaluator's sums
-            arg = int(np.argmax(ratios >= sup * (1.0 - 1e-12)))
-            rows.append(CotlarRow(n=n, tag=tf_fn.tag, sup_ratio=sup, arg_node=arg,
-                                  arg_param=float(sc.params[arg]),
-                                  flagged=flagged))
-            agg = max(agg, sup)
+        grid_rows, agg = _cotlar_grid(p, n, tags, seed)
+        rows.extend(grid_rows)
         aggregate.append((n, agg))
     verdict = classify_ratio_trend([a for _, a in aggregate])
     return CotlarReport(rows=tuple(rows), aggregate=tuple(aggregate),

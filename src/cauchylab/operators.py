@@ -35,13 +35,17 @@ addition.  One builder, _kernel_blocks, makes the entries of both sweeps
 with the same operations, so a head entry has the bits of the band entry
 it repeats, and one task function, _sweep_task, makes the products of
 both.  An even grid's antipode and the half-weight boundary nodes are
-separate gathers.  Every term is added, none subtracted, so a window that
-holds only a few nodes is as accurate as its own terms.  Besides the
-result, the pass holds the same memory for any number of windows: the
-values in its own layout, one F x n scratch, two tile-kernel buffers and
-the products of at most four tiles or chunks (two of the helper's, one of
-the calling thread's and the last one added); traced at n = 2048 and
-F = 15, the result plus 11.5-11.7 F x n slabs for 2 windows and for 12.
+separate terms, each made where it is added, from views of the pass's
+wrapped rows where those reach (always for the antipode) and gathers
+elsewhere.  Every term is added, none subtracted, so a window that holds
+only a few nodes is as accurate as its own terms.  Besides the result,
+the pass holds the same memory for any number of windows but for a band
+tile's row sums, F x _TILE values per cut: one copy of the values, in
+its own layout (a list of arrays is stacked only on the way there), one
+F x n scratch, two tile-kernel buffers and the products of at most four
+tiles or chunks (two of the helper's, one of the calling thread's and
+the last one added); traced at n = 2048 and F = 15, the result plus
+9.5-9.8 F x n slabs for 2 windows and for 12, from an array or a list.
 The readable single-node oracles it is tested against are in
 tests/oracles.py.
 
@@ -236,10 +240,15 @@ def _wrap_add(acc, start: int, vals) -> None:
         q += s
 
 
-def _offset_terms(sc: SampledCurve, contrib, off: int) -> np.ndarray:
-    """K[i, i+off] * contrib[i+off] for every node i, shape (F, n)."""
-    ahead = (np.arange(sc.n) + off) % sc.n
-    return (1.0 / (sc.points[ahead] - sc.points)) * contrib[ahead].T
+def _offset_terms(z_ext, contrib_ext, n: int, off: int) -> np.ndarray:
+    """K[i, i+off] * contrib[i+off] for every node i, shape (F, n), from the
+    pass's wrapped rows: a view of them when they reach row n - 1 + off (an
+    antipode always does), else a gather."""
+    if off + n <= len(z_ext):
+        ahead = slice(off, off + n)
+    else:
+        ahead = (np.arange(n) + off) % n
+    return (1.0 / (z_ext[ahead] - z_ext[:n])) * contrib_ext[ahead].T
 
 
 def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
@@ -255,14 +264,6 @@ def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
     rows = min(span, n - start)
     kern = _kernel_blocks(z_ext, start, count, first, cols, cut, reach,
                           buf.reshape(-1)[:span * cols].reshape(count, tile, cols))
-    # the rows as sources behind their targets: K[j, i] = -K[i, j]; these
-    # come first, so that the negated sources are freed before the row
-    # sums are made
-    src = -contrib_ext[start:start + span]
-    src[rows:] = 0.0  # rows past the last node wrap around; they add nothing
-    behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ kern
-    del src
-    behind = behind.transpose(1, 0, 2).reshape(f, count * cols)
     frames = _tile_windows(contrib_ext, start + first, count, cols)
     aheads = []
     for lo, hi in ranges:
@@ -272,6 +273,14 @@ def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
         if mid < hi:
             sums += (kern[..., mid:hi, None] * frames[:, None, mid:hi]).sum(axis=2)
         aheads.append(sums.reshape(span, f)[:rows].T)
+    # the rows as sources behind their targets: K[j, i] = -K[i, j]; these
+    # come after the row sums, so that the elementwise products of a band
+    # tile's leftover columns are freed before they are made
+    src = -contrib_ext[start:start + span]
+    src[rows:] = 0.0  # rows past the last node wrap around; they add nothing
+    behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ kern
+    del src
+    behind = behind.transpose(1, 0, 2).reshape(f, count * cols)
     return aheads, behind
 
 
@@ -303,13 +312,16 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
     by_cut = {}  # the windows of each cut; the first holds its sums
     for w, (inner, boundary) in enumerate(windows):
         by_cut.setdefault(inner + boundary, []).append(w)
-    contrib = vals.T * _unit_measure(sc)[:, None]
     tile = _TILE
     width = reach + tile + 1  # every cut's head fits: cut + tile + 1 <= width
     ext = np.arange(n + width) % n
     z_ext = sc.points[ext]
-    contrib_ext = contrib[ext]
+    # the pass's one copy of the values: node contributions in rows, wrapped
+    # on past node n - 1 (a list input's stacked copy goes here too)
     f = vals.shape[0]
+    contrib_ext = (vals.T * _unit_measure(sc)[:, None])[ext]
+    vals = None
+    terms = partial(_offset_terms, z_ext, contrib_ext, n)
     out = np.zeros((f, len(windows), n), dtype=complex)
     # each cut's slot first takes the terms past the head of every tile
     # that lie before the previous cut's head; a running sum over the cuts
@@ -339,10 +351,8 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
                 slots[c][:, t0:t0 + ahead.shape[1]] += ahead
                 _wrap_add(slots[c], t0 + lo, behind[:, lo:hi])
         aheads = behind = None  # free the last tile's sums
-        if n % 2 == 0:
-            antipode = _offset_terms(sc, contrib, n // 2)
-            if cuts:
-                slots[cuts[0]] += antipode
+        if n % 2 == 0 and cuts:
+            slots[cuts[0]] += terms(n // 2)
         for prev, c in zip(cuts, cuts[1:]):
             slots[c] += slots[prev]
         # each cut's head triangles join its slot in one addition; each
@@ -362,10 +372,9 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
         edged = [w for w in ws if windows[w][1]]
         if edged:
             if 2 * cut == n:  # at the antipode both offsets are one node
-                edge = antipode
+                edge = terms(cut)
             else:
-                edge = (_offset_terms(sc, contrib, cut)
-                        + _offset_terms(sc, contrib, n - cut))
+                edge = terms(cut) + terms(n - cut)
             for w in edged:
                 out[:, w] += 0.5 * edge
     out /= 1j * math.pi
@@ -399,8 +408,12 @@ def cauchy_family(sc: SampledCurve, values, levels=()):
 
 
 def maximal_of(table: np.ndarray) -> np.ndarray:
-    """Sup over the K levels of a (..., K, n) T_eps table."""
-    return np.abs(table).max(axis=-2)
+    """Sup over the K levels of a (..., K, n) T_eps table, a running max
+    over the levels' moduli."""
+    sup = np.abs(table[..., 0, :])
+    for k in range(1, table.shape[-2]):
+        np.maximum(sup, np.abs(table[..., k, :]), out=sup)
+    return sup
 
 
 def pv_cauchy_all(sc: SampledCurve, values) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -623,9 +624,39 @@ def test_spiral_limit_point_and_focus():
 
 
 def test_spiral_deep_separation_guard_trips_when_too_deep():
-    # depth 16 folds fall under the 1e-9 separation tolerance
-    with pytest.raises(ConstructionError):
+    # depth 16 folds fall under the 1e-9 separation tolerance; the check
+    # takes its min in blocks of the distance table, and reports the min of
+    # the whole table
+    with pytest.raises(ConstructionError, match=r"separation 6\.032e-10\)"):
         curves.build_spiral(16)
+
+
+def test_spiral_build_memory_stays_under_8_mib():
+    # the separation and closure checks take their distance mins in row
+    # blocks: the depth-6 build's traced peak is 3.9 MiB, where a whole
+    # 1024 x 1024 distance table took 24.2 MiB
+    tracemalloc.start()
+    try:
+        curves.build_spiral(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20, peak / 2 ** 20
+
+
+def test_min_distance_is_the_min_over_the_whole_table(monkeypatch):
+    # blocks of one row, of a few rows and the whole table give its min,
+    # and a NaN in the last block is the result, as in the whole table
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=300) + 1j * rng.normal(size=300)
+    b = rng.normal(size=250) + 1j * rng.normal(size=250)
+    want = float(np.abs(a[:, None] - b[None, :]).min())
+    a_nan = a.copy()
+    a_nan[-1] = np.nan
+    for block in (1, 1000, 1 << 16, 10 ** 6):
+        monkeypatch.setattr(curves, "_DISTANCE_BLOCK", block)
+        assert curves._min_distance(a, b) == want
+        assert math.isnan(curves._min_distance(a_nan, b))
 
 
 def test_patch_angle_arc_chord_bound():

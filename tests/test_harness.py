@@ -1,6 +1,7 @@
 """Tests for the verification scans."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,28 @@ def test_cotlar_scan_circle_stable():
     assert all(row.sup_ratio > 0 for row in rep.rows)
     ns = sorted({row.n for row in rep.rows})
     assert ns == [256, 512]
+
+
+def test_cotlar_scan_memory_is_that_of_its_largest_grid():
+    # nothing of one grid outlives its turn in the scan, so on the unit
+    # square with the default 15 functions the traced peak of (2048, 4096)
+    # is that of (1024, 4096) within one slab of 15 x 4096 complex values
+    # (measured -0.25..+0.25 slabs; +2.4..+3.4 while a grid's (F, W, n)
+    # table lived on through the next grid's pass).  The peak depends on
+    # the timing of the evaluator's two workers, so CI reruns this test
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
+    tags = ("constant", "trig:1", "trig:3", "chi:4", "adversarial")
+    slab = 15 * 4096 * np.dtype(complex).itemsize
+    peaks = []
+    for resolutions in ((1024, 4096), (2048, 4096)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            harness.cotlar_ratio_scan(p, resolutions, tags)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= slab, [peak / slab for peak in peaks]
 
 
 def test_cotlar_scan_requires_two_resolutions():

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import weakref
 from contextlib import closing
 
 import pytest
@@ -143,6 +144,24 @@ def test_alive_results_are_bounded(monkeypatch, schedule):
     # the one-sided schedules set _AHEAD or _OWN to 0
     assert (most[True], most[False]) == (_peers._OWN, _peers._AHEAD)
     assert most["both"] <= _peers._AHEAD + _peers._OWN
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_handed_on_result_dies_with_the_callers_name(monkeypatch, schedule):
+    # the generator keeps no reference to a result it has handed on, so a
+    # sweep's last result is freed once the caller drops it, not when the
+    # next result is asked for
+    oracles.patch_schedule(monkeypatch, schedule)
+
+    class Result:
+        pass
+
+    freed = []
+    for value in in_task_order([lambda buf: Result()] * 12):
+        ref = weakref.ref(value)
+        del value
+        freed.append(ref() is None)
+    assert freed == [True] * 12
 
 
 def test_concurrent_sweeps_stress():
