@@ -10,9 +10,10 @@ they are given.  The excluded set is always the parametric ball
 boundary carry half weight in Cauchy sums, and the complex measure at a
 node is its unit chord tangent times its arc weight.  The truncation
 levels are dyadic, (k, eps_k = period * 2^-k) from k_min down to the
-two-cell floor 2h, and dyadic_levels alone produces them.  The kernel
-transform g = T(K_{z,eps}) of the truncated kernel is left unevaluated at
-the nodes within 2h of z, which _near_center alone marks;
+two-cell floor 2h, and dyadic_levels alone produces them.  The maximal
+function takes each ball's sum as a difference of two prefix-sum slices.
+The kernel transform g = T(K_{z,eps}) of the truncated kernel is left
+unevaluated at the nodes within 2h of z, which _near_center alone marks;
 kernel_transform_direct_fill fills them by trapezoid sums.
 
 One evaluator, truncated_cauchy_family, computes every all-nodes Cauchy
@@ -36,8 +37,9 @@ with the same operations, so a head entry has the bits of the band entry
 it repeats, and one task function, _sweep_task, makes the products of
 both.  An even grid's antipode and the half-weight boundary nodes are
 separate terms, each made where it is added, from views of the pass's
-wrapped rows where those reach (always for the antipode) and gathers
-elsewhere.  Every term is added, none subtracted, so a window that holds
+wrapped rows: an edged cut c makes one division pass, 1/(z[i+c] - z[i]),
+and its behind terms are the ahead products negated and rotated by c.
+No window's sum is a difference of larger sums, so a window that holds
 only a few nodes is as accurate as its own terms.  Besides the result,
 the pass holds the same memory for any number of windows but for a band
 tile's row sums, F x _TILE values per cut: one copy of the values, in
@@ -241,14 +243,15 @@ def _wrap_add(acc, start: int, vals) -> None:
 
 
 def _offset_terms(z_ext, contrib_ext, n: int, off: int) -> np.ndarray:
-    """K[i, i+off] * contrib[i+off] for every node i, shape (F, n), from the
-    pass's wrapped rows: a view of them when they reach row n - 1 + off (an
-    antipode always does), else a gather."""
-    if off + n <= len(z_ext):
-        ahead = slice(off, off + n)
-    else:
-        ahead = (np.arange(n) + off) % n
-    return (1.0 / (z_ext[ahead] - z_ext[:n])) * contrib_ext[ahead].T
+    """K[i, i+off] contrib[i+off] + K[i, i-off] contrib[i-off] for every
+    node i, shape (F, n), from views of the pass's wrapped rows; one term
+    when both are one node.  K[i, i-off] = -K[i-off, i] exactly, so both
+    come from one kernel diagonal."""
+    diag = 1.0 / (z_ext[off:off + n] - z_ext[:n])
+    terms = diag * contrib_ext[off:off + n].T
+    if 2 * off != n:
+        terms -= np.roll(diag * contrib_ext[:n].T, off, axis=1)
+    return terms
 
 
 def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
@@ -371,10 +374,7 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
             out[:, w] = out[:, ws[0]]
         edged = [w for w in ws if windows[w][1]]
         if edged:
-            if 2 * cut == n:  # at the antipode both offsets are one node
-                edge = terms(cut)
-            else:
-                edge = terms(cut) + terms(n - cut)
+            edge = terms(cut)
             for w in edged:
                 out[:, w] += 0.5 * edge
     out /= 1j * math.pi
@@ -450,21 +450,19 @@ def _circular_prefix(x) -> np.ndarray:
 
 def hl_maximal_all(sc: SampledCurve, values) -> np.ndarray:
     """Max over dyadic parametric balls of the average of |values|, at every
-    node of each row of a (..., n) stack, via circular rolling sums."""
+    node of each row of a (..., n) stack, via prefix sums of tripled rows."""
     n = sc.n
     w = sc.weights
     vw = np.abs(values) * w
     pref_vw = _circular_prefix(vw)
     pref_w = _circular_prefix(w)
     out = np.repeat(np.sum(vw, axis=-1, keepdims=True) / np.sum(w), n, axis=-1)
-    idx = np.arange(n)
     for m in _hl_radii(sc):
         if m >= (n - 1) // 2:
             continue
-        lo = idx - m + n
-        hi = idx + m + n
-        num = pref_vw[..., hi + 1] - pref_vw[..., lo]
-        den = pref_w[hi + 1] - pref_w[lo]
+        hi, lo = slice(n + m + 1, 2 * n + m + 1), slice(n - m, 2 * n - m)
+        num = pref_vw[..., hi] - pref_vw[..., lo]
+        den = pref_w[hi] - pref_w[lo]
         np.maximum(out, num / den, out=out)
     return out
 

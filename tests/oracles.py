@@ -12,7 +12,11 @@ for byte, and the two one-sided schedules of the sweeps' peer workers
 that the default schedule must match bit for bit; and for the curve
 builders, the unsmoothed corner profile that curves.mollified_profile
 smooths and the spiral's limit point, the accumulation point of its
-untruncated recursion.
+untruncated recursion.  For the evaluator's bits: its boundary terms with
+the behind edge gathered and divided on its own, and the maximal function
+with index-array ball sums, the forms the program computed before it read
+both from views.  And the Plemelj pair: rational functions whose exact
+principal value is known on any Jordan curve.
 
 The single-node oracles take what the operators take: the sampled curve
 and plain node values, (sc, values, z_index, ...)."""
@@ -31,6 +35,7 @@ from cauchylab.errors import (
 )
 from cauchylab.geometry import _window_chords
 from cauchylab.operators import (
+    _circular_prefix,
     _cyclic_distance,
     _hl_radii,
     _outside_window,
@@ -81,6 +86,65 @@ def hl_maximal(sc, values, z_index: int) -> float:
     absvals = np.abs(values)
     w = sc.weights
     return max(_ball_average(absvals, w, z_index, m) for m in _hl_radii(sc))
+
+
+def gathered_offset_terms(z_ext, contrib_ext, n: int, off: int) -> np.ndarray:
+    """operators._offset_terms with each edge formed on its own: the terms
+    of the node off ahead plus those of the node off behind (offset
+    n - off), each by a division of its own over the wrapped rows, a view
+    where they reach and a gather where they do not."""
+    def ahead(step):
+        if step + n <= len(z_ext):
+            rows = slice(step, step + n)
+        else:
+            rows = (np.arange(n) + step) % n
+        return (1.0 / (z_ext[rows] - z_ext[:n])) * contrib_ext[rows].T
+    if 2 * off == n:
+        return ahead(off)
+    return ahead(off) + ahead(n - off)
+
+
+def indexed_hl_maximal_all(sc, values) -> np.ndarray:
+    """operators.hl_maximal_all with each ball sum gathered from the
+    prefix sums by index arrays."""
+    n = sc.n
+    w = sc.weights
+    vw = np.abs(values) * w
+    pref_vw = _circular_prefix(vw)
+    pref_w = _circular_prefix(w)
+    out = np.repeat(np.sum(vw, axis=-1, keepdims=True) / np.sum(w), n, axis=-1)
+    idx = np.arange(n)
+    for m in _hl_radii(sc):
+        if m >= (n - 1) // 2:
+            continue
+        lo = idx - m + n
+        hi = idx + m + n
+        num = pref_vw[..., hi + 1] - pref_vw[..., lo]
+        den = pref_w[hi + 1] - pref_w[lo]
+        np.maximum(out, num / den, out=out)
+    return out
+
+
+def plemelj_pair(sc, poles, coeffs):
+    """(f, T f) at the nodes for f = sum_k c_k / (z - a_k), poles off the
+    curve.  A pole outside makes its term analytic inside, so T keeps it
+    (T g = g); a pole inside makes it analytic outside and vanishing at
+    infinity, so T negates it (T g = -g); both for a curve run
+    counterclockwise, and both flip for one run clockwise.  Inside and the
+    orientation are the sampled polygon's: the winding number about each
+    pole, and the sign of the polygon's area."""
+    z = sc.points
+    area = float(np.sum((np.conj(z) * np.roll(z, -1)).imag))
+    turn = 1 if area > 0.0 else -1
+    f = np.zeros(sc.n, dtype=complex)
+    tf = np.zeros(sc.n, dtype=complex)
+    for a, c in zip(poles, coeffs):
+        rel = z - a
+        winding = np.angle(np.roll(rel, -1) / rel).sum() / (2.0 * math.pi)
+        term = c / rel
+        f += term
+        tf += term if round(winding) == 0 else -term
+    return f, turn * tf
 
 
 def _branch_log_unwrapped(p, x: float, eps: float) -> complex:
