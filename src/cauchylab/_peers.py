@@ -2,8 +2,8 @@
 helper each take the next task not yet started, and the calling thread
 gets every result back in task order.
 
-in_task_order serves only the evaluator's sweeps in operators (band tiles
-and heads chunks, both one kind of task).
+in_task_order serves only the evaluator's passes in operators (band
+blocks and heads chunks, both one kind of task).
 The caller adds the results into its own arrays as they come, so the
 order of its additions is that of the tasks, whichever thread ran them.
 

@@ -1,5 +1,6 @@
 """Command-line front door: build curves, run diagnostics and scans from a
-spec file, emit CSV reports and a verdict summary.
+spec file, emit CSV reports and a verdict summary, and sweep a spec over
+the Cartesian product of override values (``sweep``).
 
 Exit statuses: 0 success, 2 validation error, 3 numerical-gate failure,
 4 verdict mismatch under --assert-theorem.  Errors go to stderr with a
@@ -341,6 +342,18 @@ for _name, _help in [("build", "Build and export the curve."),
               help="exit 4 unless the two verdicts agree")
 def _all(spec_path, out_dir, overrides, seed, assert_theorem):
     _invoke("all", spec_path, out_dir, overrides, seed, assert_theorem)
+
+
+@main.command(name="sweep", help="Run a spec once per point of its axes.")
+@_common
+@click.option("--vary", "varies", multiple=True, metavar="SEC.KEY=V1|V2|...",
+              help="an axis of override values (repeatable)")
+def _sweep(spec_path, out_dir, overrides, seed, varies):
+    from .sweep import run_sweep  # loaded by this subcommand alone
+
+    if out_dir is None:
+        raise click.UsageError("sweep needs --out")
+    sys.exit(run_sweep(spec_path, varies, out_dir, overrides, seed))
 
 
 if __name__ == "__main__":

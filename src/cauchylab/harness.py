@@ -20,10 +20,10 @@ from .operators import (
     _near_center,
     _unit_measure,
     cauchy_family,
+    cauchy_maximal_family,
     dyadic_levels,
     hl_maximal_squared,
     kernel_transform_direct_fill,
-    maximal_of,
     truncated_kernel,
 )
 
@@ -443,15 +443,14 @@ def classify_ratio_trend(sups) -> str:
 def _cotlar_grid(p, n: int, tags, seed: int) -> tuple:
     """The cotlar rows of one resolution and their sup.  Nothing of the
     grid outlives the call, so the next grid's pass starts without it; the
-    (F, K, n) table goes once the maxima are taken."""
+    pass's windows join the running max as they come, and no (F, K, n)
+    table is made."""
     sc = arclength_sample(p, n)
     levels = dyadic_levels(sc, 1)
     guard = JUMP_GUARD_CELLS * sc.spacing
     fam = make_test_functions(sc, tags, seed=seed)
-    pvs, tables = cauchy_family(sc, [tf_fn.values for tf_fn in fam],
-                                 [eps for _, eps in levels])
-    t_stars = maximal_of(tables)
-    tables = None
+    pvs, t_stars = cauchy_maximal_family(
+        sc, [tf_fn.values for tf_fn in fam], [eps for _, eps in levels])
     m2s = hl_maximal_squared(sc, pvs)
     rows = []
     agg = 0.0

@@ -16,40 +16,54 @@ The kernel transform g = T(K_{z,eps}) of the truncated kernel is left
 unevaluated at the nodes within 2h of z, which _near_center alone marks;
 kernel_transform_direct_fill fills them by trapezoid sums.
 
-One evaluator, truncated_cauchy_family, computes every all-nodes Cauchy
-sum: a stack of F functions times a list of windows.  The kernel is
-antisymmetric, 1/(z_j - z_i) = -1/(z_i - z_j), so rows run in tiles of
-_TILE = 64 and each tile builds only the ahead half of its kernel: offsets
-1..(n-1)//2, in a frame of (n-1)//2 + 65 columns where every window of
-every row is a contiguous column range (about 4 MB at n = 8192, whatever
-F is).  Each entry serves twice.  Its row's ahead sums come from plain
-matmuls over the columns the whole tile keeps, nested from the antipode
-inward, and the transposed product of the tile's own values gives its
-target nodes their behind sums over the same columns.  These band sums go
-straight into the result, into one slot per distinct cut (the first window
-with that cut), and a running sum over the slots from the antipode inward
-turns them into the sums past each cut's head.  A heads sweep then goes
-cut by cut: it rebuilds the cut's masked head triangles, _TILE entries
-per row, a chunk of tiles at a time, and their ahead and behind sums
-collect in tile order in one F x n scratch that joins the slot in one
-addition.  One builder, _kernel_blocks, makes the entries of both sweeps
-with the same operations, so a head entry has the bits of the band entry
-it repeats, and one task function, _sweep_task, makes the products of
-both.  An even grid's antipode and the half-weight boundary nodes are
-separate terms, each made where it is added, from views of the pass's
-wrapped rows: an edged cut c makes one division pass, 1/(z[i+c] - z[i]),
-and its behind terms are the ahead products negated and rotated by c.
-No window's sum is a difference of larger sums, so a window that holds
-only a few nodes is as accurate as its own terms.  Besides the result,
-the pass holds the same memory for any number of windows but for a band
-tile's row sums, F x _TILE values per cut: one copy of the values, in
-its own layout (a list of arrays is stacked only on the way there), one
-F x n scratch, two tile-kernel buffers and the products of at most four
-tiles or chunks (two of the helper's, one of the calling thread's and
-the last one added); traced at n = 2048 and F = 15, the result plus
-9.5-9.8 F x n slabs for 2 windows and for 12, from an array or a list.
-The readable single-node oracles it is tested against are in
-tests/oracles.py.
+One evaluator, truncated_cauchy_windows, computes every all-nodes Cauchy
+sum: a stack of F functions times a list of windows, yielded one window
+at a time.  The kernel is antisymmetric, 1/(z_j - z_i) = -1/(z_i - z_j),
+so rows run in tiles of _TILE = 64 and each tile builds only the ahead
+half of its kernel: offsets 1..(n-1)//2, in a frame of (n-1)//2 + 65
+columns where every window of every row is a contiguous column range.
+Each entry serves twice.  The pass goes cut by cut (a cut is a window's
+inner half-width plus its boundary flag), from the antipode inward.  A
+cut's band is the frame's columns from its head's end, cut + 65, up to
+the previous cut's: every tile builds that block (bounds rounded out to
+multiples of 8, or to the frame's end), its rows' ahead sums come from a
+plain matmul over the range, and the transposed product of the tile's
+own values gives its target nodes their behind sums over the same
+columns.  These sums collect in tile order in one F x n slab that joins
+a running sum over the cuts done so far, so it holds the sums past the
+cut's head.  The cut's masked head triangles, _TILE entries per row,
+are then rebuilt a chunk of tiles at a time into a second slab, which
+joins the running sum in one addition; the cut's windows are closed and
+yielded before the next cut starts.  One builder, _kernel_blocks, makes
+the entries of bands and heads with the same operations, so a head
+entry has the bits of the band entry it repeats, and one task function,
+_sweep_task, makes the products of both.  An even grid's antipode and
+the half-weight boundary nodes are separate terms, each made where it is
+added, from views of the pass's wrapped rows: an edged cut c makes one
+division pass, 1/(z[i+c] - z[i]), and its behind terms are the ahead
+products, negated, of the nodes c behind.  No window's sum is a
+difference of larger sums, so a window that holds only a few nodes is as
+accurate as its own terms.  A pass holds no per-window storage: one copy
+of the values, in its own layout (a list of arrays is stacked only on
+the way there), the running sum, the cut's slab, the window being
+closed with its boundary terms, two kernel buffers as wide as the
+widest cut's block (n/4 columns for the dyadic levels of a power-of-two
+grid, n/2 for 2h and 4h alone) and the products of at most four tasks;
+the buffers and the running sum go before the last cut is closed.
+Traced at n = 2048 and 8192 with F = 15, its peak with each window
+dropped as it comes is 8.1-8.7 F x n slabs for 12 windows and
+10.2-10.7 for 2, from an array or a list.
+
+truncated_cauchy_family and cauchy_family collect the windows into an
+(F, W, n) table (42.0-42.5 MiB traced at n = 8192, 15 functions and 14
+windows, the table 26.25 MiB of it), for the transform and proof scans,
+the witnesses and the tests; cauchy_maximal_family takes the principal
+values and the running max over the levels from the windows as they
+come, and no table, for the cotlar scan (17.5-18.4 MiB for the same
+functions and levels, against 37.7-38.1 MiB through cauchy_family and
+maximal_of).  The bits are those of one tile-major sweep that builds
+every tile's kernel over the whole frame, kept in tests/oracles.py with
+the readable single-node oracles.
 
 pv_cauchy_all, truncated_cauchy_all and maximal_cauchy_all are that
 evaluator on a family of one, and kernel_truncation_transform is g for one
@@ -59,16 +73,18 @@ change that drops them from its table.  transform_csv_rows is kept the
 same way: transform.csv goes out from transform_csv_blocks, one table
 entry at a time.
 
-Threads: each call runs two peer workers, the calling thread and one
-helper, through _peers.in_task_order.  The band tiles and then the heads
-chunks are the tasks, each one call of _sweep_task, in one list; each
+Threads: each pass runs two peer workers, the calling thread and one
+helper, through _peers.in_task_order.  Each cut's band blocks (a task
+takes several tiles of a narrow block) and then its heads chunks are the
+tasks, each one call of _sweep_task, in one list for all the cuts; each
 worker takes the next task not yet started, builds its kernel blocks in
-its own buffer of one tile kernel (two buffers, about 8 MB at n = 8192,
-allocated before the sweep), and makes the task's products of them.
-The helper holds at most two results not yet added, the calling thread
-one.  Only the calling thread adds results into the pass's arrays, in
-task order, so every node gets its terms in the same order whichever
-worker ran a task.  The call joins its helper before returning.  Both
+its own buffer (allocated before the pass) and makes the task's products
+of them.  The helper holds at most two results not yet added, the
+calling thread one, so the helper runs ahead into the next cut while
+the calling thread closes a cut's windows and the consumer takes them.
+Only the calling thread adds results into the pass's arrays, in task
+order, so every node gets its terms in the same order whichever worker
+ran a task.  The pass joins its helper when it ends or is closed.  Both
 workers call BLAS; importing cauchylab before numpy sets
 OPENBLAS_NUM_THREADS=1 unless it is already set, so each product runs on
 the thread that calls it: the per-tile products are too small for BLAS
@@ -77,12 +93,15 @@ threads, which only spun.
 Determinism: reruns give the same bits, and which worker runs a task
 changes none of them, since no sum changes order.  Every BLAS product
 reduces over a multiple of 8 terms (a tile's 64 rows, or a column range
-cut to a multiple of 8 with the rest summed elementwise).  With the
-OpenBLAS build the tests run on, that made the bits the same under one
-and two BLAS threads at n = 2048, 3000, 4096 and 8192, where ragged
-reductions had differed; the test pins 2048 x 15 and 3000 x 7 functions,
-and CI the square's all-scans output at 2048, 4096 and 8192 nodes.
-It is an observation about that library, not a guarantee for others.  A
+cut to a multiple of 8 with the rest summed elementwise, tile by tile).
+With the OpenBLAS build the tests run on, that made the bits the same
+under one and two BLAS threads at n = 2048, 3000, 4096 and 8192, where
+ragged reductions had differed; the test pins 2048 x 15 and 3000 x 7
+functions, and CI the square's all-scans output at 2048, 4096 and 8192
+nodes.  A band block's columns start at a multiple of 8 for the same
+library's sake: with one BLAS thread, blocks that did not changed bits
+of the transposed products against a product over the whole frame.  It
+is an observation about that library, not a guarantee for others.  A
 family and a single call agree to 1e-13 relative (products of other
 shapes round differently).
 """
@@ -101,8 +120,10 @@ from .errors import DomainError, ResolutionError
 
 __all__ = [
     "dyadic_levels",
+    "truncated_cauchy_windows",
     "truncated_cauchy_family",
     "cauchy_family",
+    "cauchy_maximal_family",
     "maximal_of",
     "pv_cauchy_all",
     "truncated_cauchy_all",
@@ -203,17 +224,27 @@ def _kernel_blocks(z_ext, start: int, count: int, first: int, cols: int,
     Entry [t, r, q] is 1/(z[s + first + q] - z[s + r]), s = start + t * _TILE,
     when the offset first + q - r lies in cut + 1..reach, and zero
     elsewhere.  Only the columns where some row leaves that range are
-    masked: those before cut - first + _TILE, and those from
-    reach - first + 1 on.  A band tile is one block of the frame's width
-    (first = cut = 0); a heads chunk is count blocks of _TILE columns from
+    masked: those before cut - first + _TILE (none when the block starts
+    that far past the cut), and those from reach - first + 1 on.  A band
+    block is the columns first..first + cols - 1 of its tiles' kernels
+    (cut = 0); a heads chunk is count blocks of _TILE columns from
     first = c + 1 for cut c, each the columns c + 1..c + _TILE of its tile's
-    band kernel without the entries at offsets up to c.
+    kernel without the entries at offsets up to c.
     """
     tile = _TILE
     rows = z_ext[start:start + count * tile].reshape(count, tile, 1)
-    kern = np.subtract(_tile_windows(z_ext, start + first, count, cols)[:, None],
-                       rows, out=out)
-    low = min(cols, cut - first + tile)
+    # numpy buffers a broadcast ufunc whose rows are shorter than about a
+    # third of its buffer (8192 elements unless set), at 2-3 ns an entry
+    # here against 0.7-1 ns with a buffer of one row, from 64 columns on;
+    # the buffer size is the calling thread's own
+    size = np.setbufsize(-(-cols // 16) * 16) if cols >= tile else None
+    try:
+        kern = np.subtract(_tile_windows(z_ext, start + first, count, cols)[:, None],
+                           rows, out=out)
+    finally:
+        if size is not None:
+            np.setbufsize(size)
+    low = max(0, min(cols, cut - first + tile))
     masks = []
     for a, b in ((0, low), (max(low, reach - first + 1), cols)):
         if a < b:
@@ -246,17 +277,22 @@ def _offset_terms(z_ext, contrib_ext, n: int, off: int) -> np.ndarray:
     """K[i, i+off] contrib[i+off] + K[i, i-off] contrib[i-off] for every
     node i, shape (F, n), from views of the pass's wrapped rows; one term
     when both are one node.  K[i, i-off] = -K[i-off, i] exactly, so both
-    come from one kernel diagonal."""
+    come from one kernel diagonal: node i's behind term is node i - off's
+    ahead product, negated."""
     diag = 1.0 / (z_ext[off:off + n] - z_ext[:n])
     terms = diag * contrib_ext[off:off + n].T
     if 2 * off != n:
-        terms -= np.roll(diag * contrib_ext[:n].T, off, axis=1)
+        # one function at a time: products one row long, and 2.3 times as
+        # fast as whole-stack products at n = 8192, F = 15
+        for row, values in zip(terms, contrib_ext[:n].T):
+            row[off:] -= diag[:n - off] * values[:n - off]
+            row[:off] -= diag[n - off:] * values[n - off:]
     return terms
 
 
 def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
                 count: int, first: int, cols: int, cut: int, ranges, buf):
-    """One band tile or heads chunk, a task of _peers.in_task_order: it
+    """One band task or heads chunk, a task of _peers.in_task_order: it
     builds the kernel blocks of _kernel_blocks in buf and returns, for each
     column range (lo, hi) of ranges, the (F, rows) sums of the blocks' rows
     that are nodes over those columns, and the (F, count * cols) sums that
@@ -270,15 +306,16 @@ def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
     frames = _tile_windows(contrib_ext, start + first, count, cols)
     aheads = []
     for lo, hi in ranges:
-        # BLAS reduces over a multiple of 8 columns, the rest elementwise
+        # BLAS reduces over a multiple of 8 columns, the rest elementwise,
+        # tile by tile, so that the products are _TILE x 7 x F at most
         mid = hi - (hi - lo) % 8
         sums = kern[..., lo:mid] @ frames[:, lo:mid]
-        if mid < hi:
-            sums += (kern[..., mid:hi, None] * frames[:, None, mid:hi]).sum(axis=2)
+        for t in range(count) if mid < hi else ():
+            sums[t] += (kern[t, :, mid:hi, None] * frames[t, None, mid:hi]).sum(axis=1)
         aheads.append(sums.reshape(span, f)[:rows].T)
     # the rows as sources behind their targets: K[j, i] = -K[i, j]; these
-    # come after the row sums, so that the elementwise products of a band
-    # tile's leftover columns are freed before they are made
+    # come after the row sums, so that the elementwise products of the
+    # leftover columns are freed before they are made
     src = -contrib_ext[start:start + span]
     src[rows:] = 0.0  # rows past the last node wrap around; they add nothing
     behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ kern
@@ -287,15 +324,18 @@ def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
     return aheads, behind
 
 
-def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
-    """Truncated transforms of a stack of functions for several windows.
+def truncated_cauchy_windows(sc: SampledCurve, values, eps_list):
+    """Truncated transforms of a stack of functions, one window at a time.
 
-    values has shape (F, n); entry [f, w, i] of the (F, W, n) result is
-    T_eps f at node i for eps = eps_list[w], with the module's conventions.
-    Each kernel entry 1/(z_j - z_i) is built once in its tile's kernel, for
-    the row i it lies ahead of, and serves node j as -1/(z_i - z_j); the
-    head entries, _TILE per row and cut, are built a second time for the
-    heads sweep.
+    values has shape (F, n).  The returned iterator yields (w, T_eps f) for
+    each window w, eps = eps_list[w], of shape (F, n), with the module's
+    conventions: cut by cut from the antipode inward, the windows of one
+    cut in list order.  Shapes, values and windows are checked before it
+    returns; the sums are made as the windows are asked for.  Each kernel
+    entry 1/(z_j - z_i) is built once, in the band block of the one cut
+    whose columns hold it, for the row i it lies ahead of, and serves node
+    j as -1/(z_i - z_j); the head entries, _TILE per row and cut, are built
+    a second time for the cut's heads.
     """
     n = sc.n
     vals = np.asarray(values, dtype=complex)
@@ -308,77 +348,147 @@ def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
     for eps in eps_list:
         _check_eps(sc, eps)
         windows.append(_window_split(eps, sc.spacing, n))
+    ext = np.arange(n + (n - 1) // 2 + _TILE + 1) % n
+    # the pass's one copy of the values: node contributions in rows, wrapped
+    # on past node n - 1 (a list input's stacked copy is dropped here)
+    contrib_ext = (vals.T * _unit_measure(sc)[:, None])[ext]
+    return _cut_stream(sc.points[ext], contrib_ext, n, windows)
+
+
+def _cut_stream(z_ext, contrib_ext, n: int, windows):
+    """The generator of truncated_cauchy_windows, from the wrapped rows of
+    the nodes and of their contributions and the (inner, boundary) split
+    of each window."""
+    tile = _TILE
+    f = contrib_ext.shape[1]
     # offsets 1..reach ahead and behind; an even grid's antipode is apart
     reach = (n - 1) // 2
-    cuts = sorted({inner + boundary for inner, boundary in windows
-                   if inner + boundary <= reach}, reverse=True)
-    by_cut = {}  # the windows of each cut; the first holds its sums
+    width = reach + tile + 1  # every cut's head fits: cut + tile + 1 <= width
+    by_cut = {}  # the windows of each cut
     for w, (inner, boundary) in enumerate(windows):
         by_cut.setdefault(inner + boundary, []).append(w)
-    tile = _TILE
-    width = reach + tile + 1  # every cut's head fits: cut + tile + 1 <= width
-    ext = np.arange(n + width) % n
-    z_ext = sc.points[ext]
-    # the pass's one copy of the values: node contributions in rows, wrapped
-    # on past node n - 1 (a list input's stacked copy goes here too)
-    f = vals.shape[0]
-    contrib_ext = (vals.T * _unit_measure(sc)[:, None])[ext]
-    vals = None
+    cuts = sorted((c for c in by_cut if c <= reach), reverse=True)
     terms = partial(_offset_terms, z_ext, contrib_ext, n)
-    out = np.zeros((f, len(windows), n), dtype=complex)
-    # each cut's slot first takes the terms past the head of every tile
-    # that lie before the previous cut's head; a running sum over the cuts
-    # then makes them the terms past the head
-    slots = {c: out[:, by_cut[c][0]] for c in cuts}
-    # the heads sweep takes each cut's tiles in chunks whose heads fill at
-    # most half a tile kernel's buffer, so that a chunk's products are no
-    # larger than a tile's
-    tiles = -(-n // tile)
-    per_chunk = max(1, width // (2 * tile))
-    chunks = [(c, t * tile, min(per_chunk, tiles - t)) for c in cuts
-              for t in range(0, tiles, per_chunk)]
-    # a band tile's rows keep the columns past each cut's head: from the
-    # antipode inward, lo = cut + tile + 1 up to the previous cut's lo
+    # a band row keeps the columns past each cut's head: from the antipode
+    # inward, lo = cut + tile + 1 up to the previous cut's lo.  Each cut's
+    # block is rounded out to multiples of 8 (or to the frame's end), so
+    # that its transposed products split their columns as a product over
+    # the whole frame does
     bounds = [width] + [c + tile + 1 for c in cuts]
-    ranges = list(zip(bounds[1:], bounds))
-    starts = range(0, n, tile)
-    band = [(t0, 1, 0, width, 0, ranges) for t0 in starts]
-    heads = [(s, count, c + 1, tile, c, [(0, tile)]) for c, s, count in chunks]
+    blocks = [(lo - lo % 8, min(width, hi + -hi % 8), lo, hi)
+              for lo, hi in zip(bounds[1:], bounds)]
+    tiles = -(-n // tile)
+    # a heads chunk fills at most half a tile kernel of the frame's width;
+    # a band task's blocks fill at most the widest block, and it takes no
+    # more rows than that block has columns, which bounds its products
+    per_chunk = max(1, width // (2 * tile))
+    widest = max([b - a for a, b, lo, hi in blocks if lo < hi]
+                 + [per_chunk * tile])
+    plan, tasks = [], []  # per cut, its band tasks' rows and its head chunks
+    for c, (a, b, lo, hi) in zip(cuts, blocks):
+        band = []
+        if lo < hi:
+            per_task = max(1, min(widest // (b - a), widest // tile))
+            band = [(t * tile, min(per_task, tiles - t))
+                    for t in range(0, tiles, per_task)]
+        heads = [(t * tile, min(per_chunk, tiles - t))
+                 for t in range(0, tiles, per_chunk)]
+        plan.append((band, heads))
+        tasks += [(s, count, a, b - a, 0, [(lo - a, hi - a)]) for s, count in band]
+        tasks += [(s, count, c + 1, tile, c, [(0, tile)]) for s, count in heads]
     tasks = [partial(_sweep_task, z_ext, contrib_ext, n, reach, *task)
-             for task in band + heads]
-    # both workers build every kernel and chunk of heads in their own buffer
-    scratch = tuple(np.empty((tile, width), dtype=complex) for _ in range(2))
-    with closing(in_task_order(tasks, scratch)) as results:
-        for t0, (aheads, behind) in zip(starts, results):
-            for c, (lo, hi), ahead in zip(cuts, ranges, aheads):
-                slots[c][:, t0:t0 + ahead.shape[1]] += ahead
-                _wrap_add(slots[c], t0 + lo, behind[:, lo:hi])
-        aheads = behind = None  # free the last tile's sums
-        if n % 2 == 0 and cuts:
-            slots[cuts[0]] += terms(n // 2)
-        for prev, c in zip(cuts, cuts[1:]):
-            slots[c] += slots[prev]
-        # each cut's head triangles join its slot in one addition; each
-        # node gets its head terms in tile order (its one ahead term may
-        # move before behind terms, which commutes from zero)
-        heads_sum = np.zeros((f, n), dtype=complex)
-        for (c, s, count), ((ahead,), behind) in zip(chunks, results):
-            heads_sum[:, s:s + ahead.shape[1]] += ahead
-            _wrap_add(heads_sum, s + c + 1, behind)
-            if s + count * tile >= n:
-                slots[c] += heads_sum
-                heads_sum[:] = 0.0
-    scratch = heads_sum = ahead = behind = None  # free before the edge sums
-    for cut, ws in by_cut.items():
-        for w in ws[1:]:
-            out[:, w] = out[:, ws[0]]
-        edged = [w for w in ws if windows[w][1]]
-        if edged:
+             for task in tasks]
+
+    def close(cut, base):
+        """Yield the windows of the cut from base, its terms past the
+        head; the last window takes base itself."""
+        ws = by_cut[cut]
+        edge = None
+        if any(windows[w][1] for w in ws):
             edge = terms(cut)
-            for w in edged:
-                out[:, w] += 0.5 * edge
-    out /= 1j * math.pi
+            edge *= 0.5
+        for i, w in enumerate(ws):
+            out = base if i == len(ws) - 1 else base.copy()
+            if windows[w][1]:
+                out += edge
+            out /= 1j * math.pi
+            yield w, out
+
+    if reach + 1 in by_cut:  # an even grid's antipode window: its one term
+        yield from close(reach + 1, np.zeros((f, n), dtype=complex))
+    if not cuts:
+        return
+    # running: the terms past the head of the cuts done so far; part: the
+    # current cut's band terms before the previous cut's head, then its
+    # head triangles.  Each node gets its terms in tile order
+    running = None
+    # both workers build every block and chunk of heads in their own buffer
+    scratch = tuple(np.empty(tile * widest, dtype=complex) for _ in range(2))
+    with closing(in_task_order(tasks, scratch)) as results:
+        for c, (a, b, lo, hi), (band, heads) in zip(cuts, blocks, plan):
+            part = np.zeros((f, n), dtype=complex)
+            for (s, count), ((ahead,), behind) in zip(band, results):
+                for t in range(count):
+                    t0, q = s + t * tile, t * (b - a)
+                    part[:, t0:t0 + tile] += ahead[:, t * tile:(t + 1) * tile]
+                    _wrap_add(part, t0 + lo, behind[:, q + lo - a:q + hi - a])
+            if running is None:
+                if n % 2 == 0:
+                    part += terms(n // 2)
+                running, part = part, np.zeros((f, n), dtype=complex)
+            else:
+                running += part
+                part[:] = 0.0
+            # a node's one ahead head term may come before behind ones,
+            # which commutes from zero
+            for (s, count), ((ahead,), behind) in zip(heads, results):
+                part[:, s:s + ahead.shape[1]] += ahead
+                _wrap_add(part, s + c + 1, behind)
+            ahead = behind = None  # free the last chunk's sums
+            part += running
+            if c == cuts[-1]:
+                # every task is done: join the helper and free what the
+                # last cut's windows do not need
+                results.close()
+                scratch = running = None
+            yield from close(c, part)
+            part = None
+
+
+def truncated_cauchy_family(sc: SampledCurve, values, eps_list) -> np.ndarray:
+    """Truncated transforms of a stack of functions for several windows.
+
+    values has shape (F, n); entry [f, w, i] of the (F, W, n) result is
+    T_eps f at node i for eps = eps_list[w]: the windows of
+    truncated_cauchy_windows, collected.
+    """
+    eps_list = list(eps_list)
+    stream = truncated_cauchy_windows(sc, values, eps_list)
+    out = np.empty((len(values), len(eps_list), sc.n), dtype=complex)
+    with closing(stream):
+        for w, vals in stream:
+            out[:, w] = vals
+            vals = None  # not kept through the next cut's sums
     return out
+
+
+def _richardson_windows(sc: SampledCurve, levels):
+    """The windows of a pass for the levels and the Richardson principal
+    value: the levels, then 2h and 4h unless a level has their window, and
+    the indices of the 2h and 4h windows among them."""
+    if sc.n < 16:
+        raise DomainError("grid too small for the 2h/4h extrapolation")
+    h = sc.spacing
+    eps_list = list(levels)
+    splits = [_window_split(eps, h, sc.n) for eps in eps_list]
+    picks = []
+    for eps in (2.0 * h, 4.0 * h):
+        split = _window_split(eps, h, sc.n)
+        if split not in splits:
+            eps_list.append(eps)
+            splits.append(split)
+        picks.append(splits.index(split))
+    return eps_list, picks
 
 
 def cauchy_family(sc: SampledCurve, values, levels=()):
@@ -390,21 +500,36 @@ def cauchy_family(sc: SampledCurve, values, levels=()):
     level with the window of 2h or 4h serves for it, so those windows are
     only added to the pass when no level has them.
     """
-    if sc.n < 16:
-        raise DomainError("grid too small for the 2h/4h extrapolation")
-    h = sc.spacing
-    eps_list = list(levels)
-    count = len(eps_list)
-    splits = [_window_split(eps, h, sc.n) for eps in eps_list]
-    picks = []
-    for eps in (2.0 * h, 4.0 * h):
-        split = _window_split(eps, h, sc.n)
-        if split not in splits:
-            eps_list.append(eps)
-            splits.append(split)
-        picks.append(splits.index(split))
+    eps_list, picks = _richardson_windows(sc, levels)
     vals = truncated_cauchy_family(sc, values, eps_list)
-    return 2.0 * vals[:, picks[0]] - vals[:, picks[1]], vals[:, :count]
+    return 2.0 * vals[:, picks[0]] - vals[:, picks[1]], vals[:, :len(levels)]
+
+
+def cauchy_maximal_family(sc: SampledCurve, values, levels):
+    """Principal values and the maximal transform over the levels of a
+    stack of functions, from one evaluator pass.
+
+    Returns (pv, t_star), both of shape (F, n): the pv of cauchy_family
+    and the sup over the levels of |T_eps f|, the running max of
+    maximal_of.  Each window joins them as the pass yields it, so no
+    table of the levels is kept; levels must not be empty.
+    """
+    levels = list(levels)
+    eps_list, (pick_2h, pick_4h) = _richardson_windows(sc, levels)
+    sup = t_4h = pv = None
+    with closing(truncated_cauchy_windows(sc, values, eps_list)) as stream:
+        for w, vals in stream:
+            if w < len(levels):
+                if sup is None:
+                    sup = np.abs(vals)
+                else:
+                    np.maximum(sup, np.abs(vals), out=sup)
+            if w == pick_4h:
+                t_4h = vals
+            elif w == pick_2h:  # the innermost cut, after 4h's
+                pv = 2.0 * vals - t_4h
+            vals = None
+    return pv, sup
 
 
 def maximal_of(table: np.ndarray) -> np.ndarray:

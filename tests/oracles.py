@@ -15,13 +15,17 @@ smooths and the spiral's limit point, the accumulation point of its
 untruncated recursion.  For the evaluator's bits: its boundary terms with
 the behind edge gathered and divided on its own, and the maximal function
 with index-array ball sums, the forms the program computed before it read
-both from views.  And the Plemelj pair: rational functions whose exact
-principal value is known on any Jordan curve.
+both from views, and the one tile-major sweep over the whole frame that
+the cut-by-cut pass must match bit for bit.  And the Plemelj pair:
+rational functions whose exact principal value is known on any Jordan
+curve.
 
 The single-node oracles take what the operators take: the sampled curve
 and plain node values, (sc, values, z_index, ...)."""
 
 import math
+from contextlib import closing
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -35,11 +39,16 @@ from cauchylab.errors import (
 )
 from cauchylab.geometry import _window_chords
 from cauchylab.operators import (
+    _TILE,
     _circular_prefix,
     _cyclic_distance,
     _hl_radii,
+    _kernel_blocks,
     _outside_window,
+    _tile_windows,
     _unit_measure,
+    _window_split,
+    _wrap_add,
 )
 
 
@@ -102,6 +111,96 @@ def gathered_offset_terms(z_ext, contrib_ext, n: int, off: int) -> np.ndarray:
     if 2 * off == n:
         return ahead(off)
     return ahead(off) + ahead(n - off)
+
+
+def _tile_major_task(z_ext, contrib_ext, n: int, reach: int, start: int,
+                     count: int, first: int, cols: int, cut: int, ranges, buf):
+    """One band tile or heads chunk of tile_major_family: the (F, rows)
+    sums of each column range's rows and the (F, count * cols) sums the
+    rows give their columns, from the blocks of operators._kernel_blocks."""
+    tile = _TILE
+    f = contrib_ext.shape[1]
+    span = count * tile
+    rows = min(span, n - start)
+    kern = _kernel_blocks(z_ext, start, count, first, cols, cut, reach,
+                          buf.reshape(-1)[:span * cols].reshape(count, tile, cols))
+    frames = _tile_windows(contrib_ext, start + first, count, cols)
+    aheads = []
+    for lo, hi in ranges:
+        mid = hi - (hi - lo) % 8
+        sums = kern[..., lo:mid] @ frames[:, lo:mid]
+        if mid < hi:
+            sums += (kern[..., mid:hi, None] * frames[:, None, mid:hi]).sum(axis=2)
+        aheads.append(sums.reshape(span, f)[:rows].T)
+    src = -contrib_ext[start:start + span]
+    src[rows:] = 0.0
+    behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ kern
+    behind = behind.transpose(1, 0, 2).reshape(f, count * cols)
+    return aheads, behind
+
+
+def tile_major_family(sc, values, eps_list) -> np.ndarray:
+    """operators.truncated_cauchy_family as one tile-major sweep: each tile
+    of rows builds its kernel over the whole frame of (n - 1) // 2 + 65
+    columns and adds its row and transposed sums over every cut's column
+    range into that cut's slot of the (F, W, n) result; a running sum over
+    the slots then gives the terms past each head, and a second sweep adds
+    the heads, cut by cut.  The boundary terms are gathered_offset_terms."""
+    n = sc.n
+    vals = np.asarray(values, dtype=complex)
+    windows = [_window_split(eps, sc.spacing, n) for eps in eps_list]
+    reach = (n - 1) // 2
+    cuts = sorted({inner + boundary for inner, boundary in windows
+                   if inner + boundary <= reach}, reverse=True)
+    by_cut = {}
+    for w, (inner, boundary) in enumerate(windows):
+        by_cut.setdefault(inner + boundary, []).append(w)
+    tile = _TILE
+    width = reach + tile + 1
+    ext = np.arange(n + width) % n
+    z_ext = sc.points[ext]
+    f = vals.shape[0]
+    contrib_ext = (vals.T * _unit_measure(sc)[:, None])[ext]
+    out = np.zeros((f, len(windows), n), dtype=complex)
+    slots = {c: out[:, by_cut[c][0]] for c in cuts}
+    tiles = -(-n // tile)
+    per_chunk = max(1, width // (2 * tile))
+    chunks = [(c, t * tile, min(per_chunk, tiles - t)) for c in cuts
+              for t in range(0, tiles, per_chunk)]
+    bounds = [width] + [c + tile + 1 for c in cuts]
+    ranges = list(zip(bounds[1:], bounds))
+    starts = range(0, n, tile)
+    band = [(t0, 1, 0, width, 0, ranges) for t0 in starts]
+    heads = [(s, count, c + 1, tile, c, [(0, tile)]) for c, s, count in chunks]
+    tasks = [partial(_tile_major_task, z_ext, contrib_ext, n, reach, *task)
+             for task in band + heads]
+    scratch = tuple(np.empty((tile, width), dtype=complex) for _ in range(2))
+    with closing(_peers.in_task_order(tasks, scratch)) as results:
+        for t0, (aheads, behind) in zip(starts, results):
+            for c, (lo, hi), ahead in zip(cuts, ranges, aheads):
+                slots[c][:, t0:t0 + ahead.shape[1]] += ahead
+                _wrap_add(slots[c], t0 + lo, behind[:, lo:hi])
+        if n % 2 == 0 and cuts:
+            slots[cuts[0]] += gathered_offset_terms(z_ext, contrib_ext, n, n // 2)
+        for prev, c in zip(cuts, cuts[1:]):
+            slots[c] += slots[prev]
+        heads_sum = np.zeros((f, n), dtype=complex)
+        for (c, s, count), ((ahead,), behind) in zip(chunks, results):
+            heads_sum[:, s:s + ahead.shape[1]] += ahead
+            _wrap_add(heads_sum, s + c + 1, behind)
+            if s + count * tile >= n:
+                slots[c] += heads_sum
+                heads_sum[:] = 0.0
+    for cut, ws in by_cut.items():
+        for w in ws[1:]:
+            out[:, w] = out[:, ws[0]]
+        edged = [w for w in ws if windows[w][1]]
+        if edged:
+            edge = gathered_offset_terms(z_ext, contrib_ext, n, cut)
+            for w in edged:
+                out[:, w] += 0.5 * edge
+    out /= 1j * math.pi
+    return out
 
 
 def indexed_hl_maximal_all(sc, values) -> np.ndarray:

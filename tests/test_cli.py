@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from cauchylab import cli, curves, curvespec, operators
+from cauchylab import cli, curves, curvespec, operators, sweep
 from cauchylab.cli import CommandInvocation, main, run
 from cauchylab.errors import NumericalGateError, ResolutionError
 
@@ -578,3 +578,84 @@ def test_known_defect_square_criterion_flips_bounded_at_k_max_14(tmp_path):
                                    [4.0 * 2.0 ** (-k) for k in (12, 13)])
     (_, s12), (_, s13) = table.profile
     assert abs(s13 / s12 - 1.1) <= 1e-15
+
+
+SWEEP_BASE = """
+[curve]
+kind = circle
+
+[sampling]
+n = 256
+resolutions = 128,256
+
+[experiment]
+scans = criterion,cotlar
+functions = constant,trig:1
+"""
+
+
+def _tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_sweep_writes_one_row_per_point_and_reruns_to_the_same_bytes(tmp_path, capsys):
+    # a 2 x 2 sweep: k_min = 9 with k_max = 8 fails validation, and that
+    # point is a row with its exit status, not an abort; the other three
+    # run into their point-NNN directories.  A rerun writes the same bytes
+    spec = _write_spec(tmp_path, SWEEP_BASE)
+    axes = ("experiment.k_min=4|9", "experiment.k_max=8|12")
+    for name in ("a", "b"):
+        assert sweep.run_sweep(str(spec), axes, str(tmp_path / name)) == 0
+    assert "k_max must exceed k_min" in capsys.readouterr().err
+    first = _tree(tmp_path / "a")
+    assert first == _tree(tmp_path / "b")
+    assert sorted({path.split("/")[0] for path in first}) == [
+        "base.cspec", "point-000", "point-001", "point-003", "sweep.csv"]
+    rows = first["sweep.csv"].decode().splitlines()
+    assert rows[0] == ("experiment.k_min,experiment.k_max,status,eps0,"
+                       "criterion,cotlar,profile_tail,family_sup")
+    cells = [row.split(",") for row in rows[1:]]
+    assert [c[:3] for c in cells] == [["4", "8", "0"], ["4", "12", "0"],
+                                      ["9", "8", "2"], ["9", "12", "0"]]
+    assert cells[2][3:] == [""] * 5
+    for c in (cells[0], cells[1], cells[3]):
+        assert c[3] == "0.39269908169872414" and c[4:6] == ["bounded", "stable"]
+        assert len(c[6].split(";")) == 3
+        assert [s.split("=")[0] for s in c[7].split(";")] == ["128", "256"]
+    # the row reads what the point's run wrote
+    summary = first["point-001/summary.txt"].decode()
+    assert "k_max = 12" in summary and "criterion verdict: bounded" in summary
+    assert cells[1][6].split(";")[-1].startswith("T*2^-12=")
+
+
+def test_sweep_axes_come_from_the_file_then_the_command_line(tmp_path):
+    # a [sweep] section's vary lines are axes; the rest is the base spec,
+    # which goes to base.cspec; --vary axes follow, and --set overrides
+    # apply at every point
+    spec = _write_spec(tmp_path, SWEEP_BASE + "\n[sweep]\nvary = sampling.n=256|512\n")
+    result = CliRunner().invoke(main, [
+        "sweep", "--spec", str(spec), "--out", str(tmp_path / "o"),
+        "--vary", "curve.radius=1|2", "--set", "experiment.scans=criterion"])
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in rows] == [
+        ["sampling.n", "curve.radius", "status"], ["256", "1", "0"],
+        ["256", "2", "0"], ["512", "1", "0"], ["512", "2", "0"]]
+    assert all(row.split(",")[5] == "n/a" for row in rows[1:])
+    assert "[sweep]" not in (tmp_path / "o" / "base.cspec").read_text()
+    for bad in ("vary = sampling.n", "n = 3"):
+        spec = _write_spec(tmp_path, SWEEP_BASE + f"\n[sweep]\n{bad}\n", "bad.cspec")
+        assert sweep.run_sweep(str(spec), (), str(tmp_path / "bad")) == 2
+
+
+def test_checked_in_kmax_sweep_reads_bounded_from_14(tmp_path):
+    # specs/sweeps/square-kmax.csweep reproduces ROADMAP item 1's flip:
+    # the square's criterion reads unbounded up to k_max = 13 and bounded
+    # from 14 (the known defect pinned above)
+    spec = Path(__file__).resolve().parent.parent / "specs" / "sweeps" / "square-kmax.csweep"
+    assert sweep.run_sweep(str(spec), (), str(tmp_path)) == 0
+    rows = [row.split(",") for row in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [
+        (str(k), "unbounded" if k <= 13 else "bounded") for k in range(10, 17)]

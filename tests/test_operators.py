@@ -1,6 +1,8 @@
 """Tests for the discrete transforms and maximal operators."""
 
+import collections
 import ctypes
+import functools
 import hashlib
 import math
 import os
@@ -270,34 +272,80 @@ def test_family_of_one_matches_family_of_two(square_family):
 
 
 def test_one_pass_builds_half_the_kernel(monkeypatch):
-    # each entry 1/(z_j - z_i) is built once for both nodes: n^2 / 2 plus
-    # one tile of columns per tile of rows; the two workers together build
-    # every tile's kernel exactly once, a ragged last tile included.  The
-    # heads sweep builds the head entries again: one _TILE x _TILE block
-    # per tile and distinct cut, _TILE entries per row and cut.  Band tiles
-    # are the builder's calls from column offset 0, heads chunks the rest
-    built, heads = [], []
+    # each entry 1/(z_j - z_i) is built once for both nodes: every cut
+    # builds, in every tile of rows (a ragged last tile included), the
+    # block of its own columns, lo = cut + 65 up to the previous cut's lo
+    # (the frame's end for the first), rounded out to multiples of 8 or to
+    # the frame's end; cuts whose ranges are narrower than 8 columns may
+    # round to the same block.  The ranges meet end to end, so the blocks
+    # hold n^2 / 2 entries and fewer than 16 more columns per tile and cut.  The
+    # heads build the head entries again: one _TILE x _TILE block per tile
+    # and distinct cut.  Band blocks are the builder's calls with cut 0,
+    # heads chunks the rest
+    tile = operators._TILE
+    band, heads = [], []
     kernel_blocks = operators._kernel_blocks
 
-    def counting(z_ext, start, count, first, *args):
-        kern = kernel_blocks(z_ext, start, count, first, *args)
-        (heads if first else built).append(kern.size)
+    def counting(z_ext, start, count, first, cols, cut, *args):
+        kern = kernel_blocks(z_ext, start, count, first, cols, cut, *args)
+        if cut:
+            heads.append((cut, kern.size))
+        else:
+            band.extend((first, cols, start + t * tile) for t in range(count))
         return kern
 
     monkeypatch.setattr(operators, "_kernel_blocks", counting)
     # the levels' distinct cuts below the antipode: at 2048 eps = T/2 is
     # the antipode's own window and 2h, 4h are levels; at 1001 neither
-    for n, cuts in ((2048, 9), (1001, 10)):
-        built.clear()
+    for n, count in ((2048, 9), (1001, 10)):
+        band.clear()
         heads.clear()
         sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
         operators.cauchy_family(sc, np.ones((1, sc.n)),
                                 [eps for _, eps in dyadic_levels(sc, 1)])
-        tiles = math.ceil(n / operators._TILE)
-        assert len(built) == tiles, n
-        assert sum(heads) == cuts * tiles * operators._TILE ** 2, n
+        tiles = math.ceil(n / tile)
+        cuts = sorted({cut for cut, _ in heads}, reverse=True)
+        assert len(cuts) == count, n
+        assert sum(size for _, size in heads) == count * tiles * tile ** 2, n
+        width = (n - 1) // 2 + tile + 1
+        bounds = [width] + [c + tile + 1 for c in cuts]
+        want = collections.Counter()
+        for lo, hi in zip(bounds[1:], bounds):
+            if lo < hi:  # the first range is empty when its cut is reach
+                first = lo - lo % 8
+                cols = min(width, hi + -hi % 8) - first
+                want.update((first, cols, s) for s in range(0, n, tile))
+        assert collections.Counter(band) == want, n
+        built = sum(cols for _, cols, _ in band) * tile
+        assert built < n * n / 2 + tiles * tile * (tile + 16 * count), n
         if n == 2048:
-            assert 0 < sum(built) <= 0.55 * sc.n ** 2
+            assert 0 < built <= 0.55 * sc.n ** 2
+
+
+def test_band_blocks_past_the_first_tile_are_kernel_columns():
+    # a band block that starts past column _TILE has no entry at an offset
+    # up to 0, so its low mask is empty: its bound is clamped at 0.  From
+    # column reach + 2 on every column reaches past reach in some row, and
+    # the far mask starts at the block's first column
+    n = 1024
+    sc = curves.arclength_sample(curves.build_spiral(3), n)
+    tile = operators._TILE
+    reach = (n - 1) // 2
+    width = reach + tile + 1
+    z_ext = sc.points[np.arange(n + width) % n]
+    tiles = n // tile
+    rows = np.arange(tile)[:, None]
+    for first in (72, reach - 7, reach + 1, reach + 9):
+        cols = width - first
+        kern = operators._kernel_blocks(z_ext, 0, tiles, first, cols, 0, reach,
+                                        np.empty((tiles, tile, cols), complex))
+        offset = first + np.arange(cols) - rows
+        inside = (offset >= 1) & (offset <= reach)
+        for t in range(tiles):
+            direct = 1.0 / (z_ext[t * tile + first + np.arange(cols)]
+                            - z_ext[t * tile + rows])
+            want = np.where(inside, direct, 0.0)
+            assert kern[t].tobytes() == want.tobytes(), (first, t)
 
 
 @pytest.mark.parametrize("n", [130, 1001, 1024])
@@ -336,6 +384,39 @@ def test_head_blocks_are_band_kernel_columns_bit_for_bit(n):
     assert far > 0
 
 
+_STREAM_CURVES = {
+    "circle": curves.circle(1.0),
+    "ellipse": curves.ellipse(2.0, 1.0),
+    "square": curves.polygon([0, 1, 1 + 1j, 1j]),
+    "spiral": curves.build_spiral(3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_sample(name, n):
+    return curves.arclength_sample(_STREAM_CURVES[name], n)
+
+
+@pytest.mark.parametrize("f", [1, 2, 5, 15])
+@pytest.mark.parametrize("n", [16, 17, 33, 63, 100, 257, 512, 1001, 2048, 4096])
+def test_windows_have_the_tile_major_bits(n, f):
+    # cut by cut, each band block rounded out to multiples of 8 columns,
+    # the pass gives the bits of one tile-major sweep over the whole frame:
+    # the dyadic levels from k = 1, 2h, 4h, an off-grid window and the
+    # on- and off-grid windows around the tile width and the antipode, on
+    # a circle, a 2:1 ellipse, the unit square and a depth-3 spiral.  With
+    # block bounds not rounded, the transposed products change bits
+    for name in _STREAM_CURVES:
+        sc = _stream_sample(name, n)
+        h = sc.spacing
+        eps = ([e for _, e in dyadic_levels(sc, 1)] + [2.0 * h, 4.0 * h, 3.3 * h]
+               + _edge_windows(sc))
+        rng = np.random.default_rng(n * 100 + f)
+        vals = rng.normal(size=(f, n)) + 1j * rng.normal(size=(f, n))
+        got = operators.truncated_cauchy_family(sc, vals, eps)
+        assert np.array_equal(got, oracles.tile_major_family(sc, vals, eps)), name
+
+
 @pytest.fixture(scope="module")
 def square_family():
     sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 2048)
@@ -345,51 +426,72 @@ def square_family():
 
 
 def test_pass_memory_does_not_grow_with_windows(square_family):
-    # the result is the only per-window storage, one slot per window, but
-    # for the band tiles' row sums (F x 64 per cut): the rest of a pass's
-    # traced peak is the same for 2 windows and for 12 (10 distinct cuts),
-    # within half a slab of F x n complex values.  A
-    # list of F arrays, which the pass stacks, costs no more than the
-    # stack: the pass keeps one copy of the values, in its own layout.  The
-    # two threads' short-lived ufunc buffers (a few hundred kB) meet or
-    # miss each other by timing, so each case takes its least of 3 passes
-    sc, vals = square_family
-    h = sc.spacing
-    slab = vals.shape[0] * sc.n * np.dtype(complex).itemsize
-    levels = [eps for _, eps in dyadic_levels(sc, 1)]
-    extra = []
-    for values in (vals, list(vals)):
-        for eps in ([2.0 * h, 4.0 * h], [2.0 * h, 4.0 * h] + levels):
-            peaks = []
-            for _ in range(3):
-                tracemalloc.start()
-                try:
-                    tracemalloc.reset_peak()
-                    base = tracemalloc.get_traced_memory()[0]
-                    out = operators.truncated_cauchy_family(sc, values, eps)
-                    peaks.append(tracemalloc.get_traced_memory()[1] - base
-                                 - out.nbytes)
-                finally:
-                    tracemalloc.stop()
-                del out
-            extra.append(min(peaks))
-    assert max(extra) - min(extra) <= 0.5 * slab, [e / slab for e in extra]
+    # a pass holds no per-window storage: beyond the windows it has yielded,
+    # its traced peak is the values' one wrapped copy (1.5 slabs of F x n
+    # complex values), two kernel buffers as wide as the widest cut's
+    # block (4.3 slabs for 2h and 4h alone, whose first block reaches the
+    # antipode, at F = 15), the running sum, the cut's own sums and the
+    # window being closed, and the products of at most four tasks.  That
+    # stays under one bound at n = 2048 and 8192, for 2 windows and for 12
+    # (the dyadic levels k = 1..10, 2h and 4h), from an array or a list, which
+    # the pass stacks and drops.  The consumer drops each window as it
+    # comes, and the one in hand is counted.  The two threads' short-lived
+    # ufunc buffers meet or miss each other by timing, so each case takes
+    # the least of 3 passes.  Measured 10.2-10.7 slabs for 2 windows and
+    # 8.1-8.7 for 12
+    bound = 11.5
+    for n in (2048, 8192):
+        if n == square_family[0].n:
+            sc, vals = square_family
+        else:
+            sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
+            rng = np.random.default_rng(21)
+            vals = rng.normal(size=(15, n)) + 1j * rng.normal(size=(15, n))
+        h = sc.spacing
+        levels = [eps for _, eps in dyadic_levels(sc, 1)][:10]
+        for values in (vals, list(vals)):
+            for eps in ([2.0 * h, 4.0 * h], [2.0 * h, 4.0 * h] + levels):
+                peaks = []
+                for _ in range(3):
+                    tracemalloc.start()
+                    try:
+                        tracemalloc.reset_peak()
+                        base = tracemalloc.get_traced_memory()[0]
+                        got = 0
+                        for _, window in operators.truncated_cauchy_windows(
+                                sc, values, eps):
+                            got += 1
+                            del window
+                        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                    finally:
+                        tracemalloc.stop()
+                    assert got == len(eps)
+                peak = min(peaks) / vals.nbytes
+                assert peak < bound, (n, len(eps), type(values), peak)
 
 
 def test_cotlar_pass_asks_for_each_window_once(monkeypatch):
     # the cotlar levels end at 4h and 2h on a power-of-two grid, so the
-    # family pass takes the Richardson windows from them and adds none
+    # pass takes the Richardson windows from them and adds none; the scan
+    # reads the windows as the pass yields them, so no collector makes a
+    # table of them
     windows = []
-    family = operators.truncated_cauchy_family
+    stream = operators.truncated_cauchy_windows
 
     def counting(sc, values, eps_list):
-        windows.append((sc.n, len(eps_list)))
-        return family(sc, values, eps_list)
+        windows.append([sc.n, 0, len(eps_list)])
+        for item in stream(sc, values, eps_list):
+            windows[-1][1] += 1
+            yield item
 
-    monkeypatch.setattr(operators, "truncated_cauchy_family", counting)
+    def refuse(*args):
+        raise AssertionError("the cotlar scan collected a table")
+
+    monkeypatch.setattr(operators, "truncated_cauchy_windows", counting)
+    monkeypatch.setattr(operators, "truncated_cauchy_family", refuse)
     harness.cotlar_ratio_scan(curves.polygon([0, 1, 1 + 1j, 1j]),
                               (1024, 2048), ("trig:1",))
-    assert windows == [(1024, 9), (2048, 10)]
+    assert windows == [[1024, 9, 9], [2048, 10, 10]]
 
 
 @pytest.mark.parametrize("n", [2048, 3000])
@@ -471,6 +573,22 @@ def test_concurrent_calls_give_serial_bits(square_family):
     assert threading.active_count() == start
     for ref, out in zip(serial, got):
         assert out is not None and out.tobytes() == ref.tobytes()
+
+
+def test_closing_a_pass_early_joins_its_helper(square_family):
+    # a consumer that stops after the first cut's window closes the pass:
+    # the helper, which may have run ahead into the next cut, is joined.
+    # The antipode's window comes first, before the helper starts
+    sc, vals = square_family
+    start = threading.active_count()
+    stream = operators.truncated_cauchy_windows(
+        sc, vals, [eps for _, eps in dyadic_levels(sc, 1)])
+    assert next(stream)[0] == 0 and threading.active_count() == start
+    w, window = next(stream)
+    assert w == 1 and window.shape == vals.shape
+    assert threading.active_count() == start + 1
+    stream.close()
+    assert threading.active_count() == start
 
 
 @pytest.mark.parametrize("schedule", ["caller", "helper"])
