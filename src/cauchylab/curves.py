@@ -9,12 +9,13 @@ arc-length splines with clamped end derivatives.  The clamped spline is
 in-house numpy code that matches scipy's ``CubicSpline`` bit for bit.
 
 The spiral's bumps share one smoothing width, so in local patch
-coordinates they share every kernel argument: a build computes the
-corner-zone kernel values once per corner shape (and those of the
-shortenings and the separation check once per parameter set) and derives
-every bump's slopes, speeds and profiles from them with the arithmetic of
-``mollified_slope`` and ``mollified_profile``.  Nothing is kept between
-builds.
+coordinates they share every kernel argument.  The profile is one array
+path: ``_slope_shape`` gives s with slope tan(angle) * s, ``_branch_ramps``
+the ramps from which ``_profile`` makes any bump's profile.  A build
+computes these arrays once per corner shape (and once per parameter set
+for the shortenings and the separation check) and derives every bump's
+slopes, speeds and profiles from them, as ``mollified_slope`` and
+``mollified_profile`` do.  Nothing is kept between builds.
 
 ``builtin_curve(kind, **keys)`` is the one dispatch from a curve kind to
 its builder: a table keyed by kind that passes the [curve] keys of a .cspec
@@ -87,26 +88,26 @@ def bump(u):
     return BUMP_NORM * _bump_raw(u)
 
 
-def _bump_panel(w, moment):
-    """Vector GL panel of u^moment-weighted kernel integrals over [-1, w]."""
+def _bump_panel(w, moment, top):
+    """Kernel integral over (-1, w] of eta(u) ("cdf") or of (w - u) eta(u)
+    ("ramp"): 0 for w <= -1, top for w >= 1, and between them one GL
+    panel per w, made only for those w."""
     w = np.asarray(w, dtype=float)
-    wc = np.clip(w, -1.0, 1.0)
+    out = np.where(w >= 1.0, top, 0.0)
+    inside = ~((w >= 1.0) | (w <= -1.0))
+    wi = w[inside]
     nodes, weights = _GL96
-    half = 0.5 * (wc + 1.0)
-    mid = 0.5 * (wc - 1.0)
-    u = mid[..., None] + half[..., None] * nodes
+    half = 0.5 * (wi + 1.0)
+    u = (0.5 * (wi - 1.0))[:, None] + half[:, None] * nodes
     vals = bump(u)
-    if moment == "cdf":
-        integrand = vals
-    else:  # ramp: (w - u) * eta(u)
-        integrand = (wc[..., None] - u) * vals
-    return (integrand * weights).sum(axis=-1) * half
+    integrand = vals if moment == "cdf" else (wi[:, None] - u) * vals
+    out[inside] = (integrand * weights).sum(axis=-1) * half
+    return out
 
 
 def bump_cdf(w):
     """Integral of the kernel over (-1, w]; equals 1 for w >= 1."""
-    w = np.asarray(w, dtype=float)
-    return np.where(w >= 1.0, 1.0, np.where(w <= -1.0, 0.0, _bump_panel(w, "cdf")))
+    return _bump_panel(w, "cdf", 1.0)
 
 
 def bump_ramp(w):
@@ -115,15 +116,15 @@ def bump_ramp(w):
     Equals w for w >= 1 (unit mass, zero first moment) and 0 for w <= -1.
     """
     w = np.asarray(w, dtype=float)
-    body = _bump_panel(w, "ramp")
-    return np.where(w >= 1.0, w, np.where(w <= -1.0, 0.0, body))
+    return _bump_panel(w, "ramp", w)
 
 
 # ---------------------------------------------------------------------------
 # Smoothed-bump profiles.  A bump's profile has one branch per corner apex
-# 1/4, 1/2, 3/4, and each branch is tan(angle) times a kernel value at
-# w = (t - apex)/xi (mirrored at 3/4).  The kernel values at fixed t and xi
-# therefore serve every opening angle.
+# 1/4, 1/2, 3/4, and on each branch its slope and profile are tan(angle)
+# times kernel values at w = (t - apex)/xi (mirrored at 3/4).  So the arrays
+# of _slope_shape and _branch_ramps at fixed t and xi serve every opening
+# angle: a slope is tan(angle) * s, a profile _profile(tan(angle), ...).
 
 
 @dataclass(frozen=True)
@@ -147,63 +148,35 @@ def _check_unit_interval(t):
     return np.clip(t, 0.0, 1.0)
 
 
-def _branches(t):
-    """(apex, mask) of the profile's three branches over an array t."""
-    left = t < 0.375
-    right = t > 0.625
-    return ((0.25, left), (0.75, right), (0.5, ~(left | right)))
+def _branch_args(t, xi):
+    """Kernel argument of each t on its branch, (t - apex)/xi, mirrored as
+    (3/4 - t)/xi on the right branch; and the left and right masks."""
+    left, right = t < 0.375, t > 0.625
+    return np.where(right, 0.75 - t, t - np.where(left, 0.25, 0.5)) / xi, left, right
 
 
-def _kernel_arg(apex, t, xi):
-    return (0.75 - t) / xi if apex == 0.75 else (t - apex) / xi
+def _slope_shape(t, xi):
+    """s(t) with slope tan(angle) * s: the kernel cdf C of t's branch, as
+    C, -C or 1 - 2C."""
+    w, left, right = _branch_args(t, xi)
+    cdf = bump_cdf(w)
+    return np.where(left, cdf, np.where(right, -cdf, 1.0 - 2.0 * cdf))
 
 
-def _cdf_value(apex, w):
-    return bump_cdf(w)
+def _branch_ramps(t, xi):
+    """The smoothed ramp R of t's branch (the cap at 1/2 takes both sides)
+    and the middle-branch mask."""
+    w, left, right = _branch_args(t, xi)
+    mid = ~(left | right)
+    both = bump_ramp(np.concatenate((w.ravel(), -w[mid])))  # one kernel call
+    ramp = both[:w.size].reshape(w.shape)
+    ramp[mid] += both[w.size:]
+    return ramp, mid
 
 
-def _ramp_value(apex, w):
-    """The smoothed ramp of a branch; the cap at 1/2 takes both sides."""
-    return bump_ramp(w) + bump_ramp(-w) if apex == 0.5 else bump_ramp(w)
-
-
-def _branch_slope(apex, tn, xi, cdf):
-    if apex == 0.25:
-        return tn * cdf
-    if apex == 0.75:
-        return -tn * cdf
-    return tn * (1.0 - 2.0 * cdf)
-
-
-def _branch_profile(apex, tn, xi, ramp):
-    if apex == 0.5:
-        return tn * (0.25 - xi * ramp)
-    return tn * xi * ramp
-
-
-def _at_params(t, xi, kernel, branch):
-    """One profile quantity at parameters t in [0, 1] of every bump of
-    width xi, as a function of tan(angle): the kernel values are computed
-    here, once, and each call makes only the branch arithmetic."""
-    # skip absent branches: a corner zone's parameters lie on one branch
-    parts = [(apex, mask, kernel(apex, _kernel_arg(apex, t[mask], xi)))
-             for apex, mask in _branches(t) if mask.any()]
-
-    def at_angle(tn):
-        out = np.empty_like(t)
-        for apex, mask, k in parts:
-            out[mask] = branch(apex, tn, xi, k)
-        return out
-
-    return at_angle
-
-
-def _slopes_at(t, xi):
-    return _at_params(t, xi, _cdf_value, _branch_slope)
-
-
-def _profiles_at(t, xi):
-    return _at_params(t, xi, _ramp_value, _branch_profile)
+def _profile(tn, xi, ramp, mid):
+    """Profile of the bump with tan(angle) tn from its branch ramps."""
+    return np.where(mid, tn * (0.25 - xi * ramp), tn * xi * ramp)
 
 
 def mollified_profile(spec: PatchSpec, t):
@@ -212,12 +185,15 @@ def mollified_profile(spec: PatchSpec, t):
     Agrees with the unsmoothed profile exactly outside xi-neighborhoods of
     the three corner abscissas 1/4, 1/2, 3/4.
     """
-    return _profiles_at(_check_unit_interval(t), spec.xi)(math.tan(spec.angle))
+    t = _check_unit_interval(t)
+    return _profile(math.tan(spec.angle), spec.xi, *_branch_ramps(t, spec.xi))
 
 
 def mollified_slope(spec: PatchSpec, t):
     """Derivative of the smoothed profile (kernel cdf in the corner zones)."""
-    return _slopes_at(_check_unit_interval(t), spec.xi)(math.tan(spec.angle))
+    slope = _slope_shape(_check_unit_interval(t), spec.xi)
+    slope *= math.tan(spec.angle)  # in place, so a 0-d t gives a 0-d array
+    return slope
 
 
 def _patch_boundaries(xi):
@@ -230,14 +206,14 @@ def _patch_shortenings(xi, angles) -> tuple:
     less the smoothed profile's, measured by one Gauss panel per smooth
     zone.  The kernel values at the panel nodes serve every angle."""
     bounds = _patch_boundaries(xi)
-    panels = [(a, b, _slopes_at(panel_nodes(a, b), xi))
+    panels = [(a, b, _slope_shape(panel_nodes(a, b), xi))
               for a, b in zip(bounds[:-1], bounds[1:])]
     out = []
     for angle in angles:
         tn = math.tan(angle)
         length = 0.0
-        for a, b, slope in panels:
-            length += panel_sum(np.sqrt(1.0 + slope(tn) ** 2), a, b)
+        for a, b, shape in panels:
+            length += panel_sum(np.sqrt(1.0 + (tn * shape) ** 2), a, b)
         out.append((0.5 + 0.5 / math.cos(angle)) - float(length))
     return tuple(out)
 
@@ -604,37 +580,36 @@ def _graph_zone(t0, t1, off, mult, lam, slope, patch_index):
     return _speed_zone(point, speed, t0, t1, patch_index)
 
 
-def _corner_point(apex, tn, xi, off, mult, t):
+def _corner_point(tn, xi, off, mult, t):
     """Point of a corner zone of the mapped bump graph.  The zone's t is
-    clipped to its ends, inside [0, 1], and lies on one branch, so the
-    kernel takes it without the domain check of mollified_profile."""
-    ramp = _ramp_value(apex, _kernel_arg(apex, t, xi))
-    return off + mult * (t + 1j * _branch_profile(apex, tn, xi, ramp))
+    clipped to its ends, inside [0, 1], so the kernel takes it without the
+    domain check of mollified_profile."""
+    return off + mult * (t + 1j * _profile(tn, xi, *_branch_ramps(t, xi)))
 
 
 class _CornerKernel:
     """The corner zone [apex - xi, apex + xi] of every bump of width xi.
 
-    In local patch coordinates these zones share their knots, so the kernel
-    cdf at the knots' Gauss nodes and at the two ends is computed once, here,
-    and each bump's knot speeds come from it with the arithmetic of
+    In local patch coordinates these zones share their knots, so the slope
+    shapes at the knots' Gauss nodes and at the two ends are computed once,
+    here, and each bump's knot speeds come from them with the arithmetic of
     mollified_slope: only tan(angle) and the bump's scale differ.
     """
 
     def __init__(self, apex, xi):
-        self.apex, self.xi = apex, xi
+        self.xi = xi
         self.t_knots = np.linspace(apex - xi, apex + xi, _KNOTS)
         nodes = cumulative_nodes(self.t_knots)
         self._shape = nodes.shape
-        self._slopes = [_slopes_at(t, xi) for t in (
+        self._slope_shapes = [_slope_shape(t, xi) for t in (
             nodes.ravel(), np.array([apex - xi]), np.array([apex + xi]))]
 
     def zone(self, tn, off, mult, patch_index):
         """The corner zone of the bump with tan(angle) tn mapped by off + mult z."""
         scale = abs(mult)
-        nodes, v0, v1 = (scale * np.sqrt(1.0 + slope(tn) ** 2) for slope in self._slopes)
+        nodes, v0, v1 = (scale * np.sqrt(1.0 + (tn * s) ** 2) for s in self._slope_shapes)
         s_knots = cumulative_gauss(nodes.reshape(self._shape), self.t_knots)
-        return _SplineZone(partial(_corner_point, self.apex, tn, self.xi, off, mult),
+        return _SplineZone(partial(_corner_point, tn, self.xi, off, mult),
                            self.t_knots, s_knots, float(v0[0]), float(v1[0]), patch_index)
 
 
@@ -803,7 +778,7 @@ def _validate_spiral_separation(patches, offs, mults, xi, depth):
     """Neighboring patches must stay 1e-9 apart away from their junctions."""
     t_child = np.linspace(0.0, 1.0, 800)
     keep_b = (t_child > 24.0 * xi) & (t_child < 1.0 - 24.0 * xi)
-    child = _profiles_at(t_child, xi)
+    child = _branch_ramps(t_child, xi)
     for j in range(1, depth):
         spec_a, spec_b = patches[j - 1], patches[j]
         scale = abs(mults[j - 1])
@@ -813,16 +788,16 @@ def _validate_spiral_separation(patches, offs, mults, xi, depth):
             ta = np.linspace(4.0 * xi if j > 1 else 0.0, 0.25 + xi, 400)
             tb = np.linspace(0.5 - xi, 1.0 if j == 1 else 1.0 - 4.0 * xi, 400)
             t_parent = np.concatenate([ta, tb])
-            parent = _profiles_at(t_parent, xi)
+            parent = _branch_ramps(t_parent, xi)
             # junctions: parent t = 1/4+xi <-> child t = 4xi, parent 1/2-xi <-> child 1-4xi
             keep_a = (np.abs(t_parent - (0.25 + xi)) > 8.0 * xi) & \
                      (np.abs(t_parent - (0.5 - xi)) > 8.0 * xi)
         if not keep_a.any() or not keep_b.any():
             continue
-        za = t_parent + 1j * parent(math.tan(spec_a.angle))
+        za = t_parent + 1j * _profile(math.tan(spec_a.angle), xi, *parent)
         # child graph mapped into the parent frame
         rel = (offs[j] - offs[j - 1]) / mults[j - 1], mults[j] / mults[j - 1]
-        zb = rel[0] + rel[1] * (t_child + 1j * child(math.tan(spec_b.angle)))
+        zb = rel[0] + rel[1] * (t_child + 1j * _profile(math.tan(spec_b.angle), xi, *child))
         sep = _min_distance(za[keep_a], zb[keep_b]) * scale
         if sep <= 1e-9:
             raise ConstructionError(

@@ -76,10 +76,11 @@ entry at a time.
 Threads: each pass runs two peer workers, the calling thread and one
 helper, through _peers.in_task_order.  Each cut's band blocks (a task
 takes several tiles of a narrow block) and then its heads chunks are the
-tasks, each one call of _sweep_task, in one list for all the cuts; each
-worker takes the next task not yet started, builds its kernel blocks in
-its own buffer (allocated before the pass) and makes the task's products
-of them.  The helper holds at most two results not yet added, the
+tasks, each one call of _sweep_task with one column range of its blocks
+(the cut's band columns, or a head's _TILE), in one list for all the
+cuts; each worker takes the next task not yet started, builds its kernel
+blocks in its own buffer (allocated before the pass) and makes the
+task's products of them.  The helper holds at most two results not yet added, the
 calling thread one, so the helper runs ahead into the next cut while
 the calling thread closes a cut's windows and the consumer takes them.
 Only the calling thread adds results into the pass's arrays, in task
@@ -291,12 +292,12 @@ def _offset_terms(z_ext, contrib_ext, n: int, off: int) -> np.ndarray:
 
 
 def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
-                count: int, first: int, cols: int, cut: int, ranges, buf):
+                count: int, first: int, cols: int, cut: int, lo: int, hi: int, buf):
     """One band task or heads chunk, a task of _peers.in_task_order: it
-    builds the kernel blocks of _kernel_blocks in buf and returns, for each
-    column range (lo, hi) of ranges, the (F, rows) sums of the blocks' rows
-    that are nodes over those columns, and the (F, count * cols) sums that
-    the rows, as sources, give the blocks' columns in order."""
+    builds the kernel blocks of _kernel_blocks in buf and returns the
+    (F, rows) sums of the blocks' rows that are nodes over the columns
+    lo..hi - 1, and the (F, count * cols) sums that the rows, as sources,
+    give the blocks' columns in order."""
     tile = _TILE
     f = contrib_ext.shape[1]
     span = count * tile
@@ -304,15 +305,13 @@ def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
     kern = _kernel_blocks(z_ext, start, count, first, cols, cut, reach,
                           buf.reshape(-1)[:span * cols].reshape(count, tile, cols))
     frames = _tile_windows(contrib_ext, start + first, count, cols)
-    aheads = []
-    for lo, hi in ranges:
-        # BLAS reduces over a multiple of 8 columns, the rest elementwise,
-        # tile by tile, so that the products are _TILE x 7 x F at most
-        mid = hi - (hi - lo) % 8
-        sums = kern[..., lo:mid] @ frames[:, lo:mid]
-        for t in range(count) if mid < hi else ():
-            sums[t] += (kern[t, :, mid:hi, None] * frames[t, None, mid:hi]).sum(axis=1)
-        aheads.append(sums.reshape(span, f)[:rows].T)
+    # BLAS reduces over a multiple of 8 columns, the rest elementwise,
+    # tile by tile, so that the products are _TILE x 7 x F at most
+    mid = hi - (hi - lo) % 8
+    sums = kern[..., lo:mid] @ frames[:, lo:mid]
+    for t in range(count) if mid < hi else ():
+        sums[t] += (kern[t, :, mid:hi, None] * frames[t, None, mid:hi]).sum(axis=1)
+    ahead = sums.reshape(span, f)[:rows].T
     # the rows as sources behind their targets: K[j, i] = -K[i, j]; these
     # come after the row sums, so that the elementwise products of the
     # leftover columns are freed before they are made
@@ -321,7 +320,7 @@ def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
     behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ kern
     del src
     behind = behind.transpose(1, 0, 2).reshape(f, count * cols)
-    return aheads, behind
+    return ahead, behind
 
 
 def truncated_cauchy_windows(sc: SampledCurve, values, eps_list):
@@ -394,8 +393,8 @@ def _cut_stream(z_ext, contrib_ext, n: int, windows):
         heads = [(t * tile, min(per_chunk, tiles - t))
                  for t in range(0, tiles, per_chunk)]
         plan.append((band, heads))
-        tasks += [(s, count, a, b - a, 0, [(lo - a, hi - a)]) for s, count in band]
-        tasks += [(s, count, c + 1, tile, c, [(0, tile)]) for s, count in heads]
+        tasks += [(s, count, a, b - a, 0, lo - a, hi - a) for s, count in band]
+        tasks += [(s, count, c + 1, tile, c, 0, tile) for s, count in heads]
     tasks = [partial(_sweep_task, z_ext, contrib_ext, n, reach, *task)
              for task in tasks]
 
@@ -427,7 +426,7 @@ def _cut_stream(z_ext, contrib_ext, n: int, windows):
     with closing(in_task_order(tasks, scratch)) as results:
         for c, (a, b, lo, hi), (band, heads) in zip(cuts, blocks, plan):
             part = np.zeros((f, n), dtype=complex)
-            for (s, count), ((ahead,), behind) in zip(band, results):
+            for (s, count), (ahead, behind) in zip(band, results):
                 for t in range(count):
                     t0, q = s + t * tile, t * (b - a)
                     part[:, t0:t0 + tile] += ahead[:, t * tile:(t + 1) * tile]
@@ -441,7 +440,7 @@ def _cut_stream(z_ext, contrib_ext, n: int, windows):
                 part[:] = 0.0
             # a node's one ahead head term may come before behind ones,
             # which commutes from zero
-            for (s, count), ((ahead,), behind) in zip(heads, results):
+            for (s, count), (ahead, behind) in zip(heads, results):
                 part[:, s:s + ahead.shape[1]] += ahead
                 _wrap_add(part, s + c + 1, behind)
             ahead = behind = None  # free the last chunk's sums

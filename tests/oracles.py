@@ -11,12 +11,16 @@ CSV writers, one f-string per row, that the block writers must match byte
 for byte, and the two one-sided schedules of the sweeps' peer workers
 that the default schedule must match bit for bit; and for the curve
 builders, the unsmoothed corner profile that curves.mollified_profile
-smooths and the spiral's limit point, the accumulation point of its
-untruncated recursion.  For the evaluator's bits: its boundary terms with
+smooths, the smoothed profile and slope written out apex by apex, with
+a kernel panel at every parameter (the bits the array path of curves.py
+must keep), and the spiral's limit
+point, the accumulation point of its untruncated recursion.  For the evaluator's bits: its boundary terms with
 the behind edge gathered and divided on its own, and the maximal function
 with index-array ball sums, the forms the program computed before it read
 both from views, and the one tile-major sweep over the whole frame that
-the cut-by-cut pass must match bit for bit.  And the Plemelj pair:
+the cut-by-cut pass must match bit for bit.  And the witness-free cotlar
+statistic D, the L1 norm of a truncated kernel's transform, with its
+closed-form growth at a corner.  And the Plemelj pair:
 rational functions whose exact principal value is known on any Jordan
 curve.
 
@@ -31,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from cauchylab import _peers
-from cauchylab.curves import _check_unit_interval, _spiral_angle
+from cauchylab._quadrature import _GL96
+from cauchylab.curves import _check_unit_interval, _spiral_angle, bump
 from cauchylab.errors import (
     BranchAmbiguityError,
     DegenerateGeometryError,
@@ -49,6 +54,9 @@ from cauchylab.operators import (
     _unit_measure,
     _window_split,
     _wrap_add,
+    cauchy_family,
+    kernel_transform_direct_fill,
+    truncated_kernel,
 )
 
 
@@ -201,6 +209,20 @@ def tile_major_family(sc, values, eps_list) -> np.ndarray:
                 out[:, w] += 0.5 * edge
     out /= 1j * math.pi
     return out
+
+
+def dual_statistic(sc, z_index: int, levels) -> np.ndarray:
+    """D(z, eps) = sum_j w_j |g_j| at node z_index for each level eps, the
+    L1 norm of the kernel transform g = T(K_{z,eps}): the largest
+    |T_eps f(z)| over f = A chi with |chi| <= 1, by the transpose identity.
+    One cauchy_family pass of the truncated kernels gives every g, and the
+    nodes within 2h of z are filled by trapezoid sums as proof_check fills
+    them."""
+    kernels = [truncated_kernel(sc, z_index, eps) for eps in levels]
+    pvs, _ = cauchy_family(sc, kernels)
+    return np.array([
+        np.sum(sc.weights * np.abs(kernel_transform_direct_fill(sc, kernel, z_index, pv)))
+        for kernel, pv in zip(kernels, pvs)])
 
 
 def indexed_hl_maximal_all(sc, values) -> np.ndarray:
@@ -371,6 +393,57 @@ def corner_profile(spec, t):
     """Triangular profile max{0, (1/4 - |t - 1/2|) tan(angle)} on [0, 1]."""
     t = _check_unit_interval(t)
     return np.maximum(0.0, (0.25 - np.abs(t - 0.5)) * math.tan(spec.angle))
+
+
+def kernel_panel(w, moment):
+    """curves.bump_cdf ("cdf") or curves.bump_ramp ("ramp") with a GL panel
+    at every w, clipped to [-1, 1], where the program makes one only for
+    -1 < w < 1."""
+    wc = np.clip(w, -1.0, 1.0)
+    nodes, weights = _GL96
+    half = 0.5 * (wc + 1.0)
+    u = (0.5 * (wc - 1.0))[..., None] + half[..., None] * nodes
+    vals = bump(u)
+    integrand = vals if moment == "cdf" else (wc[..., None] - u) * vals
+    body = (integrand * weights).sum(axis=-1) * half
+    top = 1.0 if moment == "cdf" else w
+    return np.where(w >= 1.0, top, np.where(w <= -1.0, 0.0, body))
+
+
+def _per_branch(t, xi, branch):
+    """branch(apex, w) on the parameters t of each branch of a bump of
+    width xi, at w = (t - apex)/xi, mirrored as (3/4 - t)/xi at 3/4."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    left, right = t < 0.375, t > 0.625
+    for apex, mask in ((0.25, left), (0.75, right), (0.5, ~(left | right))):
+        tm = t[mask]
+        out[mask] = branch(apex, (0.75 - tm) / xi if apex == 0.75 else (tm - apex) / xi)
+    return out
+
+
+def branch_slope(tn, xi, t):
+    """Slope of the smoothed bump with tan(angle) tn at t in [0, 1], apex by
+    apex from the kernel cdf C: tn C, (-tn) C and tn (1 - 2C)."""
+    def slope(apex, w):
+        cdf = kernel_panel(w, "cdf")
+        if apex == 0.25:
+            return tn * cdf
+        if apex == 0.75:
+            return -tn * cdf
+        return tn * (1.0 - 2.0 * cdf)
+    return _per_branch(t, xi, slope)
+
+
+def branch_profile(tn, xi, t):
+    """Profile of the smoothed bump with tan(angle) tn at t in [0, 1], apex
+    by apex from the smoothed ramp R: (tn xi) R at 1/4 and 3/4, and
+    tn (1/4 - xi R) at 1/2, where R takes both sides of the cap."""
+    def profile(apex, w):
+        if apex == 0.5:
+            return tn * (0.25 - xi * (kernel_panel(w, "ramp") + kernel_panel(-w, "ramp")))
+        return tn * xi * kernel_panel(w, "ramp")
+    return _per_branch(t, xi, profile)
 
 
 def spiral_limit_point(depth_built):

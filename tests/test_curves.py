@@ -46,6 +46,23 @@ def test_kernel_abs_moment_frozen():
     assert abs(2 * curves.bump_ramp(0.0) - ABS_MOMENT) < 1e-12
 
 
+def test_kernel_panels_keep_the_bits_of_a_panel_at_every_argument():
+    # the cdf and the ramp make a quadrature panel only for -1 < w < 1;
+    # inside they keep the bits of a panel made at every (clipped) w, and
+    # outside the exact 0, 1 and w, for arrays of any shape and 0-d ones
+    w = np.concatenate([np.linspace(-3.0, 3.0, 6001),
+                        [-1.0, 1.0, -0.0, np.nextafter(1.0, 0.0), np.nan]])
+    for shape in (w.shape, (w.size // 2, 2)):
+        ws = w[:w.size // 2 * 2].reshape(shape)
+        assert curves.bump_cdf(ws).tobytes() == oracles.kernel_panel(ws, "cdf").tobytes()
+        assert curves.bump_ramp(ws).tobytes() == oracles.kernel_panel(ws, "ramp").tobytes()
+    for x in (0.3, -1.0, 2.0, np.nan):
+        for moment, func in (("cdf", curves.bump_cdf), ("ramp", curves.bump_ramp)):
+            got = func(x)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert got.tobytes() == oracles.kernel_panel(np.asarray(x), moment).tobytes()
+
+
 def test_corner_profile_values():
     spec = curves.PatchSpec(math.pi / 4)
     assert oracles.corner_profile(spec, 0.5) == pytest.approx(0.25, abs=1e-15)
@@ -352,23 +369,33 @@ def test_spiral_kernel_sharing_is_bit_exact_and_stateless():
     assert proc.stdout == want
 
 
-def test_corner_zones_match_the_public_profile_bit_for_bit():
-    # each corner zone's knot arc lengths and end speeds, taken from the
-    # build's shared kernel tables, are those of a speed built from the
-    # public mollified_slope; its points (no domain check) are those of
-    # the public mollified_profile
+def test_profile_and_corner_zones_have_the_per_branch_bits():
+    # the array path (slope shapes, branch ramps, one profile expression)
+    # keeps the bits of the profile and slope written out apex by apex:
+    # the public profile and slope at 20,001 parameters, and each of the
+    # depth-6 spiral's 18 corner zones, its knot arc lengths, end speeds
+    # and points
+    t = np.linspace(0.0, 1.0, 20001)
+    for angle, xi in ((1.0, 1 / 200), (1 / 3, 1 / 300), (0.1, 0.009)):
+        spec = curves.PatchSpec(angle, xi)
+        tn = math.tan(angle)
+        assert (curves.mollified_profile(spec, t).tobytes()
+                == oracles.branch_profile(tn, xi, t).tobytes()), (angle, xi)
+        assert (curves.mollified_slope(spec, t).tobytes()
+                == oracles.branch_slope(tn, xi, t).tobytes()), (angle, xi)
     p = curves.build_spiral(6)
+    xi = p.meta["xi"]
     zones = [z for z in curves._spiral_engine(p).zones
              if isinstance(z, curves._SplineZone) and z.patch_index > 0]
     assert len(zones) == 18
     for zone in zones:
         j = zone.patch_index
-        spec = p.meta["patches"][j - 1]
+        tn = math.tan(p.meta["patches"][j - 1].angle)
         off = p.meta["patch_offsets"][j - 1]
         mult = p.meta["patch_multipliers"][j - 1]
 
         def speed(t):
-            return abs(mult) * np.sqrt(1.0 + curves.mollified_slope(spec, t) ** 2)
+            return abs(mult) * np.sqrt(1.0 + oracles.branch_slope(tn, xi, t) ** 2)
 
         t_knots, s_knots, v0, v1 = zone._knots
         nodes = _quadrature.cumulative_nodes(t_knots)
@@ -377,8 +404,8 @@ def test_corner_zones_match_the_public_profile_bit_for_bit():
         assert s_knots.tobytes() == arcs.tobytes(), j
         assert v0 == speed(t_knots[:1])[0] and v1 == speed(t_knots[-1:])[0], j
         ds = np.linspace(0.0, zone.length, 33)
-        t = zone.t_at(ds)
-        profile = off + mult * (t + 1j * curves.mollified_profile(spec, t))
+        zt = zone.t_at(ds)
+        profile = off + mult * (zt + 1j * oracles.branch_profile(tn, xi, zt))
         assert zone.point(ds).tobytes() == profile.tobytes(), j
 
 

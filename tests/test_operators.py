@@ -494,6 +494,30 @@ def test_cotlar_pass_asks_for_each_window_once(monkeypatch):
     assert windows == [[1024, 9, 9], [2048, 10, 10]]
 
 
+@pytest.mark.parametrize("name, n, off_grid", [
+    ("square", 2048, False), ("spiral", 2048, False),
+    ("square", 1001, True), ("spiral", 1001, True)])
+def test_cauchy_maximal_family_is_cauchy_family_then_maximal_of(name, n, off_grid):
+    # the cotlar scan's pass folds each window into its running max and its
+    # principal value as the pass yields it, while the helper thread runs
+    # ahead; it gives the bits of the collected table read by maximal_of,
+    # for the dyadic levels and for levels off the grid's windows
+    p = (curves.polygon([0, 1, 1 + 1j, 1j]) if name == "square"
+         else curves.build_spiral(6))
+    sc = curves.arclength_sample(p, n)
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=(15, n)) + 1j * rng.normal(size=(15, n))
+    h = sc.spacing
+    if off_grid:
+        levels = [0.3 * sc.period, 0.07 * sc.period, 11.7 * h, 3.3 * h, 2.5 * h]
+    else:
+        levels = [eps for _, eps in dyadic_levels(sc, 1)]
+    pv, t_star = operators.cauchy_maximal_family(sc, vals, levels)
+    ref_pv, table = operators.cauchy_family(sc, vals, levels)
+    assert np.array_equal(pv, ref_pv)
+    assert np.array_equal(t_star, operators.maximal_of(table))
+
+
 @pytest.mark.parametrize("n", [2048, 3000])
 def test_cauchy_family_bits_equal_the_prepended_floor_windows(n):
     # reading 2h and 4h from the levels that hold them gives the bits of a
@@ -1091,6 +1115,29 @@ def test_kernel_far_field_magnitude_bound():
     r = np.abs(z - sc.points[far])
     bound = (abs(branch) + 4 * L * eps / r) / (math.pi ** 2 * r)
     assert np.all(np.abs(g[far]) <= bound + 1e-9)
+
+
+def test_dual_statistic_has_the_closed_form_calibration():
+    # D_k = sum_j w_j |g_k,j| for g_k = T(K_{0,eps_k}) over the dyadic
+    # levels.  At a corner of angle theta it climbs by (2/pi^2) theta ln 2
+    # per level, 0.22064 on the unit square; at n = 4096 the increments at
+    # k = 6..9 were measured 0.2218, 0.2208, 0.2202 and 0.2190, within
+    # 0.0017 of it.  The first levels approach the slope from above (0.2395
+    # at k = 4) and the last two, 4h and 2h, wobble (0.1854, 0.2593).  On
+    # the circle D climbs toward 1 with increments halving level by level;
+    # at 2h (k = 11) it was measured 1.0174
+    square = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 4096)
+    levels = dyadic_levels(square, 1)
+    assert [k for k, _ in levels] == list(range(1, 12))
+    steps = np.diff(oracles.dual_statistic(square, 0, [eps for _, eps in levels]))
+    slope = 2.0 / math.pi ** 2 * (math.pi / 2.0) * math.log(2.0)
+    middle = steps[4:8]  # D_k - D_(k-1) for k = 6..9
+    assert np.all(np.abs(middle - slope) < 0.0025), middle
+    circle = curves.arclength_sample(curves.circle(1.0), 4096)
+    levels = [eps for _, eps in dyadic_levels(circle, 1)]
+    assert levels[-1] == 2.0 * circle.spacing
+    deepest = oracles.dual_statistic(circle, 0, levels)[-1]
+    assert abs(deepest - 1.0) < 0.02, deepest
 
 
 def test_transform_csv_rows(circle_sc, one):

@@ -5,12 +5,13 @@ every sample point, parameter, spacing, weight and truncation level is
 2^j times the undilated one, bit for bit, and the chord tangents, the
 Cauchy sums (kernel 1/dz times a measure, both scaled by 2^j) and the
 maximal averages (ratios of sums scaled by 2^j) keep their bits.  These
-tests pin that on the unit square, the unit circle and the 2:1 ellipse for
-j = -2..2, for the evaluator and for the proof, geometry and sandwich
-checks.
+tests pin that on the unit square, the unit circle, the 2:1 ellipse and
+the regular hexagon of circumradius 1 for j = -2..2, for the evaluator and
+for the proof, geometry and sandwich checks.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,8 +25,14 @@ def _square(side):
     return curves.polygon([0, side, side + side * 1j, side * 1j])
 
 
+def _hexagon(side):
+    return curves.polygon([side * complex(math.cos(k * math.pi / 3.0),
+                                          math.sin(k * math.pi / 3.0))
+                           for k in range(6)])
+
+
 CURVES = {"square": _square, "circle": curves.circle,
-          "ellipse": lambda s: curves.ellipse(2.0 * s, s)}
+          "ellipse": lambda s: curves.ellipse(2.0 * s, s), "hexagon": _hexagon}
 
 
 def _inputs(sc):
