@@ -255,10 +255,11 @@ def run(inv: CommandInvocation) -> int:
         return EXIT_VALIDATION
     try:
         doc = curvespec.parse_spec(text)
-        if inv.overrides:
-            doc = curvespec.apply_overrides(doc, inv.overrides)
+        overrides = list(inv.overrides)
         if inv.seed is not None:
-            doc = curvespec.apply_overrides(doc, [f"experiment.seed={inv.seed}"])
+            overrides.append(f"experiment.seed={inv.seed}")
+        if overrides:
+            doc = curvespec.apply_overrides(doc, overrides)
         state = _RunState(doc=doc)
         out = Path(inv.out_dir if inv.out_dir is not None
                    else doc.get("output", "directory"))

@@ -254,9 +254,6 @@ class Parametrization:
     kind: str
     meta: Mapping = field(default_factory=dict)
 
-    def __call__(self, x):
-        return self.point(np.asarray(x, dtype=float))
-
 
 @dataclass(frozen=True)
 class SampledCurve:
@@ -919,10 +916,14 @@ def spiral_tail_series(p: Parametrization, k: int):
         alpha = _spiral_angle(j)
         r += lj * (1.0 / math.cos(alpha) - 1.0) - 2.0 * lj * shortenings[j - 1]
     poly = spiral_patch_polyline(p, k, n=4096)
-    thetas = np.linspace(0.0, math.pi, 720, endpoint=False)
-    proj = np.outer(np.exp(-1j * thetas), poly).real
-    widths = proj.max(axis=1) - proj.min(axis=1)
-    return float(r), float(widths.min())
+    # the strip width over 720 directions, projected 64 directions at a
+    # time: each entry is the same product, and max and min are exact
+    rot = np.exp(-1j * np.linspace(0.0, math.pi, 720, endpoint=False))
+    width = math.inf
+    for i in range(0, len(rot), 64):
+        proj = np.outer(rot[i:i + 64], poly).real
+        width = min(width, float((proj.max(axis=1) - proj.min(axis=1)).min()))
+    return float(r), width
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,9 @@ def _format_value(value, ftype: str) -> str:
 
 
 def _validate(raw: dict, source: str = "spec") -> SpecDocument:
-    """Fill defaults, reject inapplicable or out-of-range keys."""
+    """Fill defaults, reject inapplicable or out-of-range keys.  Every
+    section and key of raw is in SCHEMA: parse_spec and apply_overrides
+    reject the others, each with its own line or override message."""
     if "curve" not in raw or "kind" not in raw.get("curve", {}):
         kind = SCHEMA["curve"]["kind"].default
     else:
@@ -229,9 +231,6 @@ def _validate(raw: dict, source: str = "spec") -> SpecDocument:
     doc = {}
     for sec, fields in SCHEMA.items():
         got = raw.get(sec, {})
-        for key in got:
-            if key not in fields:
-                raise ValidationError(f"{source}: unknown key {key!r} in [{sec}]")
         out = {}
         for key, fld in fields.items():
             applicable = fld.kinds is None or kind in fld.kinds
@@ -243,9 +242,6 @@ def _validate(raw: dict, source: str = "spec") -> SpecDocument:
             elif applicable:
                 out[key] = fld.default
         doc[sec] = out
-    for sec in raw:
-        if sec not in SCHEMA:
-            raise ValidationError(f"{source}: unknown section [{sec}]")
     for sec, fields in SCHEMA.items():
         for key, value in doc[sec].items():
             fld = fields[key]

@@ -26,9 +26,7 @@ __all__ = [
     "bilipschitz_constant",
     "conformality_modulus",
     "second_difference",
-    "omega2",
     "branch_log",
-    "local_bilipschitz",
     "eps0_gate",
     "diagnostics",
     "diagnostics_csv_rows",
@@ -184,6 +182,8 @@ def bilipschitz_constant(sc) -> float:
 
 # Largest parameter separation scanned, in units of the chord scale d.
 _ARC_FACTOR = 16.0
+# Equispaced parameters of the diagnostics' omega2 table.
+_OMEGA2_NODES = 4096
 # Doubles in one node block's distance table; sets the block length.
 _TABLE_SIZE = 2 ** 19
 # Relative slack of the polygonal-arc bound that prunes the detour scan.
@@ -220,8 +220,7 @@ def _arc_survivors(sel, arc, chord, bar: float):
     return np.flatnonzero(sel & (arc > lim * chord))
 
 
-def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0,
-                    start: int = 0):
+def _detour_defects(sc, d: float, floor: float = 0.0, start: int = 0):
     """(worst, node) of the detour scan at chord scale d.  With floor > 0
     the scan returns at the first chord that lifts the running worst to
     floor or above, with the node of sc at that chord's start; otherwise
@@ -260,8 +259,7 @@ def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0,
     (off-1) x B of them once cols is 5-20% of B, and on a circle nearly
     every column survives.
     """
-    if stride is None:
-        stride = max(1, int(d / (48.0 * sc.spacing)))
+    stride = max(1, int(d / (48.0 * sc.spacing)))
     view = sc.points[::stride]
     n2 = len(view)
     h2 = sc.spacing * stride
@@ -325,13 +323,13 @@ def _detour_defects(sc, d: float, stride: int | None, floor: float = 0.0,
     return worst, None
 
 
-def conformality_modulus(sc, d: float, stride: int | None = None) -> float:
+def conformality_modulus(sc, d: float) -> float:
     """Worst detour defect sup (|z1-z| + |z2-z|)/|z1-z2| - 1 over chords <= d.
 
     The inner point z runs over grid nodes of the shorter-parameter arc
     (the smaller-diameter arc for chords below half the curve diameter;
-    ties break toward the shorter-parameter arc).  The scan runs on a
-    stride-subsampled grid tuned to the chord scale, and pairs of
+    ties break toward the shorter-parameter arc).  The scan runs on every
+    s-th node, s = max(1, floor(d / (48 h))) for the spacing h, and pairs of
     parameter separation beyond 16 d are skipped: on a curve of chord-arc
     constant below 16 they cannot reach chords <= d.  Chords whose
     polygonal arc bounds their detours within the running worst are
@@ -348,7 +346,7 @@ def conformality_modulus(sc, d: float, stride: int | None = None) -> float:
     plus 32 K^2 bytes at any grid size.  K comes from _table_height; with
     no floor the scan runs every node block, from the first.
     """
-    return _detour_defects(sc, d, stride)[0]
+    return _detour_defects(sc, d)[0]
 
 
 def second_difference(p, x, eps: float):
@@ -361,15 +359,6 @@ def second_difference(p, x, eps: float):
 
 def _second_differences(ahead, behind, at):
     return np.abs(ahead + behind - 2.0 * at)
-
-
-def omega2(p, eps: float, x_grid):
-    """Sup of the second difference over a parameter grid.
-
-    Returns (value, argmax parameter).
-    """
-    x_grid = np.asarray(x_grid, dtype=float)
-    return _peak(second_difference(p, x_grid, eps), x_grid)
 
 
 def _peak(vals, x_grid):
@@ -433,21 +422,10 @@ def branch_log(p, x: float, eps: float) -> complex:
     return val
 
 
-def local_bilipschitz(p, x0: float, eps: float) -> float:
-    """Smallest window constant C with |x-y|/C <= |gamma(x)-gamma(y)| on
-    [x0-eps, x0+eps] of a unit-speed curve, by one pass over the node pairs
-    of the diagnostics' 384-node window grid (about 73k pairs, 2 MB)."""
-    if eps >= p.period / 4.0:
-        raise DomainError("window must be smaller than a quarter period")
-    xs = _window_grid(x0, eps)
-    return _window_constant(xs, p.point(xs))
-
-
-def _window_grid(x0: float, eps: float):
-    return np.linspace(x0 - eps, x0 + eps, 384)
-
-
 def _window_constant(xs, pts) -> float:
+    """Smallest C with |x-y|/C <= |gamma(x)-gamma(y)| over the node pairs of
+    a window grid xs of a unit-speed curve, pts its points: one pass over
+    the pairs (384 nodes: about 73k pairs, 2 MB)."""
     off, d = _window_chords(pts)
     return max(1.0, float(np.max(off * (xs[1] - xs[0]) / d)))
 
@@ -486,7 +464,7 @@ def eps0_gate(sc, bilip: float):
         # keep at least 8 grid cells under the probed chord scale
         if d < 8.0 * sc.spacing:
             return None
-        _, node = _detour_defects(sc, d, None, 0.05, start)
+        _, node = _detour_defects(sc, d, 0.05, start)
         if node is None:
             return eps
         start = node
@@ -515,11 +493,14 @@ def focus_grid(p, eps: float):
 
 
 def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
-                x_grid_n: int = 4096, eps0: float | None = None) -> DiagnosticsReport:
+                eps0: float | None = None) -> DiagnosticsReport:
     """Assemble the standard diagnostics tables on dyadic scales.
 
     The conformality table keeps only the levels of dyadic_levels, which
-    resolve two grid cells; the other tables take every k_min..k_max.
+    resolve two grid cells; the other tables take every k_min..k_max.  The
+    omega2 table reads _OMEGA2_NODES equispaced parameters, and the window
+    table the 384 parameters of [x0 - eps, x0 + eps] about the focus point
+    x0 (0 without one), at the levels with eps below a quarter period.
     eps0 is the smallness threshold the caller measured (see eps0_gate),
     reported as given; None omits its row.  Every parameter the omega2,
     focus and window tables read goes through one p.point call, and each
@@ -528,12 +509,13 @@ def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
     cac, bil = _chord_constants(sc, with_arc=True)
     period = sc.period
     resolved = dict(dyadic_levels(sc, 1))
-    xs = period * np.arange(x_grid_n) / x_grid_n
+    xs = period * np.arange(_OMEGA2_NODES) / _OMEGA2_NODES
     x0 = p.meta.get("focus_param", 0.0)
     levels = []
     for k in range(k_min, k_max + 1):
         eps = period * 2.0 ** (-k)
-        win = _window_grid(x0, eps) if eps < period / 4.0 else None
+        win = (np.linspace(x0 - eps, x0 + eps, 384) if eps < period / 4.0
+               else None)
         levels.append((k, eps, focus_grid(p, eps), win))
     params = [xs]
     for k, eps, fg, win in levels:

@@ -561,9 +561,10 @@ def maximal_cauchy_all(sc: SampledCurve, values, levels):
 
 
 def _hl_radii(sc: SampledCurve):
-    """Interior half-widths of the dyadic parametric balls, plus the full curve."""
+    """Interior half-widths of the dyadic parametric balls.  The first,
+    at eps = T/2, is (n - 1) // 2: its ball is the whole curve."""
     return [_window_split(eps, sc.spacing, sc.n)[0]
-            for _, eps in dyadic_levels(sc, 1)] + [sc.n]
+            for _, eps in dyadic_levels(sc, 1)]
 
 
 def _circular_prefix(x) -> np.ndarray:

@@ -4,7 +4,9 @@ and maximal Cauchy transforms and the Hardy-Littlewood maximal function at
 one node (for the batched evaluators in cauchylab.operators), the branch
 log by continuous argument unwrapping (for geometry.branch_log), and the
 turning angle and chord-speed range of a window (for the second-difference
-tests), the detour scan that forms every detour sum and the smallness gate
+tests), the peak second difference over a parameter grid and the window
+constant by a loop over offsets (for the omega2 and local_bilip rows of
+geometry.diagnostics), the detour scan that forms every detour sum and the smallness gate
 that runs it on every level (for the pruned scan behind
 geometry.conformality_modulus and geometry.eps0_gate), the row-at-a-time
 CSV writers, one f-string per row, that the block writers must match byte
@@ -22,7 +24,8 @@ the cut-by-cut pass must match bit for bit.  And the witness-free cotlar
 statistic D, the L1 norm of a truncated kernel's transform, with its
 closed-form growth at a corner.  And the Plemelj pair:
 rational functions whose exact principal value is known on any Jordan
-curve.
+curve, and the transform of an arc indicator on a polygon, a sum of
+segment logs.
 
 The single-node oracles take what the operators take: the sampled curve
 and plain node values, (sc, values, z_index, ...)."""
@@ -42,7 +45,7 @@ from cauchylab.errors import (
     DegenerateGeometryError,
     DomainError,
 )
-from cauchylab.geometry import _window_chords
+from cauchylab.geometry import _window_chords, second_difference
 from cauchylab.operators import (
     _TILE,
     _circular_prefix,
@@ -268,6 +271,22 @@ def plemelj_pair(sc, poles, coeffs):
     return f, turn * tf
 
 
+def polygon_arc_transform(p, a: float, b: float, z) -> np.ndarray:
+    """T chi at the points z off the arc of parameters a < b <= a + period
+    of a polygon p, in closed form: (1/(i pi)) sum Log((Q - z)/(P - z))
+    over the arc's straight pieces P -> Q, split at the vertices.  Seen
+    from z a piece subtends an angle below pi, so the principal Log of
+    the quotient is the integral of dw/(w - z) along it."""
+    period = p.period
+    inner = sorted(c + period * m for c in p.meta["corners"]
+                   for m in range(math.floor(a / period), math.floor(b / period) + 1)
+                   if a < c + period * m < b)
+    ends = p.point(np.array([a] + inner + [b]))
+    z = np.asarray(z, dtype=complex)
+    total = sum(np.log((q - z) / (s - z)) for s, q in zip(ends[:-1], ends[1:]))
+    return total / (1j * math.pi)
+
+
 def _branch_log_unwrapped(p, x: float, eps: float) -> complex:
     steps = 32
     while steps <= 16384:
@@ -314,6 +333,28 @@ def window_speed_range(p, x0: float, eps: float, m: int = 257):
     off, d = _window_chords(p.point(xs))
     ratio = d / (off * step)
     return float(ratio.min()), float(ratio.max())
+
+
+def omega2(p, eps: float, x_grid):
+    """(max, first argmax parameter) of geometry.second_difference over a
+    parameter grid."""
+    x_grid = np.asarray(x_grid, dtype=float)
+    vals = second_difference(p, x_grid, eps)
+    k = int(np.argmax(vals))
+    return float(vals[k]), float(x_grid[k])
+
+
+def loop_local_bilipschitz(p, x0: float, eps: float, m: int = 384):
+    """Smallest C with |x-y|/C <= |gamma(x)-gamma(y)| over the pairs of the
+    m-node grid of [x0 - eps, x0 + eps], one offset at a time."""
+    xs = np.linspace(x0 - eps, x0 + eps, m)
+    pts = p.point(xs)
+    step = xs[1] - xs[0]
+    worst = 1.0
+    for off in range(1, m):
+        d = np.abs(pts[off:] - pts[:-off])
+        worst = max(worst, float(np.max(off * step / d)))
+    return worst
 
 
 def loop_conformality_modulus(sc, d, stride=None):

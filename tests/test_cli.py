@@ -160,6 +160,12 @@ def test_seed_override(tmp_path):
     inv = CommandInvocation("build", str(spec), str(tmp_path / "o"), seed=7)
     assert run(inv) == 0
     assert "seed = 7" in (tmp_path / "o" / "summary.txt").read_text()
+    # --seed applies after every --set override, and so wins over one
+    inv = CommandInvocation("build", str(spec), str(tmp_path / "o2"),
+                            overrides=("experiment.seed=3",), seed=7)
+    assert run(inv) == 0
+    text = (tmp_path / "o2" / "summary.txt").read_text()
+    assert "seed = 7" in text and "seed = 3" not in text
 
 
 def _rerun_names(tmp_path, overrides=()):
@@ -460,7 +466,7 @@ def test_no_program_path_calls_single_node_oracles(tmp_path, monkeypatch):
     gone = {"truncated_cauchy", "pv_cauchy", "maximal_cauchy", "MaximalValue",
             "hl_maximal", "_ball_average", "_branch_log_unwrapped",
             "turning_angle", "window_speed_range", "bump_abs_moment",
-            "unit_square"}
+            "unit_square", "omega2", "local_bilipschitz"}
     # the single-function shims, the single-kernel transform and the
     # transform table's row view stay only for the benchmark's traced
     # runs, which wrap them by name; every scan must go through the family

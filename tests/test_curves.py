@@ -556,6 +556,30 @@ def test_spiral_tail_series_matches_measured_arc_excess():
         assert r_formula == pytest.approx(sep - chord, abs=1e-12)
 
 
+def test_spiral_tail_series_widths_are_the_one_shot_projection():
+    # the strip width is projected a block of directions at a time; each
+    # level's width keeps the bits of the 720 x 4096 projection made at once
+    p = curves.build_spiral(6)
+    rot = np.exp(-1j * np.linspace(0.0, math.pi, 720, endpoint=False))
+    for k in range(1, 7):
+        proj = np.outer(rot, curves.spiral_patch_polyline(p, k, n=4096)).real
+        want = float((proj.max(axis=1) - proj.min(axis=1)).min())
+        assert curves.spiral_tail_series(p, k)[1] == want
+
+
+def test_spiral_tail_series_memory_stays_under_10_mib():
+    # the traced peak of one level is 8.1 MiB, where the 720 x 4096 complex
+    # projection made at once took 45.1 MiB
+    p = curves.build_spiral(6)
+    tracemalloc.start()
+    try:
+        curves.spiral_tail_series(p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20, peak / 2 ** 20
+
+
 def test_spiral_tail_ratios_shrink():
     p = curves.build_spiral(12)
     ratios_r, ratios_h = [], []
@@ -729,12 +753,12 @@ def test_spiral_deep_pairs_meet_chain_bound():
 
 def test_spiral_window_constant_trend():
     # (1 - 1/C_eps) |log eps|^2 stays in a narrow band near the focus
+    # (the window constant of diagnostics.csv's local_bilip rows)
     p = curves.build_spiral(12)
-    from cauchylab import geometry
     x0 = p.meta["focus_param"]
     scores = []
     for k in range(6, 15):
         eps = p.period * 2.0 ** (-k)
-        c_eps = geometry.local_bilipschitz(p, x0, eps)
+        c_eps = oracles.loop_local_bilipschitz(p, x0, eps)
         scores.append((1.0 - 1.0 / c_eps) * math.log(eps) ** 2)
     assert max(scores) / min(scores) <= 3.0

@@ -108,18 +108,6 @@ def loop_bilipschitz_constant(sc):
     return best
 
 
-def loop_local_bilipschitz(p, x0, eps, m):
-    """Reference window scan over the pairs inside [x0 - eps, x0 + eps]."""
-    xs = np.linspace(x0 - eps, x0 + eps, m)
-    pts = p.point(xs)
-    step = xs[1] - xs[0]
-    worst = 1.0
-    for off in range(1, m):
-        d = np.abs(pts[off:] - pts[:-off])
-        worst = max(worst, float(np.max(off * step / d)))
-    return worst
-
-
 def regular_hexagon():
     return curves.polygon(np.exp(2j * math.pi * np.arange(6) / 6))
 
@@ -147,11 +135,6 @@ def test_chord_scans_bit_identical_to_loops(build, n):
     sc = curves.arclength_sample(p, n)
     assert geometry.chord_arc_constant(sc) == loop_chord_arc_constant(sc)
     assert geometry.bilipschitz_constant(sc) == loop_bilipschitz_constant(sc)
-    x0 = p.meta.get("focus_param", 0.0)
-    for k in (3, 7, 12):
-        eps = p.period * 2.0 ** (-k)
-        assert (geometry.local_bilipschitz(p, x0, eps)
-                == loop_local_bilipschitz(p, x0, eps, 384))
 
 
 def test_diagnostics_makes_one_chord_pass(monkeypatch):
@@ -165,7 +148,7 @@ def test_diagnostics_makes_one_chord_pass(monkeypatch):
         return scan(sc_, with_arc)
 
     monkeypatch.setattr(geometry, "_chord_constants", counted)
-    rep = geometry.diagnostics(p, sc, k_min=3, k_max=5, x_grid_n=256)
+    rep = geometry.diagnostics(p, sc, k_min=3, k_max=5)
     assert closed_scans == [(sc.n, True)]
     monkeypatch.undo()
     assert rep.chord_arc_const == geometry.chord_arc_constant(sc)
@@ -211,8 +194,11 @@ def test_chord_scan_probes_few_offsets(monkeypatch, build, most):
 ], ids=["circle", "ellipse", "square", "spiral"])
 def test_diagnostics_tables_equal_per_level_calls(build):
     # one p.point call serves every omega2, focus and window table, and
-    # each row has the bits of its own per-level call; the spiral has a
-    # focus point, so its focus table is filled too
+    # each row has the bits of the per-level oracles: the max of
+    # second_difference over the 4096 equispaced parameters or the focus
+    # grid, and the loop over the pairs of the 384-node window about the
+    # focus point (0 without one); the spiral has a focus point, so its
+    # focus table is filled too
     p = build()
     sc = curves.arclength_sample(p, 256)
     calls = []
@@ -222,30 +208,39 @@ def test_diagnostics_tables_equal_per_level_calls(build):
         return p.point(x)
 
     rep = geometry.diagnostics(dataclasses.replace(p, point=counted), sc,
-                               k_min=3, k_max=12, x_grid_n=1024)
+                               k_min=3, k_max=12)
     assert len(calls) == 1
-    xs = p.period * np.arange(1024) / 1024
+    xs = p.period * np.arange(4096) / 4096
     x0 = p.meta.get("focus_param", 0.0)
     assert [row[0] for row in rep.omega2_table] == list(range(3, 13))
     for k, eps, val, argx in rep.omega2_table:
-        assert (val, argx) == geometry.omega2(p, eps, xs)
+        assert (val, argx) == oracles.omega2(p, eps, xs)
     assert len(rep.omega2_focus_table) == (10 if "focus_param" in p.meta else 0)
     for k, eps, val, argx in rep.omega2_focus_table:
-        assert (val, argx) == geometry.omega2(p, eps, geometry.focus_grid(p, eps))
-    assert rep.local_bilip_table
+        assert (val, argx) == oracles.omega2(p, eps, geometry.focus_grid(p, eps))
+    # every level from k = 3 lies below a quarter period, so has a window
+    assert [row[0] for row in rep.local_bilip_table] == list(range(3, 13))
     for k, eps, val in rep.local_bilip_table:
-        assert val == geometry.local_bilipschitz(p, x0, eps)
+        assert val == oracles.loop_local_bilipschitz(p, x0, eps)
 
 
-def test_local_bilipschitz_defaults_give_the_diagnostics_rows():
-    # the library call and diagnostics.csv share one window grid
-    p = spiral6()
-    sc = curves.arclength_sample(p, 1024)
-    rep = geometry.diagnostics(p, sc, k_min=6, k_max=9, x_grid_n=256)
-    x0 = p.meta["focus_param"]
+@pytest.mark.parametrize("build", [
+    lambda: spiral6(),
+    lambda: hairpin_polygon(),
+    lambda: tight_corner_polygon(0.05),
+    lambda: bend_and_jog_polygon(),
+    regular_hexagon,
+], ids=["spiral", "hairpin", "tight-corner", "bend-and-jog", "hexagon"])
+def test_diagnostics_window_rows_are_the_loop_constants(build):
+    # each local_bilip row of diagnostics.csv is the .17g text of the loop
+    # oracle's window constant about the focus point (0 without one), on
+    # the test polygons too; the window grid does not depend on the sample
+    p = build()
+    rep = geometry.diagnostics(p, curves.arclength_sample(p, 1024), k_min=3, k_max=12)
+    x0 = p.meta.get("focus_param", 0.0)
     want = [f"local_bilip,T*2^-{k},"
-            f"{geometry.local_bilipschitz(p, x0, p.period * 2.0 ** -k):.17g},"
-            for k in range(6, 10)]
+            f"{oracles.loop_local_bilipschitz(p, x0, p.period * 2.0 ** -k):.17g},"
+            for k in range(3, 13)]
     rows = geometry.diagnostics_csv_rows(rep)
     assert [r for r in rows if r.startswith("local_bilip,")] == want
 
@@ -393,21 +388,17 @@ def test_chord_scan_starts_no_peer_worker(monkeypatch):
     p = curves.polygon([0, 1, 1 + 1j, 1j])
     sc = curves.arclength_sample(p, 512)
     assert geometry.bilipschitz_constant(sc) == loop_bilipschitz_constant(sc)
-    rep = geometry.diagnostics(p, sc, k_min=3, k_max=5, x_grid_n=256)
+    rep = geometry.diagnostics(p, sc, k_min=3, k_max=5)
     assert rep.chord_arc_const == loop_chord_arc_constant(sc)
 
 
 def test_window_scan_names_the_smallest_coincident_offset():
     # window nodes 200 and 250 repeat nodes 190 and 230
-    x0, eps, m = 0.0, 0.1, 384
-    xs = np.linspace(x0 - eps, x0 + eps, m)
+    xs = np.linspace(-0.1, 0.1, 384)
     pts = xs + 0j
     pts[200], pts[250] = pts[190], pts[230]
-    p = curves.Parametrization(
-        period=2.0, kind="polygon",
-        point=lambda x: pts[np.rint((np.asarray(x) - xs[0]) / (xs[1] - xs[0])).astype(int)])
     with pytest.raises(DegenerateGeometryError, match="offset 10$"):
-        geometry.local_bilipschitz(p, x0, eps)
+        geometry._window_constant(xs, pts)
 
 
 # -- conformality defect ------------------------------------------------------
@@ -417,14 +408,15 @@ def test_conformality_circle_closed_form():
     d = 0.1
     theta = 2.0 * math.asin(d / 2.0)
     expected = 1.0 / math.cos(theta / 4.0) - 1.0
-    got = geometry.conformality_modulus(sc, d, stride=1)
+    got = geometry.conformality_modulus(sc, d)  # stride 1
     assert got == pytest.approx(expected, abs=1e-5)
 
 
 def test_conformality_square_corner_floor():
+    # strides 8, 4 and 2: every corner is a node of each strided grid
     sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 4096)
     for d in [0.4, 0.2, 0.1]:
-        assert geometry.conformality_modulus(sc, d, stride=1) >= math.sqrt(2.0) - 1.0 - 1e-9
+        assert geometry.conformality_modulus(sc, d) >= math.sqrt(2.0) - 1.0 - 1e-9
 
 
 def test_conformality_nonnegative():
@@ -457,34 +449,33 @@ def tight_corner_polygon(defect):
     return curves.polygon(np.cumsum(np.concatenate([[0.0], lengths[:-1] * dirs[:-1]])))
 
 
-@pytest.mark.parametrize("build, n, d, stride", [
-    (curves.circle, 1024, 0.1, 1),
-    (curves.circle, 4096, 0.4, None),  # stride 5
-    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048, 0.1, 1),
-    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048, 0.3, None),  # stride 3
-    (lambda: curves.ellipse(2.0, 1.0), 1024, 0.3, None),
-    (spiral6, 4096, 0.01, None),
-    (spiral6, 4096, 0.3, None),
-    (hairpin_polygon, 1024, 0.2, 1),
+@pytest.mark.parametrize("build, n, d", [
+    (curves.circle, 1024, 0.1),
+    (curves.circle, 4096, 0.4),  # stride 5
+    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048, 0.1),
+    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048, 0.3),  # stride 3
+    (lambda: curves.ellipse(2.0, 1.0), 1024, 0.3),
+    (spiral6, 4096, 0.01),
+    (spiral6, 4096, 0.3),
+    (hairpin_polygon, 1024, 0.2),
     # the polygonal-arc bound skips over 98% of the chords of the next
     # three: a fine ellipse scale, and the eps0 gate's levels k = 11
     # (rejected) and 12 (accepted) on spiral6 at 2^14
-    (lambda: curves.ellipse(2.0, 1.0), 4096, 0.02, None),
-    (spiral6, 2 ** 14, 0.0042, None),
-    (spiral6, 2 ** 14, 0.0021, None),
+    (lambda: curves.ellipse(2.0, 1.0), 4096, 0.02),
+    (spiral6, 2 ** 14, 0.0042),
+    (spiral6, 2 ** 14, 0.0021),
     # and none of this one's: only offset 2 has chords <= d, and each arc is
     # its chord's only detour, all within rounding of the worst
-    (curves.circle, 1024, 0.015, 1),
+    (curves.circle, 1024, 0.015),
     # chords around a corner node, whose arcs equal their worst detours
-    (lambda: tight_corner_polygon(0.05), 1024, 0.2, 1),
+    (lambda: tight_corner_polygon(0.05), 1024, 0.2),
 ], ids=["circle", "circle-stride", "square", "square-stride", "ellipse",
         "spiral-fine", "spiral-coarse", "hairpin", "ellipse-fine",
         "spiral-gate-k11", "spiral-gate-k12", "circle-one-offset",
         "tight-corner"])
-def test_conformality_bit_identical_to_loop(build, n, d, stride):
+def test_conformality_bit_identical_to_loop(build, n, d):
     sc = curves.arclength_sample(build(), n)
-    got = geometry.conformality_modulus(sc, d, stride=stride)
-    assert got == oracles.loop_conformality_modulus(sc, d, stride=stride)
+    assert geometry.conformality_modulus(sc, d) == oracles.loop_conformality_modulus(sc, d)
 
 
 def test_conformality_hairpin_offsets_have_a_gap():
@@ -494,25 +485,25 @@ def test_conformality_hairpin_offsets_have_a_gap():
     assert offs[-1] - offs[0] + 1 > len(offs)
 
 
-@pytest.mark.parametrize("build, n, d, stride", [
-    (curves.circle, 1024, 0.1, 1),
-    (lambda: curves.ellipse(2.0, 1.0), 1024, 0.3, None),
-    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048, 0.3, None),
-    (spiral6, 4096, 0.01, None),
-    (spiral6, 4096, 0.3, None),
+@pytest.mark.parametrize("build, n, d", [
+    (curves.circle, 1024, 0.1),
+    (lambda: curves.ellipse(2.0, 1.0), 1024, 0.3),
+    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 2048, 0.3),
+    (spiral6, 4096, 0.01),
+    (spiral6, 4096, 0.3),
     # on the hairpin at these scales the offsets with a chord <= d have a
     # gap, and the height is the last offset across the pinch, far above
     # the gap; the search from max_off reaches it in 5 and 6 probes
-    (hairpin_polygon, 1024, 0.16, 1),
-    (hairpin_polygon, 1024, 0.25, 1),
+    (hairpin_polygon, 1024, 0.16),
+    (hairpin_polygon, 1024, 0.25),
     # d below the grid spacing: no chord of offset >= 2 is that short
-    (lambda: curves.ellipse(2.0, 1.0), 1024, 0.005, 1),
+    (lambda: curves.ellipse(2.0, 1.0), 1024, 0.005),
 ], ids=["circle", "ellipse", "square", "spiral-fine", "spiral-coarse",
         "hairpin-0.16", "hairpin-0.25", "no-chord"])
-def test_offset_search_skips_only_non_qualifying_offsets(build, n, d, stride):
+def test_offset_search_skips_only_non_qualifying_offsets(build, n, d):
+    # the grid the detour scan reads at chord scale d: every stride-th node
     sc = curves.arclength_sample(build(), n)
-    if stride is None:
-        stride = max(1, int(d / (48.0 * sc.spacing)))
+    stride = max(1, int(d / (48.0 * sc.spacing)))
     view = sc.points[::stride]
     max_off = min(len(view) // 2,
                   int(math.ceil(16.0 * d / (sc.spacing * stride))) + 1)
@@ -552,27 +543,27 @@ def test_offset_search_moves_on_at_near_ties(build, n):
 def test_conformality_no_qualifying_chord_is_zero():
     sc = curves.arclength_sample(curves.ellipse(2.0, 1.0), 1024)
     d = 0.5 * sc.spacing
-    assert geometry.conformality_modulus(sc, d, stride=1) == 0.0
-    assert oracles.loop_conformality_modulus(sc, d, stride=1) == 0.0
+    assert geometry.conformality_modulus(sc, d) == 0.0
+    assert oracles.loop_conformality_modulus(sc, d) == 0.0
 
 
-@pytest.mark.parametrize("build, n, d, stride, roll", [
+@pytest.mark.parametrize("build, n, d, roll", [
     # the eps0 gate's levels k = 11 and 12 on spiral6 at 2^14 (43 and 21
     # blocks at this table size)
-    (spiral6, 2 ** 14, 0.0042, None, 0),
-    (spiral6, 2 ** 14, 0.0021, None, 0),
+    (spiral6, 2 ** 14, 0.0042, 0),
+    (spiral6, 2 ** 14, 0.0021, 0),
     # three blocks, the last two holding the chords across the pinch
-    (hairpin_polygon, 1024, 0.2, 1, 0),
+    (hairpin_polygon, 1024, 0.2, 0),
     # the corner rolled to node 1000, in the last of three blocks
-    (lambda: tight_corner_polygon(0.05), 1024, 0.2, 1, -24),
+    (lambda: tight_corner_polygon(0.05), 1024, 0.2, -24),
 ], ids=["spiral-gate-k11", "spiral-gate-k12", "hairpin", "tight-corner-last"])
-def test_detour_scan_max_independent_of_start_block(monkeypatch, build, n, d, stride, roll):
+def test_detour_scan_max_independent_of_start_block(monkeypatch, build, n, d, roll):
     monkeypatch.setattr(geometry, "_TABLE_SIZE", 2 ** 13)
     sc = curves.arclength_sample(build(), n)
     sc = dataclasses.replace(sc, points=np.roll(sc.points, roll))
-    want = oracles.loop_conformality_modulus(sc, d, stride=stride)
+    want = oracles.loop_conformality_modulus(sc, d)
     for start in (0, sc.n // 2, sc.n - 1):  # first, middle and last block
-        got, node = geometry._detour_defects(sc, d, stride, start=start)
+        got, node = geometry._detour_defects(sc, d, start=start)
         assert got == want, start
         assert node is None, start
 
@@ -611,8 +602,8 @@ def test_eps0_gate_wraps_to_blocks_before_the_start(monkeypatch):
     scan = geometry._detour_defects
     levels = []
 
-    def traced(sc, d, stride, floor=0.0, start=0):
-        worst, node = scan(sc, d, stride, floor, start)
+    def traced(sc, d, floor=0.0, start=0):
+        worst, node = scan(sc, d, floor, start)
         levels.append((start, node))
         return worst, node
 
@@ -623,6 +614,43 @@ def test_eps0_gate_wraps_to_blocks_before_the_start(monkeypatch):
     assert any(node is not None and start - node > sc.n // 4
                for start, node in levels)
     assert gate == oracles.loop_eps0_gate(sc, bil)
+
+
+def test_detour_scan_returns_from_its_pruned_phase(monkeypatch):
+    # On the bend-and-jog polygon at n = 2048 and chord scale 0.1 (stride
+    # 1, one node block) the best midpoint detour defect is 0.0353 and the
+    # worst defect 0.0411.  With floor 0.04 no midpoint reaches the floor,
+    # so the scan returns from its pruned phase, at a column the
+    # polygonal-arc bound kept, with a defect the loop finds at that node
+    sc = curves.arclength_sample(bend_and_jog_polygon(), 2048)
+    z, n, d, floor = sc.points, sc.n, 0.1, 0.04
+    max_off = min(n // 2, int(math.ceil(16.0 * d / sc.spacing)) + 1)
+    offs = [off for off in range(2, max_off + 1)
+            if np.abs(np.roll(z, -off) - z).min() <= d]
+
+    def midpoint_defect(off):
+        m, b = np.roll(z, -(off // 2)), np.roll(z, -off)
+        chord = np.abs(b - z)
+        return float(((np.abs(m - z) + np.abs(b - m)) / chord)[chord <= d].max()) - 1.0
+
+    mid = max(midpoint_defect(off) for off in offs)
+    assert mid < floor <= oracles.loop_conformality_modulus(sc, d)
+    kept = []
+    survivors = geometry._arc_survivors
+
+    def traced(*args):
+        kept.append(survivors(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(geometry, "_arc_survivors", traced)
+    worst, node = geometry._detour_defects(sc, d, floor=floor)
+    assert node is not None and node in kept[-1]
+    defects = [oracles.loop_detour_ratios(z, off, np.array([node]))[0] - 1.0
+               for off in offs if abs(z[(node + off) % n] - z[node]) <= d]
+    assert worst >= floor and worst in defects
+    monkeypatch.undo()
+    bil = geometry.bilipschitz_constant(sc)
+    assert geometry.eps0_gate(sc, bil) == oracles.loop_eps0_gate(sc, bil)
 
 
 # -- second differences and turning angles -----------------------------------
@@ -646,8 +674,9 @@ def test_second_difference_square_side_and_corner():
 def test_omega2_argmax_square():
     p = curves.polygon([0, 1, 1 + 1j, 1j])
     xs = p.period * np.arange(4096) / 4096
-    val, argx = geometry.omega2(p, 0.05, xs)
-    assert val == pytest.approx(math.sqrt(2.0) * 0.05, abs=1e-12)
+    vals = geometry.second_difference(p, xs, 0.05)
+    argx = xs[np.argmax(vals)]
+    assert vals.max() == pytest.approx(math.sqrt(2.0) * 0.05, abs=1e-12)
     assert min(abs(argx - c) for c in p.meta["corners"]) < 1e-9
 
 
@@ -657,8 +686,7 @@ def test_omega2_upper_bound_invariant():
     bil = geometry.bilipschitz_constant(sc)
     xs = p.period * np.arange(2048) / 2048
     for eps in [p.period / 16, p.period / 64]:
-        val, _ = geometry.omega2(p, eps, xs)
-        assert val <= 2.0 * bil * eps
+        assert geometry.second_difference(p, xs, eps).max() <= 2.0 * bil * eps
 
 
 def test_turning_angle_circle():
@@ -761,15 +789,19 @@ def test_branch_log_ambiguity_on_slit():
 # -- windowed constants ---------------------------------------------------------
 
 def test_local_bilipschitz_straight_window():
+    # a window on the square's first side, [0.3, 0.7]
     p = curves.polygon([0, 1, 1 + 1j, 1j])
-    assert geometry.local_bilipschitz(p, 0.5, 0.2) == pytest.approx(1.0, abs=1e-12)
+    xs = np.linspace(0.3, 0.7, 384)
+    assert geometry._window_constant(xs, p.point(xs)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_local_bilipschitz_circle_window():
+    # the window's widest pair, 2 eps apart, has chord 2 sin(eps)
     p = curves.circle(1.0)
-    eps = 0.5
-    got = geometry.local_bilipschitz(p, 1.0, eps)
-    assert got == pytest.approx(eps / math.sin(eps), rel=1e-5)
+    rep = geometry.diagnostics(p, curves.arclength_sample(p, 256), k_min=3, k_max=8)
+    assert [k for k, *_ in rep.local_bilip_table] == list(range(3, 9))
+    for _, eps, got in rep.local_bilip_table:
+        assert got == pytest.approx(eps / math.sin(eps), rel=1e-5)
 
 
 def test_window_speed_range_rejects_coincident_points():
@@ -881,7 +913,7 @@ def test_eps0_gate_on_the_threshold_at_a_corner(offset):
 def test_diagnostics_report_and_csv():
     p = curves.circle(1.0)
     sc = curves.arclength_sample(p, 512)
-    rep = geometry.diagnostics(p, sc, k_min=3, k_max=6, x_grid_n=512)
+    rep = geometry.diagnostics(p, sc, k_min=3, k_max=6)
     assert rep.chord_arc_const >= 1.0
     assert rep.bilip >= 1.0
     assert all(v >= 0.0 for _, _, v in rep.ac_table)
@@ -898,7 +930,7 @@ def test_diagnostics_past_the_two_cell_floor():
     # conformality table is empty and the other tables are written as usual
     p = curves.circle(1.0)
     sc = curves.arclength_sample(p, 64)
-    rep = geometry.diagnostics(p, sc, k_min=6, k_max=7, x_grid_n=256)
+    rep = geometry.diagnostics(p, sc, k_min=6, k_max=7)
     assert rep.ac_table == ()
     assert [k for k, *_ in rep.omega2_table] == [6, 7]
     assert [k for k, *_ in rep.local_bilip_table] == [6, 7]
@@ -914,7 +946,7 @@ def test_diagnostics_past_the_two_cell_floor():
 def test_diagnostics_focus_tables_for_spiral():
     p = curves.build_spiral(5)
     sc = curves.arclength_sample(p, 1024)
-    rep = geometry.diagnostics(p, sc, k_min=4, k_max=7, x_grid_n=1024)
+    rep = geometry.diagnostics(p, sc, k_min=4, k_max=7)
     assert rep.omega2_focus_table  # near-focus table present
     assert rep.local_bilip_table
     for _, _, c_eps in rep.local_bilip_table:

@@ -417,6 +417,26 @@ def test_windows_have_the_tile_major_bits(n, f):
         assert np.array_equal(got, oracles.tile_major_family(sc, vals, eps)), name
 
 
+@pytest.mark.parametrize("n", [16, 100, 2048])
+def test_antipode_window_alone_is_one_term(monkeypatch, n):
+    # eps = T/2 on an even grid: the window's one cut is the antipode's,
+    # beyond every band cut, so the pass yields the antipode term and
+    # returns before it starts a sweep; eps just above T/2 is refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(operators, "in_task_order", refuse)
+    rng = np.random.default_rng(n)
+    for name in _STREAM_CURVES:
+        sc = _stream_sample(name, n)
+        vals = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        eps = [sc.period / 2.0]
+        got = operators.truncated_cauchy_family(sc, vals, eps)
+        assert np.array_equal(got, oracles.tile_major_family(sc, vals, eps)), name
+        with pytest.raises(DomainError):
+            operators._check_eps(sc, math.nextafter(sc.period / 2.0, math.inf))
+
+
 @pytest.fixture(scope="module")
 def square_family():
     sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 2048)
@@ -856,6 +876,45 @@ def test_plemelj_spiral_apex_nodes_carry_the_worst_error():
         gap = np.abs(sc.params[worst] - apexes)
         assert np.min(np.minimum(gap, sc.period - gap)) <= 0.5 * sc.spacing
         assert err[worst] / np.abs(f).max() == pytest.approx(size, rel=0.02)
+
+
+# -- principal values of arc indicators on polygons ------------------------------
+
+@pytest.mark.parametrize("name, const", [
+    # max |PV - T chi| / h measured at n = 1024, 2048, 4096: 0.29, 0.37,
+    # 0.44; the worst node sits 64 cells from a jump, and the constant
+    # climbs toward its value at the jump (0.49 at 8192).  The error at a
+    # fixed node is 0.20 h at every n, from the corner cells
+    ("square", 0.5),
+    # corners between nodes: 0.12, 0.17, 0.20
+    ("hexagon", 0.25),
+])
+def test_pv_of_arc_indicators_is_the_polygon_closed_form(name, const):
+    # the indicator of nodes i0..i1 is chi of the arc between the cell
+    # edges (i0 - 1/2) h and (i1 + 1/2) h; at the nodes off the arc and at
+    # least 64 cells from each jump the Richardson PV is within const * h
+    # of the segment-log sum of oracles.polygon_arc_transform.  Four arcs,
+    # one across node 0, hold one corner or two (nodes on the arc, the
+    # corner cells and the jumps stay unchecked)
+    p = curves.polygon(np.exp(2j * math.pi * np.arange(6) / 6) if name == "hexagon"
+                       else [0, 1, 1 + 1j, 1j])
+    for n in (1024, 2048, 4096):
+        sc = curves.arclength_sample(p, n)
+        h = sc.spacing
+        node = np.arange(n)
+        arcs = [(round(a * n), round(b * n))
+                for a, b in ((0.05, 0.3), (0.2, 0.55), (0.6, 0.97), (0.9, 1.2))]
+        stack = np.zeros((len(arcs), n), dtype=complex)
+        for row, (i0, i1) in zip(stack, arcs):
+            row[np.arange(i0, i1 + 1) % n] = 1.0
+        pv, _ = operators.cauchy_family(sc, stack)
+        for f, (i0, i1) in enumerate(arcs):
+            far = ((stack[f] == 0.0) & (operators._cyclic_distance(n, i0) >= 64)
+                   & (operators._cyclic_distance(n, i1 % n) >= 64))
+            want = oracles.polygon_arc_transform(
+                p, (i0 - 0.5) * h, (i1 + 0.5) * h, sc.points[far])
+            err = np.abs(pv[f, far] - want).max()
+            assert err <= const * h, (n, f, err / h)
 
 
 # -- maximal transform -------------------------------------------------------------
