@@ -283,7 +283,8 @@ def polygon_arc_transform(p, a: float, b: float, z) -> np.ndarray:
                    if a < c + period * m < b)
     ends = p.point(np.array([a] + inner + [b]))
     z = np.asarray(z, dtype=complex)
-    total = sum(np.log((q - z) / (s - z)) for s, q in zip(ends[:-1], ends[1:]))
+    total = sum(np.log((end - z) / (start - z))
+                for start, end in zip(ends[:-1], ends[1:]))
     return total / (1j * math.pi)
 
 

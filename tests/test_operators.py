@@ -880,24 +880,23 @@ def test_plemelj_spiral_apex_nodes_carry_the_worst_error():
 
 # -- principal values of arc indicators on polygons ------------------------------
 
-@pytest.mark.parametrize("name, const", [
+@pytest.mark.parametrize("build, const", [
     # max |PV - T chi| / h measured at n = 1024, 2048, 4096: 0.29, 0.37,
     # 0.44; the worst node sits 64 cells from a jump, and the constant
     # climbs toward its value at the jump (0.49 at 8192).  The error at a
     # fixed node is 0.20 h at every n, from the corner cells
-    ("square", 0.5),
+    (lambda: curves.polygon([0, 1, 1 + 1j, 1j]), 0.5),
     # corners between nodes: 0.12, 0.17, 0.20
-    ("hexagon", 0.25),
-])
-def test_pv_of_arc_indicators_is_the_polygon_closed_form(name, const):
+    (lambda: curves.polygon(np.exp(2j * math.pi * np.arange(6) / 6)), 0.25),
+], ids=["square", "hexagon"])
+def test_pv_of_arc_indicators_is_the_polygon_closed_form(build, const):
     # the indicator of nodes i0..i1 is chi of the arc between the cell
     # edges (i0 - 1/2) h and (i1 + 1/2) h; at the nodes off the arc and at
     # least 64 cells from each jump the Richardson PV is within const * h
     # of the segment-log sum of oracles.polygon_arc_transform.  Four arcs,
     # one across node 0, hold one corner or two (nodes on the arc, the
     # corner cells and the jumps stay unchecked)
-    p = curves.polygon(np.exp(2j * math.pi * np.arange(6) / 6) if name == "hexagon"
-                       else [0, 1, 1 + 1j, 1j])
+    p = build()
     for n in (1024, 2048, 4096):
         sc = curves.arclength_sample(p, n)
         h = sc.spacing
