@@ -717,13 +717,34 @@ def _loop_zones(curve, dcurve):
 _DISTANCE_BLOCK = 1 << 16  # entries of one block of a distance table
 
 
+def _box_gaps(x, starts, y):
+    """Per block of x starting at starts, the gap between its range and
+    y's along one axis (0 where they overlap; NaN where either holds one)."""
+    lo, hi = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
+    return np.maximum(np.maximum(lo - y.max(), y.min() - hi), 0.0)
+
+
 def _min_distance(a, b) -> float:
     """min |a_i - b_j| over all pairs, from row blocks of the distance
-    table of at most _DISTANCE_BLOCK entries (a min is exact in any order,
-    so this is the min of the whole table)."""
+    table of at most _DISTANCE_BLOCK entries.  The blocks go nearest first
+    by the gap between their bounding box and b's, and a block whose gap,
+    less 1e-12 of itself, is at least the running min is passed over:
+    rounding is monotone, so each computed coordinate difference in it is
+    at least the box's, and abs is within an ulp of the exact hypot, so no
+    entry of it is below that min.  A min is exact in any order, so this is
+    the min of the whole table.  A NaN in a or b makes a gap NaN, and such
+    a block is never passed over, so a NaN comes out as from the table."""
     rows = max(1, _DISTANCE_BLOCK // b.size)
-    return float(np.min([np.abs(a[i:i + rows, None] - b[None, :]).min()
-                         for i in range(0, a.size, rows)]))
+    starts = np.arange(0, a.size, rows)
+    gaps = np.hypot(_box_gaps(a.real, starts, b.real),
+                    _box_gaps(a.imag, starts, b.imag))
+    mins = []
+    for k in np.argsort(gaps):
+        if mins and gaps[k] * (1.0 - 1e-12) >= min(mins):
+            continue
+        i = starts[k]
+        mins.append(float(np.abs(a[i:i + rows, None] - b[None, :]).min()))
+    return float(np.min(mins))
 
 
 def _closed_from_assembly(assembly, kind, meta, focus_forward=None):

@@ -62,12 +62,22 @@ def _apart(off, d):
     return d
 
 
+# Offsets of one block of a window's pair triangle (_window_chords).
+_WINDOW_BLOCK = 64
+
+
 def _window_chords(pts):
     """(off, |z[j] - z[i]|) over the pairs i < j of an open window grid, as
-    two arrays from one pass over the pair upper triangle."""
-    i, j = np.triu_indices(len(pts), 1)
-    off = j - i
-    return off, _apart(off, np.abs(pts[j] - pts[i]))
+    two arrays per block of _WINDOW_BLOCK offsets j - i, from offset 1 up.
+    Each block passes _apart before it is yielded, so a coincidence raises
+    in the first block that holds one and names the smallest offset of the
+    whole triangle."""
+    n = len(pts)
+    for o0 in range(1, n, _WINDOW_BLOCK):
+        offs = np.arange(o0, min(n, o0 + _WINDOW_BLOCK))
+        r, i = np.nonzero(offs[:, None] + np.arange(n - o0) < n)
+        off = offs[r]
+        yield off, _apart(off, np.abs(pts[i + off] - pts[i]))
 
 
 def _chord_row(ext, n: int, off: int):
@@ -184,8 +194,10 @@ def bilipschitz_constant(sc) -> float:
 _ARC_FACTOR = 16.0
 # Equispaced parameters of the diagnostics' omega2 table.
 _OMEGA2_NODES = 4096
+# Most parameters of one p.point call of the diagnostics (whole levels).
+_POINT_GROUP = 2 ** 16
 # Doubles in one node block's distance table; sets the block length.
-_TABLE_SIZE = 2 ** 19
+_TABLE_SIZE = 2 ** 17
 # Relative slack of the polygonal-arc bound that prunes the detour scan.
 _ARC_SLACK = 1e-9
 
@@ -342,7 +354,7 @@ def conformality_modulus(sc, d: float) -> float:
     distance table of (K+1)(B+K) doubles, a leg buffer of K B, one arc row
     of B and the gather buffers of the surviving columns (under K B / 8
     doubles each), where K is the largest offset with a chord <= d and
-    B = max(K, 2^19 / (K+1)): about 2^21 + 4 K^2 doubles at most, 16 MB
+    B = max(K, 2^17 / (K+1)): about 2^19 + 4 K^2 doubles at most, 4 MiB
     plus 32 K^2 bytes at any grid size.  K comes from _table_height; with
     no floor the scan runs every node block, from the first.
     """
@@ -424,10 +436,13 @@ def branch_log(p, x: float, eps: float) -> complex:
 
 def _window_constant(xs, pts) -> float:
     """Smallest C with |x-y|/C <= |gamma(x)-gamma(y)| over the node pairs of
-    a window grid xs of a unit-speed curve, pts its points: one pass over
-    the pairs (384 nodes: about 73k pairs, 2 MB)."""
-    off, d = _window_chords(pts)
-    return max(1.0, float(np.max(off * (xs[1] - xs[0]) / d)))
+    a window grid xs of a unit-speed curve, pts its points: the max over
+    the blocks of _window_chords, each ratio the same division as in one
+    table of every pair (384 nodes: about 73k pairs, at most 22.5k in a
+    block)."""
+    h = xs[1] - xs[0]
+    return max(1.0, max(float(np.max(off * h / d))
+                        for off, d in _window_chords(pts)))
 
 
 def eps0_gate(sc, bilip: float):
@@ -492,6 +507,29 @@ def focus_grid(p, eps: float):
     return x0 + np.linspace(-half, half, 1536)
 
 
+def _points_by_level(p, params):
+    """The points of p at each entry of params, a list of lists of
+    parameter arrays, as one list of point arrays per entry, in order.
+    p.point is called once per group of consecutive entries that hold at
+    most _POINT_GROUP parameters together (an entry above that alone), and
+    a group is evaluated only once the entries before it are taken.  A
+    point depends only on its own parameter, so the points are those of
+    one call at every parameter."""
+    sizes = [sum(map(len, entry)) for entry in params]
+    start = 0
+    while start < len(params):
+        stop, total = start + 1, sizes[start]
+        while stop < len(params) and total + sizes[stop] <= _POINT_GROUP:
+            total += sizes[stop]
+            stop += 1
+        flat = [x for entry in params[start:stop] for x in entry]
+        pts = iter(np.split(p.point(np.concatenate(flat)),
+                            np.cumsum([len(x) for x in flat])[:-1]))
+        for entry in params[start:stop]:
+            yield [next(pts) for _ in entry]
+        start = stop
+
+
 def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
                 eps0: float | None = None) -> DiagnosticsReport:
     """Assemble the standard diagnostics tables on dyadic scales.
@@ -502,9 +540,10 @@ def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
     table the 384 parameters of [x0 - eps, x0 + eps] about the focus point
     x0 (0 without one), at the levels with eps below a quarter period.
     eps0 is the smallness threshold the caller measured (see eps0_gate),
-    reported as given; None omits its row.  Every parameter the omega2,
-    focus and window tables read goes through one p.point call, and each
-    table takes its slice of the points.
+    reported as given; None omits its row.  The parameters the omega2,
+    focus and window tables read go through one p.point call per group of
+    whole levels (_points_by_level), and each table takes its slice of
+    its group's points.
     """
     cac, bil = _chord_constants(sc, with_arc=True)
     period = sc.period
@@ -517,19 +556,20 @@ def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
         win = (np.linspace(x0 - eps, x0 + eps, 384) if eps < period / 4.0
                else None)
         levels.append((k, eps, focus_grid(p, eps), win))
-    params = [xs]
+    params = [[xs]]
     for k, eps, fg, win in levels:
-        params += [xs + eps, xs - eps]
+        entry = [xs + eps, xs - eps]
         if fg is not None:
-            params += [fg + eps, fg - eps, fg]
+            entry += [fg + eps, fg - eps, fg]
         if win is not None:
-            params.append(win)
-    # the points come back in the order their parameters went in
-    pts = iter(np.split(p.point(np.concatenate(params)),
-                        np.cumsum([len(x) for x in params])[:-1]))
-    at = next(pts)
+            entry.append(win)
+        params.append(entry)
+    points = _points_by_level(p, params)
+    [at] = next(points)
     ac_rows, w2_rows, w2f_rows, lb_rows = [], [], [], []
-    for k, eps, fg, win in levels:
+    for (k, eps, fg, win), pts in zip(levels, points):
+        # the points come back in the order their parameters went in
+        pts = iter(pts)
         if k in resolved:
             ac_rows.append((k, eps, conformality_modulus(sc, bil * eps)))
         w2_rows.append((k, eps) + _peak(

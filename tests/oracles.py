@@ -331,9 +331,9 @@ def window_speed_range(p, x0: float, eps: float, m: int = 257):
         m += 1
     xs = np.linspace(x0 - eps, x0 + eps, m)
     step = xs[1] - xs[0]
-    off, d = _window_chords(p.point(xs))
-    ratio = d / (off * step)
-    return float(ratio.min()), float(ratio.max())
+    ratios = [d / (off * step) for off, d in _window_chords(p.point(xs))]
+    return (float(min(r.min() for r in ratios)),
+            float(max(r.max() for r in ratios)))
 
 
 def omega2(p, eps: float, x_grid):

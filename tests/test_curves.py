@@ -697,17 +697,37 @@ def test_spiral_build_memory_stays_under_8_mib():
 
 def test_min_distance_is_the_min_over_the_whole_table(monkeypatch):
     # blocks of one row, of a few rows and the whole table give its min,
-    # and a NaN in the last block is the result, as in the whole table
+    # whichever blocks the bounding-box gaps pass over, and a NaN in a
+    # block of a, or anywhere in b, is the result, as in the whole table.
+    # The clouds: two overlapping ones, two apart, two that touch at one
+    # pair, a walk and a line with one near miss, each seeded; and two
+    # points whose second block, of gap 5.0, holds the min 5.016, below
+    # the 5.025 of the first block (gap 0.5)
     rng = np.random.default_rng(5)
-    a = rng.normal(size=300) + 1j * rng.normal(size=300)
-    b = rng.normal(size=250) + 1j * rng.normal(size=250)
-    want = float(np.abs(a[:, None] - b[None, :]).min())
-    a_nan = a.copy()
-    a_nan[-1] = np.nan
-    for block in (1, 1000, 1 << 16, 10 ** 6):
-        monkeypatch.setattr(curves, "_DISTANCE_BLOCK", block)
-        assert curves._min_distance(a, b) == want
-        assert math.isnan(curves._min_distance(a_nan, b))
+
+    def cloud(m, scale=1.0, shift=0.0):
+        return shift + scale * (rng.normal(size=m) + 1j * rng.normal(size=m))
+
+    t = np.linspace(0.0, 1.0, 400)
+    touch = cloud(220, 0.1, 3.0)
+    clouds = [
+        (cloud(300), cloud(250)),
+        (cloud(300, 0.5, 4.0 + 1j), cloud(250, 0.2)),
+        (np.concatenate([cloud(200, 0.1), touch[:1] + 1e-9]), touch),
+        (np.cumsum(cloud(500, 0.05)), np.cumsum(cloud(350, 0.05)) + 0.3j),
+        (t + 1e-3j * rng.normal(size=400), t[::7] + 0.2j - 0.19j * (t[::7] == t[28])),
+        (np.array([10.5 + 5j, -5.0 + 0.4j]), np.array([0j, 10 + 10j])),
+    ]
+    for a, b in clouds:
+        want = float(np.abs(a[:, None] - b[None, :]).min())
+        a_nan, b_nan = a.copy(), b.copy()
+        a_nan[-1] = np.nan
+        b_nan[len(b) // 2] = complex(0.0, np.nan)
+        for block in (1, 1000, 1 << 16, 10 ** 6):
+            monkeypatch.setattr(curves, "_DISTANCE_BLOCK", block)
+            assert curves._min_distance(a, b) == want
+            assert math.isnan(curves._min_distance(a_nan, b))
+            assert math.isnan(curves._min_distance(a, b_nan))
 
 
 def test_patch_angle_arc_chord_bound():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -193,8 +194,9 @@ def test_chord_scan_probes_few_offsets(monkeypatch, build, most):
     lambda: spiral6(),
 ], ids=["circle", "ellipse", "square", "spiral"])
 def test_diagnostics_tables_equal_per_level_calls(build):
-    # one p.point call serves every omega2, focus and window table, and
-    # each row has the bits of the per-level oracles: the max of
+    # the omega2, focus and window tables read their points from one
+    # p.point call per group of whole levels of at most 2^16 parameters,
+    # and each row has the bits of the per-level oracles: the max of
     # second_difference over the 4096 equispaced parameters or the focus
     # grid, and the loop over the pairs of the 384-node window about the
     # focus point (0 without one); the spiral has a focus point, so its
@@ -209,7 +211,12 @@ def test_diagnostics_tables_equal_per_level_calls(build):
 
     rep = geometry.diagnostics(dataclasses.replace(p, point=counted), sc,
                                k_min=3, k_max=12)
-    assert len(calls) == 1
+    # 4096 omega2 parameters, then per level 2 x 4096 shifted ones, the 384
+    # of the window and, on the spiral, 3 x 1536 of the focus grid
+    if "focus_param" in p.meta:
+        assert calls == [(4096 + 4 * 13184,), (4 * 13184,), (2 * 13184,)]
+    else:
+        assert calls == [(4096 + 7 * 8576,), (3 * 8576,)]
     xs = p.period * np.arange(4096) / 4096
     x0 = p.meta.get("focus_param", 0.0)
     assert [row[0] for row in rep.omega2_table] == list(range(3, 13))
@@ -393,12 +400,17 @@ def test_chord_scan_starts_no_peer_worker(monkeypatch):
 
 
 def test_window_scan_names_the_smallest_coincident_offset():
-    # window nodes 200 and 250 repeat nodes 190 and 230
+    # window nodes 200 and 250 repeat nodes 190 and 230; then nodes 300 and
+    # 380 repeat 170 and 310, at offsets 130 and 70, in the third and the
+    # second block of 64 offsets
     xs = np.linspace(-0.1, 0.1, 384)
-    pts = xs + 0j
-    pts[200], pts[250] = pts[190], pts[230]
-    with pytest.raises(DegenerateGeometryError, match="offset 10$"):
-        geometry._window_constant(xs, pts)
+    for repeats, offset in (({200: 190, 250: 230}, 10),
+                            ({300: 170, 380: 310}, 70)):
+        pts = xs + 0j
+        for i, j in repeats.items():
+            pts[i] = pts[j]
+        with pytest.raises(DegenerateGeometryError, match=f"offset {offset}$"):
+            geometry._window_constant(xs, pts)
 
 
 # -- conformality defect ------------------------------------------------------
@@ -863,6 +875,38 @@ def test_eps0_gate_picks_its_own_grid_on_the_spiral():
     sc = curves.arclength_sample(spiral6(), 4096)
     bil = geometry.bilipschitz_constant(sc)
     assert geometry.eps0_gate(sc, bil) == 0.0009552201406216753
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The traced peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_eps0_gate_memory_stays_under_7_mib():
+    # the gate's own 2^16-node sample (3 MiB kept) sets its floor; the
+    # detour scan's distance table and leg buffer take 2^17 doubles each:
+    # traced 6.5 MiB, where tables of 2^19 doubles took 12.7 MiB
+    sc = curves.arclength_sample(spiral6(), 4096)
+    bil = geometry.bilipschitz_constant(sc)
+    peak = traced_peak(geometry.eps0_gate, sc, bil)
+    assert peak <= 7.0, peak
+
+
+def test_diagnostics_memory_stays_under_9_mib():
+    # the run's levels k = 3..16: p.point runs on groups of whole levels
+    # of at most 2^16 parameters, the window constant on 64 offsets at a
+    # time and the detour scan on tables of 2^17 doubles: traced 6.6 MiB,
+    # where one p.point call on all 188,672 parameters, one table of the
+    # window's 73,536 pairs and tables of 2^19 doubles took 14.2 MiB
+    p = spiral6()
+    sc = curves.arclength_sample(p, 4096)
+    peak = traced_peak(geometry.diagnostics, p, sc, k_min=3, k_max=16)
+    assert peak <= 9.0, peak
 
 
 def test_eps0_gate_early_stop_matches_full_scans():
