@@ -91,7 +91,7 @@ def _run_build(state: _RunState, out: Path) -> None:
 def _run_diag(state: _RunState, out: Path) -> None:
     doc = state.doc
     report = geometry.diagnostics(
-        state.curve, state.sample,
+        state.sample,
         k_min=max(3, doc.get("experiment", "k_min") - 1),
         k_max=doc.get("experiment", "k_max"),
         eps0=state.eps0)

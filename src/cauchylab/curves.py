@@ -69,15 +69,6 @@ __all__ = [
 # to ramp(w) = integral of (w-u)*eta(u) over u < w.
 
 
-def _bump_raw(u):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
-
-
 # 1 / integral of exp(-1/(1-u^2)) over (-1, 1) as an adaptive quadrature
 # gave it; a 40-digit quadrature puts it 3.1e-16 relative (two ulps) high
 BUMP_NORM = 2.2522836210435817
@@ -85,7 +76,12 @@ BUMP_NORM = 2.2522836210435817
 
 def bump(u):
     """Normalized smoothing kernel (even, positive, unit mass, support [-1,1])."""
-    return BUMP_NORM * _bump_raw(u)
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
+    return BUMP_NORM * out
 
 
 def _bump_panel(w, moment, top):
@@ -413,7 +409,7 @@ class _LinearZone:
     """A straight stretch of a mapped graph: exact inverse arc length."""
 
     __slots__ = ("t0", "t1", "off", "mult", "lam_a", "lam_b", "speed", "length",
-                 "s0", "patch_index")
+                 "patch_index")
 
     def __init__(self, t0, t1, off, mult, lam_a, lam_b, patch_index):
         self.t0, self.t1 = t0, t1
@@ -421,7 +417,6 @@ class _LinearZone:
         self.lam_a, self.lam_b = lam_a, lam_b
         self.speed = abs(mult) * math.sqrt(1.0 + lam_b * lam_b)
         self.length = (t1 - t0) * self.speed
-        self.s0 = 0.0
         self.patch_index = patch_index
 
     def t_at(self, ds):
@@ -515,7 +510,7 @@ class _SplineZone:
     s_knots and the end speeds v0, v1.  Its arc length at a parameter,
     which only `param_of` reads, inverts that one spline."""
 
-    __slots__ = ("t0", "t1", "point_of", "length", "s0", "_t_of_s",
+    __slots__ = ("t0", "t1", "point_of", "length", "_t_of_s",
                  "_knots", "patch_index")
 
     def __init__(self, point_of, t_knots, s_knots, v0, v1, patch_index=-1):
@@ -524,7 +519,6 @@ class _SplineZone:
         self.length = float(s_knots[-1])
         self._t_of_s = _ClampedSpline(s_knots, t_knots, 1.0 / v0, 1.0 / v1)
         self._knots = (t_knots, s_knots, v0, v1)
-        self.s0 = 0.0
         self.patch_index = patch_index
 
     def t_at(self, ds):
@@ -614,13 +608,13 @@ class _ZoneAssembly:
     """An ordered chain of zones traversed start to end (forward arc length)."""
 
     def __init__(self, zones):
-        s = 0.0
+        starts, s = [], 0.0
         for z in zones:
-            z.s0 = s
+            starts.append(s)
             s += z.length
         self.zones = zones
         self.total = s
-        self._starts = np.array([z.s0 for z in zones])
+        self._starts = np.array(starts)
         # junction continuity guard
         for za, zb in zip(zones[:-1], zones[1:]):
             ga = za.point(np.array([za.length]))[0]
@@ -636,14 +630,14 @@ class _ZoneAssembly:
         out = np.empty(s.shape, dtype=complex)
         for k in np.flatnonzero(np.bincount(idx.ravel(), minlength=len(self.zones))):
             mask = idx == k
-            out[mask] = self.zones[k].point(s[mask] - self.zones[k].s0)
+            out[mask] = self.zones[k].point(s[mask] - self._starts[k])
         return out
 
     def param_of(self, patch_index, t):
         """Forward arc length of the point with local parameter t on a patch."""
-        for z in self.zones:
+        for s0, z in zip(self._starts.tolist(), self.zones):
             if z.patch_index == patch_index and z.t0 - 1e-12 <= t <= z.t1 + 1e-12:
-                return z.s0 + z.s_at(min(max(t, z.t0), z.t1))
+                return s0 + z.s_at(min(max(t, z.t0), z.t1))
         raise DomainError(f"parameter {t} of patch {patch_index} is not on the curve")
 
 
@@ -675,14 +669,13 @@ def _closure_loop(p_from, p_to, dir_from, dir_to, dip):
     lower half plane."""
     rhs = np.array([p_from, 1.5 * dir_from, 0.0, p_to, 1.5 * dir_to, 0.0],
                    dtype=complex)
-    mat = np.zeros((6, 6))
-    for k in range(6):
-        mat[0, k] = 1.0 if k == 0 else 0.0
-        mat[1, k] = 1.0 if k == 1 else 0.0
-        mat[2, k] = 2.0 if k == 2 else 0.0
-        mat[3, k] = 1.0
-        mat[4, k] = k
-        mat[5, k] = k * (k - 1)
+    # rows: value, velocity and second derivative at u = 0, then at u = 1
+    mat = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 2.0, 0.0, 0.0, 0.0],
+                    [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                    [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                    [0.0, 0.0, 2.0, 6.0, 12.0, 20.0]])
     coeffs = np.linalg.solve(mat, rhs)
 
     def base(u):
@@ -847,7 +840,7 @@ def build_spiral(depth: int, xi: float = 1.0 / 200.0) -> Parametrization:
     closure_zones = _loop_zones(curve, dcurve)
     full = _ZoneAssembly(zones + closure_zones)
     # the spiral runs forward from 0 to the closure arc's start
-    spiral_length = closure_zones[0].s0
+    spiral_length = full._starts[len(zones)]
 
     if depth > 1:
         _validate_spiral_separation(patches, offs, mults, xi, depth)

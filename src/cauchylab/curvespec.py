@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .curves import builtin_curve
+from .curves import _BUILDERS, builtin_curve
 from .errors import ValidationError
 from .harness import tag_error
 
@@ -31,7 +31,7 @@ __all__ = [
 _TAG_RE = re.compile(r"^[A-Za-z0-9_.:+@/-]+$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
-CURVE_KINDS = ("circle", "ellipse", "graph-closure", "polygon", "spiral")
+CURVE_KINDS = tuple(sorted(_BUILDERS))
 SCAN_TAGS = ("cotlar", "criterion", "diag", "proof", "sandwich", "series",
              "transform")
 

@@ -530,9 +530,10 @@ def _points_by_level(p, params):
         start = stop
 
 
-def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
+def diagnostics(sc, k_min: int = 3, k_max: int = 12,
                 eps0: float | None = None) -> DiagnosticsReport:
-    """Assemble the standard diagnostics tables on dyadic scales.
+    """Assemble the standard diagnostics tables of the curve sc.source on
+    dyadic scales.
 
     The conformality table keeps only the levels of dyadic_levels, which
     resolve two grid cells; the other tables take every k_min..k_max.  The
@@ -545,6 +546,7 @@ def diagnostics(p, sc, k_min: int = 3, k_max: int = 12,
     whole levels (_points_by_level), and each table takes its slice of
     its group's points.
     """
+    p = sc.source
     cac, bil = _chord_constants(sc, with_arc=True)
     period = sc.period
     resolved = dict(dyadic_levels(sc, 1))

@@ -34,7 +34,6 @@ __all__ = [
     "SandwichReport",
     "CotlarReport",
     "required_dilation",
-    "window_fits",
     "adversarial_indicator",
     "deepest_exponent",
     "anchor_params",
@@ -58,12 +57,6 @@ UNDERFLOW_FLOOR = 1e-14
 def required_dilation(bilip: float) -> float:
     """Window dilation max(2L^2, L(L+1)) the splitting of T_eps f needs."""
     return max(2.0 * bilip ** 2, bilip * (bilip + 1.0))
-
-
-def window_fits(bilip: float, period: float, eps: float) -> bool:
-    """Whether the dilated window required_dilation(L) * eps stays below
-    half the period."""
-    return required_dilation(bilip) * eps < period / 2.0
 
 
 def _window_margin(sc: SampledCurve, z_index: int, eps: float,
@@ -228,13 +221,15 @@ class ProofReport:
 def _level_error(sc: SampledCurve, eps: float, bilip: float):
     """The error proof_check raises for the level eps, or None when it
     takes it: eps must be >= 4h, so that the dilated window is resolved,
-    and the dilated window must fit (window_fits)."""
+    and the dilated window required_dilation(L) * eps must stay below half
+    the period."""
     # eps >= 4h exactly when eps / 2 is a level of dyadic_levels
     if eps / 2 not in {e for _, e in dyadic_levels(sc, 1)}:
         return ResolutionError("need a dyadic eps >= 4h so the dilated "
                                "window is resolved")
-    if not window_fits(bilip, sc.period, eps):
-        return DomainError(f"dilated window {required_dilation(bilip) * eps:.3g} "
+    window = required_dilation(bilip) * eps
+    if not window < sc.period / 2.0:
+        return DomainError(f"dilated window {window:.3g} "
                            "reaches half the period; lower eps")
     return None
 

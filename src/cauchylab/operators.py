@@ -561,10 +561,11 @@ def maximal_cauchy_all(sc: SampledCurve, values, levels):
 
 
 def _hl_radii(sc: SampledCurve):
-    """Interior half-widths of the dyadic parametric balls.  The first,
-    at eps = T/2, is (n - 1) // 2: its ball is the whole curve."""
+    """Interior half-widths of the proper dyadic parametric balls, eps < T/2.
+    The ball at eps = T/2 is the whole curve, whose average the maximal
+    function starts from."""
     return [_window_split(eps, sc.spacing, sc.n)[0]
-            for _, eps in dyadic_levels(sc, 1)]
+            for _, eps in dyadic_levels(sc, 1)[1:]]
 
 
 def _circular_prefix(x) -> np.ndarray:
@@ -583,8 +584,6 @@ def hl_maximal_all(sc: SampledCurve, values) -> np.ndarray:
     pref_w = _circular_prefix(w)
     out = np.repeat(np.sum(vw, axis=-1, keepdims=True) / np.sum(w), n, axis=-1)
     for m in _hl_radii(sc):
-        if m >= (n - 1) // 2:
-            continue
         hi, lo = slice(n + m + 1, 2 * n + m + 1), slice(n - m, 2 * n - m)
         num = pref_vw[..., hi] - pref_vw[..., lo]
         den = pref_w[hi] - pref_w[lo]

@@ -58,7 +58,6 @@ from cauchylab.operators import (
     _window_split,
     _wrap_add,
     cauchy_family,
-    kernel_transform_direct_fill,
     truncated_kernel,
 )
 
@@ -94,18 +93,18 @@ def maximal_cauchy(sc, values, z_index: int, levels) -> MaximalValue:
 
 
 def _ball_average(absvals, weights, i, m_incl):
-    n = len(absvals)
-    if m_incl >= (n - 1) // 2:
-        return float(np.sum(absvals * weights) / np.sum(weights))
-    mask = _cyclic_distance(n, i) <= m_incl
+    mask = _cyclic_distance(len(absvals), i) <= m_incl
     return float(np.sum(absvals[mask] * weights[mask]) / np.sum(weights[mask]))
 
 
 def hl_maximal(sc, values, z_index: int) -> float:
-    """Max over dyadic parametric balls of the average of |values|."""
+    """Max of the full-curve average of |values| and its averages over the
+    proper dyadic parametric balls."""
     absvals = np.abs(values)
     w = sc.weights
-    return max(_ball_average(absvals, w, z_index, m) for m in _hl_radii(sc))
+    full = float(np.sum(absvals * w) / np.sum(w))
+    return max([full] + [_ball_average(absvals, w, z_index, m)
+                         for m in _hl_radii(sc)])
 
 
 def gathered_offset_terms(z_ext, contrib_ext, n: int, off: int) -> np.ndarray:
@@ -216,16 +215,15 @@ def tile_major_family(sc, values, eps_list) -> np.ndarray:
 
 def dual_statistic(sc, z_index: int, levels) -> np.ndarray:
     """D(z, eps) = sum_j w_j |g_j| at node z_index for each level eps, the
-    L1 norm of the kernel transform g = T(K_{z,eps}): the largest
-    |T_eps f(z)| over f = A chi with |chi| <= 1, by the transpose identity.
-    One cauchy_family pass of the truncated kernels gives every g, and the
-    nodes within 2h of z are filled by trapezoid sums as proof_check fills
-    them."""
+    L1 norm of the kernel transform g = A K_{z,eps}: the largest
+    |T_eps f(z)| over f = A chi with |chi| <= 1, by the transpose identity
+    T_eps(A chi)(z) = -sum_j chi_j mu_j g_j.  One cauchy_family pass of the
+    truncated kernels gives every g as the principal value at every node,
+    the g for which that identity holds; the trapezoid fill proof_check
+    uses within 2h of z breaks it at eps <= 4h."""
     kernels = [truncated_kernel(sc, z_index, eps) for eps in levels]
     pvs, _ = cauchy_family(sc, kernels)
-    return np.array([
-        np.sum(sc.weights * np.abs(kernel_transform_direct_fill(sc, kernel, z_index, pv)))
-        for kernel, pv in zip(kernels, pvs)])
+    return np.sum(sc.weights * np.abs(pvs), axis=-1)
 
 
 def indexed_hl_maximal_all(sc, values) -> np.ndarray:
@@ -239,8 +237,6 @@ def indexed_hl_maximal_all(sc, values) -> np.ndarray:
     out = np.repeat(np.sum(vw, axis=-1, keepdims=True) / np.sum(w), n, axis=-1)
     idx = np.arange(n)
     for m in _hl_radii(sc):
-        if m >= (n - 1) // 2:
-            continue
         lo = idx - m + n
         hi = idx + m + n
         num = pref_vw[..., hi + 1] - pref_vw[..., lo]

@@ -455,6 +455,34 @@ def test_exit_2_on_retired_scan_tags(tmp_path, capsys):
         assert f"unknown scan tag {tag!r}" in capsys.readouterr().err
 
 
+def test_scan_tags_name_exactly_the_scan_runners():
+    # the spec parser accepts the tags of SCAN_TAGS and cli.run looks each
+    # up in _SCAN_RUNNERS; cli imports curvespec, so the one list cannot be
+    # derived from the other, and a tag with no runner would pass
+    # validation and then fail with a bare KeyError
+    assert set(curvespec.SCAN_TAGS) == set(cli._SCAN_RUNNERS)
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's traced runs wrap every name of perfbench/worker.py's
+    # TRACED table through getattr on its cauchylab module; the table is
+    # read with ast, so the worker is not imported
+    import ast
+    import importlib
+
+    worker = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    [traced] = [ast.literal_eval(node.value)
+                for node in ast.parse(worker.read_text()).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
+    names = [(layer, name) for layer, names in traced.items() for name in names]
+    assert len(names) > 20
+    missing = [f"{layer}.{name}" for layer, name in names
+               if not callable(getattr(importlib.import_module(f"cauchylab.{layer}"),
+                                       name, None))]
+    assert missing == []
+
+
 def test_no_program_path_calls_single_node_oracles(tmp_path, monkeypatch):
     import importlib
     import pkgutil

@@ -149,7 +149,7 @@ def test_diagnostics_makes_one_chord_pass(monkeypatch):
         return scan(sc_, with_arc)
 
     monkeypatch.setattr(geometry, "_chord_constants", counted)
-    rep = geometry.diagnostics(p, sc, k_min=3, k_max=5)
+    rep = geometry.diagnostics(sc, k_min=3, k_max=5)
     assert closed_scans == [(sc.n, True)]
     monkeypatch.undo()
     assert rep.chord_arc_const == geometry.chord_arc_constant(sc)
@@ -209,8 +209,9 @@ def test_diagnostics_tables_equal_per_level_calls(build):
         calls.append(np.shape(x))
         return p.point(x)
 
-    rep = geometry.diagnostics(dataclasses.replace(p, point=counted), sc,
-                               k_min=3, k_max=12)
+    rep = geometry.diagnostics(
+        dataclasses.replace(sc, source=dataclasses.replace(p, point=counted)),
+        k_min=3, k_max=12)
     # 4096 omega2 parameters, then per level 2 x 4096 shifted ones, the 384
     # of the window and, on the spiral, 3 x 1536 of the focus grid
     if "focus_param" in p.meta:
@@ -243,7 +244,7 @@ def test_diagnostics_window_rows_are_the_loop_constants(build):
     # oracle's window constant about the focus point (0 without one), on
     # the test polygons too; the window grid does not depend on the sample
     p = build()
-    rep = geometry.diagnostics(p, curves.arclength_sample(p, 1024), k_min=3, k_max=12)
+    rep = geometry.diagnostics(curves.arclength_sample(p, 1024), k_min=3, k_max=12)
     x0 = p.meta.get("focus_param", 0.0)
     want = [f"local_bilip,T*2^-{k},"
             f"{oracles.loop_local_bilipschitz(p, x0, p.period * 2.0 ** -k):.17g},"
@@ -255,7 +256,7 @@ def test_diagnostics_window_rows_are_the_loop_constants(build):
 def test_diagnostics_needs_nodes():
     p = curves.circle(1.0)
     with pytest.raises(DomainError):
-        geometry.diagnostics(p, curves.arclength_sample(p, 32), k_min=3, k_max=4)
+        geometry.diagnostics(curves.arclength_sample(p, 32), k_min=3, k_max=4)
 
 
 def test_degenerate_pair_detection():
@@ -395,7 +396,7 @@ def test_chord_scan_starts_no_peer_worker(monkeypatch):
     p = curves.polygon([0, 1, 1 + 1j, 1j])
     sc = curves.arclength_sample(p, 512)
     assert geometry.bilipschitz_constant(sc) == loop_bilipschitz_constant(sc)
-    rep = geometry.diagnostics(p, sc, k_min=3, k_max=5)
+    rep = geometry.diagnostics(sc, k_min=3, k_max=5)
     assert rep.chord_arc_const == loop_chord_arc_constant(sc)
 
 
@@ -810,7 +811,7 @@ def test_local_bilipschitz_straight_window():
 def test_local_bilipschitz_circle_window():
     # the window's widest pair, 2 eps apart, has chord 2 sin(eps)
     p = curves.circle(1.0)
-    rep = geometry.diagnostics(p, curves.arclength_sample(p, 256), k_min=3, k_max=8)
+    rep = geometry.diagnostics(curves.arclength_sample(p, 256), k_min=3, k_max=8)
     assert [k for k, *_ in rep.local_bilip_table] == list(range(3, 9))
     for _, eps, got in rep.local_bilip_table:
         assert got == pytest.approx(eps / math.sin(eps), rel=1e-5)
@@ -905,7 +906,7 @@ def test_diagnostics_memory_stays_under_9_mib():
     # window's 73,536 pairs and tables of 2^19 doubles took 14.2 MiB
     p = spiral6()
     sc = curves.arclength_sample(p, 4096)
-    peak = traced_peak(geometry.diagnostics, p, sc, k_min=3, k_max=16)
+    peak = traced_peak(geometry.diagnostics, sc, k_min=3, k_max=16)
     assert peak <= 9.0, peak
 
 
@@ -957,7 +958,7 @@ def test_eps0_gate_on_the_threshold_at_a_corner(offset):
 def test_diagnostics_report_and_csv():
     p = curves.circle(1.0)
     sc = curves.arclength_sample(p, 512)
-    rep = geometry.diagnostics(p, sc, k_min=3, k_max=6)
+    rep = geometry.diagnostics(sc, k_min=3, k_max=6)
     assert rep.chord_arc_const >= 1.0
     assert rep.bilip >= 1.0
     assert all(v >= 0.0 for _, _, v in rep.ac_table)
@@ -974,7 +975,7 @@ def test_diagnostics_past_the_two_cell_floor():
     # conformality table is empty and the other tables are written as usual
     p = curves.circle(1.0)
     sc = curves.arclength_sample(p, 64)
-    rep = geometry.diagnostics(p, sc, k_min=6, k_max=7)
+    rep = geometry.diagnostics(sc, k_min=6, k_max=7)
     assert rep.ac_table == ()
     assert [k for k, *_ in rep.omega2_table] == [6, 7]
     assert [k for k, *_ in rep.local_bilip_table] == [6, 7]
@@ -990,7 +991,7 @@ def test_diagnostics_past_the_two_cell_floor():
 def test_diagnostics_focus_tables_for_spiral():
     p = curves.build_spiral(5)
     sc = curves.arclength_sample(p, 1024)
-    rep = geometry.diagnostics(p, sc, k_min=4, k_max=7)
+    rep = geometry.diagnostics(sc, k_min=4, k_max=7)
     assert rep.omega2_focus_table  # near-focus table present
     assert rep.local_bilip_table
     for _, _, c_eps in rep.local_bilip_table:

@@ -916,6 +916,34 @@ def test_pv_of_arc_indicators_is_the_polygon_closed_form(build, const):
             assert err <= const * h, (n, f, err / h)
 
 
+def test_pv_of_the_anchor_witness_at_its_corner_node_misses_its_arc():
+    # known defect: at node 0 of the unit square, an anchor corner 4 cells
+    # from the inner jump, the Richardson PV of the deepest adversarial arc
+    # misses the closed form of the arc its jumps name by 0.0381-0.0382 at
+    # eps = period / 2 and 0.0383-0.0394 at eps = period / 8, at every n
+    # from 1024 to 8192, against |PV| of 1.06-2.07.  The inner jump lies on
+    # the grid at 4h, so the node values model the arc from the cell edge
+    # 4.5h, and ln(4.5 / 4) / pi = 0.0375; against that arc (from the cell
+    # edge before its first node to the one after its last) the error is
+    # 4.7e-4 to 6.5e-4
+    p = curves.polygon([0, 1, 1 + 1j, 1j])
+    for n in (1024, 2048, 4096, 8192):
+        sc = curves.arclength_sample(p, n)
+        h = sc.spacing
+        for eps in (sc.period / 2.0, sc.period / 8.0):
+            tf = harness.adversarial_indicator(
+                sc, eps, harness.deepest_exponent(sc, eps), +1, 0.0)
+            pv, _ = operators.cauchy_family(sc, [tf.values])
+            held = np.flatnonzero(tf.values)
+            assert tf.jumps[0] == 4.0 * h and held[0] == 5
+            at_jumps = oracles.polygon_arc_transform(p, *tf.jumps, sc.points[:1])
+            at_edges = oracles.polygon_arc_transform(
+                p, (held[0] - 0.5) * h, (held[-1] + 0.5) * h, sc.points[:1])
+            err = abs(pv[0, 0] - at_jumps[0])
+            assert 0.038 <= err <= 0.040, (n, eps, err)
+            assert abs(pv[0, 0] - at_edges[0]) < 1e-3, (n, eps)
+
+
 # -- maximal transform -------------------------------------------------------------
 
 def test_maximal_cauchy_circle_constant(one, circle_sc):
@@ -1175,27 +1203,54 @@ def test_kernel_far_field_magnitude_bound():
     assert np.all(np.abs(g[far]) <= bound + 1e-9)
 
 
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_dual_statistic_attains_the_transpose_identity(n):
+    # with g = A K_{0,eps} the principal value of the truncated kernel at
+    # every node and chi = conj(mu g) / |mu g| (0 where mu g is 0), the
+    # truncated transform of f = A chi at node 0 is -sum_j chi_j mu_j g_j
+    # = -D: measured at most 7.8e-16 relative at every level from T/2 to 2h
+    # on the square (a corner node) and the circle, at n = 1024 and 2048
+    for p in (curves.polygon([0, 1, 1 + 1j, 1j]), curves.circle(1.0)):
+        sc = curves.arclength_sample(p, n)
+        levels = [eps for _, eps in dyadic_levels(sc, 1)]
+        g, _ = operators.cauchy_family(
+            sc, [operators.truncated_kernel(sc, 0, eps) for eps in levels])
+        mu_g = operators._unit_measure(sc) * g
+        size = np.abs(mu_g)
+        chi = np.divide(np.conj(mu_g), size, out=np.zeros_like(mu_g), where=size > 0)
+        f, _ = operators.cauchy_family(sc, chi)
+        _, table = operators.cauchy_family(sc, f, levels)
+        got = table[np.arange(len(levels)), np.arange(len(levels)), 0]
+        want = -np.sum(chi * mu_g, axis=-1)
+        d = oracles.dual_statistic(sc, 0, levels)
+        assert np.allclose(-want, d, rtol=1e-14, atol=0.0)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (
+            np.abs(got - want) / np.abs(want))
+
+
 def test_dual_statistic_has_the_closed_form_calibration():
-    # D_k = sum_j w_j |g_k,j| for g_k = T(K_{0,eps_k}) over the dyadic
+    # D_k = sum_j w_j |g_k,j| for g_k = A K_{0,eps_k} over the dyadic
     # levels.  At a corner of angle theta it climbs by (2/pi^2) theta ln 2
     # per level, 0.22064 on the unit square; at n = 4096 the increments at
-    # k = 6..9 were measured 0.2218, 0.2208, 0.2202 and 0.2190, within
-    # 0.0017 of it.  The first levels approach the slope from above (0.2395
-    # at k = 4) and the last two, 4h and 2h, wobble (0.1854, 0.2593).  On
-    # the circle D climbs toward 1 with increments halving level by level;
-    # at 2h (k = 11) it was measured 1.0174
+    # k = 6..11 were measured 0.2218, 0.2208, 0.2202, 0.2190, 0.2145 and
+    # 0.2187: within 0.0017 of it at k = 6..9, and 0.0061 and 0.0020
+    # below it at 4h and 2h.  The first levels approach the slope from
+    # above (0.2395 at k = 4).  On the circle D climbs toward 1 with
+    # increments halving level by level, to 0.99938 at 2h (k = 11)
     square = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), 4096)
     levels = dyadic_levels(square, 1)
     assert [k for k, _ in levels] == list(range(1, 12))
     steps = np.diff(oracles.dual_statistic(square, 0, [eps for _, eps in levels]))
     slope = 2.0 / math.pi ** 2 * (math.pi / 2.0) * math.log(2.0)
-    middle = steps[4:8]  # D_k - D_(k-1) for k = 6..9
+    middle, floor = steps[4:8], steps[8:]  # D_k - D_(k-1), k = 6..9 and 10, 11
     assert np.all(np.abs(middle - slope) < 0.0025), middle
+    assert np.all(np.abs(floor - slope) < 0.007), floor
     circle = curves.arclength_sample(curves.circle(1.0), 4096)
     levels = [eps for _, eps in dyadic_levels(circle, 1)]
     assert levels[-1] == 2.0 * circle.spacing
-    deepest = oracles.dual_statistic(circle, 0, levels)[-1]
-    assert abs(deepest - 1.0) < 0.02, deepest
+    d = oracles.dual_statistic(circle, 0, levels)
+    assert np.all(np.diff(d[5:]) > 0.0), d
+    assert abs(d[-1] - 1.0) < 1e-3, d[-1]
 
 
 def test_transform_csv_rows(circle_sc, one):

@@ -87,7 +87,7 @@ def _checks(build, scale):
     sandwich = harness.sandwich_check(
         p, harness.default_scan_params(p, 48),
         [p.period * 2.0 ** (-k) for k in range(4, 13)], bilip)
-    return (proofs, geometry.diagnostics(p, sc), sandwich,
+    return (proofs, geometry.diagnostics(sc), sandwich,
             geometry.eps0_gate(sc, bilip))
 
 
