@@ -26,7 +26,7 @@ from .curves import (
     write_lines,
     write_text,
 )
-from .errors import CauchyLabError, NumericalGateError, ValidationError
+from .errors import CauchyLabError, NumericalGateError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,8 +53,8 @@ class _RunState:
     sample: object = None
     bilip: float | None = None
     eps0: float | None = None
-    criterion_verdict: str | None = None
-    cotlar_verdict: str | None = None
+    criterion: harness.CriterionTable | None = None
+    cotlar: harness.CotlarReport | None = None
     first_function: np.ndarray | None = None
     levels: list | None = None
     notes: list = field(default_factory=list)
@@ -151,7 +151,7 @@ def _run_criterion(state: _RunState, out: Path) -> None:
         score_txt = f"{score:.17g}" if ok else ""
         rows.append(f"{p.kind},{x:.17g},T*2^-{k_of[eps]},{score_txt},{int(ok)}")
     write_lines(out / "criterion.csv", rows)
-    state.criterion_verdict = table.verdict
+    state.criterion = table
 
 
 def _run_cotlar(state: _RunState, out: Path) -> None:
@@ -166,7 +166,7 @@ def _run_cotlar(state: _RunState, out: Path) -> None:
         sup_rows.append(f"{p.kind},{row.n},{row.tag},{row.sup_ratio:.17g},"
                         f"{row.arg_node},{row.arg_param:.17g},{row.flagged}")
     write_lines(out / "cotlar_sup.csv", sup_rows)
-    state.cotlar_verdict = report.verdict
+    state.cotlar = report
 
 
 def _run_proof(state: _RunState, out: Path) -> None:
@@ -215,6 +215,15 @@ def _run_series(state: _RunState, out: Path) -> None:
     write_lines(out / "series.csv", rows)
 
 
+def verdicts(state: _RunState) -> tuple:
+    """(criterion, cotlar, agreement) of a run: n/a for what did not run."""
+    criterion = "n/a" if state.criterion is None else state.criterion.verdict
+    cotlar = "n/a" if state.cotlar is None else state.cotlar.verdict
+    agreement = ("n/a" if "n/a" in (criterion, cotlar) else
+                 "yes" if harness.verdicts_agree(criterion, cotlar) else "NO")
+    return criterion, cotlar, agreement
+
+
 def _write_summary(state: _RunState, out: Path, inv: CommandInvocation) -> None:
     lines = [f"cauchylab {__version__} summary", ""]
     lines.append(f"subcommand: {inv.subcommand}")
@@ -223,11 +232,10 @@ def _write_summary(state: _RunState, out: Path, inv: CommandInvocation) -> None:
         lines.append(f"window dilation: {harness.required_dilation(state.bilip):.17g}")
     lines.append("smallness threshold: "
                  + (f"{state.eps0:.17g}" if state.eps0 is not None else "none"))
-    lines.append("criterion verdict: " + (state.criterion_verdict or "n/a"))
-    lines.append("cotlar verdict: " + (state.cotlar_verdict or "n/a"))
-    if state.criterion_verdict and state.cotlar_verdict:
-        ok = harness.verdicts_agree(state.criterion_verdict, state.cotlar_verdict)
-        lines.append("theorem agreement: " + ("yes" if ok else "NO"))
+    criterion, cotlar, agreement = verdicts(state)
+    lines += [f"criterion verdict: {criterion}", f"cotlar verdict: {cotlar}"]
+    if agreement != "n/a":
+        lines.append(f"theorem agreement: {agreement}")
     for note in state.notes:
         lines.append(f"note: {note}")
     lines += ["", "resolved spec:", ""]
@@ -248,11 +256,16 @@ _SCAN_RUNNERS = {
 
 def run(inv: CommandInvocation) -> int:
     """Execute one invocation; returns the process exit status."""
+    return execute(inv)[0]
+
+
+def execute(inv: CommandInvocation) -> tuple:
+    """Execute one invocation: its exit status and run state (None on error)."""
     try:
         text = Path(inv.spec_path).read_text()
     except OSError as exc:
         print(f"code:{EXIT_VALIDATION} cannot read spec: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, None
     try:
         doc = curvespec.parse_spec(text)
         overrides = list(inv.overrides)
@@ -277,24 +290,18 @@ def run(inv: CommandInvocation) -> int:
         for scan in todo:
             _SCAN_RUNNERS[scan](state, out)
         _write_summary(state, out, inv)
-    except ValidationError as exc:
-        print(f"code:{EXIT_VALIDATION} {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except NumericalGateError as exc:
         print(f"code:{EXIT_GATE} {exc}", file=sys.stderr)
-        return EXIT_GATE
+        return EXIT_GATE, None
     except CauchyLabError as exc:
         print(f"code:{EXIT_VALIDATION} {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if inv.assert_theorem:
-        if not (state.criterion_verdict and state.cotlar_verdict
-                and harness.verdicts_agree(state.criterion_verdict,
-                                           state.cotlar_verdict)):
-            print(f"code:{EXIT_VERDICT} verdict mismatch: criterion="
-                  f"{state.criterion_verdict} cotlar={state.cotlar_verdict}",
-                  file=sys.stderr)
-            return EXIT_VERDICT
-    return EXIT_OK
+        return EXIT_VALIDATION, None
+    criterion, cotlar, agreement = verdicts(state)
+    if inv.assert_theorem and agreement != "yes":
+        print(f"code:{EXIT_VERDICT} verdict mismatch: criterion={criterion} "
+              f"cotlar={cotlar}", file=sys.stderr)
+        return EXIT_VERDICT, state
+    return EXIT_OK, state
 
 
 def _common(fn):

@@ -1,7 +1,7 @@
 """Checked-in sweeps: one spec run once per point of the Cartesian
-product of override values, each point a plain in-process ``cli.run`` of
-``all`` into its own directory, and one CSV row per point read back from
-the files the point wrote.
+product of override values, each point a plain in-process ``cli.execute``
+of ``all`` into its own directory, and one CSV row per point taken from
+the tables that point's run returned.
 
 A sweep file is a spec with a [sweep] section whose lines
 ``vary = SEC.KEY=V1|V2|...`` are its axes; ``cauchylab sweep --vary``
@@ -17,7 +17,7 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from .cli import EXIT_OK, EXIT_VALIDATION, CommandInvocation, run
+from .cli import EXIT_OK, EXIT_VALIDATION, CommandInvocation, execute, verdicts
 from .curves import write_text
 from .errors import ValidationError
 
@@ -57,30 +57,18 @@ def _sweep_axis(text: str):
     return target.strip(), values
 
 
-def _sweep_row(status: int, out: Path) -> list:
-    """The SWEEP_COLUMNS of one point, read back from the files its run
-    wrote: only its status when it failed."""
+def _sweep_row(status: int, state) -> list:
+    """The SWEEP_COLUMNS of one point, from the tables in its run state:
+    only its status when it failed."""
     if status != EXIT_OK:
         return [status, "", "", "", "", ""]
-    summary = dict(line.split(": ", 1) for line in
-                   (out / "summary.txt").read_text().splitlines()
-                   if ": " in line)
-    verdicts = [summary["criterion verdict"], summary["cotlar verdict"]]
-    profile, sups = {}, {}
-    if verdicts[0] != "n/a":
-        with open(out / "criterion.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                best = profile.setdefault(row["epsilon"], 0.0)
-                if row["branch_ok"] == "1":
-                    profile[row["epsilon"]] = max(best, float(row["score"]))
-    if verdicts[1] != "n/a":
-        with open(out / "cotlar_sup.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                sups[row["n"]] = max(sups.get(row["n"], 0.0), float(row["sup_ratio"]))
-    tail = list(profile.items())[-3:]
-    return [status, summary["smallness threshold"], *verdicts,
-            ";".join(f"{k}={v:.17g}" for k, v in tail),
-            ";".join(f"{n}={v:.17g}" for n, v in sups.items())]
+    k_of = {eps: k for k, eps in state.levels or ()}
+    tail = () if state.criterion is None else state.criterion.profile[-3:]
+    sups = () if state.cotlar is None else state.cotlar.aggregate
+    return [status, "none" if state.eps0 is None else f"{state.eps0:.17g}",
+            *verdicts(state)[:2],
+            ";".join(f"T*2^-{k_of[eps]}={v:.17g}" for eps, v in tail),
+            ";".join(f"{n}={v:.17g}" for n, v in sups)]
 
 
 def run_sweep(spec_path: str, varies, out_dir: str, overrides=(),
@@ -96,6 +84,10 @@ def run_sweep(spec_path: str, varies, out_dir: str, overrides=(),
     try:
         base_text, axes = _sweep_parts(Path(spec_path).read_text())
         axes = [_sweep_axis(a) for a in axes + list(varies)]
+        targets = [target for target, _ in axes]
+        for target in targets:
+            if targets.count(target) > 1:
+                raise ValidationError(f"axis {target} is given more than once")
     except OSError as exc:
         print(f"code:{EXIT_VALIDATION} cannot read spec: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -112,13 +104,13 @@ def run_sweep(spec_path: str, varies, out_dir: str, overrides=(),
     write_text(base, [base_text])
     table = io.StringIO()
     writer = csv.writer(table, lineterminator="\n")
-    writer.writerow([target for target, _ in axes] + list(SWEEP_COLUMNS))
+    writer.writerow(targets + list(SWEEP_COLUMNS))
     for i, point in enumerate(product(*[values for _, values in axes])):
         point_dir = out / f"point-{i:03d}"
         given = tuple(overrides) + tuple(
             f"{target}={value}" for (target, _), value in zip(axes, point))
-        status = run(CommandInvocation("all", str(base), str(point_dir),
-                                       given, seed=seed))
-        writer.writerow(list(point) + _sweep_row(status, point_dir))
+        status, state = execute(CommandInvocation("all", str(base), str(point_dir),
+                                                  given, seed=seed))
+        writer.writerow(list(point) + _sweep_row(status, state))
     write_text(out / "sweep.csv", [table.getvalue()])
     return EXIT_OK

@@ -25,14 +25,17 @@ statistic D, the L1 norm of a truncated kernel's transform, with its
 closed-form growth at a corner.  And the Plemelj pair:
 rational functions whose exact principal value is known on any Jordan
 curve, and the transform of an arc indicator on a polygon, a sum of
-segment logs.
+segment logs.  And a sweep point's row read back from the files the
+point wrote, which the row the sweep takes from its run state must equal.
 
 The single-node oracles take what the operators take: the sampled curve
 and plain node values, (sc, values, z_index, ...)."""
 
+import csv
 import math
 from contextlib import closing
 from functools import partial
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -506,3 +509,33 @@ def patch_schedule(monkeypatch, schedule: str) -> None:
         monkeypatch.setattr(_peers, "_AHEAD", 0)
     elif schedule == "helper":
         monkeypatch.setattr(_peers, "_OWN", 0)
+
+
+def sweep_row_from_files(status: int, point_dir) -> list:
+    """The sweep.csv columns after a point's values, read back from the
+    files the point wrote: its status, the smallness threshold and the two
+    verdicts of summary.txt, the largest branch-ok score of each of the
+    last three criterion.csv levels, and the largest sup of each n in
+    cotlar_sup.csv; only its status when it failed."""
+    if status != 0:
+        return [status, "", "", "", "", ""]
+    point_dir = Path(point_dir)
+    summary = dict(line.split(": ", 1) for line in
+                   (point_dir / "summary.txt").read_text().splitlines()
+                   if ": " in line)
+    verdicts = [summary["criterion verdict"], summary["cotlar verdict"]]
+    profile, sups = {}, {}
+    if verdicts[0] != "n/a":
+        with open(point_dir / "criterion.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                best = profile.setdefault(row["epsilon"], 0.0)
+                if row["branch_ok"] == "1":
+                    profile[row["epsilon"]] = max(best, float(row["score"]))
+    if verdicts[1] != "n/a":
+        with open(point_dir / "cotlar_sup.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                sups[row["n"]] = max(sups.get(row["n"], 0.0), float(row["sup_ratio"]))
+    tail = list(profile.items())[-3:]
+    return [status, summary["smallness threshold"], *verdicts,
+            ";".join(f"{k}={v:.17g}" for k, v in tail),
+            ";".join(f"{n}={v:.17g}" for n, v in sups.items())]

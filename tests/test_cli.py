@@ -1,5 +1,6 @@
 """End-to-end CLI tests: artifacts, exit statuses, determinism."""
 
+import csv
 import filecmp
 import os
 import subprocess
@@ -138,12 +139,16 @@ def test_exit_3_on_numerical_gate(tmp_path, monkeypatch):
     assert run(inv) == 3
 
 
-def test_assert_theorem_mismatch_exit_4(tmp_path):
-    # criterion runs, ratio scan does not: no agreement to assert
+def test_assert_theorem_mismatch_exit_4(tmp_path, capsys):
+    # criterion runs, ratio scan does not: no agreement to assert, and the
+    # message names the scan that did not run as summary.txt does
     spec = _write_spec(tmp_path, SMALL_CIRCLE)
     inv = CommandInvocation("all", str(spec), str(tmp_path / "o"),
                             assert_theorem=True)
     assert run(inv) == 4
+    assert capsys.readouterr().err == (
+        "code:4 verdict mismatch: criterion=bounded cotlar=n/a\n")
+    assert "cotlar verdict: n/a" in (tmp_path / "o" / "summary.txt").read_text()
 
 
 def test_set_override_reflected_in_summary(tmp_path):
@@ -658,7 +663,7 @@ def test_sweep_writes_one_row_per_point_and_reruns_to_the_same_bytes(tmp_path, c
         assert c[3] == "0.39269908169872414" and c[4:6] == ["bounded", "stable"]
         assert len(c[6].split(";")) == 3
         assert [s.split("=")[0] for s in c[7].split(";")] == ["128", "256"]
-    # the row reads what the point's run wrote
+    # the row describes what the point's run wrote
     summary = first["point-001/summary.txt"].decode()
     assert "k_max = 12" in summary and "criterion verdict: bounded" in summary
     assert cells[1][6].split(";")[-1].startswith("T*2^-12=")
@@ -682,6 +687,40 @@ def test_sweep_axes_come_from_the_file_then_the_command_line(tmp_path):
     for bad in ("vary = sampling.n", "n = 3"):
         spec = _write_spec(tmp_path, SWEEP_BASE + f"\n[sweep]\n{bad}\n", "bad.cspec")
         assert sweep.run_sweep(str(spec), (), str(tmp_path / "bad")) == 2
+
+
+def test_sweep_rows_equal_the_rows_read_back_from_each_point(tmp_path):
+    # the row a sweep takes from a point's run state is the row its files
+    # give: a failed point (k_min = 9 > k_max = 8), n/a columns of the scan
+    # a point did not run, and points that ran both scans
+    spec = _write_spec(tmp_path, SWEEP_BASE)
+    axes = ("experiment.k_min=4|9", "experiment.k_max=8|12",
+            "experiment.scans=criterion|cotlar|criterion,cotlar")
+    assert sweep.run_sweep(str(spec), axes, str(tmp_path / "o")) == 0
+    with open(tmp_path / "o" / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 12
+    statuses = [row[3] for row in rows]
+    assert statuses.count("2") == 3 and statuses.count("0") == 9
+    assert {tuple(row[5:7]) for row in rows if row[3] == "0"} == {
+        ("bounded", "n/a"), ("n/a", "stable"), ("bounded", "stable")}
+    for i, row in enumerate(rows):
+        want = oracles.sweep_row_from_files(int(row[3]), tmp_path / "o" / f"point-{i:03d}")
+        assert row[3:] == [str(cell) for cell in want], i
+
+
+def test_sweep_rejects_an_axis_given_twice(tmp_path, capsys):
+    # a [sweep] line and a --vary of the same key, or two --vary of one
+    # key, would let the later axis win and write two columns of one name
+    spec = _write_spec(tmp_path, SWEEP_BASE + "\n[sweep]\nvary = sampling.n=256|512\n")
+    for path, varies in ((spec, ("sampling.n=128",)),
+                         (_write_spec(tmp_path, SWEEP_BASE, "base.cspec"),
+                          ("curve.radius=1|2", "curve.radius = 3"))):
+        out = tmp_path / f"o-{path.stem}"
+        assert sweep.run_sweep(str(path), varies, str(out)) == 2
+        key = varies[-1].split("=")[0].strip()
+        assert capsys.readouterr().err == f"code:2 axis {key} is given more than once\n"
+        assert not out.exists()
 
 
 def test_checked_in_kmax_sweep_reads_bounded_from_14(tmp_path):
