@@ -121,11 +121,10 @@ def _run_transform(state: _RunState, out: Path) -> None:
     stack = [f]
     if eps_g is not None:
         stack.append(operators.truncated_kernel(sc, 0, eps_g))
-    pvs, tables = operators.cauchy_family(sc, stack, [eps for _, eps in levels])
-    table = [("T_eps", f"T*2^-{k}", t_eps)
-             for (k, _), t_eps in zip(levels, tables[0])]
+    pvs, t_eps = operators.cauchy_family(sc, stack, [eps for _, eps in levels])
+    table = [("T_eps", f"T*2^-{k}", row) for (k, _), row in zip(levels, t_eps)]
     table.append(("T_pv", "", pvs[0]))
-    t_star = operators.maximal_of(tables[0])
+    t_star = operators.maximal_of(t_eps)
     table.append(("T_star", "", t_star))
     m1 = operators.hl_maximal_all(sc, pvs[0])
     table.append(("M", "", m1))

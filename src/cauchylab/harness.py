@@ -259,7 +259,7 @@ def proof_check(sc: SampledCurve, values, z_index: int, levels,
         if error is not None:
             raise error
     kernels = [truncated_kernel(sc, z_index, eps) for eps in levels]
-    pvs, tables = cauchy_family(sc, [values] + kernels, levels)
+    pvs, table = cauchy_family(sc, [values] + kernels, levels)
     tf = pvs[0]
     dw = _unit_measure(sc)
     mu = sc.weights
@@ -275,7 +275,7 @@ def proof_check(sc: SampledCurve, values, z_index: int, levels,
         term_ii = mean_ball * np.sum(tf[inball] * dw[inball])
         out = ~inball
         term_iii = np.sum(tf[out] * gvals[out] * dw[out])
-        residual = abs(tables[0, row, z_index] + term_i + term_ii + term_iii)
+        residual = abs(table[row, z_index] + term_i + term_ii + term_iii)
         branch = geometry.branch_log(sc.source, float(sc.params[z_index]), eps)
         term_iv = np.sum(tf[out] / (z - sc.points[out]) * dw[out]) / math.pi ** 2
         far = (margin > 0.0) & ~near

@@ -29,41 +29,53 @@ the previous cut's: every tile builds that block (bounds rounded out to
 multiples of 8, or to the frame's end), its rows' ahead sums come from a
 plain matmul over the range, and the transposed product of the tile's
 own values gives its target nodes their behind sums over the same
-columns.  These sums collect in tile order in one F x n slab that joins
-a running sum over the cuts done so far, so it holds the sums past the
-cut's head.  The cut's masked head triangles, _TILE entries per row,
-are then rebuilt a chunk of tiles at a time into a second slab, which
-joins the running sum in one addition; the cut's windows are closed and
-yielded before the next cut starts.  One builder, _kernel_blocks, makes
-the entries of bands and heads with the same operations, so a head
-entry has the bits of the band entry it repeats, and one task function,
-_sweep_task, makes the products of both.  An even grid's antipode and
-the half-weight boundary nodes are separate terms, each made where it is
-added, from views of the pass's wrapped rows: an edged cut c makes one
-division pass, 1/(z[i+c] - z[i]), and its behind terms are the ahead
-products, negated, of the nodes c behind.  No window's sum is a
+columns.  A block wider than _BLOCK / _TILE = 1024 columns goes in the
+fewest even pieces of at most 1024 columns that start at multiples of 8
+(_split), and a task takes at most _PIECES = 4 pieces of one tile,
+built one after another in its buffer, and adds their row sums piece
+after piece.  These sums collect in tile order in one F x n slab that
+joins a running sum over the cuts done so far, so it holds the sums past
+the cut's head.  The cut's masked head triangles, _TILE entries per row,
+are then rebuilt a chunk of at most 16 tiles at a time into a second
+slab, which joins the running sum in one addition; the cut's windows
+are closed and yielded before the next cut starts.  One builder,
+_kernel_blocks, makes the entries of bands and heads with the same
+operations, so a head entry has the bits of the band entry it repeats,
+and one task function, _sweep_task, makes the products of both.  An
+even grid's antipode and the half-weight boundary nodes are separate
+terms, each made where it is added, from views of the pass's wrapped
+rows: an edged cut c makes one division pass, 1/(z[i+c] - z[i]), and its
+behind terms are the ahead products, negated, of the nodes c behind.  No window's sum is a
 difference of larger sums, so a window that holds only a few nodes is as
 accurate as its own terms.  A pass holds no per-window storage: one copy
 of the values, in its own layout (a list of arrays is stacked only on
 the way there), the running sum, the cut's slab, the window being
-closed with its boundary terms, two kernel buffers as wide as the
-widest cut's block (n/4 columns for the dyadic levels of a power-of-two
-grid, n/2 for 2h and 4h alone) and the products of at most four tasks;
-the buffers and the running sum go before the last cut is closed.
-Traced at n = 2048 and 8192 with F = 15, its peak with each window
-dropped as it comes is 8.1-8.7 F x n slabs for 12 windows and
-10.2-10.7 for 2, from an array or a list.
+closed with its boundary terms, two kernel buffers of at most _BLOCK =
+2^16 complex entries (1 MiB) each, whatever n, and the products of at
+most four tasks, which that budget bounds too; the tasks are made as the
+workers take them, so no list of them grows with n either.  The buffers
+and the running sum go before the last cut is closed.  Traced with
+F = 15 and each window dropped as it comes, its peak is 8.1-8.7 F x n
+slabs for 12 windows and 10.2-10.5 for 2 at n = 2048, 6.1-6.4 for both
+at 8192, from an array or a list; with F = 2 at 8192, 3.6-3.7 MiB,
+against 5.9 and 9.9 MiB with buffers as wide as the widest cut's block
+(n/4 columns for the dyadic levels, n/2 for 2h and 4h alone).
 
-truncated_cauchy_family and cauchy_family collect the windows into an
-(F, W, n) table (42.0-42.5 MiB traced at n = 8192, 15 functions and 14
-windows, the table 26.25 MiB of it), for the transform and proof scans,
-the witnesses and the tests; cauchy_maximal_family takes the principal
-values and the running max over the levels from the windows as they
-come, and no table, for the cotlar scan (17.5-18.4 MiB for the same
-functions and levels, against 37.7-38.1 MiB through cauchy_family and
-maximal_of).  The bits are those of one tile-major sweep that builds
-every tile's kernel over the whole frame, kept in tests/oracles.py with
-the readable single-node oracles.
+truncated_cauchy_family collects the windows into an (F, W, n) table,
+for the tests (39.3 MiB traced at n = 8192, 15 functions and 14
+windows, the table 26.25 MiB of it).  cauchy_family and
+cauchy_maximal_family take the windows as they come: cauchy_family
+keeps every function's principal values and the first function's level
+rows, the only rows its callers read (the transform and proof scans,
+the witnesses and pv_cauchy_all); the transform's pass of f and one
+kernel at n = 8192, levels k = 5..12, peaks at 4.7 MiB traced, against
+11.6 MiB with the (F, W, n) table and the wide buffers.
+cauchy_maximal_family keeps the principal values and the running max
+over the levels, for the cotlar scan (13.5-13.9 MiB for 15 functions
+and the 12 levels at n = 8192, against 34.3-34.5 MiB through
+truncated_cauchy_family and maximal_of).  The bits are those of one
+tile-major sweep that builds every tile's kernel over the whole frame,
+kept in tests/oracles.py with the readable single-node oracles.
 
 pv_cauchy_all, truncated_cauchy_all and maximal_cauchy_all are that
 evaluator on a family of one, and kernel_truncation_transform is g for one
@@ -77,12 +89,13 @@ Threads: each pass runs two peer workers, the calling thread and one
 helper, through _peers.in_task_order.  Each cut's band blocks (a task
 takes several tiles of a narrow block) and then its heads chunks are the
 tasks, each one call of _sweep_task with one column range of its blocks
-(the cut's band columns, or a head's _TILE), in one list for all the
-cuts; each worker takes the next task not yet started, builds its kernel
-blocks in its own buffer (allocated before the pass) and makes the
-task's products of them.  The helper holds at most two results not yet added, the
-calling thread one, so the helper runs ahead into the next cut while
-the calling thread closes a cut's windows and the consumer takes them.
+(the cut's band columns or a piece of them, or a head's _TILE), drawn
+from one generator for all the cuts; each worker takes the next task not
+yet started, builds its kernel blocks in its own buffer (allocated
+before the pass) and makes the task's products of them.  The helper
+holds at most two results not yet added, the calling thread one, so the
+helper runs ahead into the next cut while the calling thread closes a
+cut's windows and the consumer takes them.
 Only the calling thread adds results into the pass's arrays, in task
 order, so every node gets its terms in the same order whichever worker
 ran a task.  The pass joins its helper when it ends or is closed.  Both
@@ -112,6 +125,7 @@ from __future__ import annotations
 import math
 from contextlib import closing
 from functools import partial
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -137,6 +151,8 @@ __all__ = [
 ]
 
 _TILE = 64  # kernel rows built together; also the width of each masked head
+_BLOCK = 2 ** 16  # complex entries of each worker's kernel buffer, at most
+_PIECES = 4  # pieces of _BLOCK // _TILE columns of one tile per band task, at most
 _BOUNDARY_TOL = 1e-9
 
 
@@ -237,14 +253,15 @@ def _kernel_blocks(z_ext, start: int, count: int, first: int, cols: int,
     # numpy buffers a broadcast ufunc whose rows are shorter than about a
     # third of its buffer (8192 elements unless set), at 2-3 ns an entry
     # here against 0.7-1 ns with a buffer of one row, from 64 columns on;
-    # the buffer size is the calling thread's own
-    size = np.setbufsize(-(-cols // 16) * 16) if cols >= tile else None
+    # a one-row buffer also keeps the buffers of a narrow block's ufuncs
+    # (0.2 MiB on a two-function pass at n = 8192) off the pass's peak.
+    # The buffer size is the calling thread's own
+    size = np.setbufsize(-(-cols // 16) * 16)
     try:
         kern = np.subtract(_tile_windows(z_ext, start + first, count, cols)[:, None],
                            rows, out=out)
     finally:
-        if size is not None:
-            np.setbufsize(size)
+        np.setbufsize(size)
     low = max(0, min(cols, cut - first + tile))
     masks = []
     for a, b in ((0, low), (max(low, reach - first + 1), cols)):
@@ -261,6 +278,15 @@ def _kernel_blocks(z_ext, start: int, count: int, first: int, cols: int,
     for part, masked in masks:
         np.copyto(part, 0.0, where=masked)
     return kern
+
+
+def _split(a: int, b: int, cap: int) -> list:
+    """Bounds a = p_0 < ... < p_m = b of the fewest column ranges of at
+    most cap columns (a multiple of 8), as even as ranges that start at
+    multiples of 8 from a allow."""
+    m = -(-(b - a) // cap)
+    units = -(-(b - a) // 8)
+    return [a + 8 * (k * units // m) for k in range(m)] + [b]
 
 
 def _wrap_add(acc, start: int, vals) -> None:
@@ -292,35 +318,43 @@ def _offset_terms(z_ext, contrib_ext, n: int, off: int) -> np.ndarray:
 
 
 def _sweep_task(z_ext, contrib_ext, n: int, reach: int, start: int,
-                count: int, first: int, cols: int, cut: int, lo: int, hi: int, buf):
-    """One band task or heads chunk, a task of _peers.in_task_order: it
-    builds the kernel blocks of _kernel_blocks in buf and returns the
-    (F, rows) sums of the blocks' rows that are nodes over the columns
-    lo..hi - 1, and the (F, count * cols) sums that the rows, as sources,
-    give the blocks' columns in order."""
+                count: int, cut: int, pieces, buf):
+    """One band task or heads chunk, a task of _peers.in_task_order: for
+    each piece (first, cols, lo, hi) of its blocks in turn, it builds the
+    kernel blocks of _kernel_blocks in buf.  Returns the (F, rows) sums of
+    the blocks' rows that are nodes over each piece's columns lo..hi - 1,
+    added piece after piece, and for each piece the (F, count * cols) sums
+    that the rows, as sources, give its columns in order."""
     tile = _TILE
     f = contrib_ext.shape[1]
     span = count * tile
     rows = min(span, n - start)
-    kern = _kernel_blocks(z_ext, start, count, first, cols, cut, reach,
-                          buf.reshape(-1)[:span * cols].reshape(count, tile, cols))
-    frames = _tile_windows(contrib_ext, start + first, count, cols)
-    # BLAS reduces over a multiple of 8 columns, the rest elementwise,
-    # tile by tile, so that the products are _TILE x 7 x F at most
-    mid = hi - (hi - lo) % 8
-    sums = kern[..., lo:mid] @ frames[:, lo:mid]
-    for t in range(count) if mid < hi else ():
-        sums[t] += (kern[t, :, mid:hi, None] * frames[t, None, mid:hi]).sum(axis=1)
-    ahead = sums.reshape(span, f)[:rows].T
-    # the rows as sources behind their targets: K[j, i] = -K[i, j]; these
-    # come after the row sums, so that the elementwise products of the
-    # leftover columns are freed before they are made
-    src = -contrib_ext[start:start + span]
-    src[rows:] = 0.0  # rows past the last node wrap around; they add nothing
-    behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ kern
-    del src
-    behind = behind.transpose(1, 0, 2).reshape(f, count * cols)
-    return ahead, behind
+    ahead, behinds = None, []
+    for first, cols, lo, hi in pieces:
+        kern = _kernel_blocks(z_ext, start, count, first, cols, cut, reach,
+                              buf.reshape(-1)[:span * cols].reshape(count, tile, cols))
+        frames = _tile_windows(contrib_ext, start + first, count, cols)
+        # BLAS reduces over a multiple of 8 columns, the rest elementwise,
+        # tile by tile, so that the products are _TILE x 7 x F at most
+        mid = hi - (hi - lo) % 8
+        sums = kern[..., lo:mid] @ frames[:, lo:mid]
+        for t in range(count) if mid < hi else ():
+            sums[t] += (kern[t, :, mid:hi, None] * frames[t, None, mid:hi]).sum(axis=1)
+        sums = sums.reshape(span, f)[:rows].T
+        if ahead is None:
+            ahead = sums
+        else:
+            ahead += sums
+        # the rows as sources behind their targets: K[j, i] = -K[i, j]; these
+        # come after the row sums, so that the elementwise products of the
+        # leftover columns are freed before they are made
+        src = -contrib_ext[start:start + span]
+        src[rows:] = 0.0  # rows past the last node wrap around; they add nothing
+        behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ kern
+        del src
+        behinds.append(behind.transpose(1, 0, 2).reshape(f, count * cols))
+        del behind
+    return ahead, behinds
 
 
 def truncated_cauchy_windows(sc: SampledCurve, values, eps_list):
@@ -377,26 +411,43 @@ def _cut_stream(z_ext, contrib_ext, n: int, windows):
     blocks = [(lo - lo % 8, min(width, hi + -hi % 8), lo, hi)
               for lo, hi in zip(bounds[1:], bounds)]
     tiles = -(-n // tile)
-    # a heads chunk fills at most half a tile kernel of the frame's width;
-    # a band task's blocks fill at most the widest block, and it takes no
-    # more rows than that block has columns, which bounds its products
-    per_chunk = max(1, width // (2 * tile))
-    widest = max([b - a for a, b, lo, hi in blocks if lo < hi]
-                 + [per_chunk * tile])
-    plan, tasks = [], []  # per cut, its band tasks' rows and its head chunks
-    for c, (a, b, lo, hi) in zip(cuts, blocks):
-        band = []
-        if lo < hi:
-            per_task = max(1, min(widest // (b - a), widest // tile))
-            band = [(t * tile, min(per_task, tiles - t))
-                    for t in range(0, tiles, per_task)]
-        heads = [(t * tile, min(per_chunk, tiles - t))
-                 for t in range(0, tiles, per_chunk)]
-        plan.append((band, heads))
-        tasks += [(s, count, a, b - a, 0, lo - a, hi - a) for s, count in band]
-        tasks += [(s, count, c + 1, tile, c, 0, tile) for s, count in heads]
-    tasks = [partial(_sweep_task, z_ext, contrib_ext, n, reach, *task)
-             for task in tasks]
+    # a worker's buffer holds _BLOCK entries at most, whatever n: a band
+    # block wider than `most` columns goes in pieces of at most `most`
+    # columns (each starting at a multiple of 8), a heads chunk fills at
+    # most half a tile kernel of the frame's width and `most` columns in
+    # all, and a band task takes no more rows than its buffer has columns
+    # and no more than _PIECES pieces, which bounds its products
+    most = _BLOCK // tile
+    per_chunk = max(1, min(width // (2 * tile), most // tile))
+    widest = min(most, max([b - a for a, b, lo, hi in blocks if lo < hi]
+                           + [per_chunk * tile]))
+
+    # the tasks are made as the workers take them, and again as their
+    # results are added, so that no list of them grows with n; each is
+    # (start, count, cut, pieces), the arguments of _sweep_task
+    def band(a, b, lo, hi):
+        """A cut's band tasks.  A split block's take one tile and up to
+        _PIECES pieces each, the groups and the pieces as even as _split
+        makes them, so that no task is a sliver of another's work."""
+        if lo >= hi:  # a cut at reach: its head reaches the frame's end
+            return
+        per_task = max(1, min(widest // (b - a), widest // tile))
+        groups = []
+        for q0, q1 in pairwise(_split(a, b, _PIECES * most)):
+            groups.append([(p, q - p, max(lo, p) - p, min(hi, q) - p)
+                           for p, q in pairwise(_split(q0, q1, most))])
+        for t in range(0, tiles, per_task):
+            for pieces in groups:
+                yield t * tile, min(per_task, tiles - t), 0, pieces
+
+    def heads(c):
+        """A cut's heads chunks."""
+        for t in range(0, tiles, per_chunk):
+            yield t * tile, min(per_chunk, tiles - t), c, [(c + 1, tile, 0, tile)]
+
+    tasks = (partial(_sweep_task, z_ext, contrib_ext, n, reach, *task)
+             for c, block in zip(cuts, blocks)
+             for task in chain(band(*block), heads(c)))
 
     def close(cut, base):
         """Yield the windows of the cut from base, its terms past the
@@ -424,13 +475,16 @@ def _cut_stream(z_ext, contrib_ext, n: int, windows):
     # both workers build every block and chunk of heads in their own buffer
     scratch = tuple(np.empty(tile * widest, dtype=complex) for _ in range(2))
     with closing(in_task_order(tasks, scratch)) as results:
-        for c, (a, b, lo, hi), (band, heads) in zip(cuts, blocks, plan):
+        for c, block in zip(cuts, blocks):
             part = np.zeros((f, n), dtype=complex)
-            for (s, count), (ahead, behind) in zip(band, results):
+            for (s, count, _, pieces), (ahead, behinds) in zip(band(*block), results):
                 for t in range(count):
-                    t0, q = s + t * tile, t * (b - a)
+                    t0 = s + t * tile
                     part[:, t0:t0 + tile] += ahead[:, t * tile:(t + 1) * tile]
-                    _wrap_add(part, t0 + lo, behind[:, q + lo - a:q + hi - a])
+                    for (first, cols, lo, hi), behind in zip(pieces, behinds):
+                        _wrap_add(part, t0 + first + lo,
+                                  behind[:, t * cols + lo:t * cols + hi])
+            ahead = behind = behinds = None  # not kept through the heads
             if running is None:
                 if n % 2 == 0:
                     part += terms(n // 2)
@@ -440,7 +494,7 @@ def _cut_stream(z_ext, contrib_ext, n: int, windows):
                 part[:] = 0.0
             # a node's one ahead head term may come before behind ones,
             # which commutes from zero
-            for (s, count), (ahead, behind) in zip(heads, results):
+            for (s, *_), (ahead, (behind,)) in zip(heads(c), results):
                 part[:, s:s + ahead.shape[1]] += ahead
                 _wrap_add(part, s + c + 1, behind)
             ahead = behind = None  # free the last chunk's sums
@@ -490,18 +544,41 @@ def _richardson_windows(sc: SampledCurve, levels):
     return eps_list, picks
 
 
-def cauchy_family(sc: SampledCurve, values, levels=()):
-    """Principal values and the T_eps table at the given levels of a
-    stack of functions, from one evaluator pass.
+def _richardson_pass(sc: SampledCurve, values, levels, take):
+    """One evaluator pass over the levels and the Richardson windows: calls
+    take(w, T_eps f) with each level's (F, n) window as the pass yields it,
+    and returns the principal values 2 T_2h - T_4h, of shape (F, n)."""
+    eps_list, (pick_2h, pick_4h) = _richardson_windows(sc, levels)
+    t_4h = pv = None
+    with closing(truncated_cauchy_windows(sc, values, eps_list)) as stream:
+        for w, vals in stream:
+            if w < len(levels):
+                take(w, vals)
+            if w == pick_4h:
+                t_4h = vals
+            elif w == pick_2h:  # the innermost cut, after 4h's
+                pv = 2.0 * vals - t_4h
+            vals = None
+    return pv
 
-    Returns (pv, table): pv has shape (F, n); table has shape (F, K, n)
-    for the K levels.  The pv is the Richardson value 2 T_2h - T_4h; a
-    level with the window of 2h or 4h serves for it, so those windows are
-    only added to the pass when no level has them.
+
+def cauchy_family(sc: SampledCurve, values, levels=()):
+    """Principal values of a stack of functions and the T_eps table of its
+    first function at the given levels, from one evaluator pass.
+
+    Returns (pv, table): pv has shape (F, n), the Richardson value
+    2 T_2h - T_4h; table has shape (K, n) for the K levels, the first
+    function's rows (the other functions' rows are dropped as the pass
+    yields them).  A level with the window of 2h or 4h serves for the pv,
+    so those windows are only added to the pass when no level has them.
     """
-    eps_list, picks = _richardson_windows(sc, levels)
-    vals = truncated_cauchy_family(sc, values, eps_list)
-    return 2.0 * vals[:, picks[0]] - vals[:, picks[1]], vals[:, :len(levels)]
+    levels = list(levels)
+    table = np.empty((len(levels), sc.n), dtype=complex)
+
+    def take(w, vals):
+        table[w] = vals[0]
+
+    return _richardson_pass(sc, values, levels, take), table
 
 
 def cauchy_maximal_family(sc: SampledCurve, values, levels):
@@ -513,21 +590,16 @@ def cauchy_maximal_family(sc: SampledCurve, values, levels):
     maximal_of.  Each window joins them as the pass yields it, so no
     table of the levels is kept; levels must not be empty.
     """
-    levels = list(levels)
-    eps_list, (pick_2h, pick_4h) = _richardson_windows(sc, levels)
-    sup = t_4h = pv = None
-    with closing(truncated_cauchy_windows(sc, values, eps_list)) as stream:
-        for w, vals in stream:
-            if w < len(levels):
-                if sup is None:
-                    sup = np.abs(vals)
-                else:
-                    np.maximum(sup, np.abs(vals), out=sup)
-            if w == pick_4h:
-                t_4h = vals
-            elif w == pick_2h:  # the innermost cut, after 4h's
-                pv = 2.0 * vals - t_4h
-            vals = None
+    sup = None
+
+    def take(w, vals):
+        nonlocal sup
+        if sup is None:
+            sup = np.abs(vals)
+        else:
+            np.maximum(sup, np.abs(vals), out=sup)
+
+    pv = _richardson_pass(sc, values, list(levels), take)
     return pv, sup
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
+import re
+import shutil
 import sys
 from itertools import product
 from pathlib import Path
@@ -80,7 +82,8 @@ def run_sweep(spec_path: str, varies, out_dir: str, overrides=(),
     base spec goes to out_dir/base.cspec and one row per point to
     out_dir/sweep.csv: the point's values and SWEEP_COLUMNS, where a point
     that fails has its exit status and nothing else.  Returns the exit
-    status of the sweep itself."""
+    status of the sweep itself.  The point-NNN directories an earlier
+    sweep left in out_dir are removed first."""
     try:
         base_text, axes = _sweep_parts(Path(spec_path).read_text())
         axes = [_sweep_axis(a) for a in axes + list(varies)]
@@ -100,6 +103,11 @@ def run_sweep(spec_path: str, varies, out_dir: str, overrides=(),
         return EXIT_VALIDATION
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # an earlier sweep's points go, so that out holds this sweep's points
+    # alone and each holds only what its own run writes
+    for old in out.iterdir():
+        if re.fullmatch(r"point-\d{3,}", old.name) and old.is_dir() and not old.is_symlink():
+            shutil.rmtree(old)
     base = out / "base.cspec"
     write_text(base, [base_text])
     table = io.StringIO()
@@ -107,6 +115,7 @@ def run_sweep(spec_path: str, varies, out_dir: str, overrides=(),
     writer.writerow(targets + list(SWEEP_COLUMNS))
     for i, point in enumerate(product(*[values for _, values in axes])):
         point_dir = out / f"point-{i:03d}"
+        point_dir.mkdir()  # empty when the point fails validation
         given = tuple(overrides) + tuple(
             f"{target}={value}" for (target, _), value in zip(axes, point))
         status, state = execute(CommandInvocation("all", str(base), str(point_dir),

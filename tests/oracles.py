@@ -35,6 +35,7 @@ import csv
 import math
 from contextlib import closing
 from functools import partial
+from itertools import pairwise
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,12 +51,15 @@ from cauchylab.errors import (
 )
 from cauchylab.geometry import _window_chords, second_difference
 from cauchylab.operators import (
+    _BLOCK,
+    _PIECES,
     _TILE,
     _circular_prefix,
     _cyclic_distance,
     _hl_radii,
     _kernel_blocks,
     _outside_window,
+    _split,
     _tile_windows,
     _unit_measure,
     _window_split,
@@ -127,10 +131,11 @@ def gathered_offset_terms(z_ext, contrib_ext, n: int, off: int) -> np.ndarray:
 
 
 def _tile_major_task(z_ext, contrib_ext, n: int, reach: int, start: int,
-                     count: int, first: int, cols: int, cut: int, ranges, buf):
-    """One band tile or heads chunk of tile_major_family: the (F, rows)
-    sums of each column range's rows and the (F, count * cols) sums the
-    rows give their columns, from the blocks of operators._kernel_blocks."""
+                     count: int, first: int, cols: int, cut: int, groups, buf):
+    """One band tile or heads chunk of tile_major_family: for each group of
+    column ranges, the (F, rows) sums of the rows over each range, added
+    range after range, and the (F, count * cols) sums the rows give their
+    columns, from the blocks of operators._kernel_blocks."""
     tile = _TILE
     f = contrib_ext.shape[1]
     span = count * tile
@@ -139,12 +144,19 @@ def _tile_major_task(z_ext, contrib_ext, n: int, reach: int, start: int,
                           buf.reshape(-1)[:span * cols].reshape(count, tile, cols))
     frames = _tile_windows(contrib_ext, start + first, count, cols)
     aheads = []
-    for lo, hi in ranges:
-        mid = hi - (hi - lo) % 8
-        sums = kern[..., lo:mid] @ frames[:, lo:mid]
-        if mid < hi:
-            sums += (kern[..., mid:hi, None] * frames[:, None, mid:hi]).sum(axis=2)
-        aheads.append(sums.reshape(span, f)[:rows].T)
+    for ranges in groups:
+        total = None
+        for lo, hi in ranges:
+            mid = hi - (hi - lo) % 8
+            sums = kern[..., lo:mid] @ frames[:, lo:mid]
+            if mid < hi:
+                sums += (kern[..., mid:hi, None] * frames[:, None, mid:hi]).sum(axis=2)
+            sums = sums.reshape(span, f)[:rows].T
+            if total is None:
+                total = sums
+            else:
+                total += sums
+        aheads.append(total)
     src = -contrib_ext[start:start + span]
     src[rows:] = 0.0
     behind = src.reshape(count, tile, f).transpose(0, 2, 1) @ kern
@@ -156,9 +168,12 @@ def tile_major_family(sc, values, eps_list) -> np.ndarray:
     """operators.truncated_cauchy_family as one tile-major sweep: each tile
     of rows builds its kernel over the whole frame of (n - 1) // 2 + 65
     columns and adds its row and transposed sums over every cut's column
-    range into that cut's slot of the (F, W, n) result; a running sum over
-    the slots then gives the terms past each head, and a second sweep adds
-    the heads, cut by cut.  The boundary terms are gathered_offset_terms."""
+    range into that cut's slot of the (F, W, n) result; a range wider than
+    _BLOCK // _TILE columns goes in the program's pieces (operators._split
+    of its block into groups of at most _PIECES pieces), and the row sums
+    of a group's pieces are added together first.  A running sum over the
+    slots then gives the terms past each head, and a second sweep adds the
+    heads, cut by cut.  The boundary terms are gathered_offset_terms."""
     n = sc.n
     vals = np.asarray(values, dtype=complex)
     windows = [_window_split(eps, sc.spacing, n) for eps in eps_list]
@@ -181,18 +196,26 @@ def tile_major_family(sc, values, eps_list) -> np.ndarray:
     chunks = [(c, t * tile, min(per_chunk, tiles - t)) for c in cuts
               for t in range(0, tiles, per_chunk)]
     bounds = [width] + [c + tile + 1 for c in cuts]
-    ranges = list(zip(bounds[1:], bounds))
+    most = _BLOCK // tile
+    groups = []  # (cut, its column ranges) of each band task of a tile
+    for c, lo, hi in zip(cuts, bounds[1:], bounds):
+        if lo < hi:
+            b = min(width, hi + -hi % 8)
+            for q0, q1 in pairwise(_split(lo - lo % 8, b, _PIECES * most)):
+                groups.append((c, [(max(lo, p), min(hi, q))
+                                   for p, q in pairwise(_split(q0, q1, most))]))
     starts = range(0, n, tile)
-    band = [(t0, 1, 0, width, 0, ranges) for t0 in starts]
-    heads = [(s, count, c + 1, tile, c, [(0, tile)]) for c, s, count in chunks]
+    band = [(t0, 1, 0, width, 0, [ranges for _, ranges in groups]) for t0 in starts]
+    heads = [(s, count, c + 1, tile, c, [[(0, tile)]]) for c, s, count in chunks]
     tasks = [partial(_tile_major_task, z_ext, contrib_ext, n, reach, *task)
              for task in band + heads]
     scratch = tuple(np.empty((tile, width), dtype=complex) for _ in range(2))
     with closing(_peers.in_task_order(tasks, scratch)) as results:
         for t0, (aheads, behind) in zip(starts, results):
-            for c, (lo, hi), ahead in zip(cuts, ranges, aheads):
+            for (c, ranges), ahead in zip(groups, aheads):
                 slots[c][:, t0:t0 + ahead.shape[1]] += ahead
-                _wrap_add(slots[c], t0 + lo, behind[:, lo:hi])
+                for lo, hi in ranges:
+                    _wrap_add(slots[c], t0 + lo, behind[:, lo:hi])
         if n % 2 == 0 and cuts:
             slots[cuts[0]] += gathered_offset_terms(z_ext, contrib_ext, n, n // 2)
         for prev, c in zip(cuts, cuts[1:]):

@@ -295,13 +295,13 @@ def _count_passes(monkeypatch):
     from cauchylab import operators
 
     passes = []
-    family = operators.truncated_cauchy_family
+    stream = operators.truncated_cauchy_windows
 
     def counting(sc, values, eps_list):
         passes.append(len(values))
-        return family(sc, values, eps_list)
+        return stream(sc, values, eps_list)
 
-    monkeypatch.setattr(operators, "truncated_cauchy_family", counting)
+    monkeypatch.setattr(operators, "truncated_cauchy_windows", counting)
     return passes
 
 
@@ -667,6 +667,26 @@ def test_sweep_writes_one_row_per_point_and_reruns_to_the_same_bytes(tmp_path, c
     summary = first["point-001/summary.txt"].decode()
     assert "k_max = 12" in summary and "criterion verdict: bounded" in summary
     assert cells[1][6].split(";")[-1].startswith("T*2^-12=")
+
+
+def test_sweep_into_a_used_directory_leaves_no_earlier_point(tmp_path):
+    # k_max = 8|9|10 and then 8|2 into one directory: out holds point-000
+    # and point-001 alone, point-001 (k_max = 2 fails validation) holds
+    # nothing of the earlier k_max = 9 run, and the earlier point-002 is
+    # gone.  Only point-NNN directories are removed
+    spec = _write_spec(tmp_path, SWEEP_BASE)
+    out = tmp_path / "o"
+    assert sweep.run_sweep(str(spec), ("experiment.k_max=8|9|10",), str(out)) == 0
+    assert "k_max = 9" in (out / "point-001" / "summary.txt").read_text()
+    (out / "point-old").mkdir()
+    (out / "point-009").write_text("a file")
+    assert sweep.run_sweep(str(spec), ("experiment.k_max=8|2",), str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "base.cspec", "point-000", "point-001", "point-009", "point-old", "sweep.csv"]
+    assert list((out / "point-001").iterdir()) == []
+    assert "k_max = 8" in (out / "point-000" / "summary.txt").read_text()
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["8", "0"], ["2", "2"]]
 
 
 def test_sweep_axes_come_from_the_file_then_the_command_line(tmp_path):

@@ -397,15 +397,18 @@ def _stream_sample(name, n):
     return curves.arclength_sample(_STREAM_CURVES[name], n)
 
 
-@pytest.mark.parametrize("f", [1, 2, 5, 15])
-@pytest.mark.parametrize("n", [16, 17, 33, 63, 100, 257, 512, 1001, 2048, 4096])
+@pytest.mark.parametrize("n, f", [
+    (n, f) for n in [16, 17, 33, 63, 100, 257, 512, 1001, 2048, 4096]
+    for f in [1, 2, 5, 15]] + [(8192, 2)])
 def test_windows_have_the_tile_major_bits(n, f):
     # cut by cut, each band block rounded out to multiples of 8 columns,
     # the pass gives the bits of one tile-major sweep over the whole frame:
     # the dyadic levels from k = 1, 2h, 4h, an off-grid window and the
     # on- and off-grid windows around the tile width and the antipode, on
     # a circle, a 2:1 ellipse, the unit square and a depth-3 spiral.  With
-    # block bounds not rounded, the transposed products change bits
+    # block bounds not rounded, the transposed products change bits.  At
+    # n = 8192 the blocks of k = 2 and 3 are wider than 1024 columns and
+    # go in pieces, whose sums the oracle adds in the same order
     for name in _STREAM_CURVES:
         sc = _stream_sample(name, n)
         h = sc.spacing
@@ -415,6 +418,28 @@ def test_windows_have_the_tile_major_bits(n, f):
         vals = rng.normal(size=(f, n)) + 1j * rng.normal(size=(f, n))
         got = operators.truncated_cauchy_family(sc, vals, eps)
         assert np.array_equal(got, oracles.tile_major_family(sc, vals, eps)), name
+
+
+@pytest.mark.parametrize("block", [2 ** 12, 2 ** 14])
+def test_split_blocks_have_the_tile_major_bits(monkeypatch, block):
+    # with a smaller buffer budget the blocks at n = 1001 and 2048 go in
+    # pieces of block / 64 columns, several groups of them per tile (the
+    # 2h/4h pass's first block and the dyadic levels'), and heads chunks
+    # of block / 4096 tiles; the pass keeps the bits of the tile-major
+    # sweep that splits its column ranges at the same bounds
+    monkeypatch.setattr(operators, "_BLOCK", block)
+    monkeypatch.setattr(oracles, "_BLOCK", block)
+    for n in (1001, 2048):
+        for name in ("circle", "square"):
+            sc = _stream_sample(name, n)
+            h = sc.spacing
+            rng = np.random.default_rng(n)
+            vals = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+            for eps in ([2.0 * h, 4.0 * h],
+                        [e for _, e in dyadic_levels(sc, 1)] + [3.3 * h]):
+                got = operators.truncated_cauchy_family(sc, vals, eps)
+                want = oracles.tile_major_family(sc, vals, eps)
+                assert np.array_equal(got, want), (n, name, len(eps))
 
 
 @pytest.mark.parametrize("n", [16, 100, 2048])
@@ -448,28 +473,30 @@ def square_family():
 def test_pass_memory_does_not_grow_with_windows(square_family):
     # a pass holds no per-window storage: beyond the windows it has yielded,
     # its traced peak is the values' one wrapped copy (1.5 slabs of F x n
-    # complex values), two kernel buffers as wide as the widest cut's
-    # block (4.3 slabs for 2h and 4h alone, whose first block reaches the
-    # antipode, at F = 15), the running sum, the cut's own sums and the
-    # window being closed, and the products of at most four tasks.  That
-    # stays under one bound at n = 2048 and 8192, for 2 windows and for 12
-    # (the dyadic levels k = 1..10, 2h and 4h), from an array or a list, which
-    # the pass stacks and drops.  The consumer drops each window as it
-    # comes, and the one in hand is counted.  The two threads' short-lived
-    # ufunc buffers meet or miss each other by timing, so each case takes
-    # the least of 3 passes.  Measured 10.2-10.7 slabs for 2 windows and
-    # 8.1-8.7 for 12
-    bound = 11.5
-    for n in (2048, 8192):
-        if n == square_family[0].n:
+    # complex values), two kernel buffers of at most 1 MiB each, the
+    # running sum, the cut's own sums and the window being closed, and the
+    # products of at most four tasks.  With 15 functions that stays under
+    # one bound in slabs at n = 2048 and 8192, for 2 windows and for 12
+    # (the dyadic levels k = 1..10, 2h and 4h), from an array or a list,
+    # which the pass stacks and drops; measured 10.2-10.5 slabs for 2
+    # windows at 2048 (6.1 at 8192) and 8.1-8.7 for 12.  With 2 functions
+    # at n = 8192, from an array, the buffers are most of it: measured
+    # 3.6-3.7 MiB, under a bound of 4.5 MiB that buffers as wide as the
+    # widest cut's block (8 MiB for 2 windows, 4 MiB for 12) break.  The
+    # consumer drops each window as it comes, and the one in hand is
+    # counted.  The two threads' short-lived ufunc buffers meet or miss
+    # each other by timing, so each case takes the least of 3 passes
+    for n, f in ((2048, 15), (8192, 15), (8192, 2)):
+        if (n, f) == (square_family[0].n, len(square_family[1])):
             sc, vals = square_family
         else:
             sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
             rng = np.random.default_rng(21)
-            vals = rng.normal(size=(15, n)) + 1j * rng.normal(size=(15, n))
+            vals = rng.normal(size=(f, n)) + 1j * rng.normal(size=(f, n))
+        bound = 11.5 * vals.nbytes if f == 15 else 4.5 * 2 ** 20
         h = sc.spacing
         levels = [eps for _, eps in dyadic_levels(sc, 1)][:10]
-        for values in (vals, list(vals)):
+        for values in (vals, list(vals))[:2 if f == 15 else 1]:
             for eps in ([2.0 * h, 4.0 * h], [2.0 * h, 4.0 * h] + levels):
                 peaks = []
                 for _ in range(3):
@@ -486,8 +513,37 @@ def test_pass_memory_does_not_grow_with_windows(square_family):
                     finally:
                         tracemalloc.stop()
                     assert got == len(eps)
-                peak = min(peaks) / vals.nbytes
-                assert peak < bound, (n, len(eps), type(values), peak)
+                assert min(peaks) < bound, (n, f, len(eps), type(values), min(peaks))
+
+
+class _Swept(Exception):
+    """Raised where a pass would start its sweep, with the buffers it
+    gives its workers."""
+
+
+@pytest.mark.parametrize("n", [2048, 8192, 16384])
+def test_kernel_buffers_hold_at_most_the_block(monkeypatch, n):
+    # each worker's kernel buffer holds at most 2^16 complex entries
+    # (1 MiB) at every n: a band block wider than 1024 columns goes in
+    # pieces, and a heads chunk takes at most 16 tiles.  The sweep is
+    # stopped where it would start, for the 2h/4h pass (whose first block
+    # reaches the antipode) and the dyadic levels', with 2 and 15 functions
+    def swept(tasks, scratch):
+        raise _Swept(scratch)
+
+    monkeypatch.setattr(operators, "in_task_order", swept)
+    sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
+    h = sc.spacing
+    for f in (2, 15):
+        vals = np.ones((f, n), dtype=complex)
+        for eps in ([2.0 * h, 4.0 * h], [eps for _, eps in dyadic_levels(sc, 1)]):
+            with pytest.raises(_Swept) as caught:
+                for _ in operators.truncated_cauchy_windows(sc, vals, eps):
+                    pass
+            scratch = caught.value.args[0]
+            assert len(scratch) == 2
+            assert all(buf.size <= 2 ** 16 for buf in scratch), (
+                f, len(eps), [buf.size for buf in scratch])
 
 
 def test_cotlar_pass_asks_for_each_window_once(monkeypatch):
@@ -520,8 +576,10 @@ def test_cotlar_pass_asks_for_each_window_once(monkeypatch):
 def test_cauchy_maximal_family_is_cauchy_family_then_maximal_of(name, n, off_grid):
     # the cotlar scan's pass folds each window into its running max and its
     # principal value as the pass yields it, while the helper thread runs
-    # ahead; it gives the bits of the collected table read by maximal_of,
-    # for the dyadic levels and for levels off the grid's windows
+    # ahead; it gives the bits of the collected table of the same windows
+    # read by maximal_of, for the dyadic levels and for levels off the
+    # grid's windows.  cauchy_family's pv and its table of the first
+    # function's rows have the same bits
     p = (curves.polygon([0, 1, 1 + 1j, 1j]) if name == "square"
          else curves.build_spiral(6))
     sc = curves.arclength_sample(p, n)
@@ -534,15 +592,19 @@ def test_cauchy_maximal_family_is_cauchy_family_then_maximal_of(name, n, off_gri
         levels = [eps for _, eps in dyadic_levels(sc, 1)]
     pv, t_star = operators.cauchy_maximal_family(sc, vals, levels)
     ref_pv, table = operators.cauchy_family(sc, vals, levels)
+    eps_list, _ = operators._richardson_windows(sc, levels)
+    full = operators.truncated_cauchy_family(sc, vals, eps_list)[:, :len(levels)]
     assert np.array_equal(pv, ref_pv)
-    assert np.array_equal(t_star, operators.maximal_of(table))
+    assert np.array_equal(table, full[0])
+    assert np.array_equal(t_star, operators.maximal_of(full))
 
 
 @pytest.mark.parametrize("n", [2048, 3000])
 def test_cauchy_family_bits_equal_the_prepended_floor_windows(n):
     # reading 2h and 4h from the levels that hold them gives the bits of a
     # pass with (2h, 4h) put before the levels, for levels that end at the
-    # floor, that stop short of it, and (n = 3000) that end above 2h
+    # floor, that stop short of it, and (n = 3000) that end above 2h; the
+    # table is the first function's rows
     sc = curves.arclength_sample(curves.polygon([0, 1, 1 + 1j, 1j]), n)
     rng = np.random.default_rng(n)
     vals = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
@@ -552,8 +614,8 @@ def test_cauchy_family_bits_equal_the_prepended_floor_windows(n):
         pv, table = operators.cauchy_family(sc, vals, lv)
         ref = operators.truncated_cauchy_family(sc, vals, [2.0 * h, 4.0 * h] + lv)
         assert pv.tobytes() == (2.0 * ref[:, 0] - ref[:, 1]).tobytes()
-        assert table.shape == ref[:, 2:].shape
-        assert table.tobytes() == ref[:, 2:].tobytes()
+        assert table.shape == ref[0, 2:].shape
+        assert table.tobytes() == ref[0, 2:].tobytes()
 
 
 def test_family_matches_single_calls(square_family):
@@ -561,7 +623,8 @@ def test_family_matches_single_calls(square_family):
     # family and a family of one agree to 1e-13, not bitwise
     sc, vals = square_family
     levels = dyadic_levels(sc, 1)
-    pvs, tables = operators.cauchy_family(sc, vals, [eps for _, eps in levels])
+    pvs, _ = operators.cauchy_family(sc, vals, [eps for _, eps in levels])
+    tables = operators.truncated_cauchy_family(sc, vals, [eps for _, eps in levels])
     t_stars = operators.maximal_of(tables)
     for f_vals, pv, table, t_star in list(zip(vals, pvs, tables, t_stars))[::4]:
         single = operators.pv_cauchy_all(sc, f_vals)
@@ -1219,7 +1282,7 @@ def test_dual_statistic_attains_the_transpose_identity(n):
         size = np.abs(mu_g)
         chi = np.divide(np.conj(mu_g), size, out=np.zeros_like(mu_g), where=size > 0)
         f, _ = operators.cauchy_family(sc, chi)
-        _, table = operators.cauchy_family(sc, f, levels)
+        table = operators.truncated_cauchy_family(sc, f, levels)
         got = table[np.arange(len(levels)), np.arange(len(levels)), 0]
         want = -np.sum(chi * mu_g, axis=-1)
         d = oracles.dual_statistic(sc, 0, levels)

@@ -46,6 +46,39 @@ def test_results_come_back_in_task_order(monkeypatch, schedule):
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
+def test_a_generator_of_tasks_is_drawn_as_the_workers_take_them(monkeypatch, schedule):
+    # the evaluator makes its tasks as the workers take them, so that no
+    # list of them grows with the grid: when a result is handed on, at most
+    # _AHEAD + _OWN tasks past it have been drawn.  No task, no result; an
+    # iterable that raises has its error raised after the tasks it made,
+    # whichever worker drew it
+    oracles.patch_schedule(monkeypatch, schedule)
+    drawn, got = [], []
+
+    def tasks():
+        for i in range(40):
+            drawn.append(i)
+            yield lambda buf, i=i: i
+
+    for i in in_task_order(tasks()):
+        assert len(drawn) <= i + 1 + _peers._AHEAD + _peers._OWN
+        got.append(i)
+    assert got == drawn == list(range(40))
+    assert list(in_task_order(iter(()))) == []
+
+    def failing():
+        yield from tasks()
+        raise Failed("drawn")
+
+    drawn.clear()
+    results = in_task_order(failing())
+    # the iterable's error is raised in the place of the task it did not make
+    assert [next(results) for _ in range(40)] == list(range(40))
+    with pytest.raises(Failed, match="^drawn$"):
+        next(results)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
 def test_smallest_failing_task_raises(monkeypatch, schedule):
     oracles.patch_schedule(monkeypatch, schedule)
 
